@@ -1,4 +1,4 @@
-//! The extraction cost model, fed by measured GEMM-engine throughput.
+//! The extraction cost model, anchored on GEMM-engine throughput.
 //!
 //! Extraction picks the cheapest member of each e-class, so the cost
 //! model is where "awareness" becomes a decision: flop counts come from
@@ -6,19 +6,23 @@
 //! diagonal / triangular / tridiagonal factors and the SYRK pattern — the
 //! property-guarded specializations live *here*, not as structural
 //! rules), and flops are converted to time-like units with the two
-//! throughput regimes `laab bench` actually measures: square GEMM runs at
-//! the compute-bound rate (`summary.engine_gflops` in `BENCH_gemm.json`),
-//! while GEMV-shaped products and elementwise sweeps run at the
-//! memory-bound rate (the batch-1 anchor of `summary.batch_gflops`).
-//! That ratio is what makes `Hᵀ(H·x)` (two GEMVs) beat `(HᵀH)·x` (one
-//! GEMM + one GEMV) by the measured margin rather than by raw flops.
+//! throughput regimes `laab bench` measures: square GEMM runs at the
+//! compute-bound rate (`summary.engine_gflops`), while GEMV-shaped
+//! products and elementwise sweeps run at the memory-bound rate (the
+//! batch-1 anchor of `summary.batch_gflops`). That ratio is what makes
+//! `Hᵀ(H·x)` (two GEMVs) beat `(HᵀH)·x` (one GEMM + one GEMV) by the
+//! measured margin rather than by raw flops.
 //!
-//! [`CostModel::from_gemm_bench_json`] reads the two anchors out of a
-//! `BENCH_gemm.json` document with a dependency-free scanner (this crate
-//! sits below `laab-core` in the crate graph, so it cannot import the
-//! report type); [`CostModel::default`] holds conservative built-in
-//! anchors so extraction is fully deterministic when no measurement file
-//! is present (tests rely on this).
+//! Both pricings — [`CostModel::expr_cost`] over a tree and the
+//! extractor's sum over selected e-classes — are **DAG costs**: a subterm
+//! that occurs twice is priced once, because the trace-time CSE pass
+//! computes it once. That keeps the input's cost and the extracted cost
+//! comparable, and keeps `(AᵀB)ᵀ(AᵀB)` (two GEMMs, `AᵀB` shared) cheaper
+//! than `(BᵀA)(AᵀB)` (three).
+//!
+//! The anchors are the constants of [`CostModel::default`] and nothing
+//! else: extraction decides what a server and a verifying client compute,
+//! so it must not depend on a file either of them happens to find.
 
 use crate::egraph::{EGraph, ENode};
 use laab_expr::cost::mul_cost;
@@ -43,8 +47,7 @@ pub struct CostModel {
 impl Default for CostModel {
     /// Built-in anchors (≈ the shape of every curve `laab bench` has
     /// produced on this class of hardware: GEMM an order of magnitude
-    /// faster per flop than GEMV). Used whenever no `BENCH_gemm.json` is
-    /// available, and by every determinism test.
+    /// faster per flop than GEMV).
     fn default() -> Self {
         CostModel { gemm_gflops: 40.0, gemv_gflops: 4.0 }
     }
@@ -57,30 +60,6 @@ impl CostModel {
             return 1;
         }
         ((self.gemm_gflops / self.gemv_gflops).round() as u64).max(1)
-    }
-
-    /// Parse the two throughput anchors out of a `BENCH_gemm.json`
-    /// document (`laab-gemm-bench-v2+`). Returns `None` when either
-    /// anchor is missing or non-positive; the caller falls back to
-    /// [`CostModel::default`].
-    pub fn from_gemm_bench_json(text: &str) -> Option<CostModel> {
-        let gemm = scan_number(text, "\"engine_gflops\"")?;
-        // First element of `batch_gflops`: the batch-1 GEMV-shaped anchor.
-        let gemv = scan_first_array_number(text, "\"batch_gflops\"").unwrap_or(gemm / 10.0);
-        if gemm > 0.0 && gemv > 0.0 && gemm.is_finite() && gemv.is_finite() {
-            Some(CostModel { gemm_gflops: gemm, gemv_gflops: gemv })
-        } else {
-            None
-        }
-    }
-
-    /// Load anchors from a `BENCH_gemm.json` on disk, falling back to the
-    /// built-in defaults when the file is absent or unparseable.
-    pub fn load_or_default(path: &std::path::Path) -> CostModel {
-        std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| Self::from_gemm_bench_json(&text))
-            .unwrap_or_default()
     }
 
     /// Time-like cost of one product `m×k · k×n` with the factors'
@@ -138,82 +117,63 @@ impl CostModel {
         }
     }
 
-    /// Cost of a plain expression tree under this model — the same
-    /// per-node pricing as [`CostModel::enode_cost`], summed over the
-    /// tree. Used to report the un-extracted baseline next to the
-    /// extracted cost.
+    /// DAG cost of a plain expression under this model — the same
+    /// per-node pricing as [`CostModel::enode_cost`], with structurally
+    /// equal subterms priced once (what the trace-time CSE pass executes).
+    /// This is the un-extracted baseline reported next to the extracted
+    /// cost, in the same units as [`Extraction::cost`](crate::Extraction).
     pub fn expr_cost(&self, expr: &Expr, ctx: &Context) -> u64 {
-        let own = match expr {
-            Expr::Var(_) | Expr::Identity(_) | Expr::Transpose(_) => 1,
+        // A list, not a hash set: the serving path prices a ten-node
+        // expression per request, where hashing every subtree costs more
+        // than comparing against the few already seen.
+        let mut seen = Vec::with_capacity(16);
+        self.unseen_cost(expr, ctx, &mut seen)
+    }
+
+    /// Cost of the subterms of `expr` not yet in `seen` (0 when `expr`
+    /// itself was priced before).
+    fn unseen_cost<'e>(&self, expr: &'e Expr, ctx: &Context, seen: &mut Vec<&'e Expr>) -> u64 {
+        if seen.contains(&expr) {
+            return 0;
+        }
+        seen.push(expr);
+        let sweep = |x: &Expr| self.sweep_cost(x.shape(ctx));
+        // Own cost and children, matched in place: `Expr::children`
+        // would allocate once per node on a per-request path.
+        let (own, kids) = match expr {
+            Expr::Var(_) | Expr::Identity(_) => (1, [None, None]),
+            Expr::Transpose(x) => (1, [Some(x), None]),
             Expr::Mul(a, b) => {
                 let (sa, sb) = (a.shape(ctx), b.shape(ctx));
-                self.product_cost(
+                let own = self.product_cost(
                     sa.rows,
                     sa.cols,
                     sb.cols,
                     a.props(ctx),
                     b.props(ctx),
                     laab_expr::is_transpose_pair(a, b),
-                )
+                );
+                (own, [Some(a), Some(b)])
             }
-            Expr::Add(a, _) | Expr::Sub(a, _) => self.sweep_cost(a.shape(ctx)),
-            Expr::Scale(_, x) => self.sweep_cost(x.shape(ctx)),
-            Expr::Elem(_, _, _) => 1,
-            Expr::Row(x, _) => (x.shape(ctx).cols as u64).max(1),
-            Expr::Col(x, _) => (x.shape(ctx).rows as u64).max(1),
+            Expr::Add(a, b) | Expr::Sub(a, b) => (sweep(a), [Some(a), Some(b)]),
+            Expr::Scale(_, x) => (sweep(x), [Some(x), None]),
+            Expr::Elem(x, _, _) => (1, [Some(x), None]),
+            Expr::Row(x, _) => ((x.shape(ctx).cols as u64).max(1), [Some(x), None]),
+            Expr::Col(x, _) => ((x.shape(ctx).rows as u64).max(1), [Some(x), None]),
             Expr::VCat(a, b) | Expr::HCat(a, b) | Expr::BlockDiag(a, b) => {
-                self.sweep_cost(a.shape(ctx)).saturating_add(self.sweep_cost(b.shape(ctx)))
+                (sweep(a).saturating_add(sweep(b)), [Some(a), Some(b)])
             }
         };
-        expr.children().iter().fold(own, |acc, c| acc.saturating_add(self.expr_cost(c, ctx)))
+        kids.into_iter()
+            .flatten()
+            .fold(own, |acc, kid| acc.saturating_add(self.unseen_cost(kid, ctx, seen)))
     }
-}
-
-/// Scan `"key": <number>` out of a JSON document without a JSON
-/// dependency. Good enough for the flat numeric fields of the
-/// well-formed reports this workspace itself emits.
-fn scan_number(text: &str, key: &str) -> Option<f64> {
-    let at = text.find(key)?;
-    let rest = &text[at + key.len()..];
-    let colon = rest.find(':')?;
-    let rest = rest[colon + 1..].trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Scan the first number of `"key": [a, b, …]`.
-fn scan_first_array_number(text: &str, key: &str) -> Option<f64> {
-    let at = text.find(key)?;
-    let rest = &text[at + key.len()..];
-    let open = rest.find('[')?;
-    let rest = rest[open + 1..].trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use laab_expr::var;
-
-    #[test]
-    fn parses_anchors_from_bench_json() {
-        let doc = r#"{"schema":"laab-gemm-bench-v3","summary":{
-            "engine_gflops": 48.25, "seed_gflops": 23.0,
-            "batch_sizes": [1, 8, 32], "batch_gflops": [2.61, 12.8, 26.1]}}"#;
-        let m = CostModel::from_gemm_bench_json(doc).expect("parses");
-        assert!((m.gemm_gflops - 48.25).abs() < 1e-12);
-        assert!((m.gemv_gflops - 2.61).abs() < 1e-12);
-        assert!(CostModel::from_gemm_bench_json("{}").is_none());
-    }
 
     #[test]
     fn gemv_regime_is_penalized_per_flop() {
@@ -229,8 +189,20 @@ mod tests {
     }
 
     #[test]
-    fn missing_file_falls_back_to_defaults() {
-        let m = CostModel::load_or_default(std::path::Path::new("/nonexistent/BENCH_gemm.json"));
-        assert_eq!(m, CostModel::default());
+    fn shared_subterms_are_priced_once() {
+        let m = CostModel::default();
+        let n = 16;
+        let ctx = Context::new().with("A", n, n).with("B", n, n);
+        let s = var("A").t() * var("B");
+        let gemm = 2 * (n * n * n) as u64;
+        // S = AᵀB: one GEMM plus the A, Aᵀ, B ticks.
+        assert_eq!(m.expr_cost(&s, &ctx), gemm + 3);
+        // SᵀS: S once, the transpose tick, and the SYRK-discounted outer
+        // product — not two copies of S.
+        let gram = s.clone().t() * s.clone();
+        assert_eq!(m.expr_cost(&gram, &ctx), (gemm + 3) + 1 + gemm / 2);
+        // (BᵀA)·S shares only the leaves: three full GEMMs.
+        let spelled = (var("B").t() * var("A")) * s;
+        assert_eq!(m.expr_cost(&spelled, &ctx), 3 * gemm + 4);
     }
 }

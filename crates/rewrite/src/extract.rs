@@ -1,64 +1,117 @@
 //! Cost-based extraction and the end-to-end e-graph optimization entry.
 //!
 //! After saturation every e-class holds all forms reachable from the rule
-//! set; extraction recovers the single cheapest expression. The algorithm
-//! is the standard bottom-up relaxation: each class's best cost is the
-//! minimum over its member e-nodes of (node cost + sum of child-class
-//! bests), iterated to a fixpoint. Because every node cost is ≥ 1, the
-//! chosen nodes always form a well-founded DAG even though the saturated
-//! graph is cyclic (bidirectional rules put `x` and rewrites *of* `x`
-//! into mutually-referential classes). Ties keep the earliest member —
-//! class node lists preserve insertion order with original-expression
-//! nodes first, so an equal-cost rewrite never displaces the input form
-//! (this is what makes extraction stable and the differential suite's
-//! bitwise claims meaningful).
+//! set; extraction recovers one cheap expression. Costs are **DAG costs**:
+//! a selection is priced as the sum of the chosen e-nodes over the
+//! *distinct* classes it reaches, so a class used twice is paid for once —
+//! exactly what the trace-time CSE pass executes. Pricing the selection as
+//! a tree instead counts the shared `S = AᵀB` of `SᵀS` twice and then
+//! prefers `(BᵀA)(AᵀB)`, three GEMMs where the input needs two.
+//!
+//! The algorithm is a greedy bottom-up relaxation over that cost: each
+//! pass re-prices every member e-node of every class against the
+//! *current* choices of the classes below it, and a class switches member
+//! only on a strict improvement, so the summed class costs fall with
+//! every update and the loop terminates. A member whose children already
+//! reach the class itself is skipped, which keeps the chosen nodes a
+//! well-founded DAG even though the saturated graph is cyclic
+//! (bidirectional rules put `x` and rewrites *of* `x` into
+//! mutually-referential classes). Everything is iterated in class-id and
+//! member order over dense vectors — no hashing — so extraction is
+//! deterministic, and ties keep the earliest member: class node lists
+//! preserve insertion order with original-expression nodes first.
+//!
+//! Greedy choices are not globally optimal under sharing (a class cannot
+//! know which of its members a sibling will also reach), so
+//! [`optimize_egraph`] keeps the input whenever the extracted form is not
+//! strictly cheaper: the result never costs more than the input, and an
+//! equal-cost rewrite never displaces the input form (this is what makes
+//! extraction stable and the differential suite's bitwise claims
+//! meaningful).
 //!
 //! [`optimize_egraph`] is the pipeline callers use: intern → saturate →
 //! extract, with the budget-hit fallback the serving layer's
-//! `saturation_budget_hit` counter reports.
+//! `saturation_budget_hits` counter reports.
 
 use crate::cost::CostModel;
 use crate::egraph::{EClassId, EGraph, ENode};
 use crate::saturate::{egraph_rules, saturate, SaturateConfig, SaturateStats};
 use laab_expr::{Context, Expr};
-use std::collections::HashMap;
 
-/// The cheapest expression of a class, with its modeled cost.
+/// The expression extracted for a class, with its modeled cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Extraction {
     /// The extracted expression tree.
     pub expr: Expr,
-    /// Its total cost under the extraction [`CostModel`].
+    /// Its DAG cost under the extraction [`CostModel`]: every distinct
+    /// e-class of the selection priced once.
     pub cost: u64,
 }
 
-/// Extract the cheapest expression of `root`'s class under `model`.
-/// Deterministic: fixed iteration order, strict-improvement updates,
-/// first-member tie-breaking.
+/// One class's current selection.
+#[derive(Clone, Copy)]
+struct Choice {
+    /// DAG cost of the selection rooted here, as of when it was chosen.
+    cost: u64,
+    /// Index of the chosen member in the class's node list.
+    member: usize,
+}
+
+/// The per-class choices plus a stamp array for repeated DAG walks.
+struct Selection<'a> {
+    eg: &'a EGraph,
+    /// `own[class][member]`: the member's own cost, children excluded.
+    own: Vec<Vec<u64>>,
+    /// Indexed by canonical class id.
+    best: Vec<Option<Choice>>,
+    /// `seen[class] == stamp` marks a class visited by the current walk.
+    seen: Vec<u32>,
+    stamp: u32,
+}
+
+impl Selection<'_> {
+    /// DAG cost of choosing `member` for class `id` on top of the current
+    /// choices below it, or `None` when a child has no choice yet or the
+    /// member would close a cycle through `id`.
+    fn price(&mut self, id: EClassId, member: usize) -> Option<u64> {
+        self.stamp += 1;
+        self.seen[id.0 as usize] = self.stamp;
+        let mut cost = self.own[id.0 as usize][member];
+        let mut stack = self.eg.class(id).nodes[member].children();
+        while let Some(c) = stack.pop() {
+            let c = self.eg.find(c);
+            if c == id {
+                return None;
+            }
+            if std::mem::replace(&mut self.seen[c.0 as usize], self.stamp) == self.stamp {
+                continue;
+            }
+            let chosen = self.best[c.0 as usize]?.member;
+            cost = cost.saturating_add(self.own[c.0 as usize][chosen]);
+            stack.extend(self.eg.class(c).nodes[chosen].children());
+        }
+        Some(cost)
+    }
+}
+
+/// Extract a cheap expression of `root`'s class under `model`, priced as
+/// a DAG. Deterministic: fixed iteration order, strict-improvement
+/// updates, first-member tie-breaking.
 pub fn extract_best(eg: &EGraph, root: EClassId, model: &CostModel) -> Extraction {
     let ids = eg.class_ids();
-    // best[class root id] = (cost, index of the chosen member node)
-    let mut best: HashMap<u32, (u64, usize)> = HashMap::new();
+    let slots = ids.last().map_or(0, |id| id.0 as usize + 1);
+    let mut own = vec![Vec::new(); slots];
+    for &id in &ids {
+        own[id.0 as usize] = eg.class(id).nodes.iter().map(|n| model.enode_cost(eg, n)).collect();
+    }
+    let mut sel = Selection { eg, own, best: vec![None; slots], seen: vec![0; slots], stamp: 0 };
     loop {
         let mut changed = false;
         for &id in &ids {
-            for (idx, n) in eg.class(id).nodes.iter().enumerate() {
-                let mut cost = model.enode_cost(eg, n);
-                let mut ready = true;
-                for ch in n.children() {
-                    match best.get(&eg.find(ch).0) {
-                        Some(&(c, _)) => cost = cost.saturating_add(c),
-                        None => {
-                            ready = false;
-                            break;
-                        }
-                    }
-                }
-                if !ready {
-                    continue;
-                }
-                if best.get(&id.0).is_none_or(|&(c, _)| cost < c) {
-                    best.insert(id.0, (cost, idx));
+            for member in 0..eg.class(id).nodes.len() {
+                let Some(cost) = sel.price(id, member) else { continue };
+                if sel.best[id.0 as usize].is_none_or(|b| cost < b.cost) {
+                    sel.best[id.0 as usize] = Some(Choice { cost, member });
                     changed = true;
                 }
             }
@@ -68,15 +121,18 @@ pub fn extract_best(eg: &EGraph, root: EClassId, model: &CostModel) -> Extractio
         }
     }
     let root = eg.find(root);
-    let cost = best.get(&root.0).expect("root class extractable").0;
-    Extraction { expr: build(eg, &best, root), cost }
+    let member = sel.best[root.0 as usize].expect("root class extractable").member;
+    // Re-price the root against the final choices: a stored cost can be
+    // stale once a class below it switched member.
+    let cost = sel.price(root, member).expect("the selection is acyclic");
+    Extraction { expr: build(eg, &sel.best, root), cost }
 }
 
 /// Rebuild the chosen expression tree for `id`'s class.
-fn build(eg: &EGraph, best: &HashMap<u32, (u64, usize)>, id: EClassId) -> Expr {
+fn build(eg: &EGraph, best: &[Option<Choice>], id: EClassId) -> Expr {
     let id = eg.find(id);
-    let (_, idx) = best[&id.0];
-    let node = &eg.class(id).nodes[idx];
+    let member = best[id.0 as usize].expect("every class below the root has a choice").member;
+    let node = &eg.class(id).nodes[member];
     let sub = |c: &EClassId| Box::new(build(eg, best, *c));
     match node {
         ENode::Var(name) => Expr::Var(name.clone()),
@@ -109,38 +165,46 @@ pub struct EgraphConfig {
 pub struct EgraphResult {
     /// The extracted (or, on budget hit, the original) expression.
     pub best: Expr,
-    /// Modeled cost of [`EgraphResult::best`].
+    /// Modeled DAG cost of [`EgraphResult::best`]: below
+    /// [`EgraphResult::original_cost`] when `changed`, equal to it
+    /// otherwise.
     pub best_cost: u64,
-    /// Modeled cost of the input expression (same units).
+    /// Modeled DAG cost of the input expression
+    /// ([`CostModel::expr_cost`], same units).
     pub original_cost: u64,
     /// What saturation did.
     pub stats: SaturateStats,
-    /// `true` when extraction chose a different tree than the input.
+    /// `true` when extraction chose a different, strictly cheaper tree
+    /// than the input.
     pub changed: bool,
 }
 
-/// Intern `expr`, saturate under `cfg`'s budgets, and extract the
-/// cheapest equivalent form. On a budget hit the input expression is
-/// returned unchanged (`changed == false`, `stats.budget_hit == true`)
-/// so the caller can count the fallback and keep serving through the
-/// pass pipeline alone.
+/// Intern `expr`, saturate under `cfg`'s budgets, and extract a cheaper
+/// equivalent form. The input expression is returned unchanged
+/// (`changed == false`) on a budget hit (`stats.budget_hit == true`, so
+/// the caller can count the fallback and keep serving through the pass
+/// pipeline alone) and whenever extraction found nothing strictly cheaper
+/// than it.
 pub fn optimize_egraph(expr: &Expr, ctx: &Context, cfg: &EgraphConfig) -> EgraphResult {
     let original_cost = cfg.cost.expr_cost(expr, ctx);
     let mut eg = EGraph::new(ctx);
     let root = eg.add_expr(expr);
     let stats = saturate(&mut eg, &egraph_rules(), &cfg.saturate);
+    let keep_input = |stats| EgraphResult {
+        best: expr.clone(),
+        best_cost: original_cost,
+        original_cost,
+        stats,
+        changed: false,
+    };
     if stats.budget_hit {
-        return EgraphResult {
-            best: expr.clone(),
-            best_cost: original_cost,
-            original_cost,
-            stats,
-            changed: false,
-        };
+        return keep_input(stats);
     }
     let ext = extract_best(&eg, root, &cfg.cost);
-    let changed = ext.expr != *expr;
-    EgraphResult { best: ext.expr, best_cost: ext.cost, original_cost, stats, changed }
+    if ext.expr == *expr || ext.cost >= original_cost {
+        return keep_input(stats);
+    }
+    EgraphResult { best: ext.expr, best_cost: ext.cost, original_cost, stats, changed: true }
 }
 
 #[cfg(test)]
@@ -188,6 +252,41 @@ mod tests {
         assert_eq!(r.best, e, "no spurious rewriting");
         assert!(!r.changed);
         assert_eq!(r.best_cost, r.original_cost);
+    }
+
+    #[test]
+    fn shared_subterm_is_priced_once_so_the_cse_form_survives() {
+        // Tree pricing counts S = AᵀB twice and so prefers (BᵀA)(AᵀB) —
+        // three GEMMs — by one transpose tick. As a DAG the input is two.
+        for n in [12usize, 24, 256] {
+            let ctx = Context::new().with("A", n, n).with("B", n, n);
+            let s = var("A").t() * var("B");
+            let e = s.clone().t() * s;
+            let r = optimize_egraph(&e, &ctx, &EgraphConfig::default());
+            assert!(!r.changed, "n={n}: extracted {}", r.best);
+            assert_eq!(r.best, e);
+            assert_eq!(r.best_cost, r.original_cost);
+        }
+        // (X·Y)ᵀ(X·Y) + X·Y: whatever is extracted computes X·Y once.
+        let n = 32;
+        let ctx = Context::new().with("X", n, n).with("Y", n, n);
+        let p = var("X") * var("Y");
+        let e = p.clone().t() * p.clone() + p.clone();
+        let r = optimize_egraph(&e, &ctx, &EgraphConfig::default());
+        assert!(r.best_cost <= r.original_cost);
+        fn occurrences(e: &Expr, of: &Expr) -> usize {
+            usize::from(e == of) + e.children().iter().map(|c| occurrences(c, of)).sum::<usize>()
+        }
+        fn products<'e>(e: &'e Expr, out: &mut std::collections::HashSet<&'e Expr>) {
+            if matches!(e, Expr::Mul(..)) {
+                out.insert(e);
+            }
+            e.children().into_iter().for_each(|c| products(c, out));
+        }
+        assert!(occurrences(&r.best, &p) >= 2, "X·Y stays shared in {}", r.best);
+        let mut distinct = std::collections::HashSet::new();
+        products(&r.best, &mut distinct);
+        assert_eq!(distinct.len(), 2, "X·Y and the outer product, nothing else: {}", r.best);
     }
 
     #[test]

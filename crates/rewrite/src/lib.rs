@@ -32,10 +32,11 @@
 //! [`cost`]) keeps every equivalent form at once: expressions are
 //! interned into an arena-backed e-graph (union-find + congruence
 //! closure, no external deps), saturated under iteration/node budgets
-//! with the full bidirectional rule set, and the cheapest form is
-//! extracted with a cost model calibrated by measured `BENCH_gemm.json`
-//! GFLOP/s curves. [`optimize_egraph`] is the entry point `laab serve
-//! --opt egraph` compiles through.
+//! with the full bidirectional rule set, and a cheaper form is extracted
+//! under a cost model with fixed GEMM/GEMV throughput anchors, priced as
+//! a DAG (a shared subterm is paid for once). [`optimize_egraph`] is the
+//! entry point `laab-serve`'s plan compile runs for every expression
+//! costly enough to repay it.
 
 #![deny(missing_docs)]
 

@@ -18,8 +18,8 @@
 //!   false`), the two pipelines trace the *same* expression through the
 //!   same passes, so the plans are identical and every backend —
 //!   reference, seed, and engine alike — must produce bit-identical
-//!   outputs. The extractor's first-member tie-break (ties keep the
-//!   input form) is what makes this claim testable at all.
+//!   outputs. The extractor keeping the input form unless a rewrite is
+//!   strictly cheaper is what makes this claim testable at all.
 //! * **Documented ULP/relative bounds**: when extraction rewrote the
 //!   expression (re-association, factoring, slice pushdown), the
 //!   floating-point summation order legitimately changes. The bound is a
@@ -103,12 +103,13 @@ fn check_family<T: BackendScalar>(fw: &Framework, family: Family, n: usize, seed
 }
 
 /// The families whose e-graph extraction is *structure-preserving* at
-/// size `n` (and therefore owe bitwise equality): `gram` and
+/// size `n` (and therefore owe bitwise equality): `cse_gram`, `gram` and
 /// `solve_residual` are already optimal under the cost model at every
-/// size, and `chain`'s re-association only pays off past the GEMV-rate
-/// crossover at n > 20.
+/// size (`cse_gram` because the shared `AᵀB` is priced once), and
+/// `chain`'s re-association only pays off past the GEMV-rate crossover
+/// at n > 20.
 fn unchanged_families(n: usize) -> Vec<Family> {
-    let mut fams = vec![Family::Gram, Family::SolveResidual];
+    let mut fams = vec![Family::CseGram, Family::Gram, Family::SolveResidual];
     if n <= 20 {
         fams.push(Family::Chain);
     }
@@ -118,14 +119,16 @@ fn unchanged_families(n: usize) -> Vec<Family> {
 #[test]
 fn extraction_changes_exactly_the_predicted_families() {
     // Pins the cost model's discrete decisions (probed, then frozen):
-    //  - cse_gram: (AᵀB)ᵀ(AᵀB) → (BᵀA)(AᵀB) drops one transpose at any n;
     //  - slice, distributive: cheaper at any size;
     //  - chain: two GEMVs beat GEMM+GEMV only once n > 20 (below that,
     //    the SYRK-discounted HᵀH plus one penalized GEMV wins);
-    //  - gram, solve_residual: the input form is already optimal.
+    //  - cse_gram, gram, solve_residual: the input form is already
+    //    optimal — for cse_gram only as a DAG: (BᵀA)(AᵀB) drops one
+    //    transpose tick but computes three products where the input,
+    //    with AᵀB shared, computes two.
     for (n, changed) in [
-        (12usize, vec![Family::CseGram, Family::Slice, Family::Distributive]),
-        (24, vec![Family::CseGram, Family::Chain, Family::Slice, Family::Distributive]),
+        (12usize, vec![Family::Slice, Family::Distributive]),
+        (24, vec![Family::Chain, Family::Slice, Family::Distributive]),
     ] {
         for family in Family::ALL {
             let r = optimize_egraph(&family.expr(n), &family.ctx(n), &EgraphConfig::default());

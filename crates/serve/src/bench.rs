@@ -145,13 +145,16 @@ pub struct ServeConfig {
     /// Deterministic fault injection for the network server; `None`
     /// injects nothing.
     pub faults: Option<crate::fault::FaultPlan>,
-    /// The optimizer level to serve. [`OptLevel::Passes`] (the default)
-    /// compiles through the trace-time pass pipeline alone — the pre-v6
-    /// behavior, bit for bit. [`OptLevel::Egraph`] **A/Bs both levels
+    /// The optimizer level the in-process bench pins its drain lanes to.
+    /// [`OptLevel::Passes`] compiles every lane through the trace-time
+    /// pass pipeline alone. [`OptLevel::Egraph`] **A/Bs both levels
     /// interleaved** (like the backend axis): every batch compiles and
     /// executes once per level, the cache keys entries per level, and
     /// the report adds per-level and per-family comparisons plus
-    /// cross-level numeric probes.
+    /// cross-level numeric probes. Pinning exists for that comparison
+    /// only: the network server (`--listen`), the load generator's
+    /// oracle and the bench's live phases ignore this field and compile
+    /// at the level [`OptLevel::for_input`] picks per expression.
     pub opt: OptLevel,
     /// Modeled accelerator dispatch latency of the `deferred` backend,
     /// microseconds **per flush group** (not per op — amortizing this

@@ -49,13 +49,15 @@
 //! paper's cross-strategy comparison axis, reproduced at the serving
 //! layer.
 //!
-//! Signatures also carry the [`OptLevel`] the plan compiles through:
-//! `--opt egraph` A/Bs the trace-time pass pipeline against
-//! `laab-rewrite`'s equality-saturation optimizer interleaved (each
-//! request compiles once per level, never aliased in the cache) and the
-//! report adds per-family extracted-cost vs. measured-latency records,
-//! cross-level numeric probes (`opt_mismatches`), and the saturation
-//! budget-hit fallback count.
+//! Signatures also carry the [`OptLevel`] the plan compiles through.
+//! The served path picks it per expression ([`OptLevel::for_input`]:
+//! `laab-rewrite`'s equality-saturation optimizer runs ahead of the
+//! trace-time passes once the input's modeled cost reaches
+//! [`EGRAPH_MIN_COST`]); `--opt egraph` pins both levels and A/Bs them
+//! interleaved (each request compiles once per level, never aliased in
+//! the cache), and the report adds per-family extracted-cost vs.
+//! measured-latency records, cross-level numeric probes
+//! (`opt_mismatches`), and the saturation budget-hit fallback count.
 //!
 //! Surfaced on the CLI as `laab serve`.
 
@@ -84,4 +86,4 @@ pub use loadgen::{Arrival, LoadgenConfig, LoadgenReport};
 pub use plan::{EgraphReport, Plan};
 pub use proto::{FrameError, Message, RequestMsg, ResponseMsg};
 pub use server::{Listen, Server, ServerStats};
-pub use signature::{Dtype, OptLevel, Signature};
+pub use signature::{Dtype, OptLevel, Signature, EGRAPH_MIN_COST};

@@ -1,6 +1,5 @@
 //! The compiled plan: optimized graph + schedule, bound to a backend.
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use laab_backend::{BackendId, BackendScalar, Registration};
@@ -11,19 +10,22 @@ use laab_framework::Framework;
 use laab_graph::{
     execute_batched_on, execute_scheduled_on, BatchAnalysis, Graph, PassStats, Schedule,
 };
-use laab_rewrite::{optimize_egraph, CostModel, EgraphConfig};
+use laab_rewrite::{optimize_egraph, EgraphConfig};
 
 use crate::signature::OptLevel;
 
-/// What equality saturation did while compiling one plan — recorded only
-/// on [`OptLevel::Egraph`] plans (a Passes plan never enters the e-graph).
+/// What equality saturation did while compiling one plan — recorded on
+/// every [`OptLevel::Egraph`] plan, whether the level was pinned or
+/// picked by [`OptLevel::for_input`] (a Passes plan never enters the
+/// e-graph).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EgraphReport {
-    /// Modeled cost of the extracted expression.
+    /// Modeled DAG cost of the extracted expression.
     pub extracted_cost: u64,
-    /// Modeled cost of the input expression, same units.
+    /// Modeled DAG cost of the input expression, same units.
     pub original_cost: u64,
-    /// Whether extraction chose a different tree than the input.
+    /// Whether extraction chose a different, strictly cheaper tree than
+    /// the input.
     pub changed: bool,
     /// Whether saturation tripped a budget and the plan fell back to the
     /// input expression (counted by the serving report as
@@ -35,20 +37,14 @@ pub struct EgraphReport {
     pub enodes: usize,
 }
 
-/// The extraction cost model, calibrated once per process from the
-/// measured `BENCH_gemm.json` curves when present (see
-/// [`CostModel::load_or_default`]); the built-in anchors otherwise.
-fn serve_cost_model() -> &'static CostModel {
-    static MODEL: OnceLock<CostModel> = OnceLock::new();
-    MODEL.get_or_init(|| CostModel::load_or_default(std::path::Path::new("BENCH_gemm.json")))
-}
-
 /// A compiled, reusable execution plan — the `ConcreteFunction` of the
 /// `tf.function` analogy.
 ///
-/// Built once per [`Signature`](crate::Signature) by tracing the
-/// expression through the framework's graph mode, running the full
-/// optimizer pipeline, and precomputing the execution [`Schedule`]
+/// Built once per [`Signature`](crate::Signature) by running the
+/// optimizer pipeline — equality saturation when the input is costly
+/// enough to repay it ([`OptLevel::for_input`]), then tracing through the
+/// framework's graph mode and its passes — and precomputing the
+/// execution [`Schedule`]
 /// (reference counts + workspace layout). The plan is bound to the
 /// execution [`Backend`](laab_backend::Backend) it was compiled for —
 /// tracing and optimization are backend-independent, but the cache keys
@@ -68,8 +64,9 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Trace `expr` over the shapes in `ctx` through `fw`'s graph mode,
-    /// optimize, and precompute the schedule, binding the plan to
+    /// Optimize `expr` over the shapes in `ctx` at the level
+    /// [`OptLevel::for_input`] picks for it, trace it through `fw`'s
+    /// graph mode, and precompute the schedule, binding the plan to
     /// `backend`. This is the full cold-trace cost a cache hit amortizes
     /// away. No operand is declared request-varying, so the plan never
     /// stacks (see [`Plan::compile_with_varying`]).
@@ -86,7 +83,9 @@ impl Plan {
     /// request to request. The compile step runs the batch-stacking shape
     /// analysis ([`laab_graph::BatchAnalysis`]) over the optimized graph,
     /// so [`Plan::execute_batched`] can decide stacked-vs-fallback without
-    /// any per-batch analysis cost.
+    /// any per-batch analysis cost. This is the entry point of the socket
+    /// server and of every client that verifies it; the level it compiles
+    /// at is the one [`Signature::new`](crate::Signature::new) hashes.
     pub fn compile_with_varying(
         fw: &Framework,
         expr: &Expr,
@@ -94,10 +93,12 @@ impl Plan {
         backend: &'static Registration,
         varying: &[&str],
     ) -> Plan {
-        Self::compile_opt(fw, expr, ctx, backend, varying, OptLevel::Passes)
+        Self::compile_opt(fw, expr, ctx, backend, varying, OptLevel::for_input(expr, ctx))
     }
 
-    /// [`Plan::compile_with_varying`] through an explicit optimizer level.
+    /// [`Plan::compile_with_varying`] with the optimizer level pinned
+    /// rather than picked — the `--opt` A/B lanes and the differential
+    /// suites.
     ///
     /// At [`OptLevel::Egraph`] the expression first goes through equality
     /// saturation + cost-based extraction ([`laab_rewrite::optimize_egraph`])
@@ -119,8 +120,7 @@ impl Plan {
         let (expr, egraph) = match opt {
             OptLevel::Passes => (expr.clone(), None),
             OptLevel::Egraph => {
-                let cfg = EgraphConfig { cost: *serve_cost_model(), ..Default::default() };
-                let r = optimize_egraph(expr, ctx, &cfg);
+                let r = optimize_egraph(expr, ctx, &EgraphConfig::default());
                 let report = EgraphReport {
                     extracted_cost: r.best_cost,
                     original_cost: r.original_cost,
@@ -245,7 +245,8 @@ impl Plan {
     }
 
     /// What equality saturation did, for plans compiled at
-    /// [`OptLevel::Egraph`]; `None` on Passes-level plans.
+    /// [`OptLevel::Egraph`] (pinned or picked); `None` on Passes-level
+    /// plans.
     pub fn egraph_report(&self) -> Option<EgraphReport> {
         self.egraph
     }
@@ -261,6 +262,7 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::Family;
     use laab_backend::registry;
     use laab_dense::gen::OperandGen;
     use laab_expr::var;
@@ -414,7 +416,8 @@ mod tests {
         let fw = Framework::flow();
         let expr = var("H").t() * (var("y") - var("H") * var("x"));
         let ctx = Context::new().with("H", n, n).with("x", n, 1).with("y", n, 1);
-        let passes = Plan::compile(&fw, &expr, &ctx, registry::default_backend());
+        let passes =
+            Plan::compile_opt(&fw, &expr, &ctx, registry::default_backend(), &[], OptLevel::Passes);
         let egraph =
             Plan::compile_opt(&fw, &expr, &ctx, registry::default_backend(), &[], OptLevel::Egraph);
         let report = egraph.egraph_report().unwrap();
@@ -425,6 +428,77 @@ mod tests {
             .with("x", g.matrix(n, 1))
             .with("y", g.matrix(n, 1));
         assert_eq!(passes.execute(&env), egraph.execute(&env), "unchanged extraction is bitwise");
+    }
+
+    fn compile_family(family: Family, n: usize, opt: Option<OptLevel>) -> Plan {
+        let (fw, expr, ctx) = (Framework::flow(), family.expr(n), family.ctx(n));
+        let (reg, varying) = (registry::default_backend(), family.varying_operands());
+        match opt {
+            None => Plan::compile_with_varying(&fw, &expr, &ctx, reg, varying),
+            Some(opt) => Plan::compile_opt(&fw, &expr, &ctx, reg, varying, opt),
+        }
+    }
+
+    #[test]
+    fn default_path_saturates_only_inputs_that_can_repay_it() {
+        // Under the gate: the passes-only plan, no report, at every family.
+        for n in [8usize, 16, 47] {
+            for family in Family::ALL {
+                let plan = compile_family(family, n, None);
+                assert!(plan.egraph_report().is_none(), "{} n={n}", family.id());
+                let pinned = compile_family(family, n, Some(OptLevel::Passes));
+                assert_eq!(plan.graph(), pinned.graph(), "{} n={n}", family.id());
+                assert_eq!(plan.stackable(), pinned.stackable());
+            }
+        }
+        // Over it: the e-graph plan, and exactly the paper's three misses
+        // rewritten (E1's CSE form, E3's Gram and the residual are kept).
+        for n in [192usize, 256] {
+            for family in Family::ALL {
+                let plan = compile_family(family, n, None);
+                let report =
+                    plan.egraph_report().unwrap_or_else(|| panic!("{} n={n}", family.id()));
+                assert!(!report.budget_hit);
+                let rewritten = [Family::Chain, Family::Slice, Family::Distributive];
+                assert_eq!(report.changed, rewritten.contains(&family), "{} n={n}", family.id());
+                let pinned = compile_family(family, n, Some(OptLevel::Egraph));
+                assert_eq!(plan.graph(), pinned.graph(), "{} n={n}", family.id());
+                assert_eq!(plan.egraph_report(), pinned.egraph_report());
+                // The rewrites leave the matrix families unstackable, so
+                // their responses stay verifiable bit for bit.
+                let vector = matches!(family, Family::Chain | Family::SolveResidual);
+                assert_eq!(plan.stackable(), vector, "{} n={n}", family.id());
+            }
+        }
+    }
+
+    #[test]
+    fn egraph_level_keeps_the_cse_form_of_cse_gram() {
+        for n in [12usize, 24, 256] {
+            let plan = compile_family(Family::CseGram, n, Some(OptLevel::Egraph));
+            let report = plan.egraph_report().expect("egraph plans carry a report");
+            assert!(!report.changed, "n={n}: the shared AᵀB is priced once");
+            assert_eq!(report.extracted_cost, report.original_cost);
+            assert_eq!(plan.graph().matmul_count(), 2, "n={n}: AᵀB computed once");
+        }
+    }
+
+    #[test]
+    fn egraph_plans_execute_the_rewritten_kernels() {
+        // Kernel counters around one execution: the factored A(B+C) is one
+        // GEMM and one n² add (not two GEMMs), the pushed-down slice one
+        // n-long dot (not a GEMM).
+        let n = 64;
+        let flops = |family: Family, opt| {
+            let plan = compile_family(family, n, Some(opt));
+            let env = family.env::<f64>(n, 5);
+            laab_kernels::counters::measure(|| plan.execute(&env)).1.total_flops()
+        };
+        let (gemm, n64) = (2 * (n * n * n) as u64, n as u64);
+        assert_eq!(flops(Family::Distributive, OptLevel::Passes), 2 * gemm + n64 * n64);
+        assert_eq!(flops(Family::Distributive, OptLevel::Egraph), gemm + n64 * n64);
+        assert_eq!(flops(Family::Slice, OptLevel::Passes), gemm);
+        assert_eq!(flops(Family::Slice, OptLevel::Egraph), 2 * n64);
     }
 
     #[test]

@@ -533,27 +533,45 @@ pub fn read_message(r: &mut impl Read) -> Result<Option<Message>, FrameError> {
     decode_payload(&payload).map(Some)
 }
 
-/// A stable FNV-1a checksum over result matrices: shapes plus the exact
-/// bit pattern of every element (`f32` widens to `f64` losslessly).
-/// Equal checksums across a server execution and an in-process oracle
-/// mean bitwise-identical results without shipping matrices over the
-/// wire.
+/// Independent accumulators [`result_checksum`] spreads elements over:
+/// enough multiply chains in flight to hide the multiply's latency
+/// (a 256×256 result takes ≈ 30 µs at 16 lanes, about twice that at 8).
+const CHECKSUM_LANES: usize = 16;
+
+/// A checksum over result matrices: shapes plus the exact bit pattern of
+/// every element (`f32` widens to `f64` losslessly, so equal values of
+/// either precision hash alike). Equal checksums across a server
+/// execution and an in-process oracle mean bitwise-identical results
+/// without shipping matrices over the wire.
+///
+/// Each element is one xor-multiply step on one of 16 independent
+/// accumulators (element `i` goes to lane `i mod 16`), so the multiplies
+/// of consecutive elements overlap instead of forming one dependency
+/// chain; the lanes are then folded, in order, into a running state that
+/// also absorbed the matrix's rows and columns. Every step
+/// depends on what came before it, so swapping two elements — of one lane
+/// or of two — changes the result.
+///
+/// The value is an opaque `u64` in the frame: it is only ever compared
+/// with the checksum the *same build* computes on the other side, so the
+/// function may change without a frame-layout or [`PROTO_VERSION`] bump.
 pub fn result_checksum<T: Scalar>(results: &[Matrix<T>]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut mix = |word: u64| {
-        for b in word.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
+    /// 2⁶⁴ / φ, odd: the multiplier of every step.
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    // The rotate carries the multiply's well-mixed high bits down, so a
+    // flipped sign bit (bit 63) reaches every later step.
+    let step = |h: u64, word: u64| (h.rotate_left(29) ^ word).wrapping_mul(K);
+    let mut h = K;
     for m in results {
-        mix(m.rows() as u64);
-        mix(m.cols() as u64);
-        for &v in m.as_slice() {
-            mix(v.to_f64().to_bits());
+        h = step(step(h, m.rows() as u64), m.cols() as u64);
+        let mut lanes: [u64; CHECKSUM_LANES] = std::array::from_fn(|i| h ^ i as u64);
+        // The last chunk may be short; `zip` stops with it.
+        for chunk in m.as_slice().chunks(CHECKSUM_LANES) {
+            for (lane, v) in lanes.iter_mut().zip(chunk) {
+                *lane = step(*lane, v.to_f64().to_bits());
+            }
         }
+        h = lanes.iter().fold(h, |h, &lane| step(h, lane));
     }
     h
 }
@@ -790,8 +808,55 @@ mod tests {
             ((k / 2) * 2 + k % 2) as f64
         });
         assert_ne!(result_checksum(&[a]), result_checksum(&[flat]));
-        // f32 checksums see exact bit patterns too (f32 → f64 is lossless).
+        // f32 checksums see exact bit patterns too (f32 → f64 is lossless),
+        // so an f32 result hashes like the f64 result of equal values.
         let f = Matrix::<f32>::from_fn(2, 2, |i, j| (i + j) as f32 + 0.125);
-        assert_eq!(result_checksum(std::slice::from_ref(&f)), result_checksum(&[f]));
+        let wide = Matrix::<f64>::from_fn(2, 2, |i, j| (i + j) as f64 + 0.125);
+        assert_eq!(result_checksum(std::slice::from_ref(&f)), result_checksum(&[wide]));
+        let mut g = f.clone();
+        g.set(1, 1, f32::from_bits(g.get(1, 1).to_bits() + 1));
+        assert_ne!(result_checksum(&[f]), result_checksum(&[g]));
+    }
+
+    #[test]
+    fn checksum_sees_signs_nan_payloads_and_element_order() {
+        // Two full rounds of the lanes plus a short last chunk.
+        const L: usize = CHECKSUM_LANES;
+        let base =
+            Matrix::<f64>::from_fn(3, (2 * L + 5) / 3 + 1, |i, j| (i * 100 + j) as f64 + 0.5);
+        let len = base.as_slice().len();
+        assert!(len > 2 * L && !len.is_multiple_of(L));
+        let sum = |m: &Matrix<f64>| result_checksum(std::slice::from_ref(m));
+        let with = |edits: &[(usize, f64)]| {
+            let mut m = base.clone();
+            for &(at, v) in edits {
+                m.as_mut_slice()[at] = v;
+            }
+            m
+        };
+        let at = |k: usize| base.as_slice()[k];
+
+        // -0.0 and 0.0 compare equal as floats and differ in one bit.
+        assert_ne!(sum(&with(&[(4, 0.0)])), sum(&with(&[(4, -0.0)])));
+        // Negating every element of one lane must not cancel out.
+        let negated: Vec<(usize, f64)> =
+            [2, 2 + L, 2 + 2 * L].iter().map(|&k| (k, -at(k))).collect();
+        assert_ne!(sum(&base), sum(&with(&negated)));
+        // Two NaNs that differ only in payload.
+        let (nan_a, nan_b) =
+            (f64::from_bits(0x7ff8_0000_0000_0001), f64::from_bits(0x7ff8_0000_0000_0002));
+        assert!(nan_a.is_nan() && nan_b.is_nan());
+        assert_ne!(sum(&with(&[(len - 1, nan_a)])), sum(&with(&[(len - 1, nan_b)])));
+        // Swapping two elements: of one lane, of two lanes, and across
+        // the boundary between the full rounds and the tail.
+        for (a, b) in [(1, 1 + L), (1, 2), (2 * L - 1, 2 * L)] {
+            assert_ne!(sum(&base), sum(&with(&[(a, at(b)), (b, at(a))])), "swap {a}<->{b}");
+        }
+        // Order across matrices counts too.
+        let other = Matrix::<f64>::from_fn(2, 2, |i, j| (i + j) as f64);
+        assert_ne!(
+            result_checksum(&[base.clone(), other.clone()]),
+            result_checksum(&[other, base.clone()])
+        );
     }
 }

@@ -11,16 +11,24 @@
 
 use laab_backend::BackendId;
 use laab_expr::{Context, Expr};
+use laab_rewrite::CostModel;
 
 pub use laab_backend::Dtype;
 
 /// The optimizer pipeline a plan is compiled through — part of the
 /// signature (and the retrace key), because `--opt` A/B runs compile the
 /// same request twice and the two plans must never alias.
+///
+/// The pipeline is one path — e-graph → trace → passes — and the level
+/// only says whether the first stage runs. Entry points that take no
+/// level ([`Signature::new`], `Request::signature`, `Plan::compile*`)
+/// pick it per expression with [`OptLevel::for_input`]; the `_opt` /
+/// `with_opt` variants pin it, for A/B lanes and differential tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OptLevel {
     /// The trace-time graph passes alone (fold-transpose, CSE,
-    /// scale-fusion, DCE) — the default, and the pre-e-graph behavior.
+    /// scale-fusion, DCE) — what [`OptLevel::for_input`] picks for an
+    /// input too cheap to repay a saturation.
     #[default]
     Passes,
     /// Equality saturation first: the expression is interned into
@@ -33,7 +41,37 @@ pub enum OptLevel {
     Egraph,
 }
 
+/// Modeled cost ([`CostModel::expr_cost`] ticks at the default anchors)
+/// from which an input is worth saturating.
+///
+/// Saturation plus extraction costs 30–40 µs per compile
+/// (`rewrite.egraph_optimize_us` 29–40 in the committed benchmark
+/// baseline). A tick is one flop at the model's 40 GFLOP/s compute-bound
+/// anchor, so that is 1.2–1.6 M ticks — and a rewrite can save at most
+/// the input's whole cost, so below about 2²⁰ ticks not even one
+/// execution can repay the compile. The threshold is a property of the
+/// input, not of a workload: of the serving families, every n < 48
+/// expression stays under it (the largest, `distributive` at n = 47,
+/// costs ≈ 0.44 M) and keeps the ≈ 7 µs passes-only compile, while every
+/// n ≥ 192 expression is over it (the smallest, `solve_residual` at
+/// n = 192, costs ≈ 1.5 M) and saturates once per signature.
+pub const EGRAPH_MIN_COST: u64 = 1 << 20;
+
 impl OptLevel {
+    /// The level the entry points without an explicit level compile
+    /// `expr` at: [`OptLevel::Egraph`] from [`EGRAPH_MIN_COST`] modeled
+    /// ticks up, [`OptLevel::Passes`] below. Signature and plan both call
+    /// this, so a cached plan is always the one its signature names — and
+    /// a server and a verifying client, which see the same expression,
+    /// pick the same level.
+    pub fn for_input(expr: &Expr, ctx: &Context) -> OptLevel {
+        if CostModel::default().expr_cost(expr, ctx) >= EGRAPH_MIN_COST {
+            OptLevel::Egraph
+        } else {
+            OptLevel::Passes
+        }
+    }
+
     /// Every level, in CLI order.
     pub const ALL: [OptLevel; 2] = [OptLevel::Passes, OptLevel::Egraph];
 
@@ -102,7 +140,8 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 impl Signature {
     /// Build the signature of calling `func` with `expr` over the operands
     /// declared in `ctx`, at element precision `dtype`, targeting
-    /// `backend`, compiled at the default [`OptLevel::Passes`].
+    /// `backend`, compiled at the level [`OptLevel::for_input`] picks for
+    /// `expr` — the level `Plan::compile*` picks for the same input.
     ///
     /// Every operand declared in `ctx` participates (callers build one
     /// minimal context per request family), so an unused-but-declared
@@ -110,7 +149,7 @@ impl Signature {
     /// differently-shaped tensor to a `tf.function` parameter the traced
     /// body happens to ignore.
     pub fn new(func: &str, expr: &Expr, ctx: &Context, dtype: Dtype, backend: BackendId) -> Self {
-        Self::with_opt(func, expr, ctx, dtype, backend, OptLevel::Passes)
+        Self::with_opt(func, expr, ctx, dtype, backend, OptLevel::for_input(expr, ctx))
     }
 
     /// [`Signature::new`] with an explicit optimizer level. The level is

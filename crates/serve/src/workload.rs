@@ -178,9 +178,12 @@ impl Request {
     /// The request's plan-cache signature when dispatched to `backend`.
     /// One logical request driven through two backends yields two
     /// signatures — that is what keeps A/B cache entries independent.
-    /// The payload does not participate: same shapes, same plan.
+    /// The payload does not participate: same shapes, same plan. The
+    /// optimizer level is the one [`OptLevel::for_input`] picks for the
+    /// family's expression at this size.
     pub fn signature(&self, backend: BackendId) -> Signature {
-        self.signature_opt(backend, OptLevel::Passes)
+        let (expr, ctx) = (self.family.expr(self.n), self.family.ctx(self.n));
+        Signature::new(self.family.id(), &expr, &ctx, self.dtype, backend)
     }
 
     /// [`Request::signature`] at an explicit optimizer level — the
@@ -353,6 +356,26 @@ mod tests {
         let g1 = Request { family: Family::Gram, n: 10, dtype: Dtype::F64, payload: 1 }
             .env_from_pool(&gbase, 3);
         assert_eq!(g1.expect("Q"), gbase.expect("Q"));
+    }
+
+    #[test]
+    fn signature_names_the_level_the_plan_compiles_at() {
+        for (n, gated_in) in [(16usize, false), (47, false), (192, true), (256, true)] {
+            for family in Family::ALL {
+                let req = Request { family, n, dtype: Dtype::F32, payload: 3 };
+                let level = OptLevel::for_input(&family.expr(n), &family.ctx(n));
+                let want = if gated_in { OptLevel::Egraph } else { OptLevel::Passes };
+                assert_eq!(level, want, "{} n={n}", family.id());
+                let sig = req.signature(BackendId::ENGINE);
+                assert_eq!(sig, req.signature_opt(BackendId::ENGINE, level));
+                assert_eq!(sig.opt(), level);
+                assert!(sig.to_string().ends_with(&format!("opt={level}")), "{sig}");
+            }
+        }
+        // Between the two the level follows each expression's own cost.
+        let at_96 = |family: Family| OptLevel::for_input(&family.expr(96), &family.ctx(96));
+        assert_eq!(at_96(Family::Chain), OptLevel::Egraph);
+        assert_eq!(at_96(Family::SolveResidual), OptLevel::Passes);
     }
 
     #[test]

@@ -111,3 +111,35 @@ fn requests_for_unserved_backends_are_rejected_not_executed() {
     assert_eq!(stats.rejected, 16);
     assert!(!path.exists());
 }
+
+#[test]
+fn served_and_verifying_sides_pick_the_same_optimizer_level() {
+    // n = 96 straddles the cost gate: cse_gram, chain, slice and
+    // distributive compile through the e-graph (three of them rewritten),
+    // gram and solve_residual through the passes alone. The client's
+    // oracle compiles its own plans, so zero mismatches means both sides
+    // made the same choice for every family.
+    let path = std::env::temp_dir().join(format!("laab-e2e-gate-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let server =
+        Server::bind(&format!("unix:{}", path.display()), &server_cfg()).expect("bind unix");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run());
+
+    let cfg = LoadgenConfig {
+        requests: 48,
+        n: 96,
+        churn_every: 0,
+        arrivals: vec![Arrival::Closed],
+        ..LoadgenConfig::smoke(&addr)
+    };
+    let report = loadgen::run(&cfg).expect("loadgen completes");
+    assert!(report.verified);
+    assert_eq!(report.runs[0].completed, 48);
+    assert_eq!(report.runs[0].errors, 0);
+    assert_eq!(report.checksum_mismatches, 0, "gated-in plans bitwise vs the oracle");
+
+    let stats = handle.join().expect("server thread").expect("server run");
+    assert_eq!(stats.served, 48);
+    assert!(!path.exists(), "socket file must not leak past shutdown");
+}

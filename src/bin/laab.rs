@@ -76,13 +76,16 @@ SERVE OPTIONS (laab serve — compiled-plan cache serving throughput):
                      first = baseline)
     --dtype D        pin request precision: f32 | f64 | mixed
                                                    [default: mixed]
-    --opt LEVEL      optimizer pipeline: passes | egraph
+    --opt LEVEL      pin the in-process bench's optimizer pipeline:
+                     passes | egraph
                      `passes` compiles through the trace-time graph
                      passes alone; `egraph` A/Bs them against equality
                      saturation + cost-based extraction under the same
                      interleaved traffic, reports per-family extracted
                      cost vs measured latency, and numerically probes the
-                     two pipelines against each other
+                     two pipelines against each other. A `--listen`
+                     server is not pinned by this: it saturates exactly
+                     the expressions costly enough to repay it
                                                    [default: passes]
     --dispatch-us D  modeled launch cost of the deferred backend: every
                      flushed op group is charged D µs of dispatch before
