@@ -2,8 +2,8 @@
 
 use laab_dense::{Matrix, Scalar, Tridiagonal};
 use laab_kernels::{
-    geadd, geadd_assign, gescale_assign, matmul_dispatch, matmul_multi_rhs_parts, tridiag_matmul,
-    Trans,
+    geadd, geadd_assign, gescale_assign, matmul_dispatch, matmul_multi_rhs_parts, syrk,
+    tridiag_matmul, Trans,
 };
 
 use crate::{Backend, BackendId};
@@ -53,6 +53,12 @@ impl<T: Scalar> Backend<T> for EngineBackend {
         // columns straight into its own matrix — no stacked C, no
         // `split_cols` second pass.
         matmul_multi_rhs_parts(alpha, a, ta, bs)
+    }
+
+    fn syrk(&self, alpha: T, a: &Matrix<T>, trans: Trans) -> Matrix<T> {
+        // The blocked driver's lower-triangle sweep plus a mirror: half
+        // the FLOPs, the GEMM's bits.
+        syrk(alpha, a, trans)
     }
 
     fn geadd(&self, alpha: T, a: &Matrix<T>, beta: T, b: &Matrix<T>) -> Matrix<T> {

@@ -11,9 +11,10 @@
 //!
 //! * [`Backend`] — the dispatch trait, cut at exactly the granularity the
 //!   graph executor already uses: one entry point per kernel-backed node
-//!   kind (product, elementwise add, in-place variants, structured
-//!   tridiagonal product). Pure data movement (transpose, slicing,
-//!   concatenation) stays in the executor — it is backend-independent.
+//!   kind (product, symmetric product, elementwise add, in-place
+//!   variants, structured tridiagonal product). Pure data movement
+//!   (transpose, slicing, concatenation) stays in the executor — it is
+//!   backend-independent.
 //! * [`BackendId`] — a backend's stable identity. `laab-serve` folds it
 //!   into the plan-cache [`Signature`] hash, so the same expression
 //!   compiled for two backends occupies two independent cache entries and
@@ -27,7 +28,7 @@
 //!
 //! | name | what it is |
 //! |------|------------|
-//! | [`engine`](EngineBackend) | the live `laab-kernels` engine (packed/tiled GEMM, FMA microkernels, worker pool) — the default |
+//! | [`engine`](EngineBackend) | the live `laab-kernels` engine (packed/tiled GEMM, FMA microkernels, worker pool; the only backend that runs a `Syrk` node at half the FLOPs) — the default |
 //! | [`seed`](SeedBackend) | the frozen PR-1 GEMM ([`laab_kernels::seed`]) behind the shared shape dispatch — the perf-trajectory yardstick |
 //! | [`reference`](ReferenceBackend) | textbook triple loops ([`laab_kernels::reference`]) — the correctness oracle |
 //!
@@ -164,6 +165,20 @@ pub trait Backend<T: Scalar>: Send + Sync {
         bs.iter().map(|b| self.matmul(alpha, a, ta, b, Trans::No)).collect()
     }
 
+    /// `α·op(A)·op(A)ᵀ` — the `Syrk` node, a product whose two operands
+    /// are one value under opposite flags (`XXᵀ` / `XᵀX`), which only the
+    /// LA-aware compile level emits.
+    ///
+    /// The default **is** that product through [`Backend::matmul`], so
+    /// `seed`, `reference` and `deferred` stay bitwise oracles by
+    /// construction. A backend overriding it (the engine) may compute one
+    /// triangle and mirror it, but must return what its own `matmul`
+    /// returns for the same product, bit for bit on finite inputs: a plan
+    /// with the node and a plan without it are interchangeable.
+    fn syrk(&self, alpha: T, a: &Matrix<T>, trans: Trans) -> Matrix<T> {
+        self.matmul(alpha, a, trans, a, trans.flip())
+    }
+
     /// Elementwise `α·A + β·B` — the `Add`/`Sub` nodes.
     fn geadd(&self, alpha: T, a: &Matrix<T>, beta: T, b: &Matrix<T>) -> Matrix<T>;
 
@@ -270,6 +285,25 @@ mod tests {
         let ed = EngineBackend.matmul(1.0, &x, Trans::Yes, &x, Trans::No);
         let sd = SeedBackend.matmul(1.0, &x, Trans::Yes, &x, Trans::No);
         assert_eq!(ed, sd);
+    }
+
+    #[test]
+    fn syrk_is_each_backends_own_product_bitwise() {
+        // Default hook = the matmul itself; the engine's override runs the
+        // half-FLOP kernel and must still land on its own GEMM's bits.
+        use laab_kernels::counters::{self, Kernel};
+        let mut g = OperandGen::new(9);
+        let a = g.matrix::<f64>(23, 17);
+        for be in backends() {
+            for trans in [Trans::No, Trans::Yes] {
+                let want = be.matmul(-0.5, &a, trans, &a, trans.flip());
+                assert_eq!(be.syrk(-0.5, &a, trans), want, "{} {trans:?}", be.id());
+            }
+        }
+        let (_, c) = counters::measure(|| EngineBackend.syrk(1.0, &a, Trans::No));
+        assert_eq!((c.calls(Kernel::Syrk), c.calls(Kernel::Gemm)), (1, 0));
+        let (_, c) = counters::measure(|| SeedBackend.syrk(1.0, &a, Trans::No));
+        assert_eq!((c.calls(Kernel::Syrk), c.calls(Kernel::Gemm)), (0, 1));
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn bench(c: &mut Criterion) {
         });
         group.throughput(Throughput::Elements(flops::syrk(n, n)));
         group.bench_with_input(BenchmarkId::new("syrk", n), &n, |bch, _| {
-            bch.iter(|| syrk(1.0f32, &a))
+            bch.iter(|| syrk(1.0f32, &a, Trans::No))
         });
     }
     group.finish();

@@ -28,7 +28,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("AB/gemm", |bch| bch.iter(|| matmul(&a, Trans::No, &b, Trans::No)));
     group.bench_function("LB/trmm", |bch| bch.iter(|| trmm(1.0f32, &l, UpLo::Lower, &b)));
     group.bench_function("LB/gemm", |bch| bch.iter(|| matmul(&l, Trans::No, &b, Trans::No)));
-    group.bench_function("AAt/syrk", |bch| bch.iter(|| syrk(1.0f32, &a)));
+    group.bench_function("AAt/syrk", |bch| bch.iter(|| syrk(1.0f32, &a, Trans::No)));
     group.bench_function("AAt/gemm", |bch| bch.iter(|| matmul(&a, Trans::No, &a, Trans::Yes)));
     group.bench_function("TB/scal_seq", |bch| bch.iter(|| tridiag_scal_sequence(&w.tri, &b)));
     let bt = flow.tensor(b.clone());

@@ -122,7 +122,7 @@ pub fn table4(cfg: &ExperimentConfig) -> ExperimentResult {
     {
         let expr = var("A") * var("A").t();
         let oracle = eval(&expr, env);
-        let scipy = time(cfg, || syrk(1.0f32, &a));
+        let scipy = time(cfg, || syrk(1.0f32, &a, Trans::No));
         let f_flow = flow.function_from_expr(&expr, &ctx.clone());
         let f_torch = torch.function_from_expr(&expr, &ctx.clone());
         let t_flow = time(cfg, || f_flow.call(env));

@@ -78,6 +78,16 @@ pub enum DeferredKind {
         /// Columns of the right operand.
         b_cols: usize,
     },
+    /// `α·op(x)·op(x)ᵀ` — a `Syrk` node. Launched as the GEMM it equals
+    /// (the default [`Backend::syrk`]): one group, a `MatMul`'s charge.
+    Syrk {
+        /// Operand node.
+        x: NodeId,
+        /// Transposition of the left side.
+        trans: Trans,
+        /// `alpha` (IEEE bits of an `f64`).
+        alpha_bits: u64,
+    },
     /// Elementwise `a ± b` (`sub` selects the sign of `b`).
     AddSub {
         /// First operand node.
@@ -112,7 +122,7 @@ impl DeferredKind {
         match *self {
             DeferredKind::MatMul { a, b, .. } => [a, b],
             DeferredKind::AddSub { a, b, .. } => [a, b],
-            DeferredKind::Scale { x, .. } => [x, x],
+            DeferredKind::Scale { x, .. } | DeferredKind::Syrk { x, .. } => [x, x],
             DeferredKind::TridiagMatMul { t, b } => [t, b],
         }
     }
@@ -168,7 +178,7 @@ fn stealable(g: &Graph, plan_remaining: &[u32], id: NodeId) -> bool {
 ///   within-request twin of what the serve admission window does across
 ///   requests (`Backend::matmul_batched` over a coalesced batch).
 ///
-/// Everything else — a `MatMul` consuming a group value, a
+/// Everything else — a `MatMul` consuming a group value, a `Syrk`, a
 /// `TridiagMatMul`, a non-matching signature — starts a new launch.
 fn joins_group(group: &[DeferredOp], cand: &DeferredOp) -> bool {
     let in_group = |id: NodeId| group.iter().any(|op| op.out == id);
@@ -199,7 +209,7 @@ fn joins_group(group: &[DeferredOp], cand: &DeferredOp) -> bool {
                     _ => false,
                 })
         }
-        DeferredKind::TridiagMatMul { .. } => false,
+        DeferredKind::Syrk { .. } | DeferredKind::TridiagMatMul { .. } => false,
     }
 }
 
@@ -350,6 +360,11 @@ impl<'e, T: Scalar> TapeExec<'e, T> {
                     *tb,
                 ))
             }
+            DeferredKind::Syrk { x, trans, alpha_bits } => {
+                let alpha = T::from_f64(f64::from_bits(*alpha_bits));
+                let xv = self.value(*x);
+                Val::Owned(laab_kernels::matmul_dispatch(alpha, xv, *trans, xv, trans.flip()))
+            }
             DeferredKind::AddSub { a, b, sub, steal } => {
                 let beta = if *sub { -T::ONE } else { T::ONE };
                 match steal {
@@ -396,10 +411,10 @@ impl<'e, T: Scalar> TapeExec<'e, T> {
             }
         };
         self.values[op.out.idx()] = Some(val);
-        // Scale has one operand edge; inputs() doubles it, so release
-        // exactly the node's real edge count.
+        // The unary kinds have one operand edge; inputs() doubles it, so
+        // release exactly the node's real edge count.
         match op.kind {
-            DeferredKind::Scale { x, .. } => self.release(&[x]),
+            DeferredKind::Scale { x, .. } | DeferredKind::Syrk { x, .. } => self.release(&[x]),
             _ => self.release(&op.kind.inputs()),
         }
     }
@@ -465,6 +480,15 @@ pub fn execute_plan<'e, T: Scalar>(
                         b_cols: bs.cols,
                     },
                 });
+                ex.values.push(Some(Val::Pending));
+            }
+            OpKind::Syrk { trans, alpha_bits } => {
+                let kind = DeferredKind::Syrk {
+                    x: node.inputs[0],
+                    trans: *trans,
+                    alpha_bits: *alpha_bits,
+                };
+                ex.tape.push(DeferredOp { out: id, kind });
                 ex.values.push(Some(Val::Pending));
             }
             OpKind::Add | OpKind::Sub => {
@@ -708,6 +732,39 @@ mod tests {
         // vs the solo sweep, same bound the request-batched path carries.
         let want = engine_run(&g, &env);
         assert!(got[0].approx_eq(&want[0], 1e-11), "coalesced GEMMs drifted past the bound");
+    }
+
+    #[test]
+    fn syrk_launches_like_the_matmul_it_replaced() {
+        // SᵀS over S = AᵀB, with and without the lowering: same launches,
+        // same accounting, same bits — the tape runs a Syrk as its GEMM.
+        let n = 24;
+        let mut gb = GraphBuilder::new();
+        let a = gb.input("A", n, n);
+        let b = gb.input("B", n, n);
+        let at = gb.transpose(a);
+        let s = gb.matmul(at, b);
+        let st = gb.transpose(s);
+        let out = gb.matmul(st, s);
+        let mut plain = gb.finish(vec![out]);
+        optimize(&mut plain, &PassConfig::all());
+        let mut lowered = plain.clone();
+        assert_eq!(laab_graph::passes::lower_syrk(&mut lowered), 1);
+        let mut og = OperandGen::new(37);
+        let env = Env::<f64>::new().with("A", og.matrix(n, n)).with("B", og.matrix(n, n));
+        let run = |g: &Graph| {
+            let schedule = Schedule::new(g);
+            let _ = take_run_stats();
+            let out = with_tuning(quiet(), || execute_plan(g, &schedule, &env));
+            let s = take_run_stats();
+            (out, (s.tape_ops, s.groups, s.fused_ops, s.unfused_ops, s.flushes()))
+        };
+        let (want, want_stats) = run(&plain);
+        let (got, got_stats) = run(&lowered);
+        assert_eq!(got, want);
+        assert_eq!(got, engine_run(&lowered, &env), "and bitwise the engine's own Syrk");
+        assert_eq!(got_stats, want_stats);
+        assert_eq!(got_stats, (2, 2, 0, 2, 1));
     }
 
     #[test]

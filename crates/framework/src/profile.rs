@@ -191,4 +191,23 @@ mod tests {
         assert_eq!(s.calls(Kernel::Gemm), 0, "optimal order avoids GEMM");
         assert_eq!(s.calls(Kernel::Gemv), 2);
     }
+
+    #[test]
+    fn traced_symmetric_products_stay_full_gemms() {
+        // Experiment 3's finding is about the frameworks: both profiles
+        // trace A·Aᵀ to a plain matmul and run one full GEMM. The SYRK
+        // lowering belongs to the serving layer's LA-aware level, not here.
+        use laab_kernels::counters::{self, Kernel};
+        let n = 16;
+        let expr = laab_expr::var("A") * laab_expr::var("A").t();
+        let ctx = laab_expr::Context::new().with("A", n, n);
+        let env = laab_expr::eval::Env::<f64>::new().with("A", OperandGen::new(84).matrix(n, n));
+        for fw in [Framework::flow(), Framework::torch()] {
+            let f = fw.function_from_expr(&expr, &ctx);
+            assert_eq!((f.graph().matmul_count(), f.graph().syrk_count()), (1, 0));
+            let (_, c) = counters::measure(|| f.call(&env));
+            assert_eq!((c.calls(Kernel::Gemm), c.calls(Kernel::Syrk)), (1, 0));
+            assert_eq!(c.flops(Kernel::Gemm), 2 * (n * n * n) as u64);
+        }
+    }
 }

@@ -25,7 +25,9 @@
 //!   per-part through the structured kernel (the compact form is built
 //!   once per batch); a varying tridiagonal operand is illegal.
 //! * `Transpose`/slicing/concatenation of a `Stacked` value — illegal
-//!   (pure data movement has no batched form worth proving here).
+//!   (pure data movement has no batched form worth proving here), as is
+//!   a `Syrk` of one (`XᵀX` of a varying `X` multiplies a stacked value
+//!   on the left, like the `MatMul` it was lowered from).
 //!
 //! When the analysis proves the plan stackable, [`execute_batched_on`]
 //! runs the sweep once; otherwise it falls back to sequential
@@ -266,6 +268,13 @@ pub fn execute_batched_on<T: Scalar>(
                     BVal::SharedOwned(backend.matmul(alpha, a.shared(), *ta, b.shared(), *tb))
                 }
             }
+            // A stacked operand has no proven form (the analysis's
+            // catch-all), so a `Syrk` reaching this sweep is shared.
+            OpKind::Syrk { trans, alpha_bits } => {
+                let x = values[node.inputs[0].idx()].as_ref().unwrap();
+                let alpha = T::from_f64(f64::from_bits(*alpha_bits));
+                BVal::SharedOwned(backend.syrk(alpha, x.shared(), *trans))
+            }
             OpKind::Add | OpKind::Sub => {
                 let beta = if matches!(node.kind, OpKind::Add) { T::ONE } else { -T::ONE };
                 let a = values[node.inputs[0].idx()].as_ref().unwrap();
@@ -412,7 +421,7 @@ pub fn execute_batched_on<T: Scalar>(
 mod tests {
     use super::*;
     use crate::ir::GraphBuilder;
-    use crate::passes::{optimize, PassConfig};
+    use crate::passes::{lower_syrk, optimize, PassConfig};
     use laab_dense::gen::OperandGen;
 
     const VARYING: [&str; 2] = ["x", "y"];
@@ -565,6 +574,52 @@ mod tests {
             let s = execute_scheduled_on(&g, &schedule, env, laab_backend::engine());
             assert_eq!(b, &s, "fallback must be bitwise-identical to solo");
         }
+    }
+
+    #[test]
+    fn syrk_is_shared_or_illegal_never_stacked() {
+        // (HᵀH)x: the Gram factor is shared, so its Syrk runs once inside
+        // the stacked sweep and the plan still RHS-stacks on x.
+        let n = 80;
+        let mut gb = GraphBuilder::new();
+        let h = gb.input("H", n, n);
+        let x = gb.input("x", n, 1);
+        let ht = gb.transpose(h);
+        let hth = gb.matmul(ht, h);
+        let out = gb.matmul(hth, x);
+        let mut g = gb.finish(vec![out]);
+        optimize(&mut g, &PassConfig::all());
+        let plain = g.clone();
+        assert_eq!(lower_syrk(&mut g), 1);
+        let analysis = BatchAnalysis::analyze(&g, is_varying);
+        assert!(analysis.stackable());
+        let owned = envs(n, 4, 31);
+        let refs: Vec<&Env<f64>> = owned.iter().collect();
+        let batched =
+            execute_batched_on(&g, &Schedule::new(&g), &analysis, &refs, laab_backend::engine());
+        let plain_batched = execute_batched_on(
+            &plain,
+            &Schedule::new(&plain),
+            &BatchAnalysis::analyze(&plain, is_varying),
+            &refs,
+            laab_backend::engine(),
+        );
+        assert_eq!(batched, plain_batched, "a shared Syrk changes no bit of the stacked sweep");
+
+        // xxᵀ of a varying x: a stacked operand has no proven form — the
+        // per-environment fallback, bitwise solo.
+        let mut gb = GraphBuilder::new();
+        let x = gb.input("x", n, 1);
+        let xt = gb.transpose(x);
+        let out = gb.matmul(x, xt);
+        let mut g = gb.finish(vec![out]);
+        optimize(&mut g, &PassConfig::all());
+        assert_eq!(lower_syrk(&mut g), 1);
+        let analysis = BatchAnalysis::analyze(&g, is_varying);
+        assert!(!analysis.stackable(), "Syrk of a stacked value must be illegal");
+        let schedule = Schedule::new(&g);
+        let batched = execute_batched_on(&g, &schedule, &analysis, &refs, laab_backend::engine());
+        assert_eq!(batched, solo_all(&g, &schedule, &refs));
     }
 
     #[test]

@@ -240,6 +240,11 @@ fn execute_with_counts<'e, T: Scalar>(
                 let alpha = T::from_f64(f64::from_bits(*alpha_bits));
                 Val::Owned(backend.matmul(alpha, a, *ta, b, *tb))
             }
+            OpKind::Syrk { trans, alpha_bits } => {
+                let x = values[node.inputs[0].idx()].as_ref().unwrap().get();
+                let alpha = T::from_f64(f64::from_bits(*alpha_bits));
+                Val::Owned(backend.syrk(alpha, x, *trans))
+            }
             OpKind::Add => {
                 // Reuse a uniquely-owned operand buffer instead of
                 // allocating a fresh output (addition commutes exactly, so
@@ -358,7 +363,7 @@ fn execute_with_counts<'e, T: Scalar>(
 mod tests {
     use super::*;
     use crate::ir::GraphBuilder;
-    use crate::passes::{optimize, PassConfig};
+    use crate::passes::{lower_syrk, optimize, PassConfig};
     use laab_dense::gen::OperandGen;
     use laab_expr::eval::{eval, Env};
     use laab_expr::var;
@@ -552,6 +557,34 @@ mod tests {
             assert_eq!(out, scheduled, "{} scheduled sweep drifted", reg.name());
             assert!(out[0].approx_eq(&via_default[0], 1e-13), "{} disagrees", reg.name());
         }
+    }
+
+    #[test]
+    fn syrk_node_is_bitwise_the_matmul_it_replaced() {
+        // Fig. 3's SᵀS, with and without the lowering: every backend must
+        // return its own unlowered bits (the default hook is the matmul;
+        // the engine's half-FLOP kernel is built to land on them).
+        let n = 20;
+        let e = env(n, 37);
+        let mut plain = fig3_graph(n);
+        optimize(&mut plain, &PassConfig::all());
+        let mut lowered = plain.clone();
+        assert_eq!(lower_syrk(&mut lowered), 1);
+        let schedule = Schedule::new(&lowered);
+        for reg in laab_backend::registry::builtins() {
+            let backend = reg.resolve::<f64>().expect("builtins support f64");
+            let want = execute_on(&plain, &e, backend);
+            assert_eq!(execute_on(&lowered, &e, backend), want, "{}", reg.name());
+            let scheduled = execute_scheduled_on(&lowered, &schedule, &e, backend);
+            assert_eq!(scheduled, want, "{} scheduled", reg.name());
+        }
+        // On the engine the lowered graph runs one GEMM and one SYRK at
+        // half the outer product's FLOPs.
+        let (_, c) = counters::measure(|| execute(&lowered, &e));
+        assert_eq!((c.calls(Kernel::Gemm), c.calls(Kernel::Syrk)), (1, 1));
+        assert_eq!(c.flops(Kernel::Syrk), (n * n * n) as u64);
+        let (_, c) = counters::measure(|| execute(&plain, &e));
+        assert_eq!((c.calls(Kernel::Gemm), c.calls(Kernel::Syrk)), (2, 0));
     }
 
     #[test]

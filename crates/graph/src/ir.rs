@@ -35,6 +35,17 @@ pub enum OpKind {
         /// Scaling factor (IEEE bits of an `f64`).
         alpha_bits: u64,
     },
+    /// `alpha · op(x) · op(x)ᵀ` — a product of one value with its own
+    /// transpose (`trans = No`: `XXᵀ`, `Yes`: `XᵀX`), whose symmetric
+    /// result needs one triangle computed. Never traced: only
+    /// [`passes::lower_syrk`](crate::passes::lower_syrk) creates it, from a
+    /// `MatMul` the LA-aware compile level found reading one node twice.
+    Syrk {
+        /// Transposition of the (single) operand on the left side.
+        trans: Trans,
+        /// Scaling factor (IEEE bits of an `f64`).
+        alpha_bits: u64,
+    },
     /// Elementwise sum.
     Add,
     /// Elementwise difference.
@@ -63,10 +74,12 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// The `alpha` attribute of a `MatMul` (1.0 for other kinds).
+    /// The `alpha` attribute of a `MatMul`/`Syrk` (1.0 for other kinds).
     pub fn alpha(&self) -> f64 {
         match self {
-            OpKind::MatMul { alpha_bits, .. } => f64::from_bits(*alpha_bits),
+            OpKind::MatMul { alpha_bits, .. } | OpKind::Syrk { alpha_bits, .. } => {
+                f64::from_bits(*alpha_bits)
+            }
             _ => 1.0,
         }
     }
@@ -76,15 +89,22 @@ impl OpKind {
         match self {
             OpKind::Input(name) => name.clone(),
             OpKind::Identity(n) => format!("I{n}"),
-            OpKind::MatMul { ta, tb, alpha_bits } => {
-                let mut s = String::from("matmul");
-                if *ta == Trans::Yes {
-                    s.push_str("[ta]");
-                }
-                if *tb == Trans::Yes {
-                    s.push_str("[tb]");
-                }
-                let alpha = f64::from_bits(*alpha_bits);
+            OpKind::MatMul { .. } | OpKind::Syrk { .. } => {
+                let mut s = match self {
+                    OpKind::MatMul { ta, tb, .. } => {
+                        let mut s = String::from("matmul");
+                        if *ta == Trans::Yes {
+                            s.push_str("[ta]");
+                        }
+                        if *tb == Trans::Yes {
+                            s.push_str("[tb]");
+                        }
+                        s
+                    }
+                    OpKind::Syrk { trans: Trans::Yes, .. } => String::from("syrk[t]"),
+                    _ => String::from("syrk"),
+                };
+                let alpha = self.alpha();
                 if alpha != 1.0 {
                     s.push_str(&format!("[x{alpha}]"));
                 }
@@ -151,9 +171,17 @@ impl Graph {
         self.nodes.iter().filter(|n| pred(&n.kind)).count()
     }
 
-    /// Number of `MatMul` nodes (the paper's unit of analysis).
+    /// Number of product nodes (the paper's unit of analysis): `MatMul`s,
+    /// plus the `Syrk`s that [`passes::lower_syrk`](crate::passes::lower_syrk)
+    /// made out of some of them — lowering changes the kernel, not how
+    /// many products the expression has.
     pub fn matmul_count(&self) -> usize {
-        self.count_kind(|k| matches!(k, OpKind::MatMul { .. }))
+        self.count_kind(|k| matches!(k, OpKind::MatMul { .. } | OpKind::Syrk { .. }))
+    }
+
+    /// Number of `Syrk` nodes (products lowered to the half-FLOP kernel).
+    pub fn syrk_count(&self) -> usize {
+        self.count_kind(|k| matches!(k, OpKind::Syrk { .. }))
     }
 
     /// Per-node use counts (how many operand edges point at each node).

@@ -16,7 +16,10 @@
 //!   `alpha`, the BLAS observation in Experiment 1), and dead-code
 //!   elimination. The pipeline is deliberately *exactly* this inventory —
 //!   no chain re-association, no property dispatch, no distributivity —
-//!   because that is what the paper measures the frameworks doing.
+//!   because that is what the paper measures the frameworks doing. One
+//!   lowering lives beside it for LA-aware callers only:
+//!   [`passes::lower_syrk`] turns a product of a node with its own
+//!   transpose into a unary `Syrk` node (Experiment 3).
 //! * [`exec`] — a reference-counting executor that walks the DAG in
 //!   topological order and dispatches each kernel-backed node through a
 //!   `laab-backend` execution backend (the live engine by default;

@@ -52,8 +52,10 @@ pub fn matmul_dispatch<T: Scalar>(
         gemv(alpha, b, tb.flip(), &x, T::ZERO, &mut y);
         return Matrix::row_vector(y.as_slice());
     }
+    // beta = 1 on the fresh zeros: same bits as beta = 0, minus the driver's
+    // second zeroing pass over C.
     let mut c = Matrix::zeros(m, n);
-    gemm(alpha, a, ta, b, tb, T::ZERO, &mut c);
+    gemm(alpha, a, ta, b, tb, T::ONE, &mut c);
     c
 }
 

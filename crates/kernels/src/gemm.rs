@@ -21,6 +21,14 @@
 //! **reusable thread-local workspace** ([`crate::workspace`]), so
 //! steady-state calls allocate nothing.
 //!
+//! ## Triangular sweep
+//!
+//! A symmetric product `op(A)·op(A)ᵀ` needs one triangle. The driver has
+//! a lower-triangle mode ([`Sweep::Lower`], entered through
+//! [`gemm_lower`]) that skips every micro-tile lying wholly above the
+//! diagonal and changes nothing else, so the tiles it does compute are
+//! bit for bit the full sweep's; [`syrk`](crate::syrk) mirrors the rest.
+//!
 //! ## Determinism
 //!
 //! The tile grid only partitions *independent* output regions; every
@@ -95,15 +103,17 @@ pub fn gemm<T: Scalar>(
     assert_eq!(c.shape(), (m, n), "gemm: C has shape {:?}, expected ({m}, {n})", c.shape());
     counters::record(Kernel::Gemm, flops::gemm(m, n, ka));
     let threads = effective_threads(m, n, ka);
-    gemm_blocked(alpha, av, BSrc::One(bv), beta, CDst::One(MutView::of(c)), threads);
+    gemm_blocked(alpha, av, BSrc::One(bv), beta, CDst::One(MutView::of(c)), threads, Sweep::Full);
 }
 
 /// Convenience wrapper allocating the output: `op(A)·op(B)`.
 pub fn matmul<T: Scalar>(a: &Matrix<T>, ta: Trans, b: &Matrix<T>, tb: Trans) -> Matrix<T> {
     let (m, _) = ta.dims(a.rows(), a.cols());
     let (_, n) = tb.dims(b.rows(), b.cols());
+    // beta = 1 on the fresh zeros: same bits as beta = 0, minus the driver's
+    // second zeroing pass over C.
     let mut c = Matrix::zeros(m, n);
-    gemm(T::ONE, a, ta, b, tb, T::ZERO, &mut c);
+    gemm(T::ONE, a, ta, b, tb, T::ONE, &mut c);
     c
 }
 
@@ -166,6 +176,7 @@ pub fn gemm_multi_rhs<T: Scalar>(
         beta,
         CDst::One(MutView::of(c)),
         threads,
+        Sweep::Full,
     );
 }
 
@@ -180,7 +191,8 @@ pub fn matmul_multi_rhs<T: Scalar>(
     let (m, _) = ta.dims(a.rows(), a.cols());
     let n = bs.first().map_or(0, |b| b.cols()) * bs.len();
     let mut c = Matrix::zeros(m, n);
-    gemm_multi_rhs(alpha, a, ta, bs, T::ZERO, &mut c);
+    // beta = 1 on fresh zeros, as in `matmul`.
+    gemm_multi_rhs(alpha, a, ta, bs, T::ONE, &mut c);
     c
 }
 
@@ -243,6 +255,7 @@ pub fn gemm_multi_rhs_into<T: Scalar>(
         beta,
         CDst::Parts { parts: cs, part_cols: bn },
         threads,
+        Sweep::Full,
     );
 }
 
@@ -258,7 +271,8 @@ pub fn matmul_multi_rhs_parts<T: Scalar>(
     let (m, _) = ta.dims(a.rows(), a.cols());
     let bn = bs.first().map_or(0, |b| b.cols());
     let mut cs: Vec<Matrix<T>> = (0..bs.len()).map(|_| Matrix::zeros(m, bn)).collect();
-    gemm_multi_rhs_into(alpha, a, ta, bs, T::ZERO, &mut cs);
+    // beta = 1 on fresh zeros, as in `matmul`.
+    gemm_multi_rhs_into(alpha, a, ta, bs, T::ONE, &mut cs);
     cs
 }
 
@@ -280,8 +294,8 @@ fn effective_threads(m: usize, n: usize, k: usize) -> usize {
     }
 }
 
-/// Serial blocked GEMM over strided views (also the building block for TRMM
-/// and SYRK, which call it on sub-views).
+/// Serial blocked GEMM over strided views (the building block for TRMM,
+/// which calls it on sub-views).
 pub(crate) fn gemm_serial<T: Scalar>(
     alpha: T,
     a: View<'_, T>,
@@ -289,7 +303,32 @@ pub(crate) fn gemm_serial<T: Scalar>(
     beta: T,
     c: &mut MutView<'_, T>,
 ) {
-    gemm_blocked(alpha, a, BSrc::One(b), beta, CDst::One(c.reborrow()), 1);
+    gemm_blocked(alpha, a, BSrc::One(b), beta, CDst::One(c.reborrow()), 1, Sweep::Full);
+}
+
+/// `C += α·A·B` on the lower triangle of a square `C` only — the driver
+/// behind [`syrk`](crate::syrk). Every element on or below the diagonal
+/// gets exactly the bits [`gemm`] would give it (same packed panels, same
+/// `k` order, same tile write-back); elements above the diagonal are
+/// either computed the same way (micro-tiles straddling the diagonal) or
+/// left untouched.
+pub(crate) fn gemm_lower<T: Scalar>(alpha: T, a: View<'_, T>, b: View<'_, T>, c: &mut Matrix<T>) {
+    debug_assert_eq!(a.rows, b.cols, "gemm_lower: C must be square");
+    let threads = effective_threads(a.rows, b.cols, a.cols);
+    gemm_blocked(alpha, a, BSrc::One(b), T::ONE, CDst::One(MutView::of(c)), threads, Sweep::Lower);
+}
+
+/// Which micro-tiles of the output the blocked driver computes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Sweep {
+    /// All of them — GEMM.
+    Full,
+    /// Only those holding an element on or below the diagonal: a
+    /// micro-tile whose first column lies strictly right of its last row
+    /// is skipped. Packing, `KC` splits, microkernels and the tile grid
+    /// are the full sweep's, so what is computed is bitwise what
+    /// [`Sweep::Full`] computes there.
+    Lower,
 }
 
 /// The blocked driver's right-hand side: one strided view, or the logical
@@ -432,6 +471,7 @@ fn gemm_blocked<T: Scalar>(
     beta: T,
     mut c: CDst<'_, T>,
     threads: usize,
+    sweep: Sweep,
 ) {
     let (m, k) = (a.rows, a.cols);
     let n = b.cols();
@@ -466,10 +506,13 @@ fn gemm_blocked<T: Scalar>(
                     let mc = MC.min(m - ic);
                     let j0 = (t / m_tiles) * chunk_cols;
                     let j1 = (j0 + chunk_cols).min(nc);
+                    if sweep == Sweep::Lower && jc + j0 >= ic + mc {
+                        return; // the whole tile lies above the diagonal
+                    }
                     with_packed_a::<T, _>(mc.next_multiple_of(MR) * kc, |pa| {
                         pack_a(pa, a, ic, mc, pc, kc);
                         let pb_chunk = &pb[(j0 / NR) * NR * kc..];
-                        macro_block(alpha, pa, pb_chunk, mc, j1 - j0, kc, ic, jc + j0, &raw);
+                        macro_block(alpha, pa, pb_chunk, mc, j1 - j0, kc, ic, jc + j0, &raw, sweep);
                     });
                 });
             }
@@ -621,8 +664,9 @@ fn pack_b_stacked<T: Scalar>(
     }
 }
 
-/// Sweep all `MR×NR` tiles of one `mc × chunk_n` macro-tile, accumulating
-/// `alpha`-scaled results into `C` through disjoint row fragments.
+/// Sweep the `MR×NR` tiles of one `mc × chunk_n` macro-tile that `sweep`
+/// selects, accumulating `alpha`-scaled results into `C` through disjoint
+/// row fragments.
 #[allow(clippy::too_many_arguments)]
 fn macro_block<T: Scalar>(
     alpha: T,
@@ -634,6 +678,7 @@ fn macro_block<T: Scalar>(
     i0: usize,
     j0: usize,
     c: &RawC<T>,
+    sweep: Sweep,
 ) {
     let a_panels = mc.div_ceil(MR);
     let b_panels = chunk_n.div_ceil(NR);
@@ -643,6 +688,9 @@ fn macro_block<T: Scalar>(
         for ip in 0..a_panels {
             let pa = &packed_a[ip * MR * kc..(ip + 1) * MR * kc];
             let rows = MR.min(mc - ip * MR);
+            if sweep == Sweep::Lower && j0 + jp * NR > i0 + ip * MR + rows - 1 {
+                continue;
+            }
             // Pull the C destination rows towards the core while the
             // microkernel runs — the write-back below is the only
             // non-packed memory traffic in the macro sweep.

@@ -11,7 +11,7 @@
 //! |-------|---------|
 //! | 1 | [`dot`], [`axpy`], [`scal`], [`nrm2`] |
 //! | 2 | [`gemv`], [`ger`] |
-//! | 3 | [`gemm`] (packed + blocked + microkernel), [`trmm`], [`syrk`] |
+//! | 3 | [`gemm`] (packed + blocked + microkernel), [`syrk`] (the same driver over the lower-triangle micro-tiles, mirrored — bitwise the GEMM), [`trmm`] |
 //! | structured | [`tridiag_matmul`], [`diag_matmul`] |
 //! | elementwise | [`geadd`] (`C := αA + βB`) |
 //!

@@ -9,7 +9,7 @@
 use laab_dense::{Matrix, Scalar};
 
 use crate::counters::{self, Kernel};
-use crate::gemm::gemm_serial;
+use crate::gemm::{gemm_lower, gemm_serial};
 use crate::simd::fused_axpy;
 use crate::view::{MutView, View};
 use crate::{flops, Trans};
@@ -23,7 +23,7 @@ pub enum UpLo {
     Upper,
 }
 
-/// Row-block size for the blocked TRMM/SYRK sweeps. Off-diagonal work is
+/// Row-block size for the blocked TRMM sweep. Off-diagonal work is
 /// delegated to the packed GEMM; only `NB`-sized diagonal blocks run the
 /// short triangular loops.
 const NB: usize = 64;
@@ -79,44 +79,44 @@ pub fn trmm<T: Scalar>(alpha: T, l: &Matrix<T>, uplo: UpLo, b: &Matrix<T>) -> Ma
     c
 }
 
-/// Symmetric rank-k update `C := α·A·Aᵀ` for `A` of shape `n×k`, returning
-/// the full (symmetrized) `n×n` result. Only the lower triangle is computed
-/// (`n²·k` FLOPs — half of the equivalent GEMM); the upper triangle is
-/// mirrored afterwards, an O(n²) copy.
-pub fn syrk<T: Scalar>(alpha: T, a: &Matrix<T>) -> Matrix<T> {
-    let (n, k) = a.shape();
+/// Symmetric rank-k update `C := α·op(A)·op(A)ᵀ` (`trans = No`: `α·A·Aᵀ`,
+/// `Yes`: `α·Aᵀ·A`), returning the full symmetric `n×n` result.
+///
+/// The blocked GEMM driver sweeps only the micro-tiles touching the lower
+/// triangle (`n²·k` FLOPs by the paper's count — half of the equivalent
+/// GEMM) and the strict upper triangle is mirrored afterwards, an O(n²)
+/// copy. The computed tiles see the packed panels, `k` order and
+/// write-back of the full product, and `fma(a, b, c) == fma(b, a, c)`, so
+/// for finite inputs the result is **bitwise identical** to
+/// `gemm(α, A, trans, A, trans.flip(), 0)` at every thread count (NaNs
+/// land in the same positions; their payloads may differ).
+pub fn syrk<T: Scalar>(alpha: T, a: &Matrix<T>, trans: Trans) -> Matrix<T> {
+    let (n, k) = trans.dims(a.rows(), a.cols());
     counters::record(Kernel::Syrk, flops::syrk(n, k));
-
     let mut c = Matrix::zeros(n, n);
-    let av = View::of(a, Trans::No);
-    let atv = View::of(a, Trans::Yes);
-    let mut cv = MutView::of(&mut c);
-
-    for i0 in (0..n).step_by(NB) {
-        let i1 = (i0 + NB).min(n);
-        // Blocks strictly below the diagonal plus the diagonal block itself;
-        // the diagonal block is computed densely (the ≤ NB·n·k extra FLOPs
-        // are noise at benchmark sizes and keep the hot path in the packed
-        // GEMM).
-        let a_rows = av.sub(i0, i1, 0, k);
-        let at_cols = atv.sub(0, k, 0, i1);
-        let mut c_sub = cv.sub(i0, i1, 0, i1);
-        gemm_serial(alpha, a_rows, at_cols, T::ONE, &mut c_sub);
-    }
+    gemm_lower(alpha, View::of(a, trans), View::of(a, trans.flip()), &mut c);
     symmetrize_lower(&mut c);
     c
 }
 
 /// Copy the strictly-lower triangle into the strictly-upper triangle,
 /// producing a full symmetric matrix (the materialization step after a
-/// triangle-only SYRK).
+/// triangle-only SYRK). Walks `MIRROR×MIRROR` blocks so the column-wise
+/// reads of the source stay L1-resident.
 pub fn symmetrize_lower<T: Scalar>(c: &mut Matrix<T>) {
     assert!(c.is_square(), "symmetrize_lower requires a square matrix");
+    const MIRROR: usize = 32;
     let n = c.rows();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let v = c[(j, i)];
-            c[(i, j)] = v;
+    let data = c.as_mut_slice();
+    for i0 in (0..n).step_by(MIRROR) {
+        let i1 = (i0 + MIRROR).min(n);
+        for j0 in (i0..n).step_by(MIRROR) {
+            let j1 = (j0 + MIRROR).min(n);
+            for i in i0..i1 {
+                for j in j0.max(i + 1)..j1 {
+                    data[i * n + j] = data[j * n + i];
+                }
+            }
         }
     }
 }
@@ -179,23 +179,14 @@ mod tests {
 
     #[test]
     fn syrk_matches_reference() {
+        // Bitwise equality with the GEMM is pinned in tests/syrk.rs; this
+        // anchors both spellings to the naive definition.
         let mut g = OperandGen::new(25);
         for &(n, k) in &[(6, 4), (64, 64), (65, 130), (100, 33)] {
             let a = g.matrix::<f64>(n, k);
-            let c = syrk(1.0, &a);
             let want = reference::syrk_naive(&a);
-            assert!(c.approx_eq(&want, 1e-12), "n={n} k={k} dist={}", c.rel_dist(&want));
-        }
-    }
-
-    #[test]
-    fn syrk_output_is_symmetric() {
-        let mut g = OperandGen::new(26);
-        let a = g.matrix::<f64>(40, 70);
-        let c = syrk(1.0, &a);
-        for i in 0..40 {
-            for j in 0..40 {
-                assert_eq!(c[(i, j)], c[(j, i)]);
+            for c in [syrk(1.0, &a, Trans::No), syrk(1.0, &a.transpose(), Trans::Yes)] {
+                assert!(c.approx_eq(&want, 1e-12), "n={n} k={k} dist={}", c.rel_dist(&want));
             }
         }
     }
@@ -208,7 +199,7 @@ mod tests {
         let b = g.matrix::<f32>(50, 50);
         let _ = trmm(1.0, &l, UpLo::Lower, &b);
         let a = g.matrix::<f32>(50, 50);
-        let _ = syrk(1.0, &a);
+        let _ = syrk(1.0, &a, Trans::No);
         let s = counters::snapshot();
         let gemm_cost = flops::gemm(50, 50, 50);
         assert_eq!(s.flops(Kernel::Trmm), gemm_cost / 2);

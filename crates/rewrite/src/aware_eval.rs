@@ -65,14 +65,16 @@ fn go<'e, T: Scalar>(expr: &Expr, env: &'e Env<T>, ctx: &Context) -> Val<'e, T> 
             if pb.contains(Props::IDENTITY) {
                 return go(a, env, ctx);
             }
-            // SYRK pattern: X·Xᵀ (or Xᵀ·X) — half the GEMM FLOPs.
+            // SYRK pattern: X·Xᵀ (or Xᵀ·X) — half the GEMM FLOPs. One
+            // operand under two flags, so neither spelling materializes
+            // a transpose.
             if is_transpose_pair(a, b) {
-                let x = match (&**a, &**b) {
-                    (_, Expr::Transpose(inner)) => go(inner, env, ctx).into_owned(),
-                    (Expr::Transpose(inner), _) => go(inner, env, ctx).get().transpose(),
+                let (x, trans) = match (&**a, &**b) {
+                    (x, Expr::Transpose(inner)) if **inner == *x => (x, Trans::No),
+                    (Expr::Transpose(inner), _) => (&**inner, Trans::Yes),
                     _ => unreachable!("is_transpose_pair guarantees a transpose side"),
                 };
-                return Val::Owned(syrk(T::ONE, &x));
+                return Val::Owned(syrk(T::ONE, go(x, env, ctx).get(), trans));
             }
             let va = go(a, env, ctx);
             let vb = go(b, env, ctx);

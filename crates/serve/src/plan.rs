@@ -7,6 +7,7 @@ use laab_dense::Matrix;
 use laab_expr::eval::Env;
 use laab_expr::{Context, Expr};
 use laab_framework::Framework;
+use laab_graph::passes::lower_syrk;
 use laab_graph::{
     execute_batched_on, execute_scheduled_on, BatchAnalysis, Graph, PassStats, Schedule,
 };
@@ -108,6 +109,15 @@ impl Plan {
     /// budget hit falls back to the input expression (the plan still
     /// compiles; [`Plan::egraph_report`] records the hit). The graph
     /// passes then run as usual on either form.
+    ///
+    /// The e-graph level is also where the extraction cost model's SYRK
+    /// price becomes a kernel: after the passes, products of one node with
+    /// its own transpose are lowered to `Syrk` nodes
+    /// ([`laab_graph::passes::lower_syrk`]), which the engine runs at half
+    /// the GEMM's FLOPs and, on finite operands, to the GEMM's bits — a
+    /// kernel choice, not a rewrite, so [`EgraphReport::changed`] does not
+    /// see it. A [`OptLevel::Passes`] plan is what the frameworks trace:
+    /// it never carries the node.
     pub fn compile_opt(
         fw: &Framework,
         expr: &Expr,
@@ -133,7 +143,10 @@ impl Plan {
             }
         };
         let function = fw.function_from_expr(&expr, ctx);
-        let (graph, _trace_time, stats) = function.into_plan_parts();
+        let (mut graph, _trace_time, stats) = function.into_plan_parts();
+        if opt == OptLevel::Egraph {
+            lower_syrk(&mut graph);
+        }
         let schedule = Schedule::new(&graph);
         let batch = BatchAnalysis::analyze(&graph, |name| varying.contains(&name));
         Plan {
@@ -448,6 +461,7 @@ mod tests {
                 assert!(plan.egraph_report().is_none(), "{} n={n}", family.id());
                 let pinned = compile_family(family, n, Some(OptLevel::Passes));
                 assert_eq!(plan.graph(), pinned.graph(), "{} n={n}", family.id());
+                assert_eq!(plan.graph().syrk_count(), 0, "{} n={n}", family.id());
                 assert_eq!(plan.stackable(), pinned.stackable());
             }
         }
@@ -464,6 +478,10 @@ mod tests {
                 let pinned = compile_family(family, n, Some(OptLevel::Egraph));
                 assert_eq!(plan.graph(), pinned.graph(), "{} n={n}", family.id());
                 assert_eq!(plan.egraph_report(), pinned.egraph_report());
+                // E3 on the served path: the two families with a product
+                // of one value by its own transpose run it as SYRK.
+                let syrks = usize::from(matches!(family, Family::Gram | Family::CseGram));
+                assert_eq!(plan.graph().syrk_count(), syrks, "{} n={n}", family.id());
                 // The rewrites leave the matrix families unstackable, so
                 // their responses stay verifiable bit for bit.
                 let vector = matches!(family, Family::Chain | Family::SolveResidual);
@@ -480,6 +498,54 @@ mod tests {
             assert!(!report.changed, "n={n}: the shared AᵀB is priced once");
             assert_eq!(report.extracted_cost, report.original_cost);
             assert_eq!(plan.graph().matmul_count(), 2, "n={n}: AᵀB computed once");
+        }
+    }
+
+    #[test]
+    fn served_symmetric_products_cost_half_a_gemm() {
+        // Default path at the served size: QᵀQ is one SYRK (n³ by the
+        // paper's count), (AᵀB)ᵀ(AᵀB) one GEMM plus one SYRK — and the
+        // framework-level plan still pays the full GEMMs.
+        let n = 256;
+        let n3 = (n * n * n) as u64;
+        for (family, products, want) in [(Family::Gram, 1, n3), (Family::CseGram, 2, 3 * n3)] {
+            let plan = compile_family(family, n, None);
+            assert_eq!(plan.graph().syrk_count(), 1, "{}", family.id());
+            assert_eq!(plan.graph().matmul_count(), products, "{}", family.id());
+            assert!(!plan.egraph_report().unwrap().changed, "a kernel choice, not a rewrite");
+            let env = family.env::<f64>(n, 5);
+            let (out, c) = laab_kernels::counters::measure(|| plan.execute(&env));
+            assert_eq!(c.total_flops(), want, "{}", family.id());
+            assert_eq!(c.total_calls(), products as u64);
+            let pinned = compile_family(family, n, Some(OptLevel::Passes));
+            assert_eq!(pinned.graph().syrk_count(), 0);
+            let (full, c) = laab_kernels::counters::measure(|| pinned.execute(&env));
+            assert_eq!(c.total_flops(), products as u64 * 2 * n3);
+            assert_eq!(out, full, "half the FLOPs, the same bits");
+        }
+    }
+
+    #[test]
+    fn syrk_plans_are_bitwise_the_passes_plans_on_every_backend() {
+        // Solo and at occupancy 4 (both families fall back per request:
+        // their operands are request-varying), on the engine's half-FLOP
+        // kernel and on the three backends that keep the default hook.
+        laab_deferred::ensure_registered();
+        let n = 48;
+        for family in [Family::Gram, Family::CseGram] {
+            let (fw, expr, ctx) = (Framework::flow(), family.expr(n), family.ctx(n));
+            let envs: Vec<Env<f64>> = (0..4).map(|i| family.env(n, 11 + i)).collect();
+            let refs: Vec<&Env<f64>> = envs.iter().collect();
+            for name in ["engine", "seed", "reference", "deferred"] {
+                let reg = registry::find(name).unwrap();
+                let compile =
+                    |opt| Plan::compile_opt(&fw, &expr, &ctx, reg, family.varying_operands(), opt);
+                let (lowered, plain) = (compile(OptLevel::Egraph), compile(OptLevel::Passes));
+                assert_eq!(lowered.graph().syrk_count(), 1, "{} {name}", family.id());
+                assert!(!lowered.stackable());
+                assert_eq!(lowered.execute(&envs[0]), plain.execute(&envs[0]), "{name}");
+                assert_eq!(lowered.execute_batched(&refs), plain.execute_batched(&refs), "{name}");
+            }
         }
     }
 

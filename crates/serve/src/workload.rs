@@ -25,8 +25,10 @@ pub enum Family {
     /// Experiment 2 (Table III / Fig. 7): the left-associated chain
     /// `HᵀH x` the frameworks never re-parenthesize.
     Chain,
-    /// Experiment 3 (Table IV): the Gram product `QᵀQ` (a symmetric
-    /// result the frameworks compute with a full GEMM).
+    /// Experiment 3 (Table IV): the Gram product `QᵀQ` — a symmetric
+    /// result the frameworks compute with a full GEMM, and so does a
+    /// `Passes`-level plan. At the e-graph level it is lowered to a
+    /// `Syrk` node: half the FLOPs on the engine, the GEMM's bits.
     Gram,
     /// Experiment 4 (Table V, Eq. 9): the slicing trap
     /// `(AB)[0,0]` — the full product is materialized for one element.

@@ -75,7 +75,7 @@ fn main() {
     let lb = var("L") * var("B");
     report("LB", &lb, &mut || trmm(1.0f32, &l, UpLo::Lower, &b));
     let aat = var("A") * var("A").t();
-    report("AAᵀ", &aat, &mut || syrk(1.0f32, &a));
+    report("AAᵀ", &aat, &mut || syrk(1.0f32, &a, Trans::No));
     let tb = var("T") * var("B");
     report("TB", &tb, &mut || laab_kernels::tridiag_matmul(&tri, &b));
     let db = var("D") * var("B");

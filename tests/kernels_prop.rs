@@ -83,11 +83,17 @@ proptest! {
     fn syrk_matches_reference_and_is_symmetric(
         n in 1usize..40,
         k in 1usize..40,
+        transposed in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let mut g = OperandGen::new(seed);
         let a = g.matrix::<f64>(n, k);
-        let got = syrk(1.0, &a);
+        // Both spellings of the same product: A·Aᵀ, and (Aᵀ)ᵀ·Aᵀ.
+        let got = if transposed {
+            syrk(1.0, &a.transpose(), Trans::Yes)
+        } else {
+            syrk(1.0, &a, Trans::No)
+        };
         prop_assert!(got.approx_eq(&reference::syrk_naive(&a), 1e-11));
         for i in 0..n {
             for j in 0..n {
