@@ -1,34 +1,46 @@
-//! The admission queue: deadline-or-occupancy batching in front of the
-//! plan cache.
+//! The admission queue: work-conserving batching in front of the plan
+//! cache.
 //!
-//! PR 5's admission *window* coalesced same-signature requests by count
-//! alone — correct for a drained backlog, where every same-key request
-//! is already pending, but meaningless for live traffic: at low arrival
-//! rates a count-only window would hold a request hostage until enough
-//! siblings happen to arrive. This queue flushes a group on **deadline
-//! or occupancy, whichever comes first**:
+//! Same-key requests coalesce into batches of up to `window`, but never
+//! at the price of an idle executor. One rule decides when a group
+//! leaves the queue: **a free consumer takes the oldest pending group at
+//! once, and sleeps only when nothing at all is pending.** Coalescing
+//! therefore happens exactly when it is free — while every consumer is
+//! busy, arrivals pile into their keyed groups; the consumer that frees
+//! up first takes the oldest group with everything that accumulated —
+//! and an idle server never holds a request. A batch leaves on
 //!
-//! * **occupancy** — the group reached `window` pending requests; flush
-//!   now, the batch is as full as it is allowed to get;
-//! * **deadline** — the group's *oldest* request has waited
-//!   `deadline`; flush whatever coalesced, the latency budget is spent;
-//! * **drain** — the queue is closing; flush every partial group.
+//! * **occupancy** — the group is as full as it can usefully get: it
+//!   reached `window` pending requests, or a consumer was free to run it;
+//! * **drain** — the queue is closing; every partial group flushes;
+//! * **pressure** — a bounded queue's backlog crossed half its capacity
+//!   (see [`AdmissionQueue::bounded`]).
+//!
+//! There is deliberately no timer holding a partial group back in the
+//! hope of same-key companions. Such a timer can only run while a
+//! consumer sits idle in [`next_batch`](AdmissionQueue::next_batch), so
+//! every microsecond it waits is free capacity spent on latency (a
+//! 250 µs budget was 337 µs of a 381 µs round trip for 5 µs of work);
+//! and when no consumer is free, groups fill without it.
+//! [`FlushKind::Deadline`] remains as a variant and wire code that this
+//! queue never produces.
 //!
 //! Requests are grouped by an arbitrary hashable key (the serving layer
 //! keys on `(Family, n, Dtype, BackendId)` — exactly what determines a
 //! [`Signature`](crate::Signature)), and groups preserve arrival order,
 //! so [`backlog`](AdmissionQueue::backlog) — submit everything, close,
-//! collect — reproduces the PR 5 fixed-count chunking bit-for-bit. The
-//! in-process `laab serve` path is that loopback composition; the
+//! collect — reproduces the PR 5 fixed-count chunking bit-for-bit (it
+//! closes before anyone consumes, so only occupancy and drain flush).
+//! The in-process `laab serve` path is that loopback composition; the
 //! network [`Server`](crate::Server) feeds the same queue from socket
 //! readers instead.
 //!
 //! The implementation is a `Mutex` + `Condvar` multi-producer
 //! multi-consumer queue: producers ([`submit`](AdmissionQueue::submit))
-//! append to keyed groups and hand full ones to the ready list;
-//! consumers ([`next_batch`](AdmissionQueue::next_batch)) block with a
-//! timeout aimed at the earliest group deadline and flush expired
-//! groups themselves, so no dedicated timer thread exists.
+//! append to keyed groups, hand full ones to the ready list and wake one
+//! consumer per new group; consumers
+//! ([`next_batch`](AdmissionQueue::next_batch)) take a ready batch, else
+//! the oldest pending group, else block until a submit or the close.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -38,9 +50,12 @@ use std::time::{Duration, Instant};
 /// What caused a batch to leave the admission queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlushKind {
-    /// The group reached the occupancy window.
+    /// The group was as full as it could usefully get: it reached the
+    /// occupancy window, or a free consumer took it.
     Occupancy,
-    /// The group's oldest request exhausted the latency budget.
+    /// A latency timer released a partial group. This queue has no
+    /// timer (see the module docs) and never produces it; the variant
+    /// stays because it is a wire code that peers match exhaustively.
     Deadline,
     /// The queue was closed with the group still partial.
     Drain,
@@ -90,7 +105,7 @@ pub struct FlushedBatch<T> {
     pub kind: FlushKind,
     /// When the batch's oldest item was submitted (the queue-delay
     /// anchor: `flushed_at - enqueued_at` is the time the batch head
-    /// spent waiting for siblings).
+    /// spent waiting for a consumer).
     pub enqueued_at: Instant,
 }
 
@@ -101,9 +116,11 @@ pub struct AdmissionStats {
     pub admitted: u64,
     /// Items refused because the backlog was at capacity.
     pub shed: u64,
-    /// Batches flushed because a group filled its window.
+    /// Batches flushed because a group filled its window or a free
+    /// consumer took it.
     pub occupancy_flushes: u64,
-    /// Batches flushed because the head item's deadline expired.
+    /// Always `0`: the count of [`FlushKind::Deadline`] batches, kept so
+    /// the per-kind ledger covers every variant.
     pub deadline_flushes: u64,
     /// Partial batches flushed at close.
     pub drain_flushes: u64,
@@ -119,7 +136,7 @@ impl AdmissionStats {
 }
 
 /// A pending group: items sharing one key, plus the head-arrival time
-/// that anchors the group's deadline.
+/// that orders groups and anchors the batch's queue delay.
 struct Group<T> {
     items: Vec<T>,
     head_at: Instant,
@@ -129,7 +146,7 @@ struct State<K, T> {
     groups: HashMap<K, Group<T>>,
     /// Group keys in head-arrival order. A flushed group leaves this
     /// list; a re-created group re-enters at the back with a fresh
-    /// `head_at`, so the front is always the earliest deadline.
+    /// `head_at`, so the front is always the oldest pending group.
     order: VecDeque<K>,
     ready: VecDeque<FlushedBatch<T>>,
     closed: bool,
@@ -139,24 +156,24 @@ struct State<K, T> {
     queued: usize,
 }
 
-/// The deadline-or-occupancy admission queue. See the module docs.
+/// The work-conserving admission queue. See the module docs.
 pub struct AdmissionQueue<K, T> {
     state: Mutex<State<K, T>>,
     cond: Condvar,
     window: usize,
-    deadline: Option<Duration>,
     /// Backlog bound in items; `0` means unbounded.
     capacity: usize,
 }
 
 impl<K: Eq + Hash + Clone, T> AdmissionQueue<K, T> {
-    /// Create a queue flushing at `window` occupancy (values `0` and `1`
-    /// both mean "no coalescing": every item is its own batch) or at
-    /// `deadline` past the group head's arrival, whichever comes first.
-    /// `deadline: None` disables the timer — the PR 5 backlog regime,
-    /// where only occupancy and drain flush.
-    pub fn new(window: usize, deadline: Option<Duration>) -> Self {
-        Self::bounded(window, deadline, 0)
+    /// Create a queue whose batches hold at most `window` items (values
+    /// `0` and `1` both mean "no coalescing": every item is its own
+    /// batch). `_deadline` is accepted and ignored: the queue has no
+    /// timer, and the parameter survives only because the frozen
+    /// `benchmark/` harness calls `new(0, None)` — the next `benchmark`
+    /// PR drops it.
+    pub fn new(window: usize, _deadline: Option<Duration>) -> Self {
+        Self::bounded(window, None, 0)
     }
 
     /// Like [`new`](Self::new), but with a backlog bound: once `capacity`
@@ -166,7 +183,8 @@ impl<K: Eq + Hash + Clone, T> AdmissionQueue<K, T> {
     /// also flushes each submitting group immediately
     /// ([`FlushKind::Pressure`]) — degrading the batching window to
     /// favor latency while overloaded. `capacity: 0` means unbounded.
-    pub fn bounded(window: usize, deadline: Option<Duration>, capacity: usize) -> Self {
+    /// `_deadline` is accepted and ignored, as in [`new`](Self::new).
+    pub fn bounded(window: usize, _deadline: Option<Duration>, capacity: usize) -> Self {
         Self {
             state: Mutex::new(State {
                 groups: HashMap::new(),
@@ -178,7 +196,6 @@ impl<K: Eq + Hash + Clone, T> AdmissionQueue<K, T> {
             }),
             cond: Condvar::new(),
             window: window.max(1),
-            deadline,
             capacity,
         }
     }
@@ -186,11 +203,6 @@ impl<K: Eq + Hash + Clone, T> AdmissionQueue<K, T> {
     /// The effective occupancy window (≥ 1).
     pub fn window(&self) -> usize {
         self.window
-    }
-
-    /// The configured deadline, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
     }
 
     /// The backlog bound in items (`0` = unbounded).
@@ -234,9 +246,9 @@ impl<K: Eq + Hash + Clone, T> AdmissionQueue<K, T> {
             Self::flush_key(&mut s, &key, kind);
             // A batch became ready: wake a consumer to take it.
             self.cond.notify_one();
-        } else if fresh_group && self.deadline.is_some() {
-            // A new earliest-deadline candidate may shorten a consumer's
-            // sleep; wake one to re-aim its timeout.
+        } else if fresh_group {
+            // A group became pending: a consumer asleep on an empty
+            // queue takes it at once.
             self.cond.notify_one();
         }
         SubmitOutcome::Queued
@@ -257,13 +269,21 @@ impl<K: Eq + Hash + Clone, T> AdmissionQueue<K, T> {
         s.ready.push_back(FlushedBatch { items: group.items, kind, enqueued_at: group.head_at });
     }
 
-    /// Block until a batch is ready and return it; `None` once the queue
-    /// is closed and fully drained. Consumers collectively enforce the
-    /// deadline: the waiter aims its sleep at the earliest group head
-    /// and flushes the group itself when the budget expires.
+    /// Return the next batch, blocking only while nothing at all is
+    /// pending; `None` once the queue is closed and fully drained. A
+    /// ready batch (full window, pressure, drain) goes first; otherwise
+    /// the caller — by calling, a free consumer — takes the oldest
+    /// pending group whole, as an [`Occupancy`](FlushKind::Occupancy)
+    /// flush. A pending group and a sleeping consumer never coexist, so
+    /// no timer is needed to bound a lone request's wait.
     pub fn next_batch(&self) -> Option<FlushedBatch<T>> {
         let mut s = self.state.lock().expect("admission mutex");
         loop {
+            if s.ready.is_empty() {
+                if let Some(key) = s.order.front().cloned() {
+                    Self::flush_key(&mut s, &key, FlushKind::Occupancy);
+                }
+            }
             if let Some(batch) = s.ready.pop_front() {
                 s.queued -= batch.items.len();
                 return Some(batch);
@@ -271,27 +291,7 @@ impl<K: Eq + Hash + Clone, T> AdmissionQueue<K, T> {
             if s.closed {
                 return None;
             }
-            match self.deadline {
-                None => s = self.cond.wait(s).expect("admission mutex"),
-                Some(budget) => {
-                    // The order list's front group has the earliest head.
-                    let due = s.order.front().map(|k| s.groups[k].head_at + budget);
-                    match due {
-                        Some(due) => {
-                            let now = Instant::now();
-                            if now >= due {
-                                let key = s.order.front().expect("non-empty order").clone();
-                                Self::flush_key(&mut s, &key, FlushKind::Deadline);
-                                continue;
-                            }
-                            let (guard, _timeout) =
-                                self.cond.wait_timeout(s, due - now).expect("admission mutex");
-                            s = guard;
-                        }
-                        None => s = self.cond.wait(s).expect("admission mutex"),
-                    }
-                }
-            }
+            s = self.cond.wait(s).expect("admission mutex");
         }
     }
 
@@ -315,20 +315,12 @@ impl<K: Eq + Hash + Clone, T> AdmissionQueue<K, T> {
         self.state.lock().expect("admission mutex").stats
     }
 
-    /// Groups currently pending (submitted, not yet flushed). A producer
-    /// that wants trailing partial batches to take their *deadline*
-    /// flush — rather than turning into drain flushes at close — waits
-    /// for this to reach zero before closing.
-    pub fn pending_groups(&self) -> usize {
-        self.state.lock().expect("admission mutex").groups.len()
-    }
-
     /// The backlog composition: submit every `(key, item)` in order,
-    /// close, and return the released batches. With `deadline: None`
-    /// this reproduces PR 5's fixed-count chunking exactly — each key's
-    /// items chunk at every `window`-th arrival (occupancy flushes) with
-    /// the remainder drained at close — which is what keeps the
-    /// in-process `laab serve` counters deterministic.
+    /// close, and return the released batches. No consumer runs before
+    /// the close, so this reproduces PR 5's fixed-count chunking exactly
+    /// — each key's items chunk at every `window`-th arrival (occupancy
+    /// flushes) with the remainder drained at close — which is what
+    /// keeps the in-process `laab serve` counters deterministic.
     pub fn backlog(window: usize, items: impl IntoIterator<Item = (K, T)>) -> Vec<FlushedBatch<T>> {
         let queue = AdmissionQueue::new(window, None);
         for (key, item) in items {
@@ -382,31 +374,55 @@ mod tests {
     }
 
     #[test]
-    fn deadline_flushes_a_partial_group() {
-        let q: AdmissionQueue<u8, usize> = AdmissionQueue::new(64, Some(Duration::from_millis(5)));
-        let t0 = Instant::now();
-        q.submit(7, 1);
-        q.submit(7, 2);
-        let batch = q.next_batch().expect("deadline releases the partial group");
-        assert_eq!(batch.items, vec![1, 2]);
-        assert_eq!(batch.kind, FlushKind::Deadline);
-        assert!(t0.elapsed() >= Duration::from_millis(5), "not before the budget expires");
-        assert_eq!(q.stats().deadline_flushes, 1);
+    fn blocked_consumer_takes_a_lone_submit_at_once() {
+        // Window 64 and no second item ever: only the rule — a free
+        // consumer takes the oldest pending group — can release this.
+        let q: AdmissionQueue<u8, u8> = AdmissionQueue::new(64, None);
+        let (about_to_block, blocked) = std::sync::mpsc::channel();
+        let (batch, taken_at) = std::thread::scope(|scope| {
+            let consumer = scope.spawn(|| {
+                about_to_block.send(()).expect("producer is listening");
+                let batch = q.next_batch().expect("a lone item is released");
+                (batch, Instant::now())
+            });
+            blocked.recv().expect("consumer started");
+            assert!(q.submit(7, 1).is_queued());
+            consumer.join().expect("consumer")
+        });
+        assert_eq!((batch.items.as_slice(), batch.kind), (&[1][..], FlushKind::Occupancy));
+        let waited = taken_at.duration_since(batch.enqueued_at);
+        assert!(waited < Duration::from_millis(50), "held for {waited:?} with a consumer free");
+        let stats = q.stats();
+        assert_eq!((stats.occupancy_flushes, stats.deadline_flushes), (1, 0));
         q.close();
         assert!(q.next_batch().is_none());
     }
 
     #[test]
-    fn deadline_orders_by_group_head_across_keys() {
-        let q: AdmissionQueue<u8, u8> = AdmissionQueue::new(64, Some(Duration::from_millis(3)));
-        q.submit(1, 10);
-        q.submit(2, 20);
+    fn groups_accumulate_while_no_consumer_is_free() {
+        let q: AdmissionQueue<u8, u8> = AdmissionQueue::new(4, None);
+        for (key, item) in [(1, 10), (2, 20), (1, 11), (2, 21), (1, 12)] {
+            assert!(q.submit(key, item).is_queued());
+        }
+        // Nobody consumed meanwhile, so both groups are whole; the one
+        // with the older head leaves first.
         let a = q.next_batch().unwrap();
         let b = q.next_batch().unwrap();
-        assert_eq!((a.items, a.kind), (vec![10], FlushKind::Deadline));
-        assert_eq!((b.items, b.kind), (vec![20], FlushKind::Deadline));
+        assert_eq!((a.items, a.kind), (vec![10, 11, 12], FlushKind::Occupancy));
+        assert_eq!((b.items, b.kind), (vec![20, 21], FlushKind::Occupancy));
         assert!(a.enqueued_at <= b.enqueued_at);
+        // A group never outgrows the window: the 4th arrival flushes it
+        // and the 5th starts a new one.
+        for item in 30..35 {
+            q.submit(3, item);
+        }
+        assert_eq!(q.next_batch().unwrap().items, vec![30, 31, 32, 33]);
+        assert_eq!(q.next_batch().unwrap().items, vec![34]);
+        let stats = q.stats();
+        assert_eq!((stats.occupancy_flushes, stats.deadline_flushes), (4, 0));
+        assert_eq!(q.queued(), 0);
         q.close();
+        assert!(q.next_batch().is_none());
     }
 
     #[test]
@@ -498,8 +514,7 @@ mod tests {
 
     #[test]
     fn concurrent_producers_and_consumers_lose_nothing() {
-        let q: AdmissionQueue<usize, usize> =
-            AdmissionQueue::new(4, Some(Duration::from_micros(200)));
+        let q: AdmissionQueue<usize, usize> = AdmissionQueue::new(4, None);
         let consumed = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for c in 0..3 {

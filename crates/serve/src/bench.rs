@@ -68,8 +68,10 @@ use crate::workload::{synthetic_mix, Family, Request};
 /// equivalence probes. (`v6` added the optimizer A/B: `opt_levels`,
 /// `opt_families`, cross-level probes, and the
 /// `saturation_budget_hits` fallback count; `v5` the overload sweep
-/// through a bounded backlog; `v4` the live deadline-or-occupancy
-/// `admission` record and the window × arrival-rate `sweep` grid.)
+/// through a bounded backlog; `v4` the live `admission` record and the
+/// window × arrival-rate `sweep` grid. The flush-timer fields of `v4`
+/// stay in the schema at `0`, the value a queue without a timer always
+/// reported.)
 pub const SERVE_REPORT_SCHEMA: &str = "laab-serve-bench-v7";
 
 /// Configuration of one serving run.
@@ -111,13 +113,6 @@ pub struct ServeConfig {
     /// into batches of up to this many. `0` or `1` disables batching
     /// (every request is its own batch — the pre-v3 serving loop).
     pub batch_window: usize,
-    /// Latency budget of a partial batch, microseconds: a live group
-    /// flushes when its oldest request has waited this long, even below
-    /// the occupancy window (deadline **or** occupancy, whichever
-    /// first). `0` disables the timer — meaningful only for the drained
-    /// backlog; the builder and the network server reject it when
-    /// batching is on.
-    pub batch_deadline_us: u64,
     /// Offered load of the live (arrival-paced) measurement phases,
     /// requests per second. Arrivals are open-loop Poisson at this rate;
     /// the sweep also probes a quarter of it.
@@ -181,7 +176,6 @@ impl Default for ServeConfig {
             backends: vec!["engine".to_string()],
             dtype: None,
             batch_window: 8,
-            batch_deadline_us: 250,
             arrival_rate: 2000.0,
             max_inflight: 256,
             backlog: 2048,
@@ -204,11 +198,10 @@ impl ServeConfig {
 
     /// Start a validating [`ServeConfigBuilder`] from the defaults. The
     /// builder is the supported construction path: it rejects unknown
-    /// backends, zero shards, an explicit `--clients 0`, and a
-    /// coalescing window without a deadline at `build()` time, before
-    /// any request is dispatched. Struct-literal construction still
-    /// compiles (the fields are public) but skips that validation and is
-    /// deprecated for CLI use.
+    /// backends, zero shards and an explicit `--clients 0` at `build()`
+    /// time, before any request is dispatched. Struct-literal
+    /// construction still compiles (the fields are public) but skips
+    /// that validation and is deprecated for CLI use.
     pub fn builder() -> ServeConfigBuilder {
         ServeConfigBuilder { cfg: Self::default(), explicit_zero_clients: false }
     }
@@ -257,16 +250,6 @@ impl ServeConfig {
             dispatch_ns: self.dispatch_us.saturating_mul(1_000),
             fuse: self.fusion,
             ..laab_deferred::Tuning::default()
-        }
-    }
-
-    /// The deadline as a [`Duration`], `None` when disabled or when the
-    /// window never holds a partial batch (`batch_window ≤ 1`).
-    pub fn deadline(&self) -> Option<Duration> {
-        if self.batching_enabled() && self.batch_deadline_us > 0 {
-            Some(Duration::from_micros(self.batch_deadline_us))
-        } else {
-            None
         }
     }
 }
@@ -363,13 +346,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Partial-batch latency budget, microseconds. With a coalescing
-    /// window (`≥ 2`) this must be ≥ 1 — validated at `build()`.
-    pub fn batch_deadline_us(mut self, v: u64) -> Self {
-        self.cfg.batch_deadline_us = v;
-        self
-    }
-
     /// Offered load of the live phases, requests/s (clamped to ≥ 1).
     pub fn arrival_rate(mut self, v: f64) -> Self {
         self.cfg.arrival_rate = if v.is_finite() { v.max(1.0) } else { 1.0 };
@@ -433,10 +409,8 @@ impl ServeConfigBuilder {
     /// # Errors
     /// [`ServeError::NoBackends`] / [`ServeError::UnknownBackend`] /
     /// [`ServeError::DuplicateBackend`] for a bad backend list,
-    /// [`ServeError::ZeroShards`] for a shardless cache,
-    /// [`ServeError::ZeroClients`] for an explicit `clients(0)`, and
-    /// [`ServeError::MissingDeadline`] for a coalescing window with the
-    /// deadline timer disabled (a live partial batch could wait forever).
+    /// [`ServeError::ZeroShards`] for a shardless cache, and
+    /// [`ServeError::ZeroClients`] for an explicit `clients(0)`.
     pub fn build(self) -> Result<ServeConfig, ServeError> {
         let cfg = self.cfg;
         resolve_backends(&cfg.backends)?;
@@ -445,9 +419,6 @@ impl ServeConfigBuilder {
         }
         if self.explicit_zero_clients {
             return Err(ServeError::ZeroClients);
-        }
-        if cfg.batching_enabled() && cfg.batch_deadline_us == 0 {
-            return Err(ServeError::MissingDeadline { window: cfg.batch_window });
         }
         Ok(cfg)
     }
@@ -491,12 +462,6 @@ pub enum ServeError {
     /// detection (the default) caps at 8, and explicit counts are taken
     /// verbatim — so an explicit zero is always a mistake.
     ZeroClients,
-    /// A coalescing window (≥ 2) with the deadline timer disabled: a
-    /// live partial batch could wait forever.
-    MissingDeadline {
-        /// The offending window.
-        window: usize,
-    },
     /// A `--listen`/`--addr` spec that names neither a unix socket path
     /// nor a TCP address.
     BadListen(String),
@@ -550,11 +515,6 @@ impl std::fmt::Display for ServeError {
                 "--clients 0 is not \"all cores\": omit the flag (or pass `auto`) for \
                  detected parallelism capped at 8, or pass the explicit count you mean \
                  (explicit counts are never clamped)"
-            ),
-            ServeError::MissingDeadline { window } => write!(
-                f,
-                "a coalescing window (--batch-window {window}) needs --batch-deadline-us ≥ 1: \
-                 without a latency budget a live partial batch could wait forever"
             ),
             ServeError::BadListen(spec) => write!(
                 f,
@@ -616,7 +576,6 @@ impl PartialEq for ServeError {
             (NoBackends, NoBackends) | (ZeroShards, ZeroShards) | (ZeroClients, ZeroClients) => {
                 true
             }
-            (MissingDeadline { window: a }, MissingDeadline { window: b }) => a == b,
             (BadListen(a), BadListen(b)) | (BadArrival(a), BadArrival(b)) => a == b,
             (Bind { addr: a, source: s1 }, Bind { addr: b, source: s2 })
             | (Connect { addr: a, source: s1 }, Connect { addr: b, source: s2 }) => {
@@ -804,18 +763,19 @@ pub struct BatchingRecord {
 }
 
 /// One live admission measurement: the queue's behavior under open-loop
-/// Poisson arrivals at one `(window, deadline, rate)` operating point.
+/// Poisson arrivals at one `(window, rate)` operating point.
 ///
 /// The drained-backlog phase cannot see queueing delay (every request is
 /// already pending); these records come from the arrival-paced phases,
-/// where the deadline-or-occupancy tradeoff is real: at high rates
-/// groups fill and flush on occupancy, at low rates the deadline bounds
-/// how long a lonely request waits.
+/// where coalescing depends on load: while every consumer is busy,
+/// groups grow towards the window; at low rates a free consumer takes
+/// each request as it arrives.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdmissionRecord {
     /// The occupancy window of this operating point.
     pub window: usize,
-    /// The deadline budget, microseconds (`0` = timer off).
+    /// Always `0`: the queue has no flush timer (field kept so the
+    /// schema does not bump).
     pub deadline_us: u64,
     /// Offered load, requests per second.
     pub arrival_rate: f64,
@@ -823,9 +783,10 @@ pub struct AdmissionRecord {
     pub requests: usize,
     /// Batches released.
     pub batches: usize,
-    /// Batches released because a group filled its window.
+    /// Batches released because a group filled its window or a free
+    /// consumer took it.
     pub occupancy_flushes: u64,
-    /// Batches released because the head request's budget expired.
+    /// Always `0` (see `deadline_us`).
     pub deadline_flushes: u64,
     /// Partial batches released at queue close.
     pub drain_flushes: u64,
@@ -1032,7 +993,8 @@ pub struct ServeReport {
     pub dtype: String,
     /// The configured admission window (`0`/`1` = batching off).
     pub batch_window: usize,
-    /// The configured partial-batch deadline, µs (`0` = timer off).
+    /// Always `0`: admission has no flush timer (field kept so the
+    /// schema does not bump).
     pub batch_deadline_us: u64,
     /// Offered load of the live phases, requests per second.
     pub arrival_rate: f64,
@@ -1064,8 +1026,8 @@ pub struct ServeReport {
     /// The admission window's coalescing stats and the batched-vs-solo
     /// interleaved measurement (the deterministic backlog phase).
     pub batching: BatchingRecord,
-    /// Live deadline-or-occupancy behavior at the configured operating
-    /// point: open-loop Poisson arrivals at `arrival_rate` through the
+    /// Live admission behavior at the configured operating point:
+    /// open-loop Poisson arrivals at `arrival_rate` through the
     /// first-listed backend.
     pub admission: AdmissionRecord,
     /// The window × arrival-rate sweep grid (windows `{1, max(2,
@@ -1546,10 +1508,7 @@ fn execute_live<T: BackendScalar>(
 /// Measure the admission queue live: a producer paces the stream as an
 /// open-loop Poisson process at `rate` requests/s, `clients` consumers
 /// drain batches through the cache, and every request's queueing delay
-/// (submit → batch execution start) is sampled. The producer lets
-/// trailing partial groups expire their deadline before closing, so a
-/// low-rate run reports *deadline* flushes rather than converting its
-/// tail into drain flushes.
+/// (submit → batch execution start) is sampled.
 #[allow(clippy::too_many_arguments)]
 fn live_phase(
     mix: &[Request],
@@ -1559,17 +1518,10 @@ fn live_phase(
     fw: &Framework,
     clients: usize,
     window: usize,
-    deadline_us: u64,
     rate: f64,
     seed: u64,
 ) -> AdmissionRecord {
-    let deadline = if window >= 2 && deadline_us > 0 {
-        Some(Duration::from_micros(deadline_us))
-    } else {
-        None
-    };
-    let queue: AdmissionQueue<(Family, usize, Dtype), LiveJob> =
-        AdmissionQueue::new(window, deadline);
+    let queue: AdmissionQueue<(Family, usize, Dtype), LiveJob> = AdmissionQueue::new(window, None);
     let delays: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(mix.len()));
     std::thread::scope(|scope| {
         for _ in 0..clients.max(1) {
@@ -1608,11 +1560,6 @@ fn live_phase(
                 }
                 queue.submit((r.family, r.n, r.dtype), LiveJob { idx: i, at: Instant::now() });
             }
-            if deadline.is_some() {
-                while queue.pending_groups() > 0 {
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
             queue.close();
         });
     });
@@ -1626,7 +1573,7 @@ fn live_phase(
     };
     AdmissionRecord {
         window: queue.window(),
-        deadline_us: if deadline.is_some() { deadline_us } else { 0 },
+        deadline_us: 0,
         arrival_rate: rate,
         requests: mix.len(),
         batches: stats.batches() as usize,
@@ -1668,19 +1615,13 @@ fn overload_phase(
     fw: &Framework,
     clients: usize,
     window: usize,
-    batch_deadline_us: u64,
     capacity: usize,
     req_deadline_us: u64,
     rate: f64,
     seed: u64,
 ) -> OverloadRecord {
-    let flush_deadline = if window >= 2 && batch_deadline_us > 0 {
-        Some(Duration::from_micros(batch_deadline_us))
-    } else {
-        None
-    };
     let queue: AdmissionQueue<(Family, usize, Dtype), OverloadJob> =
-        AdmissionQueue::bounded(window, flush_deadline, capacity);
+        AdmissionQueue::bounded(window, None, capacity);
     let completed = AtomicU64::new(0);
     let expired = AtomicU64::new(0);
     let req_deadline = Duration::from_micros(req_deadline_us);
@@ -1931,22 +1872,11 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
 
     // ---- live phases: queue delay under open-loop Poisson arrivals ----
     // Driven through the first-listed backend only — what is measured
-    // here is admission behavior (deadline vs occupancy flushes, queue
-    // delay), not the kernel A/B, which happened above.
+    // here is admission behavior (flush kinds, occupancy, queue delay),
+    // not the kernel A/B, which happened above.
     let rate = if cfg.arrival_rate.is_finite() { cfg.arrival_rate.max(1.0) } else { 1.0 };
     let live = |window: usize, rate: f64, stream: &[Request]| {
-        live_phase(
-            stream,
-            &pools,
-            regs[0],
-            &cache,
-            &fw,
-            clients,
-            window,
-            cfg.batch_deadline_us,
-            rate,
-            cfg.seed,
-        )
+        live_phase(stream, &pools, regs[0], &cache, &fw, clients, window, rate, cfg.seed)
     };
     let admission = live(cfg.batch_window, rate, &mix);
     let sweep_len = (cfg.requests / 4).clamp(48, 192).min(mix.len());
@@ -1961,13 +1891,13 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
     // ---- overload sweep: goodput vs. offered load, bounded backlog ----
     // A deliberately small backlog (a few batches' worth) so saturation
     // turns into measured shedding instead of queue growth, with a
-    // per-request deadline a few flush budgets wide.
+    // 2 ms per-request deadline.
     let overload_backlog = if cfg.backlog > 0 {
         cfg.backlog.min((clients * cfg.batch_window.max(1)).max(4))
     } else {
         (clients * cfg.batch_window.max(1)).max(4)
     };
-    let overload_deadline_us = cfg.batch_deadline_us.max(50) * 8;
+    const OVERLOAD_DEADLINE_US: u64 = 2_000;
     let mut overload = Vec::new();
     for mult in [1.0, 2.0, 4.0, 8.0] {
         overload.push(overload_phase(
@@ -1978,9 +1908,8 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
             &fw,
             clients,
             cfg.batch_window,
-            cfg.batch_deadline_us,
             overload_backlog,
-            overload_deadline_us,
+            OVERLOAD_DEADLINE_US,
             rate * mult,
             cfg.seed,
         ));
@@ -2269,7 +2198,7 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
         seed: cfg.seed,
         dtype: cfg.dtype.map_or("mixed", Dtype::name).to_string(),
         batch_window: cfg.batch_window,
-        batch_deadline_us: cfg.batch_deadline_us,
+        batch_deadline_us: 0,
         arrival_rate: rate,
         distinct_signatures: distinct.len(),
         wall_secs,
@@ -2529,7 +2458,6 @@ mod tests {
         // The happy path reproduces the defaults.
         let cfg = ServeConfig::builder().build().expect("defaults build");
         assert_eq!(cfg.requests, ServeConfig::default().requests);
-        assert_eq!(cfg.batch_deadline_us, 250);
 
         // Explicit zero clients is a named error, not a silent clamp —
         // and auto (the default) still resolves with the documented cap.
@@ -2542,12 +2470,6 @@ mod tests {
         assert_eq!((cfg.clients, cfg.resolved_clients()), (12, 12));
 
         assert_eq!(ServeConfig::builder().shards(0).build(), Err(ServeError::ZeroShards));
-        assert_eq!(
-            ServeConfig::builder().batch_window(8).batch_deadline_us(0).build(),
-            Err(ServeError::MissingDeadline { window: 8 })
-        );
-        // Window 1 never holds a partial batch: no deadline required.
-        assert!(ServeConfig::builder().batch_window(1).batch_deadline_us(0).build().is_ok());
 
         // Backend names resolve at build time, before any dispatch.
         let err = ServeConfig::builder().backends(["cuda"]).build().expect_err("unknown");
@@ -2564,49 +2486,40 @@ mod tests {
             .seed(7)
             .backends(["seed"])
             .batch_window(4)
-            .batch_deadline_us(200)
             .arrival_rate(4000.0)
             .build()
             .expect("smoke builder config is valid");
         let report = run_ok(&cfg);
         assert_eq!(report.batch_window, 4);
-        assert_eq!(report.batch_deadline_us, 200);
         assert_eq!(report.backends[0].backend, "seed");
     }
 
     #[test]
-    fn live_admission_reports_deadline_flushes_and_queue_delay() {
+    fn live_admission_is_work_conserving_and_reports_queue_delay() {
         let report = run_ok(&tiny_cfg());
         let a = &report.admission;
         assert_eq!(a.window, 8);
-        assert_eq!(a.deadline_us, 250);
         assert_eq!(a.requests, report.requests);
-        assert_eq!(a.occupancy_flushes + a.deadline_flushes + a.drain_flushes, a.batches as u64);
+        // No flush timer: a free consumer takes the oldest group (an
+        // occupancy flush), the tail drains at close, nothing else.
+        assert_eq!((a.deadline_us, a.deadline_flushes), (0, 0), "{a:?}");
+        assert_eq!(a.occupancy_flushes + a.drain_flushes, a.batches as u64);
         assert_eq!((a.pressure_flushes, a.shed), (0, 0), "live phases are unbounded");
         assert!(a.batches >= 1 && a.mean_occupancy >= 1.0);
-        // At 2000 req/s spread over ~a dozen signature keys, per-key
-        // inter-arrival dwarfs the 250 µs budget: the deadline path must
-        // fire — this is timing-robust, unlike latency magnitudes.
-        assert!(a.deadline_flushes > 0, "deadline flushes expected: {a:?}");
+        assert!(a.occupancy_flushes > 0, "{a:?}");
         assert!(a.queue_delay_p99_us >= a.queue_delay_p50_us);
         assert!(a.queue_delay_p50_us > 0.0, "queueing delay is always positive");
 
         // The sweep covers windows {1, window} × rates {r/4, r}.
         assert_eq!(report.sweep.len(), 4);
-        assert!(report.sweep.iter().all(|c| c.requests > 0 && c.batches > 0));
-        let low_coalescing: Vec<&AdmissionRecord> = report
-            .sweep
-            .iter()
-            .filter(|c| c.window >= 2 && c.arrival_rate < report.arrival_rate)
-            .collect();
-        assert!(!low_coalescing.is_empty());
-        for c in low_coalescing {
-            assert!(c.deadline_flushes > 0, "low-rate coalescing cell must deadline-flush: {c:?}");
+        for c in &report.sweep {
+            assert!(c.requests > 0 && c.batches > 0);
+            assert_eq!(c.deadline_flushes, 0, "{c:?}");
+            assert_eq!(c.occupancy_flushes + c.drain_flushes, c.batches as u64, "{c:?}");
         }
         // Window-1 cells never coalesce: every flush is an occupancy
         // flush of a singleton batch.
         for c in report.sweep.iter().filter(|c| c.window == 1) {
-            assert_eq!(c.deadline_flushes, 0, "{c:?}");
             assert_eq!(c.mean_occupancy, 1.0);
             assert_eq!(c.occupancy_flushes, c.requests as u64);
         }

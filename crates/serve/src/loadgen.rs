@@ -3,8 +3,8 @@
 //!
 //! Where `laab serve` reports what the serving loop saw, `laab loadgen`
 //! reports what a caller would see: round-trip time over the wire,
-//! including framing, the admission queue's deadline-or-occupancy wait,
-//! and the response's journey back. It replays the same deterministic
+//! including framing, the wait in the admission queue for a free
+//! executor, and the response's journey back. It replays the same deterministic
 //! [`synthetic_mix`] stream the in-process benchmark uses, under three
 //! swept arrival processes:
 //!
@@ -13,8 +13,9 @@
 //! - **open-loop Poisson** — requests arrive on an exponential clock at
 //!   a configured rate regardless of completions; queueing delay shows
 //!   up honestly instead of being absorbed by back-pressure.
-//! - **bursty** — Poisson-spaced *bursts* of back-to-back requests, the
-//!   adversarial case for a deadline-flushed admission window.
+//! - **bursty** — Poisson-spaced *bursts* of back-to-back requests:
+//!   the head of a burst finds the executors free, the rest coalesce
+//!   behind it.
 //!
 //! Because the stream, the operand pools, and the payload draws are all
 //! seeded, the generator can also compute each request's expected result
@@ -58,7 +59,7 @@ pub const LOADGEN_REPORT_SCHEMA: &str = "laab-loadgen-v3";
 
 /// How long a client read blocks before the request is presumed lost
 /// (a dropped frame, a reaped connection) and retried or abandoned —
-/// generous next to any legitimate batch deadline + execution time.
+/// generous next to any legitimate queue wait + execution time.
 const CLIENT_READ_TIMEOUT: Duration = Duration::from_millis(400);
 
 /// Backoff floor when the server's `retry_after_us` hint is zero or
@@ -292,7 +293,8 @@ pub struct ArrivalRun {
     pub occupancy_mean: f64,
     /// Responses whose batch flushed on occupancy.
     pub occupancy_flushes: u64,
-    /// Responses whose batch flushed on deadline.
+    /// Responses whose batch flushed on deadline (a wire code the
+    /// server no longer produces: `0`).
     pub deadline_flushes: u64,
     /// Responses whose batch flushed on drain.
     pub drain_flushes: u64,

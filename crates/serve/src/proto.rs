@@ -210,14 +210,18 @@ pub struct ResponseMsg {
 pub enum Outcome {
     /// The request executed.
     Ok {
-        /// Nanoseconds between admission and the batch starting to
-        /// execute — the queueing delay the deadline window bounds.
+        /// Nanoseconds between admission and the start of the execution
+        /// that served the request — waiting for a free executor and,
+        /// in a batch whose plan does not stack, for the batch-mates
+        /// that ran first.
         queue_ns: u64,
-        /// Per-request share of the batch's execution time, nanoseconds.
+        /// The request's execution time, nanoseconds: its own when it
+        /// ran alone, its share of a stacked batched execution.
         exec_ns: u64,
         /// How many requests the admitted batch held.
         occupancy: u32,
-        /// What flushed the batch (occupancy, deadline, or drain).
+        /// What flushed the batch (occupancy, drain or pressure; the
+        /// server no longer produces `Deadline`).
         flush: FlushKind,
         /// [`result_checksum`] over the result matrices, for bitwise
         /// comparison against an in-process oracle.

@@ -6,8 +6,8 @@
 //!
 //! ```text
 //!  connections ──► reader threads ──► AdmissionQueue ──► executor pool
-//!  (unix/tcp)      (decode+validate)  (deadline|occupancy)  (plan cache
-//!                                                           → backend)
+//!  (unix/tcp)      (decode+validate)  (work-conserving)   (plan cache
+//!                                                          → backend)
 //! ```
 //!
 //! One reader thread per accepted connection decodes
@@ -20,7 +20,7 @@
 //! loop) drains whole batches through the shared [`PlanCache`] and
 //! writes one response frame per request, carrying the measured queue
 //! delay, the per-request execution share, the batch occupancy and
-//! [`FlushKind`](crate::FlushKind), and a [checksum](crate::proto::result_checksum)
+//! [`FlushKind`], and a [checksum](crate::proto::result_checksum)
 //! of the result matrices for client-side bitwise validation.
 //!
 //! Shutdown is graceful and in-band: a [`Message::Shutdown`] frame is
@@ -42,13 +42,18 @@ use laab_backend::{BackendScalar, Dtype, Registration};
 use laab_expr::eval::Env;
 use laab_framework::Framework;
 
-use crate::admission::{AdmissionQueue, AdmissionStats, FlushedBatch, SubmitOutcome};
+use crate::admission::{AdmissionQueue, AdmissionStats, FlushKind, FlushedBatch, SubmitOutcome};
 use crate::bench::{resolve_backends, ServeConfig, ServeError};
 use crate::cache::PlanCache;
 use crate::fault::{FaultCounts, FaultInjector};
 use crate::plan::Plan;
 use crate::proto::{self, FrameError, Message, Outcome, RequestMsg, ResponseMsg};
 use crate::workload::{Family, Request};
+
+/// The `retry_after_us` hint of a `Busy` rejection: long enough for an
+/// executor to drain a few small batches, short next to any client
+/// timeout.
+const RETRY_AFTER_US: u64 = 500;
 
 /// The XOR mask an injected `corrupt` fault applies to a response
 /// checksum. Constant (not keyed) so tests can predict the corrupted
@@ -231,6 +236,11 @@ struct ServerJob {
 }
 
 impl ServerJob {
+    /// The admission (and quarantine) key the job was submitted under.
+    fn key(&self) -> JobKey {
+        (self.request.family, self.request.n, self.request.dtype, self.backend.name())
+    }
+
     /// Answer the job and release its in-flight slot. Every admitted
     /// job must end here exactly once.
     fn finish(&self, outcome: Outcome) {
@@ -308,13 +318,11 @@ pub struct Server {
 
 impl Server {
     /// Bind the listener. Validates the config the way the builder does
-    /// — backend names, shard count, window/deadline coherence — because
-    /// a live server with a coalescing window and no deadline would hold
-    /// lonely requests forever.
+    /// — backend names, shard count.
     ///
     /// # Errors
     /// Config rejections ([`ServeError::UnknownBackend`] etc.,
-    /// [`ServeError::ZeroShards`], [`ServeError::MissingDeadline`]),
+    /// [`ServeError::ZeroShards`]),
     /// [`ServeError::BadListen`] for an unintelligible address, and
     /// [`ServeError::Bind`] when the OS refuses the socket.
     pub fn bind(spec: &str, cfg: &ServeConfig) -> Result<Server, ServeError> {
@@ -322,9 +330,6 @@ impl Server {
         let regs = resolve_backends(&cfg.backends)?;
         if cfg.shards == 0 {
             return Err(ServeError::ZeroShards);
-        }
-        if cfg.batching_enabled() && cfg.batch_deadline_us == 0 {
-            return Err(ServeError::MissingDeadline { window: cfg.batch_window });
         }
         let wrap =
             |e: std::io::Error| ServeError::Bind { addr: addr.display(), source: Arc::new(e) };
@@ -375,7 +380,7 @@ impl Server {
         let Server { local, listener, cfg, regs, record_arrivals } = self;
         let arrivals = record_arrivals.as_ref().map(|_| Mutex::new(Vec::new()));
         let queue: AdmissionQueue<JobKey, ServerJob> =
-            AdmissionQueue::bounded(cfg.batch_window, cfg.deadline(), cfg.backlog);
+            AdmissionQueue::bounded(cfg.batch_window, None, cfg.backlog);
         let cache = PlanCache::with_shards(cfg.cache_capacity.max(1) * regs.len(), cfg.shards);
         let fw = Framework::flow();
         let pools: Mutex<HashMap<(Family, usize), Arc<PoolPair>>> = Mutex::new(HashMap::new());
@@ -394,23 +399,28 @@ impl Server {
             max_inflight: cfg.max_inflight,
             read_timeout: (cfg.read_timeout_ms > 0)
                 .then(|| Duration::from_millis(cfg.read_timeout_ms)),
-            retry_after_us: cfg.batch_deadline_us.max(100) * 2,
             arrivals: arrivals.as_ref(),
         };
         let mut connections = 0u64;
         let mut accept_err: Option<ServeError> = None;
 
+        let exec = ExecCtx {
+            cache: &cache,
+            fw: &fw,
+            pools: &pools,
+            seed: cfg.seed,
+            counters: &counters,
+            quarantine: &quarantine,
+            injector: injector.as_ref(),
+        };
+
         std::thread::scope(|scope| {
             let mut executors = Vec::new();
             for _ in 0..cfg.resolved_clients() {
-                let (queue, cache, fw, pools) = (&queue, &cache, &fw, &pools);
-                let (counters, quarantine, injector) = (&counters, &quarantine, injector.as_ref());
-                let seed = cfg.seed;
+                let (queue, exec) = (&queue, &exec);
                 executors.push(scope.spawn(move || {
                     while let Some(batch) = queue.next_batch() {
-                        execute_batch(
-                            &batch, cache, fw, pools, seed, counters, quarantine, injector,
-                        );
+                        execute_batch(&batch, exec);
                     }
                 }));
             }
@@ -484,7 +494,6 @@ struct ReaderCtx<'a> {
     injector: Option<&'a FaultInjector>,
     max_inflight: usize,
     read_timeout: Option<Duration>,
-    retry_after_us: u64,
     /// Arrival-instant log, present only under `--record-arrivals`.
     arrivals: Option<&'a Mutex<Vec<Instant>>>,
 }
@@ -593,7 +602,7 @@ fn admit(
     }
     if ctx.max_inflight > 0 && inflight.load(Ordering::Relaxed) >= ctx.max_inflight as i64 {
         ctx.counters.bump(&ctx.counters.shed);
-        respond(writer, msg.id, Outcome::Busy { retry_after_us: ctx.retry_after_us });
+        respond(writer, msg.id, Outcome::Busy { retry_after_us: RETRY_AFTER_US });
         return;
     }
     let deadline =
@@ -613,7 +622,7 @@ fn admit(
         SubmitOutcome::Shed => {
             inflight.fetch_sub(1, Ordering::Relaxed);
             ctx.counters.bump(&ctx.counters.shed);
-            respond(writer, msg.id, Outcome::Busy { retry_after_us: ctx.retry_after_us });
+            respond(writer, msg.id, Outcome::Busy { retry_after_us: RETRY_AFTER_US });
         }
         SubmitOutcome::Closed => {
             inflight.fetch_sub(1, Ordering::Relaxed);
@@ -677,35 +686,34 @@ fn pool_for(
     pools.lock().expect("pool map").entry((family, n)).or_insert(built).clone()
 }
 
+/// Everything an executor thread needs, bundled like [`ReaderCtx`].
+struct ExecCtx<'a> {
+    cache: &'a PlanCache,
+    fw: &'a Framework,
+    pools: &'a Mutex<HashMap<(Family, usize), Arc<PoolPair>>>,
+    seed: u64,
+    counters: &'a Counters,
+    quarantine: &'a Quarantine,
+    injector: Option<&'a FaultInjector>,
+}
+
 /// Execute one admitted batch and answer every request in it. The
 /// robustness gauntlet runs first: expired jobs are answered
 /// `Expired` without compute, injected delays stretch the batch (and
 /// may expire more jobs), a quarantined signature is refused
-/// wholesale, and the execution itself runs under `catch_unwind` so a
-/// panicking kernel answers `Failed` instead of killing the executor.
-#[allow(clippy::too_many_arguments)]
-fn execute_batch(
-    batch: &FlushedBatch<ServerJob>,
-    cache: &PlanCache,
-    fw: &Framework,
-    pools: &Mutex<HashMap<(Family, usize), Arc<PoolPair>>>,
-    seed: u64,
-    counters: &Counters,
-    quarantine: &Quarantine,
-    injector: Option<&FaultInjector>,
-) {
+/// wholesale; what is still live goes to [`execute_typed`].
+fn execute_batch(batch: &FlushedBatch<ServerJob>, ctx: &ExecCtx<'_>) {
     let start = Instant::now();
+    let counters = ctx.counters;
     let mut live = expire(batch.items.iter().collect(), counters);
-    if let Some(inj) = injector {
+    if let Some(inj) = ctx.injector {
         if let Some(delay) = live.iter().filter_map(|j| inj.delay_for(j.id)).max() {
             std::thread::sleep(delay);
             live = expire(live, counters);
         }
     }
     let Some(job0) = live.first() else { return };
-    let req0 = &job0.request;
-    let key = (req0.family, req0.n, req0.dtype, job0.backend.name());
-    if quarantine.is_quarantined(&key) {
+    if ctx.quarantine.is_quarantined(&job0.key()) {
         for job in &live {
             counters.bump(&counters.quarantined);
             job.finish(Outcome::Failed {
@@ -714,47 +722,11 @@ fn execute_batch(
         }
         return;
     }
-    // Decide panics up front: `should_panic` counts each firing id, and
-    // one firing poisons the whole coalesced batch (it shares one
-    // execution).
-    let mut boom = false;
-    if let Some(inj) = injector {
-        for job in &live {
-            if inj.should_panic(job.id) {
-                boom = true;
-            }
-        }
-    }
-    let pool = pool_for(pools, req0.family, req0.n, seed);
-    let computed = match req0.dtype {
-        Dtype::F64 => execute_typed::<f64>(&live, &pool.f64, cache, fw, seed, boom),
-        Dtype::F32 => execute_typed::<f32>(&live, &pool.f32, cache, fw, seed, boom),
-    };
-    match computed {
-        Ok((checksums, share)) => {
-            let occ = live.len() as u32;
-            for (j, job) in live.iter().enumerate() {
-                let mut checksum = checksums[j];
-                if injector.is_some_and(|i| i.should_corrupt(job.id)) {
-                    checksum ^= CORRUPT_MASK;
-                }
-                counters.bump(&counters.served);
-                job.finish(Outcome::Ok {
-                    queue_ns: start.duration_since(job.at).as_nanos() as u64,
-                    exec_ns: share,
-                    occupancy: occ,
-                    flush: batch.kind,
-                    checksum,
-                });
-            }
-        }
-        Err(message) => {
-            quarantine.record_failure(key);
-            for job in &live {
-                counters.bump(&counters.failed);
-                job.finish(Outcome::Failed { message: message.clone() });
-            }
-        }
+    let req0 = &job0.request;
+    let pool = pool_for(ctx.pools, req0.family, req0.n, ctx.seed);
+    match req0.dtype {
+        Dtype::F64 => execute_typed::<f64>(&live, batch.kind, start, &pool.f64, ctx),
+        Dtype::F32 => execute_typed::<f32>(&live, batch.kind, start, &pool.f32, ctx),
     }
 }
 
@@ -775,60 +747,108 @@ fn expire<'a>(jobs: Vec<&'a ServerJob>, counters: &Counters) -> Vec<&'a ServerJo
     live
 }
 
-/// The typed half of [`execute_batch`]: bind envs, one cache lookup,
-/// one batched execution (solo at occupancy 1 — bitwise identical to
-/// the in-process loop for any backend) under `catch_unwind`. Returns
-/// the per-request checksums and execution share, or the panic message
-/// — responses are written by the caller, outside the unwind boundary.
+/// The typed half of [`execute_batch`]: one cache lookup, then the
+/// batch runs as one or more *executions*. A plan that stacks runs all
+/// members in one batched execution (solo at occupancy 1 — bitwise
+/// identical to the in-process loop for any backend). A plan that does
+/// not stack would run its members one after another inside
+/// `execute_batched` anyway, so each member becomes its own execution
+/// and is answered the moment it is done instead of waiting for its
+/// batch-mates — same results bit for bit, `queue_ns` running to the
+/// start of the member's own execution.
+///
+/// Each execution is one `catch_unwind` scope with one injected-panic
+/// decision: a panic answers `Failed` to exactly the requests sharing
+/// that execution (and records one quarantine failure) instead of
+/// killing the executor. The echoed `occupancy` and `flush` stay the
+/// admitted batch's; `start` is when the executor picked the batch up.
 fn execute_typed<T: BackendScalar>(
-    jobs: &[&ServerJob],
+    live: &[&ServerJob],
+    flush: FlushKind,
+    start: Instant,
     pool_env: &Env<T>,
-    cache: &PlanCache,
-    fw: &Framework,
-    seed: u64,
-    boom: bool,
-) -> Result<(Vec<u64>, u64), String> {
-    let occ = jobs.len();
-    let req0 = &jobs[0].request;
-    let reg = jobs[0].backend;
+    ctx: &ExecCtx<'_>,
+) {
+    let counters = ctx.counters;
+    let req0 = &live[0].request;
+    let reg = live[0].backend;
     let has_payload = !req0.family.payload_operands().is_empty();
-    let owned: Vec<Env<T>> = if has_payload {
-        jobs.iter().map(|j| j.request.env_from_pool(pool_env, seed)).collect()
-    } else {
-        Vec::new()
-    };
-    let refs: Vec<&Env<T>> =
-        if has_payload { owned.iter().collect() } else { jobs.iter().map(|_| pool_env).collect() };
-    let t_exec = Instant::now();
-    let (plan, _) = cache.get_or_compile(req0.signature(reg.id()), || {
+    let t_lookup = Instant::now();
+    let (plan, _) = ctx.cache.get_or_compile(req0.signature(reg.id()), || {
         Plan::compile_with_varying(
-            fw,
+            ctx.fw,
             &req0.family.expr(req0.n),
             &req0.family.ctx(req0.n),
             reg,
             req0.family.varying_operands(),
         )
     });
-    // Nothing inside the closure holds a lock the rest of the server
-    // needs: the plan is an owned handle out of the cache, and the
-    // response writer mutexes are only taken by the caller afterwards —
-    // an unwind here cannot poison shared state.
-    let computed = catch_unwind(AssertUnwindSafe(|| {
-        if boom {
-            panic!("injected fault: panic");
-        }
-        if occ >= 2 {
-            plan.execute_batched::<T>(&refs)
+    // The lookup (and any compile) is execution time of whoever runs
+    // first.
+    let mut lookup_ns = t_lookup.elapsed().as_nanos() as u64;
+    let per_execution = if plan.stackable() { live.len() } else { 1 };
+    let mut began = start;
+    for jobs in live.chunks(per_execution) {
+        let owned: Vec<Env<T>> = if has_payload {
+            jobs.iter().map(|j| j.request.env_from_pool(pool_env, ctx.seed)).collect()
         } else {
-            vec![plan.execute::<T>(refs[0])]
+            Vec::new()
+        };
+        let refs: Vec<&Env<T>> = if has_payload {
+            owned.iter().collect()
+        } else {
+            jobs.iter().map(|_| pool_env).collect()
+        };
+        // `should_panic` counts each firing id, so ask for every member
+        // (no short-circuit) before deciding.
+        let boom = ctx
+            .injector
+            .is_some_and(|inj| jobs.iter().filter(|j| inj.should_panic(j.id)).count() > 0);
+        let t_exec = Instant::now();
+        // Nothing inside the closure holds a lock the rest of the server
+        // needs: the plan is an owned handle out of the cache, and the
+        // response writer mutexes are only taken afterwards — an unwind
+        // here cannot poison shared state.
+        let computed = catch_unwind(AssertUnwindSafe(|| {
+            if boom {
+                panic!("injected fault: panic");
+            }
+            if jobs.len() >= 2 {
+                plan.execute_batched::<T>(&refs)
+            } else {
+                vec![plan.execute::<T>(refs[0])]
+            }
+        }));
+        match computed {
+            Ok(results) => {
+                let exec_ns = (t_exec.elapsed().as_nanos() as u64 + std::mem::take(&mut lookup_ns))
+                    / jobs.len() as u64;
+                for (job, result) in jobs.iter().zip(&results) {
+                    let mut checksum = proto::result_checksum(result);
+                    if ctx.injector.is_some_and(|i| i.should_corrupt(job.id)) {
+                        checksum ^= CORRUPT_MASK;
+                    }
+                    counters.bump(&counters.served);
+                    job.finish(Outcome::Ok {
+                        queue_ns: began.duration_since(job.at).as_nanos() as u64,
+                        exec_ns,
+                        occupancy: live.len() as u32,
+                        flush,
+                        checksum,
+                    });
+                }
+            }
+            Err(payload) => {
+                // `&*`: the payload inside the box, not the box as `dyn Any`.
+                let message = panic_message(&*payload);
+                ctx.quarantine.record_failure(live[0].key());
+                for job in jobs {
+                    counters.bump(&counters.failed);
+                    job.finish(Outcome::Failed { message: message.clone() });
+                }
+            }
         }
-    }));
-    match computed {
-        Ok(results) => {
-            let share = t_exec.elapsed().as_nanos() as u64 / occ as u64;
-            Ok((results.iter().map(|r| proto::result_checksum(r)).collect(), share))
-        }
-        Err(payload) => Err(panic_message(&payload)),
+        began = Instant::now();
     }
 }
 
@@ -847,6 +867,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultPlan};
 
     #[test]
     fn listen_specs_parse_and_display() {
@@ -875,11 +896,6 @@ mod tests {
 
     #[test]
     fn bind_validates_like_the_builder() {
-        let cfg = ServeConfig { batch_deadline_us: 0, ..ServeConfig::smoke() };
-        assert_eq!(
-            Server::bind("unix:/tmp/never-bound.sock", &cfg).err(),
-            Some(ServeError::MissingDeadline { window: cfg.batch_window })
-        );
         let cfg = ServeConfig { backends: vec!["cuda".into()], ..ServeConfig::smoke() };
         assert!(matches!(
             Server::bind("unix:/tmp/never-bound.sock", &cfg),
@@ -890,6 +906,117 @@ mod tests {
             Server::bind("unix:/tmp/never-bound.sock", &cfg).err(),
             Some(ServeError::ZeroShards)
         );
+    }
+
+    const SEED: u64 = 0x1AAB;
+
+    /// Run one admitted batch of `Gram` requests (a matrix family: its
+    /// plan does not stack) with wire ids `ids` through `execute_batch`
+    /// and return the responses in the order they were written, plus
+    /// the solo checksum every `Ok` among them must carry.
+    fn serve_gram_batch(
+        ids: &[u64],
+        injector: Option<&FaultInjector>,
+        quarantine: &Quarantine,
+    ) -> (Vec<ResponseMsg>, u64) {
+        let n = 12;
+        let backend = resolve_backends(&["seed".to_string()]).unwrap()[0];
+        let fw = Framework::flow();
+        let family = Family::Gram;
+        let plan = Plan::compile_with_varying(
+            &fw,
+            &family.expr(n),
+            &family.ctx(n),
+            backend,
+            family.varying_operands(),
+        );
+        assert!(!plan.stackable(), "the premise: matrix families take the per-request path");
+        let solo = proto::result_checksum(&plan.execute::<f64>(&family.env::<f64>(n, SEED)));
+
+        let (server_end, mut client_end) = UnixStream::pair().expect("socket pair");
+        let writer = Arc::new(Mutex::new(Stream::Unix(server_end)));
+        let inflight = Arc::new(AtomicI64::new(ids.len() as i64));
+        let now = Instant::now();
+        let items = ids
+            .iter()
+            .map(|&id| ServerJob {
+                writer: writer.clone(),
+                id,
+                request: Request { family, n, dtype: Dtype::F64, payload: id },
+                backend,
+                at: now,
+                deadline: None,
+                inflight: inflight.clone(),
+            })
+            .collect();
+        let batch = FlushedBatch { items, kind: FlushKind::Occupancy, enqueued_at: now };
+        let (cache, pools) = (PlanCache::with_shards(4, 1), Mutex::new(HashMap::new()));
+        let counters = Counters::default();
+        let ctx = ExecCtx {
+            cache: &cache,
+            fw: &fw,
+            pools: &pools,
+            seed: SEED,
+            counters: &counters,
+            quarantine,
+            injector,
+        };
+        execute_batch(&batch, &ctx);
+        assert_eq!(inflight.load(Ordering::Relaxed), 0, "every job finished exactly once");
+
+        let responses = ids
+            .iter()
+            .map(|_| match proto::read_message(&mut client_end) {
+                Ok(Some(Message::Response(r))) => r,
+                other => panic!("expected a response frame, got {other:?}"),
+            })
+            .collect();
+        (responses, solo)
+    }
+
+    #[test]
+    fn non_stacking_batch_answers_each_member_with_the_solo_result() {
+        let (responses, solo) = serve_gram_batch(&[5, 6, 7], None, &Quarantine::new(3));
+        assert_eq!(responses.iter().map(|r| r.id).collect::<Vec<_>>(), [5, 6, 7]);
+        let mut last_queue_ns = 0;
+        for r in &responses {
+            let Outcome::Ok { queue_ns, occupancy, flush, checksum, .. } = r.outcome else {
+                panic!("request {} was not served: {:?}", r.id, r.outcome);
+            };
+            assert_eq!((occupancy, flush), (3, FlushKind::Occupancy), "the admitted batch's");
+            assert_eq!(checksum, solo, "request {}", r.id);
+            // Waiting for a batch-mate's execution is queueing.
+            assert!(queue_ns > last_queue_ns, "request {}", r.id);
+            last_queue_ns = queue_ns;
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_non_stacking_batch_fails_only_its_own_request() {
+        let plan = FaultPlan::parse("panic:1/2").expect("plan parses");
+        let fires = |id: &u64| plan.fires(SEED, FaultKind::Panic, *id);
+        let quiet: Vec<u64> = (0..64).filter(|id| !fires(id)).take(2).collect();
+        let loud = (0..64).find(fires).expect("half of all ids fire");
+        let injector = FaultInjector::new(plan, SEED);
+        let quarantine = Quarantine::new(3);
+
+        let (responses, solo) =
+            serve_gram_batch(&[quiet[0], loud, quiet[1]], Some(&injector), &quarantine);
+
+        for (r, served) in responses.iter().zip([true, false, true]) {
+            match &r.outcome {
+                Outcome::Ok { occupancy: 3, checksum, .. } if served => {
+                    assert_eq!(*checksum, solo)
+                }
+                Outcome::Failed { message } if !served => {
+                    assert!(message.contains("injected fault"), "{message}")
+                }
+                other => panic!("request {}: {other:?}", r.id),
+            }
+        }
+        assert_eq!(injector.counts().panics, 1);
+        let failures = quarantine.failures.lock().unwrap();
+        assert_eq!(failures.values().copied().collect::<Vec<_>>(), [1], "one failed execution");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Admission-queue contention: barrier-synchronized producers hammer
-//! `submit` while consumers race `next_batch` and a deadline timer
-//! fires underneath them. The invariants under fire are the ones the
-//! serving loop depends on: **no item is lost, none is duplicated**,
-//! every batch is same-key, and the stats counters reconcile exactly
-//! with what the threads observed.
+//! `submit` while consumers race `next_batch`, each free consumer
+//! taking the oldest pending group out from under the producers still
+//! filling it. The invariants under fire are the ones the serving loop
+//! depends on: **no item is lost, none is duplicated**, every batch is
+//! same-key and within the window, and the stats counters reconcile
+//! exactly with what the threads observed.
 
 use std::collections::HashSet;
 use std::sync::{Barrier, Mutex};
@@ -18,6 +19,7 @@ struct Consumed {
     ids: Vec<u64>,
     batches: u64,
     kinds: [u64; 4],
+    max_batch: usize,
 }
 
 fn kind_slot(kind: FlushKind) -> usize {
@@ -31,7 +33,9 @@ fn kind_slot(kind: FlushKind) -> usize {
 
 /// Run `producers` × `per_producer` submits through a queue against
 /// `consumers` concurrent `next_batch` loops, all released by one
-/// barrier; close once every producer returns. Returns what the
+/// barrier; close once every producer returns. Each consumer stays
+/// busy for `work` after every batch it takes — the time during which
+/// arrivals can only pile into their groups. Returns what the
 /// consumers collectively pulled plus the per-producer shed count.
 fn hammer(
     queue: &AdmissionQueue<u64, Item>,
@@ -39,9 +43,11 @@ fn hammer(
     consumers: usize,
     per_producer: usize,
     keys: u64,
+    work: Duration,
 ) -> (Consumed, u64) {
     let barrier = Barrier::new(producers + consumers);
-    let consumed = Mutex::new(Consumed { ids: Vec::new(), batches: 0, kinds: [0; 4] });
+    let consumed =
+        Mutex::new(Consumed { ids: Vec::new(), batches: 0, kinds: [0; 4], max_batch: 0 });
     let mut shed = 0;
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -55,8 +61,8 @@ fn hammer(
                     if !queue.submit(id % keys, (id % keys, id)).is_queued() {
                         shed += 1;
                     }
-                    // Stagger occasionally so deadline flushes get a
-                    // chance to race occupancy flushes.
+                    // Stagger occasionally so consumers run dry and take
+                    // partial groups, racing the full-window flushes.
                     if i % 97 == 0 {
                         std::thread::sleep(Duration::from_micros(200));
                     }
@@ -72,10 +78,16 @@ fn hammer(
                     assert!(!batch.items.is_empty(), "no empty batches");
                     let key = batch.items[0].0;
                     assert!(batch.items.iter().all(|(k, _)| *k == key), "a batch never mixes keys");
-                    let mut c = consumed.lock().unwrap();
-                    c.batches += 1;
-                    c.kinds[kind_slot(batch.kind)] += 1;
-                    c.ids.extend(batch.items.iter().map(|(_, id)| *id));
+                    {
+                        let mut c = consumed.lock().unwrap();
+                        c.batches += 1;
+                        c.kinds[kind_slot(batch.kind)] += 1;
+                        c.max_batch = c.max_batch.max(batch.items.len());
+                        c.ids.extend(batch.items.iter().map(|(_, id)| *id));
+                    }
+                    if !work.is_zero() {
+                        std::thread::sleep(work);
+                    }
                 }
             });
         }
@@ -87,23 +99,15 @@ fn hammer(
     (consumed.into_inner().unwrap(), shed)
 }
 
-/// Unbounded queue: every submitted item comes out exactly once, and
-/// the stats ledger (admitted, per-kind flushes) matches the consumers'
-/// own tally.
-#[test]
-fn concurrent_submit_and_flush_neither_loses_nor_duplicates() {
-    const PRODUCERS: usize = 4;
-    const CONSUMERS: usize = 3;
-    const PER_PRODUCER: usize = 600;
-    let queue: AdmissionQueue<u64, Item> = AdmissionQueue::new(4, Some(Duration::from_micros(100)));
-
-    let (consumed, shed) = hammer(&queue, PRODUCERS, CONSUMERS, PER_PRODUCER, 7);
-
-    let total = (PRODUCERS * PER_PRODUCER) as u64;
-    assert_eq!(shed, 0, "unbounded queue never sheds");
+/// The conservation law of an unbounded queue: every submitted item
+/// came out exactly once, and the stats ledger (admitted, per-kind
+/// flushes) matches the consumers' own tally — with no batch ever
+/// released by a timer.
+fn assert_ledger_balances(queue: &AdmissionQueue<u64, Item>, consumed: &Consumed, total: u64) {
     assert_eq!(consumed.ids.len() as u64, total, "every item consumed");
     let unique: HashSet<u64> = consumed.ids.iter().copied().collect();
     assert_eq!(unique.len() as u64, total, "no item duplicated");
+    assert!(consumed.max_batch <= queue.window(), "a batch never outgrows the window");
 
     let stats = queue.stats();
     assert_eq!(stats.admitted, total);
@@ -113,8 +117,47 @@ fn concurrent_submit_and_flush_neither_loses_nor_duplicates() {
     assert_eq!(stats.deadline_flushes, consumed.kinds[1]);
     assert_eq!(stats.drain_flushes, consumed.kinds[2]);
     assert_eq!(stats.pressure_flushes, consumed.kinds[3]);
-    assert!(stats.occupancy_flushes > 0, "full windows flushed");
+    assert_eq!(stats.deadline_flushes, 0, "the queue has no timer");
     assert_eq!(queue.queued(), 0, "drained to empty");
+}
+
+/// Unbounded queue, consumers that never dawdle: groups are taken as
+/// fast as they form.
+#[test]
+fn concurrent_submit_and_flush_neither_loses_nor_duplicates() {
+    const PRODUCERS: usize = 4;
+    const CONSUMERS: usize = 3;
+    const PER_PRODUCER: usize = 600;
+    let queue: AdmissionQueue<u64, Item> = AdmissionQueue::new(4, None);
+
+    let (consumed, shed) = hammer(&queue, PRODUCERS, CONSUMERS, PER_PRODUCER, 7, Duration::ZERO);
+
+    assert_eq!(shed, 0, "unbounded queue never sheds");
+    assert_ledger_balances(&queue, &consumed, (PRODUCERS * PER_PRODUCER) as u64);
+    assert!(queue.stats().occupancy_flushes > 0);
+}
+
+/// The same ledger with consumers busy ≈ 200 µs per batch: while all of
+/// them work, arrivals can only accumulate, so groups must coalesce —
+/// up to the window and never past it.
+#[test]
+fn busy_consumers_coalesce_up_to_the_window_and_the_ledger_still_balances() {
+    const PRODUCERS: usize = 4;
+    const CONSUMERS: usize = 2;
+    const PER_PRODUCER: usize = 300;
+    let queue: AdmissionQueue<u64, Item> = AdmissionQueue::new(4, None);
+
+    let (consumed, shed) =
+        hammer(&queue, PRODUCERS, CONSUMERS, PER_PRODUCER, 3, Duration::from_micros(200));
+
+    let total = (PRODUCERS * PER_PRODUCER) as u64;
+    assert_eq!(shed, 0, "unbounded queue never sheds");
+    assert_ledger_balances(&queue, &consumed, total);
+    assert!(
+        consumed.batches < total,
+        "mean occupancy must exceed 1: {total} items left in {} batches",
+        consumed.batches
+    );
 }
 
 /// Bounded queue under deliberate overrun: sheds happen, but the
@@ -127,10 +170,9 @@ fn bounded_backlog_sheds_without_losing_admitted_items() {
     const PER_PRODUCER: usize = 500;
     // A tiny capacity against a producer horde: shedding is guaranteed,
     // and the half-capacity pressure regime is exercised constantly.
-    let queue: AdmissionQueue<u64, Item> =
-        AdmissionQueue::bounded(8, Some(Duration::from_micros(100)), 16);
+    let queue: AdmissionQueue<u64, Item> = AdmissionQueue::bounded(8, None, 16);
 
-    let (consumed, shed) = hammer(&queue, PRODUCERS, CONSUMERS, PER_PRODUCER, 5);
+    let (consumed, shed) = hammer(&queue, PRODUCERS, CONSUMERS, PER_PRODUCER, 5, Duration::ZERO);
 
     let attempts = (PRODUCERS * PER_PRODUCER) as u64;
     assert!(shed > 0, "a 16-slot backlog against 3000 submits must shed");

@@ -1,9 +1,9 @@
 //! End-to-end smoke over real sockets: a `Server` on one thread, the
 //! load generator driving it from this one, and three acceptance
 //! assertions — the socket path is **bitwise identical** to the
-//! in-process oracle at the same seed, low-rate traffic flushes on the
-//! **deadline** (not just at drain), and shutdown is clean (no leaked
-//! socket file, every thread joined).
+//! in-process oracle at the same seed, low-rate traffic is released by
+//! **free executors** (no batch waits out a timer), and shutdown is
+//! clean (no leaked socket file, every thread joined).
 
 use laab_serve::loadgen::{self, Arrival, LoadgenConfig};
 use laab_serve::{ServeConfig, Server};
@@ -38,18 +38,24 @@ fn unix_socket_serving_is_bitwise_identical_and_shuts_down_clean() {
     assert!(report.verified);
     assert_eq!(report.checksum_mismatches, 0);
 
-    // At these arrival rates the per-signature inter-arrival dwarfs the
-    // 250 µs budget, so batches must flush on the deadline, live — not
-    // only when the queue drains.
+    // At these arrival rates an executor is almost always free when a
+    // request lands, so it is taken at once: an occupancy flush, live —
+    // never a timer's, and not only when the queue drains.
     let open = report.runs.iter().find(|r| r.arrival.starts_with("poisson")).unwrap();
-    assert!(open.deadline_flushes > 0, "open-loop low-rate traffic must deadline-flush");
+    assert_eq!(open.deadline_flushes, 0, "no batch is released by a timer");
+    assert!(open.occupancy_flushes > 0, "free executors release low-rate traffic");
+    assert_eq!(
+        open.occupancy_flushes + open.drain_flushes + open.pressure_flushes,
+        open.completed,
+        "every response names one of the three live flush kinds"
+    );
 
     // The smoke config sends the in-band shutdown; the server must come
     // back with matching counters and remove its socket file.
     let stats = handle.join().expect("server thread").expect("server run");
     assert_eq!(stats.served, 3 * report.requests as u64);
     assert_eq!(stats.rejected, 0);
-    assert!(stats.admission.deadline_flushes > 0);
+    assert_eq!(stats.admission.deadline_flushes, 0);
     assert!(!path.exists(), "socket file must not leak past shutdown");
 }
 

@@ -98,13 +98,9 @@ SERVE OPTIONS (laab serve — compiled-plan cache serving throughput):
                      way; this flips the serving legs)
     --batch-window N admission window: coalesce up to N pending
                      same-signature requests into one batched (multi-RHS)
-                     execution                     [default: 8]
-    --batch-deadline-us D
-                     latency budget of a live partial batch: it flushes
-                     when its oldest request has waited D µs, even below
-                     the window (deadline OR occupancy, whichever first).
-                     Required ≥ 1 when the window coalesces.
-                                                   [default: 250]
+                     execution. Requests only wait while every executor
+                     is busy: a free one takes the oldest pending group
+                     at once, however full         [default: 8]
     --arrival-rate R offered load of the live/open-loop phases, req/s
                                                    [default: 2000]
     --no-batch       disable batching (same as --batch-window 0)
@@ -434,9 +430,8 @@ fn parse_list(value: Option<String>, flag: &str) -> Result<Vec<String>, String> 
 
 /// Parse `laab serve` arguments. `Ok(None)` means `--help` was requested.
 /// Construction goes through [`ServeConfig::builder`] so every invalid
-/// combination — unknown backends, `--clients 0`, a coalescing window
-/// without a deadline — is rejected here with a usage error, not deep in
-/// the run.
+/// combination — unknown backends, `--clients 0` — is rejected here
+/// with a usage error, not deep in the run.
 fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<Option<ServeArgs>, String> {
     let mut builder = ServeConfig::builder();
     let mut listen = None;
@@ -468,9 +463,6 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<Option<ServeAr
             "--no-fusion" => builder = builder.fusion(false),
             "--batch-window" => {
                 builder = builder.batch_window(parse_num(args.next(), "--batch-window")?);
-            }
-            "--batch-deadline-us" => {
-                builder = builder.batch_deadline_us(parse_num(args.next(), "--batch-deadline-us")?);
             }
             "--arrival-rate" => {
                 builder = builder.arrival_rate(parse_num(args.next(), "--arrival-rate")?);
@@ -598,7 +590,7 @@ fn run_loadgen(args: LoadgenArgs) -> ExitCode {
             emit(&format!(
                 "{:<18} {:>6}/{} ok  rtt p50 {:>8.1} us  p99 {:>8.1} us  \
                  queue p50 {:>7.1} us  occupancy {:.2}  \
-                 flushes occ/deadline/drain/pressure {}/{}/{}/{}  \
+                 flushes occ/drain/pressure {}/{}/{}  \
                  goodput {:.0} of {:.0} offered req/s",
                 run.arrival,
                 run.completed,
@@ -608,7 +600,6 @@ fn run_loadgen(args: LoadgenArgs) -> ExitCode {
                 run.queue_p50_us,
                 run.occupancy_mean,
                 run.occupancy_flushes,
-                run.deadline_flushes,
                 run.drain_flushes,
                 run.pressure_flushes,
                 run.goodput_rps,
@@ -660,19 +651,18 @@ fn run_serve(args: ServeArgs) -> ExitCode {
             eprintln!("recording inter-arrival gaps to {path} (written at shutdown)");
         }
         eprintln!(
-            "listening on {} (backends: {}, window {}, deadline {} us); \
+            "listening on {} (backends: {}, window {}); \
              send a shutdown frame (laab loadgen) to stop",
             server.local_addr(),
             args.cfg.backends.join(","),
             args.cfg.batch_window,
-            args.cfg.batch_deadline_us,
         );
         return match server.run() {
             Ok(stats) => {
                 eprintln!(
                     "served {} requests over {} connections ({} rejected, {} shed, \
                      {} expired, {} failed, {} quarantined, {} reaped); \
-                     flushes occ/deadline/drain/pressure {}/{}/{}/{}",
+                     flushes occ/drain/pressure {}/{}/{}",
                     stats.served,
                     stats.connections,
                     stats.rejected,
@@ -682,7 +672,6 @@ fn run_serve(args: ServeArgs) -> ExitCode {
                     stats.quarantined,
                     stats.reaped,
                     stats.admission.occupancy_flushes,
-                    stats.admission.deadline_flushes,
                     stats.admission.drain_flushes,
                     stats.admission.pressure_flushes,
                 );
@@ -835,17 +824,15 @@ fn run_serve(args: ServeArgs) -> ExitCode {
         }
         let a = &report.admission;
         emit(&format!(
-            "live admission (poisson {:.0} req/s, window {}, deadline {} us): \
+            "live admission (poisson {:.0} req/s, window {}): \
              queue delay p50 {:.1} us / p99 {:.1} us, \
-             flushes occ/deadline/drain {}/{}/{} over {} batches; \
+             flushes occ/drain {}/{} over {} batches; \
              sweep: {} operating points",
             a.arrival_rate,
             a.window,
-            a.deadline_us,
             a.queue_delay_p50_us,
             a.queue_delay_p99_us,
             a.occupancy_flushes,
-            a.deadline_flushes,
             a.drain_flushes,
             a.batches,
             report.sweep.len(),
