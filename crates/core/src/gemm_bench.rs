@@ -16,9 +16,11 @@
 //!   build flags;
 //! * `f32_over_f64` — single-thread `f32` over `f64` engine GFLOP/s on
 //!   the anchor shape (measured in the same interleave), tracking the
-//!   f32/f64 kernel gap: `f32` has twice the SIMD lanes, so the ratio
-//!   approaches 2 at microkernel parity and a sustained slide below it
-//!   means the `f32` path has fallen behind (the ROADMAP f32 item); and
+//!   f32/f64 kernel gap: `f32` has twice the SIMD lanes and, on the
+//!   AVX-512 and AVX2 builds, a register tile twice as wide as `f64`'s,
+//!   so the ratio is ≈ 2 there (it sat at ≈ 1 while both dtypes shared
+//!   `f64`'s tile width); a sustained slide below ~1.7 means the `f32`
+//!   kernels have fallen behind; and
 //! * `wide_short_parallel_speedup` — N-thread over 1-thread time on the
 //!   wide-short shape, which the old rows-only split could not
 //!   parallelize at all; and
@@ -115,8 +117,9 @@ pub struct GemmSummary {
     /// in the same interleave as the `f64` rows.
     pub f32_engine_gflops: f64,
     /// `f32_engine_gflops / engine_gflops` — the f32/f64 kernel gap
-    /// (→ 2 at SIMD lane-width parity; a sustained slide below ~1.5 on
-    /// AVX2-class hardware flags the f32 microkernels lagging).
+    /// (≈ 2 at SIMD lane-width parity, which the explicit AVX-512 and AVX2
+    /// kernels hold; a sustained slide below ~1.7 flags the f32
+    /// microkernels lagging).
     pub f32_over_f64: f64,
     /// Wide-short shape: 1-thread time over N-thread time (> 1 shows the
     /// previously-serial shape now parallelizes).

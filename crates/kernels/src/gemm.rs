@@ -21,6 +21,44 @@
 //! **reusable thread-local workspace** ([`crate::workspace`]), so
 //! steady-state calls allocate nothing.
 //!
+//! ## Register tile
+//!
+//! `MR` is 6 rows for every element type; the tile *width* `NR` is two
+//! SIMD registers of the element type, so it is a per-dtype compile-time
+//! parameter of the one driver:
+//!
+//! | build | `f64` | `f32` | full tile | half-width path |
+//! |---|---|---|---|---|
+//! | AVX-512 | 6×16 | 6×32 | explicit, 6 rows × 2 zmm | 6 rows × 2 ymm |
+//! | AVX2 + FMA | 6×8 | 6×16 | explicit, 6 rows × 2 ymm | 6 rows × 1 ymm |
+//! | anything else | 6×8 | 6×8 | autovectorized scalar-FMA loop | — |
+//!
+//! The hot kernels are written with intrinsics because the autovectorizer
+//! does not produce them: it will not hold a 6×8 `f64` tile in AVX2's 16
+//! registers without spilling, and on AVX-512 targets it prefers 256-bit
+//! vectors — the autovectorized `f32` loop over a 16-wide row compiled to
+//! 12 `ymm` FMAs per `k` step, exactly `f64`'s instruction count per 16
+//! columns, so `f32` ran at `f64`'s FLOP rate (half its peak) until it got
+//! a tile twice as wide and explicit `ps` kernels.
+//!
+//! [`gemm_blocked`] resolves width and kernel from the element type once
+//! per call; packing, the macro sweep, the triangular skip and the column
+//! chunker all take `NR` from there.
+//!
+//! **Half-width rule.** A micro-tile with at most `NR/2` live columns —
+//! every stacked multi-RHS panel at occupancy ≤ 8, every `f32` product of
+//! a 16-wide operand, the ragged last panel of any shape — is swept over
+//! the low half of each packed-B row only: the panel is still `NR` wide
+//! (zero-padded), but the upper half is neither loaded nor updated.
+//! Without it a thin panel would pay for a full tile of zeros, and
+//! widening the `f32` tile would double that bill. The choice is made
+//! inside the explicit kernels from the `cols` the macro sweep already
+//! computes; live lanes see the same fused chain either way. On AVX-512
+//! the half is spelled as two ymm registers per row, not one zmm: thin
+//! products live in requests that are mostly not linear algebra, and
+//! 512-bit FMAs lower the core's clock for the code around them (see
+//! the AVX-512 `tile`).
+//!
 //! ## Triangular sweep
 //!
 //! A symmetric product `op(A)·op(A)ᵀ` needs one triangle. The driver has
@@ -34,37 +72,29 @@
 //! The tile grid only partitions *independent* output regions; every
 //! `C[i,j]` is accumulated in the same order (`pc` loop outermost, fixed
 //! `k`-order microkernel) regardless of the thread count, so 1-thread and
-//! N-thread runs are **bit-identical**.
+//! N-thread runs are **bit-identical**. The tile shape does not enter any
+//! element's `k` order either: each output lane is its own fused chain.
 
-use std::any::TypeId;
+use std::any::Any;
 
 use laab_dense::{Matrix, Scalar};
 
 use crate::counters::{self, Kernel};
 use crate::parallel::parallel_for;
-use crate::simd::fma_f32;
-#[cfg(not(all(
-    target_arch = "x86_64",
-    target_feature = "fma",
-    any(target_feature = "avx512f", target_feature = "avx2")
-)))]
-use crate::simd::fma_f64;
 use crate::view::{MutView, View};
 use crate::workspace::{with_packed_a, with_packed_b};
 use crate::{flops, num_threads, Trans};
 
-/// Register tile rows. With `NR` accumulator lanes per row, 6 rows keep
+use tile::{micro_kernel_f32, micro_kernel_f64, NR_F32, NR_F64};
+
+/// Register tile rows. With two accumulator registers per row, 6 rows keep
 /// 12 SIMD accumulators live — the classic FMA-latency-hiding shape that
 /// still fits the 16 architectural vector registers of AVX2 (and leaves
 /// headroom under AVX-512).
 pub(crate) const MR: usize = 6;
-/// Register tile columns. On AVX-512 targets the `f64` microkernel is
-/// written with explicit 512-bit intrinsics (the autovectorizer prefers
-/// 256-bit vectors there), so a row is two zmm registers — 12 zmm
-/// accumulators out of 32. Elsewhere, 8 columns are two 256-bit lanes and
-/// the 6×8 accumulator set fills 12 of the 16 architectural registers.
-pub(crate) const NR: usize =
-    if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) { 16 } else { 8 };
+/// Tile columns for a hypothetical further `Scalar` type (`f64`'s and
+/// `f32`'s widths come with their kernels, from the build's `tile`).
+const NR_GENERIC: usize = 8;
 /// Rows of the packed A block (L2-resident panel height, multiple of `MR`).
 const MC: usize = 120;
 /// Depth of the packed panels. Deep panels (L2-resident A block) halve
@@ -72,7 +102,8 @@ const MC: usize = 120;
 /// classic L1-sized choice — measurably faster here, where the
 /// microkernel is FMA-bound and `C` traffic is the next cost.
 const KC: usize = 1024;
-/// Columns of the packed B block (L3-resident panel width, multiple of `NR`).
+/// Columns of the packed B block (L3-resident panel width, a multiple of
+/// every dtype's `NR`).
 const NC: usize = 2048;
 
 /// Below this many FLOPs (`2mnk`) the spawn/handoff overhead of the pool
@@ -462,9 +493,46 @@ impl<T: Scalar> RawC<T> {
     }
 }
 
-/// The blocked driver: shared packed-B panel per `(jc, pc)` step, 2-D
-/// `(row-block × column-chunk)` tile grid on the worker pool.
+/// The driver body's signature once width and microkernel are fixed.
+type Driver<T> = for<'a> fn(T, View<'a, T>, BSrc<'a, T>, T, CDst<'a, T>, usize, Sweep);
+
+/// The blocked driver's entry: picks the register-tile width and the
+/// microkernel for the element type — once per call — and runs the one
+/// driver body monomorphised for them. The public API is bounded on
+/// `Scalar` alone, so the element type is recognized by type equality:
+/// the `f64` body's function pointer downcasts to "a body for `T`" exactly
+/// when `T` is `f64`, which hands it over with no reinterpretation of any
+/// operand.
 fn gemm_blocked<T: Scalar>(
+    alpha: T,
+    a: View<'_, T>,
+    b: BSrc<'_, T>,
+    beta: T,
+    c: CDst<'_, T>,
+    threads: usize,
+    sweep: Sweep,
+) {
+    let f64_body: Driver<f64> = |alpha, a, b, beta, c, threads, sweep| {
+        blocked_at::<f64, NR_F64>(alpha, a, b, beta, c, threads, sweep, micro_kernel_f64)
+    };
+    let f32_body: Driver<f32> = |alpha, a, b, beta, c, threads, sweep| {
+        blocked_at::<f32, NR_F32>(alpha, a, b, beta, c, threads, sweep, micro_kernel_f32)
+    };
+    let generic_body: Driver<T> = |alpha, a, b, beta, c, threads, sweep| {
+        blocked_at::<T, NR_GENERIC>(alpha, a, b, beta, c, threads, sweep, micro_kernel_generic)
+    };
+    let body = [&f64_body as &dyn Any, &f32_body]
+        .into_iter()
+        .find_map(|body| body.downcast_ref::<Driver<T>>())
+        .unwrap_or(&generic_body);
+    body(alpha, a, b, beta, c, threads, sweep);
+}
+
+/// The driver body at tile width `NR`: shared packed-B panel per
+/// `(jc, pc)` step, 2-D `(row-block × column-chunk)` tile grid on the
+/// worker pool.
+#[allow(clippy::too_many_arguments)]
+fn blocked_at<T: Scalar, const NR: usize>(
     alpha: T,
     a: View<'_, T>,
     b: BSrc<'_, T>,
@@ -472,6 +540,7 @@ fn gemm_blocked<T: Scalar>(
     mut c: CDst<'_, T>,
     threads: usize,
     sweep: Sweep,
+    kernel: impl Fn(usize, &[T], &[T], usize, &mut [[T; NR]; MR]) + Copy + Sync,
 ) {
     let (m, k) = (a.rows, a.cols);
     let n = b.cols();
@@ -493,13 +562,13 @@ fn gemm_blocked<T: Scalar>(
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
                 match b {
-                    BSrc::One(bv) => pack_b(packed_b, bv, pc, kc, jc, nc),
+                    BSrc::One(bv) => pack_b::<T, NR>(packed_b, bv, pc, kc, jc, nc),
                     BSrc::Stacked { parts, part_cols } => {
-                        pack_b_stacked(packed_b, parts, part_cols, pc, kc, jc, nc)
+                        pack_b_stacked::<T, NR>(packed_b, parts, part_cols, pc, kc, jc, nc)
                     }
                 }
                 let m_tiles = m.div_ceil(MC);
-                let (n_chunks, chunk_cols) = column_chunks(nc, m_tiles, threads);
+                let (n_chunks, chunk_cols) = column_chunks::<NR>(nc, m_tiles, threads);
                 let pb: &[T] = packed_b;
                 parallel_for(threads, m_tiles * n_chunks, |t| {
                     let ic = (t % m_tiles) * MC;
@@ -512,7 +581,19 @@ fn gemm_blocked<T: Scalar>(
                     with_packed_a::<T, _>(mc.next_multiple_of(MR) * kc, |pa| {
                         pack_a(pa, a, ic, mc, pc, kc);
                         let pb_chunk = &pb[(j0 / NR) * NR * kc..];
-                        macro_block(alpha, pa, pb_chunk, mc, j1 - j0, kc, ic, jc + j0, &raw, sweep);
+                        macro_block(
+                            alpha,
+                            pa,
+                            pb_chunk,
+                            mc,
+                            j1 - j0,
+                            kc,
+                            ic,
+                            jc + j0,
+                            &raw,
+                            sweep,
+                            kernel,
+                        );
                     });
                 });
             }
@@ -525,7 +606,7 @@ fn gemm_blocked<T: Scalar>(
 /// (the wide-but-short case). Chunks are `NR`-aligned so packed-B panel
 /// boundaries stay intact; with one thread the panel is a single chunk
 /// (no redundant A packing).
-fn column_chunks(nc: usize, m_tiles: usize, threads: usize) -> (usize, usize) {
+fn column_chunks<const NR: usize>(nc: usize, m_tiles: usize, threads: usize) -> (usize, usize) {
     if threads <= 1 || m_tiles >= 2 * threads {
         return (1, nc);
     }
@@ -599,7 +680,14 @@ fn pack_a<T: Scalar>(buf: &mut [T], a: View<'_, T>, ic: usize, mc: usize, pc: us
 /// Pack `kc×nc` of `B` (from `(pc, jc)`) into column-panels of width `NR`,
 /// zero-padding the ragged final panel. The unit-column-stride fast path
 /// is a straight row-fragment copy.
-fn pack_b<T: Scalar>(buf: &mut [T], b: View<'_, T>, pc: usize, kc: usize, jc: usize, nc: usize) {
+fn pack_b<T: Scalar, const NR: usize>(
+    buf: &mut [T],
+    b: View<'_, T>,
+    pc: usize,
+    kc: usize,
+    jc: usize,
+    nc: usize,
+) {
     let panels = nc.div_ceil(NR);
     debug_assert!(buf.len() >= panels * NR * kc);
     for p in 0..panels {
@@ -632,7 +720,7 @@ fn pack_b<T: Scalar>(buf: &mut [T], b: View<'_, T>, pc: usize, kc: usize, jc: us
 /// boundary is filled segment-wise with contiguous row-fragment copies
 /// (every part is an owned row-major matrix). Produces byte-identical
 /// panels to [`pack_b`] on the materialized concatenation.
-fn pack_b_stacked<T: Scalar>(
+fn pack_b_stacked<T: Scalar, const NR: usize>(
     buf: &mut [T],
     parts: &[&Matrix<T>],
     part_cols: usize,
@@ -667,8 +755,14 @@ fn pack_b_stacked<T: Scalar>(
 /// Sweep the `MR×NR` tiles of one `mc × chunk_n` macro-tile that `sweep`
 /// selects, accumulating `alpha`-scaled results into `C` through disjoint
 /// row fragments.
+///
+/// `kernel(kc, pa, pb, cols, acc)` is the register-tile microkernel:
+/// `acc[MR][NR] = Σ_k a[k][·] ⊗ b[k][·]` over `kc` steps of one packed
+/// `MR`-row A panel and one packed `NR`-column B panel, into a
+/// zero-initialized `acc`. `cols` is the number of live (not zero-padded)
+/// columns of the B panel; a kernel may leave `acc[..][cols..]` at zero.
 #[allow(clippy::too_many_arguments)]
-fn macro_block<T: Scalar>(
+fn macro_block<T: Scalar, const NR: usize>(
     alpha: T,
     packed_a: &[T],
     packed_b: &[T],
@@ -679,6 +773,7 @@ fn macro_block<T: Scalar>(
     j0: usize,
     c: &RawC<T>,
     sweep: Sweep,
+    kernel: impl Fn(usize, &[T], &[T], usize, &mut [[T; NR]; MR]),
 ) {
     let a_panels = mc.div_ceil(MR);
     let b_panels = chunk_n.div_ceil(NR);
@@ -693,20 +788,31 @@ fn macro_block<T: Scalar>(
             }
             // Pull the C destination rows towards the core while the
             // microkernel runs — the write-back below is the only
-            // non-packed memory traffic in the macro sweep.
+            // non-packed memory traffic in the macro sweep. A tile row is
+            // two registers, so at most two cache lines of elements: touch
+            // the first, and the second when the live columns reach it.
+            // (Spelled out rather than looped: a per-row line loop cost
+            // 10 % of a 16³ product.)
             #[cfg(target_arch = "x86_64")]
-            for ir in 0..rows {
-                // SAFETY: in-bounds row fragment start (same indices the
-                // write-back uses); prefetch has no architectural effect.
-                unsafe {
-                    std::arch::x86_64::_mm_prefetch(
-                        c.addr(i0 + ip * MR + ir, j0 + jp * NR).cast(),
-                        std::arch::x86_64::_MM_HINT_T0,
-                    );
+            {
+                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+                let line = 64 / std::mem::size_of::<T>();
+                const { assert!(NR * std::mem::size_of::<T>() <= 128) };
+                for ir in 0..rows {
+                    let (i, j) = (i0 + ip * MR + ir, j0 + jp * NR);
+                    // SAFETY: in-bounds elements of the row fragment the
+                    // write-back updates (`line < cols`); prefetch has no
+                    // architectural effect.
+                    unsafe {
+                        _mm_prefetch(c.addr(i, j).cast(), _MM_HINT_T0);
+                        if cols > line {
+                            _mm_prefetch(c.addr(i, j + line).cast(), _MM_HINT_T0);
+                        }
+                    }
                 }
             }
             let mut acc = [[T::ZERO; NR]; MR];
-            micro_kernel(kc, pa, pb, &mut acc);
+            kernel(kc, pa, pb, cols, &mut acc);
             // Accumulate the tile: C[i0+ip*MR.., j0+jp*NR..] += alpha * acc.
             // Per-element updates are independent, so the segment-wise
             // walk over a per-part destination is bitwise-identical to
@@ -726,45 +832,122 @@ fn macro_block<T: Scalar>(
     }
 }
 
-/// The register-tile microkernel: `acc[MR][NR] = Σ_k a[k][·] ⊗ b[k][·]`,
-/// dispatching to the fused `f32`/`f64` specializations. `acc` must be
-/// zero-initialized by the caller.
-#[inline(always)]
-fn micro_kernel<T: Scalar>(kc: usize, pa: &[T], pb: &[T], acc: &mut [[T; NR]; MR]) {
-    debug_assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
-    if TypeId::of::<T>() == TypeId::of::<f64>() {
-        // SAFETY: T == f64, so the reinterpretations are identities.
-        let pa = unsafe { &*(pa as *const [T] as *const [f64]) };
-        let pb = unsafe { &*(pb as *const [T] as *const [f64]) };
-        let acc = unsafe { &mut *(acc as *mut [[T; NR]; MR]).cast::<[[f64; NR]; MR]>() };
-        micro_kernel_f64(kc, pa, pb, acc);
-    } else if TypeId::of::<T>() == TypeId::of::<f32>() {
-        // SAFETY: T == f32, so the reinterpretations are identities.
-        let pa = unsafe { &*(pa as *const [T] as *const [f32]) };
-        let pb = unsafe { &*(pb as *const [T] as *const [f32]) };
-        let acc = unsafe { &mut *(acc as *mut [[T; NR]; MR]).cast::<[[f32; NR]; MR]>() };
-        micro_kernel_f32(kc, pa, pb, acc);
-    } else {
-        micro_kernel_generic(kc, pa, pb, acc);
+/// The portable build's register tiles: 6×8 for both dtypes — 8 `f32`
+/// columns are the width the baseline's 16 128-bit registers still hold —
+/// under an autovectorized loop.
+#[cfg(not(all(
+    target_arch = "x86_64",
+    target_feature = "fma",
+    any(target_feature = "avx512f", target_feature = "avx2")
+)))]
+mod tile {
+    use super::MR;
+    use crate::simd::{fma_f32, fma_f64};
+
+    pub(super) const NR_F64: usize = 8;
+    pub(super) const NR_F32: usize = 8;
+
+    /// The portable microkernel: a fixed-size, fully unrolled rank-1-update
+    /// sweep — per `k` step, `MR` broadcasts against one `NR`-wide packed row,
+    /// every update a hardware FMA when the target has one. The constant trip
+    /// counts let LLVM keep all `MR×NR` accumulators in vector registers. It
+    /// always sweeps the full width (`cols` is not consulted).
+    macro_rules! portable_kernel {
+        ($name:ident, $t:ty, $nr:ident, $fma:ident) => {
+            #[inline(always)]
+            pub(super) fn $name(
+                kc: usize,
+                pa: &[$t],
+                pb: &[$t],
+                _cols: usize,
+                acc: &mut [[$t; $nr]; MR],
+            ) {
+                for (a, b) in pa.chunks_exact(MR).zip(pb.chunks_exact($nr)).take(kc) {
+                    let a: &[$t; MR] = a.try_into().unwrap();
+                    let b: &[$t; $nr] = b.try_into().unwrap();
+                    for ir in 0..MR {
+                        let av = a[ir];
+                        let row = &mut acc[ir];
+                        for jr in 0..$nr {
+                            row[jr] = $fma(av, b[jr], row[jr]);
+                        }
+                    }
+                }
+            }
+        };
     }
+
+    portable_kernel!(micro_kernel_f64, f64, NR_F64, fma_f64);
+    portable_kernel!(micro_kernel_f32, f32, NR_F32, fma_f32);
 }
 
-macro_rules! micro_kernel_impl {
-    ($name:ident, $t:ty, $fma:ident) => {
-        /// Fixed-size, fully unrolled rank-1-update sweep: per `k` step,
-        /// `MR` broadcasts against one `NR`-wide packed row, every update a
-        /// hardware FMA when the target has one. The constant trip counts
-        /// let LLVM keep all `MR×NR` accumulators in vector registers.
+/// An explicit FMA sweep over the low `V` SIMD registers of each packed-B
+/// row: `$name::<V>(kc, pa, pb, acc)` leaves `Σ_k a[k][·] ⊗ b[k][..V·$lanes]`
+/// in the first `V·$lanes` columns of `acc` — `MR` rows × `V` accumulator
+/// registers, one broadcast and `V` fused updates per row per `k` step,
+/// written with the given `std::arch` intrinsics of `$lanes` elements per
+/// register. Each output lane is an independent fused chain in fixed `k`
+/// order, so the result is bitwise the scalar-FMA formulation whatever the
+/// register width or `V`.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "fma",
+    any(target_feature = "avx512f", target_feature = "avx2")
+))]
+macro_rules! fma_sweep {
+    ($name:ident, $t:ty, $nr:ident, $lanes:literal,
+     $set1:ident, $loadu:ident, $fmadd:ident, $setzero:ident, $storeu:ident) => {
         #[inline(always)]
-        fn $name(kc: usize, pa: &[$t], pb: &[$t], acc: &mut [[$t; NR]; MR]) {
-            for (a, b) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)).take(kc) {
-                let a: &[$t; MR] = a.try_into().unwrap();
-                let b: &[$t; NR] = b.try_into().unwrap();
+        fn $name<const V: usize>(kc: usize, pa: &[$t], pb: &[$t], acc: &mut [[$t; $nr]; MR]) {
+            use std::arch::x86_64::{
+                _mm_prefetch, $fmadd, $loadu, $set1, $setzero, $storeu, _MM_HINT_T0,
+            };
+            const LANES: usize = $lanes;
+            /// Elements per cache line of the packed row.
+            const LINE: usize = 64 / std::mem::size_of::<$t>();
+            assert!(pa.len() >= kc * MR && pb.len() >= kc * $nr && V * LANES <= $nr);
+            // SAFETY: the intrinsics are gated on the compile-time target
+            // features of the `tile` module that instantiates the sweep;
+            // pointer arithmetic stays inside the packed panels and the
+            // `acc` rows per the assert (prefetches may run past the panel
+            // end — they use wrapping_add, which `add` past the end would
+            // make UB, and are architecturally side-effect free).
+            unsafe {
+                let mut c = [[$setzero(); V]; MR];
+                // One k step: the row's V registers against MR broadcasts.
+                let step = |ap: *const $t, bp: *const $t, c: &mut [[_; V]; MR]| {
+                    let b: [_; V] = std::array::from_fn(|v| $loadu(bp.add(v * LANES)));
+                    for ir in 0..MR {
+                        let av = $set1(*ap.add(ir));
+                        for v in 0..V {
+                            c[ir][v] = $fmadd(av, b[v], c[ir][v]);
+                        }
+                    }
+                };
+                let mut ap = pa.as_ptr();
+                let mut bp = pb.as_ptr();
+                // How far ahead (in k steps) to pull the streamed B panel.
+                const LOOKAHEAD: usize = 8;
+                // Two k steps per trip cuts the loop-control share of the
+                // front-end budget; the odd tail runs one plain step.
+                for _ in 0..kc / 2 {
+                    for s in 0..2 {
+                        for line in (0..V * LANES).step_by(LINE) {
+                            let ahead = $nr * (LOOKAHEAD + s) + line;
+                            _mm_prefetch(bp.wrapping_add(ahead).cast(), _MM_HINT_T0);
+                        }
+                    }
+                    step(ap, bp, &mut c);
+                    step(ap.add(MR), bp.add($nr), &mut c);
+                    ap = ap.add(2 * MR);
+                    bp = bp.add(2 * $nr);
+                }
+                if kc % 2 == 1 {
+                    step(ap, bp, &mut c);
+                }
                 for ir in 0..MR {
-                    let av = a[ir];
-                    let row = &mut acc[ir];
-                    for jr in 0..NR {
-                        row[jr] = $fma(av, b[jr], row[jr]);
+                    for v in 0..V {
+                        $storeu(acc[ir].as_mut_ptr().add(v * LANES), c[ir][v]);
                     }
                 }
             }
@@ -772,134 +955,186 @@ macro_rules! micro_kernel_impl {
     };
 }
 
-#[cfg(not(all(
+/// A `tile` microkernel: the `$full` sweep, or the `$half` one — which
+/// covers the low `NR/2` columns — when no more than those are live (the
+/// half-width rule).
+#[cfg(all(
     target_arch = "x86_64",
     target_feature = "fma",
     any(target_feature = "avx512f", target_feature = "avx2")
-)))]
-micro_kernel_impl!(micro_kernel_f64, f64, fma_f64);
-micro_kernel_impl!(micro_kernel_f32, f32, fma_f32);
+))]
+macro_rules! tile_kernel {
+    ($(#[$attr:meta])* $name:ident, $t:ty, $nr:ident, $half:expr, $full:expr) => {
+        $(#[$attr])*
+        pub(super) fn $name(
+            kc: usize,
+            pa: &[$t],
+            pb: &[$t],
+            cols: usize,
+            acc: &mut [[$t; $nr]; MR],
+        ) {
+            if cols <= $nr / 2 {
+                $half(kc, pa, pb, acc)
+            } else {
+                $full(kc, pa, pb, acc)
+            }
+        }
+    };
+}
 
-/// Explicit 256-bit `f64` microkernel for AVX2+FMA targets without
-/// AVX-512: 6 rows × 2 ymm accumulators — the classic Haswell 6×8 dgemm
-/// shape, which the autovectorizer cannot hold in the 16 architectural
-/// registers without spilling. Reduction order matches the scalar-FMA
-/// formulation exactly.
+/// The AVX2+FMA build's register tiles: two ymm registers per row — 6×8
+/// `f64`, the classic Haswell dgemm shape, and 6×16 `f32` — which the
+/// autovectorizer cannot hold in the 16 architectural registers without
+/// spilling. The half-width path is one ymm per row.
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx2",
     target_feature = "fma",
     not(target_feature = "avx512f")
 ))]
-#[inline(always)]
-fn micro_kernel_f64(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; NR]; MR]) {
-    use std::arch::x86_64::{
-        _mm256_broadcast_sd, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_setzero_pd, _mm256_storeu_pd,
-        _mm_prefetch, _MM_HINT_T0,
-    };
-    debug_assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
-    // SAFETY: gated on compile-time avx2+fma; pointer arithmetic stays
-    // inside the packed panels per the debug_assert'd lengths (prefetch
-    // lookahead uses wrapping_add and has no architectural effect).
-    unsafe {
-        let mut lo = [_mm256_setzero_pd(); MR];
-        let mut hi = [_mm256_setzero_pd(); MR];
-        let mut ap = pa.as_ptr();
-        let mut bp = pb.as_ptr();
-        const LOOKAHEAD: usize = 8;
-        for _ in 0..kc {
-            _mm_prefetch(bp.wrapping_add(NR * LOOKAHEAD).cast(), _MM_HINT_T0);
-            let b0 = _mm256_loadu_pd(bp);
-            let b1 = _mm256_loadu_pd(bp.add(4));
-            for ir in 0..MR {
-                let av = _mm256_broadcast_sd(&*ap.add(ir));
-                lo[ir] = _mm256_fmadd_pd(av, b0, lo[ir]);
-                hi[ir] = _mm256_fmadd_pd(av, b1, hi[ir]);
-            }
-            ap = ap.add(MR);
-            bp = bp.add(NR);
-        }
-        for ir in 0..MR {
-            _mm256_storeu_pd(acc[ir].as_mut_ptr(), lo[ir]);
-            _mm256_storeu_pd(acc[ir].as_mut_ptr().add(4), hi[ir]);
-        }
-    }
+mod tile {
+    use super::MR;
+
+    pub(super) const NR_F64: usize = 8;
+    pub(super) const NR_F32: usize = 16;
+
+    fma_sweep!(
+        ymm_f64,
+        f64,
+        NR_F64,
+        4,
+        _mm256_set1_pd,
+        _mm256_loadu_pd,
+        _mm256_fmadd_pd,
+        _mm256_setzero_pd,
+        _mm256_storeu_pd
+    );
+    fma_sweep!(
+        ymm_f32,
+        f32,
+        NR_F32,
+        8,
+        _mm256_set1_ps,
+        _mm256_loadu_ps,
+        _mm256_fmadd_ps,
+        _mm256_setzero_ps,
+        _mm256_storeu_ps
+    );
+
+    // Not inlined: merged into the macro sweep, the two sweeps' accumulators
+    // and the caller's tile are 24 live vectors at the join, and with 16
+    // registers the hot loop spills.
+    tile_kernel!(
+        #[inline(never)]
+        micro_kernel_f64,
+        f64,
+        NR_F64,
+        ymm_f64::<1>,
+        ymm_f64::<2>
+    );
+    tile_kernel!(
+        #[inline(never)]
+        micro_kernel_f32,
+        f32,
+        NR_F32,
+        ymm_f32::<1>,
+        ymm_f32::<2>
+    );
 }
 
-/// Explicit 512-bit `f64` microkernel: 6 rows × 2 zmm accumulators, one
-/// broadcast + two fused updates per row per `k` step. Each output lane is
-/// an independent fused chain in fixed `k` order, so results are bitwise
-/// identical to the scalar-FMA formulation (and to any thread count).
+/// The AVX-512 build's register tiles: two zmm registers per row, 6×16
+/// `f64` and 6×32 `f32` — 12 zmm accumulators of 32. The half-width path
+/// covers its `NR/2` columns with two *ymm* registers per row rather than
+/// one zmm: the panels that take it are thin products inside requests
+/// that are mostly not linear algebra, and sustained 512-bit FMAs lower
+/// the core's clock for everything that runs next to them (the AVX-512
+/// frequency licence), so they stay on the 256-bit licence and leave the
+/// 512-bit one to the full tiles, where the FMA rate is the point.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f", target_feature = "fma"))]
-#[inline(always)]
-fn micro_kernel_f64(kc: usize, pa: &[f64], pb: &[f64], acc: &mut [[f64; NR]; MR]) {
-    use std::arch::x86_64::{
-        _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_set1_pd, _mm512_setzero_pd, _mm512_storeu_pd,
-        _mm_prefetch, _MM_HINT_T0,
-    };
-    debug_assert!(pa.len() >= kc * MR && pb.len() >= kc * NR);
-    // SAFETY: gated on compile-time avx512f; pointer arithmetic stays
-    // inside the packed panels per the debug_assert'd lengths (prefetches
-    // may run past the panel end — they are architecturally side-effect
-    // free).
-    unsafe {
-        let mut lo = [_mm512_setzero_pd(); MR];
-        let mut hi = [_mm512_setzero_pd(); MR];
-        let mut ap = pa.as_ptr();
-        let mut bp = pb.as_ptr();
-        // How far ahead (in k steps) to pull the streamed B panel.
-        const LOOKAHEAD: usize = 8;
-        // Two k steps per trip cuts the loop-control share of the
-        // front-end budget; the odd tail runs one plain step.
-        for _ in 0..kc / 2 {
-            // wrapping_add: the lookahead may point past the panel, which
-            // is fine for a prefetch but would be UB for `add`.
-            _mm_prefetch(bp.wrapping_add(NR * LOOKAHEAD).cast(), _MM_HINT_T0);
-            _mm_prefetch(bp.wrapping_add(NR * LOOKAHEAD + 8).cast(), _MM_HINT_T0);
-            _mm_prefetch(bp.wrapping_add(NR * (LOOKAHEAD + 1)).cast(), _MM_HINT_T0);
-            _mm_prefetch(bp.wrapping_add(NR * (LOOKAHEAD + 1) + 8).cast(), _MM_HINT_T0);
-            let b0 = _mm512_loadu_pd(bp);
-            let b1 = _mm512_loadu_pd(bp.add(8));
-            for ir in 0..MR {
-                let av = _mm512_set1_pd(*ap.add(ir));
-                lo[ir] = _mm512_fmadd_pd(av, b0, lo[ir]);
-                hi[ir] = _mm512_fmadd_pd(av, b1, hi[ir]);
-            }
-            let b0 = _mm512_loadu_pd(bp.add(NR));
-            let b1 = _mm512_loadu_pd(bp.add(NR + 8));
-            for ir in 0..MR {
-                let av = _mm512_set1_pd(*ap.add(MR + ir));
-                lo[ir] = _mm512_fmadd_pd(av, b0, lo[ir]);
-                hi[ir] = _mm512_fmadd_pd(av, b1, hi[ir]);
-            }
-            ap = ap.add(2 * MR);
-            bp = bp.add(2 * NR);
-        }
-        if kc % 2 == 1 {
-            let b0 = _mm512_loadu_pd(bp);
-            let b1 = _mm512_loadu_pd(bp.add(8));
-            for ir in 0..MR {
-                let av = _mm512_set1_pd(*ap.add(ir));
-                lo[ir] = _mm512_fmadd_pd(av, b0, lo[ir]);
-                hi[ir] = _mm512_fmadd_pd(av, b1, hi[ir]);
-            }
-        }
-        for ir in 0..MR {
-            _mm512_storeu_pd(acc[ir].as_mut_ptr(), lo[ir]);
-            _mm512_storeu_pd(acc[ir].as_mut_ptr().add(8), hi[ir]);
-        }
-    }
+mod tile {
+    use super::MR;
+
+    pub(super) const NR_F64: usize = 16;
+    pub(super) const NR_F32: usize = 32;
+
+    fma_sweep!(
+        zmm_f64,
+        f64,
+        NR_F64,
+        8,
+        _mm512_set1_pd,
+        _mm512_loadu_pd,
+        _mm512_fmadd_pd,
+        _mm512_setzero_pd,
+        _mm512_storeu_pd
+    );
+    fma_sweep!(
+        ymm_f64,
+        f64,
+        NR_F64,
+        4,
+        _mm256_set1_pd,
+        _mm256_loadu_pd,
+        _mm256_fmadd_pd,
+        _mm256_setzero_pd,
+        _mm256_storeu_pd
+    );
+    fma_sweep!(
+        zmm_f32,
+        f32,
+        NR_F32,
+        16,
+        _mm512_set1_ps,
+        _mm512_loadu_ps,
+        _mm512_fmadd_ps,
+        _mm512_setzero_ps,
+        _mm512_storeu_ps
+    );
+    fma_sweep!(
+        ymm_f32,
+        f32,
+        NR_F32,
+        8,
+        _mm256_set1_ps,
+        _mm256_loadu_ps,
+        _mm256_fmadd_ps,
+        _mm256_setzero_ps,
+        _mm256_storeu_ps
+    );
+
+    tile_kernel!(
+        #[inline(always)]
+        micro_kernel_f64,
+        f64,
+        NR_F64,
+        ymm_f64::<2>,
+        zmm_f64::<2>
+    );
+    tile_kernel!(
+        #[inline(always)]
+        micro_kernel_f32,
+        f32,
+        NR_F32,
+        ymm_f32::<2>,
+        zmm_f32::<2>
+    );
 }
 
-/// Generic fallback for hypothetical further `Scalar` types: same shape,
-/// unfused updates.
+/// Generic fallback for hypothetical further `Scalar` types: the portable
+/// shape with unfused updates.
 #[inline(always)]
-fn micro_kernel_generic<T: Scalar>(kc: usize, pa: &[T], pb: &[T], acc: &mut [[T; NR]; MR]) {
-    for (a, b) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)).take(kc) {
+fn micro_kernel_generic<T: Scalar>(
+    kc: usize,
+    pa: &[T],
+    pb: &[T],
+    _cols: usize,
+    acc: &mut [[T; NR_GENERIC]; MR],
+) {
+    for (a, b) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR_GENERIC)).take(kc) {
         for ir in 0..MR {
             let av = a[ir];
             let row = &mut acc[ir];
-            for jr in 0..NR {
+            for jr in 0..NR_GENERIC {
                 row[jr] = av.mul_add(b[jr], row[jr]);
             }
         }
@@ -1017,31 +1252,44 @@ mod tests {
     #[test]
     fn parallel_is_bit_identical_above_dispatch_threshold() {
         // 160³ (> PAR_MIN_FLOPS) actually engages the tile scheduler.
-        let mut g = OperandGen::new(78);
-        let a = g.matrix::<f64>(160, 160);
-        let b = g.matrix::<f64>(160, 160);
-        let serial = matmul(&a, Trans::No, &b, Trans::No);
-        crate::set_num_threads(4);
-        let parallel = matmul(&a, Trans::No, &b, Trans::No);
-        crate::set_num_threads(1);
-        assert_eq!(serial.as_slice(), parallel.as_slice(), "tile grid changed reduction order");
+        fn check<T: Scalar>() {
+            let mut g = OperandGen::new(78);
+            let a = g.matrix::<T>(160, 160);
+            let b = g.matrix::<T>(160, 160);
+            let serial = matmul(&a, Trans::No, &b, Trans::No);
+            crate::set_num_threads(4);
+            let parallel = matmul(&a, Trans::No, &b, Trans::No);
+            crate::set_num_threads(1);
+            assert_eq!(
+                serial.as_slice(),
+                parallel.as_slice(),
+                "{}: tile grid changed reduction order",
+                T::PREFIX
+            );
+        }
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]
     fn wide_short_shapes_parallelize_over_columns() {
         // m = 8 < MR*2: the old heuristic ran this serially; the column
-        // chunker must now expose > 1 tile.
-        let (chunks, width) = column_chunks(2048, 1, 4);
-        assert!(chunks > 1, "wide-short shape left serial");
-        assert_eq!(width % NR, 0, "chunks must be NR-aligned");
-        let mut g = OperandGen::new(79);
-        let a = g.matrix::<f64>(8, 300);
-        let b = g.matrix::<f64>(300, 1500);
-        let serial = matmul(&a, Trans::No, &b, Trans::No);
-        crate::set_num_threads(4);
-        let parallel = matmul(&a, Trans::No, &b, Trans::No);
-        crate::set_num_threads(1);
-        assert_eq!(serial.as_slice(), parallel.as_slice());
+        // chunker must now expose > 1 tile, at each dtype's own width.
+        fn check<T: Scalar, const NR: usize>() {
+            let (chunks, width) = column_chunks::<NR>(2048, 1, 4);
+            assert!(chunks > 1, "wide-short shape left serial");
+            assert_eq!(width % NR, 0, "chunks must be NR-aligned");
+            let mut g = OperandGen::new(79);
+            let a = g.matrix::<T>(8, 300);
+            let b = g.matrix::<T>(300, 1500);
+            let serial = matmul(&a, Trans::No, &b, Trans::No);
+            crate::set_num_threads(4);
+            let parallel = matmul(&a, Trans::No, &b, Trans::No);
+            crate::set_num_threads(1);
+            assert_eq!(serial.as_slice(), parallel.as_slice(), "{}", T::PREFIX);
+        }
+        check::<f64, NR_F64>();
+        check::<f32, NR_F32>();
     }
 
     #[test]
@@ -1065,8 +1313,55 @@ mod tests {
         let _ = matmul(&a, Trans::No, &b, Trans::No);
     }
 
+    #[test]
+    fn padded_lanes_are_never_written_back() {
+        // The product lands in the top-left corner of a C allocated one A
+        // panel taller and one B panel wider. `A`'s last live row and `B`'s
+        // last live column hold an infinity, so the zero-padded rows and
+        // lanes of the accumulator tile hold `0·Inf = NaN` — and must stay
+        // there: everything outside the corner keeps its canary.
+        fn check<T: Scalar, const NR: usize>() {
+            let canary = T::from_f64(7.0);
+            let mut g = OperandGen::new(99);
+            for n in [1, NR / 2 - 1, NR / 2 + 1, NR - 1, NR + 1, NR + NR / 2] {
+                let (m, k) = (MR + 1, 9);
+                let mut a = g.matrix::<T>(m, k);
+                let mut b = g.matrix::<T>(k, n);
+                a[(m - 1, k - 1)] = T::from_f64(f64::INFINITY);
+                b[(0, n - 1)] = T::from_f64(f64::NEG_INFINITY);
+                let mut c = Matrix::filled(m + MR, n + NR, canary);
+                let (av, bv) = (View::of(&a, Trans::No), View::of(&b, Trans::No));
+                gemm_serial(T::ONE, av, bv, T::ZERO, &mut MutView::of(&mut c).sub(0, m, 0, n));
+                let mut tight = Matrix::zeros(m, n);
+                gemm(T::ONE, &a, Trans::No, &b, Trans::No, T::ZERO, &mut tight);
+                assert!(!tight.all_finite(), "the poison must reach the result");
+                for i in 0..m + MR {
+                    for j in 0..n + NR {
+                        let (got, what) =
+                            (c[(i, j)].to_f64(), format!("{} n={n} ({i},{j})", T::PREFIX));
+                        if i < m && j < n {
+                            let want = tight[(i, j)].to_f64();
+                            assert!(
+                                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                                "{what}"
+                            );
+                        } else {
+                            assert_eq!(
+                                got.to_bits(),
+                                7.0f64.to_bits(),
+                                "{what}: canary overwritten"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        check::<f64, NR_F64>();
+        check::<f32, NR_F32>();
+    }
+
     /// Materialize `[B₀ | B₁ | …]` the slow way, for the oracle.
-    fn hstack(parts: &[&Matrix<f64>]) -> Matrix<f64> {
+    fn hstack<T: Scalar>(parts: &[&Matrix<T>]) -> Matrix<T> {
         let mut acc = parts[0].clone();
         for p in &parts[1..] {
             acc = acc.hcat(p);
@@ -1074,37 +1369,59 @@ mod tests {
         acc
     }
 
+    /// `(m, k, part width, parts, op(A))` for the multi-RHS bitwise
+    /// properties: thin (n=1) and wide parts, both transposition flags,
+    /// part widths that straddle `NR` panel boundaries, and stacked widths
+    /// `bn·q` ∈ {8, 15, 16, 17, 31, 33} that put a part boundary and the
+    /// half-width boundary of either dtype's tile inside a panel.
+    const MULTI_RHS_CASES: [(usize, usize, usize, usize, Trans); 11] = [
+        (64, 48, 1, 8, Trans::No),
+        (48, 64, 1, 3, Trans::Yes),
+        (33, 29, 5, 4, Trans::No),
+        (17, 40, 11, 3, Trans::Yes),
+        (130, 300, 3, 7, Trans::No),
+        (13, 21, 5, 3, Trans::No),
+        (64, 48, 1, 16, Trans::Yes),
+        (20, 33, 1, 17, Trans::No),
+        (37, 50, 2, 8, Trans::No),
+        (7, 9, 1, 31, Trans::No),
+        (19, 1030, 11, 3, Trans::Yes),
+    ];
+
+    /// Operands of one [`MULTI_RHS_CASES`] entry.
+    fn multi_rhs_operands<T: Scalar>(
+        g: &mut OperandGen,
+        (m, k, bn, q, ta): (usize, usize, usize, usize, Trans),
+    ) -> (Matrix<T>, Vec<Matrix<T>>) {
+        let (ar, ac) = ta.dims(m, k);
+        (g.matrix(ar, ac), (0..q).map(|_| g.matrix(k, bn)).collect())
+    }
+
     #[test]
     fn multi_rhs_is_bitwise_identical_to_hstacked_gemm() {
         // The multi-RHS path must produce the exact packed panels (and
         // therefore the exact results) of a single GEMM on the
-        // materialized concatenation — for thin (n=1) and wide parts, both
-        // transposition flags, and part widths that straddle NR panel
-        // boundaries.
-        let mut g = OperandGen::new(91);
-        for &(m, k, bn, q, ta) in &[
-            (64, 48, 1, 8, Trans::No),
-            (48, 64, 1, 3, Trans::Yes),
-            (33, 29, 5, 4, Trans::No),
-            (17, 40, 11, 3, Trans::Yes),
-            (130, 300, 3, 7, Trans::No),
-        ] {
-            let (ar, ac) = match ta {
-                Trans::No => (m, k),
-                Trans::Yes => (k, m),
-            };
-            let a = g.matrix::<f64>(ar, ac);
-            let parts: Vec<Matrix<f64>> = (0..q).map(|_| g.matrix::<f64>(k, bn)).collect();
-            let refs: Vec<&Matrix<f64>> = parts.iter().collect();
-            let stacked = matmul_multi_rhs(1.25, &a, ta, &refs);
-            let mut want = Matrix::<f64>::zeros(m, bn * q);
-            gemm(1.25, &a, ta, &hstack(&refs), Trans::No, 0.0, &mut want);
-            assert_eq!(
-                stacked.as_slice(),
-                want.as_slice(),
-                "multi-RHS drifted from the hstacked GEMM (m={m} k={k} bn={bn} q={q} ta={ta:?})"
-            );
+        // materialized concatenation.
+        fn check<T: Scalar>() {
+            let mut g = OperandGen::new(91);
+            let alpha = T::from_f64(1.25);
+            for case in MULTI_RHS_CASES {
+                let (m, _, bn, q, ta) = case;
+                let (a, parts) = multi_rhs_operands::<T>(&mut g, case);
+                let refs: Vec<&Matrix<T>> = parts.iter().collect();
+                let stacked = matmul_multi_rhs(alpha, &a, ta, &refs);
+                let mut want = Matrix::<T>::zeros(m, bn * q);
+                gemm(alpha, &a, ta, &hstack(&refs), Trans::No, T::ZERO, &mut want);
+                assert_eq!(
+                    stacked.as_slice(),
+                    want.as_slice(),
+                    "{} multi-RHS drifted from the hstacked GEMM {case:?}",
+                    T::PREFIX
+                );
+            }
         }
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]
@@ -1163,35 +1480,29 @@ mod tests {
         // The per-part destination shares packing, microkernel, and
         // reduction order with the stacked path; only write-back
         // addressing differs, so each part must be bitwise-identical to
-        // the corresponding column block of the stacked result — across
-        // part widths that straddle NR panel boundaries, both transpose
-        // flags, and thin (n=1) parts.
-        let mut g = OperandGen::new(95);
-        for &(m, k, bn, q, ta) in &[
-            (64, 48, 1, 8, Trans::No),
-            (48, 64, 1, 3, Trans::Yes),
-            (33, 29, 5, 4, Trans::No),
-            (17, 40, 11, 3, Trans::Yes),
-            (130, 300, 3, 7, Trans::No),
-        ] {
-            let (ar, ac) = match ta {
-                Trans::No => (m, k),
-                Trans::Yes => (k, m),
-            };
-            let a = g.matrix::<f64>(ar, ac);
-            let parts: Vec<Matrix<f64>> = (0..q).map(|_| g.matrix::<f64>(k, bn)).collect();
-            let refs: Vec<&Matrix<f64>> = parts.iter().collect();
-            let got = matmul_multi_rhs_parts(1.25, &a, ta, &refs);
-            let want = matmul_multi_rhs(1.25, &a, ta, &refs).split_cols(q);
-            assert_eq!(got.len(), q);
-            for (i, (g_i, w_i)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(
-                    g_i.as_slice(),
-                    w_i.as_slice(),
-                    "part {i} drifted (m={m} k={k} bn={bn} q={q} ta={ta:?})"
-                );
+        // the corresponding column block of the stacked result.
+        fn check<T: Scalar>() {
+            let mut g = OperandGen::new(95);
+            let alpha = T::from_f64(1.25);
+            for case in MULTI_RHS_CASES {
+                let (_, _, _, q, ta) = case;
+                let (a, parts) = multi_rhs_operands::<T>(&mut g, case);
+                let refs: Vec<&Matrix<T>> = parts.iter().collect();
+                let got = matmul_multi_rhs_parts(alpha, &a, ta, &refs);
+                let want = matmul_multi_rhs(alpha, &a, ta, &refs).split_cols(q);
+                assert_eq!(got.len(), q);
+                for (i, (g_i, w_i)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g_i.as_slice(),
+                        w_i.as_slice(),
+                        "{} part {i} drifted {case:?}",
+                        T::PREFIX
+                    );
+                }
             }
         }
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]

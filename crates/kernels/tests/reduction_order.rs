@@ -1,0 +1,297 @@
+//! The blocked driver promises a per-element arithmetic, not just a value:
+//! every `C[i,j]` is, for each `KC`-deep chunk of `k` in order, one fused
+//! chain from zero followed by one `α·acc + c` write-back. No register
+//! tile, packing width, half-width path, triangular skip, stacked operand
+//! or thread count enters that — so a scalar loop that spells it out must
+//! agree with `gemm`, `gemm_multi_rhs_into` and `syrk` **bit for bit**, on
+//! every build (`native`, `x86-64-v3`, `x86-64`), for both precisions, and
+//! on hostile inputs.
+
+use laab_dense::gen::OperandGen;
+use laab_dense::{Matrix, Scalar};
+use laab_kernels::{gemm, gemm_multi_rhs_into, reference, set_num_threads, syrk, Trans};
+
+mod common;
+use common::bits;
+
+/// Depth of one `pc` pass of the driver (`gemm::KC`).
+const KC: usize = 1024;
+
+/// One step of the microkernels' accumulation: a hardware FMA where the
+/// build has one, `a*b + c` otherwise (what `simd::fma_f32` / `fma_f64`
+/// and the explicit `fmadd` kernels do).
+trait Step: Scalar {
+    fn step(a: Self, b: Self, acc: Self) -> Self;
+}
+
+macro_rules! impl_step {
+    ($t:ty) => {
+        impl Step for $t {
+            fn step(a: $t, b: $t, acc: $t) -> $t {
+                if cfg!(any(target_feature = "fma", target_arch = "aarch64")) {
+                    <$t>::mul_add(a, b, acc)
+                } else {
+                    a * b + acc
+                }
+            }
+        }
+    };
+}
+impl_step!(f32);
+impl_step!(f64);
+
+fn at<T: Scalar>(m: &Matrix<T>, t: Trans, i: usize, j: usize) -> T {
+    match t {
+        Trans::No => m[(i, j)],
+        Trans::Yes => m[(j, i)],
+    }
+}
+
+/// `C₀ + α·op(A)·op(B)` in the driver's reduction order.
+fn oracle<T: Step>(
+    alpha: T,
+    a: &Matrix<T>,
+    ta: Trans,
+    b: &Matrix<T>,
+    tb: Trans,
+    c0: &Matrix<T>,
+) -> Matrix<T> {
+    let (m, k) = ta.dims(a.rows(), a.cols());
+    let (_, n) = tb.dims(b.rows(), b.cols());
+    Matrix::from_fn(m, n, |i, j| {
+        let mut c = c0[(i, j)];
+        for pc in (0..k).step_by(KC) {
+            let mut acc = T::ZERO;
+            for p in pc..k.min(pc + KC) {
+                acc = T::step(at(a, ta, i, p), at(b, tb, p, j), acc);
+            }
+            c = Scalar::mul_add(alpha, acc, c);
+        }
+        c
+    })
+}
+
+fn operand<T: Scalar>(g: &mut OperandGen, t: Trans, r: usize, c: usize) -> Matrix<T> {
+    let (sr, sc) = t.dims(r, c);
+    g.matrix(sr, sc)
+}
+
+/// Output shapes straddling `MR` (6), every tile width and half-width
+/// (4, 8, 16, 32) and `MC` (120), rows and columns taken from different
+/// ends of the list.
+const SHAPES: [(usize, usize); 14] = [
+    (1, 1),
+    (1, 33),
+    (5, 17),
+    (6, 31),
+    (7, 5),
+    (15, 16),
+    (16, 7),
+    (17, 15),
+    (31, 6),
+    (32, 32),
+    (33, 1),
+    (9, 130),
+    (121, 33),
+    (130, 121),
+];
+/// Depths, the last two straddling `KC` (one and two `pc` passes).
+const DEPTHS: [usize; 4] = [1, 9, 257, 1025];
+const FLAGS: [Trans; 2] = [Trans::No, Trans::Yes];
+const ALPHAS: [f64; 2] = [1.0, -0.5];
+
+fn gemm_sweep<T: Step>(threads: usize) {
+    set_num_threads(threads);
+    let mut g = OperandGen::new(0x0DE5 + threads as u64);
+    for &(m, n) in &SHAPES {
+        for &k in &DEPTHS {
+            if m * n > 4000 && (k == 9 || k == 257) {
+                continue; // the big outputs run shallow and past KC only
+            }
+            for ta in FLAGS {
+                for tb in FLAGS {
+                    let a = operand::<T>(&mut g, ta, m, k);
+                    let b = operand::<T>(&mut g, tb, k, n);
+                    let c0 = g.matrix::<T>(m, n);
+                    for alpha in ALPHAS.map(T::from_f64) {
+                        let mut c = c0.clone();
+                        gemm(alpha, &a, ta, &b, tb, T::ONE, &mut c);
+                        assert_eq!(
+                            bits(&c),
+                            bits(&oracle(alpha, &a, ta, &b, tb, &c0)),
+                            "{}gemm {m}x{n}x{k} {ta:?} {tb:?} α={alpha} t={threads}",
+                            T::PREFIX
+                        );
+                    }
+                }
+            }
+        }
+    }
+    set_num_threads(1);
+}
+
+#[test]
+fn gemm_is_bitwise_the_scalar_chain_f64() {
+    gemm_sweep::<f64>(1);
+    gemm_sweep::<f64>(3);
+}
+
+#[test]
+fn gemm_is_bitwise_the_scalar_chain_f32() {
+    gemm_sweep::<f32>(1);
+    gemm_sweep::<f32>(3);
+}
+
+/// `(m, k, part width, parts)`: stacked widths 1 … 40 putting part
+/// boundaries, panel boundaries and the half-width boundary of every tile
+/// width inside a panel.
+const STACKS: [(usize, usize, usize, usize); 9] = [
+    (7, 9, 1, 1),
+    (64, 48, 1, 8),
+    (33, 257, 5, 3),
+    (17, 40, 1, 16),
+    (20, 33, 1, 17),
+    (6, 1025, 1, 31),
+    (121, 9, 11, 3),
+    (130, 300, 5, 8),
+    (37, 50, 2, 8),
+];
+
+fn multi_rhs_sweep<T: Step>(threads: usize) {
+    set_num_threads(threads);
+    let mut g = OperandGen::new(0x0DE6 + threads as u64);
+    for &(m, k, bn, q) in &STACKS {
+        for ta in FLAGS {
+            let a = operand::<T>(&mut g, ta, m, k);
+            let parts: Vec<Matrix<T>> = (0..q).map(|_| g.matrix(k, bn)).collect();
+            let refs: Vec<&Matrix<T>> = parts.iter().collect();
+            let c0: Vec<Matrix<T>> = (0..q).map(|_| g.matrix(m, bn)).collect();
+            for alpha in ALPHAS.map(T::from_f64) {
+                let mut cs = c0.clone();
+                gemm_multi_rhs_into(alpha, &a, ta, &refs, T::ONE, &mut cs);
+                for (i, c) in cs.iter().enumerate() {
+                    assert_eq!(
+                        bits(c),
+                        bits(&oracle(alpha, &a, ta, &parts[i], Trans::No, &c0[i])),
+                        "{}multi-RHS part {i} of m={m} k={k} bn={bn} q={q} {ta:?} α={alpha} \
+                         t={threads}",
+                        T::PREFIX
+                    );
+                }
+            }
+        }
+    }
+    set_num_threads(1);
+}
+
+#[test]
+fn multi_rhs_is_bitwise_the_scalar_chain() {
+    for threads in [1, 3] {
+        multi_rhs_sweep::<f64>(threads);
+        multi_rhs_sweep::<f32>(threads);
+    }
+}
+
+fn syrk_sweep<T: Step>(threads: usize) {
+    set_num_threads(threads);
+    let mut g = OperandGen::new(0x0DE7 + threads as u64);
+    for n in [1, 5, 6, 7, 15, 16, 17, 31, 32, 33, 121, 130] {
+        for &k in &DEPTHS {
+            if n > 33 && (k == 9 || k == 257) {
+                continue;
+            }
+            for trans in FLAGS {
+                let a = operand::<T>(&mut g, trans, n, k);
+                for alpha in ALPHAS.map(T::from_f64) {
+                    let got = syrk(alpha, &a, trans);
+                    let want = oracle(alpha, &a, trans, &a, trans.flip(), &Matrix::zeros(n, n));
+                    let lower = |m: &Matrix<T>| {
+                        bits(&Matrix::from_fn(
+                            n,
+                            n,
+                            |i, j| if j <= i { m[(i, j)] } else { T::ZERO },
+                        ))
+                    };
+                    assert_eq!(
+                        lower(&got),
+                        lower(&want),
+                        "{}syrk n={n} k={k} {trans:?} α={alpha} t={threads}",
+                        T::PREFIX
+                    );
+                }
+            }
+        }
+    }
+    set_num_threads(1);
+}
+
+#[test]
+fn syrk_lower_triangle_is_bitwise_the_scalar_chain() {
+    for threads in [1, 3] {
+        syrk_sweep::<f64>(threads);
+        syrk_sweep::<f32>(threads);
+    }
+}
+
+/// NaN / +Inf / −Inf / finite, element by element.
+fn non_finite_pattern<T: Scalar>(m: &Matrix<T>) -> Vec<u8> {
+    let class = |v: f64| match v {
+        v if v.is_nan() => 1,
+        v if v.is_infinite() => 2 + v.is_sign_negative() as u8,
+        _ => 0,
+    };
+    m.as_slice().iter().map(|&v| class(v.to_f64())).collect()
+}
+
+#[test]
+fn hostile_entries_through_gemm_and_multi_rhs() {
+    // One poison in the last live row of a ragged A panel (m = 6·p + 1) and
+    // one in the last live column of B, against an exact zero so `Inf·0`
+    // makes a NaN of its own. The widths leave that last column in a
+    // ragged full-width panel or a half-width panel, depending on the
+    // build's tile (8, 16 or 32 wide): 5, 13, 27, 40. The zero-padded
+    // accumulator lanes next to the poison hold NaNs that must never reach
+    // C: where the naive product is finite the driver's is, and finite or
+    // not, it is bitwise the scalar chain.
+    fn check<T: Step>() {
+        let mut g = OperandGen::new(0x0DE8);
+        let poisons = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 5e-324, 1e-310];
+        for &(m, k) in &[(7usize, 5usize), (121, 33)] {
+            for n in [5usize, 13, 27, 40] {
+                for &p in &poisons {
+                    let poison = T::from_f64(p);
+                    let mut a = g.matrix::<T>(m, k);
+                    let mut b = g.matrix::<T>(k, n);
+                    a[(m - 1, k - 1)] = poison;
+                    b[(k - 1, 0)] = T::ZERO;
+                    b[(0, n - 1)] = poison;
+                    a[(0, 0)] = T::ZERO;
+                    let what = format!("{} {m}x{n}x{k} poison={p:e}", T::PREFIX);
+
+                    let zeros = Matrix::zeros(m, n);
+                    let mut c = zeros.clone();
+                    gemm(T::ONE, &a, Trans::No, &b, Trans::No, T::ONE, &mut c);
+                    let naive =
+                        reference::gemm_naive(T::ONE, &a, Trans::No, &b, Trans::No, T::ONE, &zeros);
+                    let chain = oracle(T::ONE, &a, Trans::No, &b, Trans::No, &zeros);
+                    assert_eq!(non_finite_pattern(&c), non_finite_pattern(&naive), "gemm {what}");
+                    assert_eq!(bits(&c), bits(&chain), "gemm {what}");
+                    if p.is_nan() || p.is_infinite() {
+                        assert!(bits(&c).contains(&u64::MAX), "gemm {what}: no NaN came out");
+                    }
+
+                    // The same product with B's columns as n stacked vectors.
+                    let cols: Vec<Matrix<T>> = (0..n).map(|j| b.col_matrix(j)).collect();
+                    let refs: Vec<&Matrix<T>> = cols.iter().collect();
+                    let mut cs = vec![Matrix::zeros(m, 1); n];
+                    gemm_multi_rhs_into(T::ONE, &a, Trans::No, &refs, T::ONE, &mut cs);
+                    for (j, cj) in cs.iter().enumerate() {
+                        assert_eq!(bits(cj), bits(&c.col_matrix(j)), "multi-RHS col {j} {what}");
+                    }
+                }
+            }
+        }
+    }
+    check::<f64>();
+    check::<f32>();
+}

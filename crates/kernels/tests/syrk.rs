@@ -9,18 +9,14 @@ use laab_dense::{Matrix, Scalar};
 use laab_kernels::counters::{self, Kernel};
 use laab_kernels::{flops, gemm, set_num_threads, syrk, Trans};
 
+mod common;
+use common::bits;
+
 /// Result sides chosen to straddle the register tile (`MR` = 6, `NR` = 8
 /// or 16 depending on the target) and the packed-A block (`MC` = 120).
 const SIDES: [usize; 12] = [1, 2, 5, 6, 7, 15, 16, 17, 33, 119, 121, 250];
 /// Depths, the last one past `KC` = 1024 (two `pc` passes over `C`).
 const DEPTHS: [usize; 4] = [1, 3, 64, 1030];
-
-/// Exact bit pattern of each element, with every NaN mapped to one
-/// canonical value (`f32 → f64` widening is injective on non-NaNs).
-fn bits<T: Scalar>(m: &Matrix<T>) -> Vec<u64> {
-    let canonical = |v: f64| if v.is_nan() { u64::MAX } else { v.to_bits() };
-    m.as_slice().iter().map(|&v| canonical(v.to_f64())).collect()
-}
 
 fn full_gemm<T: Scalar>(alpha: T, a: &Matrix<T>, trans: Trans) -> Matrix<T> {
     let (n, _) = trans.dims(a.rows(), a.cols());

@@ -5,7 +5,7 @@
 
 use laab::prelude::*;
 use laab_kernels::reference;
-use laab_kernels::{gemm, matmul, set_num_threads};
+use laab_kernels::{gemm, set_num_threads};
 use proptest::prelude::*;
 
 fn trans(b: bool) -> Trans {
@@ -22,6 +22,29 @@ fn stored(t: Trans, r: usize, c: usize) -> (usize, usize) {
         Trans::No => (r, c),
         Trans::Yes => (c, r),
     }
+}
+
+/// `1.5·op(A)·op(B) + 0.25·C₀` for one `(m, n, k, ta, tb)` shape on seeded
+/// operands, at 1 thread and at `threads`.
+fn serial_and_parallel_gemm<T: Scalar>(
+    (m, n, k, ta, tb): (usize, usize, usize, Trans, Trans),
+    threads: usize,
+    seed: u64,
+) -> (Matrix<T>, Matrix<T>) {
+    let mut g = OperandGen::new(seed);
+    let (ar, ac) = stored(ta, m, k);
+    let (br, bc) = stored(tb, k, n);
+    let a = g.matrix::<T>(ar, ac);
+    let b = g.matrix::<T>(br, bc);
+    let c0 = g.matrix::<T>(m, n);
+    let run = |threads| {
+        set_num_threads(threads);
+        let mut c = c0.clone();
+        gemm(T::from_f64(1.5), &a, ta, &b, tb, T::from_f64(0.25), &mut c);
+        set_num_threads(1);
+        c
+    };
+    (run(1), run(threads))
 }
 
 /// The α/β grid the paper's kernels must be exact on: the BLAS fast paths
@@ -135,25 +158,13 @@ proptest! {
         tb in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let (ta, tb) = (trans(ta), trans(tb));
-        let mut g = OperandGen::new(seed);
-        let (ar, ac) = stored(ta, m, k);
-        let (br, bc) = stored(tb, k, n);
-        let a = g.matrix::<f64>(ar, ac);
-        let b = g.matrix::<f64>(br, bc);
-        let c0 = g.matrix::<f64>(m, n);
-
-        set_num_threads(1);
-        let mut serial = c0.clone();
-        gemm(1.5, &a, ta, &b, tb, 0.25, &mut serial);
-
-        set_num_threads(threads);
-        let mut parallel = c0.clone();
-        gemm(1.5, &a, ta, &b, tb, 0.25, &mut parallel);
-        set_num_threads(1);
-
+        let shape = (m, n, k, trans(ta), trans(tb));
+        let (serial, parallel) = serial_and_parallel_gemm::<f64>(shape, threads, seed);
         // Bitwise, not approximate: the tile scheduler must preserve the
-        // serial reduction order exactly (acceptance criterion).
+        // serial reduction order exactly (acceptance criterion) — at each
+        // dtype's own tile width.
+        prop_assert_eq!(serial.as_slice(), parallel.as_slice());
+        let (serial, parallel) = serial_and_parallel_gemm::<f32>(shape, threads, seed);
         prop_assert_eq!(serial.as_slice(), parallel.as_slice());
     }
 
@@ -166,23 +177,12 @@ proptest! {
     ) {
         // The shapes the old heuristic ran serially: tiny m, large n (and
         // its transpose-analogue, the GEMV-shaped tall product).
-        let mut g = OperandGen::new(seed);
-        let a = g.matrix::<f64>(m, 64);
-        let b = g.matrix::<f64>(64, n);
-        set_num_threads(1);
-        let wide_serial = matmul(&a, Trans::No, &b, Trans::No);
-        set_num_threads(threads);
-        let wide_parallel = matmul(&a, Trans::No, &b, Trans::No);
-        set_num_threads(1);
-        prop_assert_eq!(wide_serial.as_slice(), wide_parallel.as_slice());
-
-        let t = g.matrix::<f64>(n, 64);
-        let x = g.matrix::<f64>(64, m);
-        set_num_threads(1);
-        let tall_serial = matmul(&t, Trans::No, &x, Trans::No);
-        set_num_threads(threads);
-        let tall_parallel = matmul(&t, Trans::No, &x, Trans::No);
-        set_num_threads(1);
-        prop_assert_eq!(tall_serial.as_slice(), tall_parallel.as_slice());
+        for (rows, cols) in [(m, n), (n, m)] {
+            let shape = (rows, cols, 64, Trans::No, Trans::No);
+            let (serial, parallel) = serial_and_parallel_gemm::<f64>(shape, threads, seed);
+            prop_assert_eq!(serial.as_slice(), parallel.as_slice());
+            let (serial, parallel) = serial_and_parallel_gemm::<f32>(shape, threads, seed);
+            prop_assert_eq!(serial.as_slice(), parallel.as_slice());
+        }
     }
 }
