@@ -1,7 +1,7 @@
 //! The registry of machine-readable benchmark reports this workspace
 //! emits.
 //!
-//! Four harnesses produce `BENCH_*.json` artifacts that CI uploads per
+//! Three harnesses produce `BENCH_*.json` artifacts that CI uploads per
 //! PR; perf-trajectory tooling (and humans) discover them here instead of
 //! grepping workflows. Each entry names the report's schema tag, the
 //! artifact CI uploads, and the CLI invocation that regenerates it.
@@ -26,21 +26,9 @@ pub struct BenchSpec {
     pub description: &'static str,
 }
 
-/// Schema tag of `laab-serve`'s report. Mirrored here (rather than
-/// imported) because `laab-core` sits below `laab-serve` in the crate
-/// graph; `laab-serve`'s tests assert the two constants stay equal.
-/// `v7`: the `deferred` record — tape lengths, flush reasons, fused vs
-/// unfused op counts, the modeled dispatch-vs-compute split per family,
-/// the fusion-on/off A/B, and engine-vs-tape equivalence probe counts.
-/// (`v6` added the optimizer A/B: `opt_levels`, `opt_families`,
-/// cross-level probe counts, and the `saturation_budget_hits` e-graph
-/// fallback count; `v5` the overload sweep through a bounded backlog
-/// with request deadlines.)
-pub const SERVE_SCHEMA: &str = "laab-serve-bench-v7";
-
-/// Schema tag of `laab loadgen`'s client-side report. Mirrored for the
-/// same reason as [`SERVE_SCHEMA`]; `laab-serve`'s tests hold the pair
-/// equal. `v3`: trace replay — the arrival process can be
+/// Schema tag of `laab loadgen`'s client-side report. Mirrored here
+/// (rather than imported) because `laab-core` sits below `laab-serve` in
+/// the crate graph; `laab-serve`'s tests hold the pair equal. `v3`: trace replay — the arrival process can be
 /// `replay:<file>` (recorded inter-arrival gaps), and the report names
 /// the source trace and its gap percentiles. (`v2` added per-run
 /// rejection classes (`busy`/`expired`/`failed`), retry counts,
@@ -49,7 +37,7 @@ pub const SERVE_SCHEMA: &str = "laab-serve-bench-v7";
 pub const LOADGEN_SCHEMA: &str = "laab-loadgen-v3";
 
 /// Every benchmark report format, in CLI order.
-pub const BENCHES: [BenchSpec; 4] = [
+pub const BENCHES: [BenchSpec; 3] = [
     BenchSpec {
         name: "run",
         schema: REPORT_SCHEMA,
@@ -63,15 +51,6 @@ pub const BENCHES: [BenchSpec; 4] = [
         artifact: "BENCH_gemm.json",
         command: "laab bench --quick --out BENCH_gemm.json",
         description: "GEMM engine GFLOP/s trajectory vs the frozen seed kernel",
-    },
-    BenchSpec {
-        name: "serve",
-        schema: SERVE_SCHEMA,
-        artifact: "BENCH_serve.json",
-        command: "laab serve --smoke --opt egraph --backends engine,seed --out BENCH_serve.json",
-        description:
-            "plan-cache serving throughput + backend/optimizer A/B: per-backend req/s, p50/p99, \
-             hit rate, egraph-vs-passes cost and latency",
     },
     BenchSpec {
         name: "loadgen",
@@ -108,7 +87,7 @@ mod tests {
     fn registry_matches_the_owning_crates() {
         assert_eq!(find("run").unwrap().schema, REPORT_SCHEMA);
         assert_eq!(find("bench").unwrap().schema, GEMM_REPORT_SCHEMA);
-        // laab-serve's own test asserts SERVE_SCHEMA == SERVE_REPORT_SCHEMA
-        // (the dependency points the other way).
+        // laab-serve's own test asserts LOADGEN_SCHEMA ==
+        // LOADGEN_REPORT_SCHEMA (the dependency points the other way).
     }
 }

@@ -64,9 +64,9 @@ pub const BACKEND_NAME: &str = "deferred";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tuning {
     /// Modeled kernel-launch latency, charged once per *flush group* (not
-    /// per op) — the `--dispatch-us` knob. The charge is a real busy-wait
-    /// so fusion wins show up in wall-clock, and it is accounted
-    /// deterministically: `dispatch_ns == groups × this`.
+    /// per op). The charge is a real busy-wait so fusion wins show up in
+    /// wall-clock, and it is accounted deterministically:
+    /// `dispatch_ns == groups × this`.
     pub dispatch_ns: u64,
     /// Tape length that forces a [`FlushReason::Capacity`] flush.
     pub capacity: usize,
@@ -81,7 +81,7 @@ impl Default for Tuning {
         // 5 µs is a deliberately small constant on the low end of real
         // measured GPU launch latencies — large enough that fusing a
         // handful of ops is visible in wall-clock, small enough that a
-        // smoke serve run stays fast.
+        // smoke-sized run stays fast.
         Tuning { dispatch_ns: 5_000, capacity: 32, fuse: true }
     }
 }

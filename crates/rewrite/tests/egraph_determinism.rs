@@ -6,8 +6,8 @@
 //! algorithm holds no global state, so thread count must be
 //! unobservable) — and (b) saturation always halts: either at a fixpoint
 //! or by tripping the node budget, in which case it falls back to the
-//! input expression with `budget_hit` reported so the serving layer can
-//! count it (`saturation_budget_hits` in `BENCH_serve.json`).
+//! input expression with `budget_hit` reported, which the serving layer
+//! records on the plan (`Plan::egraph_report`).
 
 use laab_expr::eval::{eval, Env};
 use laab_expr::{scale, var, Context, Expr};

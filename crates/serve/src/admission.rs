@@ -27,13 +27,11 @@
 //!
 //! Requests are grouped by an arbitrary hashable key (the serving layer
 //! keys on `(Family, n, Dtype, BackendId)` — exactly what determines a
-//! [`Signature`](crate::Signature)), and groups preserve arrival order,
-//! so [`backlog`](AdmissionQueue::backlog) — submit everything, close,
-//! collect — reproduces the PR 5 fixed-count chunking bit-for-bit (it
-//! closes before anyone consumes, so only occupancy and drain flush).
-//! The in-process `laab serve` path is that loopback composition; the
-//! network [`Server`](crate::Server) feeds the same queue from socket
-//! readers instead.
+//! [`Signature`](crate::Signature)), and groups preserve arrival order:
+//! a backlog submitted and closed before anyone consumes leaves in
+//! fixed-count chunks — each key's items split at every `window`-th
+//! arrival, the remainder drained at close. The
+//! [`Server`](crate::Server) feeds the queue from socket readers.
 //!
 //! The implementation is a `Mutex` + `Condvar` multi-producer
 //! multi-consumer queue: producers ([`submit`](AdmissionQueue::submit))
@@ -314,25 +312,6 @@ impl<K: Eq + Hash + Clone, T> AdmissionQueue<K, T> {
     pub fn stats(&self) -> AdmissionStats {
         self.state.lock().expect("admission mutex").stats
     }
-
-    /// The backlog composition: submit every `(key, item)` in order,
-    /// close, and return the released batches. No consumer runs before
-    /// the close, so this reproduces PR 5's fixed-count chunking exactly
-    /// — each key's items chunk at every `window`-th arrival (occupancy
-    /// flushes) with the remainder drained at close — which is what
-    /// keeps the in-process `laab serve` counters deterministic.
-    pub fn backlog(window: usize, items: impl IntoIterator<Item = (K, T)>) -> Vec<FlushedBatch<T>> {
-        let queue = AdmissionQueue::new(window, None);
-        for (key, item) in items {
-            queue.submit(key, item);
-        }
-        queue.close();
-        let mut out = Vec::new();
-        while let Some(b) = queue.next_batch() {
-            out.push(b);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -502,11 +481,15 @@ mod tests {
         // that fills several windows, singletons.
         let keys = [3u32, 1, 3, 3, 2, 3, 1, 3, 3, 3, 2, 9, 3, 1, 1, 1, 1, 2];
         for window in [1usize, 2, 3, 4, 8, 64] {
+            // Submit everything, close, then drain: no consumer runs
+            // before the close, so only occupancy and drain flush.
+            let q = AdmissionQueue::new(window, None);
+            for (i, &k) in keys.iter().enumerate() {
+                assert!(q.submit(k, i).is_queued());
+            }
+            q.close();
             let mut got: Vec<Vec<usize>> =
-                AdmissionQueue::backlog(window, keys.iter().enumerate().map(|(i, &k)| (k, i)))
-                    .into_iter()
-                    .map(|b| b.items)
-                    .collect();
+                std::iter::from_fn(|| q.next_batch()).map(|b| b.items).collect();
             got.sort_by_key(|c| c[0]);
             assert_eq!(got, reference_chunking(&keys, window), "window {window}");
         }

@@ -152,8 +152,8 @@ pub struct PlanCache {
     /// `(callsite, backend, opt level)` → hash of the most recently
     /// compiled signature, for the retrace distinction. The callsite is
     /// tracked *per backend and per optimizer level*: dispatching one
-    /// callsite to a second backend — or compiling it through the second
-    /// `--opt` pipeline of an A/B run — is that key's first trace, not
+    /// callsite to a second backend — or compiling it at the other
+    /// pinned optimizer level — is that key's first trace, not
     /// signature drift, and must not inflate the retrace counter. Never
     /// acquired while a shard lock is wanted by the same thread in the
     /// other order (shard → seen only).
@@ -431,8 +431,8 @@ mod tests {
 
     #[test]
     fn opt_levels_get_independent_entries_and_no_retrace_ping_pong() {
-        // The --opt A/B shape: one callsite, one backend, both optimizer
-        // levels interleaved. The retrace key includes the opt level, so
+        // A pinned-level comparison: one callsite, one backend, both
+        // optimizer levels interleaved. The retrace key includes the opt level, so
         // the alternation is two independent first traces — not
         // signature drift — and subsequent alternating lookups are hits.
         let cache = PlanCache::new(8);

@@ -28,44 +28,38 @@
 //!   distributivity, solver residuals), each declaring which operands
 //!   are request-varying payloads (the data batched execution
 //!   column-stacks).
-//! * [`mod@bench`] — the multi-client serving loop: an **admission
-//!   window** coalesces pending same-signature requests into batches
-//!   (`laab serve --batch-window`), clients on the `laab-kernels`
-//!   worker pool drain whole batches through the cache — executing each
-//!   batch once via [`Plan::execute_batched`] (column-stacked multi-RHS
-//!   GEMM where the compile-time analysis proves it legal, a bitwise
-//!   per-request fallback otherwise) — and the report carries
-//!   requests/s, p50/p99 latency, the interleaved batched-vs-solo
-//!   split, occupancy histograms, cold-trace vs cache-hit latency, and
-//!   cache statistics (including eviction-induced recompiles) as a
-//!   machine-readable `BENCH_serve.json`
-//!   ([`bench::SERVE_REPORT_SCHEMA`]).
+//! * [`admission`] — the work-conserving **admission window**: pending
+//!   same-signature requests coalesce into batches of up to
+//!   `--batch-window`, which an executor runs once via
+//!   [`Plan::execute_batched`] (column-stacked multi-RHS GEMM where the
+//!   compile-time analysis proves it legal, answered member by member
+//!   otherwise).
+//! * [`server`] / [`proto`] / [`loadgen`] — the socket server
+//!   (`laab serve --listen`), its length-prefixed wire protocol, and the
+//!   load generator (`laab loadgen`) that drives it from outside and
+//!   verifies every completed response bitwise against a local oracle.
+//!   Throughput, latency and per-layer cost are measured from outside
+//!   the process, by `benchmark/run.sh`, not by this crate.
 //!
 //! Signatures (and therefore cached plans) carry the execution
-//! [`BackendId`] they target, so the serving
-//! loop can drive one request stream through several `laab-backend`
-//! backends *interleaved* (`laab serve --backends engine,seed`) and
-//! report per-backend throughput, latency, and speedup ratios — the
-//! paper's cross-strategy comparison axis, reproduced at the serving
-//! layer.
+//! [`BackendId`] they target, so one server answers requests for several
+//! `laab-backend` backends (`laab serve --backends engine,seed`) without
+//! their plans ever aliasing in the cache.
 //!
 //! Signatures also carry the [`OptLevel`] the plan compiles through.
 //! The served path picks it per expression ([`OptLevel::for_input`]:
 //! `laab-rewrite`'s equality-saturation optimizer runs ahead of the
 //! trace-time passes once the input's modeled cost reaches
-//! [`EGRAPH_MIN_COST`]); `--opt egraph` pins both levels and A/Bs them
-//! interleaved (each request compiles once per level, never aliased in
-//! the cache), and the report adds per-family extracted-cost vs.
-//! measured-latency records, cross-level numeric probes
-//! (`opt_mismatches`), and the saturation budget-hit fallback count.
+//! [`EGRAPH_MIN_COST`]).
 //!
 //! Surfaced on the CLI as `laab serve`.
 
 #![deny(missing_docs)]
 
 pub mod admission;
-pub mod bench;
 mod cache;
+mod config;
+mod error;
 pub mod fault;
 pub mod loadgen;
 mod plan;
@@ -75,11 +69,9 @@ mod signature;
 pub mod workload;
 
 pub use admission::{AdmissionQueue, AdmissionStats, FlushKind, SubmitOutcome};
-pub use bench::{
-    run, AdmissionRecord, BackendRecord, OptFamilyRecord, OptLevelRecord, OverloadRecord,
-    ServeConfig, ServeConfigBuilder, ServeError, ServeReport,
-};
 pub use cache::{CacheStats, Lookup, PlanCache};
+pub use config::{ServeConfig, ServeConfigBuilder};
+pub use error::ServeError;
 pub use fault::{FaultCounts, FaultInjector, FaultKind, FaultPlan};
 pub use laab_backend::BackendId;
 pub use loadgen::{Arrival, LoadgenConfig, LoadgenReport};

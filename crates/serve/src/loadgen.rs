@@ -1,12 +1,10 @@
 //! The standalone load generator: drives a running [`Server`](crate::Server)
 //! over its socket and measures latency *from the client side*.
 //!
-//! Where `laab serve` reports what the serving loop saw, `laab loadgen`
-//! reports what a caller would see: round-trip time over the wire,
-//! including framing, the wait in the admission queue for a free
-//! executor, and the response's journey back. It replays the same deterministic
-//! [`synthetic_mix`] stream the in-process benchmark uses, under three
-//! swept arrival processes:
+//! `laab loadgen` reports what a caller sees: round-trip time over the
+//! wire, including framing, the wait in the admission queue for a free
+//! executor, and the response's journey back. It sends the deterministic
+//! [`synthetic_mix`] stream under three swept arrival processes:
 //!
 //! - **closed-loop** — each connection keeps exactly one request in
 //!   flight; throughput is latency-bound.
@@ -21,8 +19,8 @@
 //! seeded, the generator can also compute each request's expected result
 //! locally and compare it to the server's response
 //! [checksum](crate::proto::result_checksum) — a bitwise end-to-end
-//! check that the network path executes the *same arithmetic* as the
-//! in-process loop (exact for backends whose batched execution is a
+//! check that the network path executes the *same arithmetic* as a
+//! local solo execution (exact for backends whose batched execution is a
 //! per-item loop, e.g. `seed`/`reference`; disable with
 //! [`LoadgenConfig::verify`] for backends with stacked batched kernels).
 
@@ -37,8 +35,8 @@ use laab_stats::Samples;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::Serialize;
 
-use crate::bench::{resolve_backends, ServeError};
 use crate::cache::PlanCache;
+use crate::error::{resolve_backends, ServeError};
 use crate::plan::Plan;
 use crate::proto::{self, Message, Outcome, RequestMsg};
 use crate::server::{connect, Listen};
@@ -234,10 +232,12 @@ impl LoadgenConfig {
             addr: addr.to_string(),
             requests: 96,
             connections: 2,
+            // The size is this side's alone: requests carry `n`, and
+            // the server builds its pools per request shape.
             n: 24,
-            // Matches `ServeConfig::smoke()` — the server's operand
-            // pools and payload draws hang off *its* seed, so the
-            // bitwise oracle only lines up when the two agree.
+            // The server's default `--seed` — its operand pools and
+            // payload draws hang off *its* seed, so the bitwise oracle
+            // only lines up when the two agree.
             seed: 0x1AAB,
             churn_every: 7,
             dtype: None,

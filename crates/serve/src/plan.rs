@@ -98,8 +98,8 @@ impl Plan {
     }
 
     /// [`Plan::compile_with_varying`] with the optimizer level pinned
-    /// rather than picked — the `--opt` A/B lanes and the differential
-    /// suites.
+    /// rather than picked — what the differential suites and
+    /// `benchmark/`'s per-level compile timings call.
     ///
     /// At [`OptLevel::Egraph`] the expression first goes through equality
     /// saturation + cost-based extraction ([`laab_rewrite::optimize_egraph`])
@@ -486,6 +486,19 @@ mod tests {
                 // their responses stay verifiable bit for bit.
                 let vector = matches!(family, Family::Chain | Family::SolveResidual);
                 assert_eq!(plan.stackable(), vector, "{} n={n}", family.id());
+            }
+        }
+    }
+
+    #[test]
+    fn vector_families_stack_and_matrix_families_do_not() {
+        // Which batches the server runs as one stacked execution and
+        // which it answers member by member, on both sides of the gate.
+        for family in Family::ALL {
+            let stacks = matches!(family, Family::Chain | Family::SolveResidual);
+            for n in [12usize, 48, 192] {
+                let plan = compile_family(family, n, None);
+                assert_eq!(plan.stackable(), stacks, "{} n={n}", family.id());
             }
         }
     }

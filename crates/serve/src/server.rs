@@ -1,8 +1,7 @@
 //! The blocking network server: listener → admission → batch → backend.
 //!
-//! `laab serve --listen <addr>` runs this front-end. The dataflow is the
-//! same three layers the in-process loop composes, with the generator
-//! replaced by sockets:
+//! `laab serve --listen <addr>` runs this front-end. The dataflow is
+//! three layers:
 //!
 //! ```text
 //!  connections ──► reader threads ──► AdmissionQueue ──► executor pool
@@ -16,11 +15,11 @@
 //! out-of-range sizes are *rejected with a response frame*, never a
 //! panic), and submits jobs keyed by `(family, n, dtype, backend)` —
 //! exactly what determines the plan-cache [`Signature`](crate::Signature).
-//! A pool of executor threads (the `clients` count of the in-process
-//! loop) drains whole batches through the shared [`PlanCache`] and
-//! writes one response frame per request, carrying the measured queue
-//! delay, the per-request execution share, the batch occupancy and
-//! [`FlushKind`], and a [checksum](crate::proto::result_checksum)
+//! A pool of executor threads (`--clients`) drains whole batches
+//! through the shared [`PlanCache`] and writes one response frame per
+//! request, carrying the measured queue delay, the per-request
+//! execution share, the batch occupancy and [`FlushKind`], and a
+//! [checksum](crate::proto::result_checksum)
 //! of the result matrices for client-side bitwise validation.
 //!
 //! Shutdown is graceful and in-band: a [`Message::Shutdown`] frame is
@@ -43,8 +42,9 @@ use laab_expr::eval::Env;
 use laab_framework::Framework;
 
 use crate::admission::{AdmissionQueue, AdmissionStats, FlushKind, FlushedBatch, SubmitOutcome};
-use crate::bench::{resolve_backends, ServeConfig, ServeError};
-use crate::cache::PlanCache;
+use crate::cache::{CacheStats, PlanCache};
+use crate::config::ServeConfig;
+use crate::error::{resolve_backends, ServeError};
 use crate::fault::{FaultCounts, FaultInjector};
 use crate::plan::Plan;
 use crate::proto::{self, FrameError, Message, Outcome, RequestMsg, ResponseMsg};
@@ -214,6 +214,9 @@ pub struct ServerStats {
     pub faults: FaultCounts,
     /// The admission queue's flush counters.
     pub admission: AdmissionStats,
+    /// The plan cache's counters at shutdown. Lookups are per admitted
+    /// batch, so `hits + misses ≤ served` on a fault-free run.
+    pub cache: CacheStats,
 }
 
 /// The admission-queue key: exactly the fields that determine the
@@ -478,6 +481,7 @@ impl Server {
             reaped: counters.reaped.load(Ordering::Relaxed),
             faults: injector.as_ref().map(FaultInjector::counts).unwrap_or_default(),
             admission: queue.stats(),
+            cache: cache.stats(),
         })
     }
 }
@@ -750,8 +754,8 @@ fn expire<'a>(jobs: Vec<&'a ServerJob>, counters: &Counters) -> Vec<&'a ServerJo
 /// The typed half of [`execute_batch`]: one cache lookup, then the
 /// batch runs as one or more *executions*. A plan that stacks runs all
 /// members in one batched execution (solo at occupancy 1 — bitwise
-/// identical to the in-process loop for any backend). A plan that does
-/// not stack would run its members one after another inside
+/// identical to a local [`Plan::execute`] for any backend). A plan that
+/// does not stack would run its members one after another inside
 /// `execute_batched` anyway, so each member becomes its own execution
 /// and is answered the moment it is done instead of waiting for its
 /// batch-mates — same results bit for bit, `queue_ns` running to the
@@ -896,12 +900,12 @@ mod tests {
 
     #[test]
     fn bind_validates_like_the_builder() {
-        let cfg = ServeConfig { backends: vec!["cuda".into()], ..ServeConfig::smoke() };
+        let cfg = ServeConfig { backends: vec!["cuda".into()], ..ServeConfig::default() };
         assert!(matches!(
             Server::bind("unix:/tmp/never-bound.sock", &cfg),
             Err(ServeError::UnknownBackend { .. })
         ));
-        let cfg = ServeConfig { shards: 0, ..ServeConfig::smoke() };
+        let cfg = ServeConfig { shards: 0, ..ServeConfig::default() };
         assert_eq!(
             Server::bind("unix:/tmp/never-bound.sock", &cfg).err(),
             Some(ServeError::ZeroShards)
@@ -1019,18 +1023,22 @@ mod tests {
         assert_eq!(failures.values().copied().collect::<Vec<_>>(), [1], "one failed execution");
     }
 
-    #[test]
-    fn validate_rejects_with_messages_not_panics() {
-        let regs = resolve_backends(&["seed".to_string()]).unwrap();
-        let msg = |family: &str, n: u64, backend: &str| RequestMsg {
+    fn wire_request(family: &str, n: u64, dtype: Dtype, backend: &str) -> RequestMsg {
+        RequestMsg {
             id: 0,
             family: family.to_string(),
             n,
-            dtype: Dtype::F64,
+            dtype,
             backend: backend.to_string(),
             payload: 0,
             deadline_us: 0,
-        };
+        }
+    }
+
+    #[test]
+    fn validate_rejects_with_messages_not_panics() {
+        let regs = resolve_backends(&["seed".to_string()]).unwrap();
+        let msg = |family, n, backend| wire_request(family, n, Dtype::F64, backend);
         assert!(validate(&msg("chain", 16, "seed"), &regs).is_ok());
         assert!(validate(&msg("no_such", 16, "seed"), &regs)
             .unwrap_err()
@@ -1041,5 +1049,21 @@ mod tests {
             .contains("out of range"));
         let err = validate(&msg("chain", 16, "engine"), &regs).unwrap_err();
         assert!(err.contains("not served here") && err.contains("seed"), "{err}");
+    }
+
+    #[test]
+    fn unsupported_dtype_is_rejected_in_band_before_dispatch() {
+        static F64_ONLY: Registration = Registration::new(
+            "serve-test-f64-only",
+            "f64-only backend for the dtype-validation test",
+            None,
+            Some(&laab_backend::EngineBackend),
+        );
+        laab_backend::registry::register(&F64_ONLY).expect("name is free");
+        let regs = resolve_backends(&["serve-test-f64-only".to_string()]).unwrap();
+        let msg = |dtype| wire_request("chain", 16, dtype, "serve-test-f64-only");
+        assert!(validate(&msg(Dtype::F64), &regs).is_ok());
+        let err = validate(&msg(Dtype::F32), &regs).unwrap_err();
+        assert!(err.contains("does not support dtype f32"), "{err}");
     }
 }

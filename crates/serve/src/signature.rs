@@ -16,8 +16,8 @@ use laab_rewrite::CostModel;
 pub use laab_backend::Dtype;
 
 /// The optimizer pipeline a plan is compiled through — part of the
-/// signature (and the retrace key), because `--opt` A/B runs compile the
-/// same request twice and the two plans must never alias.
+/// signature (and the retrace key), because a caller that pins levels
+/// compiles the same request twice and the two plans must never alias.
 ///
 /// The pipeline is one path — e-graph → trace → passes — and the level
 /// only says whether the first stage runs. Entry points that take no
@@ -153,8 +153,8 @@ impl Signature {
     }
 
     /// [`Signature::new`] with an explicit optimizer level. The level is
-    /// hashed and compared like every other component: an `--opt` A/B run
-    /// compiles one request per level and the entries never alias.
+    /// hashed and compared like every other component: one request
+    /// compiled at both levels is two entries that never alias.
     pub fn with_opt(
         func: &str,
         expr: &Expr,
@@ -280,8 +280,7 @@ mod tests {
         // Different property flags on an operand.
         let pctx = Context::new().with_props("A", 8, 8, Props::SYMMETRIC).with("B", 8, 8);
         assert_ne!(base, Signature::new("f", &e, &pctx, Dtype::F64, BackendId::ENGINE));
-        // Different optimizer level: the --opt A/B axis — one plan per
-        // level, never aliased.
+        // Different optimizer level: one plan per level, never aliased.
         let eg =
             Signature::with_opt("f", &e, &ctx(8), Dtype::F64, BackendId::ENGINE, OptLevel::Egraph);
         assert_ne!(base, eg);

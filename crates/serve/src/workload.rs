@@ -14,7 +14,7 @@ use laab_expr::eval::Env;
 use laab_expr::{elem, var, Context, Expr};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::signature::{Dtype, OptLevel, Signature};
+use crate::signature::{Dtype, Signature};
 
 /// One request family: a callsite with a fixed expression structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -181,25 +181,12 @@ impl Request {
     /// One logical request driven through two backends yields two
     /// signatures — that is what keeps A/B cache entries independent.
     /// The payload does not participate: same shapes, same plan. The
-    /// optimizer level is the one [`OptLevel::for_input`] picks for the
+    /// optimizer level is the one
+    /// [`OptLevel::for_input`](crate::OptLevel::for_input) picks for the
     /// family's expression at this size.
     pub fn signature(&self, backend: BackendId) -> Signature {
         let (expr, ctx) = (self.family.expr(self.n), self.family.ctx(self.n));
         Signature::new(self.family.id(), &expr, &ctx, self.dtype, backend)
-    }
-
-    /// [`Request::signature`] at an explicit optimizer level — the
-    /// `--opt` A/B axis: one logical request compiled at two levels is
-    /// two cache entries, exactly like the backend axis.
-    pub fn signature_opt(&self, backend: BackendId, opt: OptLevel) -> Signature {
-        Signature::with_opt(
-            self.family.id(),
-            &self.family.expr(self.n),
-            &self.family.ctx(self.n),
-            self.dtype,
-            backend,
-            opt,
-        )
     }
 
     /// The request's operand bindings, derived from the shared pool env
@@ -263,6 +250,7 @@ pub fn synthetic_mix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signature::OptLevel;
     use laab_expr::eval::eval;
 
     #[test]
@@ -369,7 +357,6 @@ mod tests {
                 let want = if gated_in { OptLevel::Egraph } else { OptLevel::Passes };
                 assert_eq!(level, want, "{} n={n}", family.id());
                 let sig = req.signature(BackendId::ENGINE);
-                assert_eq!(sig, req.signature_opt(BackendId::ENGINE, level));
                 assert_eq!(sig.opt(), level);
                 assert!(sig.to_string().ends_with(&format!("opt={level}")), "{sig}");
             }

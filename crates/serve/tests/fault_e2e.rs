@@ -85,7 +85,7 @@ fn seeded_panic_delay_drop_counters_match_the_plan_exactly() {
     assert!(!panics.is_empty() && !drops.is_empty() && !delays.is_empty());
     assert_ne!(panics, drops, "kind salt separates the id sets");
 
-    let cfg = ServeConfig::smoke_builder()
+    let cfg = ServeConfig::builder()
         .backends(["seed"])
         .batch_window(1)
         .quarantine_after(0) // isolate panic accounting from quarantine
@@ -139,7 +139,7 @@ fn corrupt_faults_are_counted_as_mismatches_on_completed_responses() {
     let corrupts = fired(&plan, 0x1AAB, FaultKind::Corrupt, REQUESTS);
     assert!(!corrupts.is_empty() && corrupts.len() < REQUESTS as usize);
 
-    let cfg = ServeConfig::smoke_builder()
+    let cfg = ServeConfig::builder()
         .backends(["seed"])
         .batch_window(1)
         .faults(Some(plan))
@@ -172,7 +172,7 @@ fn deadlines_expire_delayed_requests_before_execution() {
     const REQUESTS: u64 = 12;
     let plan = FaultPlan::parse("delay:1/1x5000").expect("plan parses");
 
-    let cfg = ServeConfig::smoke_builder()
+    let cfg = ServeConfig::builder()
         .backends(["seed"])
         .batch_window(1)
         .faults(Some(plan))
@@ -208,7 +208,7 @@ fn inflight_cap_sheds_burst_overflow_with_busy() {
     const REQUESTS: u64 = 8;
     let plan = FaultPlan::parse("delay:1/1x20000").expect("plan parses");
 
-    let cfg = ServeConfig::smoke_builder()
+    let cfg = ServeConfig::builder()
         .backends(["seed"])
         .batch_window(1)
         .max_inflight(1)
@@ -256,7 +256,7 @@ fn quarantine_fences_repeatedly_failing_signatures() {
     let distinct = distinct.len() as u64;
     assert!(distinct > 1 && distinct < REQUESTS as u64, "mix repeats signatures");
 
-    let cfg = ServeConfig::smoke_builder()
+    let cfg = ServeConfig::builder()
         .backends(["seed"])
         .batch_window(1)
         .quarantine_after(1)

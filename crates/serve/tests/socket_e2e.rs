@@ -1,18 +1,22 @@
 //! End-to-end smoke over real sockets: a `Server` on one thread, the
-//! load generator driving it from this one, and three acceptance
+//! load generator driving it from this one, and four acceptance
 //! assertions — the socket path is **bitwise identical** to the
-//! in-process oracle at the same seed, low-rate traffic is released by
-//! **free executors** (no batch waits out a timer), and shutdown is
-//! clean (no leaked socket file, every thread joined).
+//! client's local oracle at the same seed, low-rate traffic is released
+//! by **free executors** (no batch waits out a timer), the plan cache
+//! compiled each visited signature **once**, and shutdown is clean (no
+//! leaked socket file, every thread joined).
+
+use std::collections::HashSet;
 
 use laab_serve::loadgen::{self, Arrival, LoadgenConfig};
-use laab_serve::{ServeConfig, Server};
+use laab_serve::workload::synthetic_mix;
+use laab_serve::{BackendId, ServeConfig, Server};
 
 fn server_cfg() -> ServeConfig {
     // The seed backend's batched execution is a per-item loop, so
     // batched ≡ solo bitwise — the only backend where the oracle check
     // is exact by construction.
-    ServeConfig::smoke_builder().backends(["seed"]).build().expect("smoke config validates")
+    ServeConfig::builder().backends(["seed"]).build().expect("config validates")
 }
 
 #[test]
@@ -24,10 +28,11 @@ fn unix_socket_serving_is_bitwise_identical_and_shuts_down_clean() {
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run());
 
-    let report = loadgen::run(&LoadgenConfig::smoke(&addr)).expect("loadgen completes");
+    let lg = LoadgenConfig::smoke(&addr);
+    let report = loadgen::run(&lg).expect("loadgen completes");
 
     // Every request of every arrival process completed, and every result
-    // matched the in-process solo execution bit for bit.
+    // matched the local solo execution bit for bit.
     assert_eq!(report.runs.len(), 3, "closed, poisson, bursty");
     for run in &report.runs {
         assert_eq!(run.completed, report.requests as u64, "{} completed", run.arrival);
@@ -56,6 +61,19 @@ fn unix_socket_serving_is_bitwise_identical_and_shuts_down_clean() {
     assert_eq!(stats.served, 3 * report.requests as u64);
     assert_eq!(stats.rejected, 0);
     assert_eq!(stats.admission.deadline_flushes, 0);
+    // The served plan cache: one compile per distinct signature the
+    // stream visits (all three runs replay the same stream and nothing
+    // is evicted), and one lookup per admitted batch, so never more
+    // lookups than served requests.
+    let distinct: HashSet<_> = synthetic_mix(lg.requests, lg.n, lg.seed, lg.churn_every, lg.dtype)
+        .iter()
+        .map(|r| r.signature(BackendId::SEED).hash())
+        .collect();
+    assert_eq!(stats.cache.evictions, 0);
+    assert_eq!(stats.cache.misses, distinct.len() as u64);
+    assert_eq!(stats.cache.entries, distinct.len());
+    assert!(stats.cache.hits > 0, "repeated signatures hit");
+    assert!(stats.cache.hits + stats.cache.misses <= stats.served, "{:?}", stats.cache);
     assert!(!path.exists(), "socket file must not leak past shutdown");
 }
 

@@ -3,8 +3,7 @@
 //! ```text
 //! laab run [OPTIONS] [EXPERIMENT]...   run experiments (default: all)
 //! laab bench [OPTIONS]                 GEMM engine perf trajectory
-//! laab serve [OPTIONS]                 plan-cache serving throughput
-//! laab serve --listen ADDR [OPTIONS]   network server (unix/tcp RPC)
+//! laab serve --listen ADDR [OPTIONS]   the plan-cache server (unix/tcp RPC)
 //! laab loadgen --addr ADDR [OPTIONS]   drive a server, client-side latency
 //! laab list                            list experiments + report formats
 //! laab help                            this message
@@ -15,7 +14,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use laab::serve::{self, loadgen, ServeConfig, Server};
+use laab::serve::{loadgen, ServeConfig, Server};
 use laab::suite::bench_registry;
 use laab::suite::gemm_bench::{self, GemmBenchConfig};
 use laab::suite::runner::{self, Experiment};
@@ -28,7 +27,7 @@ laab — Linear Algebra Awareness Benchmark runner (arXiv:2202.09888)
 USAGE:
     laab run [OPTIONS] [EXPERIMENT]...
     laab bench [BENCH OPTIONS]
-    laab serve [SERVE OPTIONS]
+    laab serve --listen ADDR [SERVE OPTIONS]
     laab loadgen --addr ADDR [LOADGEN OPTIONS]
     laab list
     laab help
@@ -59,51 +58,34 @@ BENCH OPTIONS (laab bench — GEMM engine GFLOP/s trajectory):
     --json           print the machine-readable report to stdout
     --out PATH       write the JSON report to PATH (BENCH_gemm.json format)
 
-SERVE OPTIONS (laab serve — compiled-plan cache serving throughput):
-    --smoke          CI smoke protocol: n = 48, 320 requests
-    --requests R     synthetic requests to drain   [default: 2048]
-    --clients C      serving clients. Explicit counts are taken verbatim
+SERVE OPTIONS (laab serve — the compiled-plan cache behind a socket):
+    --listen ADDR    required: unix:<path> or tcp:<host:port>. Runs until a
+                     client sends the in-band shutdown frame (see laab
+                     loadgen), then prints what it served and its
+                     plan-cache counters. Throughput and latency are
+                     measured from outside: laab loadgen, benchmark/run.sh
+    --record-arrivals PATH
+                     write the observed inter-arrival gaps to PATH at
+                     shutdown, one microsecond gap per line — the trace
+                     format laab loadgen replays with
+                     --arrivals replay:PATH
+    --clients C      executor threads. Explicit counts are taken verbatim
                      (never clamped); omit the flag for auto-detection,
                      which caps at 8 — beyond that the 1-socket kernels,
                      not the serving layer, are the bottleneck. `--clients
                      0` is rejected: it is not \"all cores\".
                                                    [default: auto, max 8]
-    --n N            base operand size             [default: 192]
-    --seed S         stream/operand seed           [default: 6827 (0x1AAB)]
-    --backends LIST  comma-separated execution backends to A/B under the
-                     same interleaved traffic      [default: engine]
-                     (built-ins: engine, seed, reference, deferred;
-                     first = baseline)
-    --dtype D        pin request precision: f32 | f64 | mixed
-                                                   [default: mixed]
-    --opt LEVEL      pin the in-process bench's optimizer pipeline:
-                     passes | egraph
-                     `passes` compiles through the trace-time graph
-                     passes alone; `egraph` A/Bs them against equality
-                     saturation + cost-based extraction under the same
-                     interleaved traffic, reports per-family extracted
-                     cost vs measured latency, and numerically probes the
-                     two pipelines against each other. A `--listen`
-                     server is not pinned by this: it saturates exactly
-                     the expressions costly enough to repay it
-                                                   [default: passes]
-    --dispatch-us D  modeled launch cost of the deferred backend: every
-                     flushed op group is charged D µs of dispatch before
-                     its kernels run, so the report's dispatch-vs-compute
-                     split (and the win from fusing launches away) is
-                     deterministic                 [default: 5]
-    --no-fusion      keep the deferred tape but launch every op in its
-                     own group: isolates the dispatch-model cost from
-                     the fusion win (the fusion-on/off A/B runs either
-                     way; this flips the serving legs)
+    --seed S         operand-pool/payload/fault seed; a verifying client
+                     must pass the same one        [default: 6827 (0x1AAB)]
+    --backends LIST  comma-separated execution backends requests may ask
+                     for                           [default: engine]
+                     (built-ins: engine, seed, reference, deferred)
     --batch-window N admission window: coalesce up to N pending
                      same-signature requests into one batched (multi-RHS)
-                     execution. Requests only wait while every executor
-                     is busy: a free one takes the oldest pending group
-                     at once, however full         [default: 8]
-    --arrival-rate R offered load of the live/open-loop phases, req/s
-                                                   [default: 2000]
-    --no-batch       disable batching (same as --batch-window 0)
+                     execution; 0 switches batching off. Requests only
+                     wait while every executor is busy: a free one takes
+                     the oldest pending group at once, however full
+                                                   [default: 8]
     --max-inflight N per-connection in-flight cap: requests beyond it get
                      a structured Busy{retry_after_us} rejection instead
                      of queueing (0 = unlimited)   [default: 256]
@@ -123,16 +105,6 @@ SERVE OPTIONS (laab serve — compiled-plan cache serving throughput):
                      drop:<n/d>, delay:<n/d>x<us>, panic:<n/d>,
                      corrupt:<n/d> — each request id fires a fault at
                      most once, decided by the seed  [default: none]
-    --listen ADDR    serve over a socket instead of benchmarking:
-                     unix:<path> or tcp:<host:port>. Runs until a client
-                     sends the in-band shutdown frame (see laab loadgen).
-    --record-arrivals PATH
-                     (with --listen) write the observed inter-arrival
-                     gaps to PATH at shutdown, one microsecond gap per
-                     line — the trace format laab loadgen replays with
-                     --arrivals replay:PATH
-    --json           print the machine-readable report to stdout
-    --out PATH       write the JSON report to PATH (BENCH_serve.json format)
 
 LOADGEN OPTIONS (laab loadgen — drive a --listen server from the outside):
     --addr ADDR      server address (unix:<path> or tcp:<host:port>)
@@ -397,13 +369,11 @@ fn run_bench(args: BenchArgs) -> ExitCode {
 
 struct ServeArgs {
     cfg: ServeConfig,
-    listen: Option<String>,
+    listen: String,
     record_arrivals: Option<String>,
-    json_stdout: bool,
-    out: Option<String>,
 }
 
-/// Parse a `--dtype` value shared by `laab serve` and `laab loadgen`.
+/// Parse `laab loadgen`'s `--dtype` value.
 fn parse_dtype(value: Option<String>) -> Result<Option<laab::serve::Dtype>, String> {
     match value.ok_or("--dtype requires a value")?.as_str() {
         "f32" => Ok(Some(laab::serve::Dtype::F32)),
@@ -431,43 +401,24 @@ fn parse_list(value: Option<String>, flag: &str) -> Result<Vec<String>, String> 
 /// Parse `laab serve` arguments. `Ok(None)` means `--help` was requested.
 /// Construction goes through [`ServeConfig::builder`] so every invalid
 /// combination — unknown backends, `--clients 0` — is rejected here
-/// with a usage error, not deep in the run.
+/// with a usage error, not after the listener is bound.
 fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<Option<ServeArgs>, String> {
     let mut builder = ServeConfig::builder();
     let mut listen = None;
     let mut record_arrivals = None;
-    let mut json_stdout = false;
-    let mut out = None;
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            // --smoke reseeds the whole base protocol; flags after it
-            // refine it (flags before it are overwritten, like --quick
-            // in `laab run`).
-            "--smoke" => builder = ServeConfig::smoke_builder(),
-            "--requests" => builder = builder.requests(parse_num(args.next(), "--requests")?),
+            "--listen" => listen = Some(args.next().ok_or("--listen requires an address")?),
+            "--record-arrivals" => {
+                record_arrivals = Some(args.next().ok_or("--record-arrivals requires a path")?);
+            }
             "--clients" => builder = builder.clients(parse_num(args.next(), "--clients")?),
-            "--n" => builder = builder.n(parse_num(args.next(), "--n")?),
             "--seed" => builder = builder.seed(parse_num(args.next(), "--seed")?),
             "--backends" => builder = builder.backends(parse_list(args.next(), "--backends")?),
-            "--dtype" => builder = builder.dtype(parse_dtype(args.next())?),
-            "--opt" => {
-                let value = args.next().ok_or("--opt requires a level (passes | egraph)")?;
-                let level = laab::serve::OptLevel::from_id(&value)
-                    .ok_or_else(|| format!("unknown --opt level `{value}` (passes | egraph)"))?;
-                builder = builder.opt(level);
-            }
-            "--dispatch-us" => {
-                builder = builder.dispatch_us(parse_num(args.next(), "--dispatch-us")?);
-            }
-            "--no-fusion" => builder = builder.fusion(false),
             "--batch-window" => {
                 builder = builder.batch_window(parse_num(args.next(), "--batch-window")?);
             }
-            "--arrival-rate" => {
-                builder = builder.arrival_rate(parse_num(args.next(), "--arrival-rate")?);
-            }
-            "--no-batch" => builder = builder.batch_window(0),
             "--max-inflight" => {
                 builder = builder.max_inflight(parse_num(args.next(), "--max-inflight")?);
             }
@@ -484,21 +435,13 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<Option<ServeAr
                     .map_err(|e| format!("invalid --faults spec: {e}"))?;
                 builder = builder.faults(Some(plan));
             }
-            "--listen" => listen = Some(args.next().ok_or("--listen requires an address")?),
-            "--record-arrivals" => {
-                record_arrivals = Some(args.next().ok_or("--record-arrivals requires a path")?);
-            }
-            "--json" => json_stdout = true,
-            "--out" => out = Some(args.next().ok_or("--out requires a path")?),
             "--help" | "-h" => return Ok(None),
             flag => return Err(format!("unknown option `{flag}` for `laab serve`")),
         }
     }
-    if record_arrivals.is_some() && listen.is_none() {
-        return Err("--record-arrivals only applies to a --listen server".into());
-    }
+    let listen = listen.ok_or("--listen is required (unix:<path> or tcp:<host:port>)")?;
     let cfg = builder.build().map_err(|e| e.to_string())?;
-    Ok(Some(ServeArgs { cfg, listen, record_arrivals, json_stdout, out }))
+    Ok(Some(ServeArgs { cfg, listen, record_arrivals }))
 }
 
 struct LoadgenArgs {
@@ -638,232 +581,61 @@ fn run_loadgen(args: LoadgenArgs) -> ExitCode {
 }
 
 fn run_serve(args: ServeArgs) -> ExitCode {
-    if let Some(spec) = &args.listen {
-        let mut server = match Server::bind(spec, &args.cfg) {
-            Ok(server) => server,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if let Some(path) = &args.record_arrivals {
-            server = server.record_arrivals(path);
-            eprintln!("recording inter-arrival gaps to {path} (written at shutdown)");
-        }
-        eprintln!(
-            "listening on {} (backends: {}, window {}); \
-             send a shutdown frame (laab loadgen) to stop",
-            server.local_addr(),
-            args.cfg.backends.join(","),
-            args.cfg.batch_window,
-        );
-        return match server.run() {
-            Ok(stats) => {
-                eprintln!(
-                    "served {} requests over {} connections ({} rejected, {} shed, \
-                     {} expired, {} failed, {} quarantined, {} reaped); \
-                     flushes occ/drain/pressure {}/{}/{}",
-                    stats.served,
-                    stats.connections,
-                    stats.rejected,
-                    stats.shed,
-                    stats.expired,
-                    stats.failed,
-                    stats.quarantined,
-                    stats.reaped,
-                    stats.admission.occupancy_flushes,
-                    stats.admission.drain_flushes,
-                    stats.admission.pressure_flushes,
-                );
-                let f = stats.faults;
-                if f.drops + f.delays + f.panics + f.corrupts > 0 {
-                    eprintln!(
-                        "injected faults: {} drops, {} delays, {} panics, {} corrupts",
-                        f.drops, f.delays, f.panics, f.corrupts,
-                    );
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    eprintln!(
-        "serving {} synthetic requests ({} protocol, base n = {}, backends: {}, opt: {}, {})...",
-        args.cfg.requests,
-        if args.cfg.smoke { "smoke" } else { "full" },
-        args.cfg.n,
-        args.cfg.backends.join(","),
-        if args.cfg.opt == serve::OptLevel::Egraph { "egraph A/B" } else { "passes" },
-        if args.cfg.batching_enabled() {
-            format!("batch window {}", args.cfg.batch_window)
-        } else {
-            "batching off".to_string()
-        }
-    );
-    let report = match serve::run(&args.cfg) {
-        Ok(report) => report,
+    let mut server = match Server::bind(&args.listen, &args.cfg) {
+        Ok(server) => server,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    if args.json_stdout {
-        emit(&report.to_json());
-    } else {
-        emit(&report.summary_table().to_string());
-        if report.backends.len() > 1 {
-            emit(&report.backend_table().to_string());
-        }
-        if report.opt_levels.len() > 1 {
-            let levels = report
-                .opt_levels
-                .iter()
-                .map(|l| format!("{} p50 {:.3} ms / mean {:.3} ms", l.level, l.p50_ms, l.mean_ms))
-                .collect::<Vec<_>>()
-                .join("; ");
-            emit(&format!(
-                "optimizer A/B: {levels}; {} probes, {} mismatches, {} budget hits",
-                report.opt_probes, report.opt_mismatches, report.saturation_budget_hits,
-            ));
-            for f in &report.opt_families {
-                if f.changed {
-                    emit(&format!(
-                        "  {}: egraph found a cheaper plan (cost {} -> {}), \
-                         measured {:.3} ms vs {:.3} ms ({:.2}x)",
-                        f.family,
-                        f.original_cost,
-                        f.extracted_cost,
-                        f.passes_mean_ms,
-                        f.egraph_mean_ms,
-                        f.egraph_speedup,
-                    ));
-                }
+    if let Some(path) = &args.record_arrivals {
+        server = server.record_arrivals(path);
+        eprintln!("recording inter-arrival gaps to {path} (written at shutdown)");
+    }
+    eprintln!(
+        "listening on {} (backends: {}, window {}); \
+         send a shutdown frame (laab loadgen) to stop",
+        server.local_addr(),
+        args.cfg.backends.join(","),
+        args.cfg.batch_window,
+    );
+    match server.run() {
+        Ok(stats) => {
+            eprintln!(
+                "served {} requests over {} connections ({} rejected, {} shed, \
+                 {} expired, {} failed, {} quarantined, {} reaped); \
+                 flushes occ/drain/pressure {}/{}/{}; \
+                 plan cache: {} hits / {} misses ({} retraces, {} evictions)",
+                stats.served,
+                stats.connections,
+                stats.rejected,
+                stats.shed,
+                stats.expired,
+                stats.failed,
+                stats.quarantined,
+                stats.reaped,
+                stats.admission.occupancy_flushes,
+                stats.admission.drain_flushes,
+                stats.admission.pressure_flushes,
+                stats.cache.hits,
+                stats.cache.misses,
+                stats.cache.retraces,
+                stats.cache.evictions,
+            );
+            let f = stats.faults;
+            if f.drops + f.delays + f.panics + f.corrupts > 0 {
+                eprintln!(
+                    "injected faults: {} drops, {} delays, {} panics, {} corrupts",
+                    f.drops, f.delays, f.panics, f.corrupts,
+                );
             }
+            ExitCode::SUCCESS
         }
-        if report.deferred.enabled {
-            let d = &report.deferred;
-            emit(&format!(
-                "deferred backend (dispatch {} us/group, fusion {}): \
-                 {} tape ops in {} groups ({} fused, {} solo), \
-                 flushes cap/materialize/barrier {}/{}/{}\n\
-                 modeled dispatch {:.3} ms vs compute {:.3} ms; \
-                 {} equivalence probes, {} mismatches",
-                d.dispatch_us,
-                if d.fusion { "on" } else { "off" },
-                d.tape_ops,
-                d.groups,
-                d.fused_ops,
-                d.unfused_ops,
-                d.flush_capacity,
-                d.flush_materialize,
-                d.flush_barrier,
-                d.dispatch_ns as f64 / 1e6,
-                d.compute_ns as f64 / 1e6,
-                d.probes,
-                d.mismatches,
-            ));
-            for f in &d.families {
-                if f.fused_ops > 0 {
-                    emit(&format!(
-                        "  {}: {} of {} ops fused, dispatch share {:.1}%, \
-                         fused {:.3} ms vs unfused {:.3} ms ({:.2}x)",
-                        f.family,
-                        f.fused_ops,
-                        f.tape_ops,
-                        100.0 * f.dispatch_share,
-                        f.fused_mean_ms,
-                        f.unfused_mean_ms,
-                        f.fused_speedup,
-                    ));
-                }
-            }
-        }
-        emit(&format!(
-            "{:.0} executions/s over {} clients; p50 {:.3} ms, p99 {:.3} ms\n\
-             plan cache: {} hits / {} misses ({} retraces, {} evictions, \
-             {} evicted recompiles @ {:.3} ms), hit rate {:.3}\n\
-             cold trace {:.3} ms vs cache hit {:.3} ms: {:.2}x",
-            report.requests_per_sec,
-            report.clients_resolved,
-            report.p50_ms,
-            report.p99_ms,
-            report.cache.hits,
-            report.cache.misses,
-            report.cache.retraces,
-            report.cache.evictions,
-            report.cache.evicted_recompiles,
-            report.cache.mean_recompile_ms,
-            report.cache.hit_rate,
-            report.cold_trace_mean_ms,
-            report.cache_hit_mean_ms,
-            report.cache_hit_speedup,
-        ));
-        if report.batching.enabled {
-            let b = &report.batching;
-            emit(&format!(
-                "batching: window {}, {} batches (mean occupancy {:.2}, max {}), \
-                 {} stacked / {} fallback / {} solo\n\
-                 batched {:.3} ms vs solo {:.3} ms per request: {:.2}x \
-                 ({:.0} vs {:.0} req/s over coalesced batches)",
-                b.window,
-                b.batches,
-                b.mean_occupancy,
-                b.max_occupancy,
-                b.stacked_batches,
-                b.fallback_batches,
-                b.solo_batches,
-                b.batched_mean_ms,
-                b.solo_mean_ms,
-                b.batched_speedup,
-                b.batched_requests_per_sec,
-                b.solo_requests_per_sec,
-            ));
-        }
-        let a = &report.admission;
-        emit(&format!(
-            "live admission (poisson {:.0} req/s, window {}): \
-             queue delay p50 {:.1} us / p99 {:.1} us, \
-             flushes occ/drain {}/{} over {} batches; \
-             sweep: {} operating points",
-            a.arrival_rate,
-            a.window,
-            a.queue_delay_p50_us,
-            a.queue_delay_p99_us,
-            a.occupancy_flushes,
-            a.drain_flushes,
-            a.batches,
-            report.sweep.len(),
-        ));
-        if !report.overload.is_empty() {
-            let curve = report
-                .overload
-                .iter()
-                .map(|o| format!("{:.0}->{:.0}", o.offered_rps, o.goodput_rps))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let (shed, expired): (u64, u64) =
-                report.overload.iter().fold((0, 0), |(s, x), o| (s + o.shed, x + o.expired));
-            emit(&format!(
-                "overload (backlog {}, deadline {} us): offered->goodput req/s {curve}; \
-                 {shed} shed, {expired} expired",
-                report.overload[0].backlog, report.overload[0].deadline_us,
-            ));
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
         }
     }
-    if let Some(path) = &args.out {
-        let json = report.to_json();
-        if let Err(e) = std::fs::File::create(path)
-            .and_then(|mut f| f.write_all(json.as_bytes()).and_then(|()| f.write_all(b"\n")))
-        {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    ExitCode::SUCCESS
 }
 
 fn parse_num<T: std::str::FromStr>(value: Option<String>, flag: &str) -> Result<T, String> {
@@ -931,4 +703,79 @@ fn format_result_text(result: &laab::suite::ExperimentResult, wall: f64) -> Stri
         ));
     }
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn serve_args(line: &str) -> Result<Option<ServeArgs>, String> {
+        parse_serve_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn removed_serve_flags_are_unknown_options() {
+        // Everything the in-process bench took (names without the `--`).
+        const REMOVED: [&str; 11] = [
+            "smoke",
+            "requests",
+            "n",
+            "dtype",
+            "opt",
+            "dispatch-us",
+            "no-fusion",
+            "arrival-rate",
+            "no-batch",
+            "json",
+            "out",
+        ];
+        for name in REMOVED {
+            let err = serve_args(&format!("--listen unix:/tmp/x.sock --{name} 1")).err();
+            let want = format!("unknown option `--{name}` for `laab serve`");
+            assert_eq!(err.as_deref(), Some(want.as_str()));
+        }
+    }
+
+    #[test]
+    fn serve_requires_a_listen_address() {
+        let err = serve_args("--backends seed").err().expect("no address, no server");
+        assert!(err.contains("--listen is required"), "{err}");
+        let err = serve_args("--record-arrivals /tmp/t.txt").err().expect("still no address");
+        assert!(err.contains("--listen is required"), "{err}");
+        assert!(matches!(serve_args("--help"), Ok(None)));
+    }
+
+    #[test]
+    fn surviving_serve_flags_round_trip_into_the_config() {
+        let args = serve_args(
+            "--listen unix:/tmp/x.sock --record-arrivals /tmp/t.txt --clients 3 --seed 7 \
+             --backends seed,reference --batch-window 0 --max-inflight 5 --backlog 6 \
+             --quarantine-after 9 --read-timeout-ms 10 --faults panic:1/8",
+        )
+        .expect("valid")
+        .expect("not --help");
+        assert_eq!(args.listen, "unix:/tmp/x.sock");
+        assert_eq!(args.record_arrivals.as_deref(), Some("/tmp/t.txt"));
+        let defaults = ServeConfig::default();
+        let want = ServeConfig {
+            clients: 3,
+            seed: 7,
+            // No flag reaches the cache geometry.
+            cache_capacity: defaults.cache_capacity,
+            shards: defaults.shards,
+            backends: vec!["seed".into(), "reference".into()],
+            batch_window: 0,
+            max_inflight: 5,
+            backlog: 6,
+            quarantine_after: 9,
+            read_timeout_ms: 10,
+            faults: Some(laab::serve::FaultPlan::parse("panic:1/8").expect("plan parses")),
+        };
+        assert_eq!(args.cfg, want);
+
+        let bare = serve_args("--listen tcp:127.0.0.1:0").unwrap().unwrap();
+        assert_eq!((bare.cfg, bare.record_arrivals), (defaults, None));
+        let err = serve_args("--listen unix:/tmp/x.sock --clients 0").err().expect("rejected");
+        assert!(err.contains("--clients 0"), "{err}");
+    }
 }

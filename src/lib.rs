@@ -10,8 +10,8 @@
 //! * [`kernels`] — a pure-Rust BLAS substrate (packed GEMM, TRMM, SYRK,
 //!   structured kernels) with FLOP/call instrumentation;
 //! * [`backend`] — pluggable execution backends (engine / seed /
-//!   reference) behind one dispatch trait and a process-wide registry,
-//!   the serve-side A/B axis;
+//!   reference) behind one dispatch trait and a process-wide registry;
+//!   a served request names the one it wants;
 //! * [`deferred`] — the lazy accelerator-model backend: node executions
 //!   append to a per-plan tape, and flushes run a fusion pass (GEMM
 //!   epilogues, same-shape launch coalescing) under an explicit
@@ -29,7 +29,7 @@
 //!   `Flow`/`Torch` profiles);
 //! * [`serve`] — the compiled-plan cache and request-serving layer
 //!   (signatures, plans, the sharded LRU cache, the `laab serve`
-//!   throughput harness);
+//!   socket server and its load generator);
 //! * [`stats`] — min-of-R timing and bootstrap significance;
 //! * [`suite`] — the experiments themselves, one per paper table/figure.
 //!
