@@ -1,17 +1,16 @@
 //! An arena-backed e-graph over the expression AST.
 //!
-//! The best-first [`RewriteEngine`](crate::RewriteEngine) explores one
-//! expression at a time and therefore misses rewrites that require a
-//! temporary cost increase (distributing before re-factoring, pushing a
-//! transpose the "wrong" way to expose a cancellation). The e-graph keeps
-//! *every* equivalent form at once: expressions are interned into
-//! **e-classes** (sets of provably-equal expressions) whose members are
-//! **e-nodes** — operators over e-class children — so a rewrite applied
-//! anywhere is instantly shared by every expression containing that
-//! subterm. Equality is maintained by a union-find plus **congruence
-//! closure**: when two classes merge, parents that became structurally
-//! identical are merged too ([`EGraph::rebuild`], the egg-style repair
-//! loop).
+//! A search that walks one expression at a time misses rewrites that
+//! require a temporary cost increase (distributing before re-factoring,
+//! pushing a transpose the "wrong" way to expose a cancellation). The
+//! e-graph keeps *every* equivalent form at once: expressions are
+//! interned into **e-classes** (sets of provably-equal expressions) whose
+//! members are **e-nodes** — operators over e-class children — so a
+//! rewrite applied anywhere is instantly shared by every expression
+//! containing that subterm. Equality is maintained by a union-find plus
+//! **congruence closure**: when two classes merge, parents that became
+//! structurally identical are merged too ([`EGraph::rebuild`], the
+//! egg-style repair loop).
 //!
 //! The arena is plain `Vec`s — no external dependencies — and every
 //! operation is deterministic: classes are iterated in id order, unions

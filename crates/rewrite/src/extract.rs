@@ -21,13 +21,23 @@
 //! deterministic, and ties keep the earliest member: class node lists
 //! preserve insertion order with original-expression nodes first.
 //!
+//! A product of a value with its own transpose is one decision: the cost
+//! model prices `Mul(a, b)` at the SYRK rate whenever `a ≡ bᵀ` (or
+//! `b ≡ aᵀ`) at class level, so the walk reads only the operand class
+//! it squares plus one transpose tick, and the tree is built as `bᵀ·b`
+//! (or `a·aᵀ`) — one node in both slots, the form
+//! `graph::passes::lower_syrk` lowers. Built any other way (`(BᵀA)(AᵀB)`
+//! for E3's `(AᵀB)ᵀ(AᵀB)`) the discount would be priced but never paid.
+//!
 //! Greedy choices are not globally optimal under sharing (a class cannot
 //! know which of its members a sibling will also reach), so
 //! [`optimize_egraph`] keeps the input whenever the extracted form is not
 //! strictly cheaper: the result never costs more than the input, and an
 //! equal-cost rewrite never displaces the input form (this is what makes
 //! extraction stable and the differential suite's bitwise claims
-//! meaningful).
+//! meaningful). Both sides of that comparison are
+//! [`CostModel::expr_cost`] of a tree, so a reported cost is always the
+//! price of the tree reported with it.
 //!
 //! [`optimize_egraph`] is the pipeline callers use: intern → saturate →
 //! extract, with the budget-hit fallback the serving layer's
@@ -43,9 +53,35 @@ use laab_expr::{Context, Expr};
 pub struct Extraction {
     /// The extracted expression tree.
     pub expr: Expr,
-    /// Its DAG cost under the extraction [`CostModel`]: every distinct
-    /// e-class of the selection priced once.
+    /// Its DAG cost under the extraction [`CostModel`]
+    /// ([`CostModel::expr_cost`]: every distinct subtree priced once).
     pub cost: u64,
+}
+
+/// The one operand class a product `Mul(a, b)` of a value with its own
+/// transpose is built from: `b` when `a ≡ bᵀ` (rendered `bᵀ·b`), else `a`
+/// when `b ≡ aᵀ` (rendered `a·aᵀ`); `None` for any other product.
+fn gram_operand(eg: &EGraph, a: EClassId, b: EClassId) -> Option<EClassId> {
+    if eg.class_is_transpose_of(a, b) {
+        Some(eg.find(b))
+    } else if eg.class_is_transpose_of(b, a) {
+        Some(eg.find(a))
+    } else {
+        None
+    }
+}
+
+/// The classes a selected `node` reads and the cost of reading them
+/// beyond their own choices: a Gram product reads its one operand plus a
+/// transpose tick.
+fn reads(eg: &EGraph, node: &ENode) -> (Vec<EClassId>, u64) {
+    match node {
+        ENode::Mul(a, b) => match gram_operand(eg, *a, *b) {
+            Some(x) => (vec![x], 1),
+            None => (vec![*a, *b], 0),
+        },
+        _ => (node.children(), 0),
+    }
 }
 
 /// One class's current selection.
@@ -76,8 +112,8 @@ impl Selection<'_> {
     fn price(&mut self, id: EClassId, member: usize) -> Option<u64> {
         self.stamp += 1;
         self.seen[id.0 as usize] = self.stamp;
-        let mut cost = self.own[id.0 as usize][member];
-        let mut stack = self.eg.class(id).nodes[member].children();
+        let (mut stack, tick) = reads(self.eg, &self.eg.class(id).nodes[member]);
+        let mut cost = self.own[id.0 as usize][member].saturating_add(tick);
         while let Some(c) = stack.pop() {
             let c = self.eg.find(c);
             if c == id {
@@ -87,8 +123,9 @@ impl Selection<'_> {
                 continue;
             }
             let chosen = self.best[c.0 as usize]?.member;
-            cost = cost.saturating_add(self.own[c.0 as usize][chosen]);
-            stack.extend(self.eg.class(c).nodes[chosen].children());
+            let (kids, tick) = reads(self.eg, &self.eg.class(c).nodes[chosen]);
+            cost = cost.saturating_add(self.own[c.0 as usize][chosen]).saturating_add(tick);
+            stack.extend(kids);
         }
         Some(cost)
     }
@@ -120,12 +157,10 @@ pub fn extract_best(eg: &EGraph, root: EClassId, model: &CostModel) -> Extractio
             break;
         }
     }
-    let root = eg.find(root);
-    let member = sel.best[root.0 as usize].expect("root class extractable").member;
-    // Re-price the root against the final choices: a stored cost can be
-    // stale once a class below it switched member.
-    let cost = sel.price(root, member).expect("the selection is acyclic");
-    Extraction { expr: build(eg, &sel.best, root), cost }
+    // Price the tree as built: a stored choice cost can be stale once a
+    // class below it switched member.
+    let expr = build(eg, &sel.best, root);
+    Extraction { cost: model.expr_cost(&expr, eg.ctx()), expr }
 }
 
 /// Rebuild the chosen expression tree for `id`'s class.
@@ -138,7 +173,19 @@ fn build(eg: &EGraph, best: &[Option<Choice>], id: EClassId) -> Expr {
         ENode::Var(name) => Expr::Var(name.clone()),
         ENode::Identity(n) => Expr::Identity(*n),
         ENode::Transpose(x) => Expr::Transpose(sub(x)),
-        ENode::Mul(a, b) => Expr::Mul(sub(a), sub(b)),
+        ENode::Mul(a, b) => match gram_operand(eg, *a, *b) {
+            Some(x) => {
+                let right = x == eg.find(*b);
+                let x = build(eg, best, x);
+                if right {
+                    x.t() * x
+                } else {
+                    let xt = x.t();
+                    x * xt
+                }
+            }
+            None => Expr::Mul(sub(a), sub(b)),
+        },
         ENode::Add(a, b) => Expr::Add(sub(a), sub(b)),
         ENode::Sub(a, b) => Expr::Sub(sub(a), sub(b)),
         ENode::Scale(c, x) => Expr::Scale(*c, sub(x)),
@@ -210,7 +257,7 @@ pub fn optimize_egraph(expr: &Expr, ctx: &Context, cfg: &EgraphConfig) -> Egraph
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laab_expr::{elem, var};
+    use laab_expr::{elem, var, Props};
 
     #[test]
     fn chain_extracts_right_to_left() {
@@ -308,10 +355,38 @@ mod tests {
 
     #[test]
     fn orthogonal_gram_materializes_identity() {
-        let ctx = Context::new().with_props("Q", 8, 8, laab_expr::Props::ORTHOGONAL);
-        let e = var("Q").t() * var("Q");
-        let r = optimize_egraph(&e, &ctx, &EgraphConfig::default());
-        assert!(r.changed);
-        assert_eq!(r.best, laab_expr::identity(8));
+        let ctx = Context::new().with_props("Q", 8, 8, Props::ORTHOGONAL).with("B", 8, 8);
+        let qtq = var("Q").t() * var("Q");
+        for (e, want) in [(qtq.clone(), laab_expr::identity(8)), (qtq * var("B"), var("B"))] {
+            let r = optimize_egraph(&e, &ctx, &EgraphConfig::default());
+            assert!(r.changed, "{e}");
+            assert_eq!(r.best, want);
+        }
+    }
+
+    #[test]
+    fn e3_is_built_in_the_gram_form_it_is_priced_at() {
+        // (AᵀB)ᵀAᵀB: the root product is priced at the SYRK rate, so it
+        // must be built with AᵀB in both slots — two GEMMs, the form
+        // `lower_syrk` lowers — not as (BᵀA)(AᵀB), three.
+        for n in [16usize, 96, 256] {
+            let ctx = Context::new().with("A", n, n).with("B", n, n);
+            let s = var("A").t() * var("B");
+            let e3 = s.t() * var("A").t() * var("B");
+            let r = optimize_egraph(&e3, &ctx, &EgraphConfig::default());
+            assert_eq!(r.best, s.t() * s, "n={n}");
+            assert_eq!(r.best_cost, CostModel::default().expr_cost(&r.best, &ctx));
+        }
+    }
+
+    #[test]
+    fn symmetric_gram_stays_a_transpose_pair() {
+        // S ≡ Sᵀ puts both in one class; S·S would be priced as SYRK but
+        // run as a GEMM.
+        let ctx = Context::new().with_props("S", 16, 16, Props::SYMMETRIC);
+        let r = optimize_egraph(&(var("S") * var("S").t()), &ctx, &EgraphConfig::default());
+        let Expr::Mul(a, b) = &r.best else { panic!("not a product: {}", r.best) };
+        assert!(laab_expr::is_transpose_pair(a, b), "extracted {}", r.best);
+        assert_eq!(r.best_cost, CostModel::default().expr_cost(&r.best, &ctx));
     }
 }

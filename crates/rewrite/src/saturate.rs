@@ -10,10 +10,11 @@
 //! [`SaturateStats::budget_hit`], which callers treat as "fall back to
 //! the pass pipeline".
 //!
-//! The set ports every rule of [`crate::rules`] and adds the directions
-//! the best-first engine could not afford to explore (they temporarily
-//! *increase* cost): distributivity ↔ factoring, transpose pushing ↔
-//! contraction, slice pushdown ↔ pull-up, and `a − b` ↔ `a + (−1)·b`.
+//! Equivalences are realized in both directions, including those that
+//! temporarily *increase* cost: distributivity ↔ factoring, transpose
+//! pushing ↔ contraction, slice pushdown ↔ pull-up, and `a − b` ↔
+//! `a + (−1)·b`. Re-association needs no chain-DP rule: saturation
+//! generates every parenthesization and extraction picks the cheapest.
 //! Property-guarded rules (symmetric-transpose elimination, identity
 //! elimination/materialization) fire only on classes whose *declared or
 //! inferred* [`Props`] prove the precondition — a
@@ -31,10 +32,6 @@ use laab_expr::{Factor, Props};
 pub struct EgraphRule {
     /// Stable name (reported by tests and docs).
     pub name: &'static str,
-    /// `true` when this rule (or its paired rule) realizes both
-    /// directions of an equivalence the best-first engine explored only
-    /// one way.
-    pub bidirectional: bool,
     /// Match at `(class, node)`, returning equivalent right-hand sides.
     pub apply: fn(&EGraph, EClassId, &ENode) -> Vec<Rhs>,
 }
@@ -48,29 +45,21 @@ impl std::fmt::Debug for EgraphRule {
 /// The full rule set, in deterministic application order.
 pub fn egraph_rules() -> Vec<EgraphRule> {
     vec![
-        EgraphRule { name: "distribute", bidirectional: true, apply: distribute },
-        EgraphRule { name: "factor", bidirectional: true, apply: factor },
-        EgraphRule {
-            name: "transpose_distribute",
-            bidirectional: true,
-            apply: transpose_distribute,
-        },
-        EgraphRule { name: "transpose_contract", bidirectional: true, apply: transpose_contract },
-        EgraphRule { name: "transpose_cancel", bidirectional: false, apply: transpose_cancel },
-        EgraphRule { name: "identity_eliminate", bidirectional: false, apply: identity_eliminate },
-        EgraphRule {
-            name: "identity_materialize",
-            bidirectional: false,
-            apply: identity_materialize,
-        },
-        EgraphRule { name: "reassociate", bidirectional: true, apply: reassociate },
-        EgraphRule { name: "slice_pushdown", bidirectional: true, apply: slice_pushdown },
-        EgraphRule { name: "slice_pullup", bidirectional: true, apply: slice_pullup },
-        EgraphRule { name: "scale_fuse", bidirectional: false, apply: scale_fuse },
-        EgraphRule { name: "sum_commute", bidirectional: false, apply: sum_commute },
-        EgraphRule { name: "sum_assoc", bidirectional: true, apply: sum_assoc },
-        EgraphRule { name: "sub_normalize", bidirectional: true, apply: sub_normalize },
-        EgraphRule { name: "blocked_split", bidirectional: false, apply: blocked_split },
+        EgraphRule { name: "distribute", apply: distribute },
+        EgraphRule { name: "factor", apply: factor },
+        EgraphRule { name: "transpose_distribute", apply: transpose_distribute },
+        EgraphRule { name: "transpose_contract", apply: transpose_contract },
+        EgraphRule { name: "transpose_cancel", apply: transpose_cancel },
+        EgraphRule { name: "identity_eliminate", apply: identity_eliminate },
+        EgraphRule { name: "identity_materialize", apply: identity_materialize },
+        EgraphRule { name: "reassociate", apply: reassociate },
+        EgraphRule { name: "slice_pushdown", apply: slice_pushdown },
+        EgraphRule { name: "slice_pullup", apply: slice_pullup },
+        EgraphRule { name: "scale_fuse", apply: scale_fuse },
+        EgraphRule { name: "sum_commute", apply: sum_commute },
+        EgraphRule { name: "sum_assoc", apply: sum_assoc },
+        EgraphRule { name: "sub_normalize", apply: sub_normalize },
+        EgraphRule { name: "blocked_split", apply: blocked_split },
     ]
 }
 
@@ -99,9 +88,8 @@ fn distribute(eg: &EGraph, _id: EClassId, n: &ENode) -> Vec<Rhs> {
     out
 }
 
-/// `A·B ± A·C → A·(B ± C)` and `A·C ± B·C → (A ± B)·C` — the direction
-/// the best-first engine reaches only by luck, and the rewrite that turns
-/// the Distributive serving family from two GEMMs into one.
+/// `A·B ± A·C → A·(B ± C)` and `A·C ± B·C → (A ± B)·C` — the rewrite
+/// that turns the Distributive serving family from two GEMMs into one.
 fn factor(eg: &EGraph, _id: EClassId, n: &ENode) -> Vec<Rhs> {
     let (x, y, sub) = match n {
         ENode::Add(x, y) => (x, y, false),

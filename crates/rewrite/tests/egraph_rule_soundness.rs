@@ -223,6 +223,11 @@ fn sub_normalize_both_directions() {
 fn blocked_split_on_conformable_blocks() {
     let ctx = Context::new().with("A", 3, 3).with("B", 2, 2).with("x", 3, 1).with("y", 2, 1);
     assert_sound("blocked_split", block_diag(var("A"), var("B")) * vcat(var("x"), var("y")), &ctx);
+    // Conformal as a whole (5×5 · 5×4) but not block by block (A is 2×3,
+    // x is 2×4): the split would be ill-typed, so the rule must not fire.
+    let ctx = Context::new().with("A", 2, 3).with("B", 3, 2).with("x", 2, 4).with("y", 3, 4);
+    let e = block_diag(var("A"), var("B")) * vcat(var("x"), var("y"));
+    assert_eq!(fire_rule("blocked_split", &e, &ctx, &env_for(&ctx, 3)), 0);
 }
 
 #[test]

@@ -30,10 +30,10 @@ pub enum Family {
     /// `Passes`-level plan. At the e-graph level it is lowered to a
     /// `Syrk` node: half the FLOPs on the engine, the GEMM's bits.
     Gram,
-    /// Experiment 4 (Table V, Eq. 9): the slicing trap
+    /// Experiment 5 (Table VI, partial operand access): the slicing trap
     /// `(AB)[0,0]` — the full product is materialized for one element.
     Slice,
-    /// Experiment 5 (Table V, Eq. 10): the distributivity trap
+    /// Experiment 4 (Table V, Eq. 9): the distributivity trap
     /// `AB + AC`, which algebra would factor as `A(B + C)`.
     Distributive,
     /// The solve workload (ext_solve): the least-squares residual step
@@ -44,7 +44,8 @@ pub enum Family {
 }
 
 impl Family {
-    /// Every family, in experiment order.
+    /// Every family. The order is part of the request mix (workloads
+    /// index into it), so it stays fixed.
     pub const ALL: [Family; 6] = [
         Family::CseGram,
         Family::Chain,
@@ -72,18 +73,6 @@ impl Family {
     /// structured rejection, not a panic).
     pub fn from_id(id: &str) -> Option<Family> {
         Family::ALL.into_iter().find(|f| f.id() == id)
-    }
-
-    /// The paper experiment this family is drawn from.
-    pub fn experiment(self) -> &'static str {
-        match self {
-            Family::CseGram => "E1/Table II (CSE)",
-            Family::Chain => "E2/Table III (chains)",
-            Family::Gram => "E3/Table IV (properties)",
-            Family::Slice => "E4/Table V eq. 9 (slicing)",
-            Family::Distributive => "E5/Table V eq. 10 (distributivity)",
-            Family::SolveResidual => "ext_solve (solver residual)",
-        }
     }
 
     /// The family's expression at operand size `n`.
@@ -266,7 +255,6 @@ mod tests {
             let env = family.env::<f64>(n, 7);
             let value = eval(&expr, &env);
             assert_eq!((value.rows(), value.cols()), (shape.rows, shape.cols));
-            assert!(!family.experiment().is_empty());
         }
     }
 

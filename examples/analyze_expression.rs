@@ -16,6 +16,7 @@ use laab_expr::cost::{aware_cost, naive_cost, shared_cost};
 use laab_expr::parse;
 use laab_framework::lower::eager_eval_expr;
 use laab_kernels::counters;
+use laab_rewrite::{optimize_egraph, EgraphConfig};
 use laab_stats::{fmt_secs, time_reps};
 
 fn main() {
@@ -60,18 +61,15 @@ fn main() {
     println!("FLOPs with CSE (shared pricing)  : {:>14}", shared_cost(&expr, &ctx, false));
     println!("FLOPs with property awareness    : {:>14}", aware_cost(&expr, &ctx));
 
-    let found = optimize_expr(&expr, &ctx, CostKind::NaiveShared);
+    let found = optimize_egraph(&expr, &ctx, &EgraphConfig::default());
+    let found_flops = naive_cost(&found.best, &ctx);
     println!(
-        "\nrewriter ({} variants explored): `{}`  at {} FLOPs  ({:.1}x)",
-        found.explored,
+        "\nrewriter ({} e-nodes saturated): `{}`  at {} FLOPs  ({:.1}x)",
+        found.stats.enodes,
         found.best,
-        found.best_cost,
-        found.speedup()
+        found_flops,
+        naive_cost(&expr, &ctx) as f64 / found_flops as f64
     );
-    let found_aware = optimize_expr(&expr, &ctx, CostKind::AwareShared);
-    if found_aware.best != found.best {
-        println!("rewriter + awareness: `{}` at {} FLOPs", found_aware.best, found_aware.best_cost);
-    }
 
     // Measured.
     let cfg = TimingConfig { reps: 10, warmup: 2 };

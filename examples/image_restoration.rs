@@ -19,7 +19,9 @@
 //! ```
 
 use laab::prelude::*;
+use laab_expr::cost::naive_cost;
 use laab_framework::Function;
+use laab_rewrite::{optimize_egraph, EgraphConfig};
 use laab_stats::fmt_secs;
 use std::time::Instant;
 
@@ -94,11 +96,12 @@ fn main() {
     }
 
     // The rewriter discovers the cheap variant automatically.
-    let r = optimize_expr(&variants[0].1, &ctx, CostKind::NaiveShared);
+    let v1 = &variants[0].1;
+    let r = optimize_egraph(v1, &ctx, &EgraphConfig::default());
     println!(
-        "\nlaab-rewrite, starting from variant 1, proposes `{}` ({:.0}x fewer FLOPs, {} variants explored)",
+        "\nlaab-rewrite, starting from variant 1, proposes `{}` ({:.0}x fewer FLOPs, {} e-nodes saturated)",
         r.best,
-        r.speedup(),
-        r.explored
+        naive_cost(v1, &ctx) as f64 / naive_cost(&r.best, &ctx) as f64,
+        r.stats.enodes
     );
 }

@@ -22,7 +22,7 @@
 //!   optimizer (transpose folding, CSE, scale fusion, DCE);
 //! * [`chain`] — matrix-chain parenthesization (DP, enumeration,
 //!   `multi_dot`);
-//! * [`rewrite`] — the derivation-graph rewriting engine and the
+//! * [`rewrite`] — the equality-saturation expression optimizer and the
 //!   property-dispatching evaluator (the "awareness" the paper finds
 //!   missing);
 //! * [`framework`] — the TF/PyT analogue under test (Eager + Graph modes,
@@ -70,6 +70,5 @@ pub mod prelude {
     pub use laab_expr::{var, Context, Expr, Props};
     pub use laab_framework::{Framework, Profile, Tensor};
     pub use laab_kernels::Trans;
-    pub use laab_rewrite::{optimize_expr, CostKind};
     pub use laab_stats::{Table, TimingConfig};
 }

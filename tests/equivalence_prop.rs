@@ -3,12 +3,12 @@
 //! A seeded generator produces random *well-typed* expressions over a small
 //! operand set; each expression is evaluated through four independent
 //! paths — the naive oracle, eager mode, optimized graph mode, and the
-//! property-aware evaluator — and additionally through every variant the
-//! rewrite engine derives. All must agree numerically.
+//! property-aware evaluator — and additionally through the tree the
+//! e-graph optimizer extracts. All must agree numerically.
 
 use laab::prelude::*;
 use laab_framework::lower::eager_eval_expr;
-use laab_rewrite::{aware_eval, RewriteEngine};
+use laab_rewrite::{aware_eval, optimize_egraph, CostModel, EgraphConfig};
 use proptest::prelude::*;
 
 /// Deterministic well-typed expression builder.
@@ -113,11 +113,13 @@ proptest! {
     }
 
     #[test]
-    fn rewrite_neighbors_preserve_semantics(
+    fn egraph_extraction_preserves_semantics(
         seed in any::<u64>(),
         depth in 1usize..3,
         data_seed in any::<u64>(),
     ) {
+        // Covers every extracted form, including Gram products rebuilt as
+        // `xᵀ·x` over the declared-triangular `L` and declared-symmetric `S`.
         let n = 5;
         let (env, ctx) = workload(n, data_seed);
         let expr = build_expr(seed, depth, n);
@@ -125,20 +127,18 @@ proptest! {
         let oracle = laab_expr::eval::eval(&expr, &env);
         prop_assume!(oracle.all_finite());
 
-        let engine = RewriteEngine::new();
-        for neighbor in engine.neighbors(&expr, &ctx).into_iter().take(24) {
-            prop_assert_eq!(
-                neighbor.try_shape(&ctx).ok(),
-                expr.try_shape(&ctx).ok(),
-                "rewrite changed the shape: `{}` -> `{}`", expr, neighbor
-            );
-            let v = laab_expr::eval::eval(&neighbor, &env);
-            prop_assert!(
-                v.approx_eq(&oracle, 1e-3),
-                "rewrite changed the value: `{}` -> `{}` (dist {})",
-                expr, neighbor, v.rel_dist(&oracle)
-            );
-        }
+        let best = optimize_egraph(&expr, &ctx, &EgraphConfig::default()).best;
+        prop_assert_eq!(
+            best.try_shape(&ctx).ok(),
+            expr.try_shape(&ctx).ok(),
+            "rewrite changed the shape: `{}` -> `{}`", expr, best
+        );
+        let v = laab_expr::eval::eval(&best, &env);
+        prop_assert!(
+            v.approx_eq(&oracle, 1e-3),
+            "rewrite changed the value: `{}` -> `{}` (dist {})",
+            expr, best, v.rel_dist(&oracle)
+        );
     }
 
     #[test]
@@ -150,12 +150,9 @@ proptest! {
         let (_, ctx) = workload(n, 0);
         let expr = build_expr(seed, depth, n);
         prop_assume!(expr.try_shape(&ctx).is_ok());
-        let r = optimize_expr(&expr, &ctx, CostKind::NaiveShared);
+        let r = optimize_egraph(&expr, &ctx, &EgraphConfig::default());
         prop_assert!(r.best_cost <= r.original_cost);
         // And the reported best is really priced at best_cost.
-        prop_assert_eq!(
-            laab_expr::cost::shared_cost(&r.best, &ctx, false),
-            r.best_cost
-        );
+        prop_assert_eq!(CostModel::default().expr_cost(&r.best, &ctx), r.best_cost);
     }
 }
