@@ -2,8 +2,7 @@
 
 use laab_dense::{Matrix, Scalar, Tridiagonal};
 use laab_kernels::{
-    geadd, geadd_assign, gescale_assign, matmul_dispatch, matmul_multi_rhs_parts, syrk,
-    tridiag_matmul, Trans,
+    geadd, geadd_assign, gescale_assign, matmul_dispatch, syrk, tridiag_matmul, Trans,
 };
 
 use crate::{Backend, BackendId};
@@ -13,6 +12,16 @@ use crate::{Backend, BackendId};
 /// worker pool. This is the backend every execution used before the
 /// backend layer existed, and it remains the default: `engine` results
 /// define the baseline every other backend is measured against.
+///
+/// A batched product keeps [`Backend::matmul_batched`]'s per-item loop:
+/// one GEMV per right-hand side. The column-stacked multi-RHS GEMM packs
+/// all of `A` and sweeps mostly zero-padded register tiles. On an AVX-512
+/// core at `n` ∈ 48…256 it took 2.4–7.4× the loop's time at two parts
+/// and 1.05–3× at eight on `Aᵀ·x`; only `A·x` with six to eight parts at
+/// `n` ≥ 192 ran up to 23 % faster stacked, less than the `Aᵀ·x` product
+/// of the same request loses.
+/// Both return the same bits (`gemv` runs the driver's arithmetic), so
+/// the choice is speed alone.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineBackend;
 
@@ -23,36 +32,6 @@ impl<T: Scalar> Backend<T> for EngineBackend {
 
     fn matmul(&self, alpha: T, a: &Matrix<T>, ta: Trans, b: &Matrix<T>, tb: Trans) -> Matrix<T> {
         matmul_dispatch(alpha, a, ta, b, tb)
-    }
-
-    fn matmul_batched(
-        &self,
-        alpha: T,
-        a: &Matrix<T>,
-        ta: Trans,
-        bs: &[&Matrix<T>],
-    ) -> Vec<Matrix<T>> {
-        // The engine's batched lever: one column-stacked GEMM packs each
-        // A panel once for all q right-hand sides (the q GEMV-shaped solo
-        // calls were each re-reading all of A). Stacking pays exactly
-        // when that re-read is real memory traffic — so this is
-        // shape-directed like every other lowering in the engine: below
-        // two parts there is nothing to amortize, and while A still fits
-        // in L1 the solo GEMV/DOT dispatch is already compute-bound and
-        // the packing/split overhead would be pure loss (measured ~25%
-        // at 48×48, ~2x win at 192×192 on the serve workload). Those
-        // cases take the per-item loop, which keeps the solo dispatch
-        // bitwise intact.
-        const L1_BYTES: usize = 32 * 1024;
-        let uniform = bs.windows(2).all(|w| w[0].shape() == w[1].shape());
-        let a_bytes = a.rows() * a.cols() * std::mem::size_of::<T>();
-        if bs.len() < 2 || !uniform || a_bytes <= L1_BYTES {
-            return bs.iter().map(|b| self.matmul(alpha, a, ta, b, Trans::No)).collect();
-        }
-        // Zero-copy outputs: the multi-RHS sweep writes each part's
-        // columns straight into its own matrix — no stacked C, no
-        // `split_cols` second pass.
-        matmul_multi_rhs_parts(alpha, a, ta, bs)
     }
 
     fn syrk(&self, alpha: T, a: &Matrix<T>, trans: Trans) -> Matrix<T> {

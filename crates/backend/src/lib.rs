@@ -147,14 +147,10 @@ pub trait Backend<T: Scalar>: Send + Sync {
     /// --batch-window`). Entry `i` of the result corresponds to `bs[i]`.
     ///
     /// The default is a **per-item loop** through [`Backend::matmul`], so
-    /// every backend is batch-correct by construction and the `seed`/
-    /// `reference` backends remain bitwise oracles for the batched path:
-    /// their batched entry `i` is exactly their solo product with `bs[i]`.
-    /// A backend overriding this (the engine) may instead execute one
-    /// column-stacked `m×(q·n)` GEMM — amortizing `A`-panel packing and
-    /// converting GEMV-shaped traffic into the Level-3 regime — at the
-    /// cost of FMA-chain-level drift versus its own solo dispatch
-    /// (documented ULP bound, property-tested in `laab-graph`).
+    /// every backend is batch-correct by construction and its batched
+    /// entry `i` is exactly its solo product with `bs[i]`. Every built-in
+    /// backend keeps it (see [`EngineBackend`] for why the engine does not
+    /// stack); an override must keep that equality bit for bit.
     fn matmul_batched(
         &self,
         alpha: T,
@@ -342,57 +338,38 @@ mod tests {
 
     #[test]
     fn batched_matmul_default_loop_is_bitwise_solo() {
-        // seed and reference keep the default per-item loop, so their
-        // batched entries are exactly their solo products — the oracle
-        // property the batched equivalence suite leans on.
+        // Every built-in keeps the default per-item loop, so a batched
+        // entry is exactly the solo product — 80×80 is past any cache
+        // cutoff, and both flags are covered.
         let mut g = OperandGen::new(17);
-        let h = g.matrix::<f64>(14, 10);
-        let parts: Vec<Matrix<f64>> = (0..5).map(|_| g.matrix::<f64>(14, 1)).collect();
+        let h = g.matrix::<f64>(80, 80);
+        let parts: Vec<Matrix<f64>> = (0..5).map(|_| g.matrix::<f64>(80, 1)).collect();
         let refs: Vec<&Matrix<f64>> = parts.iter().collect();
-        for be in [&SeedBackend as &dyn Backend<f64>, &ReferenceBackend] {
-            let batched = be.matmul_batched(2.0, &h, Trans::Yes, &refs);
-            assert_eq!(batched.len(), refs.len());
-            for (got, b) in batched.iter().zip(&refs) {
-                assert_eq!(got, &be.matmul(2.0, &h, Trans::Yes, b, Trans::No), "{}", be.id());
+        for be in backends() {
+            for ta in [Trans::No, Trans::Yes] {
+                let batched = be.matmul_batched(2.0, &h, ta, &refs);
+                assert_eq!(batched.len(), refs.len());
+                for (got, b) in batched.iter().zip(&refs) {
+                    assert_eq!(got, &be.matmul(2.0, &h, ta, b, Trans::No), "{} {ta:?}", be.id());
+                }
             }
         }
     }
 
     #[test]
-    fn batched_matmul_engine_stacks_and_agrees() {
-        // 80×80 f64 = 51KB: past the L1 cutoff, so the engine stacks.
+    fn stacked_kernel_is_the_engine_solo_bitwise() {
+        // The engine's solo GEMV runs the blocked driver's arithmetic, so
+        // the multi-RHS kernel (what a stacking backend would run) returns
+        // the same bits: stacking is a speed choice, never a value change.
         let mut g = OperandGen::new(19);
         let h = g.matrix::<f64>(80, 80);
         let parts: Vec<Matrix<f64>> = (0..6).map(|_| g.matrix::<f64>(80, 1)).collect();
         let refs: Vec<&Matrix<f64>> = parts.iter().collect();
-        let batched = EngineBackend.matmul_batched(1.0, &h, Trans::No, &refs);
-        // Bitwise vs the multi-RHS kernel entry (that IS the fast path)…
-        let stacked = laab_kernels::matmul_multi_rhs(1.0, &h, Trans::No, &refs);
-        assert_eq!(batched, stacked.split_cols(refs.len()));
-        // …and within FMA-chain drift of the engine's own solo dispatch
-        // (solo n=1 lowers to GEMV; stacked runs the GEMM microkernel).
-        for (got, b) in batched.iter().zip(&refs) {
-            let solo = EngineBackend.matmul(1.0, &h, Trans::No, b, Trans::No);
-            assert!(got.approx_eq(&solo, 1e-13));
-        }
-        // Non-uniform parts fall back to the per-item loop, bitwise solo.
-        let wide = g.matrix::<f64>(80, 3);
-        let mixed: Vec<&Matrix<f64>> = vec![&parts[0], &wide];
-        let loops = EngineBackend.matmul_batched(1.0, &h, Trans::No, &mixed);
-        for (got, b) in loops.iter().zip(&mixed) {
-            assert_eq!(got, &EngineBackend.matmul(1.0, &h, Trans::No, b, Trans::No));
-        }
-        // A single part keeps the solo dispatch exactly.
-        let single = EngineBackend.matmul_batched(1.0, &h, Trans::No, &refs[..1]);
-        assert_eq!(single[0], EngineBackend.matmul(1.0, &h, Trans::No, refs[0], Trans::No));
-        // An L1-resident A keeps the solo dispatch too: nothing to
-        // amortize, so batched is bitwise the per-item loop.
-        let small = g.matrix::<f64>(16, 12);
-        let sparts: Vec<Matrix<f64>> = (0..6).map(|_| g.matrix::<f64>(12, 1)).collect();
-        let srefs: Vec<&Matrix<f64>> = sparts.iter().collect();
-        let sb = EngineBackend.matmul_batched(1.0, &small, Trans::No, &srefs);
-        for (got, b) in sb.iter().zip(&srefs) {
-            assert_eq!(got, &EngineBackend.matmul(1.0, &small, Trans::No, b, Trans::No));
+        for ta in [Trans::No, Trans::Yes] {
+            let stacked = laab_kernels::matmul_multi_rhs_parts(-0.5, &h, ta, &refs);
+            for (got, b) in stacked.iter().zip(&refs) {
+                assert_eq!(got, &EngineBackend.matmul(-0.5, &h, ta, b, Trans::No), "{ta:?}");
+            }
         }
     }
 

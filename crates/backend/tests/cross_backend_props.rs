@@ -31,11 +31,10 @@
 //! engine's: the identical kernels run in the identical order, only the
 //! launch accounting changes. Two fusion rules genuinely alter kernels:
 //! scale-folding moves a scalar into the GEMM `alpha` (one different
-//! rounding per output element), and same-LHS coalescing runs the
-//! engine's column-stacked multi-RHS path (the same FMA-chain drift its
-//! request batching carries). Both are ULP-level; the bounds asserted
-//! here — `1e-11` (f64) / `1e-3` (f32) relative — match what the serve
-//! harness's equivalence probes use.
+//! rounding per output element), and same-LHS coalescing hands the group
+//! to the engine's batched product (since that is its solo product per
+//! right-hand side, this one is bitwise too). The bounds asserted here —
+//! `1e-11` (f64) / `1e-3` (f32) relative — cover the scale folding.
 
 use laab_backend::{registry, BackendScalar};
 use laab_dense::Matrix;
@@ -186,11 +185,9 @@ proptest! {
 
     /// Batched paths: for every family and every backend, coalescing a
     /// batch of same-signature requests through [`Plan::execute_batched`]
-    /// agrees with serving each request solo — bitwise on `seed` and
-    /// `reference` (their batched product is the default per-item loop,
-    /// and the fallback families re-run the solo sweep verbatim), and
-    /// within the documented ULP bound on the engine's stacked multi-RHS
-    /// path (its solo GEMV dispatch vs the stacked GEMM microkernel).
+    /// returns, bit for bit, what serving each request solo returns — the
+    /// batched product is each backend's solo product per right-hand
+    /// side, and the fallback families re-run the solo sweep verbatim.
     #[test]
     fn batched_plans_agree_with_solo_on_every_backend(
         seed in any::<u64>(),
@@ -220,20 +217,7 @@ proptest! {
             prop_assert_eq!(batched.len(), q);
             for (env, b) in envs.iter().zip(&batched) {
                 let solo = plan.execute(env);
-                if name == "engine" && plan.stackable() && q > 1 {
-                    // The documented engine bound (1e-11 f64): past the
-                    // L1 cutoff the stacked multi-RHS product really
-                    // diverges from the solo GEMV dispatch by FMA-chain
-                    // rounding; below it the paths coincide bitwise.
-                    let d = rel_dist(b, &solo);
-                    prop_assert!(
-                        d <= 1e-11,
-                        "engine batched drifted {d:e} (family {}, n {n}, q {q})",
-                        family.id()
-                    );
-                } else {
-                    prop_assert_eq!(b, &solo, "{} batched must be bitwise solo", name);
-                }
+                prop_assert_eq!(b, &solo, "{} batched must be bitwise solo", name);
             }
         }
     }

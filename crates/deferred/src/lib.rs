@@ -36,11 +36,11 @@
 //!
 //! Grouping alone never changes a bit: the fused sweep runs the identical
 //! engine kernels in the identical order, it just charges fewer launches.
-//! Two rules actually alter kernels and carry documented ULP bounds:
+//! Same-LHS GEMM coalescing runs through the engine's batched product,
+//! which is its solo product per right-hand side, so it is bitwise too.
+//! One rule actually alters a kernel and carries a documented ULP bound:
 //! scale-folding (a `Scale` stealing an in-group GEMM folds into the GEMM
-//! `alpha`) and same-LHS GEMM coalescing (executed through the engine's
-//! column-stacked multi-RHS path, the same drift its request batching
-//! already documents).
+//! `alpha`).
 
 #![deny(missing_docs)]
 
@@ -394,8 +394,8 @@ mod tests {
     #[test]
     fn batched_window_is_one_group_fused_and_q_groups_unfused() {
         let mut g = OperandGen::new(19);
-        // 80x80 f64 is past the engine's L1 cutoff, so the fused window
-        // genuinely stacks.
+        // One fused group for the whole window; its values are the
+        // engine's batched product, i.e. its solo product per part.
         let h = g.matrix::<f64>(80, 80);
         let parts: Vec<Matrix<f64>> = (0..6).map(|_| g.matrix::<f64>(80, 1)).collect();
         let refs: Vec<&Matrix<f64>> = parts.iter().collect();

@@ -427,8 +427,9 @@ impl<'e, T: Scalar> TapeExec<'e, T> {
 /// The sweep, steal decisions, and free order mirror
 /// [`laab_graph::execute_scheduled_on`] exactly; with fusion off (or when
 /// fusion only *groups* ops) the results are bitwise-identical to the
-/// `engine` backend's. The two value-changing fusion rules — scale
-/// folding and same-LHS GEMM coalescing — carry documented ULP bounds.
+/// `engine` backend's, and so are same-LHS GEMM coalescings. The one
+/// value-changing fusion rule — scale folding — carries a documented ULP
+/// bound.
 ///
 /// # Panics
 /// Whatever the synchronous executor panics on: missing or mis-shaped
@@ -728,10 +729,9 @@ mod tests {
         let s = take_run_stats();
         assert_eq!(s.groups, 1, "two GEMMs + epilogue, one launch");
         assert_eq!((s.fused_ops, s.unfused_ops), (3, 0));
-        // Coalescing runs the engine's stacked multi-RHS path: ULP drift
-        // vs the solo sweep, same bound the request-batched path carries.
-        let want = engine_run(&g, &env);
-        assert!(got[0].approx_eq(&want[0], 1e-11), "coalesced GEMMs drifted past the bound");
+        // Coalescing runs the engine's batched product: its solo product
+        // per right-hand side, so the solo sweep's bits.
+        assert_eq!(got, engine_run(&g, &env), "coalesced GEMMs must be bitwise solo");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! rewritten) is tested against.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use laab_dense::{Matrix, Scalar};
 use laab_kernels::{matmul, Trans};
@@ -14,9 +15,15 @@ use laab_kernels::{matmul, Trans};
 use crate::{Context, Expr, Props, Shape};
 
 /// Binding of operand names to concrete matrices.
+///
+/// Bindings are shared, not owned: each value sits behind a reference
+/// count, so cloning an `Env` — the usual way to derive one request's
+/// bindings from a pool of shared operands — costs one count per operand,
+/// whatever the operands' size. Values are immutable once bound; binding
+/// a name again replaces it in this `Env` only.
 #[derive(Debug, Clone, Default)]
 pub struct Env<T: Scalar> {
-    map: HashMap<String, Matrix<T>>,
+    map: HashMap<Arc<str>, Arc<Matrix<T>>>,
 }
 
 impl<T: Scalar> Env<T> {
@@ -27,7 +34,7 @@ impl<T: Scalar> Env<T> {
 
     /// Bind `name` to `value`, replacing any previous binding.
     pub fn insert(&mut self, name: &str, value: Matrix<T>) {
-        self.map.insert(name.to_string(), value);
+        self.map.insert(name.into(), Arc::new(value));
     }
 
     /// Builder-style binding.
@@ -38,7 +45,7 @@ impl<T: Scalar> Env<T> {
 
     /// Look up a binding.
     pub fn get(&self, name: &str) -> Option<&Matrix<T>> {
-        self.map.get(name)
+        self.map.get(name).map(|m| &**m)
     }
 
     /// Look up a binding, panicking with a clear message when missing.
@@ -51,10 +58,10 @@ impl<T: Scalar> Env<T> {
     /// structure is irrelevant).
     pub fn context_with(&self, props_of: impl Fn(&str) -> Props) -> Context {
         let mut ctx = Context::new();
-        let mut names: Vec<_> = self.map.keys().collect();
+        let mut names: Vec<&str> = self.map.keys().map(|k| &**k).collect();
         names.sort();
         for name in names {
-            let m = &self.map[name];
+            let m = self.expect(name);
             ctx.declare(name, Shape::new(m.rows(), m.cols()), props_of(name));
         }
         ctx
@@ -241,6 +248,17 @@ mod tests {
     fn unbound_operand_panics() {
         let env = Env::<f32>::new();
         let _ = eval(&var("Z"), &env);
+    }
+
+    #[test]
+    fn clones_share_bindings_and_rebinding_stays_local() {
+        let base = env_n(5, 8);
+        let mut derived = base.clone();
+        assert!(std::ptr::eq(derived.expect("A"), base.expect("A")), "a clone copies no data");
+        derived.insert("x", Matrix::zeros(5, 1));
+        assert_eq!(derived.expect("x"), &Matrix::zeros(5, 1));
+        assert_ne!(base.expect("x"), derived.expect("x"), "the base keeps its own binding");
+        assert!(std::ptr::eq(derived.expect("B"), base.expect("B")));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   values in every environment).
 //! * `MatMul` — `Shared · Stacked` with an untransposed right-hand side
 //!   is the **RHS-stacking** case: `op(A)·[B₀ | … | B_{B−1}]`, one
-//!   multi-RHS product ([`Backend::matmul_batched`]) instead of `B`
-//!   GEMV-shaped calls. A stacked *left* operand (or a transposed stacked
-//!   operand) has no column-stacked form — illegal.
+//!   multi-RHS call ([`Backend::matmul_batched`]) for all `B` parts. A
+//!   stacked *left* operand (or a transposed stacked operand) has no
+//!   column-stacked form — illegal.
 //! * `Add`/`Sub` — legal when both operands have the same status
 //!   (`Stacked ± Stacked` is per-part elementwise); mixed
 //!   `Shared ± Stacked` would need a broadcast — illegal.
@@ -36,11 +36,10 @@
 //! nothing but the lost amortization. The stacked sweep itself performs
 //! every elementwise step with the same backend entry points as the solo
 //! sweep (per part, no buffer stealing — the allocating and in-place
-//! forms are bitwise-identical by the [`Backend`] contract), so the only
-//! place batched results may drift from solo results is a backend's
-//! overridden [`Backend::matmul_batched`] (the engine's stacked GEMM
-//! versus its solo GEMV dispatch — FMA-chain-level ULP drift, property
-//! tested in `tests/batched_exec_props.rs`).
+//! forms are bitwise-identical by the [`Backend`] contract), and
+//! [`Backend::matmul_batched`] must return each part's solo product bit
+//! for bit — so a batched result is the solo result, on every backend
+//! (property-tested in `tests/batched_exec_props.rs`).
 
 use laab_backend::Backend;
 use laab_dense::{Matrix, Scalar, Tridiagonal};
@@ -469,8 +468,7 @@ mod tests {
 
     #[test]
     fn residual_plan_is_stackable_and_matches_solo() {
-        // n = 80 (> the engine's 32KB L1 cutoff at f64), so the engine's
-        // stacked multi-RHS path engages rather than its per-item loop.
+        // n = 80: A is past L1 at f64.
         let n = 80;
         let g = residual_graph(n);
         let schedule = Schedule::new(&g);
@@ -481,9 +479,7 @@ mod tests {
         let batched = execute_batched_on(&g, &schedule, &analysis, &refs, laab_backend::engine());
         let solo = solo_all(&g, &schedule, &refs);
         assert_eq!(batched.len(), 8);
-        for (b, s) in batched.iter().zip(&solo) {
-            assert!(b[0].approx_eq(&s[0], 1e-12), "batched drifted: {}", b[0].rel_dist(&s[0]));
-        }
+        assert_eq!(batched, solo, "batched must be bitwise solo on the engine");
     }
 
     #[test]

@@ -33,14 +33,17 @@ pub fn matmul_dispatch<T: Scalar>(
         let d = dot(a.as_slice(), b.as_slice());
         return Matrix::filled(1, 1, alpha * d);
     }
+    // beta = 1 on the fresh zeros below: same bits as beta = 0, minus a
+    // zeroing pass over the output.
     if n == 1 {
-        // op(A)·x → GEMV.
+        // op(A)·x → GEMV, the driver's arithmetic: bitwise the column a
+        // stacked multi-RHS product computes for the same x.
         let mut y = Matrix::zeros(m, 1);
         if tb == Trans::No && b.cols() == 1 {
-            gemv(alpha, a, ta, b, T::ZERO, &mut y);
+            gemv(alpha, a, ta, b, T::ONE, &mut y);
         } else {
             let x = Matrix::col_vector(b.as_slice());
-            gemv(alpha, a, ta, &x, T::ZERO, &mut y);
+            gemv(alpha, a, ta, &x, T::ONE, &mut y);
         }
         return y;
     }
@@ -49,11 +52,9 @@ pub fn matmul_dispatch<T: Scalar>(
         // relabeling of a vector.
         let x = Matrix::col_vector(a.as_slice());
         let mut y = Matrix::zeros(n, 1);
-        gemv(alpha, b, tb.flip(), &x, T::ZERO, &mut y);
+        gemv(alpha, b, tb.flip(), &x, T::ONE, &mut y);
         return Matrix::row_vector(y.as_slice());
     }
-    // beta = 1 on the fresh zeros: same bits as beta = 0, minus the driver's
-    // second zeroing pass over C.
     let mut c = Matrix::zeros(m, n);
     gemm(alpha, a, ta, b, tb, T::ONE, &mut c);
     c

@@ -101,7 +101,8 @@ const MC: usize = 120;
 /// the number of read-modify-write passes over `C` relative to the
 /// classic L1-sized choice — measurably faster here, where the
 /// microkernel is FMA-bound and `C` traffic is the next cost.
-const KC: usize = 1024;
+/// [`gemv`](crate::gemv) chunks its chains at the same depth.
+pub(crate) const KC: usize = 1024;
 /// Columns of the packed B block (L3-resident panel width, a multiple of
 /// every dtype's `NR`).
 const NC: usize = 2048;
@@ -150,15 +151,15 @@ pub fn matmul<T: Scalar>(a: &Matrix<T>, ta: Trans, b: &Matrix<T>, tb: Trans) -> 
 
 /// `C := α·op(A)·[B₀ | B₁ | … | B_{q−1}] + β·C` — the multi-RHS GEMM.
 ///
-/// The batched-serving entry point: `q` same-shape right-hand sides are
-/// treated as the column-wise concatenation without ever materializing
-/// it — the packing routine streams panels straight out of the parts, so
-/// each `A` panel is packed **once** for all `q` products and the
-/// microkernel sees one `m×(q·n)` GEMM instead of `q` GEMV-shaped calls.
-/// That is the Level-2 → Level-3 regime conversion the paper identifies:
-/// a thin (`n×1`) right-hand side runs memory-bound (every request re-reads
-/// all of `A`), while the stacked product re-enters the compute-bound GEMM
-/// regime the engine is tuned for.
+/// `q` same-shape right-hand sides are treated as the column-wise
+/// concatenation without ever materializing it — the packing routine
+/// streams panels straight out of the parts, so each `A` panel is packed
+/// **once** for all `q` products and the microkernel sees one `m×(q·n)`
+/// GEMM instead of `q` GEMV-shaped calls: the Level-2 → Level-3 regime
+/// conversion the paper identifies. For `n×1` parts at serving sizes
+/// (`q` ≤ 8) the packing and the zero-padded tiles cost more than they
+/// save, so served batches run [`gemv`](crate::gemv) per part instead,
+/// which returns the same bits.
 ///
 /// Every `B_i` must have the identical `k×n` shape and is used
 /// untransposed (column stacking has no meaning across a transposed

@@ -5,11 +5,13 @@
 //! or thread count enters that — so a scalar loop that spells it out must
 //! agree with `gemm`, `gemm_multi_rhs_into` and `syrk` **bit for bit**, on
 //! every build (`native`, `x86-64-v3`, `x86-64`), for both precisions, and
-//! on hostile inputs.
+//! on hostile inputs. `gemv` promises the same arithmetic (its rows in
+//! flight and `k` blocks change no element's order), which is what makes
+//! a solo matrix-vector product and a stacked one the same bits.
 
 use laab_dense::gen::OperandGen;
 use laab_dense::{Matrix, Scalar};
-use laab_kernels::{gemm, gemm_multi_rhs_into, reference, set_num_threads, syrk, Trans};
+use laab_kernels::{gemm, gemm_multi_rhs_into, gemv, reference, set_num_threads, syrk, Trans};
 
 mod common;
 use common::bits;
@@ -233,6 +235,46 @@ fn syrk_lower_triangle_is_bitwise_the_scalar_chain() {
     }
 }
 
+/// `y` lengths straddling `gemv`'s eight rows in flight.
+const GEMV_ROWS: [usize; 9] = [1, 5, 7, 8, 9, 16, 17, 33, 130];
+
+fn gemv_sweep<T: Step>() {
+    let mut g = OperandGen::new(0x0DE9);
+    for &m in &GEMV_ROWS {
+        for &k in &DEPTHS {
+            for ta in FLAGS {
+                let a = operand::<T>(&mut g, ta, m, k);
+                let x = g.matrix::<T>(k, 1);
+                let y0 = g.matrix::<T>(m, 1);
+                for alpha in ALPHAS.map(T::from_f64) {
+                    for beta in [0.0, 1.0, -0.5].map(T::from_f64) {
+                        let mut y = y0.clone();
+                        gemv(alpha, &a, ta, &x, beta, &mut y);
+                        // β applied up front, as the driver's `scale_c`.
+                        let scaled = Matrix::from_fn(m, 1, |i, _| match beta {
+                            b if b == T::ZERO => T::ZERO,
+                            b if b == T::ONE => y0[(i, 0)],
+                            b => y0[(i, 0)] * b,
+                        });
+                        assert_eq!(
+                            bits(&y),
+                            bits(&oracle(alpha, &a, ta, &x, Trans::No, &scaled)),
+                            "{}gemv m={m} k={k} {ta:?} α={alpha} β={beta}",
+                            T::PREFIX
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn gemv_is_bitwise_the_scalar_chain() {
+    gemv_sweep::<f64>();
+    gemv_sweep::<f32>();
+}
+
 /// NaN / +Inf / −Inf / finite, element by element.
 fn non_finite_pattern<T: Scalar>(m: &Matrix<T>) -> Vec<u8> {
     let class = |v: f64| match v {
@@ -287,6 +329,10 @@ fn hostile_entries_through_gemm_and_multi_rhs() {
                     gemm_multi_rhs_into(T::ONE, &a, Trans::No, &refs, T::ONE, &mut cs);
                     for (j, cj) in cs.iter().enumerate() {
                         assert_eq!(bits(cj), bits(&c.col_matrix(j)), "multi-RHS col {j} {what}");
+                        // …and as n solo matrix-vector products.
+                        let mut y = Matrix::zeros(m, 1);
+                        gemv(T::ONE, &a, Trans::No, &cols[j], T::ONE, &mut y);
+                        assert_eq!(bits(&y), bits(cj), "gemv col {j} {what}");
                     }
                 }
             }

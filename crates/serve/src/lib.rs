@@ -31,9 +31,9 @@
 //! * [`admission`] — the work-conserving **admission window**: pending
 //!   same-signature requests coalesce into batches of up to
 //!   `--batch-window`, which an executor runs once via
-//!   [`Plan::execute_batched`] (column-stacked multi-RHS GEMM where the
-//!   compile-time analysis proves it legal, answered member by member
-//!   otherwise).
+//!   [`Plan::execute_batched`] (one stacked sweep where the compile-time
+//!   analysis proves it legal, answered member by member otherwise —
+//!   either way each member's bits are its solo execution's).
 //! * [`server`] / [`proto`] / [`loadgen`] — the socket server
 //!   (`laab serve --listen`), its length-prefixed wire protocol, and the
 //!   load generator (`laab loadgen`) that drives it from outside and

@@ -20,9 +20,9 @@
 //! locally and compare it to the server's response
 //! [checksum](crate::proto::result_checksum) — a bitwise end-to-end
 //! check that the network path executes the *same arithmetic* as a
-//! local solo execution (exact for backends whose batched execution is a
-//! per-item loop, e.g. `seed`/`reference`; disable with
-//! [`LoadgenConfig::verify`] for backends with stacked batched kernels).
+//! local solo execution. It is exact on every built-in backend, whose
+//! batched answers are their solo bits (a backend that does not keep
+//! that promise needs [`LoadgenConfig::verify`] off).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -212,8 +212,8 @@ pub struct LoadgenConfig {
     /// honoring the server's `retry_after_us` hint. 0 disables retries.
     pub max_retries: u32,
     /// Compute each request's expected checksum locally and count
-    /// mismatches. Exact only for backends whose batched execution is
-    /// per-item (`seed`, `reference`). Only completed (`Ok`) responses
+    /// mismatches. Exact for every backend whose batched answers are its
+    /// solo bits (all built-ins). Only completed (`Ok`) responses
     /// are verified — `Busy`/`Expired`/`Failed` rejections are reported
     /// in their own classes, never as mismatches.
     pub verify: bool,

@@ -365,8 +365,7 @@ mod tests {
         let batched = plan.execute_batched(&refs);
         assert_eq!(batched.len(), envs.len());
         for (env, b) in envs.iter().zip(&batched) {
-            let solo = plan.execute(env);
-            assert!(b[0].approx_eq(&solo[0], 1e-12), "batched drifted from solo");
+            assert_eq!(b, &plan.execute(env), "batched must be bitwise solo");
         }
 
         // Without a varying declaration the same expression never stacks:

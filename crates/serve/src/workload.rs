@@ -181,7 +181,9 @@ impl Request {
     /// The request's operand bindings, derived from the shared pool env
     /// for `(family, n)` with this request's payload vectors drawn on
     /// top. Deterministic in `(request, seed)` — the batched and solo
-    /// passes see identical data.
+    /// passes see identical data. The pool's operands are shared, not
+    /// copied ([`Env`] clones by reference count): binding costs the
+    /// payload vectors alone, not the `n×n` model operand.
     pub fn env_from_pool<T: Scalar>(&self, base: &Env<T>, seed: u64) -> Env<T> {
         let mut env = base.clone();
         let ctx = self.family.ctx(self.n);
@@ -327,13 +329,14 @@ mod tests {
         assert_ne!(e1.expect("x"), e2.expect("x"));
         assert_ne!(e1.expect("y"), e2.expect("y"));
         assert_ne!(e1.expect("x"), e1.expect("y"), "per-name payload streams are distinct");
-        assert_eq!(e1.expect("H"), base.expect("H"));
-        assert_eq!(e2.expect("H"), base.expect("H"));
+        // H is the pool's own matrix, not a copy of it.
+        assert!(std::ptr::eq(e1.expect("H"), base.expect("H")));
+        assert!(std::ptr::eq(e2.expect("H"), base.expect("H")));
         // Families without vector payloads reuse the pool env as-is.
         let gbase = Family::Gram.env::<f64>(10, 3);
         let g1 = Request { family: Family::Gram, n: 10, dtype: Dtype::F64, payload: 1 }
             .env_from_pool(&gbase, 3);
-        assert_eq!(g1.expect("Q"), gbase.expect("Q"));
+        assert!(std::ptr::eq(g1.expect("Q"), gbase.expect("Q")));
     }
 
     #[test]

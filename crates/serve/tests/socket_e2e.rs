@@ -13,9 +13,8 @@ use laab_serve::workload::synthetic_mix;
 use laab_serve::{BackendId, ServeConfig, Server};
 
 fn server_cfg() -> ServeConfig {
-    // The seed backend's batched execution is a per-item loop, so
-    // batched ≡ solo bitwise — the only backend where the oracle check
-    // is exact by construction.
+    // Batched ≡ solo bitwise holds on every built-in backend; these
+    // rounds use `seed`, the engine's has its own test below.
     ServeConfig::builder().backends(["seed"]).build().expect("config validates")
 }
 
@@ -165,5 +164,36 @@ fn served_and_verifying_sides_pick_the_same_optimizer_level() {
 
     let stats = handle.join().expect("server thread").expect("server run");
     assert_eq!(stats.served, 48);
+    assert!(!path.exists(), "socket file must not leak past shutdown");
+}
+
+#[test]
+fn engine_batches_verify_bitwise_against_the_solo_oracle() {
+    // The served default backend: a batched execution answers each member
+    // with the bits of its solo execution, so the client's solo oracle is
+    // exact on `engine` too — bursts of same-signature vector requests
+    // included, which the server runs as one stacked execution.
+    let path = std::env::temp_dir().join(format!("laab-e2e-engine-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let cfg = ServeConfig::builder().backends(["engine"]).build().expect("config validates");
+    let server = Server::bind(&format!("unix:{}", path.display()), &cfg).expect("bind unix");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run());
+
+    let lg = LoadgenConfig {
+        requests: 128,
+        n: 96,
+        churn_every: 0,
+        backend: "engine".to_string(),
+        arrivals: vec![Arrival::Bursty { rate: 2000.0, burst: 8 }],
+        ..LoadgenConfig::smoke(&addr)
+    };
+    let report = loadgen::run(&lg).expect("loadgen completes");
+    assert!(report.verified);
+    assert_eq!(report.runs[0].completed, 128);
+    assert_eq!(report.checksum_mismatches, 0, "engine batches bitwise vs the solo oracle");
+
+    let stats = handle.join().expect("server thread").expect("server run");
+    assert_eq!(stats.served, 128);
     assert!(!path.exists(), "socket file must not leak past shutdown");
 }
