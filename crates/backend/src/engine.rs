@@ -2,7 +2,7 @@
 
 use laab_dense::{Matrix, Scalar, Tridiagonal};
 use laab_kernels::{
-    geadd, geadd_assign, gescale_assign, matmul_dispatch, syrk, tridiag_matmul, Trans,
+    geadd, geadd_assign, gemv_multi, gescale_assign, matmul_dispatch, syrk, tridiag_matmul, Trans,
 };
 
 use crate::{Backend, BackendId};
@@ -13,15 +13,16 @@ use crate::{Backend, BackendId};
 /// backend layer existed, and it remains the default: `engine` results
 /// define the baseline every other backend is measured against.
 ///
-/// A batched product keeps [`Backend::matmul_batched`]'s per-item loop:
-/// one GEMV per right-hand side. The column-stacked multi-RHS GEMM packs
-/// all of `A` and sweeps mostly zero-padded register tiles. On an AVX-512
-/// core at `n` ∈ 48…256 it took 2.4–7.4× the loop's time at two parts
-/// and 1.05–3× at eight on `Aᵀ·x`; only `A·x` with six to eight parts at
-/// `n` ≥ 192 ran up to 23 % faster stacked, less than the `Aᵀ·x` product
-/// of the same request loses.
-/// Both return the same bits (`gemv` runs the driver's arithmetic), so
-/// the choice is speed alone.
+/// A batched product of `k×1` right-hand sides runs [`gemv_multi`]: one
+/// read of `A` per group of up to eight vectors, with the vectors (`A·x`)
+/// or the rows of `y` (`Aᵀ·x`) in the SIMD lanes. Every lane is the solo
+/// GEMV's fused chain, so each part is bitwise the solo product, and the
+/// batch records one GEMV per part, as its members do solo. Other parts,
+/// and a `1×k` `op(A)` (whose solo product is a DOT), keep
+/// [`Backend::matmul_batched`]'s per-item loop. The column-stacked
+/// multi-RHS GEMM is not used: it packs all of `A` and sweeps mostly
+/// zero-padded register tiles, and lost to a loop of GEMVs at every window
+/// size.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineBackend;
 
@@ -32,6 +33,23 @@ impl<T: Scalar> Backend<T> for EngineBackend {
 
     fn matmul(&self, alpha: T, a: &Matrix<T>, ta: Trans, b: &Matrix<T>, tb: Trans) -> Matrix<T> {
         matmul_dispatch(alpha, a, ta, b, tb)
+    }
+
+    fn matmul_batched(
+        &self,
+        alpha: T,
+        a: &Matrix<T>,
+        ta: Trans,
+        bs: &[&Matrix<T>],
+    ) -> Vec<Matrix<T>> {
+        let (m, _) = ta.dims(a.rows(), a.cols());
+        if m == 1 || bs.iter().any(|b| b.cols() != 1) {
+            return bs.iter().map(|b| self.matmul(alpha, a, ta, b, Trans::No)).collect();
+        }
+        // β = 1 on fresh zeros, as `matmul_dispatch` runs the solo GEMV.
+        let mut ys = vec![Matrix::zeros(m, 1); bs.len()];
+        gemv_multi(alpha, a, ta, bs, T::ONE, &mut ys);
+        ys
     }
 
     fn syrk(&self, alpha: T, a: &Matrix<T>, trans: Trans) -> Matrix<T> {

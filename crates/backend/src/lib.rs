@@ -148,9 +148,11 @@ pub trait Backend<T: Scalar>: Send + Sync {
     ///
     /// The default is a **per-item loop** through [`Backend::matmul`], so
     /// every backend is batch-correct by construction and its batched
-    /// entry `i` is exactly its solo product with `bs[i]`. Every built-in
-    /// backend keeps it (see [`EngineBackend`] for why the engine does not
-    /// stack); an override must keep that equality bit for bit.
+    /// entry `i` is exactly its solo product with `bs[i]`. `seed` and
+    /// `reference` keep it; the engine answers `k×1` parts with one
+    /// multi-vector GEMV that reads `A` once per group of eight (see
+    /// [`EngineBackend`]). An override must keep that equality bit for
+    /// bit.
     fn matmul_batched(
         &self,
         alpha: T,
@@ -338,9 +340,9 @@ mod tests {
 
     #[test]
     fn batched_matmul_default_loop_is_bitwise_solo() {
-        // Every built-in keeps the default per-item loop, so a batched
-        // entry is exactly the solo product — 80×80 is past any cache
-        // cutoff, and both flags are covered.
+        // A batched entry is exactly the solo product on every built-in —
+        // the default per-item loop, and the engine's multi-vector GEMV —
+        // 80×80 is past any cache cutoff, and both flags are covered.
         let mut g = OperandGen::new(17);
         let h = g.matrix::<f64>(80, 80);
         let parts: Vec<Matrix<f64>> = (0..5).map(|_| g.matrix::<f64>(80, 1)).collect();
@@ -358,19 +360,68 @@ mod tests {
 
     #[test]
     fn stacked_kernel_is_the_engine_solo_bitwise() {
-        // The engine's solo GEMV runs the blocked driver's arithmetic, so
-        // the multi-RHS kernel (what a stacking backend would run) returns
-        // the same bits: stacking is a speed choice, never a value change.
+        // The multi-vector GEMV the engine's batched product runs keeps
+        // every lane on the solo GEMV's fused chain: batching a vector is
+        // a speed choice, never a value change (β = 0 overwrites the old
+        // outputs, as the solo product starts from zeros).
         let mut g = OperandGen::new(19);
         let h = g.matrix::<f64>(80, 80);
         let parts: Vec<Matrix<f64>> = (0..6).map(|_| g.matrix::<f64>(80, 1)).collect();
         let refs: Vec<&Matrix<f64>> = parts.iter().collect();
+        let y0 = g.matrix::<f64>(80, 1);
         for ta in [Trans::No, Trans::Yes] {
-            let stacked = laab_kernels::matmul_multi_rhs_parts(-0.5, &h, ta, &refs);
-            for (got, b) in stacked.iter().zip(&refs) {
+            let mut ys = vec![y0.clone(); 6];
+            laab_kernels::gemv_multi(-0.5, &h, ta, &refs, 0.0, &mut ys);
+            for (got, b) in ys.iter().zip(&refs) {
                 assert_eq!(got, &EngineBackend.matmul(-0.5, &h, ta, b, Trans::No), "{ta:?}");
             }
         }
+    }
+
+    #[test]
+    fn engine_batched_matmul_is_bitwise_solo() {
+        // Every size the served families use and both sides of each
+        // sweep's blocks, every window size up to a second group of
+        // eight, both flags and dtypes: the batch returns its members'
+        // solo bits and records their solo counters. Parts wider than
+        // one column take the per-item loop (a GEMM each).
+        use laab_kernels::counters::{self, Kernel};
+        fn check<T: Scalar>() {
+            let mut g = OperandGen::new(23);
+            let alpha = T::from_f64(-0.5);
+            for n in [1, 7, 16, 48, 192] {
+                let h = g.matrix::<T>(n, n);
+                let vectors: Vec<Matrix<T>> = (0..9).map(|_| g.matrix::<T>(n, 1)).collect();
+                let wide: Vec<Matrix<T>> = (0..3).map(|_| g.matrix::<T>(n, 3)).collect();
+                for ta in [Trans::No, Trans::Yes] {
+                    let solo = |bs: &[&Matrix<T>]| -> Vec<Matrix<T>> {
+                        bs.iter()
+                            .map(|b| EngineBackend.matmul(alpha, &h, ta, b, Trans::No))
+                            .collect()
+                    };
+                    for q in 1..=9 {
+                        let bs: Vec<&Matrix<T>> = vectors[..q].iter().collect();
+                        let (got, batched) =
+                            counters::measure(|| EngineBackend.matmul_batched(alpha, &h, ta, &bs));
+                        let (want, members) = counters::measure(|| solo(&bs));
+                        let what = format!("{} n={n} q={q} {ta:?}", T::PREFIX);
+                        assert_eq!(got, want, "{what}");
+                        assert_eq!(batched, members, "{what}: counters");
+                    }
+                    let bs: Vec<&Matrix<T>> = wide.iter().collect();
+                    let (got, batched) =
+                        counters::measure(|| EngineBackend.matmul_batched(alpha, &h, ta, &bs));
+                    let (want, members) = counters::measure(|| solo(&bs));
+                    assert_eq!(got, want, "{} n={n} n×3 {ta:?}", T::PREFIX);
+                    assert_eq!(batched, members, "{} n={n} n×3 {ta:?}: counters", T::PREFIX);
+                    if n > 1 {
+                        assert_eq!(batched.calls(Kernel::Gemm), 3, "n×3 parts loop as GEMMs");
+                    }
+                }
+            }
+        }
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]

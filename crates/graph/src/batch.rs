@@ -14,7 +14,10 @@
 //!   values in every environment).
 //! * `MatMul` — `Shared · Stacked` with an untransposed right-hand side
 //!   is the **RHS-stacking** case: `op(A)·[B₀ | … | B_{B−1}]`, one
-//!   multi-RHS call ([`Backend::matmul_batched`]) for all `B` parts. A
+//!   multi-RHS call ([`Backend::matmul_batched`]) for all `B` parts. On
+//!   the engine, `k×1` parts are one multi-vector GEMV
+//!   (`laab_kernels::gemv_multi`) that reads the shared `A` once per
+//!   group of eight; other backends loop over their solo product. A
 //!   stacked *left* operand (or a transposed stacked operand) has no
 //!   column-stacked form — illegal.
 //! * `Add`/`Sub` — legal when both operands have the same status
@@ -484,7 +487,7 @@ mod tests {
 
     #[test]
     fn reference_backend_batched_is_bitwise_solo() {
-        // The default matmul_batched is a per-item loop and every other
+        // The reference backend keeps the default per-item loop and every other
         // stacked op is per-part through identical entry points, so the
         // reference backend's batched sweep is bit-for-bit its solo sweep.
         let n = 10;

@@ -135,7 +135,7 @@ pub fn gemm<T: Scalar>(
     assert_eq!(c.shape(), (m, n), "gemm: C has shape {:?}, expected ({m}, {n})", c.shape());
     counters::record(Kernel::Gemm, flops::gemm(m, n, ka));
     let threads = effective_threads(m, n, ka);
-    gemm_blocked(alpha, av, BSrc::One(bv), beta, CDst::One(MutView::of(c)), threads, Sweep::Full);
+    gemm_blocked(alpha, av, BSrc::One(bv), beta, MutView::of(c), threads, Sweep::Full);
 }
 
 /// Convenience wrapper allocating the output: `op(A)·op(B)`.
@@ -158,8 +158,8 @@ pub fn matmul<T: Scalar>(a: &Matrix<T>, ta: Trans, b: &Matrix<T>, tb: Trans) -> 
 /// GEMM instead of `q` GEMV-shaped calls: the Level-2 → Level-3 regime
 /// conversion the paper identifies. For `n×1` parts at serving sizes
 /// (`q` ≤ 8) the packing and the zero-padded tiles cost more than they
-/// save, so served batches run [`gemv`](crate::gemv) per part instead,
-/// which returns the same bits.
+/// save, so served batches run [`gemv_multi`](crate::gemv_multi) instead,
+/// which reads `A` in place and returns the same bits.
 ///
 /// Every `B_i` must have the identical `k×n` shape and is used
 /// untransposed (column stacking has no meaning across a transposed
@@ -206,7 +206,7 @@ pub fn gemm_multi_rhs<T: Scalar>(
         av,
         BSrc::Stacked { parts: bs, part_cols: bn },
         beta,
-        CDst::One(MutView::of(c)),
+        MutView::of(c),
         threads,
         Sweep::Full,
     );
@@ -226,86 +226,6 @@ pub fn matmul_multi_rhs<T: Scalar>(
     // beta = 1 on fresh zeros, as in `matmul`.
     gemm_multi_rhs(alpha, a, ta, bs, T::ONE, &mut c);
     c
-}
-
-/// `Cᵢ := α·op(A)·Bᵢ + β·Cᵢ` for all `i` in **one** multi-RHS sweep — the
-/// zero-copy twin of [`gemm_multi_rhs`]. The stacked `m×(q·n)` product is
-/// never materialized: the write-back addresses each logical column
-/// straight into its part's output matrix, so batched callers skip both
-/// the stacked allocation and the `split_cols` re-split (a second full
-/// pass over `C`). Packing, microkernel, and per-element reduction order
-/// are shared with the stacked path, so part `i` is **bitwise-identical**
-/// to the `i`-th `n`-column block of the stacked result.
-///
-/// # Panics
-/// On ragged `B_i` shapes, inconsistent `A` shape, or `cs` not matching
-/// `bs` in count or per-part `m×n` shape.
-pub fn gemm_multi_rhs_into<T: Scalar>(
-    alpha: T,
-    a: &Matrix<T>,
-    ta: Trans,
-    bs: &[&Matrix<T>],
-    beta: T,
-    cs: &mut [Matrix<T>],
-) {
-    let av = View::of(a, ta);
-    let (m, k) = (av.rows, av.cols);
-    let (bk, bn) = bs.first().map_or((k, 0), |b| b.shape());
-    for b in bs {
-        assert_eq!(
-            b.shape(),
-            (bk, bn),
-            "gemm_multi_rhs_into: ragged RHS shapes ({:?} vs ({bk}, {bn}))",
-            b.shape()
-        );
-    }
-    assert_eq!(bk, k, "gemm_multi_rhs_into: inner dimensions differ ({k} vs {bk})");
-    assert_eq!(
-        cs.len(),
-        bs.len(),
-        "gemm_multi_rhs_into: {} outputs for {} RHS",
-        cs.len(),
-        bs.len()
-    );
-    for c in cs.iter() {
-        assert_eq!(
-            c.shape(),
-            (m, bn),
-            "gemm_multi_rhs_into: output has shape {:?}, expected ({m}, {bn})",
-            c.shape()
-        );
-    }
-    if bs.is_empty() {
-        return;
-    }
-    counters::record(Kernel::Gemm, flops::gemm(m, bn * bs.len(), k));
-    let threads = effective_threads(m, bn * bs.len(), k);
-    gemm_blocked(
-        alpha,
-        av,
-        BSrc::Stacked { parts: bs, part_cols: bn },
-        beta,
-        CDst::Parts { parts: cs, part_cols: bn },
-        threads,
-        Sweep::Full,
-    );
-}
-
-/// Allocating wrapper for [`gemm_multi_rhs_into`]: the per-part products
-/// `α·op(A)·Bᵢ`, one owned matrix per right-hand side, computed in a
-/// single multi-RHS sweep with no stacked intermediate.
-pub fn matmul_multi_rhs_parts<T: Scalar>(
-    alpha: T,
-    a: &Matrix<T>,
-    ta: Trans,
-    bs: &[&Matrix<T>],
-) -> Vec<Matrix<T>> {
-    let (m, _) = ta.dims(a.rows(), a.cols());
-    let bn = bs.first().map_or(0, |b| b.cols());
-    let mut cs: Vec<Matrix<T>> = (0..bs.len()).map(|_| Matrix::zeros(m, bn)).collect();
-    // beta = 1 on fresh zeros, as in `matmul`.
-    gemm_multi_rhs_into(alpha, a, ta, bs, T::ONE, &mut cs);
-    cs
 }
 
 /// Thread count for a product of the given logical shape: the configured
@@ -335,7 +255,7 @@ pub(crate) fn gemm_serial<T: Scalar>(
     beta: T,
     c: &mut MutView<'_, T>,
 ) {
-    gemm_blocked(alpha, a, BSrc::One(b), beta, CDst::One(c.reborrow()), 1, Sweep::Full);
+    gemm_blocked(alpha, a, BSrc::One(b), beta, c.reborrow(), 1, Sweep::Full);
 }
 
 /// `C += α·A·B` on the lower triangle of a square `C` only — the driver
@@ -347,7 +267,7 @@ pub(crate) fn gemm_serial<T: Scalar>(
 pub(crate) fn gemm_lower<T: Scalar>(alpha: T, a: View<'_, T>, b: View<'_, T>, c: &mut Matrix<T>) {
     debug_assert_eq!(a.rows, b.cols, "gemm_lower: C must be square");
     let threads = effective_threads(a.rows, b.cols, a.cols);
-    gemm_blocked(alpha, a, BSrc::One(b), T::ONE, CDst::One(MutView::of(c)), threads, Sweep::Lower);
+    gemm_blocked(alpha, a, BSrc::One(b), T::ONE, MutView::of(c), threads, Sweep::Lower);
 }
 
 /// Which micro-tiles of the output the blocked driver computes.
@@ -391,111 +311,49 @@ impl<T: Scalar> BSrc<'_, T> {
     }
 }
 
-/// The blocked driver's output destination: one row-major panel, or the
-/// logical column-wise concatenation `[C₀ | C₁ | …]` of equal-shape
-/// per-part output matrices — [`BSrc`]'s write-side twin. The multi-RHS
-/// batched path hands each part its own owned output, so the stacked
-/// result is never materialized and never re-split.
-enum CDst<'a, T: Scalar> {
-    One(MutView<'a, T>),
-    Parts { parts: &'a mut [Matrix<T>], part_cols: usize },
+/// Raw pointer to the output panel, shared across tile workers. Tiles
+/// write disjoint `(row, column-range)` fragments, so the aliasing `&mut`
+/// slices manufactured in [`RawC::row`] never overlap.
+struct RawC<T> {
+    ptr: *mut T,
+    rs: usize,
 }
 
-impl<T: Scalar> CDst<'_, T> {
-    fn rows(&self) -> usize {
-        match self {
-            CDst::One(v) => v.rows,
-            CDst::Parts { parts, .. } => parts.first().map_or(0, |c| c.rows()),
-        }
-    }
-
-    fn cols(&self) -> usize {
-        match self {
-            CDst::One(v) => v.cols,
-            CDst::Parts { parts, part_cols } => part_cols * parts.len(),
-        }
-    }
-}
-
-/// Raw pointers to the output destination, shared across tile workers.
-/// Tiles write disjoint `(row, column-range)` fragments, so the aliasing
-/// `&mut` slices manufactured in [`RawC::row_segments`] never overlap.
-/// Mirrors [`CDst`]: one panel, or per-part panels a logical column range
-/// may straddle.
-enum RawC<T> {
-    One { ptr: *mut T, rs: usize },
-    Parts { ptrs: Vec<*mut T>, part_cols: usize },
-}
-
-// SAFETY: see the enum docs — the tile scheduler hands every fragment to
+// SAFETY: see the struct docs — the tile scheduler hands every fragment to
 // exactly one task, and `T: Send` moves element access across threads.
 unsafe impl<T: Send> Sync for RawC<T> {}
 
 impl<T: Scalar> RawC<T> {
-    fn of(c: &mut CDst<'_, T>) -> Self {
-        match c {
-            CDst::One(v) => RawC::One { ptr: v.data.as_mut_ptr(), rs: v.rs },
-            CDst::Parts { parts, part_cols } => RawC::Parts {
-                ptrs: parts.iter_mut().map(|p| p.as_mut_slice().as_mut_ptr()).collect(),
-                part_cols: *part_cols,
-            },
-        }
+    fn of(c: &mut MutView<'_, T>) -> Self {
+        RawC { ptr: c.data.as_mut_ptr(), rs: c.rs }
     }
 
-    /// Address of element `(i, j)` — the start of its contiguous segment.
-    /// Used only for prefetch (no dereference on this path).
+    /// Address of element `(i, j)`. Used only for prefetch (no
+    /// dereference on this path).
     ///
     /// # Safety
-    /// `(i, j)` must be in bounds of the logical destination.
+    /// `(i, j)` must be in bounds of the panel.
     #[inline(always)]
     unsafe fn addr(&self, i: usize, j: usize) -> *const T {
-        match self {
-            RawC::One { ptr, rs } => ptr.add(i * rs + j),
-            RawC::Parts { ptrs, part_cols } => {
-                ptrs[j / part_cols].add(i * part_cols + j % part_cols)
-            }
-        }
+        self.ptr.add(i * self.rs + j)
     }
 
-    /// Visit the mutable fragment of row `i`, columns `[j, j+len)`, as
-    /// contiguous segments: the closure receives each segment's offset
-    /// within the fragment and its slice. A single-panel destination is
-    /// one segment; a per-part destination splits at part boundaries.
+    /// Hand the mutable fragment of row `i`, columns `[j, j+len)`, to `f`.
     ///
     /// # Safety
-    /// The caller must guarantee no concurrently live fragment overlaps.
-    /// The `&mut`-from-`&self` is the point: `RawC` is the shared handle
-    /// through which disjoint tiles write, so the aliasing discipline
-    /// lives in the tile scheduler, not the borrow checker.
+    /// The fragment must be in bounds, and the caller must guarantee no
+    /// concurrently live fragment overlaps it. The `&mut`-from-`&self` is
+    /// the point: `RawC` is the shared handle through which disjoint tiles
+    /// write, so the aliasing discipline lives in the tile scheduler, not
+    /// the borrow checker.
     #[inline(always)]
-    unsafe fn row_segments(
-        &self,
-        i: usize,
-        j: usize,
-        len: usize,
-        mut f: impl FnMut(usize, &mut [T]),
-    ) {
-        match self {
-            RawC::One { ptr, rs } => {
-                f(0, std::slice::from_raw_parts_mut(ptr.add(i * rs + j), len));
-            }
-            RawC::Parts { ptrs, part_cols } => {
-                let mut done = 0;
-                while done < len {
-                    let (part, pcol) = ((j + done) / part_cols, (j + done) % part_cols);
-                    let run = (part_cols - pcol).min(len - done);
-                    let seg =
-                        std::slice::from_raw_parts_mut(ptrs[part].add(i * part_cols + pcol), run);
-                    f(done, seg);
-                    done += run;
-                }
-            }
-        }
+    unsafe fn row(&self, i: usize, j: usize, len: usize, f: impl FnOnce(&mut [T])) {
+        f(std::slice::from_raw_parts_mut(self.ptr.add(i * self.rs + j), len));
     }
 }
 
 /// The driver body's signature once width and microkernel are fixed.
-type Driver<T> = for<'a> fn(T, View<'a, T>, BSrc<'a, T>, T, CDst<'a, T>, usize, Sweep);
+type Driver<T> = for<'a> fn(T, View<'a, T>, BSrc<'a, T>, T, MutView<'a, T>, usize, Sweep);
 
 /// The blocked driver's entry: picks the register-tile width and the
 /// microkernel for the element type — once per call — and runs the one
@@ -509,7 +367,7 @@ fn gemm_blocked<T: Scalar>(
     a: View<'_, T>,
     b: BSrc<'_, T>,
     beta: T,
-    c: CDst<'_, T>,
+    c: MutView<'_, T>,
     threads: usize,
     sweep: Sweep,
 ) {
@@ -538,7 +396,7 @@ fn blocked_at<T: Scalar, const NR: usize>(
     a: View<'_, T>,
     b: BSrc<'_, T>,
     beta: T,
-    mut c: CDst<'_, T>,
+    mut c: MutView<'_, T>,
     threads: usize,
     sweep: Sweep,
     kernel: impl Fn(usize, &[T], &[T], usize, &mut [[T; NR]; MR]) + Copy + Sync,
@@ -546,7 +404,7 @@ fn blocked_at<T: Scalar, const NR: usize>(
     let (m, k) = (a.rows, a.cols);
     let n = b.cols();
     debug_assert_eq!(b.rows(), k);
-    debug_assert_eq!((c.rows(), c.cols()), (m, n));
+    debug_assert_eq!((c.rows, c.cols), (m, n));
 
     // Apply beta once, up front: C := beta*C. (beta == 0 writes zeros so
     // uninitialized NaNs never propagate, matching BLAS semantics.)
@@ -616,30 +474,19 @@ fn column_chunks<const NR: usize>(nc: usize, m_tiles: usize, threads: usize) -> 
     (nc.div_ceil(chunk), chunk)
 }
 
-fn scale_c<T: Scalar>(beta: T, c: &mut CDst<'_, T>) {
+fn scale_c<T: Scalar>(beta: T, c: &mut MutView<'_, T>) {
     if beta == T::ONE {
         return;
     }
-    let scale_rows = |data: &mut [T], rows: usize, cols: usize, rs: usize| {
-        for i in 0..rows {
-            let row = &mut data[i * rs..i * rs + cols];
-            if beta == T::ZERO {
-                for v in row.iter_mut() {
-                    *v = T::ZERO;
-                }
-            } else {
-                for v in row.iter_mut() {
-                    *v *= beta;
-                }
+    for i in 0..c.rows {
+        let row = &mut c.data[i * c.rs..i * c.rs + c.cols];
+        if beta == T::ZERO {
+            for v in row.iter_mut() {
+                *v = T::ZERO;
             }
-        }
-    };
-    match c {
-        CDst::One(v) => scale_rows(&mut *v.data, v.rows, v.cols, v.rs),
-        CDst::Parts { parts, part_cols } => {
-            for p in parts.iter_mut() {
-                let rows = p.rows();
-                scale_rows(p.as_mut_slice(), rows, *part_cols, *part_cols);
+        } else {
+            for v in row.iter_mut() {
+                *v *= beta;
             }
         }
     }
@@ -815,15 +662,12 @@ fn macro_block<T: Scalar, const NR: usize>(
             let mut acc = [[T::ZERO; NR]; MR];
             kernel(kc, pa, pb, cols, &mut acc);
             // Accumulate the tile: C[i0+ip*MR.., j0+jp*NR..] += alpha * acc.
-            // Per-element updates are independent, so the segment-wise
-            // walk over a per-part destination is bitwise-identical to
-            // the contiguous single-panel write.
             for (ir, acc_row) in acc.iter().enumerate().take(rows) {
                 // SAFETY: this tile owns rows [i0, i0+mc) × cols
                 // [j0, j0+chunk_n) exclusively (disjoint tile grid).
                 unsafe {
-                    c.row_segments(i0 + ip * MR + ir, j0 + jp * NR, cols, |off, seg| {
-                        for (sv, &av) in seg.iter_mut().zip(&acc_row[off..]) {
+                    c.row(i0 + ip * MR + ir, j0 + jp * NR, cols, |seg| {
+                        for (sv, &av) in seg.iter_mut().zip(acc_row) {
                             *sv = alpha.mul_add(av, *sv);
                         }
                     });
@@ -1474,91 +1318,5 @@ mod tests {
         let b1 = Matrix::<f64>::zeros(4, 2);
         let b2 = Matrix::<f64>::zeros(4, 3);
         let _ = matmul_multi_rhs(1.0, &a, Trans::No, &[&b1, &b2]);
-    }
-
-    #[test]
-    fn multi_rhs_parts_bitwise_matches_stacked_split() {
-        // The per-part destination shares packing, microkernel, and
-        // reduction order with the stacked path; only write-back
-        // addressing differs, so each part must be bitwise-identical to
-        // the corresponding column block of the stacked result.
-        fn check<T: Scalar>() {
-            let mut g = OperandGen::new(95);
-            let alpha = T::from_f64(1.25);
-            for case in MULTI_RHS_CASES {
-                let (_, _, _, q, ta) = case;
-                let (a, parts) = multi_rhs_operands::<T>(&mut g, case);
-                let refs: Vec<&Matrix<T>> = parts.iter().collect();
-                let got = matmul_multi_rhs_parts(alpha, &a, ta, &refs);
-                let want = matmul_multi_rhs(alpha, &a, ta, &refs).split_cols(q);
-                assert_eq!(got.len(), q);
-                for (i, (g_i, w_i)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        g_i.as_slice(),
-                        w_i.as_slice(),
-                        "{} part {i} drifted {case:?}",
-                        T::PREFIX
-                    );
-                }
-            }
-        }
-        check::<f64>();
-        check::<f32>();
-    }
-
-    #[test]
-    fn multi_rhs_parts_parallel_is_bit_identical() {
-        let mut g = OperandGen::new(96);
-        let a = g.matrix::<f64>(160, 200);
-        let parts: Vec<Matrix<f64>> = (0..16).map(|_| g.matrix::<f64>(200, 4)).collect();
-        let refs: Vec<&Matrix<f64>> = parts.iter().collect();
-        let serial = matmul_multi_rhs_parts(1.0, &a, Trans::No, &refs);
-        crate::set_num_threads(4);
-        let parallel = matmul_multi_rhs_parts(1.0, &a, Trans::No, &refs);
-        crate::set_num_threads(1);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.as_slice(), p.as_slice());
-        }
-    }
-
-    #[test]
-    fn multi_rhs_into_beta_accumulates_per_part_and_counts_one_gemm() {
-        let mut g = OperandGen::new(97);
-        let a = g.matrix::<f64>(9, 7);
-        let parts: Vec<Matrix<f64>> = (0..3).map(|_| g.matrix::<f64>(7, 2)).collect();
-        let refs: Vec<&Matrix<f64>> = parts.iter().collect();
-        let c0: Vec<Matrix<f64>> = (0..3).map(|_| g.matrix::<f64>(9, 2)).collect();
-        let mut cs = c0.clone();
-        counters::reset();
-        gemm_multi_rhs_into(2.0, &a, Trans::No, &refs, -0.5, &mut cs);
-        let s = counters::snapshot();
-        assert_eq!(s.calls(Kernel::Gemm), 1, "one logical GEMM, not q");
-        assert_eq!(s.flops(Kernel::Gemm), flops::gemm(9, 6, 7));
-        for (i, (c, c0_i)) in cs.iter().zip(&c0).enumerate() {
-            let mut want = c0_i.clone();
-            gemm(2.0, &a, Trans::No, &parts[i], Trans::No, -0.5, &mut want);
-            assert_eq!(c.as_slice(), want.as_slice(), "part {i}");
-        }
-    }
-
-    #[test]
-    fn multi_rhs_parts_empty_and_single_edges() {
-        let mut g = OperandGen::new(98);
-        let a = g.matrix::<f64>(6, 5);
-        let empty: [&Matrix<f64>; 0] = [];
-        assert!(matmul_multi_rhs_parts(1.0, &a, Trans::No, &empty).is_empty());
-        let b = g.matrix::<f64>(5, 3);
-        let one = matmul_multi_rhs_parts(1.0, &a, Trans::No, &[&b]);
-        assert_eq!(one.len(), 1);
-        assert_eq!(one[0], matmul(&a, Trans::No, &b, Trans::No));
-    }
-
-    #[test]
-    #[should_panic(expected = "outputs for")]
-    fn multi_rhs_into_count_mismatch_panics() {
-        let a = Matrix::<f64>::zeros(4, 4);
-        let b = Matrix::<f64>::zeros(4, 2);
-        let mut cs = vec![Matrix::<f64>::zeros(4, 2); 2];
-        gemm_multi_rhs_into(1.0, &a, Trans::No, &[&b], 0.0, &mut cs);
     }
 }

@@ -10,7 +10,7 @@
 //! | Level | Kernels |
 //! |-------|---------|
 //! | 1 | [`dot`], [`axpy`], [`scal`], [`nrm2`] |
-//! | 2 | [`gemv`], [`ger`] |
+//! | 2 | [`gemv`], [`gemv_multi`] (`q` vectors against one `A`, read once per eight — bitwise `q` GEMVs), [`ger`] |
 //! | 3 | [`gemm`] (packed + blocked + microkernel), [`syrk`] (the same driver over the lower-triangle micro-tiles, mirrored — bitwise the GEMM), [`trmm`] |
 //! | structured | [`tridiag_matmul`], [`diag_matmul`] |
 //! | elementwise | [`geadd`] (`C := αA + βB`) |
@@ -54,11 +54,9 @@ mod view;
 mod workspace;
 
 pub use dispatch::matmul_dispatch;
-pub use gemm::{
-    gemm, gemm_multi_rhs, gemm_multi_rhs_into, matmul, matmul_multi_rhs, matmul_multi_rhs_parts,
-};
+pub use gemm::{gemm, gemm_multi_rhs, matmul, matmul_multi_rhs};
 pub use level1::{axpy, dot, nrm2, scal};
-pub use level2::{gemv, gemv_alloc, ger};
+pub use level2::{gemv, gemv_alloc, gemv_multi, ger};
 pub use parallel::{num_threads, parallel_for, parallel_row_chunks, set_num_threads};
 pub use solve::{cholesky, cholesky_solve, lu_factor, lu_solve, lu_solve_full, trsm};
 pub use structured::{diag_matmul, geadd, geadd_assign, gescale_assign, tridiag_matmul};

@@ -3,15 +3,18 @@
 //! chain from zero followed by one `α·acc + c` write-back. No register
 //! tile, packing width, half-width path, triangular skip, stacked operand
 //! or thread count enters that — so a scalar loop that spells it out must
-//! agree with `gemm`, `gemm_multi_rhs_into` and `syrk` **bit for bit**, on
+//! agree with `gemm`, `gemm_multi_rhs` and `syrk` **bit for bit**, on
 //! every build (`native`, `x86-64-v3`, `x86-64`), for both precisions, and
-//! on hostile inputs. `gemv` promises the same arithmetic (its rows in
-//! flight and `k` blocks change no element's order), which is what makes
-//! a solo matrix-vector product and a stacked one the same bits.
+//! on hostile inputs. `gemv` and `gemv_multi` promise the same arithmetic
+//! (rows in flight, vectors or rows in the lanes and `k` blocks change no
+//! element's order), which is what makes a solo matrix-vector product, a
+//! batched one and a stacked one the same bits.
 
 use laab_dense::gen::OperandGen;
 use laab_dense::{Matrix, Scalar};
-use laab_kernels::{gemm, gemm_multi_rhs_into, gemv, reference, set_num_threads, syrk, Trans};
+use laab_kernels::{
+    gemm, gemm_multi_rhs, gemv, gemv_multi, reference, set_num_threads, syrk, Trans,
+};
 
 mod common;
 use common::bits;
@@ -167,14 +170,15 @@ fn multi_rhs_sweep<T: Step>(threads: usize) {
             let a = operand::<T>(&mut g, ta, m, k);
             let parts: Vec<Matrix<T>> = (0..q).map(|_| g.matrix(k, bn)).collect();
             let refs: Vec<&Matrix<T>> = parts.iter().collect();
-            let c0: Vec<Matrix<T>> = (0..q).map(|_| g.matrix(m, bn)).collect();
+            let c0 = g.matrix::<T>(m, bn * q);
+            let c0s = c0.split_cols(q);
             for alpha in ALPHAS.map(T::from_f64) {
-                let mut cs = c0.clone();
-                gemm_multi_rhs_into(alpha, &a, ta, &refs, T::ONE, &mut cs);
-                for (i, c) in cs.iter().enumerate() {
+                let mut c = c0.clone();
+                gemm_multi_rhs(alpha, &a, ta, &refs, T::ONE, &mut c);
+                for (i, c) in c.split_cols(q).iter().enumerate() {
                     assert_eq!(
                         bits(c),
-                        bits(&oracle(alpha, &a, ta, &parts[i], Trans::No, &c0[i])),
+                        bits(&oracle(alpha, &a, ta, &parts[i], Trans::No, &c0s[i])),
                         "{}multi-RHS part {i} of m={m} k={k} bn={bn} q={q} {ta:?} α={alpha} \
                          t={threads}",
                         T::PREFIX
@@ -250,15 +254,9 @@ fn gemv_sweep<T: Step>() {
                     for beta in [0.0, 1.0, -0.5].map(T::from_f64) {
                         let mut y = y0.clone();
                         gemv(alpha, &a, ta, &x, beta, &mut y);
-                        // β applied up front, as the driver's `scale_c`.
-                        let scaled = Matrix::from_fn(m, 1, |i, _| match beta {
-                            b if b == T::ZERO => T::ZERO,
-                            b if b == T::ONE => y0[(i, 0)],
-                            b => y0[(i, 0)] * b,
-                        });
                         assert_eq!(
                             bits(&y),
-                            bits(&oracle(alpha, &a, ta, &x, Trans::No, &scaled)),
+                            bits(&oracle(alpha, &a, ta, &x, Trans::No, &beta_first(beta, &y0))),
                             "{}gemv m={m} k={k} {ta:?} α={alpha} β={beta}",
                             T::PREFIX
                         );
@@ -273,6 +271,79 @@ fn gemv_sweep<T: Step>() {
 fn gemv_is_bitwise_the_scalar_chain() {
     gemv_sweep::<f64>();
     gemv_sweep::<f32>();
+}
+
+/// `y₀` with `β` applied up front, as the driver's `scale_c` applies it.
+fn beta_first<T: Scalar>(beta: T, y0: &Matrix<T>) -> Matrix<T> {
+    Matrix::from_fn(y0.rows(), 1, |i, _| match beta {
+        b if b == T::ZERO => T::ZERO,
+        b if b == T::ONE => y0[(i, 0)],
+        b => y0[(i, 0)] * b,
+    })
+}
+
+/// `y` lengths for `gemv_multi`: both sides of each lane width (4, 8) and
+/// of the eight rows in flight.
+const MULTI_LENGTHS: [usize; 9] = [1, 3, 4, 5, 7, 8, 9, 17, 33];
+/// Batch sizes: one vector, part and whole registers of either lane
+/// width, and a second group past eight.
+const MULTI_QS: [usize; 7] = [1, 2, 3, 4, 5, 8, 9];
+/// One entry per case, in the last vector (never the first lane when
+/// `q ≥ 2`): NaN, ±Inf, an `f32` subnormal (normal in `f64`) and an `f64`
+/// subnormal (zero in `f32`).
+const POISONS: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e-40, 5e-324];
+
+fn gemv_multi_sweep<T: Step>() {
+    let mut g = OperandGen::new(0x0DEA);
+    let mut case = 0;
+    for &q in &MULTI_QS {
+        for &m in &MULTI_LENGTHS {
+            for &k in &DEPTHS {
+                for ta in FLAGS {
+                    let a = operand::<T>(&mut g, ta, m, k);
+                    let mut xs: Vec<Matrix<T>> = (0..q).map(|_| g.matrix(k, 1)).collect();
+                    let poison = POISONS[case % POISONS.len()];
+                    case += 1;
+                    if q > 1 {
+                        xs[q - 1][(k / 2, 0)] = T::from_f64(poison);
+                    }
+                    let refs: Vec<&Matrix<T>> = xs.iter().collect();
+                    let y0: Vec<Matrix<T>> = (0..q).map(|_| g.matrix(m, 1)).collect();
+                    for alpha in ALPHAS.map(T::from_f64) {
+                        for beta in [0.0, 1.0, -0.5].map(T::from_f64) {
+                            let mut ys = y0.clone();
+                            gemv_multi(alpha, &a, ta, &refs, beta, &mut ys);
+                            for (j, y) in ys.iter().enumerate() {
+                                let c0 = beta_first(beta, &y0[j]);
+                                assert_eq!(
+                                    bits(y),
+                                    bits(&oracle(alpha, &a, ta, &xs[j], Trans::No, &c0)),
+                                    "{}gemv_multi vector {j} of q={q} m={m} k={k} {ta:?} \
+                                     α={alpha} β={beta} poison={poison:e}",
+                                    T::PREFIX
+                                );
+                            }
+                            if q > 1 && !poison.is_finite() {
+                                assert!(
+                                    bits(&ys[q - 1])
+                                        .iter()
+                                        .any(|&b| b == u64::MAX || f64::from_bits(b).is_infinite()),
+                                    "{}gemv_multi q={q} m={m} k={k}: poison {poison} lost",
+                                    T::PREFIX
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn gemv_multi_is_bitwise_the_scalar_chain() {
+    gemv_multi_sweep::<f64>();
+    gemv_multi_sweep::<f32>();
 }
 
 /// NaN / +Inf / −Inf / finite, element by element.
@@ -322,17 +393,21 @@ fn hostile_entries_through_gemm_and_multi_rhs() {
                         assert!(bits(&c).contains(&u64::MAX), "gemm {what}: no NaN came out");
                     }
 
-                    // The same product with B's columns as n stacked vectors.
+                    // The same product with B's columns as n stacked vectors…
                     let cols: Vec<Matrix<T>> = (0..n).map(|j| b.col_matrix(j)).collect();
                     let refs: Vec<&Matrix<T>> = cols.iter().collect();
-                    let mut cs = vec![Matrix::zeros(m, 1); n];
-                    gemm_multi_rhs_into(T::ONE, &a, Trans::No, &refs, T::ONE, &mut cs);
-                    for (j, cj) in cs.iter().enumerate() {
-                        assert_eq!(bits(cj), bits(&c.col_matrix(j)), "multi-RHS col {j} {what}");
-                        // …and as n solo matrix-vector products.
+                    let mut stacked = zeros.clone();
+                    gemm_multi_rhs(T::ONE, &a, Trans::No, &refs, T::ONE, &mut stacked);
+                    assert_eq!(bits(&stacked), bits(&c), "multi-RHS {what}");
+                    // …as one batch of n matrix-vector products…
+                    let mut ys = vec![Matrix::zeros(m, 1); n];
+                    gemv_multi(T::ONE, &a, Trans::No, &refs, T::ONE, &mut ys);
+                    for (j, yj) in ys.iter().enumerate() {
+                        assert_eq!(bits(yj), bits(&c.col_matrix(j)), "gemv_multi col {j} {what}");
+                        // …and as n solo ones.
                         let mut y = Matrix::zeros(m, 1);
                         gemv(T::ONE, &a, Trans::No, &cols[j], T::ONE, &mut y);
-                        assert_eq!(bits(&y), bits(cj), "gemv col {j} {what}");
+                        assert_eq!(bits(&y), bits(yj), "gemv col {j} {what}");
                     }
                 }
             }
