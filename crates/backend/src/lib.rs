@@ -142,9 +142,9 @@ pub trait Backend<T: Scalar>: Send + Sync {
     fn matmul(&self, alpha: T, a: &Matrix<T>, ta: Trans, b: &Matrix<T>, tb: Trans) -> Matrix<T>;
 
     /// Batched `α·op(A)·Bᵢ` over `q` same-shape untransposed right-hand
-    /// sides — the multi-RHS hook the batched graph executor dispatches
-    /// when same-signature requests are coalesced (`laab serve
-    /// --batch-window`). Entry `i` of the result corresponds to `bs[i]`.
+    /// sides — the multi-RHS hook the graph executor dispatches for a
+    /// stacked product when a server coalesces same-signature requests.
+    /// Entry `i` of the result corresponds to `bs[i]`.
     ///
     /// The default is a **per-item loop** through [`Backend::matmul`], so
     /// every backend is batch-correct by construction and its batched
@@ -199,8 +199,7 @@ pub trait Backend<T: Scalar>: Send + Sync {
 }
 
 /// The default backend (the live engine) as a trait object, for any
-/// scalar type — what `laab_graph::execute` uses when no backend is
-/// named.
+/// scalar type — what a one-shot `laab_graph::execute` runs on.
 pub fn engine<T: Scalar>() -> &'static dyn Backend<T> {
     &EngineBackend
 }

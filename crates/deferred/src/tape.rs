@@ -157,9 +157,10 @@ impl<T: Scalar> Val<'_, T> {
     }
 }
 
-/// Steal-decision mirror of the synchronous executor's `take_unique`: an
-/// op may reuse an operand buffer when it is the only remaining consumer
-/// and the value is an owned intermediate (not a borrowed feed).
+/// Steal-decision mirror of the synchronous executor
+/// (`laab_graph::exec`): an op may reuse an operand buffer when it is the
+/// only remaining consumer and the value is an owned intermediate (not a
+/// borrowed feed).
 fn stealable(g: &Graph, plan_remaining: &[u32], id: NodeId) -> bool {
     plan_remaining[id.idx()] == 1 && !matches!(g.nodes[id.idx()].kind, OpKind::Input(_))
 }

@@ -314,7 +314,7 @@ mod tests {
         // The extracted graph executes stand-alone.
         let mut g = OperandGen::new(73);
         let env = Env::<f64>::new().with("A", g.matrix(n, n)).with("B", g.matrix(n, n));
-        let out = laab_graph::execute_scheduled(&graph, &laab_graph::Schedule::new(&graph), &env);
+        let out = laab_graph::execute(&graph, &env);
         let want = laab_expr::eval::eval(&(laab_expr::var("A").t() * laab_expr::var("B")), &env);
         assert!(out[0].approx_eq(&want, 1e-12));
     }

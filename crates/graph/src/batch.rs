@@ -1,56 +1,35 @@
-//! Batched (multi-environment) plan execution — one sweep, `B` requests.
+//! Batch analysis: which nodes of a plan stack across a batch of requests.
 //!
 //! A serving system that coalesces same-signature requests holds one
 //! compiled graph and `B` operand bindings that differ only in the
-//! *varying* leaves (the request payload — e.g. the `x` in `HᵀH·x`),
-//! while the *shared* leaves (the model operands) are identical across
-//! the batch. [`BatchAnalysis`] classifies every node as `Shared`
-//! (identical output for all `B` environments — computed once) or
-//! `Stacked` (per-environment outputs, kept as `B` column-aligned parts),
-//! and proves whether the whole plan can execute in one batched sweep:
+//! *varying* leaves (the request payload — e.g. the `x` in `HᵀH·x`); the
+//! *shared* leaves (the model operands) are identical across the batch.
+//! [`BatchAnalysis`] classifies every node as `Shared` (computed once) or
+//! `Stacked` (`B` per-environment parts) and proves whether the whole
+//! plan runs as one batched sweep
+//! ([`execute_batched_on`](crate::execute_batched_on)). A node fed only
+//! shared values is shared; a stacked operand is legal only here:
 //!
-//! * `Input` — `Stacked` when the caller declares the name varying,
-//!   `Shared` otherwise (the caller guarantees shared names bind equal
-//!   values in every environment).
-//! * `MatMul` — `Shared · Stacked` with an untransposed right-hand side
-//!   is the **RHS-stacking** case: `op(A)·[B₀ | … | B_{B−1}]`, one
-//!   multi-RHS call ([`Backend::matmul_batched`]) for all `B` parts. On
-//!   the engine, `k×1` parts are one multi-vector GEMV
-//!   (`laab_kernels::gemv_multi`) that reads the shared `A` once per
-//!   group of eight; other backends loop over their solo product. A
-//!   stacked *left* operand (or a transposed stacked operand) has no
-//!   column-stacked form — illegal.
-//! * `Add`/`Sub` — legal when both operands have the same status
-//!   (`Stacked ± Stacked` is per-part elementwise); mixed
-//!   `Shared ± Stacked` would need a broadcast — illegal.
-//! * `Scale` — per-part, always legal.
-//! * `TridiagMatMul` — `Shared` tridiagonal × `Stacked` dense is
-//!   per-part through the structured kernel (the compact form is built
-//!   once per batch); a varying tridiagonal operand is illegal.
-//! * `Transpose`/slicing/concatenation of a `Stacked` value — illegal
-//!   (pure data movement has no batched form worth proving here), as is
-//!   a `Syrk` of one (`XᵀX` of a varying `X` multiplies a stacked value
-//!   on the left, like the `MatMul` it was lowered from).
+//! * `Input` — `Stacked` when the caller declares the name varying.
+//! * `MatMul` — `Shared · Stacked` with an untransposed right-hand side,
+//!   the **RHS-stacking** case `op(A)·[B₀ | … | B_{B−1}]`: one multi-RHS
+//!   call for all parts. A stacked *left* (or transposed) operand has no
+//!   column-stacked form.
+//! * `Add`/`Sub` — `Stacked ± Stacked`, per part; a mixed
+//!   `Shared ± Stacked` would need a broadcast.
+//! * `Scale` — per part, always.
+//! * `TridiagMatMul` — `Shared` tridiagonal × `Stacked` dense, per part;
+//!   not a varying tridiagonal operand.
 //!
-//! When the analysis proves the plan stackable, [`execute_batched_on`]
-//! runs the sweep once; otherwise it falls back to sequential
-//! per-environment [`execute_scheduled_on`] — **bitwise-identical** to
-//! serving each request solo, so an illegal plan costs a batching server
-//! nothing but the lost amortization. The stacked sweep itself performs
-//! every elementwise step with the same backend entry points as the solo
-//! sweep (per part, no buffer stealing — the allocating and in-place
-//! forms are bitwise-identical by the [`Backend`] contract), and
-//! [`Backend::matmul_batched`] must return each part's solo product bit
-//! for bit — so a batched result is the solo result, on every backend
-//! (property-tested in `tests/batched_exec_props.rs`).
+//! Transposing, slicing or concatenating a stacked value is illegal (pure
+//! data movement has no batched form worth proving here), as is a `Syrk`
+//! of one (`XᵀX` of a varying `X` multiplies a stacked value on the left,
+//! like the `MatMul` it was lowered from). A plan with an illegal node
+//! runs a batch one environment at a time, each the solo sweep, so it
+//! costs a batching server nothing but the lost amortization.
 
-use laab_backend::Backend;
-use laab_dense::{Matrix, Scalar, Tridiagonal};
-use laab_expr::eval::Env;
-use laab_kernels::counters::{self, Kernel};
 use laab_kernels::Trans;
 
-use crate::exec::{execute_scheduled_on, Schedule};
 use crate::ir::{Graph, NodeId, OpKind};
 
 /// How one node behaves across a batch of environments.
@@ -60,6 +39,20 @@ pub enum BatchStatus {
     Shared,
     /// Per-environment outputs, carried as `B` column-aligned parts.
     Stacked,
+}
+
+/// The status of a non-`Input` node of `kind` fed values of the
+/// `inputs` statuses, or `None` when a stacked operand reaches it in a
+/// position with no stacked form (the rules of the module docs).
+pub(crate) fn stacked_form(kind: &OpKind, inputs: &[BatchStatus]) -> Option<BatchStatus> {
+    use BatchStatus::{Shared, Stacked};
+    match (kind, inputs) {
+        _ if !inputs.contains(&Stacked) => Some(Shared),
+        (OpKind::MatMul { tb: Trans::No, .. } | OpKind::TridiagMatMul, [Shared, Stacked])
+        | (OpKind::Add | OpKind::Sub, [Stacked, Stacked])
+        | (OpKind::Scale(_), _) => Some(Stacked),
+        _ => None,
+    }
 }
 
 /// The per-node batch classification of one graph, plus the overall
@@ -87,34 +80,18 @@ impl BatchAnalysis {
         let mut legal = true;
         let mut has_varying = false;
         for node in g.nodes.iter() {
-            let stacked = |i: usize| status[node.inputs[i].idx()] == BatchStatus::Stacked;
-            let any_stacked = node.inputs.iter().any(|id| status[id.idx()] == BatchStatus::Stacked);
             let s = match &node.kind {
-                OpKind::Input(name) => {
-                    if is_varying(name) {
-                        has_varying = true;
+                OpKind::Input(name) if is_varying(name) => {
+                    has_varying = true;
+                    BatchStatus::Stacked
+                }
+                kind => {
+                    let inputs: Vec<BatchStatus> =
+                        node.inputs.iter().map(|id| status[id.idx()]).collect();
+                    stacked_form(kind, &inputs).unwrap_or_else(|| {
+                        legal = false;
                         BatchStatus::Stacked
-                    } else {
-                        BatchStatus::Shared
-                    }
-                }
-                // A node fed only shared values is itself shared,
-                // whatever it computes.
-                _ if !any_stacked => BatchStatus::Shared,
-                OpKind::MatMul { tb, .. } if !stacked(0) && stacked(1) && *tb == Trans::No => {
-                    BatchStatus::Stacked
-                }
-                OpKind::Add | OpKind::Sub if stacked(0) && stacked(1) => BatchStatus::Stacked,
-                OpKind::Scale(_) => BatchStatus::Stacked,
-                OpKind::TridiagMatMul if !stacked(0) && stacked(1) => BatchStatus::Stacked,
-                // Everything else touched by a stacked value — stacked
-                // left operands, transposed stacked operands, mixed
-                // shared±stacked sums, transpose/slicing/concatenation/
-                // block assembly of a stacked value: no column-stacked
-                // form proven here.
-                _ => {
-                    legal = false;
-                    BatchStatus::Stacked
+                    })
                 }
             };
             status.push(s);
@@ -123,8 +100,7 @@ impl BatchAnalysis {
     }
 
     /// `true` when the whole plan executes in one stacked sweep;
-    /// `false` sends [`execute_batched_on`] down the per-environment
-    /// fallback.
+    /// `false` sends batches down the per-environment solo sweep.
     pub fn stackable(&self) -> bool {
         self.stackable
     }
@@ -145,298 +121,26 @@ impl BatchAnalysis {
     }
 }
 
-/// One in-flight value of the batched sweep.
-enum BVal<'e, T: Scalar> {
-    SharedRef(&'e Matrix<T>),
-    SharedOwned(Matrix<T>),
-    StackedRef(Vec<&'e Matrix<T>>),
-    StackedOwned(Vec<Matrix<T>>),
-}
-
-impl<'e, T: Scalar> BVal<'e, T> {
-    /// The shared value (analysis guarantees the status).
-    fn shared(&self) -> &Matrix<T> {
-        match self {
-            BVal::SharedRef(m) => m,
-            BVal::SharedOwned(m) => m,
-            _ => unreachable!("analysis marked a stacked value as shared"),
-        }
-    }
-
-    /// The stacked parts as a fresh reference vector (analysis guarantees
-    /// the status).
-    fn parts(&self) -> Vec<&Matrix<T>> {
-        match self {
-            BVal::StackedRef(parts) => parts.clone(),
-            BVal::StackedOwned(parts) => parts.iter().collect(),
-            _ => unreachable!("analysis marked a shared value as stacked"),
-        }
-    }
-}
-
-/// Execute the graph once over `B` operand environments, dispatching
-/// through `backend`.
-///
-/// Returns one output vector per environment, in `envs` order. When
-/// `analysis` proves the plan stackable (and `B > 1`), the sweep runs
-/// once: shared nodes execute a single time, varying matmuls go through
-/// [`Backend::matmul_batched`], and everything else is per-part through
-/// the identical backend entry points the solo sweep uses. Otherwise the
-/// call falls back to sequential [`execute_scheduled_on`] per
-/// environment — bitwise-identical to solo serving.
-///
-/// The caller guarantees that every input *not* named varying by the
-/// analysis binds the same value in all environments (shared nodes are
-/// computed from `envs[0]`).
-///
-/// # Panics
-/// When `envs` is empty, when `schedule`/`analysis` were built for a
-/// different graph (length mismatch), plus everything
-/// [`execute_scheduled_on`] panics on.
-pub fn execute_batched_on<T: Scalar>(
-    g: &Graph,
-    schedule: &Schedule,
-    analysis: &BatchAnalysis,
-    envs: &[&Env<T>],
-    backend: &dyn Backend<T>,
-) -> Vec<Vec<Matrix<T>>> {
-    assert!(!envs.is_empty(), "execute_batched_on: empty environment batch");
-    assert_eq!(
-        analysis.len(),
-        g.len(),
-        "analysis was built for a graph with {} nodes, this graph has {}",
-        analysis.len(),
-        g.len()
-    );
-    if !analysis.stackable() || envs.len() == 1 {
-        return envs.iter().map(|env| execute_scheduled_on(g, schedule, env, backend)).collect();
-    }
-    assert_eq!(
-        schedule.len(),
-        g.len(),
-        "schedule was built for a graph with {} nodes, this graph has {}",
-        schedule.len(),
-        g.len()
-    );
-    debug_assert_eq!(g.check_topology(), Ok(()));
-
-    let q = envs.len();
-    let mut remaining = schedule.use_counts().to_vec();
-    let mut values: Vec<Option<BVal<'_, T>>> = Vec::with_capacity(g.len());
-
-    for (i, node) in g.nodes.iter().enumerate() {
-        let stacked_out = analysis.status[i] == BatchStatus::Stacked;
-        let val: BVal<'_, T> = match &node.kind {
-            OpKind::Input(name) => {
-                if stacked_out {
-                    let parts: Vec<&Matrix<T>> = envs
-                        .iter()
-                        .map(|env| {
-                            let m = env.expect(name);
-                            assert_eq!(
-                                (m.rows(), m.cols()),
-                                (node.shape.rows, node.shape.cols),
-                                "feed `{name}` has shape {}x{}, graph expects {}",
-                                m.rows(),
-                                m.cols(),
-                                node.shape
-                            );
-                            m
-                        })
-                        .collect();
-                    BVal::StackedRef(parts)
-                } else {
-                    let m = envs[0].expect(name);
-                    assert_eq!(
-                        (m.rows(), m.cols()),
-                        (node.shape.rows, node.shape.cols),
-                        "feed `{name}` has shape {}x{}, graph expects {}",
-                        m.rows(),
-                        m.cols(),
-                        node.shape
-                    );
-                    BVal::SharedRef(m)
-                }
-            }
-            OpKind::Identity(n) => BVal::SharedOwned(Matrix::identity(*n)),
-            OpKind::MatMul { ta, tb, alpha_bits } => {
-                let a = values[node.inputs[0].idx()].as_ref().unwrap();
-                let b = values[node.inputs[1].idx()].as_ref().unwrap();
-                let alpha = T::from_f64(f64::from_bits(*alpha_bits));
-                if stacked_out {
-                    // Analysis guarantees: shared LHS, stacked RHS, tb = No.
-                    BVal::StackedOwned(backend.matmul_batched(alpha, a.shared(), *ta, &b.parts()))
-                } else {
-                    BVal::SharedOwned(backend.matmul(alpha, a.shared(), *ta, b.shared(), *tb))
-                }
-            }
-            // A stacked operand has no proven form (the analysis's
-            // catch-all), so a `Syrk` reaching this sweep is shared.
-            OpKind::Syrk { trans, alpha_bits } => {
-                let x = values[node.inputs[0].idx()].as_ref().unwrap();
-                let alpha = T::from_f64(f64::from_bits(*alpha_bits));
-                BVal::SharedOwned(backend.syrk(alpha, x.shared(), *trans))
-            }
-            OpKind::Add | OpKind::Sub => {
-                let beta = if matches!(node.kind, OpKind::Add) { T::ONE } else { -T::ONE };
-                let a = values[node.inputs[0].idx()].as_ref().unwrap();
-                let b = values[node.inputs[1].idx()].as_ref().unwrap();
-                if stacked_out {
-                    let out: Vec<Matrix<T>> = a
-                        .parts()
-                        .iter()
-                        .zip(b.parts())
-                        .map(|(pa, pb)| backend.geadd(T::ONE, pa, beta, pb))
-                        .collect();
-                    BVal::StackedOwned(out)
-                } else {
-                    BVal::SharedOwned(backend.geadd(T::ONE, a.shared(), beta, b.shared()))
-                }
-            }
-            OpKind::Scale(bits) => {
-                let c = T::from_f64(f64::from_bits(*bits));
-                let x = values[node.inputs[0].idx()].as_ref().unwrap();
-                if stacked_out {
-                    BVal::StackedOwned(x.parts().iter().map(|p| backend.scale(c, p)).collect())
-                } else {
-                    BVal::SharedOwned(backend.scale(c, x.shared()))
-                }
-            }
-            OpKind::TridiagMatMul => {
-                let t = values[node.inputs[0].idx()].as_ref().unwrap();
-                let b = values[node.inputs[1].idx()].as_ref().unwrap();
-                // The compact form is built once per batch either way.
-                let compact = Tridiagonal::from_dense(t.shared());
-                if stacked_out {
-                    let out: Vec<Matrix<T>> =
-                        b.parts().iter().map(|p| backend.tridiag_matmul(&compact, p)).collect();
-                    BVal::StackedOwned(out)
-                } else {
-                    BVal::SharedOwned(backend.tridiag_matmul(&compact, b.shared()))
-                }
-            }
-            // Analysis guarantees the remaining (data-movement) kinds are
-            // fed only shared values: execute them once, as the solo
-            // sweep would.
-            OpKind::Transpose => {
-                let x = values[node.inputs[0].idx()].as_ref().unwrap();
-                counters::record(Kernel::Transpose, 0);
-                BVal::SharedOwned(x.shared().transpose())
-            }
-            OpKind::Elem(r, c) => {
-                let x = values[node.inputs[0].idx()].as_ref().unwrap();
-                counters::record(Kernel::Slice, 0);
-                BVal::SharedOwned(Matrix::filled(1, 1, x.shared()[(*r, *c)]))
-            }
-            OpKind::Row(r) => {
-                let x = values[node.inputs[0].idx()].as_ref().unwrap();
-                counters::record(Kernel::Slice, 0);
-                BVal::SharedOwned(Matrix::row_vector(x.shared().row(*r)))
-            }
-            OpKind::Col(c) => {
-                let x = values[node.inputs[0].idx()].as_ref().unwrap();
-                counters::record(Kernel::Slice, 0);
-                BVal::SharedOwned(x.shared().col_matrix(*c))
-            }
-            OpKind::VCat => {
-                let a = values[node.inputs[0].idx()].as_ref().unwrap();
-                let b = values[node.inputs[1].idx()].as_ref().unwrap();
-                counters::record(Kernel::Concat, 0);
-                BVal::SharedOwned(a.shared().vcat(b.shared()))
-            }
-            OpKind::HCat => {
-                let a = values[node.inputs[0].idx()].as_ref().unwrap();
-                let b = values[node.inputs[1].idx()].as_ref().unwrap();
-                counters::record(Kernel::Concat, 0);
-                BVal::SharedOwned(a.shared().hcat(b.shared()))
-            }
-            OpKind::BlockDiag => {
-                let a = values[node.inputs[0].idx()].as_ref().unwrap();
-                let b = values[node.inputs[1].idx()].as_ref().unwrap();
-                counters::record(Kernel::Concat, 0);
-                BVal::SharedOwned(Matrix::block_diag(a.shared(), b.shared()))
-            }
-        };
-        values.push(Some(val));
-
-        // Free operands whose last consumer has now run.
-        for inp in &node.inputs {
-            let r = &mut remaining[inp.idx()];
-            *r -= 1;
-            if *r == 0 {
-                values[inp.idx()] = None;
-            }
-        }
-    }
-
-    // Push one fetched value to every environment's output vector by
-    // cloning: a shared value is replicated, stacked parts go to their
-    // own environments.
-    fn push_cloned<T: Scalar>(out: &mut [Vec<Matrix<T>>], val: &BVal<'_, T>) {
-        match val {
-            BVal::SharedRef(m) => {
-                for per_env in out.iter_mut() {
-                    per_env.push((*m).clone());
-                }
-            }
-            BVal::SharedOwned(m) => {
-                for per_env in out.iter_mut() {
-                    per_env.push(m.clone());
-                }
-            }
-            BVal::StackedRef(parts) => {
-                for (per_env, part) in out.iter_mut().zip(parts) {
-                    per_env.push((*part).clone());
-                }
-            }
-            BVal::StackedOwned(parts) => {
-                for (per_env, part) in out.iter_mut().zip(parts) {
-                    per_env.push(part.clone());
-                }
-            }
-        }
-    }
-
-    let mut out: Vec<Vec<Matrix<T>>> =
-        (0..q).map(|_| Vec::with_capacity(g.outputs.len())).collect();
-    for id in &g.outputs {
-        let r = &mut remaining[id.idx()];
-        *r -= 1;
-        if *r == 0 {
-            // Final fetch: move owned stacked parts out instead of cloning.
-            match values[id.idx()].take().expect("output already freed") {
-                BVal::StackedOwned(parts) => {
-                    for (per_env, part) in out.iter_mut().zip(parts) {
-                        per_env.push(part);
-                    }
-                }
-                val => push_cloned(&mut out, &val),
-            }
-        } else {
-            push_cloned(&mut out, values[id.idx()].as_ref().expect("output already freed"));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{execute_batched_on, execute_scheduled_on, Schedule};
     use crate::ir::GraphBuilder;
     use crate::passes::{lower_syrk, optimize, PassConfig};
+    use laab_backend::BackendScalar;
     use laab_dense::gen::OperandGen;
-
-    const VARYING: [&str; 2] = ["x", "y"];
+    use laab_dense::{Matrix, Scalar};
+    use laab_expr::eval::Env;
 
     fn is_varying(name: &str) -> bool {
-        VARYING.contains(&name)
+        name == "x" || name == "y"
     }
 
     /// `B` environments sharing `H` (and `T`), each with its own `x`/`y`.
-    fn envs(n: usize, q: usize, seed: u64) -> Vec<Env<f64>> {
+    fn envs<T: Scalar>(n: usize, q: usize, seed: u64) -> Vec<Env<T>> {
         let mut shared = OperandGen::new(seed);
-        let h = shared.matrix::<f64>(n, n);
-        let t = shared.tridiagonal::<f64>(n).to_dense();
+        let h = shared.matrix::<T>(n, n);
+        let t = shared.tridiagonal::<T>(n).to_dense();
         (0..q)
             .map(|i| {
                 let mut g = OperandGen::new(seed ^ (0xB00 + i as u64));
@@ -465,70 +169,78 @@ mod tests {
         g
     }
 
-    fn solo_all(g: &Graph, schedule: &Schedule, envs: &[&Env<f64>]) -> Vec<Vec<Matrix<f64>>> {
-        envs.iter().map(|e| execute_scheduled_on(g, schedule, e, laab_backend::engine())).collect()
+    /// Run `g` over `q` environments of side `n` as one batch on the
+    /// engine, assert that each got its solo bits, and return the
+    /// analysis that chose the path with the results.
+    fn batched_is_solo(
+        g: &Graph,
+        n: usize,
+        q: usize,
+        seed: u64,
+    ) -> (BatchAnalysis, Vec<Vec<Matrix<f64>>>) {
+        let (schedule, analysis) = (Schedule::new(g), BatchAnalysis::analyze(g, is_varying));
+        let owned = envs::<f64>(n, q, seed);
+        let refs: Vec<&Env<f64>> = owned.iter().collect();
+        let engine = laab_backend::engine();
+        let batched = execute_batched_on(g, &schedule, &analysis, &refs, engine);
+        let solo: Vec<_> =
+            refs.iter().map(|e| execute_scheduled_on(g, &schedule, e, engine)).collect();
+        assert_eq!(batched, solo, "batched must be bitwise solo");
+        (analysis, batched)
     }
 
     #[test]
     fn residual_plan_is_stackable_and_matches_solo() {
         // n = 80: A is past L1 at f64.
         let n = 80;
-        let g = residual_graph(n);
-        let schedule = Schedule::new(&g);
-        let analysis = BatchAnalysis::analyze(&g, is_varying);
-        assert!(analysis.stackable(), "residual plan must RHS-stack");
-        let owned = envs(n, 8, 3);
-        let refs: Vec<&Env<f64>> = owned.iter().collect();
-        let batched = execute_batched_on(&g, &schedule, &analysis, &refs, laab_backend::engine());
-        let solo = solo_all(&g, &schedule, &refs);
-        assert_eq!(batched.len(), 8);
-        assert_eq!(batched, solo, "batched must be bitwise solo on the engine");
+        assert!(batched_is_solo(&residual_graph(n), n, 8, 3).0.stackable(), "must RHS-stack");
     }
 
     #[test]
-    fn reference_backend_batched_is_bitwise_solo() {
-        // The reference backend keeps the default per-item loop and every other
-        // stacked op is per-part through identical entry points, so the
-        // reference backend's batched sweep is bit-for-bit its solo sweep.
-        let n = 10;
-        let g = residual_graph(n);
-        let schedule = Schedule::new(&g);
-        let analysis = BatchAnalysis::analyze(&g, is_varying);
-        let owned = envs(n, 5, 7);
-        let refs: Vec<&Env<f64>> = owned.iter().collect();
-        let backend = laab_backend::registry::find("reference").unwrap().resolve::<f64>().unwrap();
-        let batched = execute_batched_on(&g, &schedule, &analysis, &refs, backend);
-        for (env, b) in refs.iter().zip(&batched) {
-            let s = execute_scheduled_on(&g, &schedule, env, backend);
-            assert_eq!(b, &s);
+    fn stolen_stacked_parts_are_the_solo_bits() {
+        // y − H·x, H·x − y and 2·(H·x) + y, each over its own H·x: the
+        // stacked product is uniquely owned, so the Sub (from either
+        // side) or the Scale and then the Add reuse its parts in place.
+        // One environment's x carries a NaN, an ±Inf or a subnormal,
+        // which must reach that environment's results and no other.
+        fn bits<T: Scalar>(out: &[Matrix<T>]) -> Vec<u64> {
+            out.iter().flat_map(|m| m.as_slice().iter().map(|v| v.to_f64().to_bits())).collect()
         }
-    }
-
-    #[test]
-    fn gemm_free_plan_is_bitwise_on_every_backend() {
-        // 2·(x − y) + x: adds, subs, scales only — per-part dispatch is
-        // the identical kernel per element, so batched ≡ solo bitwise for
-        // all backends, engine included.
-        let n = 12;
-        let mut gb = GraphBuilder::new();
-        let x = gb.input("x", n, 1);
-        let y = gb.input("y", n, 1);
-        let d = gb.sub(x, y);
-        let s = gb.scale(2.0, d);
-        let out = gb.add(s, x);
-        let g = gb.finish(vec![out]);
-        let schedule = Schedule::new(&g);
-        let analysis = BatchAnalysis::analyze(&g, is_varying);
-        assert!(analysis.stackable());
-        let owned = envs(n, 6, 11);
-        let refs: Vec<&Env<f64>> = owned.iter().collect();
-        for reg in laab_backend::registry::builtins() {
-            let backend = reg.resolve::<f64>().unwrap();
-            let batched = execute_batched_on(&g, &schedule, &analysis, &refs, backend);
-            for (env, b) in refs.iter().zip(&batched) {
-                assert_eq!(b, &execute_scheduled_on(&g, &schedule, env, backend), "{}", reg.name());
+        fn check<T: BackendScalar>(subnormal: f64) {
+            let n = 24;
+            let mut gb = GraphBuilder::new();
+            let (h, x, y) = (gb.input("H", n, n), gb.input("x", n, 1), gb.input("y", n, 1));
+            let hx = [(); 3].map(|_| gb.matmul(h, x));
+            let (d0, d1, s) = (gb.sub(y, hx[0]), gb.sub(hx[1], y), gb.scale(2.0, hx[2]));
+            let sum = gb.add(s, y);
+            let g = gb.finish(vec![d0, d1, sum]);
+            let (schedule, analysis) = (Schedule::new(&g), BatchAnalysis::analyze(&g, is_varying));
+            assert!(analysis.stackable());
+            for q in [2, 3, 8] {
+                let (clean, hit) = (envs::<T>(n, q, 41), q / 2);
+                for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, subnormal] {
+                    let mut envs = clean.clone();
+                    let mut x = envs[hit].expect("x").clone();
+                    x[(n / 3, 0)] = T::from_f64(poison);
+                    envs[hit].insert("x", x);
+                    let refs: Vec<&Env<T>> = envs.iter().collect();
+                    for reg in laab_backend::registry::builtins() {
+                        let backend = reg.resolve::<T>().expect("builtins support both dtypes");
+                        let got = execute_batched_on(&g, &schedule, &analysis, &refs, backend);
+                        for (k, got) in got.iter().enumerate() {
+                            let at =
+                                format!("{} {} q={q} env {k} {poison:e}", reg.name(), T::DTYPE);
+                            let solo = execute_scheduled_on(&g, &schedule, refs[k], backend);
+                            assert_eq!(bits(got), bits(&solo), "{at}: not the solo bits");
+                            let clean = execute_scheduled_on(&g, &schedule, &clean[k], backend);
+                            assert_eq!(bits(got) != bits(&clean), k == hit, "{at}: poison leaked");
+                        }
+                    }
+                }
             }
         }
+        check::<f64>(1e-310);
+        check::<f32>(1e-40);
     }
 
     #[test]
@@ -539,16 +251,7 @@ mod tests {
         let x = gb.input("x", n, 1);
         let out = gb.tridiag_matmul(t, x);
         let g = gb.finish(vec![out]);
-        let schedule = Schedule::new(&g);
-        let analysis = BatchAnalysis::analyze(&g, is_varying);
-        assert!(analysis.stackable());
-        let owned = envs(n, 4, 13);
-        let refs: Vec<&Env<f64>> = owned.iter().collect();
-        let batched = execute_batched_on(&g, &schedule, &analysis, &refs, laab_backend::engine());
-        for (env, b) in refs.iter().zip(&batched) {
-            let s = execute_scheduled_on(&g, &schedule, env, laab_backend::engine());
-            assert_eq!(b, &s, "structured per-part path must be bitwise");
-        }
+        assert!(batched_is_solo(&g, n, 4, 13).0.stackable());
     }
 
     #[test]
@@ -563,16 +266,7 @@ mod tests {
         let out = gb.matmul(xt, x);
         let mut g = gb.finish(vec![out]);
         optimize(&mut g, &PassConfig::all());
-        let schedule = Schedule::new(&g);
-        let analysis = BatchAnalysis::analyze(&g, is_varying);
-        assert!(!analysis.stackable(), "stacked LHS must be illegal");
-        let owned = envs(n, 6, 17);
-        let refs: Vec<&Env<f64>> = owned.iter().collect();
-        let batched = execute_batched_on(&g, &schedule, &analysis, &refs, laab_backend::engine());
-        for (env, b) in refs.iter().zip(&batched) {
-            let s = execute_scheduled_on(&g, &schedule, env, laab_backend::engine());
-            assert_eq!(b, &s, "fallback must be bitwise-identical to solo");
-        }
+        assert!(!batched_is_solo(&g, n, 6, 17).0.stackable(), "stacked LHS must be illegal");
     }
 
     #[test]
@@ -588,22 +282,11 @@ mod tests {
         let out = gb.matmul(hth, x);
         let mut g = gb.finish(vec![out]);
         optimize(&mut g, &PassConfig::all());
-        let plain = g.clone();
+        let (_, plain) = batched_is_solo(&g, n, 4, 31);
         assert_eq!(lower_syrk(&mut g), 1);
-        let analysis = BatchAnalysis::analyze(&g, is_varying);
+        let (analysis, lowered) = batched_is_solo(&g, n, 4, 31);
         assert!(analysis.stackable());
-        let owned = envs(n, 4, 31);
-        let refs: Vec<&Env<f64>> = owned.iter().collect();
-        let batched =
-            execute_batched_on(&g, &Schedule::new(&g), &analysis, &refs, laab_backend::engine());
-        let plain_batched = execute_batched_on(
-            &plain,
-            &Schedule::new(&plain),
-            &BatchAnalysis::analyze(&plain, is_varying),
-            &refs,
-            laab_backend::engine(),
-        );
-        assert_eq!(batched, plain_batched, "a shared Syrk changes no bit of the stacked sweep");
+        assert_eq!(lowered, plain, "a shared Syrk changes no bit of the stacked sweep");
 
         // xxᵀ of a varying x: a stacked operand has no proven form — the
         // per-environment fallback, bitwise solo.
@@ -614,11 +297,7 @@ mod tests {
         let mut g = gb.finish(vec![out]);
         optimize(&mut g, &PassConfig::all());
         assert_eq!(lower_syrk(&mut g), 1);
-        let analysis = BatchAnalysis::analyze(&g, is_varying);
-        assert!(!analysis.stackable(), "Syrk of a stacked value must be illegal");
-        let schedule = Schedule::new(&g);
-        let batched = execute_batched_on(&g, &schedule, &analysis, &refs, laab_backend::engine());
-        assert_eq!(batched, solo_all(&g, &schedule, &refs));
+        assert!(!batched_is_solo(&g, n, 4, 31).0.stackable(), "Syrk of a stacked value is illegal");
     }
 
     #[test]
@@ -652,30 +331,11 @@ mod tests {
         let h = gb.input("H", n, n);
         let hh = gb.matmul(h, h);
         let g = gb.finish(vec![hh]);
-        let analysis = BatchAnalysis::analyze(&g, is_varying);
+        let (analysis, _) = batched_is_solo(&g, n, 3, 19);
         assert!(!analysis.stackable());
         assert_eq!(analysis.status(NodeId(1)), BatchStatus::Shared);
         assert_eq!(analysis.len(), 2);
         assert!(!analysis.is_empty());
-        let schedule = Schedule::new(&g);
-        let owned = envs(n, 3, 19);
-        let refs: Vec<&Env<f64>> = owned.iter().collect();
-        let batched = execute_batched_on(&g, &schedule, &analysis, &refs, laab_backend::engine());
-        let solo = solo_all(&g, &schedule, &refs);
-        assert_eq!(batched, solo);
-    }
-
-    #[test]
-    fn batch_of_one_takes_the_solo_path() {
-        let n = 10;
-        let g = residual_graph(n);
-        let schedule = Schedule::new(&g);
-        let analysis = BatchAnalysis::analyze(&g, is_varying);
-        let owned = envs(n, 1, 23);
-        let refs: Vec<&Env<f64>> = owned.iter().collect();
-        let batched = execute_batched_on(&g, &schedule, &analysis, &refs, laab_backend::engine());
-        let solo = solo_all(&g, &schedule, &refs);
-        assert_eq!(batched, solo, "a one-request batch is exactly a solo execution");
     }
 
     #[test]

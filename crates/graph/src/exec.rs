@@ -1,73 +1,109 @@
 //! The DAG executor and the precomputed execution [`Schedule`].
 //!
-//! A single forward sweep in topological order. Every kernel-backed node
-//! dispatches through a `laab-backend` [`Backend`] — the live engine by
-//! default ([`execute`] / [`execute_scheduled`]), or any registered
-//! backend via [`execute_on`] / [`execute_scheduled_on`], so identical
-//! graphs can be A/B'd across kernel strategies the way one traced
-//! `tf.function` graph dispatches to multiple runtimes. Pure data
-//! movement (transpose, slicing, concatenation) is executor-level and
-//! backend-independent. The thread-local FLOP/call counters give a
-//! faithful kernel-level trace of the graph's execution — the data behind
-//! the paper's analytical claims. Intermediate buffers are freed as soon
-//! as their last consumer has run (reference counting), bounding peak
-//! memory to the live frontier of the DAG.
+//! One forward sweep in topological order runs every request, solo or
+//! batched. Every kernel-backed node dispatches through a `laab-backend`
+//! [`Backend`] — the live engine for a one-shot [`execute`], or the
+//! backend a serving plan was compiled for — so identical graphs can be
+//! A/B'd across kernel strategies the way one traced `tf.function` graph
+//! dispatches to multiple runtimes. Pure data movement (transpose,
+//! slicing, concatenation) is executor-level and backend-independent.
+//! The thread-local FLOP/call counters give a faithful kernel-level trace
+//! of the graph's execution — the data behind the paper's analytical
+//! claims. Intermediate buffers are freed as soon as their last consumer
+//! has run, bounding peak memory to the live frontier of the DAG, and
+//! that consumer reuses an owned buffer in place (`Add`/`Sub`/`Scale`
+//! through the backend's `*_assign` entry points).
 //!
 //! Vector-shaped products dispatch to Level-1/2 kernels the way the
 //! frameworks' `matmul` lowers to MKL: `1×k · k×1` → `DOT`,
 //! `m×k · k×1` → `GEMV`, `1×k · k×n` → `GEMV` on the transpose, everything
 //! else → `GEMM` (with transposition and `alpha` as kernel attributes).
 //!
-//! [`execute`] recomputes the reference counts on every call — fine for a
-//! one-shot experiment. A serving system re-executing the same graph per
-//! request amortizes that bookkeeping through a [`Schedule`]: the use
-//! counts, per-node output sizes, and the peak-live workspace layout are
-//! computed once at plan-compile time and re-used by
-//! [`execute_scheduled`] with fresh operand bindings (the `tf.function`
-//! concrete-function analogue that `laab-serve` caches).
+//! An in-flight value is *shared* (one matrix) or *stacked* (one part per
+//! environment of a batch, for the inputs the [`BatchAnalysis`] declares
+//! varying). Each node kind is written once and applied to shared
+//! operands once or to stacked ones per part; only a stacked `MatMul`
+//! calls something else, [`Backend::matmul_batched`]. A plan that does
+//! not stack, or a batch of one, runs every value shared, one environment
+//! at a time. Stolen and allocated outputs are bitwise-equal by the
+//! [`Backend`] contract, as is `matmul_batched` with the solo product per
+//! part, so a batched result is the solo result on every backend
+//! (property-tested in `tests/batched_exec_props.rs`).
+//!
+//! [`execute`] derives the reference counts on every call — fine for a
+//! one-shot experiment. A serving system amortizes that bookkeeping
+//! through a [`Schedule`] computed once at plan-compile time (the
+//! `tf.function` concrete-function analogue that `laab-serve` caches).
+
+use std::borrow::Cow;
 
 use laab_backend::{engine, Backend};
 use laab_dense::{Matrix, Scalar, Tridiagonal};
 use laab_expr::eval::Env;
 use laab_kernels::counters::{self, Kernel};
+use laab_kernels::Trans;
 
+use crate::batch::{stacked_form, BatchAnalysis, BatchStatus};
 use crate::ir::{Graph, NodeId, OpKind};
 
-enum Val<'e, T: Scalar> {
-    Ref(&'e Matrix<T>),
-    Owned(Matrix<T>),
+/// One in-flight value of the sweep. A matrix is borrowed (a feed, or
+/// an operand another consumer still needs) or owned by the sweep, and
+/// an owned one may be reused in place by its last consumer.
+enum Val<'a, T: Scalar> {
+    /// The same matrix for every environment.
+    Shared(Cow<'a, Matrix<T>>),
+    /// One part per environment, in batch order.
+    Stacked(Vec<Cow<'a, Matrix<T>>>),
 }
 
-impl<'e, T: Scalar> Val<'e, T> {
-    fn get(&self) -> &Matrix<T> {
+impl<'a, T: Scalar> Val<'a, T> {
+    fn status(&self) -> BatchStatus {
         match self {
-            Val::Ref(m) => m,
-            Val::Owned(m) => m,
+            Val::Shared(_) => BatchStatus::Shared,
+            Val::Stacked(_) => BatchStatus::Stacked,
         }
     }
-    fn into_owned(self) -> Matrix<T> {
-        match self {
-            Val::Ref(m) => m.clone(),
-            Val::Owned(m) => m,
-        }
-    }
-}
 
-/// Steal the buffer of `id` when this node is its only remaining consumer
-/// and the value is an owned intermediate (not a borrowed feed). The freed
-/// slot stays `None`; the release loop after the node tolerates that.
-fn take_unique<'e, T: Scalar>(
-    values: &mut [Option<Val<'e, T>>],
-    remaining: &[u32],
-    id: NodeId,
-) -> Option<Matrix<T>> {
-    if remaining[id.idx()] == 1 && matches!(values[id.idx()], Some(Val::Owned(_))) {
-        match values[id.idx()].take() {
-            Some(Val::Owned(m)) => Some(m),
-            _ => unreachable!("checked Owned just above"),
+    /// The value as an operand that leaves it in its slot.
+    fn borrowed(&self) -> Val<'_, T> {
+        match self {
+            Val::Shared(m) => Val::Shared(Cow::Borrowed(&**m)),
+            Val::Stacked(parts) => {
+                Val::Stacked(parts.iter().map(|m| Cow::Borrowed(&**m)).collect())
+            }
         }
-    } else {
-        None
+    }
+
+    /// Apply a unary node once, or once per part.
+    fn map<'o>(self, mut f: impl FnMut(Cow<'a, Matrix<T>>) -> Matrix<T>) -> Val<'o, T> {
+        match self {
+            Val::Shared(m) => Val::Shared(Cow::Owned(f(m))),
+            Val::Stacked(parts) => {
+                Val::Stacked(parts.into_iter().map(|m| Cow::Owned(f(m))).collect())
+            }
+        }
+    }
+
+    /// Apply a binary node once, or once per part; a shared operand of a
+    /// stacked node is lent to every part.
+    fn zip<'o>(
+        self,
+        other: Val<'a, T>,
+        mut f: impl FnMut(Cow<'_, Matrix<T>>, Cow<'_, Matrix<T>>) -> Matrix<T>,
+    ) -> Val<'o, T> {
+        let mut part = |a, b| Cow::Owned(f(a, b));
+        match (self, other) {
+            (Val::Shared(a), Val::Shared(b)) => Val::Shared(part(a, b)),
+            (Val::Stacked(a), Val::Stacked(b)) => {
+                Val::Stacked(a.into_iter().zip(b).map(|(a, b)| part(a, b)).collect())
+            }
+            (Val::Shared(a), Val::Stacked(b)) => {
+                Val::Stacked(b.into_iter().map(|b| part(Cow::Borrowed(&*a), b)).collect())
+            }
+            (Val::Stacked(a), Val::Shared(b)) => {
+                Val::Stacked(a.into_iter().map(|a| part(a, Cow::Borrowed(&*b))).collect())
+            }
+        }
     }
 }
 
@@ -75,9 +111,8 @@ fn take_unique<'e, T: Scalar>(
 /// executor derives from graph *structure* (as opposed to operand
 /// *values*), hoisted out of the per-call path.
 ///
-/// A schedule is valid only for the exact graph it was built from;
-/// [`execute_scheduled`] cross-checks the node count and (in debug
-/// builds) the topology.
+/// A schedule is valid only for the exact graph it was built from; the
+/// sweep cross-checks the node count and (in debug builds) the topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// Per-node reference counts (operand edges + output fetches), the
@@ -151,189 +186,202 @@ impl Schedule {
     }
 }
 
-/// Execute the graph against the fed operands, returning the outputs in
-/// fetch order.
+/// Execute the graph once against the fed operands on the live engine,
+/// returning the outputs in fetch order.
 ///
 /// # Panics
 /// On missing feeds, feed-shape mismatches, or (in debug builds) a graph
 /// violating the topological invariant.
 pub fn execute<T: Scalar>(g: &Graph, env: &Env<T>) -> Vec<Matrix<T>> {
-    execute_on(g, env, engine::<T>())
+    sweep(g, g.use_counts(), &[env], None, engine::<T>()).remove(0)
 }
 
-/// [`execute`] through an explicit execution [`Backend`] — the same
-/// sweep, buffer stealing, and free order, with every kernel-backed node
-/// dispatched to `backend`'s entry points instead of the default engine.
-///
-/// # Panics
-/// Everything [`execute`] panics on.
-pub fn execute_on<T: Scalar>(g: &Graph, env: &Env<T>, backend: &dyn Backend<T>) -> Vec<Matrix<T>> {
-    execute_with_counts(g, g.use_counts(), env, backend)
-}
-
-/// Execute the graph under a precomputed [`Schedule`], skipping the
-/// per-call reference-count derivation. Numerically this is the *same
-/// sweep* as [`execute`] — kernel dispatch, buffer stealing, and free
-/// order are identical — so a plan-cache hit is bitwise-identical to a
-/// cold trace.
+/// Execute the graph under a precomputed [`Schedule`] through `backend` —
+/// one request, what `laab-serve` runs per solo request. The sweep is
+/// [`execute`]'s, so a plan-cache hit is bitwise-identical to a cold
+/// trace on the same backend.
 ///
 /// # Panics
 /// When `schedule` was built for a graph with a different node count, plus
 /// everything [`execute`] panics on.
-pub fn execute_scheduled<T: Scalar>(
-    g: &Graph,
-    schedule: &Schedule,
-    env: &Env<T>,
-) -> Vec<Matrix<T>> {
-    execute_scheduled_on(g, schedule, env, engine::<T>())
-}
-
-/// [`execute_scheduled`] through an explicit execution [`Backend`] — what
-/// `laab-serve` calls with the backend a plan was compiled for, so one
-/// request stream can be A/B'd across backends under identical schedules.
-///
-/// # Panics
-/// Everything [`execute_scheduled`] panics on.
 pub fn execute_scheduled_on<T: Scalar>(
     g: &Graph,
     schedule: &Schedule,
     env: &Env<T>,
     backend: &dyn Backend<T>,
 ) -> Vec<Matrix<T>> {
-    assert_eq!(
-        schedule.len(),
-        g.len(),
-        "schedule was built for a graph with {} nodes, this graph has {}",
-        schedule.len(),
-        g.len()
-    );
-    execute_with_counts(g, schedule.use_counts.clone(), env, backend)
+    sweep(g, schedule.use_counts.clone(), &[env], None, backend).remove(0)
 }
 
-fn execute_with_counts<'e, T: Scalar>(
+/// Execute the graph over a batch of operand environments through
+/// `backend`, returning one output list per environment, in `envs` order —
+/// bitwise what serving each request solo returns. When `analysis` proves
+/// the plan stackable and the batch holds more than one request, the
+/// sweep runs once, shared nodes a single time (computed from `envs[0]`:
+/// the caller guarantees every input not named varying binds the same
+/// value in all environments); otherwise each environment runs the solo
+/// sweep ([`execute_scheduled_on`]) in turn.
+///
+/// # Panics
+/// When `envs` is empty, when `schedule`/`analysis` were built for a
+/// different graph (length mismatch), plus everything [`execute`] panics
+/// on.
+pub fn execute_batched_on<T: Scalar>(
+    g: &Graph,
+    schedule: &Schedule,
+    analysis: &BatchAnalysis,
+    envs: &[&Env<T>],
+    backend: &dyn Backend<T>,
+) -> Vec<Vec<Matrix<T>>> {
+    assert!(!envs.is_empty(), "execute_batched_on: empty environment batch");
+    assert_eq!(
+        analysis.len(),
+        g.len(),
+        "analysis was built for a graph with {} nodes, this graph has {}",
+        analysis.len(),
+        g.len()
+    );
+    if analysis.stackable() && envs.len() > 1 {
+        sweep(g, schedule.use_counts.clone(), envs, Some(analysis), backend)
+    } else {
+        envs.iter().map(|env| execute_scheduled_on(g, schedule, env, backend)).collect()
+    }
+}
+
+/// Count one executor-level data-movement op and pass its result on.
+fn moved<T: Scalar>(kernel: Kernel, m: Matrix<T>) -> Matrix<T> {
+    counters::record(kernel, 0);
+    m
+}
+
+/// The sweep: every node in topological order, over one environment or,
+/// with `stacking`, over a batch whose varying inputs it names (without
+/// it every value is shared, bound from `envs[0]`).
+fn sweep<'e, T: Scalar>(
     g: &Graph,
     mut remaining: Vec<u32>,
-    env: &'e Env<T>,
+    envs: &[&'e Env<T>],
+    stacking: Option<&BatchAnalysis>,
     backend: &dyn Backend<T>,
-) -> Vec<Matrix<T>> {
+) -> Vec<Vec<Matrix<T>>> {
+    assert_eq!(
+        remaining.len(),
+        g.len(),
+        "schedule was built for a graph with {} nodes, this graph has {}",
+        remaining.len(),
+        g.len()
+    );
     debug_assert_eq!(g.check_topology(), Ok(()));
     let mut values: Vec<Option<Val<'e, T>>> = Vec::with_capacity(g.len());
 
-    for node in g.nodes.iter() {
+    for (i, node) in g.nodes.iter().enumerate() {
+        // Move out each operand this node is the last use of, so its
+        // owned buffer can be reused; borrow the rest.
+        let mut taken: [Option<Val<'e, T>>; 2] = [None, None];
+        for (t, id) in taken.iter_mut().zip(&node.inputs) {
+            if remaining[id.idx()] == 1 {
+                *t = values[id.idx()].take();
+            }
+        }
+        let slot = |id: &NodeId| values[id.idx()].as_ref().expect("operand already freed");
+        let mut args = node
+            .inputs
+            .iter()
+            .zip(&mut taken)
+            .map(|(id, t)| t.take().unwrap_or_else(|| slot(id).borrowed()));
+        let mut arg = || args.next().expect("the builder checks operand counts");
+
         let val: Val<'e, T> = match &node.kind {
             OpKind::Input(name) => {
-                let m = env.expect(name);
-                assert_eq!(
-                    (m.rows(), m.cols()),
-                    (node.shape.rows, node.shape.cols),
-                    "feed `{name}` has shape {}x{}, graph expects {}",
-                    m.rows(),
-                    m.cols(),
-                    node.shape
-                );
-                Val::Ref(m)
+                let feed = |env: &&'e Env<T>| {
+                    let m = env.expect(name);
+                    assert_eq!(
+                        (m.rows(), m.cols()),
+                        (node.shape.rows, node.shape.cols),
+                        "feed `{name}` has shape {}x{}, graph expects {}",
+                        m.rows(),
+                        m.cols(),
+                        node.shape
+                    );
+                    Cow::Borrowed(m)
+                };
+                if stacking.is_some_and(|a| a.status(NodeId(i as u32)) == BatchStatus::Stacked) {
+                    Val::Stacked(envs.iter().map(feed).collect())
+                } else {
+                    Val::Shared(feed(&envs[0]))
+                }
             }
-            OpKind::Identity(n) => Val::Owned(Matrix::identity(*n)),
+            OpKind::Identity(n) => Val::Shared(Cow::Owned(Matrix::identity(*n))),
             OpKind::MatMul { ta, tb, alpha_bits } => {
-                let a = values[node.inputs[0].idx()].as_ref().unwrap().get();
-                let b = values[node.inputs[1].idx()].as_ref().unwrap().get();
                 let alpha = T::from_f64(f64::from_bits(*alpha_bits));
-                Val::Owned(backend.matmul(alpha, a, *ta, b, *tb))
+                match (arg(), arg()) {
+                    // RHS stacking: one call for every part against the
+                    // one shared left operand.
+                    (Val::Shared(a), Val::Stacked(parts)) if *tb == Trans::No => {
+                        let parts: Vec<&Matrix<T>> = parts.iter().map(|m| &**m).collect();
+                        let out = backend.matmul_batched(alpha, &a, *ta, &parts);
+                        Val::Stacked(out.into_iter().map(Cow::Owned).collect())
+                    }
+                    (a, b) => a.zip(b, |a, b| backend.matmul(alpha, &a, *ta, &b, *tb)),
+                }
             }
             OpKind::Syrk { trans, alpha_bits } => {
-                let x = values[node.inputs[0].idx()].as_ref().unwrap().get();
                 let alpha = T::from_f64(f64::from_bits(*alpha_bits));
-                Val::Owned(backend.syrk(alpha, x, *trans))
+                arg().map(|x| backend.syrk(alpha, &x, *trans))
             }
-            OpKind::Add => {
-                // Reuse a uniquely-owned operand buffer instead of
-                // allocating a fresh output (addition commutes exactly, so
-                // either side may accumulate the other).
-                if let Some(mut a) = take_unique(&mut values, &remaining, node.inputs[0]) {
-                    let b = values[node.inputs[1].idx()].as_ref().unwrap().get();
-                    backend.geadd_assign(T::ONE, &mut a, T::ONE, b);
-                    Val::Owned(a)
-                } else if let Some(mut b) = take_unique(&mut values, &remaining, node.inputs[1]) {
-                    let a = values[node.inputs[0].idx()].as_ref().unwrap().get();
-                    backend.geadd_assign(T::ONE, &mut b, T::ONE, a);
-                    Val::Owned(b)
-                } else {
-                    let a = values[node.inputs[0].idx()].as_ref().unwrap().get();
-                    let b = values[node.inputs[1].idx()].as_ref().unwrap().get();
-                    Val::Owned(backend.geadd(T::ONE, a, T::ONE, b))
-                }
-            }
-            OpKind::Sub => {
-                if let Some(mut a) = take_unique(&mut values, &remaining, node.inputs[0]) {
-                    let b = values[node.inputs[1].idx()].as_ref().unwrap().get();
-                    backend.geadd_assign(T::ONE, &mut a, -T::ONE, b);
-                    Val::Owned(a)
-                } else if let Some(mut b) = take_unique(&mut values, &remaining, node.inputs[1]) {
-                    // a − b == (−1)·b + a, exactly, in either operand order.
-                    let a = values[node.inputs[0].idx()].as_ref().unwrap().get();
-                    backend.geadd_assign(-T::ONE, &mut b, T::ONE, a);
-                    Val::Owned(b)
-                } else {
-                    let a = values[node.inputs[0].idx()].as_ref().unwrap().get();
-                    let b = values[node.inputs[1].idx()].as_ref().unwrap().get();
-                    Val::Owned(backend.geadd(T::ONE, a, -T::ONE, b))
-                }
+            OpKind::Add | OpKind::Sub => {
+                // An owned operand takes the result: addition commutes
+                // exactly, and a − b == (−1)·b + a exactly.
+                let beta = if matches!(node.kind, OpKind::Add) { T::ONE } else { -T::ONE };
+                arg().zip(arg(), |a, b| match (a, b) {
+                    (Cow::Owned(mut a), b) => {
+                        backend.geadd_assign(T::ONE, &mut a, beta, &b);
+                        a
+                    }
+                    (a, Cow::Owned(mut b)) => {
+                        backend.geadd_assign(beta, &mut b, T::ONE, &a);
+                        b
+                    }
+                    (a, b) => backend.geadd(T::ONE, &a, beta, &b),
+                })
             }
             OpKind::Scale(bits) => {
                 let c = T::from_f64(f64::from_bits(*bits));
-                if let Some(mut x) = take_unique(&mut values, &remaining, node.inputs[0]) {
-                    backend.scale_assign(c, &mut x);
-                    Val::Owned(x)
-                } else {
-                    let x = values[node.inputs[0].idx()].as_ref().unwrap().get();
-                    Val::Owned(backend.scale(c, x))
-                }
+                arg().map(|x| match x {
+                    Cow::Owned(mut x) => {
+                        backend.scale_assign(c, &mut x);
+                        x
+                    }
+                    x => backend.scale(c, &x),
+                })
             }
-            OpKind::Transpose => {
-                let x = values[node.inputs[0].idx()].as_ref().unwrap().get();
-                counters::record(Kernel::Transpose, 0);
-                Val::Owned(x.transpose())
-            }
+            OpKind::Transpose => arg().map(|x| moved(Kernel::Transpose, x.transpose())),
             OpKind::Elem(r, c) => {
-                let x = values[node.inputs[0].idx()].as_ref().unwrap().get();
-                counters::record(Kernel::Slice, 0);
-                Val::Owned(Matrix::filled(1, 1, x[(*r, *c)]))
+                arg().map(|x| moved(Kernel::Slice, Matrix::filled(1, 1, x[(*r, *c)])))
             }
-            OpKind::Row(r) => {
-                let x = values[node.inputs[0].idx()].as_ref().unwrap().get();
-                counters::record(Kernel::Slice, 0);
-                Val::Owned(Matrix::row_vector(x.row(*r)))
-            }
-            OpKind::Col(c) => {
-                let x = values[node.inputs[0].idx()].as_ref().unwrap().get();
-                counters::record(Kernel::Slice, 0);
-                Val::Owned(x.col_matrix(*c))
-            }
-            OpKind::VCat => {
-                let a = values[node.inputs[0].idx()].as_ref().unwrap().get();
-                let b = values[node.inputs[1].idx()].as_ref().unwrap().get();
-                counters::record(Kernel::Concat, 0);
-                Val::Owned(a.vcat(b))
-            }
-            OpKind::HCat => {
-                let a = values[node.inputs[0].idx()].as_ref().unwrap().get();
-                let b = values[node.inputs[1].idx()].as_ref().unwrap().get();
-                counters::record(Kernel::Concat, 0);
-                Val::Owned(a.hcat(b))
-            }
+            OpKind::Row(r) => arg().map(|x| moved(Kernel::Slice, Matrix::row_vector(x.row(*r)))),
+            OpKind::Col(c) => arg().map(|x| moved(Kernel::Slice, x.col_matrix(*c))),
+            OpKind::VCat => arg().zip(arg(), |a, b| moved(Kernel::Concat, a.vcat(&b))),
+            OpKind::HCat => arg().zip(arg(), |a, b| moved(Kernel::Concat, a.hcat(&b))),
             OpKind::BlockDiag => {
-                let a = values[node.inputs[0].idx()].as_ref().unwrap().get();
-                let b = values[node.inputs[1].idx()].as_ref().unwrap().get();
-                counters::record(Kernel::Concat, 0);
-                Val::Owned(Matrix::block_diag(a, b))
+                arg().zip(arg(), |a, b| moved(Kernel::Concat, Matrix::block_diag(&a, &b)))
             }
             OpKind::TridiagMatMul => {
-                let t = values[node.inputs[0].idx()].as_ref().unwrap().get();
-                let b = values[node.inputs[1].idx()].as_ref().unwrap().get();
-                let compact = Tridiagonal::from_dense(t);
-                Val::Owned(backend.tridiag_matmul(&compact, b))
+                arg().zip(arg(), |t, b| backend.tridiag_matmul(&Tridiagonal::from_dense(&t), &b))
             }
         };
+        debug_assert!(
+            stacking.is_none_or(|a| {
+                let inputs: Vec<BatchStatus> = node.inputs.iter().map(|&id| a.status(id)).collect();
+                let form = match node.kind {
+                    OpKind::Input(_) => Some(a.status(NodeId(i as u32))),
+                    _ => stacked_form(&node.kind, &inputs),
+                };
+                form == Some(val.status())
+            }),
+            "node {i} ({:?}) left the stacked form the analysis proved",
+            node.kind
+        );
         values.push(Some(val));
 
         // Free operands whose last consumer has now run.
@@ -346,14 +394,31 @@ fn execute_with_counts<'e, T: Scalar>(
         }
     }
 
-    let mut out = Vec::with_capacity(g.outputs.len());
+    // Fetch: a shared output goes to every environment (moved into the
+    // last one once nothing else reads it), a stacked one part by part.
+    let mut out: Vec<Vec<Matrix<T>>> =
+        envs.iter().map(|_| Vec::with_capacity(g.outputs.len())).collect();
     for id in &g.outputs {
         let r = &mut remaining[id.idx()];
         *r -= 1;
-        if *r == 0 {
-            out.push(values[id.idx()].take().expect("output already freed").into_owned());
+        let val = if *r == 0 {
+            values[id.idx()].take()
         } else {
-            out.push(values[id.idx()].as_ref().expect("output already freed").get().clone());
+            values[id.idx()].as_ref().map(Val::borrowed)
+        };
+        match val.expect("output already freed") {
+            Val::Shared(m) => {
+                let (last, rest) = out.split_last_mut().expect("at least one environment");
+                for per_env in rest {
+                    per_env.push(Matrix::clone(&m));
+                }
+                last.push(m.into_owned());
+            }
+            Val::Stacked(parts) => {
+                for (per_env, m) in out.iter_mut().zip(parts) {
+                    per_env.push(m.into_owned());
+                }
+            }
         }
     }
     out
@@ -375,6 +440,11 @@ mod tests {
             .with("B", g.matrix(n, n))
             .with("x", g.matrix(n, 1))
             .with("y", g.matrix(n, 1))
+    }
+
+    fn optimized(mut g: Graph) -> Graph {
+        optimize(&mut g, &PassConfig::all());
+        g
     }
 
     /// (AᵀB)ᵀ(AᵀB) built through the graph API.
@@ -399,14 +469,9 @@ mod tests {
             let s = var("A").t() * var("B");
             eval(&(s.t() * s.clone()), &e)
         };
-        let g0 = fig3_graph(n);
-        let unopt = execute(&g0, &e);
-        assert!(unopt[0].approx_eq(&oracle, 1e-12));
-
-        let mut g1 = fig3_graph(n);
-        optimize(&mut g1, &PassConfig::all());
-        let opt = execute(&g1, &e);
-        assert!(opt[0].approx_eq(&oracle, 1e-12));
+        for g in [fig3_graph(n), optimized(fig3_graph(n))] {
+            assert!(execute(&g, &e)[0].approx_eq(&oracle, 1e-12));
+        }
     }
 
     #[test]
@@ -417,8 +482,7 @@ mod tests {
         let (_r0, c0) = counters::measure(|| execute(&g0, &e));
         assert_eq!(c0.calls(Kernel::Gemm), 3, "unoptimized graph runs 3 GEMMs");
 
-        let mut g1 = fig3_graph(n);
-        optimize(&mut g1, &PassConfig::all());
+        let g1 = optimized(fig3_graph(n));
         let (_r1, c1) = counters::measure(|| execute(&g1, &e));
         assert_eq!(c1.calls(Kernel::Gemm), 2, "CSE saves one GEMM (Table I row 2)");
         assert_eq!(c1.calls(Kernel::Transpose), 0, "transposes folded into flags");
@@ -435,8 +499,7 @@ mod tests {
         let hx = gb.matmul(h, x);
         let ht = gb.transpose(h);
         let r = gb.matmul(ht, hx);
-        let mut g = gb.finish(vec![r]);
-        optimize(&mut g, &PassConfig::all());
+        let g = optimized(gb.finish(vec![r]));
         let (out, c) = counters::measure(|| execute(&g, &e));
         assert_eq!(c.calls(Kernel::Gemv), 2);
         assert_eq!(c.calls(Kernel::Gemm), 0);
@@ -453,8 +516,7 @@ mod tests {
         let y = gb.input("y", n, 1);
         let xt = gb.transpose(x);
         let d = gb.matmul(xt, y);
-        let mut g = gb.finish(vec![d]);
-        optimize(&mut g, &PassConfig::all());
+        let g = optimized(gb.finish(vec![d]));
         let (out, c) = counters::measure(|| execute(&g, &e));
         assert_eq!(c.calls(Kernel::Dot), 1);
         let oracle = eval(&(var("x").t() * var("y")), &e);
@@ -473,8 +535,7 @@ mod tests {
         let ht = gb.transpose(h);
         let m1 = gb.matmul(yt, ht);
         let m2 = gb.matmul(m1, h);
-        let mut g = gb.finish(vec![m2]);
-        optimize(&mut g, &PassConfig::all());
+        let g = optimized(gb.finish(vec![m2]));
         let (out, c) = counters::measure(|| execute(&g, &e));
         assert_eq!(c.calls(Kernel::Gemv), 2);
         assert_eq!(c.calls(Kernel::Gemm), 0);
@@ -492,8 +553,7 @@ mod tests {
         let m1 = gb.matmul(a, b);
         let m2 = gb.matmul(a, b);
         let s = gb.add(m1, m2);
-        let mut g = gb.finish(vec![s]);
-        optimize(&mut g, &PassConfig::all());
+        let g = optimized(gb.finish(vec![s]));
         let (out, c) = counters::measure(|| execute(&g, &e));
         assert_eq!(c.calls(Kernel::Gemm), 1);
         assert_eq!(c.calls(Kernel::GeAdd), 0);
@@ -545,18 +605,17 @@ mod tests {
         // the products, so agreement is approx (tight), not bitwise.
         let n = 16;
         let e = env(n, 31);
-        let mut g = fig3_graph(n);
-        optimize(&mut g, &PassConfig::all());
+        let g = optimized(fig3_graph(n));
         let schedule = Schedule::new(&g);
         let via_default = execute(&g, &e);
         for reg in laab_backend::registry::builtins() {
             let backend = reg.resolve::<f64>().expect("builtins support f64");
-            let out = execute_on(&g, &e, backend);
-            let scheduled = execute_scheduled_on(&g, &schedule, &e, backend);
-            // Per backend, plain and scheduled sweeps are bitwise equal.
-            assert_eq!(out, scheduled, "{} scheduled sweep drifted", reg.name());
+            let out = execute_scheduled_on(&g, &schedule, &e, backend);
             assert!(out[0].approx_eq(&via_default[0], 1e-13), "{} disagrees", reg.name());
         }
+        // One-shot and scheduled runs of one backend are the same sweep:
+        // exact equality, not approx.
+        assert_eq!(execute_scheduled_on(&g, &schedule, &e, engine()), via_default);
     }
 
     #[test]
@@ -566,17 +625,15 @@ mod tests {
         // the engine's half-FLOP kernel is built to land on them).
         let n = 20;
         let e = env(n, 37);
-        let mut plain = fig3_graph(n);
-        optimize(&mut plain, &PassConfig::all());
+        let plain = optimized(fig3_graph(n));
         let mut lowered = plain.clone();
         assert_eq!(lower_syrk(&mut lowered), 1);
-        let schedule = Schedule::new(&lowered);
+        let schedules = (Schedule::new(&plain), Schedule::new(&lowered));
         for reg in laab_backend::registry::builtins() {
             let backend = reg.resolve::<f64>().expect("builtins support f64");
-            let want = execute_on(&plain, &e, backend);
-            assert_eq!(execute_on(&lowered, &e, backend), want, "{}", reg.name());
-            let scheduled = execute_scheduled_on(&lowered, &schedule, &e, backend);
-            assert_eq!(scheduled, want, "{} scheduled", reg.name());
+            let want = execute_scheduled_on(&plain, &schedules.0, &e, backend);
+            let got = execute_scheduled_on(&lowered, &schedules.1, &e, backend);
+            assert_eq!(got, want, "{}", reg.name());
         }
         // On the engine the lowered graph runs one GEMM and one SYRK at
         // half the outer product's FLOPs.
@@ -585,19 +642,6 @@ mod tests {
         assert_eq!(c.flops(Kernel::Syrk), (n * n * n) as u64);
         let (_, c) = counters::measure(|| execute(&plain, &e));
         assert_eq!((c.calls(Kernel::Gemm), c.calls(Kernel::Syrk)), (2, 0));
-    }
-
-    #[test]
-    fn scheduled_execution_is_bitwise_identical() {
-        let n = 16;
-        let e = env(n, 23);
-        let mut g = fig3_graph(n);
-        optimize(&mut g, &PassConfig::all());
-        let plain = execute(&g, &e);
-        let schedule = Schedule::new(&g);
-        let scheduled = execute_scheduled(&g, &schedule, &e);
-        // Same sweep, same kernels: exact equality, not approx.
-        assert_eq!(plain, scheduled);
     }
 
     #[test]
@@ -641,12 +685,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "schedule was built for a graph")]
     fn stale_schedule_is_rejected() {
-        let e = env(8, 29);
-        let g_small = fig3_graph(8);
-        let schedule = Schedule::new(&g_small);
-        let mut g_opt = fig3_graph(8);
-        optimize(&mut g_opt, &PassConfig::all());
-        let _ = execute_scheduled(&g_opt, &schedule, &e);
+        let schedule = Schedule::new(&fig3_graph(8));
+        let _ = execute_scheduled_on(&optimized(fig3_graph(8)), &schedule, &env(8, 29), engine());
     }
 
     #[test]
@@ -655,7 +695,6 @@ mod tests {
         let e = Env::<f64>::new().with("A", Matrix::zeros(3, 3));
         let mut gb = GraphBuilder::new();
         let a = gb.input("A", 4, 4);
-        let g = gb.finish(vec![a]);
-        let _ = execute(&g, &e);
+        let _ = execute(&gb.finish(vec![a]), &e);
     }
 }

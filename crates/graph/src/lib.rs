@@ -20,22 +20,20 @@
 //!   lowering lives beside it for LA-aware callers only:
 //!   [`passes::lower_syrk`] turns a product of a node with its own
 //!   transpose into a unary `Syrk` node (Experiment 3).
-//! * [`exec`] — a reference-counting executor that walks the DAG in
-//!   topological order and dispatches each kernel-backed node through a
-//!   `laab-backend` execution backend (the live engine by default;
-//!   [`execute_on`] takes any registered backend), recording kernel calls
-//!   and FLOPs for the analytical tables. For systems that re-execute one
-//!   graph many times (the `laab-serve` plan cache), [`Schedule`]
-//!   precomputes the structural bookkeeping — use counts and the
-//!   peak-live workspace layout — and [`execute_scheduled`] /
-//!   [`execute_scheduled_on`] re-run the identical sweep against fresh
-//!   operand bindings.
-//! * [`batch`] — batched (multi-environment) execution for serving
-//!   systems that coalesce same-signature requests: [`BatchAnalysis`]
-//!   classifies each node shared/stacked and proves RHS-stackability,
-//!   and [`execute_batched_on`] runs one stacked sweep (a multi-RHS
-//!   product for every shared·varying matmul) with a bitwise-identical
-//!   per-request fallback when stacking is illegal.
+//! * [`exec`] — the one reference-counting executor: a sweep in
+//!   topological order that dispatches each kernel-backed node through a
+//!   `laab-backend` execution backend, recording kernel calls and FLOPs
+//!   for the analytical tables. [`execute`] runs a graph once on the live
+//!   engine; for systems that re-execute one graph many times (the
+//!   `laab-serve` plan cache), [`Schedule`] precomputes the structural
+//!   bookkeeping — use counts and the peak-live workspace layout — and
+//!   [`execute_scheduled_on`] (one request) / [`execute_batched_on`] (a
+//!   batch of coalesced same-signature requests) re-run the sweep against
+//!   fresh operand bindings through any backend.
+//! * [`batch`] — [`BatchAnalysis`] classifies each node shared/stacked
+//!   and proves RHS-stackability, so a batch runs as one sweep (a
+//!   multi-RHS product for every shared·varying matmul), and otherwise
+//!   one environment at a time.
 //! * [`Graph::to_dot`] — Graphviz export regenerating the paper's
 //!   Figs. 3 & 4.
 
@@ -46,7 +44,7 @@ pub mod exec;
 mod ir;
 pub mod passes;
 
-pub use batch::{execute_batched_on, BatchAnalysis, BatchStatus};
-pub use exec::{execute, execute_on, execute_scheduled, execute_scheduled_on, Schedule};
+pub use batch::{BatchAnalysis, BatchStatus};
+pub use exec::{execute, execute_batched_on, execute_scheduled_on, Schedule};
 pub use ir::{Graph, GraphBuilder, Node, NodeId, OpKind};
 pub use passes::{optimize, PassConfig, PassStats};

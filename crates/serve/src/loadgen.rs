@@ -241,7 +241,7 @@ impl LoadgenConfig {
             seed: 0x1AAB,
             churn_every: 7,
             dtype: None,
-            backend: "seed".to_string(),
+            backend: "engine".to_string(),
             arrivals: vec![
                 Arrival::Closed,
                 Arrival::OpenPoisson { rate: 2000.0 },

@@ -8,9 +8,7 @@ use laab_expr::eval::Env;
 use laab_expr::{Context, Expr};
 use laab_framework::Framework;
 use laab_graph::passes::lower_syrk;
-use laab_graph::{
-    execute_batched_on, execute_scheduled_on, BatchAnalysis, Graph, PassStats, Schedule,
-};
+use laab_graph::{execute_batched_on, BatchAnalysis, Graph, PassStats, Schedule};
 use laab_rewrite::{optimize_egraph, EgraphConfig};
 
 use crate::signature::OptLevel;
@@ -161,7 +159,7 @@ impl Plan {
     }
 
     /// Execute the plan against fresh operand bindings, dispatching every
-    /// kernel-backed node through the plan's backend.
+    /// kernel-backed node through the plan's backend: a batch of one.
     ///
     /// # Panics
     /// When the plan's backend has no entry point for `T` — the serve
@@ -169,29 +167,16 @@ impl Plan {
     /// any dispatch, so reaching this panic means a caller skipped that
     /// validation.
     pub fn execute<T: BackendScalar>(&self, env: &Env<T>) -> Vec<Matrix<T>> {
-        let backend = self.backend.resolve::<T>().unwrap_or_else(|| {
-            panic!(
-                "backend `{}` has no {} entry point (validate dtype support before dispatch)",
-                self.backend.name(),
-                T::DTYPE
-            )
-        });
-        // The deferred backend is a whole-plan executor, not a per-node
-        // kernel set: route through its tape so ops queue and fuse at
-        // flush instead of dispatching node by node.
-        if self.backend.name() == laab_deferred::BACKEND_NAME {
-            return laab_deferred::execute_plan(&self.graph, &self.schedule, env);
-        }
-        execute_scheduled_on(&self.graph, &self.schedule, env, backend)
+        self.execute_batched(&[env]).remove(0)
     }
 
-    /// Execute the plan once over a batch of operand environments —
-    /// coalesced same-signature requests. When the compile-time analysis
-    /// proved the plan RHS-stackable, varying products run as one
-    /// multi-RHS execution through the plan's backend
-    /// ([`laab_backend::Backend::matmul_batched`]); otherwise each
-    /// environment executes sequentially, bitwise-identical to
-    /// [`Plan::execute`] per request.
+    /// Execute the plan over a batch of operand environments — coalesced
+    /// same-signature requests, or one. When the compile-time analysis
+    /// proved the plan RHS-stackable, a batch of two or more runs as one
+    /// sweep whose varying products are one multi-RHS call through the
+    /// plan's backend ([`laab_backend::Backend::matmul_batched`]);
+    /// otherwise each environment executes in turn. Either way every
+    /// result is bitwise what [`Plan::execute`] returns for its request.
     ///
     /// # Panics
     /// As [`Plan::execute`], plus on an empty batch.
@@ -203,14 +188,17 @@ impl Plan {
                 T::DTYPE
             )
         });
-        if self.backend.name() == laab_deferred::BACKEND_NAME && !self.batch.stackable() {
-            // Non-stackable batches fall back per request; for the
-            // deferred backend that means per-request tapes (with their
-            // within-request fusion) rather than per-node dispatches.
-            // Stackable batches stay on `execute_batched_on`: the
-            // coalesced multi-RHS product reaches the deferred backend's
-            // `matmul_batched`, which charges one launch for the whole
-            // window — the cross-request granularity of the same fusion.
+        if self.backend.name() == laab_deferred::BACKEND_NAME
+            && (envs.len() == 1 || !self.batch.stackable())
+        {
+            // The deferred backend is a whole-plan executor, not a
+            // per-node kernel set: a request that runs alone (a batch of
+            // one, or a member of a batch that does not stack) goes
+            // through its tape, so ops queue and fuse at flush. A stacked
+            // batch stays on the sweep: the coalesced multi-RHS product
+            // reaches the deferred backend's `matmul_batched`, which
+            // charges one launch for the whole window — the cross-request
+            // granularity of the same fusion.
             return envs
                 .iter()
                 .map(|env| laab_deferred::execute_plan(&self.graph, &self.schedule, env))
@@ -375,6 +363,39 @@ mod tests {
         let fallback = plain.execute_batched(&refs);
         for (env, b) in envs.iter().zip(&fallback) {
             assert_eq!(b, &plain.execute(env));
+        }
+    }
+
+    #[test]
+    fn a_batch_of_one_is_the_solo_request() {
+        // `execute` is a batch of one. For every family on both sides of
+        // the optimizer gate, on every built-in backend and in both
+        // dtypes, it returns the bits and runs the kernels of the graph's
+        // solo sweep.
+        fn check<T: BackendScalar>(plan: &Plan, env: &Env<T>, at: &str) {
+            use laab_kernels::counters::measure;
+            let backend = plan.backend.resolve::<T>().expect("builtins support both dtypes");
+            let (solo, kernels) = measure(|| plan.execute(env));
+            let (batch, batch_kernels) = measure(|| plan.execute_batched(&[env]));
+            let (sweep, sweep_kernels) = measure(|| {
+                laab_graph::execute_scheduled_on(plan.graph(), plan.schedule(), env, backend)
+            });
+            assert_eq!(batch, std::slice::from_ref(&solo), "{at}");
+            assert_eq!(solo, sweep, "{at}");
+            assert_eq!((batch_kernels, sweep_kernels), (kernels, kernels), "{at}");
+        }
+        let fw = Framework::flow();
+        for n in [16usize, 96] {
+            for family in Family::ALL {
+                for reg in registry::builtins() {
+                    let (expr, ctx) = (family.expr(n), family.ctx(n));
+                    let varying = family.varying_operands();
+                    let plan = Plan::compile_with_varying(&fw, &expr, &ctx, reg, varying);
+                    let at = format!("{} n={n} {}", family.id(), reg.name());
+                    check::<f64>(&plan, &family.env(n, 7), &at);
+                    check::<f32>(&plan, &family.env(n, 7), &at);
+                }
+            }
         }
     }
 

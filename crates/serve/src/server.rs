@@ -817,11 +817,7 @@ fn execute_typed<T: BackendScalar>(
             if boom {
                 panic!("injected fault: panic");
             }
-            if jobs.len() >= 2 {
-                plan.execute_batched::<T>(&refs)
-            } else {
-                vec![plan.execute::<T>(refs[0])]
-            }
+            plan.execute_batched::<T>(&refs)
         }));
         match computed {
             Ok(results) => {

@@ -86,7 +86,7 @@ fn seeded_panic_delay_drop_counters_match_the_plan_exactly() {
     assert_ne!(panics, drops, "kind salt separates the id sets");
 
     let cfg = ServeConfig::builder()
-        .backends(["seed"])
+        .backends(["engine"])
         .batch_window(1)
         .quarantine_after(0) // isolate panic accounting from quarantine
         .faults(Some(plan))
@@ -140,7 +140,7 @@ fn corrupt_faults_are_counted_as_mismatches_on_completed_responses() {
     assert!(!corrupts.is_empty() && corrupts.len() < REQUESTS as usize);
 
     let cfg = ServeConfig::builder()
-        .backends(["seed"])
+        .backends(["engine"])
         .batch_window(1)
         .faults(Some(plan))
         .build()
@@ -173,7 +173,7 @@ fn deadlines_expire_delayed_requests_before_execution() {
     let plan = FaultPlan::parse("delay:1/1x5000").expect("plan parses");
 
     let cfg = ServeConfig::builder()
-        .backends(["seed"])
+        .backends(["engine"])
         .batch_window(1)
         .faults(Some(plan))
         .build()
@@ -209,7 +209,7 @@ fn inflight_cap_sheds_burst_overflow_with_busy() {
     let plan = FaultPlan::parse("delay:1/1x20000").expect("plan parses");
 
     let cfg = ServeConfig::builder()
-        .backends(["seed"])
+        .backends(["engine"])
         .batch_window(1)
         .max_inflight(1)
         .faults(Some(plan))
@@ -257,7 +257,7 @@ fn quarantine_fences_repeatedly_failing_signatures() {
     assert!(distinct > 1 && distinct < REQUESTS as u64, "mix repeats signatures");
 
     let cfg = ServeConfig::builder()
-        .backends(["seed"])
+        .backends(["engine"])
         .batch_window(1)
         .quarantine_after(1)
         .faults(Some(plan))

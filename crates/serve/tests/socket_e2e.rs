@@ -13,9 +13,9 @@ use laab_serve::workload::synthetic_mix;
 use laab_serve::{BackendId, ServeConfig, Server};
 
 fn server_cfg() -> ServeConfig {
-    // Batched ≡ solo bitwise holds on every built-in backend; these
-    // rounds use `seed`, the engine's has its own test below.
-    ServeConfig::builder().backends(["seed"]).build().expect("config validates")
+    // The backend `benchmark/` serves: its batched executions answer each
+    // member with its solo bits, so the client's solo oracle is exact.
+    ServeConfig::builder().backends(["engine"]).build().expect("config validates")
 }
 
 #[test]
@@ -66,7 +66,7 @@ fn unix_socket_serving_is_bitwise_identical_and_shuts_down_clean() {
     // lookups than served requests.
     let distinct: HashSet<_> = synthetic_mix(lg.requests, lg.n, lg.seed, lg.churn_every, lg.dtype)
         .iter()
-        .map(|r| r.signature(BackendId::SEED).hash())
+        .map(|r| r.signature(BackendId::ENGINE).hash())
         .collect();
     assert_eq!(stats.cache.evictions, 0);
     assert_eq!(stats.cache.misses, distinct.len() as u64);
@@ -120,7 +120,7 @@ fn requests_for_unserved_backends_are_rejected_not_executed() {
     let cfg = LoadgenConfig {
         requests: 16,
         connections: 1,
-        backend: "engine".to_string(),
+        backend: "seed".to_string(),
         arrivals: vec![Arrival::Closed],
         verify: false,
         ..LoadgenConfig::smoke(&addr)
@@ -169,14 +169,13 @@ fn served_and_verifying_sides_pick_the_same_optimizer_level() {
 
 #[test]
 fn engine_batches_verify_bitwise_against_the_solo_oracle() {
-    // The served default backend: a batched execution answers each member
-    // with the bits of its solo execution, so the client's solo oracle is
-    // exact on `engine` too — bursts of same-signature vector requests
-    // included, which the server runs as one stacked execution.
+    // Past the optimizer gate (n = 96), with bursts of same-signature
+    // vector requests that the server runs as one stacked execution:
+    // each member still carries the bits of its solo execution.
     let path = std::env::temp_dir().join(format!("laab-e2e-engine-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let cfg = ServeConfig::builder().backends(["engine"]).build().expect("config validates");
-    let server = Server::bind(&format!("unix:{}", path.display()), &cfg).expect("bind unix");
+    let server =
+        Server::bind(&format!("unix:{}", path.display()), &server_cfg()).expect("bind unix");
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run());
 
@@ -184,7 +183,6 @@ fn engine_batches_verify_bitwise_against_the_solo_oracle() {
         requests: 128,
         n: 96,
         churn_every: 0,
-        backend: "engine".to_string(),
         arrivals: vec![Arrival::Bursty { rate: 2000.0, burst: 8 }],
         ..LoadgenConfig::smoke(&addr)
     };

@@ -132,8 +132,8 @@ LOADGEN OPTIONS (laab loadgen — drive a --listen server from the outside):
                      presumed-lost sends, with capped exponential
                      backoff + jitter honoring the server's
                      retry_after_us hint (0 = no retries) [default: 3]
-    --no-verify      skip the local bitwise oracle (needed for backends
-                     whose batched kernels are not per-item loops).
+    --no-verify      skip the local bitwise oracle (needed for a backend
+                     whose batched results are not its solo bits).
                      Verification covers completed responses only —
                      Busy/Expired/Failed rejections are reported in
                      their own classes, never as mismatches
