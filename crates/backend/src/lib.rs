@@ -19,8 +19,8 @@
 //!   into the plan-cache [`Signature`] hash, so the same expression
 //!   compiled for two backends occupies two independent cache entries and
 //!   identical traffic can be A/B'd across backends in one interleaved
-//!   run (`laab serve --backends engine,seed`).
-//! * [`registry`] — the process-wide name → backend table: the three
+//!   run (`laab serve --backends engine,reference`).
+//! * [`registry`] — the process-wide name → backend table: the two
 //!   built-ins below plus anything added via [`registry::register`]
 //!   (a GPU-style stub, an instrumented wrapper, …).
 //!
@@ -29,7 +29,6 @@
 //! | name | what it is |
 //! |------|------------|
 //! | [`engine`](EngineBackend) | the live `laab-kernels` engine (packed/tiled GEMM, FMA microkernels, worker pool; the only backend that runs a `Syrk` node at half the FLOPs) — the default |
-//! | [`seed`](SeedBackend) | the frozen PR-1 GEMM ([`laab_kernels::seed`]) behind the shared shape dispatch — the perf-trajectory yardstick |
 //! | [`reference`](ReferenceBackend) | textbook triple loops ([`laab_kernels::reference`]) — the correctness oracle |
 //!
 //! [`Signature`]: https://docs.rs/laab-serve
@@ -39,7 +38,6 @@
 mod engine;
 mod reference;
 pub mod registry;
-mod seed;
 
 use laab_dense::{Matrix, Scalar, Tridiagonal};
 use laab_kernels::Trans;
@@ -47,7 +45,6 @@ use laab_kernels::Trans;
 pub use engine::EngineBackend;
 pub use reference::ReferenceBackend;
 pub use registry::Registration;
-pub use seed::SeedBackend;
 
 /// Element precision of a request (the BLAS `s`/`d` split).
 ///
@@ -99,8 +96,6 @@ pub struct BackendId(&'static str);
 impl BackendId {
     /// The live `laab-kernels` engine (the default backend).
     pub const ENGINE: BackendId = BackendId("engine");
-    /// The frozen PR-1 GEMM yardstick.
-    pub const SEED: BackendId = BackendId("seed");
     /// The naive triple-loop correctness oracle.
     pub const REFERENCE: BackendId = BackendId("reference");
 
@@ -148,8 +143,8 @@ pub trait Backend<T: Scalar>: Send + Sync {
     ///
     /// The default is a **per-item loop** through [`Backend::matmul`], so
     /// every backend is batch-correct by construction and its batched
-    /// entry `i` is exactly its solo product with `bs[i]`. `seed` and
-    /// `reference` keep it; the engine answers `k×1` parts with one
+    /// entry `i` is exactly its solo product with `bs[i]`. `reference`
+    /// keeps it; the engine answers `k×1` parts with one
     /// multi-vector GEMV that reads `A` once per group of eight (see
     /// [`EngineBackend`]). An override must keep that equality bit for
     /// bit.
@@ -168,7 +163,7 @@ pub trait Backend<T: Scalar>: Send + Sync {
     /// LA-aware compile level emits.
     ///
     /// The default **is** that product through [`Backend::matmul`], so
-    /// `seed`, `reference` and `deferred` stay bitwise oracles by
+    /// `reference` and `deferred` stay bitwise oracles by
     /// construction. A backend overriding it (the engine) may compute one
     /// triangle and mirror it, but must return what its own `matmul`
     /// returns for the same product, bit for bit on finite inputs: a plan
@@ -237,22 +232,22 @@ mod tests {
     use super::*;
     use laab_dense::gen::OperandGen;
 
-    fn backends() -> [&'static dyn Backend<f64>; 3] {
-        [&EngineBackend, &SeedBackend, &ReferenceBackend]
+    fn backends() -> [&'static dyn Backend<f64>; 2] {
+        [&EngineBackend, &ReferenceBackend]
     }
 
     #[test]
     fn ids_and_dtype_tags() {
         assert_eq!(BackendId::ENGINE.name(), "engine");
         assert_eq!(BackendId::of("engine"), BackendId::ENGINE);
-        assert_eq!(BackendId::SEED.to_string(), "seed");
+        assert_eq!(BackendId::REFERENCE.to_string(), "reference");
         assert_eq!(Dtype::of::<f32>(), Dtype::F32);
         assert_eq!(Dtype::of::<f64>(), Dtype::F64);
         assert_eq!(Dtype::F32.to_string(), "f32");
         assert_eq!(<f32 as BackendScalar>::DTYPE, Dtype::F32);
         assert_eq!(<f64 as BackendScalar>::DTYPE, Dtype::F64);
         let ids: Vec<BackendId> = backends().iter().map(|b| b.id()).collect();
-        assert_eq!(ids, vec![BackendId::ENGINE, BackendId::SEED, BackendId::REFERENCE]);
+        assert_eq!(ids, vec![BackendId::ENGINE, BackendId::REFERENCE]);
     }
 
     #[test]
@@ -270,21 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn vector_shapes_share_the_level2_path() {
-        // GEMV/DOT shapes were never frozen: seed and engine are the
-        // exact same kernels there, so results are bitwise-identical.
-        let mut g = OperandGen::new(5);
-        let h = g.matrix::<f64>(17, 17);
-        let x = g.matrix::<f64>(17, 1);
-        let e = EngineBackend.matmul(1.0, &h, Trans::No, &x, Trans::No);
-        let s = SeedBackend.matmul(1.0, &h, Trans::No, &x, Trans::No);
-        assert_eq!(e, s);
-        let ed = EngineBackend.matmul(1.0, &x, Trans::Yes, &x, Trans::No);
-        let sd = SeedBackend.matmul(1.0, &x, Trans::Yes, &x, Trans::No);
-        assert_eq!(ed, sd);
-    }
-
-    #[test]
     fn syrk_is_each_backends_own_product_bitwise() {
         // Default hook = the matmul itself; the engine's override runs the
         // half-FLOP kernel and must still land on its own GEMM's bits.
@@ -299,8 +279,6 @@ mod tests {
         }
         let (_, c) = counters::measure(|| EngineBackend.syrk(1.0, &a, Trans::No));
         assert_eq!((c.calls(Kernel::Syrk), c.calls(Kernel::Gemm)), (1, 0));
-        let (_, c) = counters::measure(|| SeedBackend.syrk(1.0, &a, Trans::No));
-        assert_eq!((c.calls(Kernel::Syrk), c.calls(Kernel::Gemm)), (0, 1));
     }
 
     #[test]
@@ -429,9 +407,7 @@ mod tests {
         let a = g.matrix::<f32>(10, 8);
         let b = g.matrix::<f32>(10, 9);
         let oracle = ReferenceBackend.matmul(1.0f32, &a, Trans::Yes, &b, Trans::No);
-        let fast: [&dyn Backend<f32>; 2] = [&EngineBackend, &SeedBackend];
-        for be in fast {
-            assert!(be.matmul(1.0, &a, Trans::Yes, &b, Trans::No).approx_eq(&oracle, 1e-5));
-        }
+        let got = EngineBackend.matmul(1.0f32, &a, Trans::Yes, &b, Trans::No);
+        assert!(got.approx_eq(&oracle, 1e-5));
     }
 }

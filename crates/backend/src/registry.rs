@@ -1,8 +1,8 @@
 //! The process-wide backend registry.
 //!
 //! Maps stable names to [`Registration`]s — a backend's metadata plus one
-//! trait-object slot per supported dtype. The three built-ins (`engine`,
-//! `seed`, `reference`) are always present; additional backends (a
+//! trait-object slot per supported dtype. The two built-ins (`engine`,
+//! `reference`) are always present; additional backends (a
 //! GPU-style stub, an instrumented wrapper) can be added at runtime with
 //! [`register`], which is what makes the serve harness's `--backends`
 //! flag an open set rather than an enum.
@@ -10,7 +10,7 @@
 use std::sync::{OnceLock, RwLock};
 
 use crate::{Backend, BackendId, BackendScalar, Dtype};
-use crate::{EngineBackend, ReferenceBackend, SeedBackend};
+use crate::{EngineBackend, ReferenceBackend};
 
 /// One registered backend: identity, description, and a trait-object
 /// slot per dtype it supports (`None` = unsupported — a serve run that
@@ -79,13 +79,6 @@ static ENGINE_REG: Registration = Registration::new(
     Some(&EngineBackend),
 );
 
-static SEED_REG: Registration = Registration::new(
-    "seed",
-    "frozen PR-1 GEMM behind the shared shape dispatch — perf-trajectory yardstick",
-    Some(&SeedBackend),
-    Some(&SeedBackend),
-);
-
 static REFERENCE_REG: Registration = Registration::new(
     "reference",
     "naive triple loops — the correctness oracle (use at oracle sizes)",
@@ -94,8 +87,8 @@ static REFERENCE_REG: Registration = Registration::new(
 );
 
 /// The always-present built-in backends, default first.
-pub fn builtins() -> [&'static Registration; 3] {
-    [&ENGINE_REG, &SEED_REG, &REFERENCE_REG]
+pub fn builtins() -> [&'static Registration; 2] {
+    [&ENGINE_REG, &REFERENCE_REG]
 }
 
 /// The default backend (`engine`) — what every execution path uses when
@@ -171,7 +164,7 @@ mod tests {
 
     #[test]
     fn builtins_resolve_and_support_both_dtypes() {
-        for name in ["engine", "seed", "reference"] {
+        for name in ["engine", "reference"] {
             let reg = find(name).unwrap_or_else(|| panic!("builtin `{name}` missing"));
             assert_eq!(reg.name(), name);
             assert_eq!(reg.id(), BackendId::of(name));
@@ -184,7 +177,7 @@ mod tests {
         }
         assert!(find("no-such-backend").is_none());
         assert_eq!(default_backend().name(), "engine");
-        assert!(names().starts_with(&["engine", "seed", "reference"]));
+        assert!(names().starts_with(&["engine", "reference"]));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Cross-backend equivalence: for random plans drawn from the serving
 //! workload's E1–E5 (+ solver-residual) families, the `reference`,
-//! `seed`, `engine`, and `deferred` backends agree on every output.
+//! `engine`, and `deferred` backends agree on every output.
 //!
 //! ## The numerical contract, documented
 //!
@@ -8,20 +8,16 @@
 //! order (the engine's tile grid never splits a reduction), so the
 //! *shape* of every sum is shared. What differs is rounding: the engine's
 //! microkernels contract multiply-adds (FMA, one rounding per step) while
-//! the reference and seed kernels round after the multiply. Per output
+//! the reference kernels round after the multiply. Per output
 //! element that is at most one extra rounding per accumulation step, so
 //! matrix-matrix products may drift by `O(k·ε)` **relative** — the ULP
 //! bound asserted here is `1e-12` (f64) / `1e-4` (f32) relative Frobenius
 //! distance at the test sizes (`k ≤ 32`), orders of magnitude tighter
 //! than any paper finding and far looser than the drift can reach.
 //!
-//! Where no reduction-order/rounding freedom exists, equality must be
-//! **bitwise**:
-//! * elementwise nodes (Add/Sub/Scale) on every backend — covered by the
-//!   unit tests in `laab-backend` itself; and
-//! * whole plans whose products are all vector-shaped (the solver
-//!   residual: GEMV/DOT shapes only), where `seed` and `engine` share
-//!   the exact same un-frozen kernels — asserted below.
+//! Where no reduction-order/rounding freedom exists — elementwise nodes
+//! (Add/Sub/Scale) on every backend — equality must be **bitwise**; the
+//! unit tests in `laab-backend` itself cover that.
 //!
 //! ## The deferred tape's bounds
 //!
@@ -113,7 +109,7 @@ proptest! {
         // its own dispatch group — engine kernels, engine values); the
         // tape surface gets its own property below.
         laab_deferred::ensure_registered();
-        let names = ["reference", "seed", "engine", "deferred"];
+        let names = ["reference", "engine", "deferred"];
 
         let f64_outs = run_backends::<f64>(family, n, seed, &names);
         for (i, name) in names.iter().enumerate() {
@@ -134,21 +130,6 @@ proptest! {
                 family.id()
             );
         }
-    }
-
-    /// Bitwise case: the solver-residual family lowers to GEMV/DOT
-    /// shapes and elementwise nodes only — kernels `seed` shares
-    /// verbatim with `engine` — so those two backends must agree bit for
-    /// bit, not just within tolerance.
-    #[test]
-    fn gemm_free_plans_are_bitwise_identical_between_seed_and_engine(
-        seed in any::<u64>(),
-        n in 4usize..48,
-    ) {
-        let outs = run_backends::<f64>(Family::SolveResidual, n, seed, &["seed", "engine"]);
-        prop_assert_eq!(&outs[0], &outs[1]);
-        let outs32 = run_backends::<f32>(Family::SolveResidual, n, seed, &["seed", "engine"]);
-        prop_assert_eq!(&outs32[0], &outs32[1]);
     }
 
     /// The deferred tape vs the engine, all six families × both dtypes:
@@ -197,7 +178,7 @@ proptest! {
     ) {
         let family = Family::ALL[fam];
         let fw = Framework::flow();
-        for name in ["reference", "seed", "engine"] {
+        for name in ["reference", "engine"] {
             let reg = registry::find(name).unwrap_or_else(|| panic!("builtin `{name}` missing"));
             let plan = Plan::compile_with_varying(
                 &fw,

@@ -1,10 +1,12 @@
-//! GEMM engine vs the frozen seed kernel — the per-commit perf guardrail.
+//! GEMM engine vs the frozen seed kernel, in the standard `cargo bench`
+//! workflow.
 //!
-//! Complements `laab bench` (which emits the machine-readable trajectory
-//! report): this criterion bench tracks the same comparison in the
-//! standard `cargo bench` workflow, at `LAAB_BENCH_N` (default 256), over
-//! the shape families the engine overhaul targets — square, GEMV-shaped
-//! and wide-short — plus the seed-kernel baseline on the square shape.
+//! Runs at `LAAB_BENCH_N` (default 256) over the shape families the
+//! engine overhaul targets — square, GEMV-shaped and wide-short — plus
+//! the seed-kernel baseline on the square shape. The machine-readable
+//! GEMM rates are `benchmark/`'s `kernels.gemm_f64_gflops` /
+//! `kernels.gemm_f32_gflops`, next to the seed kernel's
+//! `host.yardstick_gflops`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use laab_dense::gen::OperandGen;

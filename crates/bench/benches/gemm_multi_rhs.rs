@@ -1,7 +1,7 @@
 //! A batch of matrix-vector products three ways — the kernel half of the
 //! batched-serving lever, in the standard `cargo bench` workflow (the
-//! machine-readable trajectory lives in `laab bench`'s
-//! `summary.batch_gflops`).
+//! machine-readable rates are `benchmark/`'s `kernels.gemv_f64_gflops`
+//! and `kernels.multi_rhs_f64_gflops`).
 //!
 //! `A` is `n×n`; each right-hand side is `n×1`; both flags of `A`:
 //!

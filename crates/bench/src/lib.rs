@@ -1,13 +1,14 @@
-//! # laab-bench — benchmark harness utilities
+//! # laab-bench — kernel and ablation benches
 //!
-//! Shared plumbing for the Criterion benches (one per paper table/figure)
-//! and the `paper_tables` binary that regenerates the full evaluation
-//! section in the paper's own format.
+//! Shared plumbing for the Criterion benches that time what no report
+//! does: the GEMM engine against the frozen seed kernel (`gemm_engine`),
+//! the batched vector products (`gemm_multi_rhs`), and the pass,
+//! substrate and thread-scaling ablations (`ablation_*`), plus the
+//! `crossover_sweep` binary that charts how the paper's gaps grow with
+//! n. The paper's tables and figures themselves are `laab run`'s.
 //!
 //! Criterion benches run at a laptop-friendly default size; set
 //! `LAAB_BENCH_N` to change it (e.g. `LAAB_BENCH_N=1024 cargo bench`).
-//! The `paper_tables` binary accepts `--n`, `--reps` and `--experiment`
-//! flags — see `cargo run --release -p laab-bench --bin paper_tables -- --help`.
 
 #![deny(missing_docs)]
 

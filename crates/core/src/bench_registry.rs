@@ -1,14 +1,13 @@
 //! The registry of machine-readable benchmark reports this workspace
 //! emits.
 //!
-//! Three harnesses produce `BENCH_*.json` artifacts that CI uploads per
+//! Two harnesses produce `BENCH_*.json` artifacts that CI uploads per
 //! PR; perf-trajectory tooling (and humans) discover them here instead of
 //! grepping workflows. Each entry names the report's schema tag, the
 //! artifact CI uploads, and the CLI invocation that regenerates it.
 //! Crates owning a schema assert their tag against this table in tests,
 //! so the registry cannot silently drift.
 
-use crate::gemm_bench::GEMM_REPORT_SCHEMA;
 use crate::runner::REPORT_SCHEMA;
 
 /// One machine-readable benchmark report format.
@@ -37,20 +36,13 @@ pub struct BenchSpec {
 pub const LOADGEN_SCHEMA: &str = "laab-loadgen-v3";
 
 /// Every benchmark report format, in CLI order.
-pub const BENCHES: [BenchSpec; 3] = [
+pub const BENCHES: [BenchSpec; 2] = [
     BenchSpec {
         name: "run",
         schema: REPORT_SCHEMA,
         artifact: "BENCH_smoke.json",
         command: "laab run --quick --json --out BENCH_smoke.json",
         description: "paper experiments: timing tables, kernel counts, finding checks",
-    },
-    BenchSpec {
-        name: "bench",
-        schema: GEMM_REPORT_SCHEMA,
-        artifact: "BENCH_gemm.json",
-        command: "laab bench --quick --out BENCH_gemm.json",
-        description: "GEMM engine GFLOP/s trajectory vs the frozen seed kernel",
     },
     BenchSpec {
         name: "loadgen",
@@ -86,7 +78,6 @@ mod tests {
     #[test]
     fn registry_matches_the_owning_crates() {
         assert_eq!(find("run").unwrap().schema, REPORT_SCHEMA);
-        assert_eq!(find("bench").unwrap().schema, GEMM_REPORT_SCHEMA);
         // laab-serve's own test asserts LOADGEN_SCHEMA ==
         // LOADGEN_REPORT_SCHEMA (the dependency points the other way).
     }

@@ -31,7 +31,6 @@
 pub mod baselines;
 pub mod bench_registry;
 pub mod experiments;
-pub mod gemm_bench;
 pub mod runner;
 pub mod workloads;
 

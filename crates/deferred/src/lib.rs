@@ -1,6 +1,6 @@
 //! # laab-deferred — the lazy, fusing accelerator-model backend
 //!
-//! The three synchronous backends (`engine`/`seed`/`reference`) all
+//! The two synchronous backends (`engine`/`reference`) both
 //! execute a node the moment the executor reaches it. Real accelerator
 //! runtimes do not: dispatch is *deferred* — ops queue on a tape, and a
 //! flush launches whole groups at once, paying one kernel-launch latency

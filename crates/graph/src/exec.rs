@@ -599,9 +599,9 @@ mod tests {
 
     #[test]
     fn backend_dispatch_swaps_kernels_not_results() {
-        // The same optimized graph through all three built-in backends:
-        // same sweep, different kernels. The reference backend is the
-        // oracle; engine/seed differ from it only by FMA contraction in
+        // The same optimized graph through both built-in backends: same
+        // sweep, different kernels. The reference backend is the oracle;
+        // the engine differs from it only by FMA contraction in
         // the products, so agreement is approx (tight), not bitwise.
         let n = 16;
         let e = env(n, 31);

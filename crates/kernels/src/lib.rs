@@ -31,9 +31,9 @@
 //! panel via [`parallel_for`], and the structured kernels split row
 //! chunks the same way. The tile decomposition preserves each element's
 //! reduction order, so 1-thread and N-thread runs are bit-identical. Used
-//! by the thread-scaling ablation, `laab bench`, and the `Flow` profile's
-//! `tridiagonal_matmul` (the paper notes TF parallelizes the row
-//! scalings).
+//! by the thread-scaling ablation, the `gemm_engine` bench, and the
+//! `Flow` profile's `tridiagonal_matmul` (the paper notes TF parallelizes
+//! the row scalings).
 
 #![deny(missing_docs)]
 

@@ -2,7 +2,7 @@
 //!
 //! The paper measures single-threaded execution (Sec. III), so the default
 //! thread count is 1. The thread-scaling ablation, the `Flow` profile's
-//! parallel `tridiagonal_matmul`, and `laab bench` raise it via
+//! parallel `tridiagonal_matmul`, and the `gemm_engine` bench raise it via
 //! [`set_num_threads`].
 //!
 //! Parallel kernels are scheduled on a **persistent worker pool**: workers

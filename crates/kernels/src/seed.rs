@@ -1,8 +1,9 @@
 //! The frozen PR-1 GEMM, kept as the perf-trajectory yardstick.
 //!
-//! `laab bench` reports the current engine's GFLOP/s as a ratio over this
-//! kernel, so the speedup is measured in-process, same build flags, same
-//! machine — not against a number recorded on different hardware. Do not
+//! The benchmark's `host.yardstick_gflops` times this kernel, and the
+//! `gemm_engine` bench times it beside the live engine, so engine speedups
+//! and host drift are measured in-process, same build flags, same machine
+//! — not against a number recorded on different hardware. Do not
 //! "improve" this module; its whole value is that it does not move.
 //!
 //! Differences from the live engine (`crate::gemm`): per-call `vec!`

@@ -6,10 +6,10 @@
 //! diagonal / triangular / tridiagonal factors and the SYRK pattern — the
 //! property-guarded specializations live *here*, not as structural
 //! rules), and flops are converted to time-like units with the two
-//! throughput regimes `laab bench` measures: square GEMM runs at the
-//! compute-bound rate (`summary.engine_gflops`), while GEMV-shaped
-//! products and elementwise sweeps run at the memory-bound rate (the
-//! batch-1 anchor of `summary.batch_gflops`). That ratio is what makes
+//! throughput regimes the benchmark measures: square GEMM runs at the
+//! compute-bound rate (`kernels.gemm_f64_gflops`), while GEMV-shaped
+//! products and elementwise sweeps run at the memory-bound rate
+//! (`kernels.gemv_f64_gflops`). That ratio is what makes
 //! `Hᵀ(H·x)` (two GEMVs) beat `(HᵀH)·x` (one GEMM + one GEMV) by the
 //! measured margin rather than by raw flops.
 //!
@@ -37,17 +37,17 @@ const GEMV_DIM: usize = 8;
 /// the *ratio* of the two anchors matters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// Compute-bound GFLOP/s: large square GEMM (`summary.engine_gflops`).
+    /// Compute-bound GFLOP/s: large square GEMM (`kernels.gemm_f64_gflops`).
     pub gemm_gflops: f64,
     /// Memory-bound GFLOP/s: GEMV-shaped products and elementwise sweeps
-    /// (the batch-1 anchor of `summary.batch_gflops`).
+    /// (`kernels.gemv_f64_gflops`).
     pub gemv_gflops: f64,
 }
 
 impl Default for CostModel {
-    /// Built-in anchors (≈ the shape of every curve `laab bench` has
-    /// produced on this class of hardware: GEMM an order of magnitude
-    /// faster per flop than GEMV).
+    /// Built-in anchors (≈ the shape of every GEMM / GEMV rate the
+    /// benchmark has recorded on this class of hardware: GEMM an order of
+    /// magnitude faster per flop than GEMV).
     fn default() -> Self {
         CostModel { gemm_gflops: 40.0, gemv_gflops: 4.0 }
     }

@@ -17,16 +17,16 @@
 //!   returns the input expression unchanged (`EgraphReport::changed ==
 //!   false`), the two pipelines trace the *same* expression through the
 //!   same passes, so the plans are identical and every backend —
-//!   reference, seed, and engine alike — must produce bit-identical
+//!   reference and engine alike — must produce bit-identical
 //!   outputs. The extractor keeping the input form unless a rewrite is
 //!   strictly cheaper is what makes this claim testable at all.
 //! * **Documented ULP/relative bounds**: when extraction rewrote the
 //!   expression (re-association, factoring, slice pushdown), the
 //!   floating-point summation order legitimately changes. The bound is a
 //!   *relative* distance (`Matrix::rel_dist`): `f64` 1e-12 and `f32`
-//!   1e-4 on the reference and seed backends (straight triple-loop /
-//!   seed-frozen kernels: the reordering error for n ≤ 32 operands drawn
-//!   from [-1, 1] stays within a few ULPs of these), relaxed to `f64`
+//!   1e-4 on the reference backend (straight triple loops: the
+//!   reordering error for n ≤ 32 operands drawn from [-1, 1] stays
+//!   within a few ULPs of these), relaxed to `f64`
 //!   1e-11 / `f32` 1e-3 on the engine backend, whose blocked, packed
 //!   GEMM accumulates in yet another order. The same bounds apply to the
 //!   plan-vs-oracle comparison, since the pass pipeline itself may

@@ -409,22 +409,23 @@ mod tests {
     #[test]
     fn backends_get_independent_entries_and_no_retrace_ping_pong() {
         // The A/B shape: one callsite, one signature body, two backends.
-        let cache = PlanCache::new(8);
+        // One shard, so both entries fit wherever the two hashes land.
+        let cache = PlanCache::with_shards(8, 1);
         let e = sig_on("f", 4, Dtype::F64, BackendId::ENGINE);
-        let s = sig_on("f", 4, Dtype::F64, BackendId::SEED);
+        let r = sig_on("f", 4, Dtype::F64, BackendId::REFERENCE);
         // Each backend's first compile is a first trace, not a retrace —
         // the callsite is tracked per backend.
         let (_, l) = cache.get_or_compile(e.clone(), || tiny_plan(4));
         assert_eq!(l, Lookup::Compiled { retrace: false });
-        let (_, l) = cache.get_or_compile(s.clone(), || tiny_plan(4));
+        let (_, l) = cache.get_or_compile(r.clone(), || tiny_plan(4));
         assert_eq!(l, Lookup::Compiled { retrace: false });
         // No cross-backend hits: both entries are independently resident
         // and each backend hits only its own plan.
-        assert!(cache.contains(&e) && cache.contains(&s));
+        assert!(cache.contains(&e) && cache.contains(&r));
         assert_eq!(cache.len(), 2);
         let (_, l) = cache.get_or_compile(e, || panic!("engine plan is cached"));
         assert_eq!(l, Lookup::Hit);
-        let (_, l) = cache.get_or_compile(s, || panic!("seed plan is cached"));
+        let (_, l) = cache.get_or_compile(r, || panic!("reference plan is cached"));
         assert_eq!(l, Lookup::Hit);
         assert_eq!(cache.stats().retraces, 0);
     }

@@ -185,17 +185,27 @@ mod tests {
 
     #[test]
     fn unknown_backend_is_a_named_error() {
-        let err = resolve_backends(&names(&["cuda"])).expect_err("unknown backend must not serve");
-        match &err {
-            ServeError::UnknownBackend { requested, available } => {
-                assert_eq!(requested, "cuda");
-                assert!(available.iter().any(|n| n == "engine"));
-                assert!(available.iter().any(|n| n == "deferred"), "registered on demand");
+        for name in ["cuda", "seed"] {
+            let err =
+                resolve_backends(&names(&[name])).expect_err("unknown backend must not serve");
+            match &err {
+                ServeError::UnknownBackend { requested, available } => {
+                    assert_eq!(requested, name);
+                    // Tests in this binary may register `serve-test-*`
+                    // backends concurrently; the rest is the fixed list,
+                    // `deferred` registered on demand.
+                    let fixed: Vec<&str> = available
+                        .iter()
+                        .map(String::as_str)
+                        .filter(|n| !n.starts_with("serve-test-"))
+                        .collect();
+                    assert_eq!(fixed, ["engine", "reference", "deferred"]);
+                }
+                other => panic!("wrong error: {other:?}"),
             }
-            other => panic!("wrong error: {other:?}"),
+            let text = err.to_string();
+            assert!(text.contains(name) && text.contains("engine"), "{text}");
         }
-        let text = err.to_string();
-        assert!(text.contains("cuda") && text.contains("engine"), "{text}");
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //!
 //! Signatures (and therefore cached plans) carry the execution
 //! [`BackendId`] they target, so one server answers requests for several
-//! `laab-backend` backends (`laab serve --backends engine,seed`) without
+//! `laab-backend` backends (`laab serve --backends engine,reference`) without
 //! their plans ever aliasing in the cache.
 //!
 //! Signatures also carry the [`OptLevel`] the plan compiles through.

@@ -1063,7 +1063,7 @@ mod tests {
 
     #[test]
     fn oracle_is_deterministic_and_payload_sensitive() {
-        let reg = resolve_backends(&["seed".to_string()]).unwrap()[0];
+        let reg = resolve_backends(&["engine".to_string()]).unwrap()[0];
         let mix = synthetic_mix(24, 16, 7, 5, None);
         let a = oracle_checksums(&mix, reg, 7);
         let b = oracle_checksums(&mix, reg, 7);

@@ -562,14 +562,14 @@ mod tests {
     fn syrk_plans_are_bitwise_the_passes_plans_on_every_backend() {
         // Solo and at occupancy 4 (both families fall back per request:
         // their operands are request-varying), on the engine's half-FLOP
-        // kernel and on the three backends that keep the default hook.
+        // kernel and on the two backends that keep the default hook.
         laab_deferred::ensure_registered();
         let n = 48;
         for family in [Family::Gram, Family::CseGram] {
             let (fw, expr, ctx) = (Framework::flow(), family.expr(n), family.ctx(n));
             let envs: Vec<Env<f64>> = (0..4).map(|i| family.env(n, 11 + i)).collect();
             let refs: Vec<&Env<f64>> = envs.iter().collect();
-            for name in ["engine", "seed", "reference", "deferred"] {
+            for name in ["engine", "reference", "deferred"] {
                 let reg = registry::find(name).unwrap();
                 let compile =
                     |opt| Plan::compile_opt(&fw, &expr, &ctx, reg, family.varying_operands(), opt);

@@ -920,7 +920,7 @@ mod tests {
         quarantine: &Quarantine,
     ) -> (Vec<ResponseMsg>, u64) {
         let n = 12;
-        let backend = resolve_backends(&["seed".to_string()]).unwrap()[0];
+        let backend = resolve_backends(&["engine".to_string()]).unwrap()[0];
         let fw = Framework::flow();
         let family = Family::Gram;
         let plan = Plan::compile_with_varying(
@@ -1033,18 +1033,18 @@ mod tests {
 
     #[test]
     fn validate_rejects_with_messages_not_panics() {
-        let regs = resolve_backends(&["seed".to_string()]).unwrap();
+        let regs = resolve_backends(&["engine".to_string()]).unwrap();
         let msg = |family, n, backend| wire_request(family, n, Dtype::F64, backend);
-        assert!(validate(&msg("chain", 16, "seed"), &regs).is_ok());
-        assert!(validate(&msg("no_such", 16, "seed"), &regs)
+        assert!(validate(&msg("chain", 16, "engine"), &regs).is_ok());
+        assert!(validate(&msg("no_such", 16, "engine"), &regs)
             .unwrap_err()
             .contains("unknown request family"));
-        assert!(validate(&msg("chain", 1, "seed"), &regs).unwrap_err().contains("out of range"));
-        assert!(validate(&msg("chain", 1 << 40, "seed"), &regs)
+        assert!(validate(&msg("chain", 1, "engine"), &regs).unwrap_err().contains("out of range"));
+        assert!(validate(&msg("chain", 1 << 40, "engine"), &regs)
             .unwrap_err()
             .contains("out of range"));
-        let err = validate(&msg("chain", 16, "engine"), &regs).unwrap_err();
-        assert!(err.contains("not served here") && err.contains("seed"), "{err}");
+        let err = validate(&msg("chain", 16, "reference"), &regs).unwrap_err();
+        assert!(err.contains("not served here") && err.contains("engine"), "{err}");
     }
 
     #[test]

@@ -274,9 +274,9 @@ mod tests {
         // Different dtype.
         assert_ne!(base, Signature::new("f", &e, &ctx(8), Dtype::F32, BackendId::ENGINE));
         // Different backend: the A/B axis — one plan per backend.
-        let seed = Signature::new("f", &e, &ctx(8), Dtype::F64, BackendId::SEED);
-        assert_ne!(base, seed);
-        assert_ne!(base.hash(), seed.hash());
+        let oracle = Signature::new("f", &e, &ctx(8), Dtype::F64, BackendId::REFERENCE);
+        assert_ne!(base, oracle);
+        assert_ne!(base.hash(), oracle.hash());
         // Different property flags on an operand.
         let pctx = Context::new().with_props("A", 8, 8, Props::SYMMETRIC).with("B", 8, 8);
         assert_ne!(base, Signature::new("f", &e, &pctx, Dtype::F64, BackendId::ENGINE));
@@ -314,15 +314,15 @@ mod tests {
     #[test]
     fn display_names_the_parts() {
         let e = var("A") * var("B");
-        let s = Signature::new("fam", &e, &ctx(4), Dtype::F32, BackendId::SEED);
+        let s = Signature::new("fam", &e, &ctx(4), Dtype::F32, BackendId::REFERENCE);
         let text = s.to_string();
         assert!(text.contains("fam"), "{text}");
         assert!(text.contains("A B"), "{text}");
         assert!(text.contains("4x4"), "{text}");
         assert!(text.contains("f32"), "{text}");
-        assert!(text.contains("@seed"), "{text}");
+        assert!(text.contains("@reference"), "{text}");
         assert!(text.contains("opt=passes"), "{text}");
-        assert_eq!(s.backend(), BackendId::SEED);
+        assert_eq!(s.backend(), BackendId::REFERENCE);
     }
 
     #[test]

@@ -367,7 +367,7 @@ mod tests {
         let mut sigs: Vec<u64> =
             [r1, r2, r3, r4].map(|r| r.signature(BackendId::ENGINE).hash()).to_vec();
         // The same requests through a second backend: all-new signatures.
-        sigs.extend([r1, r2, r3, r4].map(|r| r.signature(BackendId::SEED).hash()));
+        sigs.extend([r1, r2, r3, r4].map(|r| r.signature(BackendId::REFERENCE).hash()));
         for i in 0..sigs.len() {
             for j in i + 1..sigs.len() {
                 assert_ne!(sigs[i], sigs[j], "requests {i} and {j} collide");

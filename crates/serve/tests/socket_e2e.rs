@@ -114,13 +114,14 @@ fn requests_for_unserved_backends_are_rejected_not_executed() {
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run());
 
-    // Ask for a backend the server does not serve: every request must
-    // come back as a structured error response — counted, not executed,
-    // and the connection survives to carry the shutdown.
+    // Ask for a real backend the server does not serve (it serves only
+    // `engine`): every request must come back as a structured error
+    // response — counted, not executed, and the connection survives to
+    // carry the shutdown.
     let cfg = LoadgenConfig {
         requests: 16,
         connections: 1,
-        backend: "seed".to_string(),
+        backend: "reference".to_string(),
         arrivals: vec![Arrival::Closed],
         verify: false,
         ..LoadgenConfig::smoke(&addr)

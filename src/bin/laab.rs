@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! laab run [OPTIONS] [EXPERIMENT]...   run experiments (default: all)
-//! laab bench [OPTIONS]                 GEMM engine perf trajectory
 //! laab serve --listen ADDR [OPTIONS]   the plan-cache server (unix/tcp RPC)
 //! laab loadgen --addr ADDR [OPTIONS]   drive a server, client-side latency
 //! laab list                            list experiments + report formats
@@ -16,7 +15,6 @@ use std::process::ExitCode;
 
 use laab::serve::{loadgen, ServeConfig, Server};
 use laab::suite::bench_registry;
-use laab::suite::gemm_bench::{self, GemmBenchConfig};
 use laab::suite::runner::{self, Experiment};
 use laab::suite::ExperimentConfig;
 use laab_stats::TimingConfig;
@@ -26,7 +24,6 @@ laab — Linear Algebra Awareness Benchmark runner (arXiv:2202.09888)
 
 USAGE:
     laab run [OPTIONS] [EXPERIMENT]...
-    laab bench [BENCH OPTIONS]
     laab serve --listen ADDR [SERVE OPTIONS]
     laab loadgen --addr ADDR [LOADGEN OPTIONS]
     laab list
@@ -49,15 +46,6 @@ OPTIONS:
     --md             print results as markdown instead of plain text
     --strict         exit non-zero unless every paper finding reproduces
 
-BENCH OPTIONS (laab bench — GEMM engine GFLOP/s trajectory):
-    --quick          tiny shapes for CI smoke runs
-    --reps R         timed repetitions per shape   [default: 5]
-    --warmup W       discarded warmups per shape   [default: 1]
-    --threads N      N-thread measurements         [default: detected cores]
-    --seed S         operand seed                  [default: 6827 (0x1AAB)]
-    --json           print the machine-readable report to stdout
-    --out PATH       write the JSON report to PATH (BENCH_gemm.json format)
-
 SERVE OPTIONS (laab serve — the compiled-plan cache behind a socket):
     --listen ADDR    required: unix:<path> or tcp:<host:port>. Runs until a
                      client sends the in-band shutdown frame (see laab
@@ -79,7 +67,7 @@ SERVE OPTIONS (laab serve — the compiled-plan cache behind a socket):
                      must pass the same one        [default: 6827 (0x1AAB)]
     --backends LIST  comma-separated execution backends requests may ask
                      for                           [default: engine]
-                     (built-ins: engine, seed, reference, deferred)
+                     (built-ins: engine, reference, deferred)
     --batch-window N admission window: coalesce up to N pending
                      same-signature requests into one batched (multi-RHS)
                      execution; 0 switches batching off. Requests only
@@ -183,17 +171,6 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        Some("bench") => match parse_bench_args(args) {
-            Ok(Some(bench_args)) => run_bench(bench_args),
-            Ok(None) => {
-                emit(USAGE);
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{USAGE}");
-                ExitCode::from(2)
-            }
-        },
         Some("serve") => match parse_serve_args(args) {
             Ok(Some(serve_args)) => run_serve(serve_args),
             Ok(None) => {
@@ -230,7 +207,7 @@ fn main() -> ExitCode {
             emit("\nexecution backends (laab serve --backends):");
             // The deferred backend registers on first use; force it so the
             // listing shows every built-in, not just the always-registered
-            // eager three.
+            // eager two.
             laab::deferred::ensure_registered();
             for reg in laab::backend::registry::all() {
                 emit(&format!("{:<10} {}", reg.name(), reg.description()));
@@ -289,82 +266,6 @@ fn parse_run_args(args: impl Iterator<Item = String>) -> Result<Option<RunArgs>,
     }
     out.cfg = cfg;
     Ok(Some(out))
-}
-
-struct BenchArgs {
-    cfg: GemmBenchConfig,
-    json_stdout: bool,
-    out: Option<String>,
-}
-
-/// Parse `laab bench` arguments. `Ok(None)` means `--help` was requested.
-fn parse_bench_args(args: impl Iterator<Item = String>) -> Result<Option<BenchArgs>, String> {
-    let mut out = BenchArgs { cfg: GemmBenchConfig::default(), json_stdout: false, out: None };
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => out.cfg.quick = true,
-            "--reps" => out.cfg.reps = parse_num(args.next(), "--reps")?,
-            "--warmup" => out.cfg.warmup = parse_num(args.next(), "--warmup")?,
-            "--threads" => out.cfg.threads = parse_num(args.next(), "--threads")?,
-            "--seed" => out.cfg.seed = parse_num(args.next(), "--seed")?,
-            "--json" => out.json_stdout = true,
-            "--out" => out.out = Some(args.next().ok_or("--out requires a path")?),
-            "--help" | "-h" => return Ok(None),
-            flag => return Err(format!("unknown option `{flag}` for `laab bench`")),
-        }
-    }
-    if out.cfg.reps == 0 {
-        return Err("--reps must be at least 1".into());
-    }
-    Ok(Some(out))
-}
-
-fn run_bench(args: BenchArgs) -> ExitCode {
-    eprintln!(
-        "benchmarking GEMM engine ({} protocol, {} reps)...",
-        if args.cfg.quick { "quick" } else { "full" },
-        args.cfg.reps
-    );
-    let report = gemm_bench::run(&args.cfg);
-    if args.json_stdout {
-        emit(&report.to_json());
-    } else {
-        emit(&report.summary_table().to_string());
-        let batch_line = report
-            .summary
-            .batch_sizes
-            .iter()
-            .zip(&report.summary.batch_gflops)
-            .map(|(q, g)| format!("b{q} {g:.2}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        emit(&format!(
-            "engine {:.2} GFLOP/s vs seed kernel {:.2} GFLOP/s on {} (1 thread): {:.2}x\n\
-             f32 engine {:.2} GFLOP/s on the same anchor: {:.2}x the f64 rate\n\
-             wide-short parallel speedup ({} threads): {:.2}x\n\
-             multi-RHS anchor GFLOP/s (GEMV-shaped, interleaved): {batch_line}",
-            report.summary.engine_gflops,
-            report.summary.seed_gflops,
-            report.summary.anchor,
-            report.summary.speedup_vs_seed,
-            report.summary.f32_engine_gflops,
-            report.summary.f32_over_f64,
-            report.summary.threads,
-            report.summary.wide_short_parallel_speedup,
-        ));
-    }
-    if let Some(path) = &args.out {
-        let json = report.to_json();
-        if let Err(e) = std::fs::File::create(path)
-            .and_then(|mut f| f.write_all(json.as_bytes()).and_then(|()| f.write_all(b"\n")))
-        {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    ExitCode::SUCCESS
 }
 
 struct ServeArgs {
@@ -738,7 +639,7 @@ mod tests {
 
     #[test]
     fn serve_requires_a_listen_address() {
-        let err = serve_args("--backends seed").err().expect("no address, no server");
+        let err = serve_args("--backends engine").err().expect("no address, no server");
         assert!(err.contains("--listen is required"), "{err}");
         let err = serve_args("--record-arrivals /tmp/t.txt").err().expect("still no address");
         assert!(err.contains("--listen is required"), "{err}");
@@ -749,7 +650,7 @@ mod tests {
     fn surviving_serve_flags_round_trip_into_the_config() {
         let args = serve_args(
             "--listen unix:/tmp/x.sock --record-arrivals /tmp/t.txt --clients 3 --seed 7 \
-             --backends seed,reference --batch-window 0 --max-inflight 5 --backlog 6 \
+             --backends engine,reference --batch-window 0 --max-inflight 5 --backlog 6 \
              --quarantine-after 9 --read-timeout-ms 10 --faults panic:1/8",
         )
         .expect("valid")
@@ -763,7 +664,7 @@ mod tests {
             // No flag reaches the cache geometry.
             cache_capacity: defaults.cache_capacity,
             shards: defaults.shards,
-            backends: vec!["seed".into(), "reference".into()],
+            backends: vec!["engine".into(), "reference".into()],
             batch_window: 0,
             max_inflight: 5,
             backlog: 6,
