@@ -12,6 +12,7 @@
 //! the same new signature at once, exactly one compiles and the rest
 //! block briefly and then hit. The counters are lock-free atomics.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -204,16 +205,19 @@ impl PlanCache {
     ///
     /// Single-flight per shard: `compile` runs under the shard lock, so a
     /// signature is compiled at most once no matter how many clients race
-    /// on it.
+    /// on it. The signature is borrowed (an owned one is accepted too)
+    /// and cloned only on a miss, so a caller that keeps its signatures
+    /// pays no copy per hit.
     pub fn get_or_compile(
         &self,
-        sig: Signature,
+        sig: impl Borrow<Signature>,
         compile: impl FnOnce() -> Plan,
     ) -> (Arc<Plan>, Lookup) {
+        let sig = sig.borrow();
         let mut shard = self.shard_of(sig.hash()).lock().unwrap_or_else(|e| e.into_inner());
         let tick = shard.next_tick();
         if let Some(bucket) = shard.buckets.get_mut(&sig.hash()) {
-            if let Some(entry) = bucket.iter_mut().find(|e| e.sig == sig) {
+            if let Some(entry) = bucket.iter_mut().find(|e| e.sig == *sig) {
                 entry.last_used = tick;
                 let plan = Arc::clone(&entry.plan);
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -252,7 +256,7 @@ impl PlanCache {
         }
         let hash = sig.hash();
         shard.buckets.entry(hash).or_default().push(Entry {
-            sig,
+            sig: sig.clone(),
             plan: Arc::clone(&plan),
             last_used: tick,
         });
@@ -319,7 +323,7 @@ mod tests {
     fn hit_after_miss() {
         let cache = PlanCache::new(8);
         let s = sig("f", 4, Dtype::F64);
-        let (_, l1) = cache.get_or_compile(s.clone(), || tiny_plan(4));
+        let (_, l1) = cache.get_or_compile(&s, || tiny_plan(4));
         assert_eq!(l1, Lookup::Compiled { retrace: false });
         let (_, l2) = cache.get_or_compile(s, || panic!("must not recompile"));
         assert_eq!(l2, Lookup::Hit);
@@ -333,12 +337,12 @@ mod tests {
         // Single shard, capacity 2: recency decides who goes.
         let cache = PlanCache::with_shards(2, 1);
         let (a, b, c) = (sig("a", 4, Dtype::F64), sig("b", 4, Dtype::F64), sig("c", 4, Dtype::F64));
-        cache.get_or_compile(a.clone(), || tiny_plan(4));
-        cache.get_or_compile(b.clone(), || tiny_plan(4));
+        cache.get_or_compile(&a, || tiny_plan(4));
+        cache.get_or_compile(&b, || tiny_plan(4));
         // Touch `a` so `b` becomes least recently used.
-        let (_, l) = cache.get_or_compile(a.clone(), || panic!("a is cached"));
+        let (_, l) = cache.get_or_compile(&a, || panic!("a is cached"));
         assert_eq!(l, Lookup::Hit);
-        cache.get_or_compile(c.clone(), || tiny_plan(4));
+        cache.get_or_compile(&c, || tiny_plan(4));
         assert!(cache.contains(&a), "recently-touched entry survives");
         assert!(!cache.contains(&b), "LRU entry was evicted");
         assert!(cache.contains(&c));
@@ -377,8 +381,8 @@ mod tests {
         let cache = PlanCache::with_shards(1, 1);
         let (a, b) = (sig("a", 4, Dtype::F64), sig("b", 4, Dtype::F64));
         for _ in 0..3 {
-            cache.get_or_compile(a.clone(), || tiny_plan(4));
-            cache.get_or_compile(b.clone(), || tiny_plan(4));
+            cache.get_or_compile(&a, || tiny_plan(4));
+            cache.get_or_compile(&b, || tiny_plan(4));
         }
         let st = cache.stats();
         assert_eq!(st.misses, 6);
@@ -415,9 +419,9 @@ mod tests {
         let r = sig_on("f", 4, Dtype::F64, BackendId::REFERENCE);
         // Each backend's first compile is a first trace, not a retrace —
         // the callsite is tracked per backend.
-        let (_, l) = cache.get_or_compile(e.clone(), || tiny_plan(4));
+        let (_, l) = cache.get_or_compile(&e, || tiny_plan(4));
         assert_eq!(l, Lookup::Compiled { retrace: false });
-        let (_, l) = cache.get_or_compile(r.clone(), || tiny_plan(4));
+        let (_, l) = cache.get_or_compile(&r, || tiny_plan(4));
         assert_eq!(l, Lookup::Compiled { retrace: false });
         // No cross-backend hits: both entries are independently resident
         // and each backend hits only its own plan.
@@ -443,16 +447,16 @@ mod tests {
             Signature::with_opt("f", &expr, &ctx, Dtype::F64, BackendId::ENGINE, OptLevel::Passes);
         let g =
             Signature::with_opt("f", &expr, &ctx, Dtype::F64, BackendId::ENGINE, OptLevel::Egraph);
-        let (_, l) = cache.get_or_compile(p.clone(), || tiny_plan(4));
+        let (_, l) = cache.get_or_compile(&p, || tiny_plan(4));
         assert_eq!(l, Lookup::Compiled { retrace: false });
-        let (_, l) = cache.get_or_compile(g.clone(), || tiny_plan(4));
+        let (_, l) = cache.get_or_compile(&g, || tiny_plan(4));
         assert_eq!(l, Lookup::Compiled { retrace: false }, "second opt level is a first trace");
         assert!(cache.contains(&p) && cache.contains(&g));
         assert_eq!(cache.len(), 2);
         for _ in 0..3 {
-            let (_, l) = cache.get_or_compile(p.clone(), || panic!("passes plan is cached"));
+            let (_, l) = cache.get_or_compile(&p, || panic!("passes plan is cached"));
             assert_eq!(l, Lookup::Hit);
-            let (_, l) = cache.get_or_compile(g.clone(), || panic!("egraph plan is cached"));
+            let (_, l) = cache.get_or_compile(&g, || panic!("egraph plan is cached"));
             assert_eq!(l, Lookup::Hit);
         }
         assert_eq!(cache.stats().retraces, 0, "A/B multiplicity is not signature drift");

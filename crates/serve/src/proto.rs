@@ -104,10 +104,11 @@ pub enum FrameError {
         /// Unconsumed bytes after the message body.
         extra: usize,
     },
-    /// The frame decoded structurally but its shape fields are
-    /// inconsistent (zero operand size, empty family/backend name, a
-    /// served response claiming zero occupancy). Rejected here so
-    /// nonsense never reaches plan compilation.
+    /// The frame arrived whole but its payload is inconsistent: the
+    /// message body runs past the length prefix, or its shape fields
+    /// contradict each other (zero operand size, empty family/backend
+    /// name, a served response claiming zero occupancy). Rejected here
+    /// so nonsense never reaches plan compilation.
     BadPayload {
         /// Which invariant the payload violated.
         what: &'static str,
@@ -315,55 +316,69 @@ fn flush_of(b: u8) -> Result<FlushKind, FrameError> {
 
 /// Encode `msg` as one complete frame (length prefix included).
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let mut body = vec![PROTO_VERSION];
+    let mut frame = Vec::new();
+    encode_frame_into(&mut frame, msg);
+    frame
+}
+
+/// Room reserved per encoded frame: every request the served families
+/// name and every `Ok` response fits, so encoding one allocates once
+/// instead of growing through four sizes.
+const FRAME_RESERVE: usize = 64;
+
+/// Append `msg` to `buf` as one complete frame (length prefix
+/// included), so several frames can leave in one `write`.
+pub fn encode_frame_into(buf: &mut Vec<u8>, msg: &Message) {
+    buf.reserve(FRAME_RESERVE);
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    buf.push(PROTO_VERSION);
     match msg {
         Message::Request(r) => {
-            body.push(TAG_REQUEST);
-            body.extend_from_slice(&r.id.to_le_bytes());
-            put_str(&mut body, &r.family);
-            body.extend_from_slice(&r.n.to_le_bytes());
-            body.push(dtype_byte(r.dtype));
-            put_str(&mut body, &r.backend);
-            body.extend_from_slice(&r.payload.to_le_bytes());
-            body.extend_from_slice(&r.deadline_us.to_le_bytes());
+            buf.push(TAG_REQUEST);
+            buf.extend_from_slice(&r.id.to_le_bytes());
+            put_str(buf, &r.family);
+            buf.extend_from_slice(&r.n.to_le_bytes());
+            buf.push(dtype_byte(r.dtype));
+            put_str(buf, &r.backend);
+            buf.extend_from_slice(&r.payload.to_le_bytes());
+            buf.extend_from_slice(&r.deadline_us.to_le_bytes());
         }
         Message::Response(r) => {
-            body.push(TAG_RESPONSE);
-            body.extend_from_slice(&r.id.to_le_bytes());
+            buf.push(TAG_RESPONSE);
+            buf.extend_from_slice(&r.id.to_le_bytes());
             match &r.outcome {
                 Outcome::Ok { queue_ns, exec_ns, occupancy, flush, checksum } => {
-                    body.push(0);
-                    body.extend_from_slice(&queue_ns.to_le_bytes());
-                    body.extend_from_slice(&exec_ns.to_le_bytes());
-                    body.extend_from_slice(&occupancy.to_le_bytes());
-                    body.push(flush_byte(*flush));
-                    body.extend_from_slice(&checksum.to_le_bytes());
+                    buf.push(0);
+                    buf.extend_from_slice(&queue_ns.to_le_bytes());
+                    buf.extend_from_slice(&exec_ns.to_le_bytes());
+                    buf.extend_from_slice(&occupancy.to_le_bytes());
+                    buf.push(flush_byte(*flush));
+                    buf.extend_from_slice(&checksum.to_le_bytes());
                 }
                 Outcome::Err { message } => {
-                    body.push(1);
-                    put_str(&mut body, message);
+                    buf.push(1);
+                    put_str(buf, message);
                 }
                 Outcome::Busy { retry_after_us } => {
-                    body.push(2);
-                    body.extend_from_slice(&retry_after_us.to_le_bytes());
+                    buf.push(2);
+                    buf.extend_from_slice(&retry_after_us.to_le_bytes());
                 }
                 Outcome::Expired { waited_us } => {
-                    body.push(3);
-                    body.extend_from_slice(&waited_us.to_le_bytes());
+                    buf.push(3);
+                    buf.extend_from_slice(&waited_us.to_le_bytes());
                 }
                 Outcome::Failed { message } => {
-                    body.push(4);
-                    put_str(&mut body, message);
+                    buf.push(4);
+                    put_str(buf, message);
                 }
             }
         }
-        Message::Shutdown => body.push(TAG_SHUTDOWN),
-        Message::ShutdownAck => body.push(TAG_SHUTDOWN_ACK),
+        Message::Shutdown => buf.push(TAG_SHUTDOWN),
+        Message::ShutdownAck => buf.push(TAG_SHUTDOWN_ACK),
     }
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&body);
-    frame
+    let len = (buf.len() - start - 4) as u32;
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 // ---- decode ----
@@ -375,9 +390,14 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    /// The next `n` bytes. The cursor spans one *complete* payload (its
+    /// length prefix was read in full), so running out here is a body
+    /// that contradicts the prefix, not a stream that ended early.
     fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
         if self.buf.len() - self.pos < n {
-            return Err(FrameError::Truncated { needed: self.pos + n, got: self.buf.len() });
+            return Err(FrameError::BadPayload {
+                what: "message body runs past the frame's length prefix",
+            });
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -663,6 +683,16 @@ mod tests {
         frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
         frame.extend_from_slice(&body);
         frame
+    }
+
+    #[test]
+    fn served_requests_and_ok_responses_fit_the_frame_reserve() {
+        for family in crate::workload::Family::ALL {
+            let Message::Request(r) = request() else { unreachable!() };
+            let req = Message::Request(RequestMsg { family: family.id().into(), ..r });
+            assert!(encode_frame(&req).len() <= FRAME_RESERVE, "{}", family.id());
+        }
+        assert!(encode_frame(&response()).len() <= FRAME_RESERVE);
     }
 
     #[test]

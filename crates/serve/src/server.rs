@@ -10,14 +10,18 @@
 //! ```
 //!
 //! One reader thread per accepted connection decodes
-//! [`proto`] frames, validates each request against the
+//! [`proto`] frames through a buffered reader (a pipelined burst costs
+//! one `read`), validates each request against the
 //! served backend set (unknown family/backend, unsupported dtype, and
 //! out-of-range sizes are *rejected with a response frame*, never a
 //! panic), and submits jobs keyed by `(family, n, dtype, backend)` —
-//! exactly what determines the plan-cache [`Signature`](crate::Signature).
+//! exactly what determines the plan-cache [`Signature`].
 //! A pool of executor threads (`--clients`) drains whole batches
-//! through the shared [`PlanCache`] and writes one response frame per
-//! request, carrying the measured queue delay, the per-request
+//! through the shared [`PlanCache`]. Each executor remembers, per key,
+//! the signature and operand pools it built the first time, so a
+//! repeated key costs one map probe. Every execution's answers leave
+//! in one `write` per connection: one response frame per request,
+//! carrying the measured queue delay, the per-request
 //! execution share, the batch occupancy and [`FlushKind`], and a
 //! [checksum](crate::proto::result_checksum)
 //! of the result matrices for client-side bitwise validation.
@@ -29,6 +33,7 @@
 //! removed. [`Server::run`] then returns the run's [`ServerStats`].
 
 use std::collections::HashMap;
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,6 +53,7 @@ use crate::error::{resolve_backends, ServeError};
 use crate::fault::{FaultCounts, FaultInjector};
 use crate::plan::Plan;
 use crate::proto::{self, FrameError, Message, Outcome, RequestMsg, ResponseMsg};
+use crate::signature::Signature;
 use crate::workload::{Family, Request};
 
 /// The `retry_after_us` hint of a `Busy` rejection: long enough for an
@@ -245,9 +251,15 @@ impl ServerJob {
     }
 
     /// Answer the job and release its in-flight slot. Every admitted
-    /// job must end here exactly once.
+    /// job must end here, or in an execution's coalesced write followed
+    /// by [`ServerJob::release`], exactly once.
     fn finish(&self, outcome: Outcome) {
         respond(&self.writer, self.id, outcome);
+        self.release();
+    }
+
+    /// Release the job's in-flight slot, after its answer was written.
+    fn release(&self) {
         self.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -307,6 +319,24 @@ impl Quarantine {
 struct PoolPair {
     f64: Env<f64>,
     f32: Env<f32>,
+}
+
+/// One executor thread's memo of what a key needs before execution:
+/// the plan-cache signature and the operand pools. Owned by its thread,
+/// so a repeated key costs one map probe — no `Expr` rebuild, canonical
+/// render and hash, and no shared pool-map lock. Like that map it holds
+/// one entry per key clients have sent.
+#[derive(Default)]
+struct Memo(HashMap<JobKey, (Signature, Arc<PoolPair>)>);
+
+impl Memo {
+    /// The signature and pools of `job`'s key, built on first sight.
+    fn get(&mut self, job: &ServerJob, ctx: &ExecCtx<'_>) -> &(Signature, Arc<PoolPair>) {
+        let req = &job.request;
+        self.0.entry(job.key()).or_insert_with(|| {
+            (req.signature(job.backend.id()), pool_for(ctx.pools, req.family, req.n, ctx.seed))
+        })
+    }
 }
 
 /// The blocking serving front-end. Construct with [`Server::bind`], then
@@ -422,8 +452,9 @@ impl Server {
             for _ in 0..cfg.resolved_clients() {
                 let (queue, exec) = (&queue, &exec);
                 executors.push(scope.spawn(move || {
+                    let mut memo = Memo::default();
                     while let Some(batch) = queue.next_batch() {
-                        execute_batch(&batch, exec);
+                        execute_batch(&batch, exec, &mut memo);
                     }
                 }));
             }
@@ -531,7 +562,8 @@ fn reader_loop(stream: Stream, ctx: &ReaderCtx<'_>) {
         Err(_) => return,
     };
     let inflight = Arc::new(AtomicI64::new(0));
-    let mut reader = stream;
+    // Buffered: the frames of a pipelined burst arrive in one `read`.
+    let mut reader = BufReader::new(stream);
     loop {
         match proto::read_message(&mut reader) {
             Ok(Some(Message::Request(msg))) => match validate(&msg, ctx.regs) {
@@ -666,11 +698,16 @@ fn validate(
     Ok((Request { family, n: msg.n as usize, dtype: msg.dtype, payload: msg.payload }, reg))
 }
 
-/// Write one response frame (best-effort: a vanished client only loses
-/// its own responses).
-fn respond(writer: &Arc<Mutex<Stream>>, id: u64, outcome: Outcome) {
+/// Write one response frame.
+fn respond(writer: &Mutex<Stream>, id: u64, outcome: Outcome) {
+    send(writer, &proto::encode_frame(&Message::Response(ResponseMsg { id, outcome })));
+}
+
+/// Write encoded frames to one connection in one `write_all`
+/// (best-effort: a vanished client only loses its own responses).
+fn send(writer: &Mutex<Stream>, frames: &[u8]) {
     let mut w = writer.lock().expect("connection writer");
-    let _ = proto::write_message(&mut *w, &Message::Response(ResponseMsg { id, outcome }));
+    let _ = w.write_all(frames);
 }
 
 /// Fetch (or lazily build) the operand pool for `(family, n)`.
@@ -706,7 +743,7 @@ struct ExecCtx<'a> {
 /// `Expired` without compute, injected delays stretch the batch (and
 /// may expire more jobs), a quarantined signature is refused
 /// wholesale; what is still live goes to [`execute_typed`].
-fn execute_batch(batch: &FlushedBatch<ServerJob>, ctx: &ExecCtx<'_>) {
+fn execute_batch(batch: &FlushedBatch<ServerJob>, ctx: &ExecCtx<'_>, memo: &mut Memo) {
     let start = Instant::now();
     let counters = ctx.counters;
     let mut live = expire(batch.items.iter().collect(), counters);
@@ -726,11 +763,10 @@ fn execute_batch(batch: &FlushedBatch<ServerJob>, ctx: &ExecCtx<'_>) {
         }
         return;
     }
-    let req0 = &job0.request;
-    let pool = pool_for(ctx.pools, req0.family, req0.n, ctx.seed);
-    match req0.dtype {
-        Dtype::F64 => execute_typed::<f64>(&live, batch.kind, start, &pool.f64, ctx),
-        Dtype::F32 => execute_typed::<f32>(&live, batch.kind, start, &pool.f32, ctx),
+    let (sig, pool) = memo.get(job0, ctx);
+    match job0.request.dtype {
+        Dtype::F64 => execute_typed::<f64>(&live, batch.kind, start, sig, &pool.f64, ctx),
+        Dtype::F32 => execute_typed::<f32>(&live, batch.kind, start, sig, &pool.f32, ctx),
     }
 }
 
@@ -766,10 +802,14 @@ fn expire<'a>(jobs: Vec<&'a ServerJob>, counters: &Counters) -> Vec<&'a ServerJo
 /// that execution (and records one quarantine failure) instead of
 /// killing the executor. The echoed `occupancy` and `flush` stay the
 /// admitted batch's; `start` is when the executor picked the batch up.
+/// An execution's `Ok` answers are encoded into one buffer per
+/// connection and written at once; only then are their in-flight slots
+/// released.
 fn execute_typed<T: BackendScalar>(
     live: &[&ServerJob],
     flush: FlushKind,
     start: Instant,
+    sig: &Signature,
     pool_env: &Env<T>,
     ctx: &ExecCtx<'_>,
 ) {
@@ -778,7 +818,7 @@ fn execute_typed<T: BackendScalar>(
     let reg = live[0].backend;
     let has_payload = !req0.family.payload_operands().is_empty();
     let t_lookup = Instant::now();
-    let (plan, _) = ctx.cache.get_or_compile(req0.signature(reg.id()), || {
+    let (plan, _) = ctx.cache.get_or_compile(sig, || {
         Plan::compile_with_varying(
             ctx.fw,
             &req0.family.expr(req0.n),
@@ -823,19 +863,39 @@ fn execute_typed<T: BackendScalar>(
             Ok(results) => {
                 let exec_ns = (t_exec.elapsed().as_nanos() as u64 + std::mem::take(&mut lookup_ns))
                     / jobs.len() as u64;
+                // Members of one connection share its buffer, in arrival
+                // order; a batch may interleave several connections.
+                let mut out: Vec<(&Arc<Mutex<Stream>>, Vec<u8>)> = Vec::new();
                 for (job, result) in jobs.iter().zip(&results) {
                     let mut checksum = proto::result_checksum(result);
                     if ctx.injector.is_some_and(|i| i.should_corrupt(job.id)) {
                         checksum ^= CORRUPT_MASK;
                     }
                     counters.bump(&counters.served);
-                    job.finish(Outcome::Ok {
+                    let at = match out.iter().position(|(w, _)| Arc::ptr_eq(w, &job.writer)) {
+                        Some(at) => at,
+                        None => {
+                            out.push((&job.writer, Vec::new()));
+                            out.len() - 1
+                        }
+                    };
+                    let outcome = Outcome::Ok {
                         queue_ns: began.duration_since(job.at).as_nanos() as u64,
                         exec_ns,
                         occupancy: live.len() as u32,
                         flush,
                         checksum,
-                    });
+                    };
+                    proto::encode_frame_into(
+                        &mut out[at].1,
+                        &Message::Response(ResponseMsg { id: job.id, outcome }),
+                    );
+                }
+                for (writer, frames) in &out {
+                    send(writer, frames);
+                }
+                for job in jobs {
+                    job.release();
                 }
             }
             Err(payload) => {
@@ -910,6 +970,74 @@ mod tests {
 
     const SEED: u64 = 0x1AAB;
 
+    /// The server-lifetime state `execute_batch` runs against, owned by
+    /// one test.
+    struct Shared {
+        cache: PlanCache,
+        fw: Framework,
+        pools: Mutex<HashMap<(Family, usize), Arc<PoolPair>>>,
+        counters: Counters,
+    }
+
+    impl Shared {
+        fn new() -> Shared {
+            Shared {
+                cache: PlanCache::with_shards(4, 1),
+                fw: Framework::flow(),
+                pools: Mutex::new(HashMap::new()),
+                counters: Counters::default(),
+            }
+        }
+
+        fn ctx<'a>(
+            &'a self,
+            quarantine: &'a Quarantine,
+            injector: Option<&'a FaultInjector>,
+        ) -> ExecCtx<'a> {
+            ExecCtx {
+                cache: &self.cache,
+                fw: &self.fw,
+                pools: &self.pools,
+                seed: SEED,
+                counters: &self.counters,
+                quarantine,
+                injector,
+            }
+        }
+    }
+
+    fn engine() -> &'static Registration {
+        resolve_backends(&["engine".to_string()]).unwrap()[0]
+    }
+
+    /// An admitted f64 job on connection `(writer, inflight)`, with its
+    /// in-flight slot taken as `admit` takes it.
+    fn job(
+        (writer, inflight): &(Arc<Mutex<Stream>>, Arc<AtomicI64>),
+        id: u64,
+        family: Family,
+        n: usize,
+        at: Instant,
+    ) -> ServerJob {
+        inflight.fetch_add(1, Ordering::Relaxed);
+        ServerJob {
+            writer: writer.clone(),
+            id,
+            request: Request { family, n, dtype: Dtype::F64, payload: id },
+            backend: engine(),
+            at,
+            deadline: None,
+            inflight: inflight.clone(),
+        }
+    }
+
+    /// A connection's server half (writer and in-flight gauge) and its
+    /// client half.
+    fn connection() -> ((Arc<Mutex<Stream>>, Arc<AtomicI64>), UnixStream) {
+        let (server_end, client_end) = UnixStream::pair().expect("socket pair");
+        ((Arc::new(Mutex::new(Stream::Unix(server_end))), Arc::new(AtomicI64::new(0))), client_end)
+    }
+
     /// Run one admitted batch of `Gram` requests (a matrix family: its
     /// plan does not stack) with wire ids `ids` through `execute_batch`
     /// and return the responses in the order they were written, plus
@@ -920,49 +1048,24 @@ mod tests {
         quarantine: &Quarantine,
     ) -> (Vec<ResponseMsg>, u64) {
         let n = 12;
-        let backend = resolve_backends(&["engine".to_string()]).unwrap()[0];
-        let fw = Framework::flow();
+        let shared = Shared::new();
         let family = Family::Gram;
         let plan = Plan::compile_with_varying(
-            &fw,
+            &shared.fw,
             &family.expr(n),
             &family.ctx(n),
-            backend,
+            engine(),
             family.varying_operands(),
         );
         assert!(!plan.stackable(), "the premise: matrix families take the per-request path");
         let solo = proto::result_checksum(&plan.execute::<f64>(&family.env::<f64>(n, SEED)));
 
-        let (server_end, mut client_end) = UnixStream::pair().expect("socket pair");
-        let writer = Arc::new(Mutex::new(Stream::Unix(server_end)));
-        let inflight = Arc::new(AtomicI64::new(ids.len() as i64));
+        let (conn, mut client_end) = connection();
         let now = Instant::now();
-        let items = ids
-            .iter()
-            .map(|&id| ServerJob {
-                writer: writer.clone(),
-                id,
-                request: Request { family, n, dtype: Dtype::F64, payload: id },
-                backend,
-                at: now,
-                deadline: None,
-                inflight: inflight.clone(),
-            })
-            .collect();
+        let items = ids.iter().map(|&id| job(&conn, id, family, n, now)).collect();
         let batch = FlushedBatch { items, kind: FlushKind::Occupancy, enqueued_at: now };
-        let (cache, pools) = (PlanCache::with_shards(4, 1), Mutex::new(HashMap::new()));
-        let counters = Counters::default();
-        let ctx = ExecCtx {
-            cache: &cache,
-            fw: &fw,
-            pools: &pools,
-            seed: SEED,
-            counters: &counters,
-            quarantine,
-            injector,
-        };
-        execute_batch(&batch, &ctx);
-        assert_eq!(inflight.load(Ordering::Relaxed), 0, "every job finished exactly once");
+        execute_batch(&batch, &shared.ctx(quarantine, injector), &mut Memo::default());
+        assert_eq!(conn.1.load(Ordering::Relaxed), 0, "every job finished exactly once");
 
         let responses = ids
             .iter()
@@ -972,6 +1075,79 @@ mod tests {
             })
             .collect();
         (responses, solo)
+    }
+
+    #[test]
+    fn a_stacked_batch_answers_each_connection_its_own_ids_in_arrival_order() {
+        let n = 16;
+        let shared = Shared::new();
+        let family = Family::Chain;
+        let plan = Plan::compile_with_varying(
+            &shared.fw,
+            &family.expr(n),
+            &family.ctx(n),
+            engine(),
+            family.varying_operands(),
+        );
+        assert!(plan.stackable(), "the premise: the batch is one execution");
+        let pool = family.env::<f64>(n, SEED);
+        let solo = |id: u64| {
+            let request = Request { family, n, dtype: Dtype::F64, payload: id };
+            proto::result_checksum(&plan.execute::<f64>(&request.env_from_pool(&pool, SEED)))
+        };
+
+        let ((a, mut a_client), (b, mut b_client)) = (connection(), connection());
+        let now = Instant::now();
+        // Arrival order interleaves the two connections.
+        let items = [(&a, 10), (&b, 20), (&b, 21), (&a, 11), (&a, 12), (&b, 22)]
+            .into_iter()
+            .map(|(conn, id)| job(conn, id, family, n, now))
+            .collect();
+        let batch = FlushedBatch { items, kind: FlushKind::Occupancy, enqueued_at: now };
+        execute_batch(&batch, &shared.ctx(&Quarantine::new(3), None), &mut Memo::default());
+        assert_eq!(a.1.load(Ordering::Relaxed), 0, "connection a's slots are released");
+        assert_eq!(b.1.load(Ordering::Relaxed), 0, "connection b's slots are released");
+        // Close the server halves, so each client reads to its EOF.
+        drop((batch, a, b));
+
+        for (client, want) in [(&mut a_client, [10, 11, 12]), (&mut b_client, [20, 21, 22])] {
+            let mut ids = Vec::new();
+            while let Some(msg) = proto::read_message(client).expect("well-formed frames") {
+                let Message::Response(ResponseMsg {
+                    id,
+                    outcome: Outcome::Ok { occupancy: 6, checksum, .. },
+                }) = msg
+                else {
+                    panic!("expected a served response of the 6-member batch, got {msg:?}");
+                };
+                assert_eq!(checksum, solo(id), "request {id}");
+                ids.push(id);
+            }
+            assert_eq!(ids, want);
+        }
+    }
+
+    #[test]
+    fn the_memo_returns_each_keys_own_signature() {
+        let shared = Shared::new();
+        let quarantine = Quarantine::new(3);
+        let ctx = shared.ctx(&quarantine, None);
+        let (conn, _client) = connection();
+        let mut memo = Memo::default();
+        // Twice over: the first pass fills the memo, the second reads it.
+        for _ in 0..2 {
+            for n in [16, 192] {
+                for family in Family::ALL {
+                    for dtype in [Dtype::F64, Dtype::F32] {
+                        let mut job = job(&conn, 0, family, n, Instant::now());
+                        job.request.dtype = dtype;
+                        let want = job.request.signature(job.backend.id());
+                        assert_eq!(memo.get(&job, &ctx).0, want, "{} n={n} {dtype:?}", family.id());
+                    }
+                }
+            }
+        }
+        assert_eq!(memo.0.len(), 2 * Family::ALL.len() * 2);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! client report and server counters match it **exactly** — not
 //! "roughly N% failed", but these ids and no others.
 //!
-//! The batch window is pinned to 1 throughout so request ↔ batch is
-//! 1:1 and a panic poisons exactly its own request.
+//! The batch window is pinned to 1 in the exact-count tests so request
+//! ↔ batch is 1:1 and a panic poisons exactly its own request. One test
+//! keeps the default window, so coalesced batches and their shared
+//! response writes run under injected panics and delays too.
 
 use std::collections::HashSet;
 
@@ -282,4 +284,32 @@ fn quarantine_fences_repeatedly_failing_signatures() {
     assert_eq!(stats.failed, distinct, "first request of each signature reaches the executor");
     assert_eq!(stats.quarantined, REQUESTS as u64 - distinct, "the rest are fenced at admission");
     assert_eq!(stats.faults.panics, distinct);
+}
+
+/// The fault-injection smoke at `laab serve`'s defaults (batch window
+/// included) with `--max-inflight 4 --faults panic:1/8,delay:1/4x300`,
+/// driven by `laab loadgen --smoke`: completed responses stay bitwise
+/// correct while the executor panics around them, the panics surface as
+/// `Failed`, the in-flight cap sheds bursts into client retries, and
+/// every request settles exactly once.
+#[test]
+fn smoke_under_faults_at_the_default_window_stays_bitwise_and_settles_every_request() {
+    let plan = FaultPlan::parse("panic:1/8,delay:1/4x300").expect("plan parses");
+    let cfg = ServeConfig::builder()
+        .backends(["engine"])
+        .max_inflight(4)
+        .faults(Some(plan))
+        .build()
+        .expect("config validates");
+    let (report, _) = drive("smoke", cfg, LoadgenConfig::smoke);
+
+    assert!(report.verified);
+    assert_eq!(report.checksum_mismatches, 0, "completed responses are bitwise-correct");
+    assert!(report.failed_total > 0, "seeded panics must surface as Failed");
+    assert!(report.retries_total > 0, "Busy shedding must drive client retries");
+    for run in &report.runs {
+        let settled = run.completed + run.busy + run.expired + run.failed + run.errors;
+        assert_eq!(settled, report.requests as u64, "{}: every request settles once", run.arrival);
+        assert!(run.completed > 0, "{}", run.arrival);
+    }
 }

@@ -80,7 +80,7 @@ proptest! {
         let cold32 = fw.function_from_expr(&expr, &ctx).call(&e32);
 
         let sig64 = Signature::new("prop", &expr, &ctx, Dtype::F64, BackendId::ENGINE);
-        let (plan, _) = cache.get_or_compile(sig64.clone(), || Plan::compile(&fw, &expr, &ctx, registry::default_backend()));
+        let (plan, _) = cache.get_or_compile(&sig64, || Plan::compile(&fw, &expr, &ctx, registry::default_backend()));
         prop_assert_eq!(&plan.execute::<f64>(&e64), &cold64, "compiled plan vs cold trace");
 
         // Second lookup must hit and stay bitwise identical.

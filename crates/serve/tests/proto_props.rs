@@ -4,12 +4,16 @@
 //! a hostile length prefix, a future protocol version, or pure noise —
 //! the decoder returns a structured [`FrameError`]; it never panics and
 //! never trusts a length prefix enough to allocate unboundedly. And for
-//! well-formed messages, decode is the exact inverse of encode.
+//! well-formed messages, decode is the exact inverse of encode — also
+//! through a `BufReader` over a stream that splits bytes anywhere, the
+//! way the server reads a connection.
+
+use std::io::{BufReader, Read};
 
 use laab_backend::Dtype;
 use laab_serve::proto::{
-    decode_frame, encode_frame, read_message, FrameError, Message, Outcome, RequestMsg,
-    ResponseMsg, MAX_FRAME_LEN,
+    decode_frame, encode_frame, encode_frame_into, read_message, FrameError, Message, Outcome,
+    RequestMsg, ResponseMsg, MAX_FRAME_LEN,
 };
 use laab_serve::FlushKind;
 use proptest::prelude::*;
@@ -67,8 +71,137 @@ fn seeded_response(seed: u64) -> Message {
     Message::Response(ResponseMsg { id: rng.gen(), outcome })
 }
 
+/// `k` seeded frames of every kind, as the messages and as one byte
+/// stream (built with `encode_frame_into`, so the stream is also the
+/// appending encoder's output), with the offset where each frame ends.
+fn seeded_burst(seed: u64, k: usize) -> (Vec<Message>, Vec<u8>, Vec<usize>) {
+    let msgs: Vec<Message> = (0..k as u64)
+        .map(|i| match (seed ^ i) % 4 {
+            0 => seeded_request(seed ^ (i << 32)),
+            1 => seeded_response(seed ^ (i << 32)),
+            2 => Message::Shutdown,
+            _ => Message::ShutdownAck,
+        })
+        .collect();
+    let (mut bytes, mut ends) = (Vec::new(), Vec::new());
+    for msg in &msgs {
+        encode_frame_into(&mut bytes, msg);
+        ends.push(bytes.len());
+    }
+    (msgs, bytes, ends)
+}
+
+/// A stream that returns its bytes in seeded chunks of 1 to 16 bytes,
+/// the way a socket may split a pipelined burst.
+struct Chunked {
+    bytes: Vec<u8>,
+    pos: usize,
+    rng: StdRng,
+}
+
+impl Chunked {
+    /// `bytes` behind a `BufReader`, as the server reads a connection.
+    fn buffered(bytes: &[u8], seed: u64) -> BufReader<Chunked> {
+        BufReader::new(Chunked { bytes: bytes.to_vec(), pos: 0, rng: StdRng::seed_from_u64(seed) })
+    }
+}
+
+impl Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let k = self.rng.gen_range(1..17).min(buf.len()).min(self.bytes.len() - self.pos);
+        buf[..k].copy_from_slice(&self.bytes[self.pos..self.pos + k]);
+        self.pos += k;
+        Ok(k)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `encode_frame` is `encode_frame_into` on an empty buffer, and
+    /// appending leaves what the buffer already held untouched.
+    #[test]
+    fn encode_frame_into_appends_exactly_one_frame(seed in any::<u64>()) {
+        let prefix = seeded_string(seed, 40).into_bytes();
+        for msg in [seeded_request(seed), seeded_response(seed)] {
+            let mut buf = prefix.clone();
+            encode_frame_into(&mut buf, &msg);
+            prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
+            prop_assert_eq!(&buf[prefix.len()..], &encode_frame(&msg)[..]);
+        }
+    }
+
+    /// A burst read through a `BufReader` over arbitrarily split reads
+    /// (1-byte reads included) yields exactly its messages, in order,
+    /// then a clean end of stream.
+    #[test]
+    fn buffered_reads_of_a_split_burst_yield_every_frame(seed in any::<u64>(), k in 1usize..8) {
+        let (msgs, bytes, _) = seeded_burst(seed, k);
+        let mut r = Chunked::buffered(&bytes, seed);
+        for msg in &msgs {
+            prop_assert_eq!(read_message(&mut r).expect("whole frame"), Some(msg.clone()));
+        }
+        prop_assert_eq!(read_message(&mut r), Ok(None));
+    }
+
+    /// A burst cut at any byte: the frames that ended before the cut come
+    /// out, then a clean end of stream when the cut falls between frames
+    /// and `Truncated` when it falls inside one.
+    #[test]
+    fn a_cut_burst_yields_its_whole_frames_then_truncated(seed in any::<u64>(), k in 1usize..5) {
+        let (msgs, bytes, ends) = seeded_burst(seed, k);
+        for cut in 0..=bytes.len() {
+            let mut r = Chunked::buffered(&bytes[..cut], seed ^ cut as u64);
+            let whole = ends.iter().take_while(|&&end| end <= cut).count();
+            for msg in &msgs[..whole] {
+                prop_assert_eq!(read_message(&mut r).expect("whole frame"), Some(msg.clone()));
+            }
+            match read_message(&mut r) {
+                Ok(None) => prop_assert!(cut == 0 || ends.contains(&cut), "cut {cut}"),
+                Err(FrameError::Truncated { .. }) => prop_assert!(!ends.contains(&cut), "cut {cut}"),
+                other => prop_assert!(false, "cut {cut}/{}: {:?}", bytes.len(), other),
+            }
+        }
+    }
+
+    /// An oversized length prefix after `j` good frames: the `j` messages
+    /// come out, then `Oversized`, before any allocation for it.
+    #[test]
+    fn an_oversized_prefix_mid_burst_stops_after_the_good_frames(
+        seed in any::<u64>(),
+        j in 0usize..6,
+        extra in 1u32..1_000_000,
+    ) {
+        let (msgs, mut bytes, _) = seeded_burst(seed, j);
+        let len = MAX_FRAME_LEN.saturating_add(extra);
+        bytes.extend_from_slice(&len.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 16]);
+        let mut r = Chunked::buffered(&bytes, seed);
+        for msg in &msgs {
+            prop_assert_eq!(read_message(&mut r).expect("whole frame"), Some(msg.clone()));
+        }
+        prop_assert_eq!(read_message(&mut r), Err(FrameError::Oversized { len }));
+    }
+
+    /// A frame whose length prefix matches the bytes sent but whose body
+    /// is cut short arrived whole: it is `BadPayload`, never `Truncated`
+    /// (which means "the stream ended mid-frame", and would send a
+    /// buffered decoder back to wait for bytes that are not coming).
+    #[test]
+    fn a_body_shorter_than_its_message_is_bad_payload_not_truncated(seed in any::<u64>()) {
+        let short = Err(FrameError::BadPayload {
+            what: "message body runs past the frame's length prefix",
+        });
+        for msg in [seeded_request(seed), seeded_response(seed), Message::Shutdown] {
+            let whole = encode_frame(&msg);
+            for body in 0..whole.len() - 4 {
+                let mut frame = (body as u32).to_le_bytes().to_vec();
+                frame.extend_from_slice(&whole[4..4 + body]);
+                prop_assert_eq!(decode_frame(&frame).map(|(m, _)| m), short.clone());
+                prop_assert_eq!(read_message(&mut &frame[..]).map(|m| m.unwrap()), short.clone());
+            }
+        }
+    }
 
     /// Round trip: decode(encode(m)) == m, consuming exactly the frame.
     #[test]

@@ -4,13 +4,23 @@
 //! client's local oracle at the same seed, low-rate traffic is released
 //! by **free executors** (no batch waits out a timer), the plan cache
 //! compiled each visited signature **once**, and shutdown is clean (no
-//! leaked socket file, every thread joined).
+//! leaked socket file, every thread joined). Hostile peers — a bad frame
+//! inside a burst, a stream cut mid-frame, a half frame and silence —
+//! cost only their own connection.
 
 use std::collections::HashSet;
+use std::io::Write;
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 use laab_serve::loadgen::{self, Arrival, LoadgenConfig};
+use laab_serve::proto::{
+    encode_frame, encode_frame_into, read_message, Message, Outcome, RequestMsg, ResponseMsg,
+    MAX_FRAME_LEN,
+};
 use laab_serve::workload::synthetic_mix;
-use laab_serve::{BackendId, ServeConfig, Server};
+use laab_serve::{BackendId, Dtype, ServeConfig, Server};
 
 fn server_cfg() -> ServeConfig {
     // The backend `benchmark/` serves: its batched executions answer each
@@ -194,5 +204,94 @@ fn engine_batches_verify_bitwise_against_the_solo_oracle() {
 
     let stats = handle.join().expect("server thread").expect("server run");
     assert_eq!(stats.served, 128);
+    assert!(!path.exists(), "socket file must not leak past shutdown");
+}
+
+#[test]
+fn bad_frames_drop_only_their_connection_and_a_silent_peer_is_reaped() {
+    let path = std::env::temp_dir().join(format!("laab-e2e-hostile-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let cfg = ServeConfig::builder()
+        .backends(["engine"])
+        .read_timeout_ms(300)
+        .build()
+        .expect("config validates");
+    let server = Server::bind(&format!("unix:{}", path.display()), &cfg).expect("bind unix");
+    let handle = std::thread::spawn(move || server.run());
+    let connect = || {
+        let stream = UnixStream::connect(&path).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(20))).expect("client read timeout");
+        stream
+    };
+    let request = |id| {
+        Message::Request(RequestMsg {
+            id,
+            family: "chain".into(),
+            n: 16,
+            dtype: Dtype::F64,
+            backend: "engine".into(),
+            payload: id,
+            deadline_us: 0,
+        })
+    };
+    // Every response until the server closes the connection, which must
+    // all be served.
+    let served_ids = |stream: &mut UnixStream| {
+        let mut ids = Vec::new();
+        while let Some(msg) = read_message(stream).expect("well-formed response frames") {
+            match msg {
+                Message::Response(ResponseMsg { id, outcome: Outcome::Ok { .. } }) => ids.push(id),
+                other => panic!("expected a served response, got {other:?}"),
+            }
+        }
+        ids.sort_unstable();
+        ids
+    };
+
+    // (a) One write: two good requests, then a bad frame — of an
+    // unknown protocol version, or with an oversized length prefix.
+    // Both requests are answered, then the server drops the connection,
+    // and a second connection is still served.
+    let mut corrupt = encode_frame(&request(0));
+    corrupt[4] = 99;
+    let oversized = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
+    for (k, bad) in [corrupt, oversized].into_iter().enumerate() {
+        let id = 10 * k as u64;
+        let mut burst = Vec::new();
+        encode_frame_into(&mut burst, &request(id + 1));
+        encode_frame_into(&mut burst, &request(id + 2));
+        burst.extend_from_slice(&bad);
+        let mut a = connect();
+        a.write_all(&burst).expect("send the burst");
+        assert_eq!(served_ids(&mut a), [id + 1, id + 2], "answered, then dropped");
+
+        // It closes cleanly, so it is not reaped.
+        let mut b = connect();
+        b.write_all(&encode_frame(&request(id + 3))).expect("send");
+        b.shutdown(Shutdown::Write).expect("half-close");
+        assert_eq!(served_ids(&mut b), [id + 3]);
+    }
+
+    // A peer that ends its stream mid-frame is dropped, not reaped.
+    let frame = encode_frame(&request(30));
+    let mut cut = connect();
+    cut.write_all(&frame[..frame.len() / 2]).expect("send half a frame");
+    cut.shutdown(Shutdown::Write).expect("half-close");
+    assert_eq!(served_ids(&mut cut), [0u64; 0], "dropped without an answer");
+
+    // (b) Half a frame, then silence past the read timeout: the server
+    // reaps the connection.
+    let mut silent = connect();
+    silent.write_all(&frame[..frame.len() / 2]).expect("send half a frame");
+    assert_eq!(served_ids(&mut silent), [0u64; 0], "reaped without an answer");
+
+    let mut d = connect();
+    d.write_all(&encode_frame(&Message::Shutdown)).expect("send shutdown");
+    assert_eq!(read_message(&mut d).expect("ack"), Some(Message::ShutdownAck));
+    drop(d);
+    let stats = handle.join().expect("server thread").expect("server run");
+    assert_eq!(stats.reaped, 1, "only the silent peer");
+    assert_eq!(stats.served, 6);
+    assert_eq!(stats.connections, 7);
     assert!(!path.exists(), "socket file must not leak past shutdown");
 }
