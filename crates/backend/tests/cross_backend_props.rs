@@ -19,18 +19,11 @@
 //! (Add/Sub/Scale) on every backend — equality must be **bitwise**; the
 //! unit tests in `laab-backend` itself cover that.
 //!
-//! ## The deferred tape's bounds
+//! ## `deferred` is the engine
 //!
-//! The `deferred` backend queues ops on a tape and fuses at flush, on top
-//! of the engine kernels. With fusion **off** (and with it on, whenever
-//! the pass only regroups launches) every value is **bitwise** the
-//! engine's: the identical kernels run in the identical order, only the
-//! launch accounting changes. Two fusion rules genuinely alter kernels:
-//! scale-folding moves a scalar into the GEMM `alpha` (one different
-//! rounding per output element), and same-LHS coalescing hands the group
-//! to the engine's batched product (since that is its solo product per
-//! right-hand side, this one is bitwise too). The bounds asserted here —
-//! `1e-11` (f64) / `1e-3` (f32) relative — cover the scale folding.
+//! The `deferred` backend runs the engine's kernels behind a modeled
+//! launch latency, so its values must be **bitwise** the engine's — on
+//! every node, solo and batched.
 
 use laab_backend::{registry, BackendScalar};
 use laab_dense::Matrix;
@@ -71,33 +64,12 @@ fn rel_dist<T: laab_dense::Scalar>(a: &[Matrix<T>], b: &[Matrix<T>]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x.rel_dist(y)).fold(0.0, f64::max)
 }
 
-/// Execute one family's plan through the engine directly and through the
-/// deferred tape (zero modeled launch cost — these are value tests) with
-/// fusion on and off. Returns `[engine, fused, unfused]` output sets.
-fn engine_vs_tape<T: BackendScalar>(family: Family, n: usize, seed: u64) -> [Vec<Matrix<T>>; 3] {
-    let fw = Framework::flow();
-    let function = fw.function_from_expr(&family.expr(n), &family.ctx(n));
-    let (graph, _trace, _stats) = function.into_plan_parts();
-    let schedule = Schedule::new(&graph);
-    let env = family.env::<T>(n, seed);
-    let backend = registry::find("engine")
-        .expect("engine is always registered")
-        .resolve::<T>()
-        .expect("engine supports both dtypes");
-    let engine = execute_scheduled_on(&graph, &schedule, &env, backend);
-    let tape = |fuse: bool| {
-        let tuning = laab_deferred::Tuning { dispatch_ns: 0, fuse, ..Default::default() };
-        laab_deferred::with_tuning(tuning, || laab_deferred::execute_plan(&graph, &schedule, &env))
-    };
-    [engine, tape(true), tape(false)]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// The headline property: all three backends agree within the
     /// documented ULP bound on every family, size, and operand draw, at
-    /// both precisions.
+    /// both precisions — and `deferred` is the engine, bit for bit.
     #[test]
     fn backends_agree_on_random_plans(
         seed in any::<u64>(),
@@ -105,9 +77,6 @@ proptest! {
         n in 4usize..32,
     ) {
         let family = Family::ALL[fam];
-        // `deferred` joins through its per-node surface here (every op
-        // its own dispatch group — engine kernels, engine values); the
-        // tape surface gets its own property below.
         laab_deferred::ensure_registered();
         let names = ["reference", "engine", "deferred"];
 
@@ -120,6 +89,7 @@ proptest! {
                 family.id()
             );
         }
+        prop_assert_eq!(&f64_outs[2], &f64_outs[1], "f64 deferred must be bitwise engine");
 
         let f32_outs = run_backends::<f32>(family, n, seed, &names);
         for (i, name) in names.iter().enumerate() {
@@ -130,38 +100,7 @@ proptest! {
                 family.id()
             );
         }
-    }
-
-    /// The deferred tape vs the engine, all six families × both dtypes:
-    /// with fusion off the tape is a pure reordering of launches, so it
-    /// must be **bitwise** the engine; with fusion on, the two
-    /// value-changing rewrites (alpha folding, same-LHS coalescing) stay
-    /// within the documented ULP bound the serve probes assert.
-    #[test]
-    fn deferred_tape_matches_engine_within_documented_bounds(
-        seed in any::<u64>(),
-        fam in 0usize..Family::ALL.len(),
-        n in 4usize..32,
-    ) {
-        let family = Family::ALL[fam];
-
-        let [engine, fused, unfused] = engine_vs_tape::<f64>(family, n, seed);
-        prop_assert_eq!(&unfused, &engine, "f64 unfused tape must be bitwise engine");
-        let d = rel_dist(&fused, &engine);
-        prop_assert!(
-            d <= 1e-11,
-            "fused tape drifted {d:e} vs engine (f64, family {}, n {n})",
-            family.id()
-        );
-
-        let [engine32, fused32, unfused32] = engine_vs_tape::<f32>(family, n, seed);
-        prop_assert_eq!(&unfused32, &engine32, "f32 unfused tape must be bitwise engine");
-        let d32 = rel_dist(&fused32, &engine32);
-        prop_assert!(
-            d32 <= 1e-3,
-            "fused tape drifted {d32:e} vs engine (f32, family {}, n {n})",
-            family.id()
-        );
+        prop_assert_eq!(&f32_outs[2], &f32_outs[1], "f32 deferred must be bitwise engine");
     }
 
     /// Batched paths: for every family and every backend, coalescing a
@@ -169,6 +108,7 @@ proptest! {
     /// returns, bit for bit, what serving each request solo returns — the
     /// batched product is each backend's solo product per right-hand
     /// side, and the fallback families re-run the solo sweep verbatim.
+    /// `deferred`'s batches are also the engine's, bit for bit.
     #[test]
     fn batched_plans_agree_with_solo_on_every_backend(
         seed in any::<u64>(),
@@ -178,7 +118,9 @@ proptest! {
     ) {
         let family = Family::ALL[fam];
         let fw = Framework::flow();
-        for name in ["reference", "engine"] {
+        laab_deferred::ensure_registered();
+        let mut outs = Vec::new();
+        for name in ["reference", "engine", "deferred"] {
             let reg = registry::find(name).unwrap_or_else(|| panic!("builtin `{name}` missing"));
             let plan = Plan::compile_with_varying(
                 &fw,
@@ -200,6 +142,8 @@ proptest! {
                 let solo = plan.execute(env);
                 prop_assert_eq!(b, &solo, "{} batched must be bitwise solo", name);
             }
+            outs.push(batched);
         }
+        prop_assert_eq!(&outs[2], &outs[1], "deferred batches must be bitwise engine");
     }
 }

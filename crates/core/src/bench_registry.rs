@@ -27,13 +27,13 @@ pub struct BenchSpec {
 
 /// Schema tag of `laab loadgen`'s client-side report. Mirrored here
 /// (rather than imported) because `laab-core` sits below `laab-serve` in
-/// the crate graph; `laab-serve`'s tests hold the pair equal. `v3`: trace replay — the arrival process can be
-/// `replay:<file>` (recorded inter-arrival gaps), and the report names
-/// the source trace and its gap percentiles. (`v2` added per-run
+/// the crate graph; `laab-serve`'s tests hold the pair equal. `v4`: trace
+/// replay is gone — no `replay:<file>` arrivals, no `replay_source`, no
+/// per-run gap percentiles. (`v3` had added them; `v2` added per-run
 /// rejection classes (`busy`/`expired`/`failed`), retry counts,
 /// pressure flushes, and offered-vs-goodput rates on top of v1's RTT
 /// percentiles, queue delay, and bitwise mismatch count.)
-pub const LOADGEN_SCHEMA: &str = "laab-loadgen-v3";
+pub const LOADGEN_SCHEMA: &str = "laab-loadgen-v4";
 
 /// Every benchmark report format, in CLI order.
 pub const BENCHES: [BenchSpec; 2] = [

@@ -91,7 +91,7 @@ impl std::fmt::Display for ServeError {
             ServeError::BadArrival(spec) => write!(
                 f,
                 "unintelligible arrival process `{spec}` \
-                 (use closed, poisson:<rate>, bursty:<rate>x<burst>, or replay:<file>)"
+                 (use closed, poisson:<rate>, or bursty:<rate>x<burst>)"
             ),
             ServeError::Bind { addr, source } => write!(f, "failed to bind {addr}: {source}"),
             ServeError::Connect { addr, source } => {

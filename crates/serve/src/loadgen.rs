@@ -21,8 +21,7 @@
 //! [checksum](crate::proto::result_checksum) — a bitwise end-to-end
 //! check that the network path executes the *same arithmetic* as a
 //! local solo execution. It is exact on every built-in backend, whose
-//! batched answers are their solo bits (a backend that does not keep
-//! that promise needs [`LoadgenConfig::verify`] off).
+//! batched answers are their solo bits.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,14 +45,12 @@ use crate::FlushKind;
 /// Schema tag embedded in every [`LoadgenReport`]. `laab-core`'s bench
 /// registry mirrors this constant; a test holds the pair equal.
 ///
-/// v3 adds trace replay: `replay:<file>` arrivals re-play recorded
-/// inter-arrival gaps (one µs value per line, e.g. a server's
-/// `--record-arrivals` output), and the report carries the source trace
-/// (`replay_source`) plus per-run gap percentiles. (v2 added per-run
-/// rejection classes (`busy`/`expired`/`failed`), retry counts,
-/// pressure-flush tallies, and the offered-vs-goodput rate pair, plus
-/// their report-level totals.)
-pub const LOADGEN_REPORT_SCHEMA: &str = "laab-loadgen-v3";
+/// v4 drops trace replay: the `replay:<file>` arrival process, the
+/// report's `replay_source` and the per-run gap percentiles are gone.
+/// (v2 added per-run rejection classes (`busy`/`expired`/`failed`),
+/// retry counts, pressure-flush tallies, and the offered-vs-goodput rate
+/// pair, plus their report-level totals.)
+pub const LOADGEN_REPORT_SCHEMA: &str = "laab-loadgen-v4";
 
 /// How long a client read blocks before the request is presumed lost
 /// (a dropped frame, a reaped connection) and retried or abandoned —
@@ -88,21 +85,11 @@ pub enum Arrival {
         /// Requests per burst.
         burst: usize,
     },
-    /// Replay recorded inter-arrival gaps from a trace file (one
-    /// microsecond value per line, `#` comments skipped — the format a
-    /// server's `--record-arrivals` writes). The aggregate arrival
-    /// process is reproduced across connections by pacing every request
-    /// to its absolute offset in the trace; a trace shorter than the
-    /// stream wraps around.
-    Replay {
-        /// Path of the gap trace.
-        file: String,
-    },
 }
 
 impl Arrival {
-    /// Parse a CLI spec: `closed`, `poisson:<rate>`,
-    /// `bursty:<rate>x<burst>`, or `replay:<file>`.
+    /// Parse a CLI spec: `closed`, `poisson:<rate>`, or
+    /// `bursty:<rate>x<burst>`.
     pub fn parse(spec: &str) -> Result<Arrival, ServeError> {
         let bad = || ServeError::BadArrival(spec.to_string());
         if spec == "closed" {
@@ -124,12 +111,6 @@ impl Arrival {
             }
             return Ok(Arrival::Bursty { rate, burst });
         }
-        if let Some(file) = spec.strip_prefix("replay:") {
-            if file.is_empty() {
-                return Err(bad());
-            }
-            return Ok(Arrival::Replay { file: file.to_string() });
-        }
         Err(bad())
     }
 
@@ -139,46 +120,15 @@ impl Arrival {
             Arrival::Closed => "closed".to_string(),
             Arrival::OpenPoisson { rate } => format!("poisson:{rate}"),
             Arrival::Bursty { rate, burst } => format!("bursty:{rate}x{burst}"),
-            Arrival::Replay { file } => format!("replay:{file}"),
         }
     }
 
     fn rate(&self) -> f64 {
         match self {
-            Arrival::Closed | Arrival::Replay { .. } => 0.0,
+            Arrival::Closed => 0.0,
             Arrival::OpenPoisson { rate } | Arrival::Bursty { rate, .. } => *rate,
         }
     }
-}
-
-/// Load a replay trace: one inter-arrival gap in microseconds per line,
-/// blank lines and `#` comments skipped. Rejects an unreadable file, an
-/// unparsable line, and an empty trace with a CLI-grade
-/// [`ServeError::BadArrival`] naming the problem.
-fn load_gaps(file: &str) -> Result<Vec<f64>, ServeError> {
-    let text = std::fs::read_to_string(file)
-        .map_err(|e| ServeError::BadArrival(format!("replay:{file} (unreadable: {e})")))?;
-    let mut gaps = Vec::new();
-    for (ln, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let gap: f64 = line.parse().map_err(|_| {
-            ServeError::BadArrival(format!("replay:{file} (line {}: `{line}`)", ln + 1))
-        })?;
-        if !gap.is_finite() || gap < 0.0 {
-            return Err(ServeError::BadArrival(format!(
-                "replay:{file} (line {}: negative or non-finite gap)",
-                ln + 1
-            )));
-        }
-        gaps.push(gap);
-    }
-    if gaps.is_empty() {
-        return Err(ServeError::BadArrival(format!("replay:{file} (empty trace)")));
-    }
-    Ok(gaps)
 }
 
 /// What to drive at the server and how hard.
@@ -300,13 +250,6 @@ pub struct ArrivalRun {
     pub drain_flushes: u64,
     /// Responses whose batch flushed on backlog pressure.
     pub pressure_flushes: u64,
-    /// Median inter-arrival gap of the replayed trace, µs (`0.0` for
-    /// synthetic arrival processes).
-    pub gap_p50_us: f64,
-    /// 99th-percentile gap of the replayed trace, µs (`0.0` likewise).
-    pub gap_p99_us: f64,
-    /// Mean gap of the replayed trace, µs (`0.0` likewise).
-    pub gap_mean_us: f64,
     /// Completed responses whose checksum differed from the local
     /// oracle (rejections are never counted here).
     pub checksum_mismatches: u64,
@@ -346,9 +289,6 @@ pub struct LoadgenReport {
     pub smoke: bool,
     /// One entry per swept arrival process, in run order.
     pub runs: Vec<ArrivalRun>,
-    /// Source file of the first `replay:<file>` arrival in the sweep
-    /// (empty when the sweep was fully synthetic).
-    pub replay_source: String,
     /// Total checksum mismatches across all runs (0 = the socket path is
     /// bitwise identical to the in-process oracle).
     pub checksum_mismatches: u64,
@@ -473,14 +413,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
         shutdown_server(&addr)?;
     }
 
-    let replay_source = cfg
-        .arrivals
-        .iter()
-        .find_map(|a| match a {
-            Arrival::Replay { file } => Some(file.clone()),
-            _ => None,
-        })
-        .unwrap_or_default();
     Ok(LoadgenReport {
         schema: LOADGEN_REPORT_SCHEMA.to_string(),
         addr: addr.display(),
@@ -492,7 +424,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
         verified: cfg.verify,
         smoke: cfg.smoke,
         runs,
-        replay_source,
         checksum_mismatches: total_mismatches,
         busy_total,
         expired_total,
@@ -529,24 +460,6 @@ fn drive_once(
     for (i, req) in mix.iter().enumerate() {
         shares[i % connections].push((i as u64, *req));
     }
-    // Replay: turn the recorded gaps into absolute per-request offsets
-    // (request 0 at t=0, wrapping a short trace), so every connection
-    // paces its share against the same aggregate clock and the combined
-    // arrival process is the trace itself.
-    let (gaps_us, offsets) = match arrival {
-        Arrival::Replay { file } => {
-            let gaps = load_gaps(file)?;
-            let mut offsets = Vec::with_capacity(mix.len());
-            let mut at = 0.0f64;
-            for i in 0..mix.len() {
-                offsets.push(Duration::from_secs_f64(at / 1e6));
-                at += gaps[i % gaps.len()];
-            }
-            (gaps, offsets)
-        }
-        _ => (Vec::new(), Vec::new()),
-    };
-    let offsets = (!offsets.is_empty()).then_some(offsets.as_slice());
     let started = Instant::now();
     let transport_err: Mutex<Option<ServeError>> = Mutex::new(None);
     let results: Vec<ConnResult> = std::thread::scope(|scope| {
@@ -558,7 +471,7 @@ fn drive_once(
             let (deadline_us, max_retries) = (cfg.deadline_us, cfg.max_retries);
             handles.push(scope.spawn(move || {
                 let wire = WireParams { backend, deadline_us, max_retries };
-                match drive_connection(addr, share, &wire, arrival, rate_share, seed, offsets) {
+                match drive_connection(addr, share, &wire, arrival, rate_share, seed) {
                     Ok(r) => r,
                     Err(e) => {
                         transport_err.lock().expect("loadgen error slot").get_or_insert(e);
@@ -614,7 +527,6 @@ fn drive_once(
     };
     let (rtt_p50, rtt_p99, rtt_mean) = summarize(rtt_us);
     let (queue_p50, queue_p99, _) = summarize(queue_us);
-    let (gap_p50, gap_p99, gap_mean) = summarize(gaps_us);
     let secs = elapsed.as_secs_f64();
     let per_sec = |count: u64| if secs > 0.0 { count as f64 / secs } else { 0.0 };
     Ok(ArrivalRun {
@@ -637,9 +549,6 @@ fn drive_once(
         deadline_flushes: dl_fl,
         drain_flushes: dr_fl,
         pressure_flushes: pr_fl,
-        gap_p50_us: gap_p50,
-        gap_p99_us: gap_p99,
-        gap_mean_us: gap_mean,
         checksum_mismatches: mismatches,
         elapsed_ms: secs * 1_000.0,
         throughput_rps: per_sec(completed),
@@ -679,11 +588,7 @@ enum ReadOut {
 /// sender and a collecting reader so queueing at the server cannot
 /// back-pressure the arrival clock. Both shapes run under a read
 /// timeout and retry `Busy` rejections and presumed-lost requests with
-/// capped exponential backoff, up to the configured budget. For a
-/// replay run, `offsets[i]` is stream request `i`'s absolute arrival
-/// offset from the run start; the sender paces against it instead of an
-/// exponential clock.
-#[allow(clippy::too_many_arguments)]
+/// capped exponential backoff, up to the configured budget.
 fn drive_connection(
     addr: &Listen,
     share: Vec<(u64, Request)>,
@@ -691,7 +596,6 @@ fn drive_connection(
     arrival: &Arrival,
     rate_share: f64,
     seed: u64,
-    offsets: Option<&[Duration]>,
 ) -> Result<ConnResult, ServeError> {
     let mut stream = connect(addr)?;
     let sock = |e: std::io::Error| ServeError::Socket(Arc::new(e));
@@ -800,21 +704,6 @@ fn drive_connection(
                 Ok(())
             };
             let result = (|| {
-                if let Some(offsets) = offsets {
-                    // Replay: each request departs at its recorded
-                    // absolute offset; connections sharing the run's t0
-                    // jointly reproduce the trace's aggregate process.
-                    let t0 = Instant::now();
-                    for (id, req) in &share {
-                        let target = t0 + offsets[*id as usize];
-                        let now = Instant::now();
-                        if target > now {
-                            std::thread::sleep(target - now);
-                        }
-                        send_one(*id, req)?;
-                    }
-                    return Ok(());
-                }
                 for chunk in share.chunks(burst) {
                     let u: f64 = rng.gen();
                     let gap = -(1.0 - u).ln() / burst_rate;
@@ -1026,7 +915,7 @@ mod tests {
 
     #[test]
     fn arrival_specs_round_trip() {
-        for spec in ["closed", "poisson:2000", "bursty:1500x8", "replay:/tmp/trace.txt"] {
+        for spec in ["closed", "poisson:2000", "bursty:1500x8"] {
             assert_eq!(Arrival::parse(spec).unwrap().display(), spec);
         }
         for bad in [
@@ -1037,28 +926,10 @@ mod tests {
             "bursty:100",
             "bursty:0x4",
             "bursty:100x0",
-            "replay:",
             "open",
         ] {
             assert!(Arrival::parse(bad).is_err(), "{bad} should be rejected");
         }
-    }
-
-    #[test]
-    fn replay_traces_load_strictly() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("laab-loadgen-trace-test.txt");
-        std::fs::write(&path, "# recorded gaps, us\n120.5\n\n80\n300.25\n").unwrap();
-        let gaps = load_gaps(path.to_str().unwrap()).unwrap();
-        assert_eq!(gaps, vec![120.5, 80.0, 300.25]);
-        std::fs::write(&path, "12\nnot-a-number\n").unwrap();
-        assert!(load_gaps(path.to_str().unwrap()).is_err());
-        std::fs::write(&path, "# only comments\n").unwrap();
-        assert!(load_gaps(path.to_str().unwrap()).is_err(), "empty trace is rejected");
-        std::fs::write(&path, "-5\n").unwrap();
-        assert!(load_gaps(path.to_str().unwrap()).is_err(), "negative gap is rejected");
-        let _ = std::fs::remove_file(&path);
-        assert!(load_gaps("/no/such/trace.txt").is_err(), "unreadable file is rejected");
     }
 
     #[test]

@@ -188,22 +188,6 @@ impl Plan {
                 T::DTYPE
             )
         });
-        if self.backend.name() == laab_deferred::BACKEND_NAME
-            && (envs.len() == 1 || !self.batch.stackable())
-        {
-            // The deferred backend is a whole-plan executor, not a
-            // per-node kernel set: a request that runs alone (a batch of
-            // one, or a member of a batch that does not stack) goes
-            // through its tape, so ops queue and fuse at flush. A stacked
-            // batch stays on the sweep: the coalesced multi-RHS product
-            // reaches the deferred backend's `matmul_batched`, which
-            // charges one launch for the whole window — the cross-request
-            // granularity of the same fusion.
-            return envs
-                .iter()
-                .map(|env| laab_deferred::execute_plan(&self.graph, &self.schedule, env))
-                .collect();
-        }
         execute_batched_on(&self.graph, &self.schedule, &self.batch, envs, backend)
     }
 

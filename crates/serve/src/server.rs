@@ -346,7 +346,6 @@ pub struct Server {
     listener: ListenerKind,
     cfg: ServeConfig,
     regs: Vec<&'static Registration>,
-    record_arrivals: Option<PathBuf>,
 }
 
 impl Server {
@@ -381,17 +380,7 @@ impl Server {
                 (ListenerKind::Tcp(l), local)
             }
         };
-        Ok(Server { local, listener, cfg: cfg.clone(), regs, record_arrivals: None })
-    }
-
-    /// Record the arrival instant of every validated request and write
-    /// the inter-arrival gaps (microseconds, one per line, `#` header)
-    /// to `path` at shutdown — the trace format `laab loadgen
-    /// --arrivals replay:<path>` plays back. Best-effort: an unwritable
-    /// path loses the trace, never the run.
-    pub fn record_arrivals(mut self, path: impl Into<PathBuf>) -> Server {
-        self.record_arrivals = Some(path.into());
-        self
+        Ok(Server { local, listener, cfg: cfg.clone(), regs })
     }
 
     /// The bound address in canonical `unix:`/`tcp:` form (for TCP, with
@@ -410,8 +399,7 @@ impl Server {
     /// [`ServeError::Accept`] if the listener itself fails (individual
     /// connection failures only drop that connection).
     pub fn run(self) -> Result<ServerStats, ServeError> {
-        let Server { local, listener, cfg, regs, record_arrivals } = self;
-        let arrivals = record_arrivals.as_ref().map(|_| Mutex::new(Vec::new()));
+        let Server { local, listener, cfg, regs } = self;
         let queue: AdmissionQueue<JobKey, ServerJob> =
             AdmissionQueue::bounded(cfg.batch_window, None, cfg.backlog);
         let cache = PlanCache::with_shards(cfg.cache_capacity.max(1) * regs.len(), cfg.shards);
@@ -432,7 +420,6 @@ impl Server {
             max_inflight: cfg.max_inflight,
             read_timeout: (cfg.read_timeout_ms > 0)
                 .then(|| Duration::from_millis(cfg.read_timeout_ms)),
-            arrivals: arrivals.as_ref(),
         };
         let mut connections = 0u64;
         let mut accept_err: Option<ServeError> = None;
@@ -495,9 +482,6 @@ impl Server {
         if let Listen::Unix(path) = &local {
             let _ = std::fs::remove_file(path);
         }
-        if let (Some(path), Some(log)) = (&record_arrivals, arrivals) {
-            write_arrival_trace(path, &log.into_inner().expect("arrival trace"));
-        }
         if let Some(e) = accept_err {
             return Err(e);
         }
@@ -529,22 +513,6 @@ struct ReaderCtx<'a> {
     injector: Option<&'a FaultInjector>,
     max_inflight: usize,
     read_timeout: Option<Duration>,
-    /// Arrival-instant log, present only under `--record-arrivals`.
-    arrivals: Option<&'a Mutex<Vec<Instant>>>,
-}
-
-/// Serialize observed arrivals as inter-arrival gaps in microseconds,
-/// one per line under a comment header — exactly what
-/// [`Arrival::parse`](crate::Arrival)'s `replay:<file>` form loads.
-/// Best-effort by design: the trace is advisory output, not run state.
-fn write_arrival_trace(path: &std::path::Path, arrivals: &[Instant]) {
-    use std::fmt::Write as _;
-    let mut text = String::from("# laab arrival trace: inter-arrival gaps, microseconds\n");
-    for pair in arrivals.windows(2) {
-        let gap_us = pair[1].duration_since(pair[0]).as_nanos() as f64 / 1e3;
-        let _ = writeln!(text, "{gap_us:.3}");
-    }
-    let _ = std::fs::write(path, text);
 }
 
 /// Answer one connection: decode frames, validate, apply admission
@@ -618,9 +586,6 @@ fn admit(
     inflight: &Arc<AtomicI64>,
     ctx: &ReaderCtx<'_>,
 ) {
-    if let Some(log) = ctx.arrivals {
-        log.lock().expect("arrival trace").push(Instant::now());
-    }
     let key = (request.family, request.n, request.dtype, backend.name());
     if ctx.quarantine.is_quarantined(&key) {
         ctx.counters.bump(&ctx.counters.quarantined);

@@ -14,7 +14,7 @@ use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
-use laab_serve::loadgen::{self, Arrival, LoadgenConfig};
+use laab_serve::loadgen::{self, Arrival, LoadgenConfig, LOADGEN_REPORT_SCHEMA};
 use laab_serve::proto::{
     encode_frame, encode_frame_into, read_message, Message, Outcome, RequestMsg, ResponseMsg,
     MAX_FRAME_LEN,
@@ -40,17 +40,30 @@ fn unix_socket_serving_is_bitwise_identical_and_shuts_down_clean() {
     let lg = LoadgenConfig::smoke(&addr);
     let report = loadgen::run(&lg).expect("loadgen completes");
 
-    // Every request of every arrival process completed, and every result
-    // matched the local solo execution bit for bit.
-    assert_eq!(report.runs.len(), 3, "closed, poisson, bursty");
+    // Every request of every arrival process completed on its first send
+    // — no rejection of any class — and every result matched the local
+    // solo execution bit for bit.
+    assert_eq!(report.schema, LOADGEN_REPORT_SCHEMA);
+    assert_eq!(LOADGEN_REPORT_SCHEMA, "laab-loadgen-v4");
+    let arrivals: Vec<&str> = report.runs.iter().map(|r| r.arrival.as_str()).collect();
+    assert_eq!(arrivals, ["closed", "poisson:2000", "bursty:2000x8"]);
     for run in &report.runs {
-        assert_eq!(run.completed, report.requests as u64, "{} completed", run.arrival);
-        assert_eq!(run.errors, 0, "{} errors", run.arrival);
-        assert_eq!(run.checksum_mismatches, 0, "{} bitwise", run.arrival);
-        assert!(run.rtt_p50_us > 0.0 && run.rtt_p99_us >= run.rtt_p50_us, "{}", run.arrival);
+        let at = &run.arrival;
+        assert_eq!(run.completed, report.requests as u64, "{at} completed");
+        assert_eq!(run.errors, 0, "{at} errors");
+        assert_eq!((run.busy, run.expired, run.failed), (0, 0, 0), "{at} rejections");
+        assert_eq!(run.checksum_mismatches, 0, "{at} bitwise");
+        assert!(run.goodput_rps > 0.0 && run.goodput_rps <= run.offered_rps, "{at} goodput");
+        assert!(run.rtt_p50_us > 0.0 && run.rtt_p99_us >= run.rtt_p50_us, "{at} rtt");
+        // Queue delay is sampled on the server and echoed per response.
+        assert!(run.queue_p50_us > 0.0 && run.queue_p99_us >= run.queue_p50_us, "{at} queue");
+        let flushes =
+            run.occupancy_flushes + run.deadline_flushes + run.drain_flushes + run.pressure_flushes;
+        assert_eq!(flushes, run.completed, "{at}: every response names its flush kind");
     }
     assert!(report.verified);
     assert_eq!(report.checksum_mismatches, 0);
+    assert_eq!((report.busy_total, report.expired_total, report.failed_total), (0, 0, 0));
 
     // At these arrival rates an executor is almost always free when a
     // request lands, so it is taken at once: an occupancy flush, live —
@@ -182,29 +195,38 @@ fn served_and_verifying_sides_pick_the_same_optimizer_level() {
 fn engine_batches_verify_bitwise_against_the_solo_oracle() {
     // Past the optimizer gate (n = 96), with bursts of same-signature
     // vector requests that the server runs as one stacked execution:
-    // each member still carries the bits of its solo execution.
-    let path = std::env::temp_dir().join(format!("laab-e2e-engine-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let server =
-        Server::bind(&format!("unix:{}", path.display()), &server_cfg()).expect("bind unix");
-    let addr = server.local_addr();
-    let handle = std::thread::spawn(move || server.run());
+    // each member still carries the bits of its solo execution. The
+    // `deferred` backend runs the same sweep on the engine's kernels, so
+    // its batches verify against the same oracle.
+    for backend in ["engine", "deferred"] {
+        let path = std::env::temp_dir()
+            .join(format!("laab-e2e-batch-{backend}-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let cfg = ServeConfig::builder()
+            .backends(["engine", "deferred"])
+            .build()
+            .expect("config validates");
+        let server = Server::bind(&format!("unix:{}", path.display()), &cfg).expect("bind unix");
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run());
 
-    let lg = LoadgenConfig {
-        requests: 128,
-        n: 96,
-        churn_every: 0,
-        arrivals: vec![Arrival::Bursty { rate: 2000.0, burst: 8 }],
-        ..LoadgenConfig::smoke(&addr)
-    };
-    let report = loadgen::run(&lg).expect("loadgen completes");
-    assert!(report.verified);
-    assert_eq!(report.runs[0].completed, 128);
-    assert_eq!(report.checksum_mismatches, 0, "engine batches bitwise vs the solo oracle");
+        let lg = LoadgenConfig {
+            requests: 128,
+            n: 96,
+            churn_every: 0,
+            backend: backend.to_string(),
+            arrivals: vec![Arrival::Bursty { rate: 2000.0, burst: 8 }],
+            ..LoadgenConfig::smoke(&addr)
+        };
+        let report = loadgen::run(&lg).expect("loadgen completes");
+        assert!(report.verified);
+        assert_eq!(report.runs[0].completed, 128, "{backend}");
+        assert_eq!(report.checksum_mismatches, 0, "{backend} batches bitwise vs the solo oracle");
 
-    let stats = handle.join().expect("server thread").expect("server run");
-    assert_eq!(stats.served, 128);
-    assert!(!path.exists(), "socket file must not leak past shutdown");
+        let stats = handle.join().expect("server thread").expect("server run");
+        assert_eq!(stats.served, 128, "{backend}");
+        assert!(!path.exists(), "socket file must not leak past shutdown");
+    }
 }
 
 #[test]

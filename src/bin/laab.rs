@@ -52,11 +52,6 @@ SERVE OPTIONS (laab serve — the compiled-plan cache behind a socket):
                      loadgen), then prints what it served and its
                      plan-cache counters. Throughput and latency are
                      measured from outside: laab loadgen, benchmark/run.sh
-    --record-arrivals PATH
-                     write the observed inter-arrival gaps to PATH at
-                     shutdown, one microsecond gap per line — the trace
-                     format laab loadgen replays with
-                     --arrivals replay:PATH
     --clients C      executor threads. Explicit counts are taken verbatim
                      (never clamped); omit the flag for auto-detection,
                      which caps at 8 — beyond that the 1-socket kernels,
@@ -108,10 +103,7 @@ LOADGEN OPTIONS (laab loadgen — drive a --listen server from the outside):
     --backend B      backend each request asks for      [default: engine]
     --dtype D        pin request precision: f32 | f64 | mixed
     --arrivals LIST  comma-separated arrival processes to sweep:
-                     closed | poisson:<rate> | bursty:<rate>x<burst> |
-                     replay:<file> (a --record-arrivals trace: requests
-                     are paced to the recorded gaps, wrapping if the
-                     trace is shorter than the run)
+                     closed | poisson:<rate> | bursty:<rate>x<burst>
                                  [default: closed,poisson:2000,bursty:2000x8]
     --deadline-us D  stamp every request with a D-microsecond deadline;
                      the server answers Expired instead of executing a
@@ -120,11 +112,10 @@ LOADGEN OPTIONS (laab loadgen — drive a --listen server from the outside):
                      presumed-lost sends, with capped exponential
                      backoff + jitter honoring the server's
                      retry_after_us hint (0 = no retries) [default: 3]
-    --no-verify      skip the local bitwise oracle (needed for a backend
-                     whose batched results are not its solo bits).
-                     Verification covers completed responses only —
-                     Busy/Expired/Failed rejections are reported in
-                     their own classes, never as mismatches
+    --no-verify      skip the local bitwise oracle. Verification covers
+                     completed responses only — Busy/Expired/Failed
+                     rejections are reported in their own classes,
+                     never as mismatches
     --no-shutdown    leave the server running afterwards
     --json           print the machine-readable report to stdout
     --out PATH       write the JSON report to PATH (BENCH_loadgen.json)
@@ -207,7 +198,7 @@ fn main() -> ExitCode {
             emit("\nexecution backends (laab serve --backends):");
             // The deferred backend registers on first use; force it so the
             // listing shows every built-in, not just the always-registered
-            // eager two.
+            // two.
             laab::deferred::ensure_registered();
             for reg in laab::backend::registry::all() {
                 emit(&format!("{:<10} {}", reg.name(), reg.description()));
@@ -271,7 +262,6 @@ fn parse_run_args(args: impl Iterator<Item = String>) -> Result<Option<RunArgs>,
 struct ServeArgs {
     cfg: ServeConfig,
     listen: String,
-    record_arrivals: Option<String>,
 }
 
 /// Parse `laab loadgen`'s `--dtype` value.
@@ -306,14 +296,10 @@ fn parse_list(value: Option<String>, flag: &str) -> Result<Vec<String>, String> 
 fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<Option<ServeArgs>, String> {
     let mut builder = ServeConfig::builder();
     let mut listen = None;
-    let mut record_arrivals = None;
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--listen" => listen = Some(args.next().ok_or("--listen requires an address")?),
-            "--record-arrivals" => {
-                record_arrivals = Some(args.next().ok_or("--record-arrivals requires a path")?);
-            }
             "--clients" => builder = builder.clients(parse_num(args.next(), "--clients")?),
             "--seed" => builder = builder.seed(parse_num(args.next(), "--seed")?),
             "--backends" => builder = builder.backends(parse_list(args.next(), "--backends")?),
@@ -342,7 +328,7 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<Option<ServeAr
     }
     let listen = listen.ok_or("--listen is required (unix:<path> or tcp:<host:port>)")?;
     let cfg = builder.build().map_err(|e| e.to_string())?;
-    Ok(Some(ServeArgs { cfg, listen, record_arrivals }))
+    Ok(Some(ServeArgs { cfg, listen }))
 }
 
 struct LoadgenArgs {
@@ -482,17 +468,13 @@ fn run_loadgen(args: LoadgenArgs) -> ExitCode {
 }
 
 fn run_serve(args: ServeArgs) -> ExitCode {
-    let mut server = match Server::bind(&args.listen, &args.cfg) {
+    let server = match Server::bind(&args.listen, &args.cfg) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = &args.record_arrivals {
-        server = server.record_arrivals(path);
-        eprintln!("recording inter-arrival gaps to {path} (written at shutdown)");
-    }
     eprintln!(
         "listening on {} (backends: {}, window {}); \
          send a shutdown frame (laab loadgen) to stop",
@@ -641,22 +623,19 @@ mod tests {
     fn serve_requires_a_listen_address() {
         let err = serve_args("--backends engine").err().expect("no address, no server");
         assert!(err.contains("--listen is required"), "{err}");
-        let err = serve_args("--record-arrivals /tmp/t.txt").err().expect("still no address");
-        assert!(err.contains("--listen is required"), "{err}");
         assert!(matches!(serve_args("--help"), Ok(None)));
     }
 
     #[test]
     fn surviving_serve_flags_round_trip_into_the_config() {
         let args = serve_args(
-            "--listen unix:/tmp/x.sock --record-arrivals /tmp/t.txt --clients 3 --seed 7 \
+            "--listen unix:/tmp/x.sock --clients 3 --seed 7 \
              --backends engine,reference --batch-window 0 --max-inflight 5 --backlog 6 \
              --quarantine-after 9 --read-timeout-ms 10 --faults panic:1/8",
         )
         .expect("valid")
         .expect("not --help");
         assert_eq!(args.listen, "unix:/tmp/x.sock");
-        assert_eq!(args.record_arrivals.as_deref(), Some("/tmp/t.txt"));
         let defaults = ServeConfig::default();
         let want = ServeConfig {
             clients: 3,
@@ -675,7 +654,7 @@ mod tests {
         assert_eq!(args.cfg, want);
 
         let bare = serve_args("--listen tcp:127.0.0.1:0").unwrap().unwrap();
-        assert_eq!((bare.cfg, bare.record_arrivals), (defaults, None));
+        assert_eq!(bare.cfg, defaults);
         let err = serve_args("--listen unix:/tmp/x.sock --clients 0").err().expect("rejected");
         assert!(err.contains("--clients 0"), "{err}");
     }

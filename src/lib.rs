@@ -9,13 +9,11 @@
 //! * [`dense`] — matrix storage and structured operand generators;
 //! * [`kernels`] — a pure-Rust BLAS substrate (packed GEMM, TRMM, SYRK,
 //!   structured kernels) with FLOP/call instrumentation;
-//! * [`backend`] — pluggable execution backends (engine / seed /
-//!   reference) behind one dispatch trait and a process-wide registry;
-//!   a served request names the one it wants;
-//! * [`deferred`] — the lazy accelerator-model backend: node executions
-//!   append to a per-plan tape, and flushes run a fusion pass (GEMM
-//!   epilogues, same-shape launch coalescing) under an explicit
-//!   dispatch-cost model before touching the engine kernels;
+//! * [`backend`] — pluggable execution backends (engine / reference)
+//!   behind one dispatch trait and a process-wide registry; a served
+//!   request names the one it wants;
+//! * [`deferred`] — the accelerator launch-cost backend: the engine
+//!   kernels behind a constant modeled launch per dispatch;
 //! * [`expr`] — the symbolic test-expression layer with a matrix-property
 //!   lattice and FLOP cost models;
 //! * [`graph`] — the computational-graph IR with the Grappler-style
