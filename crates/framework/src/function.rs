@@ -208,12 +208,12 @@ impl Function {
     /// Decompose the function into its compiled artifacts: the optimized
     /// graph, the tracing+optimization wall time, and the pass statistics.
     ///
-    /// This is the plan-extraction hook for `laab-serve`: a serving system
-    /// keeps the optimized graph (plus a precomputed
-    /// [`laab_graph::Schedule`]) as a cached `Plan` and re-executes it with
-    /// fresh operand bindings, instead of holding whole [`Function`]s —
-    /// mirroring how `tf.function` caches *concrete functions*, not
-    /// tracing contexts. The pre-optimization trace is dropped; use
+    /// A plan-extraction hook: a serving system can keep the optimized
+    /// graph (plus a precomputed [`laab_graph::Schedule`]) and re-execute
+    /// it with fresh operand bindings, instead of holding whole
+    /// [`Function`]s — mirroring how `tf.function` caches *concrete
+    /// functions*, not tracing contexts. (`laab-serve` lowers its plans
+    /// directly and does not trace through here.) The pre-optimization trace is dropped; use
     /// [`Function::unoptimized_graph`] before extraction if you need it.
     pub fn into_plan_parts(self) -> (Graph, Duration, PassStats) {
         (self.graph, self.build_time, self.stats)

@@ -125,12 +125,14 @@ impl BatchAnalysis {
 mod tests {
     use super::*;
     use crate::exec::{execute_batched_on, execute_scheduled_on, Schedule};
-    use crate::ir::GraphBuilder;
-    use crate::passes::{lower_syrk, optimize, PassConfig};
+    use crate::ir::{GraphBuilder, Node, NodeId, OpKind};
+    use crate::passes::{optimize, PassConfig};
     use laab_backend::BackendScalar;
     use laab_dense::gen::OperandGen;
     use laab_dense::{Matrix, Scalar};
     use laab_expr::eval::Env;
+    use laab_expr::Shape;
+    use laab_kernels::Trans;
 
     fn is_varying(name: &str) -> bool {
         name == "x" || name == "y"
@@ -269,6 +271,10 @@ mod tests {
         assert!(!batched_is_solo(&g, n, 6, 17).0.stackable(), "stacked LHS must be illegal");
     }
 
+    fn syrk(trans: Trans) -> OpKind {
+        OpKind::Syrk { trans, alpha_bits: 1.0f64.to_bits() }
+    }
+
     #[test]
     fn syrk_is_shared_or_illegal_never_stacked() {
         // (HᵀH)x: the Gram factor is shared, so its Syrk runs once inside
@@ -283,20 +289,24 @@ mod tests {
         let mut g = gb.finish(vec![out]);
         optimize(&mut g, &PassConfig::all());
         let (_, plain) = batched_is_solo(&g, n, 4, 31);
-        assert_eq!(lower_syrk(&mut g), 1);
+        let gram = &mut g.nodes[2];
+        assert_eq!(gram.inputs, [h, h], "the folded HᵀH reads H twice");
+        gram.kind = syrk(Trans::Yes);
+        gram.inputs.truncate(1);
         let (analysis, lowered) = batched_is_solo(&g, n, 4, 31);
         assert!(analysis.stackable());
         assert_eq!(lowered, plain, "a shared Syrk changes no bit of the stacked sweep");
 
         // xxᵀ of a varying x: a stacked operand has no proven form — the
         // per-environment fallback, bitwise solo.
-        let mut gb = GraphBuilder::new();
-        let x = gb.input("x", n, 1);
-        let xt = gb.transpose(x);
-        let out = gb.matmul(x, xt);
-        let mut g = gb.finish(vec![out]);
-        optimize(&mut g, &PassConfig::all());
-        assert_eq!(lower_syrk(&mut g), 1);
+        let node = |kind, inputs, rows, cols| Node { kind, inputs, shape: Shape::new(rows, cols) };
+        let g = Graph {
+            nodes: vec![
+                node(OpKind::Input("x".into()), vec![], n, 1),
+                node(syrk(Trans::No), vec![NodeId(0)], n, n),
+            ],
+            outputs: vec![NodeId(1)],
+        };
         assert!(!batched_is_solo(&g, n, 4, 31).0.stackable(), "Syrk of a stacked value is illegal");
     }
 

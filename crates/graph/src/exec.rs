@@ -428,7 +428,7 @@ fn sweep<'e, T: Scalar>(
 mod tests {
     use super::*;
     use crate::ir::GraphBuilder;
-    use crate::passes::{lower_syrk, optimize, PassConfig};
+    use crate::passes::{optimize, PassConfig};
     use laab_dense::gen::OperandGen;
     use laab_expr::eval::{eval, Env};
     use laab_expr::var;
@@ -620,14 +620,17 @@ mod tests {
 
     #[test]
     fn syrk_node_is_bitwise_the_matmul_it_replaced() {
-        // Fig. 3's SᵀS, with and without the lowering: every backend must
-        // return its own unlowered bits (the default hook is the matmul;
-        // the engine's half-FLOP kernel is built to land on them).
+        // Fig. 3's SᵀS as a GEMM and as a Syrk node: every backend must
+        // return its own GEMM bits (the default hook is the matmul; the
+        // engine's half-FLOP kernel is built to land on them).
         let n = 20;
         let e = env(n, 37);
         let plain = optimized(fig3_graph(n));
         let mut lowered = plain.clone();
-        assert_eq!(lower_syrk(&mut lowered), 1);
+        let root = &mut lowered.nodes[plain.outputs[0].idx()];
+        assert_eq!(root.inputs[0], root.inputs[1], "SᵀS reads the one S node twice");
+        root.kind = OpKind::Syrk { trans: Trans::Yes, alpha_bits: 1.0f64.to_bits() };
+        root.inputs.truncate(1);
         let schedules = (Schedule::new(&plain), Schedule::new(&lowered));
         for reg in laab_backend::registry::builtins() {
             let backend = reg.resolve::<f64>().expect("builtins support f64");

@@ -37,9 +37,9 @@ pub enum OpKind {
     },
     /// `alpha · op(x) · op(x)ᵀ` — a product of one value with its own
     /// transpose (`trans = No`: `XXᵀ`, `Yes`: `XᵀX`), whose symmetric
-    /// result needs one triangle computed. Never traced: only
-    /// [`passes::lower_syrk`](crate::passes::lower_syrk) creates it, from a
-    /// `MatMul` the LA-aware compile level found reading one node twice.
+    /// result needs one triangle computed. Never traced: only the served
+    /// lowering (`laab-serve`'s e-graph level) creates it, for a product
+    /// reading one node twice under opposite flags.
     Syrk {
         /// Transposition of the (single) operand on the left side.
         trans: Trans,
@@ -172,9 +172,9 @@ impl Graph {
     }
 
     /// Number of product nodes (the paper's unit of analysis): `MatMul`s,
-    /// plus the `Syrk`s that [`passes::lower_syrk`](crate::passes::lower_syrk)
-    /// made out of some of them — lowering changes the kernel, not how
-    /// many products the expression has.
+    /// plus the `Syrk`s the served lowering builds in place of some of
+    /// them — that changes the kernel, not how many products the
+    /// expression has.
     pub fn matmul_count(&self) -> usize {
         self.count_kind(|k| matches!(k, OpKind::MatMul { .. } | OpKind::Syrk { .. }))
     }

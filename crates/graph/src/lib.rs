@@ -16,10 +16,10 @@
 //!   `alpha`, the BLAS observation in Experiment 1), and dead-code
 //!   elimination. The pipeline is deliberately *exactly* this inventory —
 //!   no chain re-association, no property dispatch, no distributivity —
-//!   because that is what the paper measures the frameworks doing. One
-//!   lowering lives beside it for LA-aware callers only:
-//!   [`passes::lower_syrk`] turns a product of a node with its own
-//!   transpose into a unary `Syrk` node (Experiment 3).
+//!   because that is what the paper measures the frameworks doing. The
+//!   LA-aware served compiler (`laab-serve`) does not run it: it lowers
+//!   its chosen expression straight to this IR, and is the only code that
+//!   creates the unary [`OpKind::Syrk`] node (Experiment 3).
 //! * [`exec`] — the one reference-counting executor: a sweep in
 //!   topological order that dispatches each kernel-backed node through a
 //!   `laab-backend` execution backend, recording kernel calls and FLOPs

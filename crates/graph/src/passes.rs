@@ -20,11 +20,12 @@
 //! push-down are deliberately absent (Experiments 2–5 show the frameworks
 //! lack them); they live in `laab-rewrite` instead.
 //!
-//! [`lower_syrk`] sits beside the pipeline, not in it: it is the one piece
-//! of Experiment 3's property dispatch that needs no declared property
-//! (`XᵀX` is symmetric for any `X`), and only an LA-aware caller — the
-//! serving layer's e-graph level — applies it. [`PassConfig::all`] and the
-//! simulated frameworks never do, so Table IV keeps showing their GEMM.
+//! The serving layer does not run this pipeline: its compiler lowers the
+//! chosen expression straight to the IR, folding transposes and scalings
+//! and sharing nodes as it builds them, and at its e-graph level builds
+//! `XᵀX` as [`OpKind::Syrk`] — the one piece of Experiment 3's property
+//! dispatch that needs no declared property. The simulated frameworks
+//! never do, so Table IV keeps showing their GEMM.
 
 use std::collections::HashMap;
 
@@ -255,30 +256,6 @@ pub fn fuse_scale(g: &mut Graph) -> usize {
             return fused;
         }
     }
-}
-
-/// Lower same-operand products to [`OpKind::Syrk`]: a `MatMul` reading
-/// **one node** through both slots under opposite flags (`XXᵀ`, `XᵀX` —
-/// what CSE and transpose folding leave of a structural transpose pair),
-/// with a result side of at least 2. That is exactly the product the cost
-/// model's SYRK discount prices (`is_transpose_pair && m == n`); a `1×1`
-/// result (`xᵀx`) keeps its DOT lowering. Returns the number of nodes
-/// lowered.
-///
-/// Run it after [`optimize`]: the passes do not look through a `Syrk`
-/// (scale fusion into `alpha` happens on the `MatMul`, before lowering).
-pub fn lower_syrk(g: &mut Graph) -> usize {
-    let mut lowered = 0;
-    for node in &mut g.nodes {
-        let OpKind::MatMul { ta, tb, alpha_bits } = node.kind else { continue };
-        if node.inputs[0] == node.inputs[1] && ta != tb && node.shape.rows >= 2 {
-            debug_assert!(node.shape.is_square(), "op(X)·op(X)ᵀ is square");
-            node.kind = OpKind::Syrk { trans: ta, alpha_bits };
-            node.inputs.truncate(1);
-            lowered += 1;
-        }
-    }
-    lowered
 }
 
 /// Remove nodes unreachable from the outputs, compacting indices.
@@ -513,114 +490,5 @@ mod tests {
         optimize(&mut g, &PassConfig::all());
         // One hoisted A·B + three distinct outer products.
         assert_eq!(g.matmul_count(), 4);
-    }
-
-    /// `op(X)·op(X)ᵀ` over a fed `r×c` operand, optimized (so the explicit
-    /// transpose is a flag and both slots read the one input node).
-    fn gram(r: usize, c: usize, left_transposed: bool) -> Graph {
-        let mut gb = GraphBuilder::new();
-        let x = gb.input("X", r, c);
-        let xt = gb.transpose(x);
-        let m = if left_transposed { gb.matmul(xt, x) } else { gb.matmul(x, xt) };
-        let mut g = gb.finish(vec![m]);
-        optimize(&mut g, &PassConfig::all());
-        g
-    }
-
-    #[test]
-    fn lower_syrk_fires_on_both_spellings_of_a_same_node_product() {
-        for (left_t, trans, side) in [(true, Trans::Yes, 3), (false, Trans::No, 5)] {
-            let mut g = gram(5, 3, left_t);
-            assert_eq!(g.syrk_count(), 0, "the pass pipeline never lowers");
-            assert_eq!(lower_syrk(&mut g), 1);
-            assert_eq!((g.syrk_count(), g.matmul_count()), (1, 1), "still one product");
-            let node = g.node(g.outputs[0]);
-            assert_eq!(node.kind, OpKind::Syrk { trans, alpha_bits: 1.0f64.to_bits() });
-            assert_eq!(node.inputs.len(), 1);
-            assert_eq!((node.shape.rows, node.shape.cols), (side, side));
-            g.check_topology().unwrap();
-            assert!(g.to_dot("syrk").contains("syrk"));
-        }
-    }
-
-    #[test]
-    fn lower_syrk_fires_on_an_intermediate_and_keeps_alpha() {
-        // Fig. 3's SᵀS over the CSE'd S = AᵀB: the outer product reads the
-        // one S node twice. A scaling already fused into alpha rides along.
-        let mut gb = GraphBuilder::new();
-        let a = gb.input("A", 6, 4);
-        let b = gb.input("B", 6, 7);
-        let at = gb.transpose(a);
-        let s0 = gb.matmul(at, b);
-        let at2 = gb.transpose(a);
-        let s1 = gb.matmul(at2, b);
-        let s0t = gb.transpose(s0);
-        let outer = gb.matmul(s0t, s1);
-        let scaled = gb.scale(-0.5, outer);
-        let mut g = gb.finish(vec![scaled]);
-        optimize(&mut g, &PassConfig::all());
-        assert_eq!(lower_syrk(&mut g), 1);
-        assert_eq!((g.syrk_count(), g.matmul_count()), (1, 2));
-        let node = g.node(g.outputs[0]);
-        assert_eq!(node.kind, OpKind::Syrk { trans: Trans::Yes, alpha_bits: (-0.5f64).to_bits() });
-        assert!(matches!(g.node(node.inputs[0]).kind, OpKind::MatMul { .. }));
-    }
-
-    #[test]
-    fn lower_syrk_leaves_every_other_product_alone() {
-        let unlowered = |build: &dyn Fn(&mut GraphBuilder) -> NodeId| {
-            let mut gb = GraphBuilder::new();
-            let out = build(&mut gb);
-            let mut g = gb.finish(vec![out]);
-            optimize(&mut g, &PassConfig::all());
-            let before = g.clone();
-            assert_eq!(lower_syrk(&mut g), 0);
-            assert_eq!(g, before);
-        };
-        // Distinct inputs (equal values would not matter: the test is on
-        // node identity), square and not.
-        unlowered(&|gb| {
-            let (a, b) = (gb.input("A", 4, 4), gb.input("B", 4, 4));
-            let at = gb.transpose(a);
-            gb.matmul(at, b)
-        });
-        unlowered(&|gb| {
-            let (a, b) = (gb.input("A", 4, 3), gb.input("B", 4, 6));
-            let at = gb.transpose(a);
-            gb.matmul(at, b)
-        });
-        // Equal flags: X·X and XᵀXᵀ are not symmetric products.
-        unlowered(&|gb| {
-            let x = gb.input("X", 4, 4);
-            gb.matmul(x, x)
-        });
-        unlowered(&|gb| {
-            let x = gb.input("X", 4, 4);
-            let (t0, t1) = (gb.transpose(x), gb.transpose(x));
-            gb.matmul(t0, t1)
-        });
-        // A 1×1 result keeps its DOT lowering, column or row vector.
-        unlowered(&|gb| {
-            let x = gb.input("x", 9, 1);
-            let xt = gb.transpose(x);
-            gb.matmul(xt, x)
-        });
-        unlowered(&|gb| {
-            let x = gb.input("x", 1, 9);
-            let xt = gb.transpose(x);
-            gb.matmul(x, xt)
-        });
-    }
-
-    #[test]
-    fn lower_syrk_is_idempotent_under_the_pipeline() {
-        let mut g = gram(8, 8, true);
-        assert_eq!(lower_syrk(&mut g), 1);
-        let lowered = g.clone();
-        assert_eq!(lower_syrk(&mut g), 0);
-        let stats = optimize(&mut g, &PassConfig::all());
-        assert_eq!(lower_syrk(&mut g), 0);
-        assert_eq!(g, lowered);
-        assert_eq!(stats, PassStats::default());
     }
 }

@@ -25,8 +25,8 @@
 //! model prices `Mul(a, b)` at the SYRK rate whenever `a ≡ bᵀ` (or
 //! `b ≡ aᵀ`) at class level, so the walk reads only the operand class
 //! it squares plus one transpose tick, and the tree is built as `bᵀ·b`
-//! (or `a·aᵀ`) — one node in both slots, the form
-//! `graph::passes::lower_syrk` lowers. Built any other way (`(BᵀA)(AᵀB)`
+//! (or `a·aᵀ`) — one node in both slots, the form the served lowering
+//! (`laab-serve`) builds as a `Syrk` node. Built any other way (`(BᵀA)(AᵀB)`
 //! for E3's `(AᵀB)ᵀ(AᵀB)`) the discount would be priced but never paid.
 //!
 //! Greedy choices are not globally optimal under sharing (a class cannot
@@ -40,8 +40,8 @@
 //! price of the tree reported with it.
 //!
 //! [`optimize_egraph`] is the pipeline callers use: intern → saturate →
-//! extract, with the budget-hit fallback the serving layer's
-//! `saturation_budget_hits` counter reports.
+//! extract, falling back to the input on a budget hit
+//! ([`SaturateStats::budget_hit`]).
 
 use crate::cost::CostModel;
 use crate::egraph::{EClassId, EGraph, ENode};
@@ -229,8 +229,7 @@ pub struct EgraphResult {
 /// Intern `expr`, saturate under `cfg`'s budgets, and extract a cheaper
 /// equivalent form. The input expression is returned unchanged
 /// (`changed == false`) on a budget hit (`stats.budget_hit == true`, so
-/// the caller can count the fallback and keep serving through the pass
-/// pipeline alone) and whenever extraction found nothing strictly cheaper
+/// a serving caller keeps compiling the input as written) and whenever extraction found nothing strictly cheaper
 /// than it.
 pub fn optimize_egraph(expr: &Expr, ctx: &Context, cfg: &EgraphConfig) -> EgraphResult {
     let original_cost = cfg.cost.expr_cost(expr, ctx);
@@ -368,7 +367,7 @@ mod tests {
     fn e3_is_built_in_the_gram_form_it_is_priced_at() {
         // (AᵀB)ᵀAᵀB: the root product is priced at the SYRK rate, so it
         // must be built with AᵀB in both slots — two GEMMs, the form
-        // `lower_syrk` lowers — not as (BᵀA)(AᵀB), three.
+        // served as `Syrk` — not as (BᵀA)(AᵀB), three.
         for n in [16usize, 96, 256] {
             let ctx = Context::new().with("A", n, n).with("B", n, n);
             let s = var("A").t() * var("B");

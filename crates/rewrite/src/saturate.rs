@@ -8,7 +8,7 @@
 //! Budgets are two-dimensional: an iteration cap and an e-node cap
 //! ([`SaturateConfig`]); exceeding the node cap sets
 //! [`SaturateStats::budget_hit`], which callers treat as "fall back to
-//! the pass pipeline".
+//! the input expression".
 //!
 //! Equivalences are realized in both directions, including those that
 //! temporarily *increase* cost: distributivity ↔ factoring, transpose

@@ -245,7 +245,7 @@ impl PlanCache {
         let plan = Arc::new(compile());
         if was_evicted {
             // An eviction-induced recompile: the capacity bound, not a
-            // new signature, is what made this lookup pay the cold trace.
+            // new signature, is what made this lookup pay the cold compile.
             self.evicted_recompiles.fetch_add(1, Ordering::Relaxed);
             self.recompile_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }

@@ -13,13 +13,13 @@
 //!   structure, operand shapes, property flags, and element dtype, with a
 //!   fast stable (FNV-1a) hash. Two calls with equal signatures may share
 //!   a compiled plan; a changed signature must retrace.
-//! * [`Plan`] — the compiled artifact: the pass-optimized
-//!   [`Graph`](laab_graph::Graph) extracted from a traced
-//!   [`Function`](laab_framework::Function) plus a precomputed
-//!   [`Schedule`](laab_graph::Schedule) (reference counts and the
-//!   peak-live workspace layout). Built once per signature, re-executed
-//!   with fresh operand bindings; a plan-cache hit is bitwise-identical
-//!   to a cold trace.
+//! * [`Plan`] — the compiled artifact: a [`Graph`](laab_graph::Graph)
+//!   lowered in one walk from the chosen expression (transposes as GEMM
+//!   flags, scalings as `alpha`, shared subexpressions as shared nodes)
+//!   plus a precomputed [`Schedule`](laab_graph::Schedule) (reference
+//!   counts and the peak-live workspace layout). Built once per
+//!   signature, re-executed with fresh operand bindings; a plan-cache
+//!   hit is bitwise-identical to a cold compile.
 //! * [`PlanCache`] — a sharded, LRU-bounded concurrent cache from
 //!   signature to plan, with hit/miss/retrace/eviction counters
 //!   mirroring `tf.function`'s retrace semantics.
@@ -49,7 +49,7 @@
 //! Signatures also carry the [`OptLevel`] the plan compiles through.
 //! The served path picks it per expression ([`OptLevel::for_input`]:
 //! `laab-rewrite`'s equality-saturation optimizer runs ahead of the
-//! trace-time passes once the input's modeled cost reaches
+//! lowering once the input's modeled cost reaches
 //! [`EGRAPH_MIN_COST`]).
 //!
 //! Surfaced on the CLI as `laab serve`.
@@ -62,6 +62,7 @@ mod config;
 mod error;
 pub mod fault;
 pub mod loadgen;
+mod lower;
 mod plan;
 pub mod proto;
 pub mod server;
@@ -75,7 +76,7 @@ pub use error::ServeError;
 pub use fault::{FaultCounts, FaultInjector, FaultKind, FaultPlan};
 pub use laab_backend::BackendId;
 pub use loadgen::{Arrival, LoadgenConfig, LoadgenReport};
-pub use plan::{EgraphReport, Plan};
+pub use plan::Plan;
 pub use proto::{FrameError, Message, RequestMsg, ResponseMsg};
 pub use server::{Listen, Server, ServerStats};
 pub use signature::{Dtype, OptLevel, Signature, EGRAPH_MIN_COST};

@@ -852,7 +852,6 @@ fn resend(
 /// request's full identity `(family, n, dtype, payload)`; plans are
 /// cached by signature like the server does.
 fn oracle_checksums(mix: &[Request], reg: &'static Registration, seed: u64) -> Vec<u64> {
-    let fw = Framework::flow();
     let cache = PlanCache::with_shards(64, 4);
     let mut memo: HashMap<Request, u64> = HashMap::new();
     let mut pools_f64: HashMap<(crate::workload::Family, usize), laab_expr::eval::Env<f64>> =
@@ -869,13 +868,13 @@ fn oracle_checksums(mix: &[Request], reg: &'static Registration, seed: u64) -> V
                     let pool = pools_f64
                         .entry((req.family, req.n))
                         .or_insert_with(|| req.family.env::<f64>(req.n, seed));
-                    oracle_one::<f64>(req, pool, reg, &fw, &cache, seed)
+                    oracle_one::<f64>(req, pool, reg, &cache, seed)
                 }
                 Dtype::F32 => {
                     let pool = pools_f32
                         .entry((req.family, req.n))
                         .or_insert_with(|| req.family.env::<f32>(req.n, seed));
-                    oracle_one::<f32>(req, pool, reg, &fw, &cache, seed)
+                    oracle_one::<f32>(req, pool, reg, &cache, seed)
                 }
             };
             memo.insert(*req, c);
@@ -888,17 +887,18 @@ fn oracle_one<T: BackendScalar>(
     req: &Request,
     pool: &laab_expr::eval::Env<T>,
     reg: &'static Registration,
-    fw: &Framework,
     cache: &PlanCache,
     seed: u64,
 ) -> u64 {
-    let (plan, _) = cache.get_or_compile(req.signature(reg.id()), || {
-        Plan::compile_with_varying(
-            fw,
+    let sig = req.signature(reg.id());
+    let (plan, _) = cache.get_or_compile(&sig, || {
+        Plan::compile_opt(
+            &Framework::flow(),
             &req.family.expr(req.n),
             &req.family.ctx(req.n),
             reg,
             req.family.varying_operands(),
+            sig.opt(),
         )
     });
     let results = if req.family.payload_operands().is_empty() {

@@ -403,7 +403,6 @@ impl Server {
         let queue: AdmissionQueue<JobKey, ServerJob> =
             AdmissionQueue::bounded(cfg.batch_window, None, cfg.backlog);
         let cache = PlanCache::with_shards(cfg.cache_capacity.max(1) * regs.len(), cfg.shards);
-        let fw = Framework::flow();
         let pools: Mutex<HashMap<(Family, usize), Arc<PoolPair>>> = Mutex::new(HashMap::new());
         let shutdown = AtomicBool::new(false);
         let counters = Counters::default();
@@ -426,7 +425,6 @@ impl Server {
 
         let exec = ExecCtx {
             cache: &cache,
-            fw: &fw,
             pools: &pools,
             seed: cfg.seed,
             counters: &counters,
@@ -695,7 +693,6 @@ fn pool_for(
 /// Everything an executor thread needs, bundled like [`ReaderCtx`].
 struct ExecCtx<'a> {
     cache: &'a PlanCache,
-    fw: &'a Framework,
     pools: &'a Mutex<HashMap<(Family, usize), Arc<PoolPair>>>,
     seed: u64,
     counters: &'a Counters,
@@ -784,12 +781,13 @@ fn execute_typed<T: BackendScalar>(
     let has_payload = !req0.family.payload_operands().is_empty();
     let t_lookup = Instant::now();
     let (plan, _) = ctx.cache.get_or_compile(sig, || {
-        Plan::compile_with_varying(
-            ctx.fw,
+        Plan::compile_opt(
+            &Framework::flow(),
             &req0.family.expr(req0.n),
             &req0.family.ctx(req0.n),
             reg,
             req0.family.varying_operands(),
+            sig.opt(),
         )
     });
     // The lookup (and any compile) is execution time of whoever runs
@@ -939,7 +937,6 @@ mod tests {
     /// one test.
     struct Shared {
         cache: PlanCache,
-        fw: Framework,
         pools: Mutex<HashMap<(Family, usize), Arc<PoolPair>>>,
         counters: Counters,
     }
@@ -948,7 +945,6 @@ mod tests {
         fn new() -> Shared {
             Shared {
                 cache: PlanCache::with_shards(4, 1),
-                fw: Framework::flow(),
                 pools: Mutex::new(HashMap::new()),
                 counters: Counters::default(),
             }
@@ -961,7 +957,6 @@ mod tests {
         ) -> ExecCtx<'a> {
             ExecCtx {
                 cache: &self.cache,
-                fw: &self.fw,
                 pools: &self.pools,
                 seed: SEED,
                 counters: &self.counters,
@@ -1016,7 +1011,7 @@ mod tests {
         let shared = Shared::new();
         let family = Family::Gram;
         let plan = Plan::compile_with_varying(
-            &shared.fw,
+            &Framework::flow(),
             &family.expr(n),
             &family.ctx(n),
             engine(),
@@ -1048,7 +1043,7 @@ mod tests {
         let shared = Shared::new();
         let family = Family::Chain;
         let plan = Plan::compile_with_varying(
-            &shared.fw,
+            &Framework::flow(),
             &family.expr(n),
             &family.ctx(n),
             engine(),

@@ -19,25 +19,26 @@ pub use laab_backend::Dtype;
 /// signature (and the retrace key), because a caller that pins levels
 /// compiles the same request twice and the two plans must never alias.
 ///
-/// The pipeline is one path — e-graph → trace → passes — and the level
-/// only says whether the first stage runs. Entry points that take no
+/// The pipeline is one path — e-graph → lowering to graph IR — and the
+/// level only says whether the first stage runs. Entry points that take no
 /// level ([`Signature::new`], `Request::signature`, `Plan::compile*`)
 /// pick it per expression with [`OptLevel::for_input`]; the `_opt` /
 /// `with_opt` variants pin it, for A/B lanes and differential tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OptLevel {
-    /// The trace-time graph passes alone (fold-transpose, CSE,
-    /// scale-fusion, DCE) — what [`OptLevel::for_input`] picks for an
-    /// input too cheap to repay a saturation.
+    /// The expression lowered as written, with what the frameworks'
+    /// graph passes do (transpose folding, CSE, scale fusion) applied
+    /// while building — what [`OptLevel::for_input`] picks for an input
+    /// too cheap to repay a saturation.
     #[default]
     Passes,
     /// Equality saturation first: the expression is interned into
     /// `laab-rewrite`'s e-graph, saturated with the bidirectional rule
     /// set, and the cheapest form under the measured-GFLOP/s cost model
-    /// is extracted *before* tracing (so `BatchAnalysis` sees the
-    /// normalized form); the graph passes then run as usual. On a
-    /// saturation budget hit the plan falls back to the input expression
-    /// and the serving report counts it.
+    /// is extracted and lowered (so `BatchAnalysis` sees the normalized
+    /// form), with a product of one node and its own transpose built as
+    /// `Syrk`. On a saturation budget hit the input expression is
+    /// lowered.
     Egraph,
 }
 
@@ -52,7 +53,7 @@ pub enum OptLevel {
 /// execution can repay the compile. The threshold is a property of the
 /// input, not of a workload: of the serving families, every n < 48
 /// expression stays under it (the largest, `distributive` at n = 47,
-/// costs ≈ 0.44 M) and keeps the ≈ 7 µs passes-only compile, while every
+/// costs ≈ 0.44 M) and keeps the compile that only lowers, while every
 /// n ≥ 192 expression is over it (the smallest, `solve_residual` at
 /// n = 192, costs ≈ 1.5 M) and saturates once per signature.
 pub const EGRAPH_MIN_COST: u64 = 1 << 20;

@@ -5,8 +5,16 @@
 //! paths — the naive oracle, eager mode, optimized graph mode, and the
 //! property-aware evaluator — and additionally through the tree the
 //! e-graph optimizer extracts. All must agree numerically.
+//!
+//! The served compiler (`Plan`) is checked against the traced plan at
+//! both optimizer levels: the expression (or its extraction) traced
+//! through `Framework::flow()`'s passes. It must compute the same values
+//! and never run more kernel calls or FLOPs.
 
+use laab::backend::registry;
+use laab::kernels::counters::measure;
 use laab::prelude::*;
+use laab::serve::{OptLevel, Plan};
 use laab_framework::lower::eager_eval_expr;
 use laab_rewrite::{aware_eval, optimize_egraph, CostModel, EgraphConfig};
 use proptest::prelude::*;
@@ -67,6 +75,13 @@ fn build_expr(seed: u64, depth: usize, n: usize) -> Expr {
     full(&mut state, depth, n)
 }
 
+/// Equal under `==`, with NaN equal to NaN. Not bitwise: a `0·P` folded
+/// into a GEMM's `alpha` gives `+0` where a separate scaling gives `−0`.
+fn same_values(a: &Matrix<f32>, b: &Matrix<f32>) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x == y || (x.is_nan() && y.is_nan()))
+}
+
 fn workload(n: usize, seed: u64) -> (Env<f32>, Context) {
     let mut g = OperandGen::new(seed);
     let env = Env::new()
@@ -110,6 +125,21 @@ proptest! {
 
         let aware = aware_eval(&expr, &env, &ctx);
         prop_assert!(aware.approx_eq(&oracle, 1e-3), "aware differs for `{expr}`");
+
+        for opt in OptLevel::ALL {
+            let chosen = match opt {
+                OptLevel::Passes => expr.clone(),
+                OptLevel::Egraph => optimize_egraph(&expr, &ctx, &EgraphConfig::default()).best,
+            };
+            let traced = Framework::flow().function_from_expr(&chosen, &ctx);
+            let (want, traced_work) = measure(|| traced.call(&env));
+            let fw = Framework::flow();
+            let plan = Plan::compile_opt(&fw, &expr, &ctx, registry::default_backend(), &[], opt);
+            let (got, work) = measure(|| plan.execute(&env));
+            prop_assert!(same_values(&got[0], &want[0]), "{opt} plan differs for `{expr}`");
+            prop_assert!(work.total_calls() <= traced_work.total_calls(), "{opt} calls: `{expr}`");
+            prop_assert!(work.total_flops() <= traced_work.total_flops(), "{opt} FLOPs: `{expr}`");
+        }
     }
 
     #[test]
