@@ -19,10 +19,10 @@ use crate::{Backend, BackendId};
 /// GEMV's fused chain, so each part is bitwise the solo product, and the
 /// batch records one GEMV per part, as its members do solo. Other parts,
 /// and a `1×k` `op(A)` (whose solo product is a DOT), keep
-/// [`Backend::matmul_batched`]'s per-item loop. The column-stacked
-/// multi-RHS GEMM is not used: it packs all of `A` and sweeps mostly
-/// zero-padded register tiles, and lost to a loop of GEMVs at every window
-/// size.
+/// [`Backend::matmul_batched`]'s per-item loop. A column-stacked
+/// multi-RHS GEMM packs all of `A` and sweeps mostly zero-padded register
+/// tiles; it lost to a loop of GEMVs at every window size, and the GEMM
+/// driver no longer has a stacked right-hand side.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineBackend;
 

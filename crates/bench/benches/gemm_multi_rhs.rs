@@ -1,7 +1,6 @@
-//! A batch of matrix-vector products three ways — the kernel half of the
+//! A batch of matrix-vector products two ways — the kernel half of the
 //! batched-serving lever, in the standard `cargo bench` workflow (the
-//! machine-readable rates are `benchmark/`'s `kernels.gemv_f64_gflops`
-//! and `kernels.multi_rhs_f64_gflops`).
+//! machine-readable rate is `benchmark/`'s `kernels.gemv_f64_gflops`).
 //!
 //! `A` is `n×n`; each right-hand side is `n×1`; both flags of `A`:
 //!
@@ -9,14 +8,12 @@
 //!   time (memory-bound Level-2);
 //! * `gemv_multi` — the engine's batched product: one read of `A` per
 //!   group of eight, the vectors (`A·x`) or the rows of `y` (`Aᵀ·x`) in
-//!   the SIMD lanes, bitwise the loop;
-//! * `multi_rhs` — the column-stacked GEMM: each `A` panel packed once,
-//!   the batch streamed through the GEMM microkernels.
+//!   the SIMD lanes, bitwise the loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use laab_dense::gen::OperandGen;
 use laab_dense::Matrix;
-use laab_kernels::{gemv_multi, matmul_dispatch, matmul_multi_rhs, Trans};
+use laab_kernels::{gemv_multi, matmul_dispatch, Trans};
 
 fn bench(c: &mut Criterion) {
     let n = laab_bench::bench_n();
@@ -41,9 +38,6 @@ fn bench(c: &mut Criterion) {
                     gemv_multi(1.0, &a, ta, &refs[..q], 0.0, &mut ys);
                     std::hint::black_box(&ys);
                 });
-            });
-            group.bench_with_input(BenchmarkId::new("multi_rhs", q), &q, |bch, &q| {
-                bch.iter(|| std::hint::black_box(matmul_multi_rhs(1.0, &a, ta, &refs[..q])));
             });
         }
         group.finish();

@@ -25,7 +25,6 @@
 pub mod cost;
 pub mod eval;
 mod expr;
-pub mod memory;
 pub mod parser;
 mod props;
 mod shape;

@@ -46,10 +46,10 @@
 //! chunker all take `NR` from there.
 //!
 //! **Half-width rule.** A micro-tile with at most `NR/2` live columns —
-//! every stacked multi-RHS panel at occupancy ≤ 8, every `f32` product of
-//! a 16-wide operand, the ragged last panel of any shape — is swept over
-//! the low half of each packed-B row only: the panel is still `NR` wide
-//! (zero-padded), but the upper half is neither loaded nor updated.
+//! every `f32` product of a 16-wide operand, the ragged last panel of any
+//! shape — is swept over the low half of each packed-B row only: the
+//! panel is still `NR` wide (zero-padded), but the upper half is neither
+//! loaded nor updated.
 //! Without it a thin panel would pay for a full tile of zeros, and
 //! widening the `f32` tile would double that bill. The choice is made
 //! inside the explicit kernels from the `cols` the macro sweep already
@@ -135,7 +135,7 @@ pub fn gemm<T: Scalar>(
     assert_eq!(c.shape(), (m, n), "gemm: C has shape {:?}, expected ({m}, {n})", c.shape());
     counters::record(Kernel::Gemm, flops::gemm(m, n, ka));
     let threads = effective_threads(m, n, ka);
-    gemm_blocked(alpha, av, BSrc::One(bv), beta, MutView::of(c), threads, Sweep::Full);
+    gemm_blocked(alpha, av, bv, beta, MutView::of(c), threads, Sweep::Full);
 }
 
 /// Convenience wrapper allocating the output: `op(A)·op(B)`.
@@ -149,71 +149,17 @@ pub fn matmul<T: Scalar>(a: &Matrix<T>, ta: Trans, b: &Matrix<T>, tb: Trans) -> 
     c
 }
 
-/// `C := α·op(A)·[B₀ | B₁ | … | B_{q−1}] + β·C` — the multi-RHS GEMM.
-///
-/// `q` same-shape right-hand sides are treated as the column-wise
-/// concatenation without ever materializing it — the packing routine
-/// streams panels straight out of the parts, so each `A` panel is packed
-/// **once** for all `q` products and the microkernel sees one `m×(q·n)`
-/// GEMM instead of `q` GEMV-shaped calls: the Level-2 → Level-3 regime
-/// conversion the paper identifies. For `n×1` parts at serving sizes
-/// (`q` ≤ 8) the packing and the zero-padded tiles cost more than they
-/// save, so served batches run [`gemv_multi`](crate::gemv_multi) instead,
-/// which reads `A` in place and returns the same bits.
-///
-/// Every `B_i` must have the identical `k×n` shape and is used
-/// untransposed (column stacking has no meaning across a transposed
-/// operand). `C` must be `m×(q·n)`; its `i`-th `n`-column block is
-/// **bitwise-identical** to `gemm` on the materialized concatenation —
-/// same packed bytes, same per-element reduction order.
+/// `α·op(A)·[B₀ | B₁ | … | B_{q−1}]`: the `m×(q·n)` product of `A` with
+/// `q` same-shape, untransposed right-hand sides stacked column-wise. The
+/// stack is copied into one `k×(q·n)` matrix and multiplied by one
+/// [`gemm`], so the `i`-th `n`-column block of the result is bitwise that
+/// GEMM's on the concatenation. Served vector batches do not come here:
+/// [`gemv_multi`](crate::gemv_multi) beat the stacked product at every
+/// window size, reads `A` in place and returns each solo product's bits.
 ///
 /// # Panics
-/// On ragged `B_i` shapes or inconsistent `A`/`C` shapes.
-pub fn gemm_multi_rhs<T: Scalar>(
-    alpha: T,
-    a: &Matrix<T>,
-    ta: Trans,
-    bs: &[&Matrix<T>],
-    beta: T,
-    c: &mut Matrix<T>,
-) {
-    let av = View::of(a, ta);
-    let (m, k) = (av.rows, av.cols);
-    let (bk, bn) = bs.first().map_or((k, 0), |b| b.shape());
-    for b in bs {
-        assert_eq!(
-            b.shape(),
-            (bk, bn),
-            "gemm_multi_rhs: ragged RHS shapes ({:?} vs ({bk}, {bn}))",
-            b.shape()
-        );
-    }
-    assert_eq!(bk, k, "gemm_multi_rhs: inner dimensions differ ({k} vs {bk})");
-    let n = bn * bs.len();
-    assert_eq!(
-        c.shape(),
-        (m, n),
-        "gemm_multi_rhs: C has shape {:?}, expected ({m}, {n})",
-        c.shape()
-    );
-    if bs.is_empty() {
-        return; // C is m×0 — nothing to compute.
-    }
-    counters::record(Kernel::Gemm, flops::gemm(m, n, k));
-    let threads = effective_threads(m, n, k);
-    gemm_blocked(
-        alpha,
-        av,
-        BSrc::Stacked { parts: bs, part_cols: bn },
-        beta,
-        MutView::of(c),
-        threads,
-        Sweep::Full,
-    );
-}
-
-/// Allocating wrapper for [`gemm_multi_rhs`]: the `m×(q·n)` stacked
-/// product `α·op(A)·[B₀ | … | B_{q−1}]`.
+/// On ragged `B_i` shapes or an inner dimension that differs from
+/// `op(A)`'s.
 pub fn matmul_multi_rhs<T: Scalar>(
     alpha: T,
     a: &Matrix<T>,
@@ -221,10 +167,23 @@ pub fn matmul_multi_rhs<T: Scalar>(
     bs: &[&Matrix<T>],
 ) -> Matrix<T> {
     let (m, _) = ta.dims(a.rows(), a.cols());
-    let n = bs.first().map_or(0, |b| b.cols()) * bs.len();
-    let mut c = Matrix::zeros(m, n);
+    let Some(first) = bs.first() else {
+        return Matrix::zeros(m, 0);
+    };
+    let (k, bn) = first.shape();
+    let mut stacked = Matrix::zeros(k, bn * bs.len());
+    for (i, b) in bs.iter().enumerate() {
+        assert_eq!(
+            b.shape(),
+            (k, bn),
+            "matmul_multi_rhs: ragged RHS shapes ({:?} vs ({k}, {bn}))",
+            b.shape()
+        );
+        stacked.set_submatrix(0, i * bn, b);
+    }
+    let mut c = Matrix::zeros(m, stacked.cols());
     // beta = 1 on fresh zeros, as in `matmul`.
-    gemm_multi_rhs(alpha, a, ta, bs, T::ONE, &mut c);
+    gemm(alpha, a, ta, &stacked, Trans::No, T::ONE, &mut c);
     c
 }
 
@@ -255,7 +214,7 @@ pub(crate) fn gemm_serial<T: Scalar>(
     beta: T,
     c: &mut MutView<'_, T>,
 ) {
-    gemm_blocked(alpha, a, BSrc::One(b), beta, c.reborrow(), 1, Sweep::Full);
+    gemm_blocked(alpha, a, b, beta, c.reborrow(), 1, Sweep::Full);
 }
 
 /// `C += α·A·B` on the lower triangle of a square `C` only — the driver
@@ -267,7 +226,7 @@ pub(crate) fn gemm_serial<T: Scalar>(
 pub(crate) fn gemm_lower<T: Scalar>(alpha: T, a: View<'_, T>, b: View<'_, T>, c: &mut Matrix<T>) {
     debug_assert_eq!(a.rows, b.cols, "gemm_lower: C must be square");
     let threads = effective_threads(a.rows, b.cols, a.cols);
-    gemm_blocked(alpha, a, BSrc::One(b), T::ONE, MutView::of(c), threads, Sweep::Lower);
+    gemm_blocked(alpha, a, b, T::ONE, MutView::of(c), threads, Sweep::Lower);
 }
 
 /// Which micro-tiles of the output the blocked driver computes.
@@ -281,34 +240,6 @@ enum Sweep {
     /// are the full sweep's, so what is computed is bitwise what
     /// [`Sweep::Full`] computes there.
     Lower,
-}
-
-/// The blocked driver's right-hand side: one strided view, or the logical
-/// column-wise concatenation `[B₀ | B₁ | …]` of equal-shape untransposed
-/// matrices (the multi-RHS path). The concatenation is never materialized;
-/// [`pack_b_stacked`] reads panels straight from the parts, so the two
-/// variants produce byte-identical packed panels for the same logical
-/// operand.
-#[derive(Clone, Copy)]
-enum BSrc<'a, T: Scalar> {
-    One(View<'a, T>),
-    Stacked { parts: &'a [&'a Matrix<T>], part_cols: usize },
-}
-
-impl<T: Scalar> BSrc<'_, T> {
-    fn rows(&self) -> usize {
-        match self {
-            BSrc::One(v) => v.rows,
-            BSrc::Stacked { parts, .. } => parts.first().map_or(0, |b| b.rows()),
-        }
-    }
-
-    fn cols(&self) -> usize {
-        match self {
-            BSrc::One(v) => v.cols,
-            BSrc::Stacked { parts, part_cols } => part_cols * parts.len(),
-        }
-    }
 }
 
 /// Raw pointer to the output panel, shared across tile workers. Tiles
@@ -353,7 +284,7 @@ impl<T: Scalar> RawC<T> {
 }
 
 /// The driver body's signature once width and microkernel are fixed.
-type Driver<T> = for<'a> fn(T, View<'a, T>, BSrc<'a, T>, T, MutView<'a, T>, usize, Sweep);
+type Driver<T> = for<'a> fn(T, View<'a, T>, View<'a, T>, T, MutView<'a, T>, usize, Sweep);
 
 /// The blocked driver's entry: picks the register-tile width and the
 /// microkernel for the element type — once per call — and runs the one
@@ -365,7 +296,7 @@ type Driver<T> = for<'a> fn(T, View<'a, T>, BSrc<'a, T>, T, MutView<'a, T>, usiz
 fn gemm_blocked<T: Scalar>(
     alpha: T,
     a: View<'_, T>,
-    b: BSrc<'_, T>,
+    b: View<'_, T>,
     beta: T,
     c: MutView<'_, T>,
     threads: usize,
@@ -394,7 +325,7 @@ fn gemm_blocked<T: Scalar>(
 fn blocked_at<T: Scalar, const NR: usize>(
     alpha: T,
     a: View<'_, T>,
-    b: BSrc<'_, T>,
+    b: View<'_, T>,
     beta: T,
     mut c: MutView<'_, T>,
     threads: usize,
@@ -402,8 +333,8 @@ fn blocked_at<T: Scalar, const NR: usize>(
     kernel: impl Fn(usize, &[T], &[T], usize, &mut [[T; NR]; MR]) + Copy + Sync,
 ) {
     let (m, k) = (a.rows, a.cols);
-    let n = b.cols();
-    debug_assert_eq!(b.rows(), k);
+    let n = b.cols;
+    debug_assert_eq!(b.rows, k);
     debug_assert_eq!((c.rows, c.cols), (m, n));
 
     // Apply beta once, up front: C := beta*C. (beta == 0 writes zeros so
@@ -420,12 +351,7 @@ fn blocked_at<T: Scalar, const NR: usize>(
             let nc = NC.min(n - jc);
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
-                match b {
-                    BSrc::One(bv) => pack_b::<T, NR>(packed_b, bv, pc, kc, jc, nc),
-                    BSrc::Stacked { parts, part_cols } => {
-                        pack_b_stacked::<T, NR>(packed_b, parts, part_cols, pc, kc, jc, nc)
-                    }
-                }
+                pack_b::<T, NR>(packed_b, b, pc, kc, jc, nc);
                 let m_tiles = m.div_ceil(MC);
                 let (n_chunks, chunk_cols) = column_chunks::<NR>(nc, m_tiles, threads);
                 let pb: &[T] = packed_b;
@@ -556,45 +482,6 @@ fn pack_b<T: Scalar, const NR: usize>(
                 for kk in 0..kc {
                     out[kk * NR + jr] = b.data[base + kk * b.rs];
                 }
-            }
-        }
-    }
-}
-
-/// Pack `kc×nc` of the logical concatenation `[B₀ | B₁ | …]` (from
-/// `(pc, jc)`) into column-panels of width `NR`, zero-padding the ragged
-/// final panel — [`pack_b`]'s multi-RHS twin. Logical column `j` maps to
-/// part `j / part_cols`, column `j % part_cols`; a panel straddling a part
-/// boundary is filled segment-wise with contiguous row-fragment copies
-/// (every part is an owned row-major matrix). Produces byte-identical
-/// panels to [`pack_b`] on the materialized concatenation.
-fn pack_b_stacked<T: Scalar, const NR: usize>(
-    buf: &mut [T],
-    parts: &[&Matrix<T>],
-    part_cols: usize,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-) {
-    let panels = nc.div_ceil(NR);
-    debug_assert!(buf.len() >= panels * NR * kc);
-    for p in 0..panels {
-        let out = &mut buf[p * NR * kc..(p + 1) * NR * kc];
-        let cols = NR.min(nc - p * NR);
-        if cols < NR {
-            out.fill(T::ZERO);
-        }
-        let c0 = jc + p * NR;
-        for kk in 0..kc {
-            let row = &mut out[kk * NR..kk * NR + cols];
-            let mut j = 0;
-            while j < cols {
-                let (part, pcol) = ((c0 + j) / part_cols, (c0 + j) % part_cols);
-                let run = (part_cols - pcol).min(cols - j);
-                let src = &parts[part].as_slice()[(pc + kk) * part_cols + pcol..][..run];
-                row[j..j + run].copy_from_slice(src);
-                j += run;
             }
         }
     }
@@ -1244,8 +1131,7 @@ mod tests {
 
     #[test]
     fn multi_rhs_is_bitwise_identical_to_hstacked_gemm() {
-        // The multi-RHS path must produce the exact packed panels (and
-        // therefore the exact results) of a single GEMM on the
+        // The multi-RHS product must be exactly one GEMM on the
         // materialized concatenation.
         fn check<T: Scalar>() {
             let mut g = OperandGen::new(91);
@@ -1280,24 +1166,6 @@ mod tests {
         let parallel = matmul_multi_rhs(1.0, &a, Trans::No, &refs);
         crate::set_num_threads(1);
         assert_eq!(serial.as_slice(), parallel.as_slice());
-    }
-
-    #[test]
-    fn multi_rhs_beta_accumulates_and_counts_one_gemm() {
-        let mut g = OperandGen::new(93);
-        let a = g.matrix::<f64>(9, 7);
-        let parts: Vec<Matrix<f64>> = (0..3).map(|_| g.matrix::<f64>(7, 2)).collect();
-        let refs: Vec<&Matrix<f64>> = parts.iter().collect();
-        let c0 = g.matrix::<f64>(9, 6);
-        let mut c = c0.clone();
-        counters::reset();
-        gemm_multi_rhs(2.0, &a, Trans::No, &refs, -0.5, &mut c);
-        let s = counters::snapshot();
-        assert_eq!(s.calls(Kernel::Gemm), 1, "one logical GEMM, not q");
-        assert_eq!(s.flops(Kernel::Gemm), flops::gemm(9, 6, 7));
-        let mut want = c0.clone();
-        gemm(2.0, &a, Trans::No, &hstack(&refs), Trans::No, -0.5, &mut want);
-        assert_eq!(c.as_slice(), want.as_slice());
     }
 
     #[test]

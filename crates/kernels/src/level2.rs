@@ -12,9 +12,9 @@
 //! followed by one `α·acc + y` write-back. [`gemv_multi`] computes `q`
 //! such products against one shared `A` and keeps that arithmetic for
 //! every `(i, j)`, so a solo matrix-vector product, the same vector inside
-//! a batch and the same column of a stacked multi-RHS GEMM
-//! ([`gemm_multi_rhs`](crate::gemm_multi_rhs)) return the same bits, and a
-//! batched request answers what a solo one does.
+//! a batch and the same column of a multi-RHS product
+//! ([`matmul_multi_rhs`](crate::matmul_multi_rhs)) return the same bits,
+//! and a batched request answers what a solo one does.
 //!
 //! ## The sweeps
 //!

@@ -11,7 +11,7 @@
 //! |-------|---------|
 //! | 1 | [`dot`], [`axpy`], [`scal`], [`nrm2`] |
 //! | 2 | [`gemv`], [`gemv_multi`] (`q` vectors against one `A`, read once per eight — bitwise `q` GEMVs), [`ger`] |
-//! | 3 | [`gemm`] (packed + blocked + microkernel), [`syrk`] (the same driver over the lower-triangle micro-tiles, mirrored — bitwise the GEMM), [`trmm`] |
+//! | 3 | [`gemm`] (packed + blocked + microkernel), [`matmul_multi_rhs`] (`q` right-hand sides copied side by side, then one GEMM), [`syrk`] (the same driver over the lower-triangle micro-tiles, mirrored — bitwise the GEMM), [`trmm`] |
 //! | structured | [`tridiag_matmul`], [`diag_matmul`] |
 //! | elementwise | [`geadd`] (`C := αA + βB`) |
 //!
@@ -54,7 +54,7 @@ mod view;
 mod workspace;
 
 pub use dispatch::matmul_dispatch;
-pub use gemm::{gemm, gemm_multi_rhs, matmul, matmul_multi_rhs};
+pub use gemm::{gemm, matmul, matmul_multi_rhs};
 pub use level1::{axpy, dot, nrm2, scal};
 pub use level2::{gemv, gemv_alloc, gemv_multi, ger};
 pub use parallel::{num_threads, parallel_for, parallel_row_chunks, set_num_threads};

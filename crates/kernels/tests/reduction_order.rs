@@ -1,20 +1,18 @@
 //! The blocked driver promises a per-element arithmetic, not just a value:
 //! every `C[i,j]` is, for each `KC`-deep chunk of `k` in order, one fused
 //! chain from zero followed by one `α·acc + c` write-back. No register
-//! tile, packing width, half-width path, triangular skip, stacked operand
-//! or thread count enters that — so a scalar loop that spells it out must
-//! agree with `gemm`, `gemm_multi_rhs` and `syrk` **bit for bit**, on
-//! every build (`native`, `x86-64-v3`, `x86-64`), for both precisions, and
-//! on hostile inputs. `gemv` and `gemv_multi` promise the same arithmetic
-//! (rows in flight, vectors or rows in the lanes and `k` blocks change no
-//! element's order), which is what makes a solo matrix-vector product, a
-//! batched one and a stacked one the same bits.
+//! tile, packing width, half-width path, triangular skip or thread count
+//! enters that — so a scalar loop that spells it out must agree with
+//! `gemm` and `syrk` **bit for bit**, on every build (`native`,
+//! `x86-64-v3`, `x86-64`), for both precisions, and on hostile inputs.
+//! `gemv` and `gemv_multi` promise the same arithmetic (rows in flight,
+//! vectors or rows in the lanes and `k` blocks change no element's
+//! order), which is what makes a solo matrix-vector product, a batched
+//! one and a column of a GEMM the same bits.
 
 use laab_dense::gen::OperandGen;
 use laab_dense::{Matrix, Scalar};
-use laab_kernels::{
-    gemm, gemm_multi_rhs, gemv, gemv_multi, reference, set_num_threads, syrk, Trans,
-};
+use laab_kernels::{gemm, gemv, gemv_multi, reference, set_num_threads, syrk, Trans};
 
 mod common;
 use common::bits;
@@ -145,57 +143,6 @@ fn gemm_is_bitwise_the_scalar_chain_f64() {
 fn gemm_is_bitwise_the_scalar_chain_f32() {
     gemm_sweep::<f32>(1);
     gemm_sweep::<f32>(3);
-}
-
-/// `(m, k, part width, parts)`: stacked widths 1 … 40 putting part
-/// boundaries, panel boundaries and the half-width boundary of every tile
-/// width inside a panel.
-const STACKS: [(usize, usize, usize, usize); 9] = [
-    (7, 9, 1, 1),
-    (64, 48, 1, 8),
-    (33, 257, 5, 3),
-    (17, 40, 1, 16),
-    (20, 33, 1, 17),
-    (6, 1025, 1, 31),
-    (121, 9, 11, 3),
-    (130, 300, 5, 8),
-    (37, 50, 2, 8),
-];
-
-fn multi_rhs_sweep<T: Step>(threads: usize) {
-    set_num_threads(threads);
-    let mut g = OperandGen::new(0x0DE6 + threads as u64);
-    for &(m, k, bn, q) in &STACKS {
-        for ta in FLAGS {
-            let a = operand::<T>(&mut g, ta, m, k);
-            let parts: Vec<Matrix<T>> = (0..q).map(|_| g.matrix(k, bn)).collect();
-            let refs: Vec<&Matrix<T>> = parts.iter().collect();
-            let c0 = g.matrix::<T>(m, bn * q);
-            let c0s = c0.split_cols(q);
-            for alpha in ALPHAS.map(T::from_f64) {
-                let mut c = c0.clone();
-                gemm_multi_rhs(alpha, &a, ta, &refs, T::ONE, &mut c);
-                for (i, c) in c.split_cols(q).iter().enumerate() {
-                    assert_eq!(
-                        bits(c),
-                        bits(&oracle(alpha, &a, ta, &parts[i], Trans::No, &c0s[i])),
-                        "{}multi-RHS part {i} of m={m} k={k} bn={bn} q={q} {ta:?} α={alpha} \
-                         t={threads}",
-                        T::PREFIX
-                    );
-                }
-            }
-        }
-    }
-    set_num_threads(1);
-}
-
-#[test]
-fn multi_rhs_is_bitwise_the_scalar_chain() {
-    for threads in [1, 3] {
-        multi_rhs_sweep::<f64>(threads);
-        multi_rhs_sweep::<f32>(threads);
-    }
 }
 
 fn syrk_sweep<T: Step>(threads: usize) {
@@ -393,13 +340,10 @@ fn hostile_entries_through_gemm_and_multi_rhs() {
                         assert!(bits(&c).contains(&u64::MAX), "gemm {what}: no NaN came out");
                     }
 
-                    // The same product with B's columns as n stacked vectors…
+                    // The same product with B's columns as one batch of n
+                    // matrix-vector products…
                     let cols: Vec<Matrix<T>> = (0..n).map(|j| b.col_matrix(j)).collect();
                     let refs: Vec<&Matrix<T>> = cols.iter().collect();
-                    let mut stacked = zeros.clone();
-                    gemm_multi_rhs(T::ONE, &a, Trans::No, &refs, T::ONE, &mut stacked);
-                    assert_eq!(bits(&stacked), bits(&c), "multi-RHS {what}");
-                    // …as one batch of n matrix-vector products…
                     let mut ys = vec![Matrix::zeros(m, 1); n];
                     gemv_multi(T::ONE, &a, Trans::No, &refs, T::ONE, &mut ys);
                     for (j, yj) in ys.iter().enumerate() {

@@ -7,20 +7,9 @@ use crate::fault::FaultPlan;
 /// Configuration of one `laab serve` server.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Executor threads draining the admission queue; `0` means detected
-    /// hardware parallelism (capped at 8 — beyond that the 1-socket
-    /// kernels are the bottleneck, not the serving layer).
-    pub clients: usize,
     /// Seed for the operand pools, request payloads and fault decisions.
     /// A verifying client must use the same one.
     pub seed: u64,
-    /// Plan-cache capacity **per served backend**: the shared cache is
-    /// bounded to `cache_capacity × backends`. The cache stays
-    /// hash-sharded (not partitioned per backend), so isolation is
-    /// proportional sizing, not a hard guarantee.
-    pub cache_capacity: usize,
-    /// Plan-cache shard count.
-    pub shards: usize,
     /// Registry names of the backends requests may ask for.
     pub backends: Vec<String>,
     /// Admission-window size: pending same-signature requests coalesce
@@ -50,10 +39,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            clients: 0,
             seed: 0x1AAB,
-            cache_capacity: 64,
-            shards: 8,
             backends: vec!["engine".to_string()],
             batch_window: 8,
             max_inflight: 256,
@@ -67,27 +53,12 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Start a validating [`ServeConfigBuilder`] from the defaults. The
-    /// builder is the supported construction path: it rejects unknown
-    /// backends, zero shards and an explicit `--clients 0` at `build()`
-    /// time, before the listener is bound. Struct-literal construction
-    /// still compiles (the fields are public) but skips the
-    /// `--clients 0` check; [`Server::bind`](crate::Server::bind)
-    /// repeats the other two.
+    /// builder is the supported construction path: it rejects a bad
+    /// backend list at `build()` time, before the listener is bound.
+    /// Struct-literal construction still compiles (the fields are
+    /// public); [`Server::bind`](crate::Server::bind) repeats the check.
     pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder { cfg: Self::default(), explicit_zero_clients: false }
-    }
-
-    /// The resolved executor count. An explicit positive `clients` is
-    /// used verbatim — never clamped. `0` (auto) detects hardware
-    /// parallelism and caps it at 8; the cap applies **only** to
-    /// auto-detection, so pass an explicit count to exceed it on bigger
-    /// boxes.
-    pub fn resolved_clients(&self) -> usize {
-        if self.clients > 0 {
-            self.clients
-        } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
-        }
+        ServeConfigBuilder { cfg: Self::default() }
     }
 }
 
@@ -95,36 +66,12 @@ impl ServeConfig {
 #[derive(Debug, Clone)]
 pub struct ServeConfigBuilder {
     cfg: ServeConfig,
-    explicit_zero_clients: bool,
 }
 
 impl ServeConfigBuilder {
-    /// Explicit executor count. `0` is rejected at `build()` — it is not
-    /// "all cores"; leave the builder's default for capped
-    /// auto-detection, or pass the core count you mean.
-    pub fn clients(mut self, v: usize) -> Self {
-        self.explicit_zero_clients = v == 0;
-        if v > 0 {
-            self.cfg.clients = v;
-        }
-        self
-    }
-
     /// Seed for the operand pools and fault decisions.
     pub fn seed(mut self, v: u64) -> Self {
         self.cfg.seed = v;
-        self
-    }
-
-    /// Plan-cache capacity per backend (clamped to ≥ 1).
-    pub fn cache_capacity(mut self, v: usize) -> Self {
-        self.cfg.cache_capacity = v.max(1);
-        self
-    }
-
-    /// Plan-cache shard count (validated > 0 at `build()`).
-    pub fn shards(mut self, v: usize) -> Self {
-        self.cfg.shards = v;
         self
     }
 
@@ -180,19 +127,10 @@ impl ServeConfigBuilder {
     ///
     /// # Errors
     /// [`ServeError::NoBackends`] / [`ServeError::UnknownBackend`] /
-    /// [`ServeError::DuplicateBackend`] for a bad backend list,
-    /// [`ServeError::ZeroShards`] for a shardless cache, and
-    /// [`ServeError::ZeroClients`] for an explicit `clients(0)`.
+    /// [`ServeError::DuplicateBackend`] for a bad backend list.
     pub fn build(self) -> Result<ServeConfig, ServeError> {
-        let cfg = self.cfg;
-        resolve_backends(&cfg.backends)?;
-        if cfg.shards == 0 {
-            return Err(ServeError::ZeroShards);
-        }
-        if self.explicit_zero_clients {
-            return Err(ServeError::ZeroClients);
-        }
-        Ok(cfg)
+        resolve_backends(&self.cfg.backends)?;
+        Ok(self.cfg)
     }
 }
 
@@ -202,22 +140,9 @@ mod tests {
 
     #[test]
     fn builder_validates_at_build_time() {
-        // The happy path reproduces the defaults, and auto (the default)
-        // resolves with the documented cap.
+        // The happy path reproduces the defaults.
         let cfg = ServeConfig::builder().build().expect("defaults build");
         assert_eq!(cfg, ServeConfig::default());
-        assert_eq!(cfg.clients, 0);
-        assert!(cfg.resolved_clients() >= 1 && cfg.resolved_clients() <= 8);
-
-        // Explicit zero clients is a named error, not a silent clamp,
-        // and the message offers only what `--clients` parses.
-        assert_eq!(ServeConfig::builder().clients(0).build(), Err(ServeError::ZeroClients));
-        assert!(!ServeError::ZeroClients.to_string().contains("auto"));
-        // Explicit counts pass through verbatim, beyond the auto cap too.
-        let cfg = ServeConfig::builder().clients(0).clients(12).build().expect("explicit builds");
-        assert_eq!((cfg.clients, cfg.resolved_clients()), (12, 12));
-
-        assert_eq!(ServeConfig::builder().shards(0).build(), Err(ServeError::ZeroShards));
 
         // Backend names resolve at build time, before the listener binds.
         let err = ServeConfig::builder().backends(["cuda"]).build().expect_err("unknown");

@@ -33,12 +33,6 @@ pub enum ServeError {
     DuplicateBackend(String),
     /// The backend list was empty.
     NoBackends,
-    /// The plan cache cannot have zero shards.
-    ZeroShards,
-    /// `--clients 0` was explicit. Zero is not "all cores": auto
-    /// detection (the default) caps at 8, and explicit counts are taken
-    /// verbatim — so an explicit zero is always a mistake.
-    ZeroClients,
     /// A `--listen`/`--addr` spec that names neither a unix socket path
     /// nor a TCP address.
     BadListen(String),
@@ -76,13 +70,6 @@ impl std::fmt::Display for ServeError {
                 write!(f, "backend `{name}` is listed more than once in --backends")
             }
             ServeError::NoBackends => write!(f, "--backends must name at least one backend"),
-            ServeError::ZeroShards => write!(f, "--shards must be at least 1"),
-            ServeError::ZeroClients => write!(
-                f,
-                "--clients 0 is not \"all cores\": omit the flag for detected parallelism \
-                 capped at 8, or pass the explicit count you mean (explicit counts are \
-                 never clamped)"
-            ),
             ServeError::BadListen(spec) => write!(
                 f,
                 "unintelligible listen address `{spec}` \
@@ -134,9 +121,7 @@ impl PartialEq for ServeError {
                 UnknownBackend { requested: c, available: d },
             ) => (a, b) == (c, d),
             (DuplicateBackend(a), DuplicateBackend(b)) => a == b,
-            (NoBackends, NoBackends) | (ZeroShards, ZeroShards) | (ZeroClients, ZeroClients) => {
-                true
-            }
+            (NoBackends, NoBackends) => true,
             (BadListen(a), BadListen(b)) | (BadArrival(a), BadArrival(b)) => a == b,
             (Bind { addr: a, source: s1 }, Bind { addr: b, source: s2 })
             | (Connect { addr: a, source: s1 }, Connect { addr: b, source: s2 }) => {

@@ -44,17 +44,12 @@ use laab_dense::{Matrix, Scalar};
 
 use crate::admission::FlushKind;
 
-/// Protocol version byte carried by every frame. Version 2 adds the
-/// per-request `deadline_us` field and the `Busy`/`Expired`/`Failed`
-/// response statuses. The decoder still accepts version-1 frames (a v1
-/// request simply carries no deadline), so old clients keep working; the
-/// encoder always emits the current version.
+/// Protocol version byte carried by every frame, and the only one the
+/// decoder accepts: any other byte, the retired version 1 included, is
+/// [`FrameError::UnknownVersion`]. Version 2 added the per-request
+/// `deadline_us` field and the `Busy`/`Expired`/`Failed` response
+/// statuses.
 pub const PROTO_VERSION: u8 = 2;
-
-/// The previous protocol version, still accepted on decode: requests
-/// lack `deadline_us` (treated as "no deadline") and responses only
-/// carry the ok/error statuses.
-pub const PROTO_VERSION_V1: u8 = 1;
 
 /// Upper bound on one frame's payload length. Requests and responses are
 /// tiny (well under 1 KiB); anything larger is a corrupt or hostile
@@ -86,8 +81,7 @@ pub enum FrameError {
         /// The claimed payload length.
         len: u32,
     },
-    /// The frame's version byte is neither [`PROTO_VERSION`] nor
-    /// [`PROTO_VERSION_V1`].
+    /// The frame's version byte is not [`PROTO_VERSION`].
     UnknownVersion(u8),
     /// The frame's message tag is not one this version defines.
     UnknownMessage(u8),
@@ -193,7 +187,6 @@ pub struct RequestMsg {
     /// Microseconds the client is willing to wait, measured from server
     /// receipt; `0` means no deadline. A request whose deadline elapses
     /// before execution gets [`Outcome::Expired`] instead of compute.
-    /// Version-1 frames carry no deadline field and decode as `0`.
     pub deadline_us: u64,
 }
 
@@ -432,7 +425,7 @@ impl<'a> Cursor<'a> {
 fn decode_payload(payload: &[u8]) -> Result<Message, FrameError> {
     let mut c = Cursor { buf: payload, pos: 0 };
     let version = c.u8()?;
-    if version != PROTO_VERSION && version != PROTO_VERSION_V1 {
+    if version != PROTO_VERSION {
         return Err(FrameError::UnknownVersion(version));
     }
     let msg = match c.u8()? {
@@ -444,7 +437,7 @@ fn decode_payload(payload: &[u8]) -> Result<Message, FrameError> {
                 dtype: dtype_of(c.u8()?)?,
                 backend: c.str()?,
                 payload: c.u64()?,
-                deadline_us: if version >= 2 { c.u64()? } else { 0 },
+                deadline_us: c.u64()?,
             };
             if req.n == 0 {
                 return Err(FrameError::BadPayload { what: "request operand size n = 0" });
@@ -476,9 +469,9 @@ fn decode_payload(payload: &[u8]) -> Result<Message, FrameError> {
                     ok
                 }
                 1 => Outcome::Err { message: c.str()? },
-                2 if version >= 2 => Outcome::Busy { retry_after_us: c.u64()? },
-                3 if version >= 2 => Outcome::Expired { waited_us: c.u64()? },
-                4 if version >= 2 => Outcome::Failed { message: c.str()? },
+                2 => Outcome::Busy { retry_after_us: c.u64()? },
+                3 => Outcome::Expired { waited_us: c.u64()? },
+                4 => Outcome::Failed { message: c.str()? },
                 other => return Err(FrameError::UnknownStatus(other)),
             };
             Message::Response(ResponseMsg { id, outcome })
@@ -667,24 +660,6 @@ mod tests {
         }
     }
 
-    /// Hand-encode a version-1 frame (no `deadline_us`) for the given
-    /// request fields, exactly as the PR-6 encoder laid it out.
-    fn encode_v1_request(id: u64, family: &str, n: u64, backend: &str, payload: u64) -> Vec<u8> {
-        let mut body = vec![PROTO_VERSION_V1, 1u8]; // version, TAG_REQUEST
-        body.extend_from_slice(&id.to_le_bytes());
-        body.extend_from_slice(&(family.len() as u16).to_le_bytes());
-        body.extend_from_slice(family.as_bytes());
-        body.extend_from_slice(&n.to_le_bytes());
-        body.push(2); // Dtype::F64
-        body.extend_from_slice(&(backend.len() as u16).to_le_bytes());
-        body.extend_from_slice(backend.as_bytes());
-        body.extend_from_slice(&payload.to_le_bytes());
-        let mut frame = Vec::with_capacity(4 + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&body);
-        frame
-    }
-
     #[test]
     fn served_requests_and_ok_responses_fit_the_frame_reserve() {
         for family in crate::workload::Family::ALL {
@@ -693,37 +668,6 @@ mod tests {
             assert!(encode_frame(&req).len() <= FRAME_RESERVE, "{}", family.id());
         }
         assert!(encode_frame(&response()).len() <= FRAME_RESERVE);
-    }
-
-    #[test]
-    fn version_one_requests_still_decode_with_no_deadline() {
-        let frame = encode_v1_request(77, "chain", 96, "engine", 5);
-        let (msg, used) = decode_frame(&frame).expect("v1 decodes");
-        assert_eq!(used, frame.len());
-        match msg {
-            Message::Request(r) => {
-                assert_eq!(r.id, 77);
-                assert_eq!(r.family, "chain");
-                assert_eq!(r.n, 96);
-                assert_eq!(r.backend, "engine");
-                assert_eq!(r.payload, 5);
-                assert_eq!(r.deadline_us, 0, "v1 frames carry no deadline");
-            }
-            other => panic!("expected a request, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn version_one_frames_reject_v2_only_statuses() {
-        // A v1 response with status byte 2 (Busy in v2) is unknown under v1.
-        let mut body = vec![PROTO_VERSION_V1, 2u8]; // version, TAG_RESPONSE
-        body.extend_from_slice(&42u64.to_le_bytes());
-        body.push(2);
-        body.extend_from_slice(&750u64.to_le_bytes());
-        let mut frame = Vec::with_capacity(4 + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&body);
-        assert_eq!(decode_frame(&frame), Err(FrameError::UnknownStatus(2)));
     }
 
     #[test]
@@ -806,9 +750,12 @@ mod tests {
 
     #[test]
     fn unknown_version_and_tag_are_structured_errors() {
+        // Every version byte but the current one, the retired 1 included.
         let mut frame = encode_frame(&request());
-        frame[4] = 99; // version byte
-        assert_eq!(decode_frame(&frame), Err(FrameError::UnknownVersion(99)));
+        for v in (0..=u8::MAX).filter(|&v| v != PROTO_VERSION) {
+            frame[4] = v; // version byte
+            assert_eq!(decode_frame(&frame), Err(FrameError::UnknownVersion(v)));
+        }
         let mut frame = encode_frame(&Message::Shutdown);
         frame[5] = 250; // tag byte
         assert_eq!(decode_frame(&frame), Err(FrameError::UnknownMessage(250)));

@@ -16,15 +16,15 @@
 //! out-of-range sizes are *rejected with a response frame*, never a
 //! panic), and submits jobs keyed by `(family, n, dtype, backend)` —
 //! exactly what determines the plan-cache [`Signature`].
-//! A pool of executor threads (`--clients`) drains whole batches
-//! through the shared [`PlanCache`]. Each executor remembers, per key,
-//! the signature and operand pools it built the first time, so a
-//! repeated key costs one map probe. Every execution's answers leave
-//! in one `write` per connection: one response frame per request,
-//! carrying the measured queue delay, the per-request
+//! A pool of executor threads (detected parallelism, at most 8) drains
+//! whole batches through the shared [`PlanCache`]. Each executor
+//! remembers, per key, the signature and operand pools it built the
+//! first time, so a repeated key costs one map probe. Every execution's
+//! answers leave in one `write` per connection: one response frame per
+//! request, carrying the measured queue delay, the per-request
 //! execution share, the batch occupancy and [`FlushKind`], and a
-//! [checksum](crate::proto::result_checksum)
-//! of the result matrices for client-side bitwise validation.
+//! [checksum](crate::proto::result_checksum) of the result matrices for
+//! client-side bitwise validation.
 //!
 //! Shutdown is graceful and in-band: a [`Message::Shutdown`] frame is
 //! acknowledged immediately, the listener stops accepting, readers drain
@@ -60,6 +60,18 @@ use crate::workload::{Family, Request};
 /// executor to drain a few small batches, short next to any client
 /// timeout.
 const RETRY_AFTER_US: u64 = 500;
+
+/// Plan-cache capacity per served backend. The cache is shared and
+/// hash-sharded, not partitioned per backend, so this sizes it in
+/// proportion rather than isolating backends.
+const PLANS_PER_BACKEND: usize = 64;
+
+/// Executor threads draining the admission queue: detected hardware
+/// parallelism, capped at 8 (beyond that the one-socket kernels are the
+/// bottleneck, not the serving layer).
+fn executor_count() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get()).min(8)
+}
 
 /// The XOR mask an injected `corrupt` fault applies to a response
 /// checksum. Constant (not keyed) so tests can predict the corrupted
@@ -349,20 +361,16 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind the listener. Validates the config the way the builder does
-    /// — backend names, shard count.
+    /// Bind the listener. Validates the backend names the way the
+    /// builder does.
     ///
     /// # Errors
-    /// Config rejections ([`ServeError::UnknownBackend`] etc.,
-    /// [`ServeError::ZeroShards`]),
+    /// Backend-list rejections ([`ServeError::UnknownBackend`] etc.),
     /// [`ServeError::BadListen`] for an unintelligible address, and
     /// [`ServeError::Bind`] when the OS refuses the socket.
     pub fn bind(spec: &str, cfg: &ServeConfig) -> Result<Server, ServeError> {
         let addr = Listen::parse(spec)?;
         let regs = resolve_backends(&cfg.backends)?;
-        if cfg.shards == 0 {
-            return Err(ServeError::ZeroShards);
-        }
         let wrap =
             |e: std::io::Error| ServeError::Bind { addr: addr.display(), source: Arc::new(e) };
         let (listener, local) = match &addr {
@@ -402,7 +410,7 @@ impl Server {
         let Server { local, listener, cfg, regs } = self;
         let queue: AdmissionQueue<JobKey, ServerJob> =
             AdmissionQueue::bounded(cfg.batch_window, None, cfg.backlog);
-        let cache = PlanCache::with_shards(cfg.cache_capacity.max(1) * regs.len(), cfg.shards);
+        let cache = PlanCache::new(PLANS_PER_BACKEND * regs.len());
         let pools: Mutex<HashMap<(Family, usize), Arc<PoolPair>>> = Mutex::new(HashMap::new());
         let shutdown = AtomicBool::new(false);
         let counters = Counters::default();
@@ -434,7 +442,7 @@ impl Server {
 
         std::thread::scope(|scope| {
             let mut executors = Vec::new();
-            for _ in 0..cfg.resolved_clients() {
+            for _ in 0..executor_count() {
                 let (queue, exec) = (&queue, &exec);
                 executors.push(scope.spawn(move || {
                     let mut memo = Memo::default();
@@ -924,11 +932,6 @@ mod tests {
             Server::bind("unix:/tmp/never-bound.sock", &cfg),
             Err(ServeError::UnknownBackend { .. })
         ));
-        let cfg = ServeConfig { shards: 0, ..ServeConfig::default() };
-        assert_eq!(
-            Server::bind("unix:/tmp/never-bound.sock", &cfg).err(),
-            Some(ServeError::ZeroShards)
-        );
     }
 
     const SEED: u64 = 0x1AAB;

@@ -52,12 +52,6 @@ SERVE OPTIONS (laab serve — the compiled-plan cache behind a socket):
                      loadgen), then prints what it served and its
                      plan-cache counters. Throughput and latency are
                      measured from outside: laab loadgen, benchmark/run.sh
-    --clients C      executor threads. Explicit counts are taken verbatim
-                     (never clamped); omit the flag for auto-detection,
-                     which caps at 8 — beyond that the 1-socket kernels,
-                     not the serving layer, are the bottleneck. `--clients
-                     0` is rejected: it is not \"all cores\".
-                                                   [default: auto, max 8]
     --seed S         operand-pool/payload/fault seed; a verifying client
                      must pass the same one        [default: 6827 (0x1AAB)]
     --backends LIST  comma-separated execution backends requests may ask
@@ -290,9 +284,9 @@ fn parse_list(value: Option<String>, flag: &str) -> Result<Vec<String>, String> 
 }
 
 /// Parse `laab serve` arguments. `Ok(None)` means `--help` was requested.
-/// Construction goes through [`ServeConfig::builder`] so every invalid
-/// combination — unknown backends, `--clients 0` — is rejected here
-/// with a usage error, not after the listener is bound.
+/// Construction goes through [`ServeConfig::builder`] so a bad backend
+/// list is rejected here with a usage error, not after the listener is
+/// bound.
 fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<Option<ServeArgs>, String> {
     let mut builder = ServeConfig::builder();
     let mut listen = None;
@@ -300,7 +294,6 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<Option<ServeAr
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--listen" => listen = Some(args.next().ok_or("--listen requires an address")?),
-            "--clients" => builder = builder.clients(parse_num(args.next(), "--clients")?),
             "--seed" => builder = builder.seed(parse_num(args.next(), "--seed")?),
             "--backends" => builder = builder.backends(parse_list(args.next(), "--backends")?),
             "--batch-window" => {
@@ -629,20 +622,15 @@ mod tests {
     #[test]
     fn surviving_serve_flags_round_trip_into_the_config() {
         let args = serve_args(
-            "--listen unix:/tmp/x.sock --clients 3 --seed 7 \
+            "--listen unix:/tmp/x.sock --seed 7 \
              --backends engine,reference --batch-window 0 --max-inflight 5 --backlog 6 \
              --quarantine-after 9 --read-timeout-ms 10 --faults panic:1/8",
         )
         .expect("valid")
         .expect("not --help");
         assert_eq!(args.listen, "unix:/tmp/x.sock");
-        let defaults = ServeConfig::default();
         let want = ServeConfig {
-            clients: 3,
             seed: 7,
-            // No flag reaches the cache geometry.
-            cache_capacity: defaults.cache_capacity,
-            shards: defaults.shards,
             backends: vec!["engine".into(), "reference".into()],
             batch_window: 0,
             max_inflight: 5,
@@ -654,8 +642,10 @@ mod tests {
         assert_eq!(args.cfg, want);
 
         let bare = serve_args("--listen tcp:127.0.0.1:0").unwrap().unwrap();
-        assert_eq!(bare.cfg, defaults);
-        let err = serve_args("--listen unix:/tmp/x.sock --clients 0").err().expect("rejected");
-        assert!(err.contains("--clients 0"), "{err}");
+        assert_eq!(bare.cfg, ServeConfig::default());
+        // The executor count is not settable: detected parallelism, at
+        // most 8.
+        let err = serve_args("--listen unix:/tmp/x.sock --clients 2").err();
+        assert_eq!(err.as_deref(), Some("unknown option `--clients` for `laab serve`"));
     }
 }
