@@ -29,9 +29,10 @@ impl OperandGen {
         T::from_f64(self.rng.gen::<f64>() - 0.5)
     }
 
-    /// A general dense `rows × cols` matrix with uniform entries.
+    /// A general dense `rows × cols` matrix with uniform entries, drawn
+    /// in row-major order.
     pub fn matrix<T: Scalar>(&mut self, rows: usize, cols: usize) -> Matrix<T> {
-        Matrix::from_fn(rows, cols, |_, _| self.sample())
+        Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| self.sample()).collect())
     }
 
     /// A column vector of length `n` (shape `n×1`).
@@ -168,6 +169,15 @@ impl OperandGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn matrices_take_the_stream_in_row_major_order() {
+        let (mut a, mut b) = (OperandGen::new(9), OperandGen::new(9));
+        let drawn = a.matrix::<f64>(3, 4);
+        let want = Matrix::from_fn(3, 4, |_, _| b.sample::<f64>());
+        assert_eq!(drawn, want);
+        assert_eq!(a.matrix::<f32>(2, 1), Matrix::from_fn(2, 1, |_, _| b.sample::<f32>()));
+    }
 
     #[test]
     fn seeded_generation_is_deterministic() {

@@ -48,6 +48,14 @@ impl<T: Scalar> Env<T> {
         self.map.get(name).map(|m| &**m)
     }
 
+    /// The reference-counted handle `name` is bound to. Two environments
+    /// bind `name` to one value when their handles share an allocation
+    /// (`Arc::ptr_eq`): how a caller recognises a re-used operand without
+    /// reading its elements.
+    pub fn binding(&self, name: &str) -> Option<&Arc<Matrix<T>>> {
+        self.map.get(name)
+    }
+
     /// Look up a binding, panicking with a clear message when missing.
     pub fn expect(&self, name: &str) -> &Matrix<T> {
         self.get(name).unwrap_or_else(|| panic!("operand `{name}` is not bound in the Env"))

@@ -27,10 +27,21 @@
 //! like the `MatMul` it was lowered from). A plan with an illegal node
 //! runs a batch one environment at a time, each the solo sweep, so it
 //! costs a batching server nothing but the lost amortization.
+//!
+//! `Shared` is also the lifetime bit: a node is shared exactly when no
+//! varying leaf lies under it, so its value is the same on every request
+//! with the same shared bindings, not only across one batch. The
+//! analysis **hoists** each shared node, other than an `Input`, that
+//! feeds a stacked one ([`BatchAnalysis::hoisted`]): a caller evaluates
+//! them once per binding of the shared operands they read
+//! ([`hoisted_values`](crate::hoisted_values)) and hands the values to
+//! every sweep ([`execute_hoisted_on`](crate::execute_hoisted_on)), which
+//! then skips every shared node only they read. A plan with a shared
+//! output hoists nothing: its requests would be answered from a cache.
 
 use laab_kernels::Trans;
 
-use crate::ir::{Graph, NodeId, OpKind};
+use crate::ir::{Graph, Node, NodeId, OpKind};
 
 /// How one node behaves across a batch of environments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,14 +66,31 @@ pub(crate) fn stacked_form(kind: &OpKind, inputs: &[BatchStatus]) -> Option<Batc
     }
 }
 
+/// When a sweep evaluates a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Eval {
+    /// On every execution.
+    Sweep,
+    /// Never: its value is the hoisted value at this index.
+    Hoisted(usize),
+    /// Never: only hoisted nodes read it.
+    Skip,
+}
+
 /// The per-node batch classification of one graph, plus the overall
-/// stackability verdict. Derived from graph *structure* and the set of
-/// varying input names — value-independent, so a serving layer computes
-/// it once at plan-compile time and reuses it per batch.
+/// stackability verdict and the hoisted nodes. Derived from graph
+/// *structure* and the set of varying input names — value-independent,
+/// so a serving layer computes it once at plan-compile time and reuses it
+/// per batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchAnalysis {
     status: Vec<BatchStatus>,
     stackable: bool,
+    eval: Vec<Eval>,
+    hoisted: Vec<NodeId>,
+    /// The shared nodes the hoisted ones are computed from, outputs in
+    /// `hoisted` order.
+    hoist_graph: Graph,
 }
 
 impl BatchAnalysis {
@@ -96,7 +124,52 @@ impl BatchAnalysis {
             };
             status.push(s);
         }
-        Self { status, stackable: legal && has_varying }
+        let stackable = legal && has_varying;
+        let shared = |id: &NodeId| status[id.idx()] == BatchStatus::Shared;
+        let mut hoist = vec![false; g.len()];
+        if has_varying && !g.outputs.iter().any(shared) {
+            for (i, node) in g.nodes.iter().enumerate() {
+                if status[i] == BatchStatus::Stacked {
+                    for id in node.inputs.iter().filter(|id| shared(id)) {
+                        hoist[id.idx()] = !matches!(g.nodes[id.idx()].kind, OpKind::Input(_));
+                    }
+                }
+            }
+        }
+        let hoisted: Vec<NodeId> =
+            (0..g.len() as u32).map(NodeId).filter(|id| hoist[id.idx()]).collect();
+        if hoisted.is_empty() {
+            // Every node is swept: `eval` reads an empty list as that.
+            let (eval, hoist_graph) = (Vec::new(), Graph::default());
+            return Self { status, stackable, eval, hoisted, hoist_graph };
+        }
+        // What the sweep still evaluates (the outputs and what they read
+        // past the hoisted nodes), and what the hoisted nodes read.
+        let (mut live, mut under) = (vec![false; g.len()], hoist.clone());
+        g.outputs.iter().for_each(|id| live[id.idx()] = true);
+        for (i, node) in g.nodes.iter().enumerate().rev() {
+            for id in &node.inputs {
+                live[id.idx()] |= live[i] && !hoist[i];
+                under[id.idx()] |= under[i];
+            }
+        }
+        let eval = (0..g.len())
+            .map(|i| match hoisted.binary_search(&NodeId(i as u32)) {
+                Ok(k) => Eval::Hoisted(k),
+                Err(_) if live[i] => Eval::Sweep,
+                Err(_) => Eval::Skip,
+            })
+            .collect();
+        let mut remap = vec![NodeId(u32::MAX); g.len()];
+        let mut nodes = Vec::new();
+        for (i, node) in g.nodes.iter().enumerate().filter(|(i, _)| under[*i]) {
+            remap[i] = NodeId(nodes.len() as u32);
+            let inputs = node.inputs.iter().map(|id| remap[id.idx()]).collect();
+            nodes.push(Node { kind: node.kind.clone(), inputs, shape: node.shape });
+        }
+        let outputs = hoisted.iter().map(|id| remap[id.idx()]).collect();
+        let hoist_graph = Graph { nodes, outputs };
+        Self { status, stackable, eval, hoisted, hoist_graph }
     }
 
     /// `true` when the whole plan executes in one stacked sweep;
@@ -108,6 +181,24 @@ impl BatchAnalysis {
     /// The classification of node `id`.
     pub fn status(&self, id: NodeId) -> BatchStatus {
         self.status[id.idx()]
+    }
+
+    /// The hoisted nodes, in graph order (module docs): what
+    /// [`hoisted_values`](crate::hoisted_values) returns the values of.
+    pub fn hoisted(&self) -> &[NodeId] {
+        &self.hoisted
+    }
+
+    /// The subgraph that computes the hoisted nodes from the shared
+    /// operands, its outputs in [`BatchAnalysis::hoisted`] order; empty
+    /// when nothing is hoisted. Its inputs are the operands a binding of
+    /// the hoisted values depends on.
+    pub fn hoist_graph(&self) -> &Graph {
+        &self.hoist_graph
+    }
+
+    pub(crate) fn eval(&self, id: NodeId) -> Eval {
+        self.eval.get(id.idx()).copied().unwrap_or(Eval::Sweep)
     }
 
     /// Number of classified nodes.
@@ -308,6 +399,63 @@ mod tests {
             outputs: vec![NodeId(1)],
         };
         assert!(!batched_is_solo(&g, n, 4, 31).0.stackable(), "Syrk of a stacked value is illegal");
+    }
+
+    #[test]
+    fn a_shared_product_feeding_a_stacked_one_is_hoisted() {
+        // (HᵀH)x with x varying: HᵀH is hoisted, and H (read only by it)
+        // is skipped. The sweep over the hoisted value runs the GEMVs
+        // alone and returns the full sweep's bits, solo and stacked.
+        use crate::exec::{execute_hoisted_on, hoisted_values};
+        use laab_kernels::counters::{measure, Kernel};
+        let n = 24;
+        let mut gb = GraphBuilder::new();
+        let (h, x) = (gb.input("H", n, n), gb.input("x", n, 1));
+        let ht = gb.transpose(h);
+        let gram = gb.matmul(ht, h);
+        let out = gb.matmul(gram, x);
+        let mut g = gb.finish(vec![out]);
+        optimize(&mut g, &PassConfig::all());
+        let (schedule, analysis) = (Schedule::new(&g), BatchAnalysis::analyze(&g, is_varying));
+        let gram = NodeId(2);
+        assert!(matches!(g.node(gram).kind, OpKind::MatMul { .. }));
+        assert_eq!(analysis.hoisted(), [gram]);
+        assert_eq!(analysis.hoist_graph().len(), 2, "H and HᵀH");
+        let engine = laab_backend::engine();
+        for q in [1, 4] {
+            let owned = envs::<f64>(n, q, 43);
+            let refs: Vec<&Env<f64>> = owned.iter().collect();
+            let (values, once) = measure(|| hoisted_values(&analysis, refs[0], engine));
+            assert_eq!((once.calls(Kernel::Gemm), once.total_calls()), (1, 1));
+            let (got, each) =
+                measure(|| execute_hoisted_on(&g, &schedule, &analysis, &values, &refs, engine));
+            assert_eq!((each.calls(Kernel::Gemv), each.total_calls()), (q as u64, q as u64));
+            let solo: Vec<_> =
+                refs.iter().map(|e| execute_scheduled_on(&g, &schedule, e, engine)).collect();
+            assert_eq!(got, solo, "q={q}");
+        }
+    }
+
+    #[test]
+    fn shared_outputs_and_inputs_are_never_hoisted() {
+        // HᵀH alone (a shared output), HᵀH + HᵀH·x (a shared output beside
+        // a stacked one) and Hᵀ(y − Hx) (nothing shared but H): no values.
+        let n = 6;
+        let mut gb = GraphBuilder::new();
+        let h = gb.input("H", n, n);
+        let ht = gb.transpose(h);
+        let gram = gb.matmul(ht, h);
+        let only = gb.finish(vec![gram]);
+        let mut gb = GraphBuilder::new();
+        let (h, x) = (gb.input("H", n, n), gb.input("x", n, 1));
+        let gram = gb.matmul(h, h);
+        let gx = gb.matmul(gram, x);
+        let beside = gb.finish(vec![gram, gx]);
+        for g in [only, beside, residual_graph(n)] {
+            let analysis = BatchAnalysis::analyze(&g, is_varying);
+            assert!(analysis.hoisted().is_empty());
+            assert!(analysis.hoist_graph().is_empty());
+        }
     }
 
     #[test]

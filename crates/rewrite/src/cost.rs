@@ -23,6 +23,15 @@
 //! The anchors are the constants of [`CostModel::default`] and nothing
 //! else: extraction decides what a server and a verifying client compute,
 //! so it must not depend on a file either of them happens to find.
+//!
+//! A served plan runs once per request against operands of two
+//! lifetimes: the declared-varying ones (the payload) and the shared ones,
+//! bound once per key. A subterm whose every leaf is shared is
+//! **invariant**: its value is the same on every request, so the plan
+//! computes it once per binding ([`Cost::once`]) instead of on every
+//! request ([`Cost::request`]). [`CostModel::split_cost`] prices a tree
+//! that way, and only when the root itself varies: a plan whose result is
+//! invariant hoists nothing (that would be answering from a cache).
 
 use crate::egraph::{EGraph, ENode};
 use laab_expr::cost::mul_cost;
@@ -31,6 +40,38 @@ use laab_expr::{Context, Expr, Shape};
 /// Minimum vector-side dimension below which a product is priced at the
 /// memory-bound (GEMV) rate rather than the compute-bound (GEMM) rate.
 const GEMV_DIM: usize = 8;
+
+/// A modeled cost split by how often it is paid. Ordered per request
+/// first: of two forms, the one cheaper on every request wins, and the
+/// one-time work decides only a tie.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Cost {
+    /// Ticks paid on every execution.
+    pub request: u64,
+    /// Ticks of hoisted (invariant) work, paid once per binding of the
+    /// shared operands it reads.
+    pub once: u64,
+}
+
+impl Cost {
+    /// `self` plus `ticks` of per-request work, or of one-time work when
+    /// `hoisted`.
+    pub(crate) fn plus(self, ticks: u64, hoisted: bool) -> Cost {
+        if hoisted {
+            Cost { once: self.once.saturating_add(ticks), ..self }
+        } else {
+            Cost { request: self.request.saturating_add(ticks), ..self }
+        }
+    }
+}
+
+/// Whether some leaf of `expr` is a declared-varying operand.
+fn varies(expr: &Expr, varying: &[&str]) -> bool {
+    match expr {
+        Expr::Var(name) => varying.contains(&name.as_str()),
+        _ => expr.children().into_iter().any(|kid| varies(kid, varying)),
+    }
+}
 
 /// Throughput-calibrated extraction costs. Units are abstract "time
 /// ticks" — flops divided by the regime's relative throughput — so only
@@ -121,22 +162,37 @@ impl CostModel {
     /// per-node pricing as [`CostModel::enode_cost`], with structurally
     /// equal subterms priced once (what the trace-time CSE pass executes).
     /// This is the un-extracted baseline reported next to the extracted
-    /// cost, in the same units as [`Extraction::cost`](crate::Extraction).
+    /// cost, in the same units as [`Extraction::cost`](crate::Extraction):
+    /// every node priced per request.
     pub fn expr_cost(&self, expr: &Expr, ctx: &Context) -> u64 {
+        self.split_cost(expr, ctx, &[]).request
+    }
+
+    /// [`CostModel::expr_cost`] split by lifetime (module docs): when the
+    /// root reads a `varying` operand, each invariant subterm is priced in
+    /// [`Cost::once`]; otherwise everything is per request.
+    pub fn split_cost(&self, expr: &Expr, ctx: &Context, varying: &[&str]) -> Cost {
         // A list, not a hash set: the serving path prices a ten-node
         // expression per request, where hashing every subtree costs more
         // than comparing against the few already seen.
         let mut seen = Vec::with_capacity(16);
-        self.unseen_cost(expr, ctx, &mut seen)
+        let hoist = !varying.is_empty() && varies(expr, varying);
+        self.unseen_cost(expr, ctx, hoist.then_some(varying), &mut seen).0
     }
 
-    /// Cost of the subterms of `expr` not yet in `seen` (0 when `expr`
-    /// itself was priced before).
-    fn unseen_cost<'e>(&self, expr: &'e Expr, ctx: &Context, seen: &mut Vec<&'e Expr>) -> u64 {
-        if seen.contains(&expr) {
-            return 0;
+    /// Cost of the subterms of `expr` not yet in `seen` (zero when `expr`
+    /// itself was priced before), and whether `expr` is invariant. With
+    /// `varying`, invariant subterms are priced once.
+    fn unseen_cost<'e>(
+        &self,
+        expr: &'e Expr,
+        ctx: &Context,
+        varying: Option<&[&str]>,
+        seen: &mut Vec<(&'e Expr, bool)>,
+    ) -> (Cost, bool) {
+        if let Some(&(_, invariant)) = seen.iter().find(|(e, _)| *e == expr) {
+            return (Cost::default(), invariant);
         }
-        seen.push(expr);
         let sweep = |x: &Expr| self.sweep_cost(x.shape(ctx));
         // Own cost and children, matched in place: `Expr::children`
         // would allocate once per node on a per-request path.
@@ -164,9 +220,16 @@ impl CostModel {
                 (sweep(a).saturating_add(sweep(b)), [Some(a), Some(b)])
             }
         };
-        kids.into_iter()
-            .flatten()
-            .fold(own, |acc, kid| acc.saturating_add(self.unseen_cost(kid, ctx, seen)))
+        let leaf_varies =
+            matches!(expr, Expr::Var(name) if varying.is_some_and(|v| v.contains(&name.as_str())));
+        let (mut cost, mut invariant) = (Cost::default(), !leaf_varies);
+        for kid in kids.into_iter().flatten() {
+            let (c, inv) = self.unseen_cost(kid, ctx, varying, seen);
+            cost = cost.plus(c.request, false).plus(c.once, true);
+            invariant &= inv;
+        }
+        seen.push((expr, invariant));
+        (cost.plus(own, varying.is_some() && invariant), invariant)
     }
 }
 

@@ -42,8 +42,18 @@
 //! [`optimize_egraph`] is the pipeline callers use: intern → saturate →
 //! extract, falling back to the input on a budget hit
 //! ([`SaturateStats::budget_hit`]).
+//!
+//! [`optimize_egraph_with_varying`] prices by lifetime ([`Cost`]): a class
+//! is invariant when some member reads only invariant classes, with a
+//! leaf invariant unless it is a declared-varying operand. When the root
+//! varies, an invariant class may only select an invariant member, so the
+//! extracted subtree really reads no varying operand, and its cost is
+//! paid once per binding rather than per request. Selections then compare
+//! per request first, so `(HᵀH)x` with a shared `H` (one GEMV per
+//! request) beats `Hᵀ(Hx)` (two), while `Hᵀy − (HᵀH)x` ties with
+//! `Hᵀ(y − Hx)` per request and the input form is kept.
 
-use crate::cost::CostModel;
+use crate::cost::{Cost, CostModel};
 use crate::egraph::{EClassId, EGraph, ENode};
 use crate::saturate::{egraph_rules, saturate, SaturateConfig, SaturateStats};
 use laab_expr::{Context, Expr};
@@ -84,11 +94,41 @@ fn reads(eg: &EGraph, node: &ENode) -> (Vec<EClassId>, u64) {
     }
 }
 
+/// Whether `node` reads only invariant classes (`invariant`, indexed by
+/// canonical class id), or is a leaf other than a `varying` operand.
+fn reads_invariant(eg: &EGraph, node: &ENode, invariant: &[bool], varying: &[&str]) -> bool {
+    match node {
+        ENode::Var(name) => !varying.contains(&name.as_str()),
+        _ => node.children().iter().all(|c| invariant[eg.find(*c).0 as usize]),
+    }
+}
+
+/// Per class, indexed by canonical id: whether some member computes the
+/// class's value from invariant classes alone (a least fixpoint; every
+/// class without a varying operand).
+fn invariant_classes(eg: &EGraph, ids: &[EClassId], slots: usize, varying: &[&str]) -> Vec<bool> {
+    let mut invariant = vec![varying.is_empty(); slots];
+    let mut changed = !varying.is_empty();
+    while changed {
+        changed = false;
+        for &id in ids {
+            let i = id.0 as usize;
+            if !invariant[i]
+                && eg.class(id).nodes.iter().any(|n| reads_invariant(eg, n, &invariant, varying))
+            {
+                invariant[i] = true;
+                changed = true;
+            }
+        }
+    }
+    invariant
+}
+
 /// One class's current selection.
 #[derive(Clone, Copy)]
 struct Choice {
     /// DAG cost of the selection rooted here, as of when it was chosen.
-    cost: u64,
+    cost: Cost,
     /// Index of the chosen member in the class's node list.
     member: usize,
 }
@@ -98,6 +138,9 @@ struct Selection<'a> {
     eg: &'a EGraph,
     /// `own[class][member]`: the member's own cost, children excluded.
     own: Vec<Vec<u64>>,
+    /// Classes priced once per binding rather than per request: the
+    /// invariant ones, when the root varies.
+    hoisted: Vec<bool>,
     /// Indexed by canonical class id.
     best: Vec<Option<Choice>>,
     /// `seen[class] == stamp` marks a class visited by the current walk.
@@ -109,11 +152,12 @@ impl Selection<'_> {
     /// DAG cost of choosing `member` for class `id` on top of the current
     /// choices below it, or `None` when a child has no choice yet or the
     /// member would close a cycle through `id`.
-    fn price(&mut self, id: EClassId, member: usize) -> Option<u64> {
+    fn price(&mut self, id: EClassId, member: usize) -> Option<Cost> {
         self.stamp += 1;
         self.seen[id.0 as usize] = self.stamp;
         let (mut stack, tick) = reads(self.eg, &self.eg.class(id).nodes[member]);
-        let mut cost = self.own[id.0 as usize][member].saturating_add(tick);
+        let own = self.own[id.0 as usize][member].saturating_add(tick);
+        let mut cost = Cost::default().plus(own, self.hoisted[id.0 as usize]);
         while let Some(c) = stack.pop() {
             let c = self.eg.find(c);
             if c == id {
@@ -124,7 +168,8 @@ impl Selection<'_> {
             }
             let chosen = self.best[c.0 as usize]?.member;
             let (kids, tick) = reads(self.eg, &self.eg.class(c).nodes[chosen]);
-            cost = cost.saturating_add(self.own[c.0 as usize][chosen]).saturating_add(tick);
+            let own = self.own[c.0 as usize][chosen].saturating_add(tick);
+            cost = cost.plus(own, self.hoisted[c.0 as usize]);
             stack.extend(kids);
         }
         Some(cost)
@@ -132,20 +177,35 @@ impl Selection<'_> {
 }
 
 /// Extract a cheap expression of `root`'s class under `model`, priced as
-/// a DAG. Deterministic: fixed iteration order, strict-improvement
-/// updates, first-member tie-breaking.
+/// a DAG, every node per request. Deterministic: fixed iteration order,
+/// strict-improvement updates, first-member tie-breaking.
 pub fn extract_best(eg: &EGraph, root: EClassId, model: &CostModel) -> Extraction {
+    let expr = extract(eg, root, model, &[]);
+    Extraction { cost: model.expr_cost(&expr, eg.ctx()), expr }
+}
+
+/// The cheapest tree of `root`'s class, priced by lifetime against the
+/// `varying` operands (module docs).
+fn extract(eg: &EGraph, root: EClassId, model: &CostModel, varying: &[&str]) -> Expr {
     let ids = eg.class_ids();
     let slots = ids.last().map_or(0, |id| id.0 as usize + 1);
     let mut own = vec![Vec::new(); slots];
     for &id in &ids {
         own[id.0 as usize] = eg.class(id).nodes.iter().map(|n| model.enode_cost(eg, n)).collect();
     }
-    let mut sel = Selection { eg, own, best: vec![None; slots], seen: vec![0; slots], stamp: 0 };
+    let invariant = invariant_classes(eg, &ids, slots, varying);
+    let hoisted = if invariant[eg.find(root).0 as usize] { vec![false; slots] } else { invariant };
+    let mut sel =
+        Selection { eg, own, hoisted, best: vec![None; slots], seen: vec![0; slots], stamp: 0 };
     loop {
         let mut changed = false;
         for &id in &ids {
-            for member in 0..eg.class(id).nodes.len() {
+            for (member, node) in eg.class(id).nodes.iter().enumerate() {
+                // A hoisted class computes its value from invariant
+                // classes only, or the subtree would read the payload.
+                if sel.hoisted[id.0 as usize] && !reads_invariant(eg, node, &sel.hoisted, varying) {
+                    continue;
+                }
                 let Some(cost) = sel.price(id, member) else { continue };
                 if sel.best[id.0 as usize].is_none_or(|b| cost < b.cost) {
                     sel.best[id.0 as usize] = Some(Choice { cost, member });
@@ -157,10 +217,7 @@ pub fn extract_best(eg: &EGraph, root: EClassId, model: &CostModel) -> Extractio
             break;
         }
     }
-    // Price the tree as built: a stored choice cost can be stale once a
-    // class below it switched member.
-    let expr = build(eg, &sel.best, root);
-    Extraction { cost: model.expr_cost(&expr, eg.ctx()), expr }
+    build(eg, &sel.best, root)
 }
 
 /// Rebuild the chosen expression tree for `id`'s class.
@@ -212,27 +269,44 @@ pub struct EgraphConfig {
 pub struct EgraphResult {
     /// The extracted (or, on budget hit, the original) expression.
     pub best: Expr,
-    /// Modeled DAG cost of [`EgraphResult::best`]: below
-    /// [`EgraphResult::original_cost`] when `changed`, equal to it
+    /// Modeled per-request DAG cost of [`EgraphResult::best`]
+    /// ([`Cost::request`]): at most [`EgraphResult::original_cost`] when
+    /// `changed` (below it unless only hoisted work fell), equal to it
     /// otherwise.
     pub best_cost: u64,
-    /// Modeled DAG cost of the input expression
-    /// ([`CostModel::expr_cost`], same units).
+    /// Modeled per-request DAG cost of the input expression (without a
+    /// varying set, [`CostModel::expr_cost`]; same units).
     pub original_cost: u64,
     /// What saturation did.
     pub stats: SaturateStats,
     /// `true` when extraction chose a different, strictly cheaper tree
-    /// than the input.
+    /// than the input ([`Cost`] order: per request, then hoisted).
     pub changed: bool,
 }
 
 /// Intern `expr`, saturate under `cfg`'s budgets, and extract a cheaper
-/// equivalent form. The input expression is returned unchanged
-/// (`changed == false`) on a budget hit (`stats.budget_hit == true`, so
-/// a serving caller keeps compiling the input as written) and whenever extraction found nothing strictly cheaper
-/// than it.
+/// equivalent form, every node priced per request. The input expression
+/// is returned unchanged (`changed == false`) on a budget hit
+/// (`stats.budget_hit == true`, so a serving caller keeps compiling the
+/// input as written) and whenever extraction found nothing strictly
+/// cheaper than it.
 pub fn optimize_egraph(expr: &Expr, ctx: &Context, cfg: &EgraphConfig) -> EgraphResult {
-    let original_cost = cfg.cost.expr_cost(expr, ctx);
+    optimize_egraph_with_varying(expr, ctx, cfg, &[])
+}
+
+/// [`optimize_egraph`] for a plan that runs once per request with only the
+/// `varying` operands changing: work on the other (shared) operands alone
+/// is priced once per binding, not per request, whenever the result reads
+/// a varying operand (module docs). With no varying operand, or when
+/// `expr` reads none, this is [`optimize_egraph`].
+pub fn optimize_egraph_with_varying(
+    expr: &Expr,
+    ctx: &Context,
+    cfg: &EgraphConfig,
+    varying: &[&str],
+) -> EgraphResult {
+    let original = cfg.cost.split_cost(expr, ctx, varying);
+    let original_cost = original.request;
     let mut eg = EGraph::new(ctx);
     let root = eg.add_expr(expr);
     let stats = saturate(&mut eg, &egraph_rules(), &cfg.saturate);
@@ -246,11 +320,14 @@ pub fn optimize_egraph(expr: &Expr, ctx: &Context, cfg: &EgraphConfig) -> Egraph
     if stats.budget_hit {
         return keep_input(stats);
     }
-    let ext = extract_best(&eg, root, &cfg.cost);
-    if ext.expr == *expr || ext.cost >= original_cost {
+    // Price the tree as built: a stored choice cost can be stale once a
+    // class below it switched member.
+    let best = extract(&eg, root, &cfg.cost, varying);
+    let cost = cfg.cost.split_cost(&best, ctx, varying);
+    if best == *expr || cost >= original {
         return keep_input(stats);
     }
-    EgraphResult { best: ext.expr, best_cost: ext.cost, original_cost, stats, changed: true }
+    EgraphResult { best, best_cost: cost.request, original_cost, stats, changed: true }
 }
 
 #[cfg(test)]
@@ -267,6 +344,64 @@ mod tests {
         assert!(r.best_cost < r.original_cost);
         let want = var("H").t() * (var("H") * var("x"));
         assert_eq!(r.best, want, "two GEMVs beat GEMM+GEMV");
+    }
+
+    #[test]
+    fn a_shared_gram_is_hoisted_out_of_the_chain() {
+        // With H shared and x varying, HᵀH is priced once per binding, so
+        // (HᵀH)x — one GEMV per request — beats Hᵀ(Hx), two; from either
+        // spelling of the input.
+        for n in [32usize, 192] {
+            let ctx = Context::new().with("H", n, n).with("x", n, 1);
+            let hoisted = var("H").t() * var("H") * var("x");
+            let r = optimize_egraph_with_varying(&hoisted, &ctx, &EgraphConfig::default(), &["x"]);
+            assert!(!r.changed, "n={n}: extracted {}", r.best);
+            let gemv = 2 * (n * n) as u64 * 10;
+            assert_eq!(r.best_cost, gemv + 1, "n={n}: one GEMV and the x tick per request");
+            let twice = var("H").t() * (var("H") * var("x"));
+            let r = optimize_egraph_with_varying(&twice, &ctx, &EgraphConfig::default(), &["x"]);
+            assert!(r.changed);
+            assert_eq!(r.best, hoisted, "n={n}");
+            assert_eq!((r.original_cost, r.best_cost), (2 * gemv + 1, gemv + 1));
+            let split = CostModel::default().split_cost(&hoisted, &ctx, &["x"]);
+            assert_eq!(split.once, 2 + (n * n * n) as u64, "H, Hᵀ and a SYRK-priced HᵀH");
+        }
+    }
+
+    #[test]
+    fn an_invariant_result_hoists_nothing() {
+        // No varying operand, or none the expression reads: every node is
+        // priced per request, exactly as without a varying set.
+        let ctx = Context::new().with("H", 32, 32).with("x", 32, 1);
+        let e = (var("H").t() * var("H")) * var("x");
+        let plain = optimize_egraph(&e, &ctx, &EgraphConfig::default());
+        for varying in [&[][..], &["y"], &["z", "w"]] {
+            let r = optimize_egraph_with_varying(&e, &ctx, &EgraphConfig::default(), varying);
+            assert_eq!(r, plain, "{varying:?}");
+            let split = CostModel::default().split_cost(&e, &ctx, varying);
+            assert_eq!((split.request, split.once), (plain.original_cost, 0));
+        }
+        assert_eq!(plain.best, var("H").t() * (var("H") * var("x")));
+    }
+
+    #[test]
+    fn a_tie_per_request_keeps_the_input() {
+        // Hᵀy − (HᵀH)x costs Hᵀ(y − Hx)'s two GEMVs and one sweep per
+        // request, plus a hoisted HᵀH: the residual form stays.
+        for n in [16usize, 192] {
+            let ctx = Context::new().with("H", n, n).with("x", n, 1).with("y", n, 1);
+            let e = var("H").t() * (var("y") - var("H") * var("x"));
+            let r = optimize_egraph_with_varying(&e, &ctx, &EgraphConfig::default(), &["x", "y"]);
+            assert!(!r.changed, "n={n}: extracted {}", r.best);
+            let hoisted = var("H").t() * var("y") - var("H").t() * var("H") * var("x");
+            let model = CostModel::default();
+            let (a, b) = (
+                model.split_cost(&e, &ctx, &["x", "y"]),
+                model.split_cost(&hoisted, &ctx, &["x", "y"]),
+            );
+            assert_eq!(a.request, b.request, "n={n}");
+            assert!(a < b, "n={n}");
+        }
     }
 
     #[test]

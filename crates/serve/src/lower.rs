@@ -6,6 +6,15 @@
 //! after the walk a `c·(product)` with one consumer folds into `alpha`.
 //! With `syrk` set (the e-graph level) a product of one node with its own
 //! transpose, result side ≥ 2, is built as [`OpKind::Syrk`].
+//!
+//! One orientation rule: a product of a bitwise-symmetric node (a `Syrk`,
+//! or the `MatMul` of one node with its own transpose) with a vector
+//! reads that node transposed. Every element `(i, j)` of `XᵀX` is the
+//! fused chain of `(j, i)` with each product's factors swapped, and
+//! `fma(a, b, c) == fma(b, a, c)`, so `G` equals `Gᵀ` bit for bit and
+//! `Gᵀ·x` is `G·x`'s bits; but `gemv_multi` keeps the result's rows in its
+//! SIMD lanes only for `Gᵀ·x`, the faster sweep (1.4× at f64, 3× at f32,
+//! four vectors at n = 192).
 
 use std::collections::HashMap;
 
@@ -85,7 +94,8 @@ impl Lowering<'_> {
                     (a.t.dims(sa.rows, sa.cols), b.t.dims(sb.rows, sb.cols));
                 assert_eq!(k, kb, "matmul: dimension mismatch in `{e}`");
                 let alpha_bits = (a.c.0 * b.c.0).to_bits();
-                let kind = OpKind::MatMul { ta: a.t, tb: b.t, alpha_bits };
+                let ta = if cols == 1 && self.symmetric(a.node) { Trans::Yes } else { a.t };
+                let kind = OpKind::MatMul { ta, tb: b.t, alpha_bits };
                 Val::of(self.node(kind, vec![a.node, b.node], Shape::new(rows, cols)))
             }
             Expr::Add(..) => self.op(OpKind::Add, e),
@@ -96,6 +106,17 @@ impl Lowering<'_> {
             Expr::VCat(..) => self.op(OpKind::VCat, e),
             Expr::HCat(..) => self.op(OpKind::HCat, e),
             Expr::BlockDiag(..) => self.op(OpKind::BlockDiag, e),
+        }
+    }
+
+    /// Whether node `id` is a product of one node with its own transpose,
+    /// and so bitwise symmetric (module docs).
+    fn symmetric(&self, id: NodeId) -> bool {
+        let node = &self.nodes[id.idx()];
+        match node.kind {
+            OpKind::Syrk { .. } => true,
+            OpKind::MatMul { ta, tb, .. } => node.inputs[0] == node.inputs[1] && ta != tb,
+            _ => false,
         }
     }
 
@@ -268,6 +289,29 @@ mod tests {
         assert_eq!(g.count_kind(|k| matches!(k, OpKind::Scale(_))), 1);
         let product = g.nodes.iter().find(|n| matches!(n.kind, OpKind::MatMul { .. })).unwrap();
         assert_eq!(product.kind.alpha(), 1.0);
+    }
+
+    #[test]
+    fn a_symmetric_factor_times_a_vector_is_read_transposed() {
+        // XᵀX·x at both levels, and (XᵀX)ᵀ·x: the symmetric factor is read
+        // through the `Aᵀ` sweep. A general matrix, or a symmetric one
+        // times a matrix, keeps its flag.
+        let ctx = ctx().with("v", 3, 1).with("M", 3, 3).with("W", 3, 4);
+        let gram = var("X").t() * var("X");
+        for e in [gram.clone() * var("v"), gram.t() * var("v")] {
+            for level in [false, true] {
+                let g = lower(&e, &ctx, level);
+                let node = g.node(g.outputs[0]);
+                let OpKind::MatMul { ta, tb, .. } = node.kind else { panic!("{e}") };
+                assert_eq!((ta, tb), (Trans::Yes, Trans::No), "{e} syrk={level}");
+                assert_eq!(g.syrk_count(), usize::from(level), "{e}");
+            }
+        }
+        for e in [var("M") * var("v"), gram * var("W")] {
+            let g = lower(&e, &ctx, true);
+            let OpKind::MatMul { ta, .. } = g.node(g.outputs[0]).kind else { panic!("{e}") };
+            assert_eq!(ta, Trans::No, "{e}");
+        }
     }
 
     #[test]

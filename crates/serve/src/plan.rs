@@ -1,12 +1,15 @@
 //! The compiled plan: lowered graph + schedule, bound to a backend.
 
-use laab_backend::{BackendId, BackendScalar, Registration};
+use std::any::Any;
+use std::sync::{Arc, Mutex};
+
+use laab_backend::{Backend, BackendId, BackendScalar, Registration};
 use laab_dense::Matrix;
 use laab_expr::eval::Env;
 use laab_expr::{Context, Expr};
 use laab_framework::Framework;
-use laab_graph::{execute_batched_on, BatchAnalysis, Graph, Schedule};
-use laab_rewrite::{optimize_egraph, EgraphConfig};
+use laab_graph::{execute_hoisted_on, hoisted_values, BatchAnalysis, Graph, OpKind, Schedule};
+use laab_rewrite::{optimize_egraph_with_varying, EgraphConfig};
 
 use crate::lower::lower;
 use crate::signature::OptLevel;
@@ -26,12 +29,59 @@ use crate::signature::OptLevel;
 /// run never cross-hits. [`Plan::execute`] re-runs the identical sweep
 /// with fresh operand bindings: a cache hit pays no optimization, no
 /// lowering and no schedule derivation.
+///
+/// Requests are the iterations of a loop, so the plan also keeps the
+/// loop-invariant work out of it. The nodes the batch analysis hoists
+/// ([`BatchAnalysis::hoisted`]: computed from shared operands alone, and
+/// read by a per-request node) are evaluated at the first execution that
+/// binds their shared operands, and the values are kept for every later
+/// request and batch that binds the same ones. The key is the identity of
+/// the bindings ([`Env::binding`]), not their contents: a re-bound operand
+/// recomputes, and the slot holds the handles it compared against, so no
+/// other value can take their address while it does. Each value is what
+/// the sweep would compute in its place, so `execute` stays a pure
+/// function of its environment, and solo, batched and served results
+/// stay bitwise equal. No lock is held while computing or executing: two
+/// executions racing on a new binding both compute it, with the same
+/// bits, and the slot keeps one.
+///
+/// A plan keeps one set of values per dtype, each `n×n` at most for the
+/// served families (one `HᵀH`). A server executes a plan in its
+/// signature's one dtype, so it holds at most one set per cached plan:
+/// 64 plans per backend.
 #[derive(Debug)]
 pub struct Plan {
     graph: Graph,
     schedule: Schedule,
     batch: BatchAnalysis,
     backend: &'static Registration,
+    hoisted: Slots,
+}
+
+/// The hoisted values computed from one binding of the shared operands.
+#[derive(Debug)]
+struct Binding<T: laab_dense::Scalar> {
+    /// The bound operands, in [`Plan::hoist_inputs`] order: compared by
+    /// identity, and kept alive while compared against.
+    operands: Vec<Arc<Matrix<T>>>,
+    /// In [`BatchAnalysis::hoisted`] order.
+    values: Vec<Matrix<T>>,
+}
+
+/// The latest [`Binding`] per dtype.
+#[derive(Debug, Default)]
+struct Slots {
+    f32: Mutex<Option<Arc<Binding<f32>>>>,
+    f64: Mutex<Option<Arc<Binding<f64>>>>,
+}
+
+impl Slots {
+    fn of<T: BackendScalar>(&self) -> &Mutex<Option<Arc<Binding<T>>>> {
+        [&self.f32 as &dyn Any, &self.f64]
+            .into_iter()
+            .find_map(|slot| slot.downcast_ref())
+            .expect("a backend scalar is f32 or f64")
+    }
 }
 
 impl Plan {
@@ -77,11 +127,13 @@ impl Plan {
     /// [`Plan::compile`].
     ///
     /// At [`OptLevel::Egraph`] the expression first goes through equality
-    /// saturation + cost-based extraction ([`laab_rewrite::optimize_egraph`])
-    /// and the extracted form is lowered — `BatchAnalysis` therefore
-    /// analyzes it, and a rewrite that turns a GEMM chain into GEMV form
-    /// changes what stacks. On a saturation budget hit, or when nothing
-    /// strictly cheaper exists, that form is the input expression.
+    /// saturation + cost-based extraction
+    /// ([`laab_rewrite::optimize_egraph_with_varying`], which prices work
+    /// on the shared operands alone once, as the plan hoists it) and the
+    /// extracted form is lowered — `BatchAnalysis` therefore analyzes it,
+    /// and a rewrite that turns a GEMM chain into GEMV form changes what
+    /// stacks. On a saturation budget hit, or when nothing strictly
+    /// cheaper per request exists, that form is the input expression.
     ///
     /// The e-graph level is also where the extraction cost model's SYRK
     /// price becomes a kernel: a product of one node with its own
@@ -100,12 +152,21 @@ impl Plan {
         let graph = match opt {
             OptLevel::Passes => lower(expr, ctx, false),
             OptLevel::Egraph => {
-                lower(&optimize_egraph(expr, ctx, &EgraphConfig::default()).best, ctx, true)
+                let cfg = EgraphConfig::default();
+                lower(&optimize_egraph_with_varying(expr, ctx, &cfg, varying).best, ctx, true)
             }
         };
         let schedule = Schedule::new(&graph);
         let batch = BatchAnalysis::analyze(&graph, |name| varying.contains(&name));
-        Plan { graph, schedule, batch, backend }
+        Plan { graph, schedule, batch, backend, hoisted: Slots::default() }
+    }
+
+    /// The shared operands the hoisted values are computed from.
+    fn hoist_inputs(&self) -> impl Iterator<Item = &str> {
+        self.batch.hoist_graph().nodes.iter().filter_map(|node| match &node.kind {
+            OpKind::Input(name) => Some(name.as_str()),
+            _ => None,
+        })
     }
 
     /// Execute the plan against fresh operand bindings, dispatching every
@@ -121,12 +182,15 @@ impl Plan {
     }
 
     /// Execute the plan over a batch of operand environments — coalesced
-    /// same-signature requests, or one. When the compile-time analysis
+    /// same-signature requests, or one, binding the same values to every
+    /// operand not declared varying. When the compile-time analysis
     /// proved the plan RHS-stackable, a batch of two or more runs as one
     /// sweep whose varying products are one multi-RHS call through the
     /// plan's backend ([`laab_backend::Backend::matmul_batched`]);
-    /// otherwise each environment executes in turn. Either way every
-    /// result is bitwise what [`Plan::execute`] returns for its request.
+    /// otherwise each environment executes in turn. Either way the
+    /// hoisted values of `envs[0]`'s binding are reused or computed (the
+    /// type docs), and every result is bitwise what [`Plan::execute`]
+    /// returns for its request.
     ///
     /// # Panics
     /// As [`Plan::execute`], plus on an empty batch.
@@ -138,7 +202,36 @@ impl Plan {
                 T::DTYPE
             )
         });
-        execute_batched_on(&self.graph, &self.schedule, &self.batch, envs, backend)
+        assert!(!envs.is_empty(), "execute_batched: empty environment batch");
+        let (graph, schedule, batch) = (&self.graph, &self.schedule, &self.batch);
+        if batch.hoisted().is_empty() {
+            return execute_hoisted_on(graph, schedule, batch, &[], envs, backend);
+        }
+        let binding = self.binding(envs[0], backend);
+        execute_hoisted_on(graph, schedule, batch, &binding.values, envs, backend)
+    }
+
+    /// The hoisted values for `env`'s binding of the shared operands:
+    /// the slot's when it holds that binding, else computed now and kept.
+    fn binding<T: BackendScalar>(&self, env: &Env<T>, backend: &dyn Backend<T>) -> Arc<Binding<T>> {
+        let slot = self.hoisted.of::<T>();
+        let bound = |b: &&Arc<Binding<T>>| {
+            let mut ops = self.hoist_inputs().zip(&b.operands);
+            ops.all(|(name, op)| env.binding(name).is_some_and(|m| Arc::ptr_eq(m, op)))
+        };
+        if let Some(hit) = slot.lock().expect("hoisted slot").as_ref().filter(bound).cloned() {
+            return hit;
+        }
+        let operands = (self.hoist_inputs())
+            .map(|name| {
+                let m = env.binding(name);
+                m.unwrap_or_else(|| panic!("operand `{name}` is not bound in the Env")).clone()
+            })
+            .collect();
+        let values = hoisted_values(&self.batch, env, backend);
+        let fresh = Arc::new(Binding { operands, values });
+        *slot.lock().expect("hoisted slot") = Some(fresh.clone());
+        fresh
     }
 
     /// Whether the compile-time shape analysis proved batched executions
@@ -183,7 +276,9 @@ mod tests {
     use laab_backend::registry;
     use laab_dense::gen::OperandGen;
     use laab_expr::var;
-    use laab_graph::OpKind;
+    use laab_kernels::counters::measure;
+    use laab_kernels::Trans;
+    use laab_rewrite::optimize_egraph;
 
     #[test]
     fn plan_matches_function_call_bitwise() {
@@ -286,19 +381,26 @@ mod tests {
     fn a_batch_of_one_is_the_solo_request() {
         // `execute` is a batch of one. For every family on both sides of
         // the optimizer gate, on every built-in backend and in both
-        // dtypes, it returns the bits and runs the kernels of the graph's
-        // solo sweep.
+        // dtypes, it returns the bits of the graph's solo sweep. The first
+        // execution of a binding runs the sweep's kernels; a later one
+        // runs them less the hoisted values'.
         fn check<T: BackendScalar>(plan: &Plan, env: &Env<T>, at: &str) {
-            use laab_kernels::counters::measure;
             let backend = plan.backend.resolve::<T>().expect("builtins support both dtypes");
             let (solo, kernels) = measure(|| plan.execute(env));
             let (batch, batch_kernels) = measure(|| plan.execute_batched(&[env]));
             let (sweep, sweep_kernels) = measure(|| {
                 laab_graph::execute_scheduled_on(plan.graph(), plan.schedule(), env, backend)
             });
+            let (_, once) = measure(|| hoisted_values(plan.batch_analysis(), env, backend));
             assert_eq!(batch, std::slice::from_ref(&solo), "{at}");
             assert_eq!(solo, sweep, "{at}");
-            assert_eq!((batch_kernels, sweep_kernels), (kernels, kernels), "{at}");
+            assert_eq!(kernels, sweep_kernels, "{at}");
+            let warm = (batch_kernels.total_flops(), batch_kernels.total_calls());
+            let want = (
+                kernels.total_flops() - once.total_flops(),
+                kernels.total_calls() - once.total_calls(),
+            );
+            assert_eq!(warm, want, "{at}");
         }
         let fw = Framework::flow();
         for n in [16usize, 96] {
@@ -316,46 +418,41 @@ mod tests {
     }
 
     #[test]
-    fn egraph_opt_normalizes_before_batch_analysis() {
+    fn egraph_opt_hoists_the_shared_gram_of_the_chain() {
         // The Chain family as the serving loop submits it: (HᵀH)x, with x
-        // request-varying. The passes level keeps the association, so the
-        // leading HᵀH GEMM survives; the e-graph level extracts Hᵀ(Hx)
-        // *before* lowering, so BatchAnalysis sees two stackable GEMVs.
+        // request-varying. Both levels keep the association; the e-graph
+        // level prices the shared HᵀH once, so it keeps it over Hᵀ(Hx) and
+        // builds it as SYRK. Both plans hoist it and stack on x. With no
+        // varying operand nothing is hoisted, so HᵀH is per request and
+        // the e-graph level re-associates to two GEMVs.
         let n = 32;
         let fw = Framework::flow();
         let expr = (var("H").t() * var("H")) * var("x");
         let ctx = Context::new().with("H", n, n).with("x", n, 1);
-        let passes = Plan::compile_opt(
-            &fw,
-            &expr,
-            &ctx,
-            registry::default_backend(),
-            &["x"],
-            OptLevel::Passes,
-        );
-        let egraph = Plan::compile_opt(
-            &fw,
-            &expr,
-            &ctx,
-            registry::default_backend(),
-            &["x"],
-            OptLevel::Egraph,
-        );
-        let r = optimize_egraph(&expr, &ctx, &EgraphConfig::default());
-        assert!(r.changed, "reassociation discovered");
-        assert!(!r.stats.budget_hit);
-        assert!(r.best_cost < r.original_cost);
-        assert_eq!(passes.graph().matmul_count(), 2);
-        assert_eq!(egraph.graph().matmul_count(), 2);
+        let compile = |varying, opt| {
+            Plan::compile_opt(&fw, &expr, &ctx, registry::default_backend(), varying, opt)
+        };
+        let (passes, egraph) =
+            (compile(&["x"], OptLevel::Passes), compile(&["x"], OptLevel::Egraph));
+        assert_eq!((passes.graph().matmul_count(), passes.graph().syrk_count()), (2, 0));
+        assert_eq!((egraph.graph().matmul_count(), egraph.graph().syrk_count()), (2, 1));
+        for plan in [&passes, &egraph] {
+            assert!(plan.stackable());
+            assert_eq!(plan.batch_analysis().hoisted().len(), 1);
+            let out = plan.graph().node(plan.graph().outputs[0]);
+            let OpKind::MatMul { ta, .. } = out.kind else { panic!("G·x is a product") };
+            assert_eq!(ta, Trans::Yes, "the symmetric G is read transposed");
+        }
+        let plain = compile(&[], OptLevel::Egraph);
+        assert!(plain.batch_analysis().hoisted().is_empty());
+        assert_eq!((plain.graph().matmul_count(), plain.graph().syrk_count()), (2, 0));
+        assert!(optimize_egraph(&expr, &ctx, &EgraphConfig::default()).changed);
 
-        // Same math, different plan: both stack, and results agree tightly
-        // (the rewrite reorders floating-point accumulation).
-        assert!(passes.stackable() && egraph.stackable());
         let mut g = OperandGen::new(23);
         let env = Env::<f64>::new().with("H", g.matrix(n, n)).with("x", g.matrix(n, 1));
         let a = passes.execute(&env);
-        let b = egraph.execute(&env);
-        assert!(a[0].approx_eq(&b[0], 1e-11), "opt levels must agree numerically");
+        assert_eq!(egraph.execute(&env), a, "SYRK lands on the GEMM's bits");
+        assert!(plain.execute(&env)[0].approx_eq(&a[0], 1e-11), "opt levels agree numerically");
     }
 
     #[test]
@@ -390,15 +487,27 @@ mod tests {
     }
 
     /// The graph the served compile built before it lowered directly:
-    /// the expression at `opt` traced through `Framework::flow()` and its
-    /// pass pipeline, with every same-node transpose product relabelled
+    /// the expression at `opt` (extracted against `varying`) traced
+    /// through `Framework::flow()` and its pass pipeline, with every
+    /// product of a same-node transpose product and a vector read
+    /// transposed, and every same-node transpose product relabelled
     /// `Syrk` at the e-graph level.
-    fn traced(expr: &Expr, ctx: &Context, opt: OptLevel) -> Graph {
+    fn traced(expr: &Expr, ctx: &Context, varying: &[&str], opt: OptLevel) -> Graph {
         let chosen = match opt {
             OptLevel::Passes => expr.clone(),
-            OptLevel::Egraph => optimize_egraph(expr, ctx, &EgraphConfig::default()).best,
+            OptLevel::Egraph => {
+                optimize_egraph_with_varying(expr, ctx, &EgraphConfig::default(), varying).best
+            }
         };
         let mut graph = Framework::flow().function_from_expr(&chosen, ctx).graph().clone();
+        let gram = |node: &laab_graph::Node| matches!(node.kind, OpKind::MatMul { ta, tb, .. } if node.inputs[0] == node.inputs[1] && ta != tb);
+        for i in 0..graph.nodes.len() {
+            let node = &graph.nodes[i];
+            if node.shape.cols == 1 && node.inputs.len() == 2 && gram(graph.node(node.inputs[0])) {
+                let OpKind::MatMul { ta, .. } = &mut graph.nodes[i].kind else { continue };
+                *ta = Trans::Yes;
+            }
+        }
         if opt == OptLevel::Egraph {
             for node in &mut graph.nodes {
                 let OpKind::MatMul { ta, tb, alpha_bits } = node.kind else { continue };
@@ -417,7 +526,8 @@ mod tests {
             for n in [8usize, 16, 47, 48, 96, 192, 256] {
                 for opt in OptLevel::ALL {
                     let plan = compile_family(family, n, Some(opt));
-                    let want = traced(&family.expr(n), &family.ctx(n), opt);
+                    let varying = family.varying_operands();
+                    let want = traced(&family.expr(n), &family.ctx(n), varying, opt);
                     assert_eq!(plan.graph(), &want, "{} n={n} {opt}", family.id());
                 }
             }
@@ -438,22 +548,28 @@ mod tests {
                 assert_eq!(plan.stackable(), pinned.stackable());
             }
         }
-        // Over it: the e-graph plan, and exactly the paper's three misses
-        // rewritten (E1's CSE form, E3's Gram and the residual are kept).
+        // Over it: the e-graph plan. Two of the paper's misses are
+        // rewritten; the chain's (HᵀH)x is kept with HᵀH hoisted, and
+        // E1's CSE form, E3's Gram and the residual are kept as they are.
         for n in [192usize, 256] {
             for family in Family::ALL {
                 let plan = compile_family(family, n, None);
-                let (expr, ctx) = (family.expr(n), family.ctx(n));
+                let (expr, ctx, varying) =
+                    (family.expr(n), family.ctx(n), family.varying_operands());
                 assert_eq!(OptLevel::for_input(&expr, &ctx), OptLevel::Egraph);
-                let r = optimize_egraph(&expr, &ctx, &EgraphConfig::default());
+                let r =
+                    optimize_egraph_with_varying(&expr, &ctx, &EgraphConfig::default(), varying);
                 assert!(!r.stats.budget_hit);
-                let rewritten = [Family::Chain, Family::Slice, Family::Distributive];
+                let rewritten = [Family::Slice, Family::Distributive];
                 assert_eq!(r.changed, rewritten.contains(&family), "{} n={n}", family.id());
+                let hoists = usize::from(family == Family::Chain);
+                assert_eq!(plan.batch_analysis().hoisted().len(), hoists, "{} n={n}", family.id());
                 let pinned = compile_family(family, n, Some(OptLevel::Egraph));
                 assert_eq!(plan.graph(), pinned.graph(), "{} n={n}", family.id());
-                // E3 on the served path: the two families with a product
-                // of one value by its own transpose run it as SYRK.
-                let syrks = usize::from(matches!(family, Family::Gram | Family::CseGram));
+                // E3 on the served path: the families with a product of
+                // one value by its own transpose run it as SYRK.
+                let syrks =
+                    usize::from(matches!(family, Family::Gram | Family::CseGram | Family::Chain));
                 assert_eq!(plan.graph().syrk_count(), syrks, "{} n={n}", family.id());
                 // The rewrites leave the matrix families unstackable, so
                 // their responses stay verifiable bit for bit.

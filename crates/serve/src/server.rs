@@ -693,8 +693,8 @@ fn pool_for(
     }
     // Built outside the lock: two racing executors may build the same
     // pool, but both builds are deterministic and the map keeps one.
-    let built =
-        Arc::new(PoolPair { f64: family.env::<f64>(n, seed), f32: family.env::<f32>(n, seed) });
+    let f64 = family.env::<f64>(n, seed);
+    let built = Arc::new(PoolPair { f32: family.env_from_f64(n, &f64), f64 });
     pools.lock().expect("pool map").entry((family, n)).or_insert(built).clone()
 }
 

@@ -96,22 +96,25 @@ impl std::fmt::Display for OptLevel {
     }
 }
 
-/// One declared operand inside a signature: name, shape, property bits.
+/// One declared operand inside a signature: name, shape, property bits,
+/// and whether it is declared to vary request to request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct OperandSig {
     name: String,
     rows: usize,
     cols: usize,
     props: u16,
+    varying: bool,
 }
 
 /// The canonical signature of one request.
 ///
 /// Covers everything that determines the compiled plan: the callsite
 /// (`func`), the expression *structure* (canonical text, association
-/// visible), each declared operand's shape and property flags (sorted by
-/// name — [`Context`] iterates its `BTreeMap` in order), the dtype, and
-/// the [`BackendId`] the plan is compiled for — one traced graph
+/// visible), each declared operand's shape, property flags and lifetime
+/// (sorted by name — [`Context`] iterates its `BTreeMap` in order; see
+/// [`Signature::with_varying`]), the dtype, and the [`BackendId`] the
+/// plan is compiled for — one traced graph
 /// dispatched to two backends is two cache entries, never one, so an
 /// A/B run can't cross-hit. The 64-bit FNV-1a hash is stable across
 /// processes and runs, so it can key on-disk artifacts too.
@@ -173,6 +176,7 @@ impl Signature {
                 rows: info.shape.rows,
                 cols: info.shape.cols,
                 props: info.props.bits(),
+                varying: false,
             });
         }
         let mut h = FNV_OFFSET;
@@ -192,6 +196,20 @@ impl Signature {
         h = fnv1a(h, &[0xff]);
         h = fnv1a(h, opt.id().as_bytes());
         Self { func: func.to_string(), canon, operands, dtype, backend, opt, hash: h }
+    }
+
+    /// This signature with the operands named in `varying` declared to
+    /// vary request to request, as `Plan::compile_with_varying` takes
+    /// them: which operands are shared decides what the plan hoists (and
+    /// what the e-graph level extracts), so two plans that differ only in
+    /// it are two entries that never alias. A name the context does not
+    /// declare changes nothing.
+    pub fn with_varying(mut self, varying: &[&str]) -> Self {
+        for op in self.operands.iter_mut().filter(|op| varying.contains(&op.name.as_str())) {
+            op.varying = true;
+            self.hash = fnv1a(fnv1a(self.hash, &[0xfe]), op.name.as_bytes());
+        }
+        self
     }
 
     /// The stable 64-bit hash (cache shard + bucket key; equality still
@@ -237,6 +255,9 @@ impl std::fmt::Display for Signature {
             write!(f, "{}:{}x{}", op.name, op.rows, op.cols)?;
             if op.props != 0 {
                 write!(f, "*")?;
+            }
+            if op.varying {
+                write!(f, "~")?;
             }
         }
         write!(f, "] {} @{} opt={}", self.dtype.name(), self.backend, self.opt)
@@ -288,6 +309,16 @@ mod tests {
         assert_ne!(base.hash(), eg.hash());
         assert_eq!(base.opt(), OptLevel::Passes);
         assert_eq!(eg.opt(), OptLevel::Egraph);
+        // A different varying set: it decides what the plan hoists.
+        let vary = |names: &[&str]| base.clone().with_varying(names);
+        assert_ne!(base, vary(&["A"]));
+        assert_ne!(base.hash(), vary(&["A"]).hash());
+        assert_ne!(vary(&["A"]), vary(&["B"]));
+        assert_ne!(vary(&["A"]).hash(), vary(&["A", "B"]).hash());
+        assert_eq!(vary(&["B", "A"]), vary(&["A", "B"]), "a set: order-free");
+        assert_eq!(vary(&["B", "A"]).hash(), vary(&["A", "B"]).hash());
+        assert_eq!(vary(&["Z"]), base, "an undeclared name changes nothing");
+        assert!(vary(&["B"]).to_string().contains("B:8x8~"), "{}", vary(&["B"]));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use laab_backend::BackendId;
 use laab_dense::gen::OperandGen;
-use laab_dense::Scalar;
+use laab_dense::{Matrix, Scalar};
 use laab_expr::eval::Env;
 use laab_expr::{elem, var, Context, Expr};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -23,7 +23,9 @@ pub enum Family {
     /// compiles the shared subexpression once.
     CseGram,
     /// Experiment 2 (Table III / Fig. 7): the left-associated chain
-    /// `HᵀH x` the frameworks never re-parenthesize.
+    /// `HᵀH x` the frameworks never re-parenthesize. Served with `H`
+    /// shared and `x` varying, it runs as `(HᵀH)x` with `HᵀH` hoisted:
+    /// computed once per binding of `H`, then one GEMV per request.
     Chain,
     /// Experiment 3 (Table IV): the Gram product `QᵀQ` — a symmetric
     /// result the frameworks compute with a full GEMM, and so does a
@@ -117,6 +119,21 @@ impl Family {
         env
     }
 
+    /// [`Family::env`] at precision `T`, converted from `wide`, the `f64`
+    /// env of the same `(n, seed)`, instead of drawn again.
+    /// [`OperandGen`] draws every element as an `f64` and narrows it with
+    /// [`Scalar::from_f64`], so converting `wide` element by element is
+    /// `self.env::<T>(n, seed)` bit for bit, at the cost of one pass.
+    pub fn env_from_f64<T: Scalar>(self, n: usize, wide: &Env<f64>) -> Env<T> {
+        let mut env = Env::new();
+        for name in self.ctx(n).names() {
+            let m = wide.expect(name);
+            let data = m.as_slice().iter().map(|&v| T::from_f64(v)).collect();
+            env.insert(name, Matrix::from_vec(m.rows(), m.cols(), data));
+        }
+        env
+    }
+
     /// Operand names whose *values* differ request to request — the
     /// request payload, as opposed to the shared model operands every
     /// same-signature request binds identically. This is what the batched
@@ -172,10 +189,12 @@ impl Request {
     /// The payload does not participate: same shapes, same plan. The
     /// optimizer level is the one
     /// [`OptLevel::for_input`](crate::OptLevel::for_input) picks for the
-    /// family's expression at this size.
+    /// family's expression at this size, and the family's
+    /// [`Family::varying_operands`] are declared varying.
     pub fn signature(&self, backend: BackendId) -> Signature {
         let (expr, ctx) = (self.family.expr(self.n), self.family.ctx(self.n));
         Signature::new(self.family.id(), &expr, &ctx, self.dtype, backend)
+            .with_varying(self.family.varying_operands())
     }
 
     /// The request's operand bindings, derived from the shared pool env
@@ -257,6 +276,24 @@ mod tests {
             let env = family.env::<f64>(n, 7);
             let value = eval(&expr, &env);
             assert_eq!((value.rows(), value.cols()), (shape.rows, shape.cols));
+        }
+    }
+
+    #[test]
+    fn a_converted_f64_env_is_the_drawn_f32_env() {
+        for family in Family::ALL {
+            for n in [2usize, 16, 47, 192, 256] {
+                let wide = family.env::<f64>(n, 41);
+                let narrow = family.env_from_f64::<f32>(n, &wide);
+                let drawn = family.env::<f32>(n, 41);
+                for name in family.ctx(n).names() {
+                    let bits = |m: &Matrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect();
+                    let (got, want): (Vec<u32>, Vec<u32>) =
+                        (bits(narrow.expect(name)), bits(drawn.expect(name)));
+                    assert_eq!(got, want, "{} n={n} `{name}`", family.id());
+                    assert_eq!(narrow.expect(name).shape(), drawn.expect(name).shape());
+                }
+            }
         }
     }
 

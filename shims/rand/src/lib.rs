@@ -59,8 +59,9 @@ impl SeedableRng for rngs::StdRng {
 
 /// Types that `Rng::gen` can produce (upstream: the `Standard` distribution).
 pub trait Standard: Sized {
-    /// Draw one value from `rng`.
-    fn draw(rng: &mut dyn RngCore) -> Self;
+    /// Draw one value from `rng`. Generic rather than `dyn`, so a draw
+    /// inlines into its loop instead of making a virtual call.
+    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self;
 }
 
 /// Object-safe core of a generator.
@@ -76,32 +77,32 @@ impl RngCore for rngs::StdRng {
 }
 
 impl Standard for f64 {
-    fn draw(rng: &mut dyn RngCore) -> Self {
+    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 53 random mantissa bits -> uniform in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 
 impl Standard for f32 {
-    fn draw(rng: &mut dyn RngCore) -> Self {
+    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 }
 
 impl Standard for bool {
-    fn draw(rng: &mut dyn RngCore) -> Self {
+    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64() & 1 == 1
     }
 }
 
 impl Standard for u64 {
-    fn draw(rng: &mut dyn RngCore) -> Self {
+    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64()
     }
 }
 
 impl Standard for u32 {
-    fn draw(rng: &mut dyn RngCore) -> Self {
+    fn draw<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         (rng.next_u64() >> 32) as u32
     }
 }
