@@ -32,9 +32,15 @@ impl<T: Scalar> Env<T> {
         Self { map: HashMap::new() }
     }
 
-    /// Bind `name` to `value`, replacing any previous binding.
+    /// Bind `name` to `value`, replacing any previous binding (whose
+    /// name is reused, not allocated again).
     pub fn insert(&mut self, name: &str, value: Matrix<T>) {
-        self.map.insert(name.into(), Arc::new(value));
+        match self.map.get_mut(name) {
+            Some(bound) => *bound = Arc::new(value),
+            None => {
+                self.map.insert(name.into(), Arc::new(value));
+            }
+        }
     }
 
     /// Builder-style binding.

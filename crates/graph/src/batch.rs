@@ -77,6 +77,14 @@ pub(crate) enum Eval {
     Skip,
 }
 
+/// Whether a node is read by the sweep (`live`) or by a hoisted node
+/// (`under`), directly or through others.
+#[derive(Debug, Clone, Copy, Default)]
+struct Reach {
+    live: bool,
+    under: bool,
+}
+
 /// The per-node batch classification of one graph, plus the overall
 /// stackability verdict and the hoisted nodes. Derived from graph
 /// *structure* and the set of varying input names — value-independent,
@@ -114,9 +122,12 @@ impl BatchAnalysis {
                     BatchStatus::Stacked
                 }
                 kind => {
-                    let inputs: Vec<BatchStatus> =
-                        node.inputs.iter().map(|id| status[id.idx()]).collect();
-                    stacked_form(kind, &inputs).unwrap_or_else(|| {
+                    // Every node kind reads at most two operands.
+                    let mut inputs = [BatchStatus::Shared; 2];
+                    for (s, id) in inputs.iter_mut().zip(&node.inputs) {
+                        *s = status[id.idx()];
+                    }
+                    stacked_form(kind, &inputs[..node.inputs.len()]).unwrap_or_else(|| {
                         legal = false;
                         BatchStatus::Stacked
                     })
@@ -125,19 +136,22 @@ impl BatchAnalysis {
             status.push(s);
         }
         let stackable = legal && has_varying;
+        // The hoisted nodes: shared, not an input, and read by a stacked
+        // node (see the module docs for why a shared output stops it).
         let shared = |id: &NodeId| status[id.idx()] == BatchStatus::Shared;
-        let mut hoist = vec![false; g.len()];
-        if has_varying && !g.outputs.iter().any(shared) {
-            for (i, node) in g.nodes.iter().enumerate() {
-                if status[i] == BatchStatus::Stacked {
-                    for id in node.inputs.iter().filter(|id| shared(id)) {
-                        hoist[id.idx()] = !matches!(g.nodes[id.idx()].kind, OpKind::Input(_));
-                    }
-                }
-            }
-        }
-        let hoisted: Vec<NodeId> =
-            (0..g.len() as u32).map(NodeId).filter(|id| hoist[id.idx()]).collect();
+        let read_stacked = |id: NodeId| {
+            (id.idx() + 1..g.len())
+                .any(|i| status[i] == BatchStatus::Stacked && g.nodes[i].inputs.contains(&id))
+        };
+        let hoisted: Vec<NodeId> = if has_varying && !g.outputs.iter().any(shared) {
+            (0..g.len() as u32)
+                .map(NodeId)
+                .filter(|id| !matches!(g.node(*id).kind, OpKind::Input(_)) && shared(id))
+                .filter(|&id| read_stacked(id))
+                .collect()
+        } else {
+            Vec::new()
+        };
         if hoisted.is_empty() {
             // Every node is swept: `eval` reads an empty list as that.
             let (eval, hoist_graph) = (Vec::new(), Graph::default());
@@ -145,27 +159,33 @@ impl BatchAnalysis {
         }
         // What the sweep still evaluates (the outputs and what they read
         // past the hoisted nodes), and what the hoisted nodes read.
-        let (mut live, mut under) = (vec![false; g.len()], hoist.clone());
-        g.outputs.iter().for_each(|id| live[id.idx()] = true);
+        let is_hoisted = |i: usize| hoisted.binary_search(&NodeId(i as u32));
+        let mut reach = vec![Reach::default(); g.len()];
+        g.outputs.iter().for_each(|id| reach[id.idx()].live = true);
         for (i, node) in g.nodes.iter().enumerate().rev() {
+            let Reach { live, under } = reach[i];
+            let hoist = is_hoisted(i).is_ok();
             for id in &node.inputs {
-                live[id.idx()] |= live[i] && !hoist[i];
-                under[id.idx()] |= under[i];
+                reach[id.idx()].live |= live && !hoist;
+                reach[id.idx()].under |= under || hoist;
             }
         }
         let eval = (0..g.len())
-            .map(|i| match hoisted.binary_search(&NodeId(i as u32)) {
+            .map(|i| match is_hoisted(i) {
                 Ok(k) => Eval::Hoisted(k),
-                Err(_) if live[i] => Eval::Sweep,
+                Err(_) if reach[i].live => Eval::Sweep,
                 Err(_) => Eval::Skip,
             })
             .collect();
+        // The hoist graph: every node under or at a hoisted one, in order.
         let mut remap = vec![NodeId(u32::MAX); g.len()];
         let mut nodes = Vec::new();
-        for (i, node) in g.nodes.iter().enumerate().filter(|(i, _)| under[*i]) {
-            remap[i] = NodeId(nodes.len() as u32);
-            let inputs = node.inputs.iter().map(|id| remap[id.idx()]).collect();
-            nodes.push(Node { kind: node.kind.clone(), inputs, shape: node.shape });
+        for (i, node) in g.nodes.iter().enumerate() {
+            if reach[i].under || is_hoisted(i).is_ok() {
+                remap[i] = NodeId(nodes.len() as u32);
+                let inputs = node.inputs.iter().map(|id| remap[id.idx()]).collect();
+                nodes.push(Node { kind: node.kind.clone(), inputs, shape: node.shape });
+            }
         }
         let outputs = hoisted.iter().map(|id| remap[id.idx()]).collect();
         let hoist_graph = Graph { nodes, outputs };

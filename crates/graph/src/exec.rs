@@ -141,9 +141,10 @@ impl Schedule {
     /// Precompute the schedule for `g` by simulating the executor's
     /// reference-counting sweep without touching any operand data.
     pub fn new(g: &Graph) -> Self {
-        let use_counts = g.use_counts();
+        // The sweep runs on the counts themselves, taking one per operand
+        // edge, and gives them back afterwards.
+        let mut use_counts = g.use_counts();
         let out_elems: Vec<usize> = g.nodes.iter().map(|n| n.shape.len()).collect();
-        let mut remaining = use_counts.clone();
         let mut live = 0usize;
         let mut peak = 0usize;
         for (i, node) in g.nodes.iter().enumerate() {
@@ -152,12 +153,16 @@ impl Schedule {
                 peak = peak.max(live);
             }
             for inp in &node.inputs {
-                remaining[inp.idx()] -= 1;
-                if remaining[inp.idx()] == 0 && !matches!(g.nodes[inp.idx()].kind, OpKind::Input(_))
+                use_counts[inp.idx()] -= 1;
+                if use_counts[inp.idx()] == 0
+                    && !matches!(g.nodes[inp.idx()].kind, OpKind::Input(_))
                 {
                     live -= out_elems[inp.idx()];
                 }
             }
+        }
+        for inp in g.nodes.iter().flat_map(|node| &node.inputs) {
+            use_counts[inp.idx()] += 1;
         }
         Self { use_counts, out_elems, peak_live_elems: peak }
     }
@@ -201,7 +206,7 @@ impl Schedule {
 /// On missing feeds, feed-shape mismatches, or (in debug builds) a graph
 /// violating the topological invariant.
 pub fn execute<T: Scalar>(g: &Graph, env: &Env<T>) -> Vec<Matrix<T>> {
-    sweep(g, g.use_counts(), &[env], None, &[], engine::<T>()).remove(0)
+    solo(g, &g.use_counts(), env, None, &[], engine::<T>())
 }
 
 /// Execute the graph under a precomputed [`Schedule`] through `backend` —
@@ -218,7 +223,7 @@ pub fn execute_scheduled_on<T: Scalar>(
     env: &Env<T>,
     backend: &dyn Backend<T>,
 ) -> Vec<Matrix<T>> {
-    sweep(g, schedule.use_counts.clone(), &[env], None, &[], backend).remove(0)
+    solo(g, &schedule.use_counts, env, None, &[], backend)
 }
 
 /// Execute the graph over a batch of operand environments through
@@ -255,7 +260,7 @@ pub fn hoisted_values<T: Scalar>(
     if h.is_empty() {
         return Vec::new();
     }
-    sweep(h, h.use_counts(), &[env], None, &[], backend).remove(0)
+    solo(h, &h.use_counts(), env, None, &[], backend)
 }
 
 /// Execute the graph over a batch of operand environments through
@@ -291,15 +296,31 @@ pub fn execute_hoisted_on<T: Scalar>(
         g.len()
     );
     assert_eq!(hoisted.len(), analysis.hoisted().len(), "one value per hoisted node");
-    let counts = || schedule.use_counts.clone();
+    let counts = &schedule.use_counts;
+    let mut out: Vec<_> = envs.iter().map(|_| Vec::with_capacity(g.outputs.len())).collect();
     if analysis.stackable() && envs.len() > 1 {
-        sweep(g, counts(), envs, Some((analysis, true)), hoisted, backend)
+        sweep(g, counts, envs, Some((analysis, true)), hoisted, backend, &mut out);
     } else {
-        let solo = Some((analysis, false));
-        envs.iter()
-            .map(|env| sweep(g, counts(), &[env], solo, hoisted, backend).remove(0))
-            .collect()
+        for (env, out) in envs.iter().zip(out.chunks_mut(1)) {
+            sweep(g, counts, &[env], Some((analysis, false)), hoisted, backend, out);
+        }
     }
+    out
+}
+
+/// [`sweep`] over one environment, returning its outputs.
+fn solo<'e, T: Scalar>(
+    g: &Graph,
+    use_counts: &[u32],
+    env: &'e Env<T>,
+    analysis: Option<(&BatchAnalysis, bool)>,
+    hoisted: &'e [Matrix<T>],
+    backend: &dyn Backend<T>,
+) -> Vec<Matrix<T>> {
+    let mut out = [Vec::with_capacity(g.outputs.len())];
+    sweep(g, use_counts, &[env], analysis, hoisted, backend, &mut out);
+    let [out] = out;
+    out
 }
 
 /// Count one executor-level data-movement op and pass its result on.
@@ -310,27 +331,29 @@ fn moved<T: Scalar>(kernel: Kernel, m: Matrix<T>) -> Matrix<T> {
 
 /// The sweep: every node in topological order, over one environment or,
 /// with `analysis` and `true`, over a batch whose varying inputs it names
-/// (otherwise every value is shared, bound from `envs[0]`). With an
-/// analysis, its hoisted nodes read `hoisted` and what only they read is
-/// skipped.
+/// (otherwise every value is shared, bound from `envs[0]`), filling the
+/// output list of each environment in `out`. With an analysis, its
+/// hoisted nodes read `hoisted` and what only they read is skipped.
 fn sweep<'e, T: Scalar>(
     g: &Graph,
-    mut remaining: Vec<u32>,
+    use_counts: &[u32],
     envs: &[&'e Env<T>],
     analysis: Option<(&BatchAnalysis, bool)>,
     hoisted: &'e [Matrix<T>],
     backend: &dyn Backend<T>,
-) -> Vec<Vec<Matrix<T>>> {
+    out: &mut [Vec<Matrix<T>>],
+) {
     let stacking = analysis.and_then(|(a, stacked)| stacked.then_some(a));
     assert_eq!(
-        remaining.len(),
+        use_counts.len(),
         g.len(),
         "schedule was built for a graph with {} nodes, this graph has {}",
-        remaining.len(),
+        use_counts.len(),
         g.len()
     );
     debug_assert_eq!(g.check_topology(), Ok(()));
-    let mut values: Vec<Option<Val<'e, T>>> = Vec::with_capacity(g.len());
+    // Per node: the reads of its value still to come, and the value.
+    let mut values: Vec<(u32, Option<Val<'e, T>>)> = Vec::with_capacity(g.len());
 
     for (i, node) in g.nodes.iter().enumerate() {
         let val = match analysis.map_or(Eval::Sweep, |(a, _)| a.eval(NodeId(i as u32))) {
@@ -341,11 +364,12 @@ fn sweep<'e, T: Scalar>(
                 // owned buffer can be reused; borrow the rest.
                 let mut taken: [Option<Val<'e, T>>; 2] = [None, None];
                 for (t, id) in taken.iter_mut().zip(&node.inputs) {
-                    if remaining[id.idx()] == 1 {
-                        *t = values[id.idx()].take();
+                    if let (1, value) = &mut values[id.idx()] {
+                        *t = value.take();
                     }
                 }
-                let slot = |id: &NodeId| values[id.idx()].as_ref().expect("operand already freed");
+                let slot =
+                    |id: &NodeId| values[id.idx()].1.as_ref().expect("operand already freed");
                 let mut args = node
                     .inputs
                     .iter()
@@ -452,30 +476,25 @@ fn sweep<'e, T: Scalar>(
                 Some(val)
             }
         };
-        values.push(val);
+        values.push((use_counts[i], val));
 
         // Free operands whose last consumer has now run.
         for inp in &node.inputs {
-            let r = &mut remaining[inp.idx()];
-            *r -= 1;
-            if *r == 0 {
-                values[inp.idx()] = None;
+            let (left, value) = &mut values[inp.idx()];
+            *left -= 1;
+            if *left == 0 {
+                *value = None;
             }
         }
     }
 
     // Fetch: a shared output goes to every environment (moved into the
     // last one once nothing else reads it), a stacked one part by part.
-    let mut out: Vec<Vec<Matrix<T>>> =
-        envs.iter().map(|_| Vec::with_capacity(g.outputs.len())).collect();
+    debug_assert_eq!(out.len(), envs.len(), "one output list per environment");
     for id in &g.outputs {
-        let r = &mut remaining[id.idx()];
-        *r -= 1;
-        let val = if *r == 0 {
-            values[id.idx()].take()
-        } else {
-            values[id.idx()].as_ref().map(Val::borrowed)
-        };
+        let (left, value) = &mut values[id.idx()];
+        *left -= 1;
+        let val = if *left == 0 { value.take() } else { value.as_ref().map(Val::borrowed) };
         match val.expect("output already freed") {
             Val::Shared(m) => {
                 let (last, rest) = out.split_last_mut().expect("at least one environment");
@@ -491,7 +510,6 @@ fn sweep<'e, T: Scalar>(
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -8,14 +8,14 @@
 //! [`with_packed_a`] / [`with_packed_b`] and returned when the closure
 //! finishes. Steady-state GEMMs therefore allocate nothing.
 //!
-//! The buffers are taken out of the thread-local map for the duration of
-//! the closure (not merely borrowed), so a re-entrant kernel call — e.g.
+//! The buffers are taken out of their thread-local slots for the duration
+//! of the closure (not merely borrowed), so a re-entrant kernel call — e.g.
 //! TRMM's diagonal blocks calling back into the packed GEMM — simply finds
 //! the slot empty and falls back to a fresh allocation instead of
 //! panicking on a double borrow.
 
 use std::any::{Any, TypeId};
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 
 use laab_dense::Scalar;
@@ -27,9 +27,11 @@ enum Role {
     PackedB,
 }
 
+/// Per thread: one buffer per element type and role.
+type Workspaces = HashMap<(TypeId, Role), Box<dyn Any>>;
+
 thread_local! {
-    static WORKSPACES: RefCell<HashMap<(TypeId, Role), Box<dyn Any>>> =
-        RefCell::new(HashMap::new());
+    static WORKSPACES: RefCell<Workspaces> = RefCell::new(HashMap::new());
 }
 
 /// Cache-line alignment for the packed panels, in elements. Aligned panel
@@ -37,11 +39,16 @@ thread_local! {
 const ALIGN_BYTES: usize = 64;
 
 fn with_buffer<T: Scalar, R>(role: Role, len: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
-    let key = (TypeId::of::<T>(), role);
-    let mut buf: Vec<T> = WORKSPACES
-        .with(|w| w.borrow_mut().remove(&key))
-        .and_then(|b| b.downcast::<Vec<T>>().ok().map(|b| *b))
-        .unwrap_or_default();
+    // The buffer moves out of its boxed slot, which stays in the map with
+    // an empty `Vec` in it: taking and returning it allocates nothing.
+    fn slot<T: Scalar>(w: &RefCell<Workspaces>, role: Role) -> RefMut<'_, Vec<T>> {
+        RefMut::map(w.borrow_mut(), |w| {
+            let slot =
+                w.entry((TypeId::of::<T>(), role)).or_insert_with(|| Box::new(Vec::<T>::new()));
+            slot.downcast_mut().expect("slots are keyed by their element type")
+        })
+    }
+    let mut buf: Vec<T> = WORKSPACES.with(|w| std::mem::take(&mut *slot(w, role)));
     let pad = ALIGN_BYTES / std::mem::size_of::<T>();
     if buf.len() < len + pad {
         buf.resize(len + pad, T::ZERO);
@@ -57,7 +64,7 @@ fn with_buffer<T: Scalar, R>(role: Role, len: usize, f: impl FnOnce(&mut [T]) ->
         }
     };
     let result = f(&mut buf[offset..offset + len]);
-    WORKSPACES.with(|w| w.borrow_mut().insert(key, Box::new(buf)));
+    WORKSPACES.with(|w| *slot(w, role) = buf);
     result
 }
 

@@ -150,16 +150,21 @@ pub struct PlanCache {
     /// 64-bit collision misclassifies one counter tick, nothing more.
     /// Bounded by the distinct signatures the process ever sees.
     evicted_sigs: Mutex<HashSet<u64>>,
-    /// `(callsite, backend, opt level)` → hash of the most recently
-    /// compiled signature, for the retrace distinction. The callsite is
+    /// callsite → `(backend, opt level, hash of the most recently
+    /// compiled signature)`, for the retrace distinction. The callsite is
     /// tracked *per backend and per optimizer level*: dispatching one
     /// callsite to a second backend — or compiling it at the other
     /// pinned optimizer level — is that key's first trace, not
-    /// signature drift, and must not inflate the retrace counter. Never
-    /// acquired while a shard lock is wanted by the same thread in the
-    /// other order (shard → seen only).
-    seen_funcs: Mutex<HashMap<(String, BackendId, OptLevel), u64>>,
+    /// signature drift, and must not inflate the retrace counter. Looked
+    /// up by the borrowed callsite name, so only a callsite's first
+    /// compile allocates here. Never acquired while a shard lock is
+    /// wanted by the same thread in the other order (shard → seen only).
+    seen_funcs: Mutex<HashMap<String, Vec<Lane>>>,
 }
+
+/// One `(backend, opt level)` a callsite was compiled for, with the hash
+/// of its most recently compiled signature.
+type Lane = (BackendId, OptLevel, u64);
 
 impl PlanCache {
     /// Default shard count: enough that a handful of serving clients
@@ -206,8 +211,9 @@ impl PlanCache {
     /// Single-flight per shard: `compile` runs under the shard lock, so a
     /// signature is compiled at most once no matter how many clients race
     /// on it. The signature is borrowed (an owned one is accepted too)
-    /// and cloned only on a miss, so a caller that keeps its signatures
-    /// pays no copy per hit.
+    /// and cloned only on a miss, by its reference count, so a caller
+    /// that keeps its signatures pays no copy on a hit and no deep copy
+    /// on a miss.
     pub fn get_or_compile(
         &self,
         sig: impl Borrow<Signature>,
@@ -228,9 +234,16 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let retrace = {
             let mut seen = self.seen_funcs.lock().unwrap_or_else(|e| e.into_inner());
-            match seen.insert((sig.func().to_string(), sig.backend(), sig.opt()), sig.hash()) {
-                Some(prev) => prev != sig.hash(),
-                None => false,
+            if !seen.contains_key(sig.func()) {
+                seen.insert(sig.func().to_string(), Vec::new());
+            }
+            let lanes = seen.get_mut(sig.func()).expect("the callsite was just recorded");
+            match lanes.iter_mut().find(|(b, o, _)| (*b, *o) == (sig.backend(), sig.opt())) {
+                Some((_, _, last)) => std::mem::replace(last, sig.hash()) != sig.hash(),
+                None => {
+                    lanes.push((sig.backend(), sig.opt(), sig.hash()));
+                    false
+                }
             }
         };
         if retrace {

@@ -2,10 +2,17 @@
 //! walk instead of the frameworks' trace and pass fixpoint. A value
 //! carries a pending transpose and scale, which a product absorbs as GEMM
 //! flags and `alpha` and any other consumer materialises. `x + x` is
-//! `2·x`; nodes are hash-consed on `(OpKind, inputs)` as they are built;
-//! after the walk a `c·(product)` with one consumer folds into `alpha`.
-//! With `syrk` set (the e-graph level) a product of one node with its own
-//! transpose, result side ≥ 2, is built as [`OpKind::Syrk`].
+//! `2·x`; nodes are hash-consed on `(OpKind, inputs)` as they are built,
+//! by scanning the nodes already built (a served graph has 2–9, so a scan
+//! beats hashing and clones no key); after the walk a `c·(product)` with
+//! one consumer folds into `alpha` in place. With `syrk` set (the e-graph
+//! level) a product of one node with its own transpose, result side ≥ 2,
+//! is built as [`OpKind::Syrk`].
+//!
+//! The graph is built once: the walk's node vector becomes the plan's,
+//! compacted in place to drop the nodes nothing reads. The lowering
+//! allocates what the graph owns (the node vector, each operand name and
+//! input list, the output list) and one per-node count.
 //!
 //! One orientation rule: a product of a bitwise-symmetric node (a `Syrk`,
 //! or the `MatMul` of one node with its own transpose) with a vector
@@ -15,8 +22,6 @@
 //! `Gᵀ·x` is `G·x`'s bits; but `gemv_multi` keeps the result's rows in its
 //! SIMD lanes only for `Gᵀ·x`, the faster sweep (1.4× at f64, 3× at f32,
 //! four vectors at n = 192).
-
-use std::collections::HashMap;
 
 use laab_expr::{Context, Expr, Factor, Shape};
 use laab_graph::{Graph, Node, NodeId, OpKind};
@@ -36,16 +41,22 @@ impl Val {
     }
 }
 
+/// Room for every served graph and the nodes its walk leaves unread,
+/// so the node vector is allocated once.
+const NODES: usize = 12;
+
+/// The use count marking a scaling folded into its product.
+const FOLDED: u32 = u32::MAX;
+
 struct Lowering<'a> {
     ctx: &'a Context,
     syrk: bool,
     nodes: Vec<Node>,
-    table: HashMap<(OpKind, Vec<NodeId>), NodeId>,
 }
 
 /// Lower `expr` over the shapes in `ctx` to a graph with one output.
 pub(crate) fn lower(expr: &Expr, ctx: &Context, syrk: bool) -> Graph {
-    let mut l = Lowering { ctx, syrk, nodes: Vec::new(), table: HashMap::new() };
+    let mut l = Lowering { ctx, syrk, nodes: Vec::with_capacity(NODES) };
     let root = l.value(expr);
     let out = l.materialise(root);
     l.fold_scales(out)
@@ -56,29 +67,37 @@ impl Lowering<'_> {
         self.nodes[id.idx()].shape
     }
 
-    /// The node computing `kind` over `inputs`, built on first use.
-    fn node(&mut self, kind: OpKind, inputs: Vec<NodeId>, shape: Shape) -> NodeId {
-        let key = match kind {
+    /// The node computing `kind` over `inputs`: the equal one already
+    /// built, or a new one.
+    fn node(&mut self, kind: OpKind, inputs: &[NodeId], shape: Shape) -> NodeId {
+        let (kind, inputs) = match kind {
             OpKind::MatMul { ta, tb, alpha_bits }
                 if self.syrk && inputs[0] == inputs[1] && ta != tb && shape.rows >= 2 =>
             {
-                (OpKind::Syrk { trans: ta, alpha_bits }, vec![inputs[0]])
+                (OpKind::Syrk { trans: ta, alpha_bits }, &inputs[..1])
             }
             kind => (kind, inputs),
         };
-        if let Some(&id) = self.table.get(&key) {
-            return id;
-        }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node { kind: key.0.clone(), inputs: key.1.clone(), shape });
-        self.table.insert(key, id);
-        id
+        let built = self.nodes.iter().position(|n| n.kind == kind && n.inputs == inputs);
+        NodeId(built.unwrap_or_else(|| {
+            self.nodes.push(Node { kind, inputs: inputs.to_vec(), shape });
+            self.nodes.len() - 1
+        }) as u32)
     }
 
     fn value(&mut self, e: &Expr) -> Val {
         match e {
-            Expr::Var(name) => self.leaf(OpKind::Input(name.clone()), self.ctx.expect(name).shape),
-            Expr::Identity(n) => self.leaf(OpKind::Identity(*n), Shape::new(*n, *n)),
+            Expr::Var(name) => {
+                let input = |n: &Node| matches!(&n.kind, OpKind::Input(x) if x == name);
+                Val::of(match self.nodes.iter().position(input) {
+                    Some(built) => NodeId(built as u32),
+                    None => {
+                        let shape = self.ctx.expect(name).shape;
+                        self.node(OpKind::Input(name.clone()), &[], shape)
+                    }
+                })
+            }
+            Expr::Identity(n) => Val::of(self.node(OpKind::Identity(*n), &[], Shape::new(*n, *n))),
             Expr::Transpose(x) => {
                 let v = self.value(x);
                 Val { t: v.t.flip(), ..v }
@@ -96,16 +115,16 @@ impl Lowering<'_> {
                 let alpha_bits = (a.c.0 * b.c.0).to_bits();
                 let ta = if cols == 1 && self.symmetric(a.node) { Trans::Yes } else { a.t };
                 let kind = OpKind::MatMul { ta, tb: b.t, alpha_bits };
-                Val::of(self.node(kind, vec![a.node, b.node], Shape::new(rows, cols)))
+                Val::of(self.node(kind, &[a.node, b.node], Shape::new(rows, cols)))
             }
-            Expr::Add(..) => self.op(OpKind::Add, e),
-            Expr::Sub(..) => self.op(OpKind::Sub, e),
-            Expr::Elem(_, i, j) => self.op(OpKind::Elem(*i, *j), e),
-            Expr::Row(_, i) => self.op(OpKind::Row(*i), e),
-            Expr::Col(_, j) => self.op(OpKind::Col(*j), e),
-            Expr::VCat(..) => self.op(OpKind::VCat, e),
-            Expr::HCat(..) => self.op(OpKind::HCat, e),
-            Expr::BlockDiag(..) => self.op(OpKind::BlockDiag, e),
+            Expr::Add(a, b) => self.op(OpKind::Add, &[a, b]),
+            Expr::Sub(a, b) => self.op(OpKind::Sub, &[a, b]),
+            Expr::Elem(x, i, j) => self.op(OpKind::Elem(*i, *j), &[x]),
+            Expr::Row(x, i) => self.op(OpKind::Row(*i), &[x]),
+            Expr::Col(x, j) => self.op(OpKind::Col(*j), &[x]),
+            Expr::VCat(a, b) => self.op(OpKind::VCat, &[a, b]),
+            Expr::HCat(a, b) => self.op(OpKind::HCat, &[a, b]),
+            Expr::BlockDiag(a, b) => self.op(OpKind::BlockDiag, &[a, b]),
         }
     }
 
@@ -120,34 +139,32 @@ impl Lowering<'_> {
         }
     }
 
-    fn leaf(&mut self, kind: OpKind, shape: Shape) -> Val {
-        Val::of(self.node(kind, vec![], shape))
-    }
-
     /// Apply a value's pending scale, then its pending transpose.
     fn materialise(&mut self, v: Val) -> NodeId {
         let (mut id, shape) = (v.node, self.shape(v.node));
         if v.c != Factor(1.0) {
-            id = self.node(OpKind::Scale(v.c.0.to_bits()), vec![id], shape);
+            id = self.node(OpKind::Scale(v.c.0.to_bits()), &[id], shape);
         }
         if v.t == Trans::Yes {
-            id = self.node(OpKind::Transpose, vec![id], shape.t());
+            id = self.node(OpKind::Transpose, &[id], shape.t());
         }
         id
     }
 
-    /// `kind` over the children of `e`, each materialised once lowered;
-    /// `x + x` is `2·x` (the materialised `x` may then go unused).
-    fn op(&mut self, kind: OpKind, e: &Expr) -> Val {
-        let (mut first, mut inputs) = (None, Vec::new());
-        for child in e.children() {
+    /// `kind` over `children`, each materialised once lowered; `x + x` is
+    /// `2·x` (the materialised `x` may then go unused).
+    fn op(&mut self, kind: OpKind, children: &[&Expr]) -> Val {
+        let mut inputs = [NodeId(0); 2];
+        let mut first = None;
+        for (slot, child) in inputs.iter_mut().zip(children) {
             let v = self.value(child);
             if kind == OpKind::Add && first == Some(v) {
                 return Val { c: Factor(2.0 * v.c.0), ..v };
             }
             first = first.or(Some(v));
-            inputs.push(self.materialise(v));
+            *slot = self.materialise(v);
         }
+        let inputs = &inputs[..children.len()];
         let (a, b) = (self.shape(inputs[0]), self.shape(inputs[inputs.len() - 1]));
         let (rows, cols) = match kind {
             OpKind::Elem(..) => (1, 1),
@@ -165,9 +182,13 @@ impl Lowering<'_> {
     }
 
     /// Fold each `c·(product)` whose product has no other live consumer
-    /// into its `alpha`, then rebuild the live nodes in order through a
-    /// fresh table, so a fold that duplicated a node merges.
+    /// into the product's `alpha`, then compact the nodes in place: drop
+    /// the folded scalings and every node nothing live reads, and point
+    /// each survivor at its inputs' new places. Only a fold can make two
+    /// nodes equal (a product then matches one built with that `alpha`),
+    /// so only then are survivors merged with an equal earlier one.
     fn fold_scales(mut self, out: NodeId) -> Graph {
+        // Live uses per node; after the compaction, each node's new id.
         let mut uses = vec![0u32; self.nodes.len()];
         uses[out.idx()] = 1;
         for (i, node) in self.nodes.iter().enumerate().rev() {
@@ -175,25 +196,46 @@ impl Lowering<'_> {
                 node.inputs.iter().for_each(|inp| uses[inp.idx()] += 1);
             }
         }
+        let mut folded = false;
         for i in 0..self.nodes.len() {
             let OpKind::Scale(c) = self.nodes[i].kind else { continue };
             let p = self.nodes[i].inputs[0].idx();
-            let mut product = self.nodes[p].clone();
-            if let (OpKind::MatMul { alpha_bits, .. } | OpKind::Syrk { alpha_bits, .. }, true) =
-                (&mut product.kind, uses[i] > 0 && uses[p] == 1)
+            if uses[i] == 0 || uses[p] != 1 {
+                continue;
+            }
+            if let OpKind::MatMul { alpha_bits, .. } | OpKind::Syrk { alpha_bits, .. } =
+                &mut self.nodes[p].kind
             {
                 *alpha_bits = (f64::from_bits(*alpha_bits) * f64::from_bits(c)).to_bits();
-                (self.nodes[i], uses[p]) = (product, 0);
+                (uses[i], folded) = (FOLDED, true);
             }
         }
-        let old = std::mem::take(&mut self.nodes);
-        self.table.clear();
-        let mut remap = vec![NodeId(u32::MAX); old.len()];
-        for (i, node) in old.into_iter().enumerate().filter(|(i, _)| uses[*i] > 0) {
-            let inputs = node.inputs.iter().map(|id| remap[id.idx()]).collect();
-            remap[i] = self.node(node.kind, inputs, node.shape);
+        let mut kept = 0;
+        for i in 0..self.nodes.len() {
+            match uses[i] {
+                0 => continue,
+                FOLDED => {
+                    uses[i] = uses[self.nodes[i].inputs[0].idx()];
+                    continue;
+                }
+                _ => {}
+            }
+            for inp in &mut self.nodes[i].inputs {
+                *inp = NodeId(uses[inp.idx()]);
+            }
+            let (before, rest) = self.nodes.split_at_mut(i);
+            let equal = |n: &Node| n.kind == rest[0].kind && n.inputs == rest[0].inputs;
+            uses[i] = match folded.then(|| before[..kept].iter().position(equal)).flatten() {
+                Some(same) => same as u32,
+                None => {
+                    self.nodes.swap(kept, i);
+                    kept += 1;
+                    kept as u32 - 1
+                }
+            };
         }
-        Graph { nodes: self.nodes, outputs: vec![remap[out.idx()]] }
+        self.nodes.truncate(kept);
+        Graph { nodes: self.nodes, outputs: vec![NodeId(uses[out.idx()])] }
     }
 }
 
@@ -279,6 +321,19 @@ mod tests {
         let g = lower(&(s.clone() + s), &ctx(), false);
         assert_eq!((g.matmul_count(), g.len()), (1, 3));
         assert_eq!(g.node(g.outputs[0]).kind.alpha(), 2.0);
+    }
+
+    #[test]
+    fn a_fold_that_makes_two_products_equal_merges_them() {
+        // (2A)·B is built with alpha 2; 2·(A·B) folds into a second
+        // product with alpha 2 over the same inputs, which is the first.
+        let e = scale(2.0, var("A")).t() * var("B") + scale(2.0, var("A").t() * var("B"));
+        let g = lower(&e, &ctx(), false);
+        g.check_topology().unwrap();
+        assert_eq!((g.matmul_count(), g.len()), (1, 4));
+        let add = g.node(g.outputs[0]);
+        assert_eq!((&add.kind, add.inputs[0] == add.inputs[1]), (&OpKind::Add, true));
+        assert_eq!(g.node(add.inputs[0]).kind.alpha(), 2.0);
     }
 
     #[test]

@@ -49,6 +49,15 @@ use crate::signature::OptLevel;
 /// served families (one `HᵀH`). A server executes a plan in its
 /// signature's one dtype, so it holds at most one set per cached plan:
 /// 64 plans per backend.
+///
+/// A compile is what a plan-cache miss pays, on every request of a
+/// workload that churns signatures, so it allocates about what the plan
+/// owns: the graph (built once, in the lowering's one walk, whose
+/// hash-consing scans the nodes built so far and clones no key), the
+/// schedule's two per-node vectors and the analysis' status vector, plus
+/// the hoist subgraph for a plan that hoists. At the passes level that is
+/// 8 to 18 allocations per family (`tests/alloc_budget.rs` pins them with
+/// the miss around them).
 #[derive(Debug)]
 pub struct Plan {
     graph: Graph,

@@ -44,6 +44,7 @@ use std::time::{Duration, Instant};
 
 use laab_backend::{BackendScalar, Dtype, Registration};
 use laab_expr::eval::Env;
+use laab_expr::{Context, Expr};
 use laab_framework::Framework;
 
 use crate::admission::{AdmissionQueue, AdmissionStats, FlushKind, FlushedBatch, SubmitOutcome};
@@ -333,20 +334,38 @@ struct PoolPair {
     f32: Env<f32>,
 }
 
-/// One executor thread's memo of what a key needs before execution:
-/// the plan-cache signature and the operand pools. Owned by its thread,
-/// so a repeated key costs one map probe — no `Expr` rebuild, canonical
-/// render and hash, and no shared pool-map lock. Like that map it holds
+/// What an executor needs before it executes a key's batch.
+struct Keyed {
+    /// The plan-cache signature.
+    sig: Signature,
+    /// The family's expression and context at the key's size: what the
+    /// signature was built from, and what a cache miss compiles.
+    expr: Expr,
+    ctx: Context,
+    /// The key's operand pools.
+    pools: Arc<PoolPair>,
+}
+
+/// One executor thread's memo of what each key needs before execution.
+/// Owned by its thread, so a repeated key costs one map probe — no
+/// `Expr` rebuild, canonical render and hash, and no shared pool-map
+/// lock — and a plan-cache miss compiles at once. Like that map it holds
 /// one entry per key clients have sent.
 #[derive(Default)]
-struct Memo(HashMap<JobKey, (Signature, Arc<PoolPair>)>);
+struct Memo(HashMap<JobKey, Keyed>);
 
 impl Memo {
-    /// The signature and pools of `job`'s key, built on first sight.
-    fn get(&mut self, job: &ServerJob, ctx: &ExecCtx<'_>) -> &(Signature, Arc<PoolPair>) {
+    /// What `job`'s key needs, built on first sight.
+    fn get(&mut self, job: &ServerJob, ctx: &ExecCtx<'_>) -> &Keyed {
         let req = &job.request;
         self.0.entry(job.key()).or_insert_with(|| {
-            (req.signature(job.backend.id()), pool_for(ctx.pools, req.family, req.n, ctx.seed))
+            let (expr, typing) = (req.family.expr(req.n), req.family.ctx(req.n));
+            Keyed {
+                sig: req.signature_over(&expr, &typing, job.backend.id()),
+                expr,
+                ctx: typing,
+                pools: pool_for(ctx.pools, req.family, req.n, ctx.seed),
+            }
         })
     }
 }
@@ -709,19 +728,22 @@ struct ExecCtx<'a> {
 }
 
 /// Execute one admitted batch and answer every request in it. The
-/// robustness gauntlet runs first: expired jobs are answered
-/// `Expired` without compute, injected delays stretch the batch (and
-/// may expire more jobs), a quarantined signature is refused
-/// wholesale; what is still live goes to [`execute_typed`].
+/// robustness gauntlet runs first: every member's injected delay is
+/// drawn, expired jobs are answered `Expired` without compute, a drawn
+/// delay stretches what is still live (and may expire more of it), a
+/// quarantined signature is refused wholesale; what is still live goes
+/// to [`execute_typed`].
 fn execute_batch(batch: &FlushedBatch<ServerJob>, ctx: &ExecCtx<'_>, memo: &mut Memo) {
     let start = Instant::now();
     let counters = ctx.counters;
+    // Every member's delay is drawn before any expiry check, so what the
+    // fault plan selects is counted however late the batch was picked up.
+    let delay =
+        ctx.injector.and_then(|inj| batch.items.iter().filter_map(|j| inj.delay_for(j.id)).max());
     let mut live = expire(batch.items.iter().collect(), counters);
-    if let Some(inj) = ctx.injector {
-        if let Some(delay) = live.iter().filter_map(|j| inj.delay_for(j.id)).max() {
-            std::thread::sleep(delay);
-            live = expire(live, counters);
-        }
+    if let Some(delay) = delay.filter(|_| !live.is_empty()) {
+        std::thread::sleep(delay);
+        live = expire(live, counters);
     }
     let Some(job0) = live.first() else { return };
     if ctx.quarantine.is_quarantined(&job0.key()) {
@@ -733,10 +755,10 @@ fn execute_batch(batch: &FlushedBatch<ServerJob>, ctx: &ExecCtx<'_>, memo: &mut 
         }
         return;
     }
-    let (sig, pool) = memo.get(job0, ctx);
+    let keyed = memo.get(job0, ctx);
     match job0.request.dtype {
-        Dtype::F64 => execute_typed::<f64>(&live, batch.kind, start, sig, &pool.f64, ctx),
-        Dtype::F32 => execute_typed::<f32>(&live, batch.kind, start, sig, &pool.f32, ctx),
+        Dtype::F64 => execute_typed::<f64>(&live, batch.kind, start, keyed, &keyed.pools.f64, ctx),
+        Dtype::F32 => execute_typed::<f32>(&live, batch.kind, start, keyed, &keyed.pools.f32, ctx),
     }
 }
 
@@ -779,7 +801,7 @@ fn execute_typed<T: BackendScalar>(
     live: &[&ServerJob],
     flush: FlushKind,
     start: Instant,
-    sig: &Signature,
+    keyed: &Keyed,
     pool_env: &Env<T>,
     ctx: &ExecCtx<'_>,
 ) {
@@ -788,15 +810,10 @@ fn execute_typed<T: BackendScalar>(
     let reg = live[0].backend;
     let has_payload = !req0.family.payload_operands().is_empty();
     let t_lookup = Instant::now();
+    let Keyed { sig, expr, ctx: typing, .. } = keyed;
     let (plan, _) = ctx.cache.get_or_compile(sig, || {
-        Plan::compile_opt(
-            &Framework::flow(),
-            &req0.family.expr(req0.n),
-            &req0.family.ctx(req0.n),
-            reg,
-            req0.family.varying_operands(),
-            sig.opt(),
-        )
+        let varying = req0.family.varying_operands();
+        Plan::compile_opt(&Framework::flow(), expr, typing, reg, varying, sig.opt())
     });
     // The lookup (and any compile) is execution time of whoever runs
     // first.
@@ -1105,7 +1122,9 @@ mod tests {
                         let mut job = job(&conn, 0, family, n, Instant::now());
                         job.request.dtype = dtype;
                         let want = job.request.signature(job.backend.id());
-                        assert_eq!(memo.get(&job, &ctx).0, want, "{} n={n} {dtype:?}", family.id());
+                        let keyed = memo.get(&job, &ctx);
+                        assert_eq!(keyed.sig, want, "{} n={n} {dtype:?}", family.id());
+                        assert_eq!((&keyed.expr, &keyed.ctx), (&family.expr(n), &family.ctx(n)));
                     }
                 }
             }
@@ -1156,6 +1175,42 @@ mod tests {
         assert_eq!(injector.counts().panics, 1);
         let failures = quarantine.failures.lock().unwrap();
         assert_eq!(failures.values().copied().collect::<Vec<_>>(), [1], "one failed execution");
+    }
+
+    #[test]
+    fn a_batch_already_past_its_deadlines_still_draws_every_delay() {
+        // Jobs an executor picks up after their deadline are answered
+        // `Expired` at once, but the fault plan's draw for each of them
+        // happens first: the delay count does not depend on how late the
+        // batch was scheduled.
+        let injector = FaultInjector::new(FaultPlan::parse("delay:1/1x1000").unwrap(), SEED);
+        let shared = Shared::new();
+        let (conn, mut client_end) = connection();
+        let now = Instant::now();
+        let past = now.checked_sub(Duration::from_secs(1)).expect("the clock has run a second");
+        let items: Vec<ServerJob> = (0..5)
+            .map(|id| ServerJob { deadline: Some(past), ..job(&conn, id, Family::Chain, 16, now) })
+            .collect();
+        let batch = FlushedBatch { items, kind: FlushKind::Occupancy, enqueued_at: now };
+        execute_batch(
+            &batch,
+            &shared.ctx(&Quarantine::new(3), Some(&injector)),
+            &mut Memo::default(),
+        );
+        assert_eq!(injector.counts().delays, 5, "one drawn delay per member");
+        assert_eq!(shared.counters.expired.load(Ordering::Relaxed), 5);
+        assert_eq!(conn.1.load(Ordering::Relaxed), 0, "every job finished exactly once");
+        for id in 0..5 {
+            match proto::read_message(&mut client_end) {
+                Ok(Some(Message::Response(ResponseMsg {
+                    id: got,
+                    outcome: Outcome::Expired { .. },
+                }))) => {
+                    assert_eq!(got, id)
+                }
+                other => panic!("expected request {id} to expire, got {other:?}"),
+            }
+        }
     }
 
     fn wire_request(family: &str, n: u64, dtype: Dtype, backend: &str) -> RequestMsg {

@@ -9,6 +9,8 @@
 //! accelerator), so hash collisions can never alias two different
 //! requests onto one plan.
 
+use std::sync::Arc;
+
 use laab_backend::BackendId;
 use laab_expr::{Context, Expr};
 use laab_rewrite::CostModel;
@@ -118,8 +120,15 @@ struct OperandSig {
 /// dispatched to two backends is two cache entries, never one, so an
 /// A/B run can't cross-hit. The 64-bit FNV-1a hash is stable across
 /// processes and runs, so it can key on-disk artifacts too.
+///
+/// The parts sit behind one reference count: a clone (the plan cache
+/// keeps one per entry) copies a pointer, not the strings and operand
+/// list.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Signature {
+pub struct Signature(Arc<Parts>);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Parts {
     func: String,
     canon: String,
     operands: Vec<OperandSig>,
@@ -195,7 +204,15 @@ impl Signature {
         h = fnv1a(h, backend.name().as_bytes());
         h = fnv1a(h, &[0xff]);
         h = fnv1a(h, opt.id().as_bytes());
-        Self { func: func.to_string(), canon, operands, dtype, backend, opt, hash: h }
+        Self(Arc::new(Parts {
+            func: func.to_string(),
+            canon,
+            operands,
+            dtype,
+            backend,
+            opt,
+            hash: h,
+        }))
     }
 
     /// This signature with the operands named in `varying` declared to
@@ -205,9 +222,10 @@ impl Signature {
     /// it are two entries that never alias. A name the context does not
     /// declare changes nothing.
     pub fn with_varying(mut self, varying: &[&str]) -> Self {
-        for op in self.operands.iter_mut().filter(|op| varying.contains(&op.name.as_str())) {
+        let parts = Arc::make_mut(&mut self.0);
+        for op in parts.operands.iter_mut().filter(|op| varying.contains(&op.name.as_str())) {
             op.varying = true;
-            self.hash = fnv1a(fnv1a(self.hash, &[0xfe]), op.name.as_bytes());
+            parts.hash = fnv1a(fnv1a(parts.hash, &[0xfe]), op.name.as_bytes());
         }
         self
     }
@@ -215,40 +233,41 @@ impl Signature {
     /// The stable 64-bit hash (cache shard + bucket key; equality still
     /// compares the full signature).
     pub fn hash(&self) -> u64 {
-        self.hash
+        self.0.hash
     }
 
     /// The callsite identity (the "Python function" of the analogy) —
     /// the unit the retrace counter tracks.
     pub fn func(&self) -> &str {
-        &self.func
+        &self.0.func
     }
 
     /// The canonical expression structure.
     pub fn canon(&self) -> &str {
-        &self.canon
+        &self.0.canon
     }
 
     /// The request's element precision.
     pub fn dtype(&self) -> Dtype {
-        self.dtype
+        self.0.dtype
     }
 
     /// The execution backend the plan is compiled for.
     pub fn backend(&self) -> BackendId {
-        self.backend
+        self.0.backend
     }
 
     /// The optimizer pipeline the plan is compiled through.
     pub fn opt(&self) -> OptLevel {
-        self.opt
+        self.0.opt
     }
 }
 
 impl std::fmt::Display for Signature {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {} [", self.func, self.canon)?;
-        for (i, op) in self.operands.iter().enumerate() {
+        let parts = &self.0;
+        write!(f, "{}: {} [", parts.func, parts.canon)?;
+        for (i, op) in parts.operands.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -260,7 +279,7 @@ impl std::fmt::Display for Signature {
                 write!(f, "~")?;
             }
         }
-        write!(f, "] {} @{} opt={}", self.dtype.name(), self.backend, self.opt)
+        write!(f, "] {} @{} opt={}", parts.dtype.name(), parts.backend, parts.opt)
     }
 }
 

@@ -192,8 +192,18 @@ impl Request {
     /// family's expression at this size, and the family's
     /// [`Family::varying_operands`] are declared varying.
     pub fn signature(&self, backend: BackendId) -> Signature {
-        let (expr, ctx) = (self.family.expr(self.n), self.family.ctx(self.n));
-        Signature::new(self.family.id(), &expr, &ctx, self.dtype, backend)
+        self.signature_over(&self.family.expr(self.n), &self.family.ctx(self.n), backend)
+    }
+
+    /// [`Request::signature`] from the family's expression and context at
+    /// the request's size, for a caller that keeps them to compile.
+    pub(crate) fn signature_over(
+        &self,
+        expr: &Expr,
+        ctx: &Context,
+        backend: BackendId,
+    ) -> Signature {
+        Signature::new(self.family.id(), expr, ctx, self.dtype, backend)
             .with_varying(self.family.varying_operands())
     }
 
@@ -205,13 +215,13 @@ impl Request {
     /// payload vectors alone, not the `n×n` model operand.
     pub fn env_from_pool<T: Scalar>(&self, base: &Env<T>, seed: u64) -> Env<T> {
         let mut env = base.clone();
-        let ctx = self.family.ctx(self.n);
         for (k, name) in self.family.payload_operands().iter().enumerate() {
             let mut g = OperandGen::new(
                 seed ^ self.payload.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((k as u64 + 1) << 56),
             );
-            let shape = ctx.expect(name).shape;
-            env.insert(name, g.matrix(shape.rows, shape.cols));
+            // The pool binds every operand at the family's shape.
+            let (rows, cols) = base.expect(name).shape();
+            env.insert(name, g.matrix(rows, cols));
         }
         env
     }
@@ -415,5 +425,27 @@ mod tests {
         // (that is exactly what makes the requests coalescible).
         let r5 = Request { payload: 99, ..r1 };
         assert_eq!(r1.signature(BackendId::ENGINE), r5.signature(BackendId::ENGINE));
+    }
+
+    #[test]
+    fn served_signature_hashes_are_pinned() {
+        // The hash may key on-disk artifacts and shards the plan cache:
+        // every family at every served size, in both dtypes and on both
+        // built-in backends, folded into one FNV-1a digest.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for family in Family::ALL {
+            for n in 2..=300 {
+                for dtype in [Dtype::F32, Dtype::F64] {
+                    for backend in [BackendId::ENGINE, BackendId::REFERENCE] {
+                        let hash =
+                            Request { family, n, dtype, payload: 0 }.signature(backend).hash();
+                        for byte in hash.to_le_bytes() {
+                            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, 0xC009_AF6C_0AA5_D26F);
     }
 }
