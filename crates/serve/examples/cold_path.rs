@@ -10,7 +10,8 @@
 //! * `compile_opt` — `Plan::compile_opt` at the signature's level, inside
 //!   the compile closure `laab serve` passes on a miss;
 //! * `miss bookkeeping` — the rest of that `PlanCache::get_or_compile`:
-//!   the lookup, the retrace and eviction records, the evicting insert;
+//!   the shard scan, the retrace record, the insert that replaces the
+//!   least recently used entry;
 //! * `bind` — `Request::env_from_pool` (the vector families' payload);
 //! * `first execute` / `warm execute` — `Plan::execute`, the first one
 //!   computing any hoisted value;

@@ -6,17 +6,19 @@
 //! signature — the event `tf.function` warns about), and evictions.
 //!
 //! Concurrency model: the signature hash selects one of N shards; each
-//! shard is an independent mutex over its entries, so clients serving
+//! shard is an independent mutex over a flat, fixed-capacity list of
+//! entries (a handful of plans, scanned on lookup), so clients serving
 //! different signatures rarely contend. Compilation runs **while holding
 //! the shard lock** — single-flight semantics: when many clients miss on
 //! the same new signature at once, exactly one compiles and the rest
-//! block briefly and then hit. The counters are lock-free atomics.
+//! block briefly and then hit. On a full shard the least recently used
+//! entry is replaced in place, and the evicted plan is freed only after
+//! the lock is released. The counters are lock-free atomics.
 
 use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use laab_backend::BackendId;
 
@@ -50,16 +52,6 @@ pub struct CacheStats {
     pub retraces: u64,
     /// Plans evicted by the LRU bound.
     pub evictions: u64,
-    /// The subset of misses whose exact signature had been compiled
-    /// before and was evicted by the LRU bound — pure capacity churn, as
-    /// opposed to first-compile misses (cold signatures) and retraces
-    /// (signature drift). A rising count under steady traffic means the
-    /// capacity is too small for the working set: the `tf.function`
-    /// retrace-storm pathology induced by the cache itself.
-    pub evicted_recompiles: u64,
-    /// Total nanoseconds spent re-compiling evicted signatures — the
-    /// latency the LRU bound *cost*, not merely how often it bit.
-    pub recompile_nanos: u64,
     /// Plans currently resident.
     pub entries: usize,
 }
@@ -74,16 +66,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Mean wall-clock milliseconds of one eviction-induced recompile
-    /// (`0.0` before any — zero over zero is "no churn", not NaN).
-    pub fn mean_recompile_ms(&self) -> f64 {
-        if self.evicted_recompiles == 0 {
-            0.0
-        } else {
-            self.recompile_nanos as f64 / 1e6 / self.evicted_recompiles as f64
-        }
-    }
 }
 
 struct Entry {
@@ -92,46 +74,11 @@ struct Entry {
     last_used: u64,
 }
 
-#[derive(Default)]
+/// Up to `per_shard_capacity` entries, allocated once, and the shard's
+/// monotonic recency clock (larger = more recently used).
 struct Shard {
-    /// Hash → entries (a bucket holds >1 entry only on a 64-bit hash
-    /// collision between structurally different signatures).
-    buckets: HashMap<u64, Vec<Entry>>,
-    /// Monotonic recency clock; larger = more recently used.
+    entries: Vec<Entry>,
     tick: u64,
-    /// Resident entries across all buckets.
-    len: usize,
-}
-
-impl Shard {
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Remove the least-recently-used entry, returning its signature
-    /// hash (the caller records it so a later miss on the same signature
-    /// counts as an eviction-induced recompile). Caller guarantees
-    /// non-empty.
-    fn evict_lru(&mut self) -> u64 {
-        let (&key, oldest) = self
-            .buckets
-            .iter()
-            .filter_map(|(k, v)| v.iter().map(|e| e.last_used).min().map(|oldest| (k, oldest)))
-            .min_by_key(|&(_, oldest)| oldest)
-            .expect("evict_lru on an empty shard");
-        let bucket = self.buckets.get_mut(&key).expect("bucket exists");
-        let pos = bucket
-            .iter()
-            .position(|e| e.last_used == oldest)
-            .expect("entry with the oldest tick exists");
-        bucket.swap_remove(pos);
-        if bucket.is_empty() {
-            self.buckets.remove(&key);
-        }
-        self.len -= 1;
-        key
-    }
 }
 
 /// Sharded, LRU-bounded map from [`Signature`] to [`Plan`].
@@ -142,14 +89,6 @@ pub struct PlanCache {
     misses: AtomicU64,
     retraces: AtomicU64,
     evictions: AtomicU64,
-    evicted_recompiles: AtomicU64,
-    recompile_nanos: AtomicU64,
-    /// Hashes of every signature the LRU bound has ever evicted, so a
-    /// later miss on one of them is classified as capacity churn rather
-    /// than a first compile. Hash membership, not full signatures: a
-    /// 64-bit collision misclassifies one counter tick, nothing more.
-    /// Bounded by the distinct signatures the process ever sees.
-    evicted_sigs: Mutex<HashSet<u64>>,
     /// callsite → `(backend, opt level, hash of the most recently
     /// compiled signature)`, for the retrace distinction. The callsite is
     /// tracked *per backend and per optimizer level*: dispatching one
@@ -184,25 +123,23 @@ impl PlanCache {
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1).next_power_of_two();
         let per_shard_capacity = capacity.max(1).div_ceil(shards);
+        let shard =
+            || Mutex::new(Shard { entries: Vec::with_capacity(per_shard_capacity), tick: 0 });
         Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..shards).map(|_| shard()).collect(),
             per_shard_capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             retraces: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            evicted_recompiles: AtomicU64::new(0),
-            recompile_nanos: AtomicU64::new(0),
-            evicted_sigs: Mutex::new(HashSet::new()),
             seen_funcs: Mutex::new(HashMap::new()),
         }
     }
 
-    fn shard_of(&self, hash: u64) -> &Mutex<Shard> {
-        // Upper bits: the lower bits index HashMap buckets inside the
-        // shard, so reusing them here would correlate the two levels.
-        let idx = (hash >> 48) as usize & (self.shards.len() - 1);
-        &self.shards[idx]
+    /// The locked shard `sig` lives in, picked by the hash's upper bits.
+    fn shard(&self, sig: &Signature) -> MutexGuard<'_, Shard> {
+        let idx = (sig.hash() >> 48) as usize & (self.shards.len() - 1);
+        self.shards[idx].lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Look up `sig`, compiling (and caching) a plan with `compile` on a
@@ -220,15 +157,13 @@ impl PlanCache {
         compile: impl FnOnce() -> Plan,
     ) -> (Arc<Plan>, Lookup) {
         let sig = sig.borrow();
-        let mut shard = self.shard_of(sig.hash()).lock().unwrap_or_else(|e| e.into_inner());
-        let tick = shard.next_tick();
-        if let Some(bucket) = shard.buckets.get_mut(&sig.hash()) {
-            if let Some(entry) = bucket.iter_mut().find(|e| e.sig == *sig) {
-                entry.last_used = tick;
-                let plan = Arc::clone(&entry.plan);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return (plan, Lookup::Hit);
-            }
+        let mut shard = self.shard(sig);
+        shard.tick += 1;
+        let tick = shard.tick;
+        if let Some(entry) = shard.entries.iter_mut().find(|e| holds(e, sig)) {
+            entry.last_used = tick;
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return (Arc::clone(&entry.plan), Lookup::Hit);
         }
 
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -249,44 +184,33 @@ impl PlanCache {
         if retrace {
             self.retraces.fetch_add(1, Ordering::Relaxed);
         }
-        let was_evicted = {
-            let evicted = self.evicted_sigs.lock().unwrap_or_else(|e| e.into_inner());
-            evicted.contains(&sig.hash())
-        };
 
-        let t0 = Instant::now();
         let plan = Arc::new(compile());
-        if was_evicted {
-            // An eviction-induced recompile: the capacity bound, not a
-            // new signature, is what made this lookup pay the cold compile.
-            self.evicted_recompiles.fetch_add(1, Ordering::Relaxed);
-            self.recompile_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        if shard.len >= self.per_shard_capacity {
-            let evicted_hash = shard.evict_lru();
+        let entry = Entry { sig: sig.clone(), plan: Arc::clone(&plan), last_used: tick };
+        let evicted = if shard.entries.len() < self.per_shard_capacity {
+            shard.entries.push(entry);
+            None
+        } else {
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.evicted_sigs.lock().unwrap_or_else(|e| e.into_inner()).insert(evicted_hash);
-        }
-        let hash = sig.hash();
-        shard.buckets.entry(hash).or_default().push(Entry {
-            sig: sig.clone(),
-            plan: Arc::clone(&plan),
-            last_used: tick,
-        });
-        shard.len += 1;
+            let lru = shard.entries.iter_mut().min_by_key(|e| e.last_used);
+            Some(std::mem::replace(lru.expect("a full shard has entries"), entry))
+        };
+        // Free the evicted plan (graph, schedule, hoisted values) only once
+        // the shard is unlocked, so lookups on it do not wait for the free.
+        drop(shard);
+        drop(evicted);
         (plan, Lookup::Compiled { retrace })
     }
 
     /// `true` when `sig` is resident, without touching recency or
     /// counters (test/introspection hook).
     pub fn contains(&self, sig: &Signature) -> bool {
-        let shard = self.shard_of(sig.hash()).lock().unwrap_or_else(|e| e.into_inner());
-        shard.buckets.get(&sig.hash()).is_some_and(|bucket| bucket.iter().any(|e| e.sig == *sig))
+        self.shard(sig).entries.iter().any(|e| holds(e, sig))
     }
 
     /// Number of resident plans.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len).sum()
+        self.shards.iter().map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).entries.len()).sum()
     }
 
     /// `true` when no plan is resident.
@@ -301,11 +225,15 @@ impl PlanCache {
             misses: self.misses.load(Ordering::Relaxed),
             retraces: self.retraces.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            evicted_recompiles: self.evicted_recompiles.load(Ordering::Relaxed),
-            recompile_nanos: self.recompile_nanos.load(Ordering::Relaxed),
             entries: self.len(),
         }
     }
+}
+
+/// `entry` holds `sig` (the hash first: a mismatch there is the common
+/// case and skips the structural comparison).
+fn holds(entry: &Entry, sig: &Signature) -> bool {
+    entry.sig.hash() == sig.hash() && entry.sig == *sig
 }
 
 #[cfg(test)]
@@ -362,35 +290,14 @@ mod tests {
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
 
-        // Re-requesting the evicted signature recompiles — and that
-        // recompile is classified as eviction-induced, with its latency
-        // on the record (capacity churn, not a cold signature).
-        assert_eq!(cache.stats().evicted_recompiles, 0);
+        // Re-requesting the evicted signature recompiles.
         let (_, l) = cache.get_or_compile(b, || tiny_plan(4));
         assert_eq!(l, Lookup::Compiled { retrace: false });
-        let st = cache.stats();
-        assert_eq!(st.evicted_recompiles, 1);
-        assert!(st.recompile_nanos > 0, "recompile latency is recorded");
-        assert!(st.mean_recompile_ms() > 0.0);
-    }
-
-    #[test]
-    fn first_compiles_are_not_evicted_recompiles() {
-        let cache = PlanCache::new(8);
-        for name in ["a", "b", "c"] {
-            cache.get_or_compile(sig(name, 4, Dtype::F64), || tiny_plan(4));
-        }
-        let st = cache.stats();
-        assert_eq!(st.misses, 3, "three first compiles");
-        assert_eq!(st.evicted_recompiles, 0, "no eviction happened");
-        assert_eq!(st.recompile_nanos, 0);
-        assert_eq!(st.mean_recompile_ms(), 0.0, "zero over zero is no churn, not NaN");
     }
 
     #[test]
     fn eviction_churn_counts_every_round_trip() {
-        // Capacity 1, two alternating signatures: after the first pair,
-        // every miss is an eviction-induced recompile.
+        // Capacity 1, two alternating signatures: every lookup misses.
         let cache = PlanCache::with_shards(1, 1);
         let (a, b) = (sig("a", 4, Dtype::F64), sig("b", 4, Dtype::F64));
         for _ in 0..3 {
@@ -400,8 +307,17 @@ mod tests {
         let st = cache.stats();
         assert_eq!(st.misses, 6);
         assert_eq!(st.evictions, 5, "every insert after the first evicts");
-        assert_eq!(st.evicted_recompiles, 4, "all but the two first compiles are churn");
-        assert!(st.mean_recompile_ms() > 0.0);
+    }
+
+    #[test]
+    fn an_evicted_plan_is_no_longer_held() {
+        let cache = PlanCache::with_shards(1, 1);
+        let (plan, _) = cache.get_or_compile(sig("a", 4, Dtype::F64), || tiny_plan(4));
+        let weak = Arc::downgrade(&plan);
+        drop(plan);
+        assert!(weak.upgrade().is_some(), "the cache holds the resident plan");
+        cache.get_or_compile(sig("b", 4, Dtype::F64), || tiny_plan(4));
+        assert!(weak.upgrade().is_none(), "evicting `a` freed its plan");
     }
 
     #[test]

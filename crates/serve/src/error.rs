@@ -1,6 +1,5 @@
-//! [`ServeError`] — the one error surface of the server, the load
-//! generator and the config builder — and the backend-name resolution
-//! all three validate with.
+//! [`ServeError`] — the one error surface of the server and the load
+//! generator — and the backend-name resolution both validate with.
 
 use std::collections::HashSet;
 use std::sync::Arc;

@@ -21,8 +21,9 @@
 //!   signature, re-executed with fresh operand bindings; a plan-cache
 //!   hit is bitwise-identical to a cold compile.
 //! * [`PlanCache`] — a sharded, LRU-bounded concurrent cache from
-//!   signature to plan, with hit/miss/retrace/eviction counters
-//!   mirroring `tf.function`'s retrace semantics.
+//!   signature to plan (each shard a flat, fixed-capacity list of
+//!   entries), with hit/miss/retrace/eviction counters mirroring
+//!   `tf.function`'s retrace semantics.
 //! * [`workload`] — synthetic request families drawn from the paper's
 //!   Experiments 1–5 (CSE traps, chains, Gram products, slicing,
 //!   distributivity, solver residuals), each declaring which operands
@@ -71,7 +72,7 @@ pub mod workload;
 
 pub use admission::{AdmissionQueue, AdmissionStats, FlushKind, SubmitOutcome};
 pub use cache::{CacheStats, Lookup, PlanCache};
-pub use config::{ServeConfig, ServeConfigBuilder};
+pub use config::ServeConfig;
 pub use error::ServeError;
 pub use fault::{FaultCounts, FaultInjector, FaultKind, FaultPlan};
 pub use laab_backend::BackendId;

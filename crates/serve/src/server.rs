@@ -380,8 +380,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind the listener. Validates the backend names the way the
-    /// builder does.
+    /// Bind the listener. The backend names are validated first, so a bad
+    /// list never opens a socket.
     ///
     /// # Errors
     /// Backend-list rejections ([`ServeError::UnknownBackend`] etc.),

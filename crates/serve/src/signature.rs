@@ -75,20 +75,15 @@ impl OptLevel {
         }
     }
 
-    /// Every level, in CLI order.
+    /// Every level, cheapest first.
     pub const ALL: [OptLevel; 2] = [OptLevel::Passes, OptLevel::Egraph];
 
-    /// Stable lowercase identifier (CLI value, report field, hash input).
+    /// Stable lowercase identifier (hash input and display name).
     pub fn id(self) -> &'static str {
         match self {
             OptLevel::Passes => "passes",
             OptLevel::Egraph => "egraph",
         }
-    }
-
-    /// Parse a CLI identifier.
-    pub fn from_id(s: &str) -> Option<OptLevel> {
-        OptLevel::ALL.into_iter().find(|l| l.id() == s)
     }
 }
 
@@ -342,10 +337,8 @@ mod tests {
 
     #[test]
     fn opt_level_ids_round_trip() {
-        for l in OptLevel::ALL {
-            assert_eq!(OptLevel::from_id(l.id()), Some(l));
-        }
-        assert_eq!(OptLevel::from_id("nope"), None);
+        assert_eq!(OptLevel::ALL.map(OptLevel::id), ["passes", "egraph"]);
+        assert_eq!(OptLevel::ALL.map(|l| l.to_string()), ["passes", "egraph"]);
         assert_eq!(OptLevel::default(), OptLevel::Passes);
     }
 

@@ -90,9 +90,8 @@ fn a_cold_miss_allocates_the_pinned_count() {
     let got: Table = on_fresh_thread(|| {
         let keys: Vec<_> = Family::ALL.into_iter().flat_map(|f| SIZES.map(|n| key(f, n))).collect();
         // One plan: every miss evicts the previous key's. The first round
-        // records every key with the cache's retrace and eviction
-        // bookkeeping; the second is the steady state a churning server
-        // is in.
+        // records every key in the cache's retrace bookkeeping; the
+        // second is the steady state a churning server is in.
         let cache = PlanCache::with_shards(1, 1);
         let mut got = [[0; 3]; 6];
         for round in 0..2 {
@@ -112,16 +111,16 @@ fn a_cold_miss_allocates_the_pinned_count() {
         }
         got
     });
-    // The compile, the `Arc<Plan>` and the entry's bucket: at n = 16 and
-    // 47 the passes level, at n = 192 the e-graph level (saturation and
-    // extraction allocate the rest).
+    // The compile and the `Arc<Plan>` (the shard's entries were allocated
+    // with the cache): at n = 16 and 47 the passes level, at n = 192 the
+    // e-graph level (saturation and extraction allocate the rest).
     let pinned = [
-        [12, 12, 644], // cse_gram
-        [20, 20, 185], // chain: its plan hoists `HᵀH`
-        [10, 10, 70],  // gram
-        [12, 12, 373], // slice
-        [14, 14, 305], // distributive
-        [14, 14, 742], // solve_residual
+        [11, 11, 643], // cse_gram
+        [19, 19, 184], // chain: its plan hoists `HᵀH`
+        [9, 9, 69],    // gram
+        [11, 11, 372], // slice
+        [13, 13, 304], // distributive
+        [13, 13, 741], // solve_residual
     ];
     assert_eq!(got, pinned);
 }

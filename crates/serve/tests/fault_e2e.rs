@@ -87,13 +87,13 @@ fn seeded_panic_delay_drop_counters_match_the_plan_exactly() {
     assert!(!panics.is_empty() && !drops.is_empty() && !delays.is_empty());
     assert_ne!(panics, drops, "kind salt separates the id sets");
 
-    let cfg = ServeConfig::builder()
-        .backends(["engine"])
-        .batch_window(1)
-        .quarantine_after(0) // isolate panic accounting from quarantine
-        .faults(Some(plan))
-        .build()
-        .expect("config validates");
+    let cfg = ServeConfig {
+        backends: vec!["engine".into()],
+        batch_window: 1,
+        quarantine_after: 0, // isolate panic accounting from quarantine
+        faults: Some(plan),
+        ..ServeConfig::default()
+    };
     let (report, stats) = drive("mix", cfg, |addr| {
         let mut lg = LoadgenConfig::smoke(addr);
         lg.requests = REQUESTS as usize;
@@ -141,12 +141,12 @@ fn corrupt_faults_are_counted_as_mismatches_on_completed_responses() {
     let corrupts = fired(&plan, 0x1AAB, FaultKind::Corrupt, REQUESTS);
     assert!(!corrupts.is_empty() && corrupts.len() < REQUESTS as usize);
 
-    let cfg = ServeConfig::builder()
-        .backends(["engine"])
-        .batch_window(1)
-        .faults(Some(plan))
-        .build()
-        .expect("config validates");
+    let cfg = ServeConfig {
+        backends: vec!["engine".into()],
+        batch_window: 1,
+        faults: Some(plan),
+        ..ServeConfig::default()
+    };
     let (report, stats) = drive("corrupt", cfg, |addr| {
         let mut lg = LoadgenConfig::smoke(addr);
         lg.requests = REQUESTS as usize;
@@ -174,12 +174,12 @@ fn deadlines_expire_delayed_requests_before_execution() {
     const REQUESTS: u64 = 12;
     let plan = FaultPlan::parse("delay:1/1x5000").expect("plan parses");
 
-    let cfg = ServeConfig::builder()
-        .backends(["engine"])
-        .batch_window(1)
-        .faults(Some(plan))
-        .build()
-        .expect("config validates");
+    let cfg = ServeConfig {
+        backends: vec!["engine".into()],
+        batch_window: 1,
+        faults: Some(plan),
+        ..ServeConfig::default()
+    };
     let (report, stats) = drive("expire", cfg, |addr| {
         let mut lg = LoadgenConfig::smoke(addr);
         lg.requests = REQUESTS as usize;
@@ -210,13 +210,13 @@ fn inflight_cap_sheds_burst_overflow_with_busy() {
     const REQUESTS: u64 = 8;
     let plan = FaultPlan::parse("delay:1/1x20000").expect("plan parses");
 
-    let cfg = ServeConfig::builder()
-        .backends(["engine"])
-        .batch_window(1)
-        .max_inflight(1)
-        .faults(Some(plan))
-        .build()
-        .expect("config validates");
+    let cfg = ServeConfig {
+        backends: vec!["engine".into()],
+        batch_window: 1,
+        max_inflight: 1,
+        faults: Some(plan),
+        ..ServeConfig::default()
+    };
     let (report, stats) = drive("busy", cfg, |addr| {
         let mut lg = LoadgenConfig::smoke(addr);
         lg.requests = REQUESTS as usize;
@@ -258,13 +258,13 @@ fn quarantine_fences_repeatedly_failing_signatures() {
     let distinct = distinct.len() as u64;
     assert!(distinct > 1 && distinct < REQUESTS as u64, "mix repeats signatures");
 
-    let cfg = ServeConfig::builder()
-        .backends(["engine"])
-        .batch_window(1)
-        .quarantine_after(1)
-        .faults(Some(plan))
-        .build()
-        .expect("config validates");
+    let cfg = ServeConfig {
+        backends: vec!["engine".into()],
+        batch_window: 1,
+        quarantine_after: 1,
+        faults: Some(plan),
+        ..ServeConfig::default()
+    };
     let (report, stats) = drive("quarantine", cfg, |addr| {
         let mut lg = LoadgenConfig::smoke(addr);
         lg.requests = REQUESTS;
@@ -295,12 +295,12 @@ fn quarantine_fences_repeatedly_failing_signatures() {
 #[test]
 fn smoke_under_faults_at_the_default_window_stays_bitwise_and_settles_every_request() {
     let plan = FaultPlan::parse("panic:1/8,delay:1/4x300").expect("plan parses");
-    let cfg = ServeConfig::builder()
-        .backends(["engine"])
-        .max_inflight(4)
-        .faults(Some(plan))
-        .build()
-        .expect("config validates");
+    let cfg = ServeConfig {
+        backends: vec!["engine".into()],
+        max_inflight: 4,
+        faults: Some(plan),
+        ..ServeConfig::default()
+    };
     let (report, _) = drive("smoke", cfg, LoadgenConfig::smoke);
 
     assert!(report.verified);

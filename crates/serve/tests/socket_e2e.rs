@@ -25,7 +25,7 @@ use laab_serve::{BackendId, Dtype, ServeConfig, Server};
 fn server_cfg() -> ServeConfig {
     // The backend `benchmark/` serves: its batched executions answer each
     // member with its solo bits, so the client's solo oracle is exact.
-    ServeConfig::builder().backends(["engine"]).build().expect("config validates")
+    ServeConfig { backends: vec!["engine".into()], ..ServeConfig::default() }
 }
 
 #[test]
@@ -202,10 +202,10 @@ fn engine_batches_verify_bitwise_against_the_solo_oracle() {
         let path = std::env::temp_dir()
             .join(format!("laab-e2e-batch-{backend}-{}.sock", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let cfg = ServeConfig::builder()
-            .backends(["engine", "deferred"])
-            .build()
-            .expect("config validates");
+        let cfg = ServeConfig {
+            backends: vec!["engine".into(), "deferred".into()],
+            ..ServeConfig::default()
+        };
         let server = Server::bind(&format!("unix:{}", path.display()), &cfg).expect("bind unix");
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.run());
@@ -233,11 +233,11 @@ fn engine_batches_verify_bitwise_against_the_solo_oracle() {
 fn bad_frames_drop_only_their_connection_and_a_silent_peer_is_reaped() {
     let path = std::env::temp_dir().join(format!("laab-e2e-hostile-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let cfg = ServeConfig::builder()
-        .backends(["engine"])
-        .read_timeout_ms(300)
-        .build()
-        .expect("config validates");
+    let cfg = ServeConfig {
+        backends: vec!["engine".into()],
+        read_timeout_ms: 300,
+        ..ServeConfig::default()
+    };
     let server = Server::bind(&format!("unix:{}", path.display()), &cfg).expect("bind unix");
     let handle = std::thread::spawn(move || server.run());
     let connect = || {

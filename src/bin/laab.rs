@@ -284,43 +284,36 @@ fn parse_list(value: Option<String>, flag: &str) -> Result<Vec<String>, String> 
 }
 
 /// Parse `laab serve` arguments. `Ok(None)` means `--help` was requested.
-/// Construction goes through [`ServeConfig::builder`] so a bad backend
-/// list is rejected here with a usage error, not after the listener is
-/// bound.
+/// The backend list is validated by `Server::bind`, before it binds.
 fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<Option<ServeArgs>, String> {
-    let mut builder = ServeConfig::builder();
+    let mut cfg = ServeConfig::default();
     let mut listen = None;
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--listen" => listen = Some(args.next().ok_or("--listen requires an address")?),
-            "--seed" => builder = builder.seed(parse_num(args.next(), "--seed")?),
-            "--backends" => builder = builder.backends(parse_list(args.next(), "--backends")?),
-            "--batch-window" => {
-                builder = builder.batch_window(parse_num(args.next(), "--batch-window")?);
-            }
-            "--max-inflight" => {
-                builder = builder.max_inflight(parse_num(args.next(), "--max-inflight")?);
-            }
-            "--backlog" => builder = builder.backlog(parse_num(args.next(), "--backlog")?),
+            "--seed" => cfg.seed = parse_num(args.next(), "--seed")?,
+            "--backends" => cfg.backends = parse_list(args.next(), "--backends")?,
+            "--batch-window" => cfg.batch_window = parse_num(args.next(), "--batch-window")?,
+            "--max-inflight" => cfg.max_inflight = parse_num(args.next(), "--max-inflight")?,
+            "--backlog" => cfg.backlog = parse_num(args.next(), "--backlog")?,
             "--quarantine-after" => {
-                builder = builder.quarantine_after(parse_num(args.next(), "--quarantine-after")?);
+                cfg.quarantine_after = parse_num(args.next(), "--quarantine-after")?;
             }
             "--read-timeout-ms" => {
-                builder = builder.read_timeout_ms(parse_num(args.next(), "--read-timeout-ms")?);
+                cfg.read_timeout_ms = parse_num(args.next(), "--read-timeout-ms")?;
             }
             "--faults" => {
                 let spec = args.next().ok_or("--faults requires a fault spec")?;
                 let plan = laab::serve::FaultPlan::parse(&spec)
                     .map_err(|e| format!("invalid --faults spec: {e}"))?;
-                builder = builder.faults(Some(plan));
+                cfg.faults = Some(plan);
             }
             "--help" | "-h" => return Ok(None),
             flag => return Err(format!("unknown option `{flag}` for `laab serve`")),
         }
     }
     let listen = listen.ok_or("--listen is required (unix:<path> or tcp:<host:port>)")?;
-    let cfg = builder.build().map_err(|e| e.to_string())?;
     Ok(Some(ServeArgs { cfg, listen }))
 }
 
