@@ -15,6 +15,16 @@
 //!   the head of a burst finds the executors free, the rest coalesce
 //!   behind it.
 //!
+//! All three run on one driver. Each connection has a sender that
+//! paces requests by the arrival process (closed-loop: the next request
+//! leaves once the previous one has settled) and a reader that settles
+//! every request exactly once. While a request has retry budget, the
+//! reader re-sends it after a `Busy` answer (with backoff) and after a
+//! read timeout that finds it sent at least 400 ms ago; out of budget,
+//! it settles as `busy` or as lost (`errors`). A server that closes the
+//! connection ends it: everything the connection still owes settles as
+//! lost, and the run goes on.
+//!
 //! Because the stream, the operand pools, and the payload draws are all
 //! seeded, the generator can also compute each request's expected result
 //! locally and compare it to the server's response
@@ -23,9 +33,9 @@
 //! local solo execution. It is exact on every built-in backend, whose
 //! batched answers are their solo bits.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use laab_backend::{BackendScalar, Dtype, Registration};
@@ -40,7 +50,6 @@ use crate::plan::Plan;
 use crate::proto::{self, Message, Outcome, RequestMsg};
 use crate::server::{connect, Listen};
 use crate::workload::{synthetic_mix, Request};
-use crate::FlushKind;
 
 /// Schema tag embedded in every [`LoadgenReport`]. `laab-core`'s bench
 /// registry mirrors this constant; a test holds the pair equal.
@@ -52,9 +61,10 @@ use crate::FlushKind;
 /// pair, plus their report-level totals.)
 pub const LOADGEN_REPORT_SCHEMA: &str = "laab-loadgen-v4";
 
-/// How long a client read blocks before the request is presumed lost
-/// (a dropped frame, a reaped connection) and retried or abandoned —
-/// generous next to any legitimate queue wait + execution time.
+/// How long a client read blocks, and how long ago a request must have
+/// been sent, before that request is presumed lost (a dropped frame)
+/// and retried or abandoned — generous next to any legitimate queue
+/// wait + execution time.
 const CLIENT_READ_TIMEOUT: Duration = Duration::from_millis(400);
 
 /// Backoff floor when the server's `retry_after_us` hint is zero or
@@ -174,22 +184,21 @@ pub struct LoadgenConfig {
     pub smoke: bool,
 }
 
-impl LoadgenConfig {
-    /// The CI smoke protocol: a small stream, all three arrival
-    /// processes, bitwise verification on, shutdown at the end.
-    pub fn smoke(addr: &str) -> Self {
+impl Default for LoadgenConfig {
+    /// `laab loadgen`'s defaults; only `addr` is left to set.
+    fn default() -> Self {
         LoadgenConfig {
-            addr: addr.to_string(),
-            requests: 96,
+            addr: String::new(),
+            requests: 512,
             connections: 2,
             // The size is this side's alone: requests carry `n`, and
             // the server builds its pools per request shape.
-            n: 24,
+            n: 192,
             // The server's default `--seed` — its operand pools and
             // payload draws hang off *its* seed, so the bitwise oracle
             // only lines up when the two agree.
             seed: 0x1AAB,
-            churn_every: 7,
+            churn_every: 16,
             dtype: None,
             backend: "engine".to_string(),
             arrivals: vec![
@@ -201,7 +210,23 @@ impl LoadgenConfig {
             max_retries: 3,
             verify: true,
             shutdown: true,
+            smoke: false,
+        }
+    }
+}
+
+impl LoadgenConfig {
+    /// The CI smoke protocol: the defaults with a small stream — all
+    /// three arrival processes, bitwise verification on, shutdown at the
+    /// end.
+    pub fn smoke(addr: &str) -> Self {
+        LoadgenConfig {
+            addr: addr.to_string(),
+            requests: 96,
+            n: 24,
+            churn_every: 7,
             smoke: true,
+            ..LoadgenConfig::default()
         }
     }
 }
@@ -309,19 +334,19 @@ impl LoadgenReport {
     }
 }
 
-/// One decoded `Ok` response with its client-side round trip.
-struct Sample {
-    rtt_ns: u64,
-    queue_ns: u64,
-    occupancy: u32,
-    flush: FlushKind,
-    checksum: u64,
-    id: u64,
-}
-
+/// What requests settled as: one per connection, merged into one per
+/// run (its report row) and one per report (the totals).
 #[derive(Default)]
-struct ConnResult {
-    samples: Vec<Sample>,
+struct Tally {
+    /// Round trip of each completed request, microseconds.
+    rtt_us: Vec<f64>,
+    /// Server-reported queue delay of each completed request, microseconds.
+    queue_us: Vec<f64>,
+    occupancy: u64,
+    /// Completed requests per [`FlushKind`](crate::FlushKind), in
+    /// declaration order.
+    flushes: [u64; 4],
+    mismatches: u64,
     sent: u64,
     errors: u64,
     busy: u64,
@@ -330,27 +355,96 @@ struct ConnResult {
     retries: u64,
 }
 
-/// How one request's attempt chain ended (the `Ok` case carries its
-/// sample; `Busy` here means the retry budget ran out).
-enum Terminal {
-    Done(Sample),
-    Error,
-    Busy,
-    Expired,
-    Failed,
-    /// No response within the timeout and no retries left — the
-    /// request is presumed lost (counted under `errors`).
-    Lost,
-}
+impl Tally {
+    fn completed(&self) -> u64 {
+        self.rtt_us.len() as u64
+    }
 
-impl ConnResult {
-    fn settle(&mut self, terminal: Terminal) {
-        match terminal {
-            Terminal::Done(s) => self.samples.push(s),
-            Terminal::Error | Terminal::Lost => self.errors += 1,
-            Terminal::Busy => self.busy += 1,
-            Terminal::Expired => self.expired += 1,
-            Terminal::Failed => self.failed += 1,
+    fn settled(&self) -> u64 {
+        self.completed() + self.errors + self.busy + self.expired + self.failed
+    }
+
+    /// Count request `id`'s end: its answer and round trip, or `None`
+    /// when it was lost (`errors`). A `Busy` answer ends a request only
+    /// once its retry budget is spent. `expected` is the oracle (empty
+    /// when verification is off).
+    fn settle(&mut self, id: u64, answer: Option<(Outcome, Duration)>, expected: &[u64]) {
+        match answer {
+            Some((Outcome::Ok { queue_ns, occupancy, flush, checksum, .. }, rtt)) => {
+                self.rtt_us.push(rtt.as_nanos() as f64 / 1_000.0);
+                self.queue_us.push(queue_ns as f64 / 1_000.0);
+                self.occupancy += occupancy as u64;
+                self.flushes[flush as usize] += 1;
+                if !expected.is_empty() && expected[id as usize] != checksum {
+                    self.mismatches += 1;
+                }
+            }
+            Some((Outcome::Busy { .. }, _)) => self.busy += 1,
+            Some((Outcome::Expired { .. }, _)) => self.expired += 1,
+            Some((Outcome::Failed { .. }, _)) => self.failed += 1,
+            Some((Outcome::Err { .. }, _)) | None => self.errors += 1,
+        }
+    }
+
+    fn merge(&mut self, other: Tally) {
+        self.rtt_us.extend(other.rtt_us);
+        self.queue_us.extend(other.queue_us);
+        self.occupancy += other.occupancy;
+        for (mine, theirs) in self.flushes.iter_mut().zip(other.flushes) {
+            *mine += theirs;
+        }
+        self.mismatches += other.mismatches;
+        self.sent += other.sent;
+        self.errors += other.errors;
+        self.busy += other.busy;
+        self.expired += other.expired;
+        self.failed += other.failed;
+        self.retries += other.retries;
+    }
+
+    /// The report row of one run that took `elapsed`.
+    fn row(&self, arrival: &Arrival, elapsed: Duration) -> ArrivalRun {
+        // `Samples` rejects an empty set; a run where every request
+        // errored still deserves a report row (of zeros).
+        let summarize = |v: &[f64]| -> (f64, f64, f64) {
+            if v.is_empty() {
+                return (0.0, 0.0, 0.0);
+            }
+            let s = Samples::new(v.to_vec());
+            (s.median(), s.quantile(0.99), s.mean())
+        };
+        let (rtt_p50, rtt_p99, rtt_mean) = summarize(&self.rtt_us);
+        let (queue_p50, queue_p99, _) = summarize(&self.queue_us);
+        let completed = self.completed();
+        let secs = elapsed.as_secs_f64();
+        let per_sec = |count: u64| if secs > 0.0 { count as f64 / secs } else { 0.0 };
+        let [occ_fl, dl_fl, dr_fl, pr_fl] = self.flushes;
+        ArrivalRun {
+            arrival: arrival.display(),
+            rate: arrival.rate(),
+            sent: self.sent,
+            completed,
+            errors: self.errors,
+            busy: self.busy,
+            expired: self.expired,
+            failed: self.failed,
+            retries: self.retries,
+            rtt_p50_us: rtt_p50,
+            rtt_p99_us: rtt_p99,
+            rtt_mean_us: rtt_mean,
+            queue_p50_us: queue_p50,
+            queue_p99_us: queue_p99,
+            // No completed request, no occupancy: 0 / 1.
+            occupancy_mean: self.occupancy as f64 / completed.max(1) as f64,
+            occupancy_flushes: occ_fl,
+            deadline_flushes: dl_fl,
+            drain_flushes: dr_fl,
+            pressure_flushes: pr_fl,
+            checksum_mismatches: self.mismatches,
+            elapsed_ms: secs * 1_000.0,
+            throughput_rps: per_sec(completed),
+            offered_rps: per_sec(self.sent),
+            goodput_rps: per_sec(completed.saturating_sub(self.mismatches)),
         }
     }
 }
@@ -364,13 +458,16 @@ fn backoff(retry_after_us: u64, attempt: u32, rng: &mut StdRng) -> Duration {
     Duration::from_micros(capped + jitter)
 }
 
-/// `true` when a frame read failed only because the socket's read
-/// timeout elapsed (unix reports `WouldBlock`, TCP `TimedOut`).
-fn is_read_timeout(e: &proto::FrameError) -> bool {
-    matches!(e, proto::FrameError::Io(io) if matches!(
-        io.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    ))
+/// `true` when a read failed only because the socket's read timeout
+/// elapsed (unix reports `WouldBlock`, TCP `TimedOut`).
+fn is_read_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+}
+
+/// `true` when a read or write failed because the server closed the
+/// connection.
+fn is_closed(e: &std::io::Error) -> bool {
+    matches!(e.kind(), std::io::ErrorKind::BrokenPipe | std::io::ErrorKind::ConnectionReset)
 }
 
 /// Drive the server at `cfg.addr` through every configured arrival
@@ -379,8 +476,10 @@ fn is_read_timeout(e: &proto::FrameError) -> bool {
 /// # Errors
 /// [`ServeError::BadListen`]/[`ServeError::Connect`] for an unreachable
 /// address, [`ServeError::Socket`]/[`ServeError::Frame`] for transport
-/// failures mid-run, plus config rejections ([`ServeError::UnknownBackend`]
-/// when `verify` needs a backend this binary does not link).
+/// failures mid-run (a server that closes a connection is not one: what
+/// that connection still owed counts as lost), plus config rejections
+/// ([`ServeError::UnknownBackend`] when `verify` needs a backend this
+/// binary does not link).
 pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
     let addr = Listen::parse(&cfg.addr)?;
     if cfg.arrivals.is_empty() {
@@ -397,16 +496,20 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
     };
 
     let mut runs = Vec::with_capacity(cfg.arrivals.len());
-    let (mut total_mismatches, mut busy_total, mut expired_total) = (0u64, 0u64, 0u64);
-    let (mut failed_total, mut retries_total) = (0u64, 0u64);
+    let mut total = Tally::default();
     for arrival in &cfg.arrivals {
-        let run = drive_once(&addr, cfg, &mix, arrival, &expected, connections)?;
-        total_mismatches += run.checksum_mismatches;
-        busy_total += run.busy;
-        expired_total += run.expired;
-        failed_total += run.failed;
-        retries_total += run.retries;
-        runs.push(run);
+        let params = RunParams {
+            backend: &cfg.backend,
+            deadline_us: cfg.deadline_us,
+            max_retries: cfg.max_retries,
+            expected: &expected,
+            arrival,
+            rate_share: arrival.rate() / connections as f64,
+        };
+        let started = Instant::now();
+        let tally = drive_once(&addr, &params, &mix, cfg.seed, connections)?;
+        runs.push(tally.row(arrival, started.elapsed()));
+        total.merge(tally);
     }
 
     if cfg.shutdown {
@@ -424,11 +527,11 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
         verified: cfg.verify,
         smoke: cfg.smoke,
         runs,
-        checksum_mismatches: total_mismatches,
-        busy_total,
-        expired_total,
-        failed_total,
-        retries_total,
+        checksum_mismatches: total.mismatches,
+        busy_total: total.busy,
+        expired_total: total.expired,
+        failed_total: total.failed,
+        retries_total: total.retries,
     })
 }
 
@@ -445,406 +548,225 @@ fn shutdown_server(addr: &Listen) -> Result<(), ServeError> {
     }
 }
 
-/// One arrival process against one fresh set of connections.
+/// What every connection of one run shares.
+struct RunParams<'a> {
+    backend: &'a str,
+    deadline_us: u64,
+    max_retries: u32,
+    /// The oracle's checksums by request id (empty: no verification).
+    expected: &'a [u64],
+    arrival: &'a Arrival,
+    /// This connection's share of the arrival rate (0 for closed-loop).
+    rate_share: f64,
+}
+
+/// One arrival process against one fresh set of connections: the run's
+/// tally, merged across them.
 fn drive_once(
     addr: &Listen,
-    cfg: &LoadgenConfig,
+    params: &RunParams<'_>,
     mix: &[Request],
-    arrival: &Arrival,
-    expected: &[u64],
+    seed: u64,
     connections: usize,
-) -> Result<ArrivalRun, ServeError> {
+) -> Result<Tally, ServeError> {
     // Round-robin the stream across connections; ids index into `mix`,
     // so the oracle lookup on the way back is O(1).
     let mut shares: Vec<Vec<(u64, Request)>> = vec![Vec::new(); connections];
     for (i, req) in mix.iter().enumerate() {
         shares[i % connections].push((i as u64, *req));
     }
-    let started = Instant::now();
-    let transport_err: Mutex<Option<ServeError>> = Mutex::new(None);
-    let results: Vec<ConnResult> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(connections);
-        for (c, share) in shares.into_iter().enumerate() {
-            let (transport_err, backend) = (&transport_err, cfg.backend.as_str());
-            let rate_share = arrival.rate() / connections as f64;
-            let seed = cfg.seed ^ 0x10AD_0000 ^ (c as u64);
-            let (deadline_us, max_retries) = (cfg.deadline_us, cfg.max_retries);
-            handles.push(scope.spawn(move || {
-                let wire = WireParams { backend, deadline_us, max_retries };
-                match drive_connection(addr, share, &wire, arrival, rate_share, seed) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        transport_err.lock().expect("loadgen error slot").get_or_insert(e);
-                        ConnResult::default()
-                    }
-                }
-            }));
-        }
+    let results: Vec<Result<Tally, ServeError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shares
+            .into_iter()
+            .enumerate()
+            .map(|(c, share)| {
+                let seed = seed ^ 0x10AD_0000 ^ (c as u64);
+                scope.spawn(move || drive_connection(addr, share, params, seed))
+            })
+            .collect();
         handles.into_iter().map(|h| h.join().expect("loadgen connection thread")).collect()
     });
-    if let Some(e) = transport_err.into_inner().expect("loadgen error slot") {
-        return Err(e);
+    let mut tally = Tally::default();
+    for result in results {
+        tally.merge(result?);
     }
-    let elapsed = started.elapsed();
-
-    let mut rtt_us = Vec::new();
-    let mut queue_us = Vec::new();
-    let (mut sent, mut errors, mut occ_sum, mut mismatches) = (0u64, 0u64, 0u64, 0u64);
-    let (mut occ_fl, mut dl_fl, mut dr_fl, mut pr_fl) = (0u64, 0u64, 0u64, 0u64);
-    let (mut busy, mut expired, mut failed, mut retries) = (0u64, 0u64, 0u64, 0u64);
-    let mut completed = 0u64;
-    for r in &results {
-        sent += r.sent;
-        errors += r.errors;
-        busy += r.busy;
-        expired += r.expired;
-        failed += r.failed;
-        retries += r.retries;
-        for s in &r.samples {
-            completed += 1;
-            rtt_us.push(s.rtt_ns as f64 / 1_000.0);
-            queue_us.push(s.queue_ns as f64 / 1_000.0);
-            occ_sum += s.occupancy as u64;
-            match s.flush {
-                FlushKind::Occupancy => occ_fl += 1,
-                FlushKind::Deadline => dl_fl += 1,
-                FlushKind::Drain => dr_fl += 1,
-                FlushKind::Pressure => pr_fl += 1,
-            }
-            if !expected.is_empty() && expected[s.id as usize] != s.checksum {
-                mismatches += 1;
-            }
-        }
-    }
-    // `Samples` rejects an empty set; a run where every request errored
-    // still deserves a report row (of zeros).
-    let summarize = |v: Vec<f64>| -> (f64, f64, f64) {
-        if v.is_empty() {
-            return (0.0, 0.0, 0.0);
-        }
-        let s = Samples::new(v);
-        (s.median(), s.quantile(0.99), s.mean())
-    };
-    let (rtt_p50, rtt_p99, rtt_mean) = summarize(rtt_us);
-    let (queue_p50, queue_p99, _) = summarize(queue_us);
-    let secs = elapsed.as_secs_f64();
-    let per_sec = |count: u64| if secs > 0.0 { count as f64 / secs } else { 0.0 };
-    Ok(ArrivalRun {
-        arrival: arrival.display(),
-        rate: arrival.rate(),
-        sent,
-        completed,
-        errors,
-        busy,
-        expired,
-        failed,
-        retries,
-        rtt_p50_us: rtt_p50,
-        rtt_p99_us: rtt_p99,
-        rtt_mean_us: rtt_mean,
-        queue_p50_us: queue_p50,
-        queue_p99_us: queue_p99,
-        occupancy_mean: if completed == 0 { 0.0 } else { occ_sum as f64 / completed as f64 },
-        occupancy_flushes: occ_fl,
-        deadline_flushes: dl_fl,
-        drain_flushes: dr_fl,
-        pressure_flushes: pr_fl,
-        checksum_mismatches: mismatches,
-        elapsed_ms: secs * 1_000.0,
-        throughput_rps: per_sec(completed),
-        offered_rps: per_sec(sent),
-        goodput_rps: per_sec(completed.saturating_sub(mismatches)),
-    })
+    Ok(tally)
 }
 
-/// Per-request wire parameters shared by every send on a connection.
-struct WireParams<'a> {
-    backend: &'a str,
-    deadline_us: u64,
-    max_retries: u32,
-}
-
-fn wire_request(id: u64, req: &Request, wire: &WireParams<'_>) -> Message {
+fn wire_request(id: u64, req: &Request, params: &RunParams<'_>) -> Message {
     Message::Request(RequestMsg {
         id,
         family: req.family.id().to_string(),
         n: req.n as u64,
         dtype: req.dtype,
-        backend: wire.backend.to_string(),
+        backend: params.backend.to_string(),
         payload: req.payload,
-        deadline_us: wire.deadline_us,
+        deadline_us: params.deadline_us,
     })
 }
 
-/// How one blocking read attempt ended (closed loop).
-enum ReadOut {
-    Got(Outcome),
-    Eof,
-    TimedOut,
+/// The requests a connection has sent and not yet settled, shared by
+/// its sender and its reader.
+#[derive(Default)]
+struct Window {
+    /// Last send instant of each unsettled request, by id.
+    sent_at: BTreeMap<u64, Instant>,
+    /// Set when either side stops; the sender sends nothing more.
+    stopped: bool,
 }
 
-/// One connection's share of a run. Closed-loop is a synchronous
-/// request/response loop; the open-loop shapes split into a pacing
-/// sender and a collecting reader so queueing at the server cannot
-/// back-pressure the arrival clock. Both shapes run under a read
-/// timeout and retry `Busy` rejections and presumed-lost requests with
-/// capped exponential backoff, up to the configured budget.
+/// One connection's share of a run: one sender and one reader.
+///
+/// - The **sender** departs requests on the arrival clock: Poisson gaps,
+///   or Poisson-spaced bursts. Under [`Arrival::Closed`] it has no clock
+///   and waits until the reader has settled the previous request, so one
+///   request is in flight.
+/// - The **reader** settles every response once. A `Busy` is re-sent
+///   after capped exponential backoff while the request has retry budget.
+/// - **Timeouts.** When a read times out, every request last sent at
+///   least [`CLIENT_READ_TIMEOUT`] ago is presumed lost: re-sent while
+///   it has retry budget, else settled lost.
+/// - **A server close** — EOF, or a read or write failing with
+///   `BrokenPipe`/`ConnectionReset` — stops the sender. Everything the
+///   connection still owes, sent or not, settles once as lost
+///   (`errors`); it is not a transport error.
 fn drive_connection(
     addr: &Listen,
     share: Vec<(u64, Request)>,
-    wire: &WireParams<'_>,
-    arrival: &Arrival,
-    rate_share: f64,
+    params: &RunParams<'_>,
     seed: u64,
-) -> Result<ConnResult, ServeError> {
+) -> Result<Tally, ServeError> {
     let mut stream = connect(addr)?;
     let sock = |e: std::io::Error| ServeError::Socket(Arc::new(e));
     stream.set_read_timeout(Some(CLIENT_READ_TIMEOUT)).map_err(sock)?;
-    if share.is_empty() {
-        return Ok(ConnResult::default());
-    }
-
-    if matches!(*arrival, Arrival::Closed) {
-        let mut out = ConnResult::default();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xB0FF);
-        for (id, req) in &share {
-            let mut attempt = 0u32;
-            let mut eof = false;
-            let terminal = loop {
-                let t0 = Instant::now();
-                proto::write_message(&mut stream, &wire_request(*id, req, wire)).map_err(sock)?;
-                out.sent += 1;
-                // Read to *this* id's response; a stale duplicate from
-                // an earlier timed-out attempt is skipped by id.
-                let read = loop {
-                    match proto::read_message(&mut stream) {
-                        Ok(Some(Message::Response(resp))) if resp.id == *id => {
-                            break ReadOut::Got(resp.outcome)
-                        }
-                        Ok(Some(_)) => continue,
-                        Ok(None) => break ReadOut::Eof,
-                        Err(ref e) if is_read_timeout(e) => break ReadOut::TimedOut,
-                        Err(e) => return Err(e.into()),
-                    }
-                };
-                match read {
-                    ReadOut::Got(Outcome::Ok { queue_ns, occupancy, flush, checksum, .. }) => {
-                        break Terminal::Done(Sample {
-                            rtt_ns: t0.elapsed().as_nanos() as u64,
-                            queue_ns,
-                            occupancy,
-                            flush,
-                            checksum,
-                            id: *id,
-                        });
-                    }
-                    ReadOut::Got(Outcome::Err { .. }) => break Terminal::Error,
-                    ReadOut::Got(Outcome::Expired { .. }) => break Terminal::Expired,
-                    ReadOut::Got(Outcome::Failed { .. }) => break Terminal::Failed,
-                    ReadOut::Got(Outcome::Busy { retry_after_us }) => {
-                        if attempt >= wire.max_retries {
-                            break Terminal::Busy;
-                        }
-                        attempt += 1;
-                        out.retries += 1;
-                        std::thread::sleep(backoff(retry_after_us, attempt, &mut rng));
-                    }
-                    ReadOut::TimedOut => {
-                        if attempt >= wire.max_retries {
-                            break Terminal::Lost;
-                        }
-                        attempt += 1;
-                        out.retries += 1;
-                    }
-                    ReadOut::Eof => {
-                        eof = true;
-                        break Terminal::Lost;
-                    }
-                }
-            };
-            out.settle(terminal);
-            if eof {
-                break;
-            }
-        }
-        return Ok(out);
-    }
-
-    // Open-loop: the reader owns the original stream; sends go through
-    // a mutex-shared clone so the round-0 pacing sender and the
-    // reader's retries interleave safely. Send instants live in a map
-    // keyed by request id (responses interleave across batches); an id
-    // missing from the map marks a stale duplicate response.
     let by_id: HashMap<u64, Request> = share.iter().copied().collect();
     let wstream = Mutex::new(stream.try_clone().map_err(sock)?);
-    let pending: Mutex<HashMap<u64, Instant>> = Mutex::new(HashMap::new());
+    let window = Mutex::new(Window::default());
+    // Signalled when a request leaves the window and when the sender must stop.
+    let freed = Condvar::new();
+    let lock = || window.lock().expect("loadgen window");
+    let stop = || {
+        lock().stopped = true;
+        freed.notify_all();
+    };
     let sent = AtomicU64::new(0);
-    let sender_done = AtomicBool::new(false);
-    let mut out = ConnResult::default();
-    let mut transport: Option<ServeError> = None;
+    // A write the server closed fails quietly: the reader sees the close.
+    let send = |id: u64| -> Result<(), ServeError> {
+        let msg = wire_request(id, &by_id[&id], params);
+        match proto::write_message(&mut *wstream.lock().expect("loadgen write stream"), &msg) {
+            Ok(()) => {
+                sent.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+            Err(e) if is_closed(&e) => Ok(()),
+            Err(e) => Err(sock(e)),
+        }
+    };
+    let settle = |id: u64, answer: Option<(Outcome, Duration)>, tally: &mut Tally| {
+        lock().sent_at.remove(&id);
+        freed.notify_one();
+        tally.settle(id, answer, params.expected);
+    };
 
-    std::thread::scope(|scope| {
-        let (pending_ref, sent_ref) = (&pending, &sent);
-        let (wstream_ref, done_ref) = (&wstream, &sender_done);
-        let sender = scope.spawn(move || -> Result<(), ServeError> {
+    let mut tally = Tally::default();
+    let (read, paced) = std::thread::scope(|scope| {
+        let sender = scope.spawn(|| -> Result<(), ServeError> {
             let mut rng = StdRng::seed_from_u64(seed);
-            let burst = match arrival {
-                Arrival::Bursty { burst, .. } => *burst,
-                _ => 1,
+            let (burst, in_flight) = match *params.arrival {
+                Arrival::Closed => (1, 1),
+                Arrival::OpenPoisson { .. } => (1, usize::MAX),
+                Arrival::Bursty { burst, .. } => (burst, usize::MAX),
             };
             // Bursts arrive on the exponential clock; spacing them at
             // rate/burst keeps the aggregate request rate at `rate`.
-            let burst_rate = rate_share / burst as f64;
-            let send_one = |id: u64, req: &Request| -> Result<(), ServeError> {
-                pending_ref.lock().expect("pending map").insert(id, Instant::now());
-                let mut w = wstream_ref.lock().expect("loadgen write stream");
-                proto::write_message(&mut *w, &wire_request(id, req, wire))
-                    .map_err(|e| ServeError::Socket(Arc::new(e)))?;
-                sent_ref.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            };
-            let result = (|| {
-                for chunk in share.chunks(burst) {
-                    let u: f64 = rng.gen();
-                    let gap = -(1.0 - u).ln() / burst_rate;
+            let burst_rate = params.rate_share / burst as f64;
+            for chunk in share.chunks(burst) {
+                if burst_rate > 0.0 {
+                    let gap = -(1.0 - rng.gen::<f64>()).ln() / burst_rate;
                     std::thread::sleep(Duration::from_secs_f64(gap.min(0.25)));
-                    for (id, req) in chunk {
-                        send_one(*id, req)?;
-                    }
                 }
-                Ok(())
-            })();
-            done_ref.store(true, Ordering::SeqCst);
-            result
+                for &(id, _) in chunk {
+                    let full = |w: &mut Window| !w.stopped && w.sent_at.len() >= in_flight;
+                    let mut w = freed.wait_while(lock(), full).expect("loadgen window");
+                    if w.stopped {
+                        return Ok(());
+                    }
+                    w.sent_at.insert(id, Instant::now());
+                    drop(w);
+                    send(id).inspect_err(|_| stop())?;
+                }
+            }
+            Ok(())
         });
 
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xB0FF);
-        let mut attempts: HashMap<u64, u32> = HashMap::new();
-        'reader: loop {
-            if sender_done.load(Ordering::SeqCst) && pending.lock().expect("pending map").is_empty()
-            {
-                break;
-            }
-            match proto::read_message(&mut stream) {
-                Ok(Some(Message::Response(resp))) => {
-                    let rid = resp.id;
-                    let sent_at = pending.lock().expect("pending map").get(&rid).copied();
-                    let Some(sent_at) = sent_at else { continue };
-                    let remove = || {
-                        pending.lock().expect("pending map").remove(&rid);
-                    };
-                    match resp.outcome {
-                        Outcome::Ok { queue_ns, occupancy, flush, checksum, .. } => {
-                            remove();
-                            out.settle(Terminal::Done(Sample {
-                                rtt_ns: sent_at.elapsed().as_nanos() as u64,
-                                queue_ns,
-                                occupancy,
-                                flush,
-                                checksum,
-                                id: rid,
-                            }));
-                        }
-                        Outcome::Err { .. } => {
-                            remove();
-                            out.settle(Terminal::Error);
-                        }
-                        Outcome::Expired { .. } => {
-                            remove();
-                            out.settle(Terminal::Expired);
-                        }
-                        Outcome::Failed { .. } => {
-                            remove();
-                            out.settle(Terminal::Failed);
-                        }
-                        Outcome::Busy { retry_after_us } => {
-                            let attempt = attempts.entry(rid).or_insert(0);
-                            if *attempt >= wire.max_retries {
-                                remove();
-                                out.settle(Terminal::Busy);
-                            } else {
-                                *attempt += 1;
-                                out.retries += 1;
-                                std::thread::sleep(backoff(retry_after_us, *attempt, &mut rng));
-                                if let Err(e) = resend(&wstream, rid, &by_id, wire, &pending, &sent)
-                                {
-                                    transport.get_or_insert(e);
-                                    break 'reader;
-                                }
-                            }
-                        }
+        let read = (|| -> Result<(), ServeError> {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xB0FF);
+            let mut attempts: HashMap<u64, u32> = HashMap::new();
+            // Re-send `id` while it has retry budget — after a backoff
+            // if the answer was `Busy` — else settle it with `answer`.
+            let mut retry_or_settle =
+                |id, answer: Option<(Outcome, Duration)>, tally: &mut Tally| {
+                    let attempt = attempts.entry(id).or_insert(0);
+                    if *attempt >= params.max_retries {
+                        settle(id, answer, tally);
+                        return Ok(());
                     }
-                }
-                Ok(Some(_)) => continue,
-                Ok(None) => {
-                    // EOF: everything still pending is lost for good.
-                    for _ in pending.lock().expect("pending map").drain() {
-                        out.settle(Terminal::Lost);
+                    *attempt += 1;
+                    tally.retries += 1;
+                    if let Some((Outcome::Busy { retry_after_us }, _)) = answer {
+                        std::thread::sleep(backoff(retry_after_us, *attempt, &mut rng));
                     }
-                    break;
-                }
-                Err(ref e) if is_read_timeout(e) => {
-                    if !sender_done.load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    // Quiet past the timeout with nothing in flight from
-                    // the sender: whatever is pending was dropped —
-                    // re-send what still has budget, abandon the rest.
-                    let ids: Vec<u64> = {
-                        let mut v: Vec<u64> =
-                            pending.lock().expect("pending map").keys().copied().collect();
-                        v.sort_unstable();
-                        v
-                    };
-                    for id in ids {
-                        let attempt = attempts.entry(id).or_insert(0);
-                        if *attempt >= wire.max_retries {
-                            pending.lock().expect("pending map").remove(&id);
-                            out.settle(Terminal::Lost);
+                    lock().sent_at.insert(id, Instant::now());
+                    send(id)
+                };
+            while tally.settled() < share.len() as u64 {
+                match proto::read_message(&mut stream) {
+                    Ok(Some(Message::Response(resp))) => {
+                        // An id not in the window is a stale duplicate.
+                        let Some(sent_at) = lock().sent_at.get(&resp.id).copied() else { continue };
+                        let busy = matches!(resp.outcome, Outcome::Busy { .. });
+                        let answer = Some((resp.outcome, sent_at.elapsed()));
+                        if busy {
+                            retry_or_settle(resp.id, answer, &mut tally)?;
                         } else {
-                            *attempt += 1;
-                            out.retries += 1;
-                            if let Err(e) = resend(&wstream, id, &by_id, wire, &pending, &sent) {
-                                transport.get_or_insert(e);
-                                break 'reader;
-                            }
+                            settle(resp.id, answer, &mut tally);
                         }
                     }
-                }
-                Err(e) => {
-                    transport.get_or_insert(e.into());
-                    break;
+                    Ok(Some(_)) => {}
+                    Err(proto::FrameError::Io(ref e)) if is_read_timeout(e) => {
+                        let lost: Vec<u64> = {
+                            let w = lock();
+                            // The sender failed: the rest will never be sent.
+                            if w.stopped {
+                                return Ok(());
+                            }
+                            w.sent_at
+                                .iter()
+                                .filter(|(_, at)| at.elapsed() >= CLIENT_READ_TIMEOUT)
+                                .map(|(&id, _)| id)
+                                .collect()
+                        };
+                        for id in lost {
+                            retry_or_settle(id, None, &mut tally)?;
+                        }
+                    }
+                    Err(proto::FrameError::Io(ref e)) if is_closed(e) => return Ok(()),
+                    Ok(None) => return Ok(()),
+                    Err(e) => return Err(e.into()),
                 }
             }
-        }
-        if let Err(e) = sender.join().expect("loadgen sender thread") {
-            transport.get_or_insert(e);
-        }
+            Ok(())
+        })();
+        stop();
+        (read, sender.join().expect("loadgen sender thread"))
     });
-    if let Some(e) = transport {
-        return Err(e);
+    read.and(paced)?;
+    tally.sent = sent.into_inner();
+    // What the connection still owes after a server close is lost.
+    for _ in tally.settled()..share.len() as u64 {
+        tally.settle(0, None, params.expected);
     }
-    out.sent = sent.load(Ordering::Relaxed);
-    Ok(out)
-}
-
-/// Re-send one request (open-loop retry path): refresh its pending
-/// instant, then write through the shared stream.
-fn resend(
-    wstream: &Mutex<crate::server::Stream>,
-    id: u64,
-    by_id: &HashMap<u64, Request>,
-    wire: &WireParams<'_>,
-    pending: &Mutex<HashMap<u64, Instant>>,
-    sent: &AtomicU64,
-) -> Result<(), ServeError> {
-    let req = by_id[&id];
-    pending.lock().expect("pending map").insert(id, Instant::now());
-    let mut w = wstream.lock().expect("loadgen write stream");
-    proto::write_message(&mut *w, &wire_request(id, &req, wire))
-        .map_err(|e| ServeError::Socket(Arc::new(e)))?;
-    sent.fetch_add(1, Ordering::Relaxed);
-    Ok(())
+    Ok(tally)
 }
 
 /// Execute every request solo, in-process, and checksum the results —

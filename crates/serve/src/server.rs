@@ -253,7 +253,7 @@ struct ServerJob {
     /// deadline). Checked at dequeue and again pre-execution.
     deadline: Option<Instant>,
     /// The owning connection's in-flight gauge, decremented exactly
-    /// once when the job's terminal response is written.
+    /// once, just before the job's terminal response is written.
     inflight: Arc<AtomicI64>,
 }
 
@@ -263,15 +263,17 @@ impl ServerJob {
         (self.request.family, self.request.n, self.request.dtype, self.backend.name())
     }
 
-    /// Answer the job and release its in-flight slot. Every admitted
-    /// job must end here, or in an execution's coalesced write followed
-    /// by [`ServerJob::release`], exactly once.
+    /// Release the job's in-flight slot and answer it. Every admitted
+    /// job must end here, or in [`ServerJob::release`] followed by an
+    /// execution's coalesced write, exactly once.
     fn finish(&self, outcome: Outcome) {
-        respond(&self.writer, self.id, outcome);
         self.release();
+        respond(&self.writer, self.id, outcome);
     }
 
-    /// Release the job's in-flight slot, after its answer was written.
+    /// Release the job's in-flight slot, before its answer is written:
+    /// a client that sends its next request on the answer must find the
+    /// slot free.
     fn release(&self) {
         self.inflight.fetch_sub(1, Ordering::Relaxed);
     }
@@ -795,8 +797,8 @@ fn expire<'a>(jobs: Vec<&'a ServerJob>, counters: &Counters) -> Vec<&'a ServerJo
 /// killing the executor. The echoed `occupancy` and `flush` stay the
 /// admitted batch's; `start` is when the executor picked the batch up.
 /// An execution's `Ok` answers are encoded into one buffer per
-/// connection and written at once; only then are their in-flight slots
-/// released.
+/// connection; their in-flight slots are released, then each buffer is
+/// written at once.
 fn execute_typed<T: BackendScalar>(
     live: &[&ServerJob],
     flush: FlushKind,
@@ -879,11 +881,11 @@ fn execute_typed<T: BackendScalar>(
                         &Message::Response(ResponseMsg { id: job.id, outcome }),
                     );
                 }
-                for (writer, frames) in &out {
-                    send(writer, frames);
-                }
                 for job in jobs {
                     job.release();
+                }
+                for (writer, frames) in &out {
+                    send(writer, frames);
                 }
             }
             Err(payload) => {

@@ -11,7 +11,7 @@
 use std::collections::HashSet;
 use std::io::Write;
 use std::net::Shutdown;
-use std::os::unix::net::UnixStream;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::Duration;
 
 use laab_serve::loadgen::{self, Arrival, LoadgenConfig, LOADGEN_REPORT_SCHEMA};
@@ -315,5 +315,73 @@ fn bad_frames_drop_only_their_connection_and_a_silent_peer_is_reaped() {
     assert_eq!(stats.reaped, 1, "only the silent peer");
     assert_eq!(stats.served, 6);
     assert_eq!(stats.connections, 7);
+    assert!(!path.exists(), "socket file must not leak past shutdown");
+}
+
+#[test]
+fn a_server_close_settles_what_the_connection_owed_under_every_arrival() {
+    // A peer that reads one frame and closes the connection. Whatever
+    // the arrival process, the run completes and all 8 requests settle
+    // once, as lost (`errors`): the one sent, and the 7 the closed
+    // connection can no longer carry.
+    let path = std::env::temp_dir().join(format!("laab-e2e-close-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let listener = UnixListener::bind(&path).expect("bind unix");
+    let arrivals = vec![
+        Arrival::Closed,
+        Arrival::OpenPoisson { rate: 2000.0 },
+        Arrival::Bursty { rate: 2000.0, burst: 8 },
+    ];
+    let runs = arrivals.len();
+    let peer = std::thread::spawn(move || {
+        for stream in listener.incoming().take(runs) {
+            let mut stream = stream.expect("accept");
+            read_message(&mut stream).expect("one frame").expect("not EOF");
+        }
+    });
+    let cfg = LoadgenConfig {
+        requests: 8,
+        connections: 1,
+        arrivals,
+        max_retries: 0,
+        verify: false,
+        shutdown: false,
+        ..LoadgenConfig::smoke(&format!("unix:{}", path.display()))
+    };
+    let report = loadgen::run(&cfg).expect("a server close is not a transport error");
+    peer.join().expect("peer thread");
+    let _ = std::fs::remove_file(&path);
+    for run in &report.runs {
+        let at = &run.arrival;
+        assert_eq!(run.errors, 8, "{at}: every request is lost");
+        let settled = run.completed + run.busy + run.expired + run.failed + run.errors;
+        assert_eq!(settled, 8, "{at}: every request settles once");
+    }
+}
+
+#[test]
+fn the_closed_loop_keeps_one_request_in_flight_per_connection() {
+    // With the server's per-connection cap at 1, a second request in
+    // flight would be shed `Busy`; a closed loop never sends one.
+    let path = std::env::temp_dir().join(format!("laab-e2e-window-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let cfg = ServeConfig { max_inflight: 1, ..server_cfg() };
+    let server = Server::bind(&format!("unix:{}", path.display()), &cfg).expect("bind unix");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run());
+
+    let lg = LoadgenConfig {
+        requests: 32,
+        connections: 1,
+        arrivals: vec![Arrival::Closed],
+        max_retries: 0,
+        ..LoadgenConfig::smoke(&addr)
+    };
+    let report = loadgen::run(&lg).expect("loadgen completes");
+    assert_eq!(report.runs[0].busy, 0, "no request is shed");
+    assert_eq!(report.runs[0].completed, 32);
+
+    let stats = handle.join().expect("server thread").expect("server run");
+    assert_eq!(stats.shed, 0);
     assert!(!path.exists(), "socket file must not leak past shutdown");
 }

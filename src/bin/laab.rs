@@ -326,26 +326,7 @@ struct LoadgenArgs {
 /// Parse `laab loadgen` arguments. `Ok(None)` means `--help` was
 /// requested.
 fn parse_loadgen_args(args: impl Iterator<Item = String>) -> Result<Option<LoadgenArgs>, String> {
-    let mut cfg = loadgen::LoadgenConfig {
-        addr: String::new(),
-        requests: 512,
-        connections: 2,
-        n: 192,
-        seed: 0x1AAB,
-        churn_every: 16,
-        dtype: None,
-        backend: "engine".to_string(),
-        arrivals: vec![
-            loadgen::Arrival::Closed,
-            loadgen::Arrival::OpenPoisson { rate: 2000.0 },
-            loadgen::Arrival::Bursty { rate: 2000.0, burst: 8 },
-        ],
-        deadline_us: 0,
-        max_retries: 3,
-        verify: true,
-        shutdown: true,
-        smoke: false,
-    };
+    let mut cfg = loadgen::LoadgenConfig::default();
     let mut json_stdout = false;
     let mut out = None;
     let mut args = args.peekable();
@@ -640,5 +621,17 @@ mod tests {
         // most 8.
         let err = serve_args("--listen unix:/tmp/x.sock --clients 2").err();
         assert_eq!(err.as_deref(), Some("unknown option `--clients` for `laab serve`"));
+    }
+
+    #[test]
+    fn loadgen_defaults_come_from_the_config() {
+        let args = parse_loadgen_args(["--addr", "unix:/tmp/x.sock"].into_iter().map(String::from))
+            .expect("valid")
+            .expect("not --help");
+        let want = loadgen::LoadgenConfig {
+            addr: "unix:/tmp/x.sock".into(),
+            ..loadgen::LoadgenConfig::default()
+        };
+        assert_eq!(args.cfg, want);
     }
 }
