@@ -8,8 +8,8 @@ use laab_kernels::{
 use crate::{Backend, BackendId};
 
 /// The live `laab-kernels` engine — packed/tiled GEMM with AVX-512/AVX2
-/// FMA microkernels, shape-directed DOT/GEMV lowering, and the persistent
-/// worker pool. This is the backend every execution used before the
+/// FMA microkernels and shape-directed DOT/GEMV lowering, each kernel on
+/// its calling thread. This is the backend every execution used before the
 /// backend layer existed, and it remains the default: `engine` results
 /// define the baseline every other backend is measured against.
 ///

@@ -28,12 +28,13 @@
 //!
 //! | name | what it is |
 //! |------|------------|
-//! | [`engine`](EngineBackend) | the live `laab-kernels` engine (packed/tiled GEMM, FMA microkernels, worker pool; the only backend that runs a `Syrk` node at half the FLOPs) — the default |
+//! | [`engine`](EngineBackend) | the live `laab-kernels` engine (packed/tiled GEMM, FMA microkernels; the only backend that runs a `Syrk` node at half the FLOPs) — the default |
 //! | [`reference`](ReferenceBackend) | textbook triple loops ([`laab_kernels::reference`]) — the correctness oracle |
 //!
 //! [`Signature`]: https://docs.rs/laab-serve
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 mod engine;
 mod reference;

@@ -74,7 +74,7 @@ impl std::fmt::Debug for Registration {
 
 static ENGINE_REG: Registration = Registration::new(
     "engine",
-    "live laab-kernels engine (packed GEMM, FMA microkernels, worker pool) — default",
+    "live laab-kernels engine (packed GEMM, FMA microkernels) — default",
     Some(&EngineBackend),
     Some(&EngineBackend),
 );

@@ -8,10 +8,10 @@
 //! `kernels.gemm_f32_gflops`, next to the seed kernel's
 //! `host.yardstick_gflops`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use laab_dense::gen::OperandGen;
 use laab_dense::Matrix;
-use laab_kernels::{gemm, matmul, seed, set_num_threads, Trans};
+use laab_kernels::{gemm, matmul, seed, Trans};
 
 fn bench(c: &mut Criterion) {
     let n = laab_bench::bench_n();
@@ -19,7 +19,7 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group(format!("gemm_engine/n{n}"));
 
-    // Square f64: engine vs frozen seed kernel, single thread.
+    // Square f64: engine vs frozen seed kernel.
     let a = g.matrix::<f64>(n, n);
     let b = g.matrix::<f64>(n, n);
     group.bench_function("square/engine", |bch| {
@@ -30,23 +30,17 @@ fn bench(c: &mut Criterion) {
         bch.iter(|| seed::gemm_seed(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut c_out));
     });
 
-    // Wide-short (previously serial) and GEMV-shaped, 1 vs 4 threads.
+    // Wide-short and GEMV-shaped.
     let wa = g.matrix::<f64>(24, n);
     let wb = g.matrix::<f64>(n, 8 * n);
     let ta = g.matrix::<f64>(4 * n, n);
     let tb = g.matrix::<f64>(n, 8);
-    for &threads in &[1usize, 4] {
-        group.bench_with_input(BenchmarkId::new("wide_short", threads), &threads, |bch, &th| {
-            set_num_threads(th);
-            bch.iter(|| matmul(&wa, Trans::No, &wb, Trans::No));
-            set_num_threads(1);
-        });
-        group.bench_with_input(BenchmarkId::new("gemv_shaped", threads), &threads, |bch, &th| {
-            set_num_threads(th);
-            bch.iter(|| matmul(&ta, Trans::No, &tb, Trans::No));
-            set_num_threads(1);
-        });
-    }
+    group.bench_function("wide_short", |bch| {
+        bch.iter(|| matmul(&wa, Trans::No, &wb, Trans::No));
+    });
+    group.bench_function("gemv_shaped", |bch| {
+        bch.iter(|| matmul(&ta, Trans::No, &tb, Trans::No));
+    });
 
     // Transposed operands cost the same as plain ones (packing absorbs
     // the strides) — keep that claim on the perf record.

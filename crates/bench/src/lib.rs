@@ -2,15 +2,16 @@
 //!
 //! Shared plumbing for the Criterion benches that time what no report
 //! does: the GEMM engine against the frozen seed kernel (`gemm_engine`),
-//! the batched vector products (`gemm_multi_rhs`), and the pass,
-//! substrate and thread-scaling ablations (`ablation_*`), plus the
-//! `crossover_sweep` binary that charts how the paper's gaps grow with
-//! n. The paper's tables and figures themselves are `laab run`'s.
+//! the batched vector products (`gemm_multi_rhs`), and the pass and
+//! substrate ablations (`ablation_*`), plus the `crossover_sweep` binary
+//! that charts how the paper's gaps grow with n. The paper's tables and
+//! figures themselves are `laab run`'s.
 //!
 //! Criterion benches run at a laptop-friendly default size; set
 //! `LAAB_BENCH_N` to change it (e.g. `LAAB_BENCH_N=1024 cargo bench`).
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 use laab_expr::eval::Env;
 use laab_expr::Context;

@@ -18,6 +18,7 @@
 //!   `Torch` framework profile exposes.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 mod multi_dot;
 mod paren;

@@ -27,6 +27,7 @@
 //! | [`experiments::fig7`](fn@experiments::fig7) | Fig. 7 — the five orders of a 4-chain |
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod baselines;
 pub mod bench_registry;

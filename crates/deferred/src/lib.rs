@@ -16,6 +16,7 @@
 //! the time a request takes, never its answer.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 use std::time::Instant;
 

@@ -21,6 +21,7 @@
 //! submatrix, comparison) are provided here.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod gen;
 mod matrix;

@@ -21,6 +21,7 @@
 //!   used as the semantics oracle by every test in the workspace.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod cost;
 pub mod eval;

@@ -23,6 +23,7 @@
 //!   defines its test expression once.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 mod function;
 pub mod lower;

@@ -41,6 +41,7 @@
 //!   Figs. 3 & 4.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod batch;
 pub mod exec;

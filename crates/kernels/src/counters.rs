@@ -6,9 +6,8 @@
 //! expression, snapshot, and compare call/FLOP counts.
 //!
 //! Counters are *thread-local* so that concurrently running tests (and
-//! benchmark pilots) never observe each other's kernel traffic. Kernels
-//! record on the thread that invoked the public entry point; worker threads
-//! spawned internally by a parallel kernel do not record separately.
+//! benchmark pilots) never observe each other's kernel traffic. Every
+//! kernel runs on, and records on, the thread that called it.
 
 use std::cell::RefCell;
 

@@ -1,5 +1,4 @@
-//! Packed, blocked GEMM with 2-D parallel tiling and specialized
-//! microkernels.
+//! Packed, blocked GEMM with specialized microkernels.
 //!
 //! The structure follows the BLIS/Goto decomposition: three cache-blocking
 //! loops (`NC`/`KC`/`MC`) around packed panels of `A` and `B`, with an
@@ -11,15 +10,12 @@
 //!
 //! ## Execution engine
 //!
-//! Within each `(jc, pc)` step, `B` is packed **once** into a shared
-//! panel, and the `mc×nc` macro-space is cut into a 2-D grid of
-//! `(MC-row-block × column-chunk)` tiles drained from the persistent
-//! worker pool ([`crate::parallel_for`]). Short-and-wide products (small
-//! `m`, large `n`) — which the previous rows-only split ran serially —
-//! parallelize over column chunks; tall products parallelize over row
-//! blocks; big squares over both. Each tile packs its `A` block into a
-//! **reusable thread-local workspace** ([`crate::workspace`]), so
-//! steady-state calls allocate nothing.
+//! The driver runs on the calling thread, as the paper's measurements do
+//! (single-threaded, Sec. III). Within each `(jc, pc)` step, `B` is packed
+//! **once** into a panel that every `MC`-row block of `A` then sweeps.
+//! Each block packs its `A` rows into a **reusable thread-local
+//! workspace** ([`crate::workspace`]), so steady-state calls allocate
+//! nothing.
 //!
 //! ## Register tile
 //!
@@ -42,8 +38,8 @@
 //! a tile twice as wide and explicit `ps` kernels.
 //!
 //! [`gemm_blocked`] resolves width and kernel from the element type once
-//! per call; packing, the macro sweep, the triangular skip and the column
-//! chunker all take `NR` from there.
+//! per call; packing, the macro sweep and the triangular skip all take
+//! `NR` from there.
 //!
 //! **Half-width rule.** A micro-tile with at most `NR/2` live columns —
 //! every `f32` product of a 16-wide operand, the ragged last panel of any
@@ -69,21 +65,19 @@
 //!
 //! ## Determinism
 //!
-//! The tile grid only partitions *independent* output regions; every
-//! `C[i,j]` is accumulated in the same order (`pc` loop outermost, fixed
-//! `k`-order microkernel) regardless of the thread count, so 1-thread and
-//! N-thread runs are **bit-identical**. The tile shape does not enter any
-//! element's `k` order either: each output lane is its own fused chain.
+//! Every `C[i,j]` is accumulated in one fixed order: `pc` loop outermost,
+//! a fixed-`k`-order microkernel within each `KC` chunk. The tile shape
+//! does not enter any element's `k` order: each output lane is its own
+//! fused chain.
 
 use std::any::Any;
 
 use laab_dense::{Matrix, Scalar};
 
 use crate::counters::{self, Kernel};
-use crate::parallel::parallel_for;
 use crate::view::{MutView, View};
 use crate::workspace::{with_packed_a, with_packed_b};
-use crate::{flops, num_threads, Trans};
+use crate::{flops, Trans};
 
 use tile::{micro_kernel_f32, micro_kernel_f64, NR_F32, NR_F64};
 
@@ -106,10 +100,6 @@ pub(crate) const KC: usize = 1024;
 /// Columns of the packed B block (L3-resident panel width, a multiple of
 /// every dtype's `NR`).
 const NC: usize = 2048;
-
-/// Below this many FLOPs (`2mnk`) the spawn/handoff overhead of the pool
-/// outweighs the work; run serially even when threads are configured.
-const PAR_MIN_FLOPS: u64 = 2_000_000;
 
 /// `C := α·op(A)·op(B) + β·C`.
 ///
@@ -134,8 +124,7 @@ pub fn gemm<T: Scalar>(
     assert_eq!(ka, kb, "gemm: inner dimensions differ ({ka} vs {kb})");
     assert_eq!(c.shape(), (m, n), "gemm: C has shape {:?}, expected ({m}, {n})", c.shape());
     counters::record(Kernel::Gemm, flops::gemm(m, n, ka));
-    let threads = effective_threads(m, n, ka);
-    gemm_blocked(alpha, av, bv, beta, MutView::of(c), threads, Sweep::Full);
+    gemm_blocked(alpha, av, bv, beta, MutView::of(c), Sweep::Full);
 }
 
 /// Convenience wrapper allocating the output: `op(A)·op(B)`.
@@ -187,36 +176,6 @@ pub fn matmul_multi_rhs<T: Scalar>(
     c
 }
 
-/// Thread count for a product of the given logical shape: the configured
-/// count, unless the product is too small to amortize pool hand-off. The
-/// decision looks at total FLOPs — *not* at `m` alone, so wide-but-short
-/// products (small `m`, large `n`) parallelize over columns instead of
-/// silently degrading to one thread.
-fn effective_threads(m: usize, n: usize, k: usize) -> usize {
-    let t = num_threads();
-    if t <= 1 {
-        return 1;
-    }
-    let flops = 2u64 * m as u64 * n as u64 * k as u64;
-    if flops < PAR_MIN_FLOPS {
-        1
-    } else {
-        t
-    }
-}
-
-/// Serial blocked GEMM over strided views (the building block for TRMM,
-/// which calls it on sub-views).
-pub(crate) fn gemm_serial<T: Scalar>(
-    alpha: T,
-    a: View<'_, T>,
-    b: View<'_, T>,
-    beta: T,
-    c: &mut MutView<'_, T>,
-) {
-    gemm_blocked(alpha, a, b, beta, c.reborrow(), 1, Sweep::Full);
-}
-
 /// `C += α·A·B` on the lower triangle of a square `C` only — the driver
 /// behind [`syrk`](crate::syrk). Every element on or below the diagonal
 /// gets exactly the bits [`gemm`] would give it (same packed panels, same
@@ -225,112 +184,68 @@ pub(crate) fn gemm_serial<T: Scalar>(
 /// left untouched.
 pub(crate) fn gemm_lower<T: Scalar>(alpha: T, a: View<'_, T>, b: View<'_, T>, c: &mut Matrix<T>) {
     debug_assert_eq!(a.rows, b.cols, "gemm_lower: C must be square");
-    let threads = effective_threads(a.rows, b.cols, a.cols);
-    gemm_blocked(alpha, a, b, T::ONE, MutView::of(c), threads, Sweep::Lower);
+    gemm_blocked(alpha, a, b, T::ONE, MutView::of(c), Sweep::Lower);
 }
 
 /// Which micro-tiles of the output the blocked driver computes.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum Sweep {
+pub(crate) enum Sweep {
     /// All of them — GEMM.
     Full,
     /// Only those holding an element on or below the diagonal: a
     /// micro-tile whose first column lies strictly right of its last row
-    /// is skipped. Packing, `KC` splits, microkernels and the tile grid
+    /// is skipped. Packing, `KC` splits, microkernels and the blocking
     /// are the full sweep's, so what is computed is bitwise what
     /// [`Sweep::Full`] computes there.
     Lower,
 }
 
-/// Raw pointer to the output panel, shared across tile workers. Tiles
-/// write disjoint `(row, column-range)` fragments, so the aliasing `&mut`
-/// slices manufactured in [`RawC::row`] never overlap.
-struct RawC<T> {
-    ptr: *mut T,
-    rs: usize,
-}
-
-// SAFETY: see the struct docs — the tile scheduler hands every fragment to
-// exactly one task, and `T: Send` moves element access across threads.
-unsafe impl<T: Send> Sync for RawC<T> {}
-
-impl<T: Scalar> RawC<T> {
-    fn of(c: &mut MutView<'_, T>) -> Self {
-        RawC { ptr: c.data.as_mut_ptr(), rs: c.rs }
-    }
-
-    /// Address of element `(i, j)`. Used only for prefetch (no
-    /// dereference on this path).
-    ///
-    /// # Safety
-    /// `(i, j)` must be in bounds of the panel.
-    #[inline(always)]
-    unsafe fn addr(&self, i: usize, j: usize) -> *const T {
-        self.ptr.add(i * self.rs + j)
-    }
-
-    /// Hand the mutable fragment of row `i`, columns `[j, j+len)`, to `f`.
-    ///
-    /// # Safety
-    /// The fragment must be in bounds, and the caller must guarantee no
-    /// concurrently live fragment overlaps it. The `&mut`-from-`&self` is
-    /// the point: `RawC` is the shared handle through which disjoint tiles
-    /// write, so the aliasing discipline lives in the tile scheduler, not
-    /// the borrow checker.
-    #[inline(always)]
-    unsafe fn row(&self, i: usize, j: usize, len: usize, f: impl FnOnce(&mut [T])) {
-        f(std::slice::from_raw_parts_mut(self.ptr.add(i * self.rs + j), len));
-    }
-}
-
 /// The driver body's signature once width and microkernel are fixed.
-type Driver<T> = for<'a> fn(T, View<'a, T>, View<'a, T>, T, MutView<'a, T>, usize, Sweep);
+type Driver<T> = for<'a> fn(T, View<'a, T>, View<'a, T>, T, MutView<'a, T>, Sweep);
 
-/// The blocked driver's entry: picks the register-tile width and the
-/// microkernel for the element type — once per call — and runs the one
-/// driver body monomorphised for them. The public API is bounded on
-/// `Scalar` alone, so the element type is recognized by type equality:
+/// `C := α·A·B + β·C` over strided views, on the micro-tiles `sweep`
+/// selects: the blocked driver's entry. It picks the register-tile width
+/// and the microkernel for the element type — once per call — and runs
+/// the one driver body monomorphised for them. The public API is bounded
+/// on `Scalar` alone, so the element type is recognized by type equality:
 /// the `f64` body's function pointer downcasts to "a body for `T`" exactly
 /// when `T` is `f64`, which hands it over with no reinterpretation of any
 /// operand.
-fn gemm_blocked<T: Scalar>(
+pub(crate) fn gemm_blocked<T: Scalar>(
     alpha: T,
     a: View<'_, T>,
     b: View<'_, T>,
     beta: T,
     c: MutView<'_, T>,
-    threads: usize,
     sweep: Sweep,
 ) {
-    let f64_body: Driver<f64> = |alpha, a, b, beta, c, threads, sweep| {
-        blocked_at::<f64, NR_F64>(alpha, a, b, beta, c, threads, sweep, micro_kernel_f64)
+    let f64_body: Driver<f64> = |alpha, a, b, beta, c, sweep| {
+        blocked_at::<f64, NR_F64>(alpha, a, b, beta, c, sweep, micro_kernel_f64)
     };
-    let f32_body: Driver<f32> = |alpha, a, b, beta, c, threads, sweep| {
-        blocked_at::<f32, NR_F32>(alpha, a, b, beta, c, threads, sweep, micro_kernel_f32)
+    let f32_body: Driver<f32> = |alpha, a, b, beta, c, sweep| {
+        blocked_at::<f32, NR_F32>(alpha, a, b, beta, c, sweep, micro_kernel_f32)
     };
-    let generic_body: Driver<T> = |alpha, a, b, beta, c, threads, sweep| {
-        blocked_at::<T, NR_GENERIC>(alpha, a, b, beta, c, threads, sweep, micro_kernel_generic)
+    let generic_body: Driver<T> = |alpha, a, b, beta, c, sweep| {
+        blocked_at::<T, NR_GENERIC>(alpha, a, b, beta, c, sweep, micro_kernel_generic)
     };
     let body = [&f64_body as &dyn Any, &f32_body]
         .into_iter()
         .find_map(|body| body.downcast_ref::<Driver<T>>())
         .unwrap_or(&generic_body);
-    body(alpha, a, b, beta, c, threads, sweep);
+    body(alpha, a, b, beta, c, sweep);
 }
 
-/// The driver body at tile width `NR`: shared packed-B panel per
-/// `(jc, pc)` step, 2-D `(row-block × column-chunk)` tile grid on the
-/// worker pool.
-#[allow(clippy::too_many_arguments)]
+/// The driver body at tile width `NR`: for each `NC`-wide column panel and
+/// `KC`-deep slice of `k`, pack the `B` panel once, then pack and sweep
+/// each `MC`-row block of `A` against it.
 fn blocked_at<T: Scalar, const NR: usize>(
     alpha: T,
     a: View<'_, T>,
     b: View<'_, T>,
     beta: T,
     mut c: MutView<'_, T>,
-    threads: usize,
     sweep: Sweep,
-    kernel: impl Fn(usize, &[T], &[T], usize, &mut [[T; NR]; MR]) + Copy + Sync,
+    kernel: impl Fn(usize, &[T], &[T], usize, &mut [[T; NR]; MR]) + Copy,
 ) {
     let (m, k) = (a.rows, a.cols);
     let n = b.cols;
@@ -344,7 +259,6 @@ fn blocked_at<T: Scalar, const NR: usize>(
         return;
     }
 
-    let raw = RawC::of(&mut c);
     let b_len = KC.min(k) * NC.min(n).next_multiple_of(NR);
     with_packed_b::<T, _>(b_len, |packed_b| {
         for jc in (0..n).step_by(NC) {
@@ -352,52 +266,19 @@ fn blocked_at<T: Scalar, const NR: usize>(
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
                 pack_b::<T, NR>(packed_b, b, pc, kc, jc, nc);
-                let m_tiles = m.div_ceil(MC);
-                let (n_chunks, chunk_cols) = column_chunks::<NR>(nc, m_tiles, threads);
-                let pb: &[T] = packed_b;
-                parallel_for(threads, m_tiles * n_chunks, |t| {
-                    let ic = (t % m_tiles) * MC;
+                for ic in (0..m).step_by(MC) {
                     let mc = MC.min(m - ic);
-                    let j0 = (t / m_tiles) * chunk_cols;
-                    let j1 = (j0 + chunk_cols).min(nc);
-                    if sweep == Sweep::Lower && jc + j0 >= ic + mc {
-                        return; // the whole tile lies above the diagonal
+                    if sweep == Sweep::Lower && jc >= ic + mc {
+                        continue; // the whole block lies above the diagonal
                     }
                     with_packed_a::<T, _>(mc.next_multiple_of(MR) * kc, |pa| {
                         pack_a(pa, a, ic, mc, pc, kc);
-                        let pb_chunk = &pb[(j0 / NR) * NR * kc..];
-                        macro_block(
-                            alpha,
-                            pa,
-                            pb_chunk,
-                            mc,
-                            j1 - j0,
-                            kc,
-                            ic,
-                            jc + j0,
-                            &raw,
-                            sweep,
-                            kernel,
-                        );
+                        macro_block(alpha, pa, packed_b, mc, nc, kc, ic, jc, &mut c, sweep, kernel);
                     });
-                });
+                }
             }
         }
     });
-}
-
-/// Split the `nc`-wide panel into column chunks so the tile grid exposes
-/// roughly `2·threads` units of work even when there are few row blocks
-/// (the wide-but-short case). Chunks are `NR`-aligned so packed-B panel
-/// boundaries stay intact; with one thread the panel is a single chunk
-/// (no redundant A packing).
-fn column_chunks<const NR: usize>(nc: usize, m_tiles: usize, threads: usize) -> (usize, usize) {
-    if threads <= 1 || m_tiles >= 2 * threads {
-        return (1, nc);
-    }
-    let want = (2 * threads).div_ceil(m_tiles).min(nc.div_ceil(NR));
-    let chunk = nc.div_ceil(want).next_multiple_of(NR);
-    (nc.div_ceil(chunk), chunk)
 }
 
 fn scale_c<T: Scalar>(beta: T, c: &mut MutView<'_, T>) {
@@ -487,9 +368,9 @@ fn pack_b<T: Scalar, const NR: usize>(
     }
 }
 
-/// Sweep the `MR×NR` tiles of one `mc × chunk_n` macro-tile that `sweep`
-/// selects, accumulating `alpha`-scaled results into `C` through disjoint
-/// row fragments.
+/// Sweep the `MR×NR` tiles of one `mc × nc` macro-tile that `sweep`
+/// selects, accumulating `alpha`-scaled results into `C` at `(i0, j0)`,
+/// one tile row at a time.
 ///
 /// `kernel(kc, pa, pb, cols, acc)` is the register-tile microkernel:
 /// `acc[MR][NR] = Σ_k a[k][·] ⊗ b[k][·]` over `kc` steps of one packed
@@ -502,25 +383,27 @@ fn macro_block<T: Scalar, const NR: usize>(
     packed_a: &[T],
     packed_b: &[T],
     mc: usize,
-    chunk_n: usize,
+    nc: usize,
     kc: usize,
     i0: usize,
     j0: usize,
-    c: &RawC<T>,
+    c: &mut MutView<'_, T>,
     sweep: Sweep,
     kernel: impl Fn(usize, &[T], &[T], usize, &mut [[T; NR]; MR]),
 ) {
     let a_panels = mc.div_ceil(MR);
-    let b_panels = chunk_n.div_ceil(NR);
+    let b_panels = nc.div_ceil(NR);
     for jp in 0..b_panels {
         let pb = &packed_b[jp * NR * kc..(jp + 1) * NR * kc];
-        let cols = NR.min(chunk_n - jp * NR);
+        let cols = NR.min(nc - jp * NR);
         for ip in 0..a_panels {
             let pa = &packed_a[ip * MR * kc..(ip + 1) * MR * kc];
             let rows = MR.min(mc - ip * MR);
             if sweep == Sweep::Lower && j0 + jp * NR > i0 + ip * MR + rows - 1 {
                 continue;
             }
+            // Offset of the tile's first element in `C`.
+            let tile = (i0 + ip * MR) * c.rs + j0 + jp * NR;
             // Pull the C destination rows towards the core while the
             // microkernel runs — the write-back below is the only
             // non-packed memory traffic in the macro sweep. A tile row is
@@ -534,14 +417,15 @@ fn macro_block<T: Scalar, const NR: usize>(
                 let line = 64 / std::mem::size_of::<T>();
                 const { assert!(NR * std::mem::size_of::<T>() <= 128) };
                 for ir in 0..rows {
-                    let (i, j) = (i0 + ip * MR + ir, j0 + jp * NR);
-                    // SAFETY: in-bounds elements of the row fragment the
-                    // write-back updates (`line < cols`); prefetch has no
-                    // architectural effect.
+                    let row = c.data.as_ptr().wrapping_add(tile + ir * c.rs);
+                    // SAFETY: prefetch has no architectural effect; the
+                    // addresses are elements of the row the write-back
+                    // below updates (`line < cols`).
+                    #[allow(unsafe_code)]
                     unsafe {
-                        _mm_prefetch(c.addr(i, j).cast(), _MM_HINT_T0);
+                        _mm_prefetch(row.cast(), _MM_HINT_T0);
                         if cols > line {
-                            _mm_prefetch(c.addr(i, j + line).cast(), _MM_HINT_T0);
+                            _mm_prefetch(row.wrapping_add(line).cast(), _MM_HINT_T0);
                         }
                     }
                 }
@@ -550,14 +434,9 @@ fn macro_block<T: Scalar, const NR: usize>(
             kernel(kc, pa, pb, cols, &mut acc);
             // Accumulate the tile: C[i0+ip*MR.., j0+jp*NR..] += alpha * acc.
             for (ir, acc_row) in acc.iter().enumerate().take(rows) {
-                // SAFETY: this tile owns rows [i0, i0+mc) × cols
-                // [j0, j0+chunk_n) exclusively (disjoint tile grid).
-                unsafe {
-                    c.row(i0 + ip * MR + ir, j0 + jp * NR, cols, |seg| {
-                        for (sv, &av) in seg.iter_mut().zip(acc_row) {
-                            *sv = alpha.mul_add(av, *sv);
-                        }
-                    });
+                let at = tile + ir * c.rs;
+                for (sv, &av) in c.data[at..at + cols].iter_mut().zip(acc_row) {
+                    *sv = alpha.mul_add(av, *sv);
                 }
             }
         }
@@ -724,6 +603,7 @@ macro_rules! tile_kernel {
     target_feature = "fma",
     not(target_feature = "avx512f")
 ))]
+#[allow(unsafe_code)]
 mod tile {
     use super::MR;
 
@@ -783,6 +663,7 @@ mod tile {
 /// frequency licence), so they stay on the 256-bit licence and leave the
 /// 512-bit one to the full tiles, where the FMA rate is the point.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f", target_feature = "fma"))]
+#[allow(unsafe_code)]
 mod tile {
     use super::MR;
 
@@ -970,61 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let mut g = OperandGen::new(77);
-        let a = g.matrix::<f64>(97, 53);
-        let b = g.matrix::<f64>(53, 41);
-        let serial = matmul(&a, Trans::No, &b, Trans::No);
-        crate::set_num_threads(4);
-        let parallel = matmul(&a, Trans::No, &b, Trans::No);
-        crate::set_num_threads(1);
-        assert!(parallel.approx_eq(&serial, 1e-13));
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_above_dispatch_threshold() {
-        // 160³ (> PAR_MIN_FLOPS) actually engages the tile scheduler.
-        fn check<T: Scalar>() {
-            let mut g = OperandGen::new(78);
-            let a = g.matrix::<T>(160, 160);
-            let b = g.matrix::<T>(160, 160);
-            let serial = matmul(&a, Trans::No, &b, Trans::No);
-            crate::set_num_threads(4);
-            let parallel = matmul(&a, Trans::No, &b, Trans::No);
-            crate::set_num_threads(1);
-            assert_eq!(
-                serial.as_slice(),
-                parallel.as_slice(),
-                "{}: tile grid changed reduction order",
-                T::PREFIX
-            );
-        }
-        check::<f64>();
-        check::<f32>();
-    }
-
-    #[test]
-    fn wide_short_shapes_parallelize_over_columns() {
-        // m = 8 < MR*2: the old heuristic ran this serially; the column
-        // chunker must now expose > 1 tile, at each dtype's own width.
-        fn check<T: Scalar, const NR: usize>() {
-            let (chunks, width) = column_chunks::<NR>(2048, 1, 4);
-            assert!(chunks > 1, "wide-short shape left serial");
-            assert_eq!(width % NR, 0, "chunks must be NR-aligned");
-            let mut g = OperandGen::new(79);
-            let a = g.matrix::<T>(8, 300);
-            let b = g.matrix::<T>(300, 1500);
-            let serial = matmul(&a, Trans::No, &b, Trans::No);
-            crate::set_num_threads(4);
-            let parallel = matmul(&a, Trans::No, &b, Trans::No);
-            crate::set_num_threads(1);
-            assert_eq!(serial.as_slice(), parallel.as_slice(), "{}", T::PREFIX);
-        }
-        check::<f64, NR_F64>();
-        check::<f32, NR_F32>();
-    }
-
-    #[test]
     fn seed_and_engine_agree() {
         let mut g = OperandGen::new(80);
         let a = g.matrix::<f64>(70, 90);
@@ -1063,7 +889,8 @@ mod tests {
                 b[(0, n - 1)] = T::from_f64(f64::NEG_INFINITY);
                 let mut c = Matrix::filled(m + MR, n + NR, canary);
                 let (av, bv) = (View::of(&a, Trans::No), View::of(&b, Trans::No));
-                gemm_serial(T::ONE, av, bv, T::ZERO, &mut MutView::of(&mut c).sub(0, m, 0, n));
+                let mut whole = MutView::of(&mut c);
+                gemm_blocked(T::ONE, av, bv, T::ZERO, whole.sub(0, m, 0, n), Sweep::Full);
                 let mut tight = Matrix::zeros(m, n);
                 gemm(T::ONE, &a, Trans::No, &b, Trans::No, T::ZERO, &mut tight);
                 assert!(!tight.all_finite(), "the poison must reach the result");
@@ -1153,19 +980,6 @@ mod tests {
         }
         check::<f64>();
         check::<f32>();
-    }
-
-    #[test]
-    fn multi_rhs_parallel_is_bit_identical() {
-        let mut g = OperandGen::new(92);
-        let a = g.matrix::<f64>(160, 200);
-        let parts: Vec<Matrix<f64>> = (0..16).map(|_| g.matrix::<f64>(200, 4)).collect();
-        let refs: Vec<&Matrix<f64>> = parts.iter().collect();
-        let serial = matmul_multi_rhs(1.0, &a, Trans::No, &refs);
-        crate::set_num_threads(4);
-        let parallel = matmul_multi_rhs(1.0, &a, Trans::No, &refs);
-        crate::set_num_threads(1);
-        assert_eq!(serial.as_slice(), parallel.as_slice());
     }
 
     #[test]

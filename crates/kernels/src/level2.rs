@@ -252,6 +252,7 @@ mod lanes {
 
 /// The AVX2 + FMA build's lane sweeps (module docs), on 256-bit registers.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
+#[allow(unsafe_code)]
 mod lanes {
     use std::arch::x86_64::{
         __m256, __m256d, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps,

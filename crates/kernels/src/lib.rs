@@ -23,19 +23,15 @@
 //! costs three GEMMs, `E2` only two") machine-checkable, independent of
 //! wall-clock noise.
 //!
-//! ## Parallelism
+//! ## Threads
 //!
-//! The paper's measurements are single-threaded; so is the default here.
-//! [`set_num_threads`] enables the persistent worker pool: GEMM schedules
-//! a 2-D (row-block × column-chunk) tile grid over a shared packed-B
-//! panel via [`parallel_for`], and the structured kernels split row
-//! chunks the same way. The tile decomposition preserves each element's
-//! reduction order, so 1-thread and N-thread runs are bit-identical. Used
-//! by the thread-scaling ablation, the `gemm_engine` bench, and the
-//! `Flow` profile's `tridiagonal_matmul` (the paper notes TF parallelizes
-//! the row scalings).
+//! Every kernel runs on its calling thread, as the paper's measurements
+//! do (single-threaded, Sec. III). Callers that want parallelism run
+//! independent kernels on their own threads: `laab serve` gets its
+//! request-level parallelism from its executor pool.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod counters;
 mod dispatch;
@@ -43,7 +39,6 @@ pub mod flops;
 mod gemm;
 mod level1;
 mod level2;
-mod parallel;
 pub mod reference;
 pub mod seed;
 mod simd;
@@ -57,7 +52,6 @@ pub use dispatch::matmul_dispatch;
 pub use gemm::{gemm, matmul, matmul_multi_rhs};
 pub use level1::{axpy, dot, nrm2, scal};
 pub use level2::{gemv, gemv_alloc, gemv_multi, ger};
-pub use parallel::{num_threads, parallel_for, parallel_row_chunks, set_num_threads};
 pub use solve::{cholesky, cholesky_solve, lu_factor, lu_solve, lu_solve_full, trsm};
 pub use structured::{diag_matmul, geadd, geadd_assign, gescale_assign, tridiag_matmul};
 pub use trmm_syrk::{symmetrize_lower, syrk, trmm, UpLo};

@@ -67,6 +67,7 @@ fn same_type<T: 'static, U: 'static>() -> bool {
 /// generic (unfused) fallback. The shared inner-loop primitive of the
 /// triangular kernels and the factorizations.
 #[inline(always)]
+#[allow(unsafe_code)]
 pub(crate) fn fused_axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     debug_assert_eq!(x.len(), y.len());
     if same_type::<T, f64>() {

@@ -1,23 +1,19 @@
 //! Structured products (tridiagonal, diagonal) and the elementwise add.
 //!
 //! `tridiag_matmul` is the analogue of `tf.linalg.tridiagonal_matmul`
-//! (Experiment 3): a fused, row-parallel O(n²) product that beats both the
-//! dense GEMM (O(n³)) and the SCAL-sequence hand-coding (which pays one
-//! kernel dispatch per row). `diag_matmul` covers the diagonal special case.
+//! (Experiment 3): a fused O(n²) product that beats both the dense GEMM
+//! (O(n³)) and the SCAL-sequence hand-coding (which pays one kernel
+//! dispatch per row). `diag_matmul` covers the diagonal special case.
 
 use laab_dense::{Diagonal, Matrix, Scalar, Tridiagonal};
 
 use crate::counters::{self, Kernel};
-use crate::{flops, parallel_row_chunks};
+use crate::flops;
 
 /// Tridiagonal × dense product `C := T·B` from the compact form.
 ///
 /// Each output row is a fused three-term scaling
-/// `C[i,:] = sub[i-1]·B[i-1,:] + main[i]·B[i,:] + sup[i]·B[i+1,:]`;
-/// rows are independent, so the kernel parallelizes over row chunks when
-/// [`set_num_threads`](crate::set_num_threads) allows (the paper notes TF
-/// "takes advantage of the fact that the scaling operations can be executed
-/// simultaneously").
+/// `C[i,:] = sub[i-1]·B[i-1,:] + main[i]·B[i,:] + sup[i]·B[i+1,:]`.
 pub fn tridiag_matmul<T: Scalar>(t: &Tridiagonal<T>, b: &Matrix<T>) -> Matrix<T> {
     let n = t.n();
     assert_eq!(b.rows(), n, "tridiag_matmul: inner dimensions differ");
@@ -25,35 +21,33 @@ pub fn tridiag_matmul<T: Scalar>(t: &Tridiagonal<T>, b: &Matrix<T>) -> Matrix<T>
     counters::record(Kernel::TridiagMatmul, flops::tridiag_matmul(n, m));
 
     let mut c = Matrix::zeros(n, m);
-    let bs = b.as_slice();
-    parallel_row_chunks(c.as_mut_slice(), n, m, |r0, chunk| {
-        for (local, crow) in chunk.chunks_mut(m).enumerate() {
-            let i = r0 + local;
-            let main = t.main[i];
-            let brow = &bs[i * m..(i + 1) * m];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv = main * bv;
-            }
-            if i > 0 {
-                let sub = t.sub[i - 1];
-                let prev = &bs[(i - 1) * m..i * m];
-                for (cv, &bv) in crow.iter_mut().zip(prev) {
-                    *cv = sub.mul_add(bv, *cv);
-                }
-            }
-            if i + 1 < n {
-                let sup = t.sup[i];
-                let next = &bs[(i + 1) * m..(i + 2) * m];
-                for (cv, &bv) in crow.iter_mut().zip(next) {
-                    *cv = sup.mul_add(bv, *cv);
-                }
+    let (cs, bs) = (c.as_mut_slice(), b.as_slice());
+    for i in 0..n {
+        let crow = &mut cs[i * m..(i + 1) * m];
+        let main = t.main[i];
+        let brow = &bs[i * m..(i + 1) * m];
+        for (cv, &bv) in crow.iter_mut().zip(brow) {
+            *cv = main * bv;
+        }
+        if i > 0 {
+            let sub = t.sub[i - 1];
+            let prev = &bs[(i - 1) * m..i * m];
+            for (cv, &bv) in crow.iter_mut().zip(prev) {
+                *cv = sub.mul_add(bv, *cv);
             }
         }
-    });
+        if i + 1 < n {
+            let sup = t.sup[i];
+            let next = &bs[(i + 1) * m..(i + 2) * m];
+            for (cv, &bv) in crow.iter_mut().zip(next) {
+                *cv = sup.mul_add(bv, *cv);
+            }
+        }
+    }
     c
 }
 
-/// Diagonal × dense product `C := D·B` (row scaling), row-parallel.
+/// Diagonal × dense product `C := D·B` (row scaling).
 pub fn diag_matmul<T: Scalar>(d: &Diagonal<T>, b: &Matrix<T>) -> Matrix<T> {
     let n = d.n();
     assert_eq!(b.rows(), n, "diag_matmul: inner dimensions differ");
@@ -61,17 +55,13 @@ pub fn diag_matmul<T: Scalar>(d: &Diagonal<T>, b: &Matrix<T>) -> Matrix<T> {
     counters::record(Kernel::DiagMatmul, flops::diag_matmul(n, m));
 
     let mut c = Matrix::zeros(n, m);
-    let bs = b.as_slice();
-    parallel_row_chunks(c.as_mut_slice(), n, m, |r0, chunk| {
-        for (local, crow) in chunk.chunks_mut(m).enumerate() {
-            let i = r0 + local;
-            let di = d.d[i];
-            let brow = &bs[i * m..(i + 1) * m];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv = di * bv;
-            }
+    let (cs, bs) = (c.as_mut_slice(), b.as_slice());
+    for i in 0..n {
+        let di = d.d[i];
+        for (cv, &bv) in cs[i * m..(i + 1) * m].iter_mut().zip(&bs[i * m..(i + 1) * m]) {
+            *cv = di * bv;
         }
-    });
+    }
     c
 }
 
@@ -131,18 +121,6 @@ mod tests {
             let want = reference::tridiag_matmul_naive(&t, &b);
             assert!(c.approx_eq(&want, 1e-13), "n={n} m={m}");
         }
-    }
-
-    #[test]
-    fn tridiag_parallel_matches_serial() {
-        let mut g = OperandGen::new(32);
-        let t = g.tridiagonal::<f64>(128);
-        let b = g.matrix::<f64>(128, 40);
-        let serial = tridiag_matmul(&t, &b);
-        crate::set_num_threads(4);
-        let parallel = tridiag_matmul(&t, &b);
-        crate::set_num_threads(1);
-        assert!(parallel.approx_eq(&serial, 1e-15));
     }
 
     #[test]

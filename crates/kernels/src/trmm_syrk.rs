@@ -9,7 +9,7 @@
 use laab_dense::{Matrix, Scalar};
 
 use crate::counters::{self, Kernel};
-use crate::gemm::{gemm_lower, gemm_serial};
+use crate::gemm::{gemm_blocked, gemm_lower, Sweep};
 use crate::simd::fused_axpy;
 use crate::view::{MutView, View};
 use crate::{flops, Trans};
@@ -72,8 +72,7 @@ pub fn trmm<T: Scalar>(alpha: T, l: &Matrix<T>, uplo: UpLo, b: &Matrix<T>) -> Ma
         if c1 > c0 {
             let a_sub = lv.sub(i0, i1, c0, c1);
             let b_sub = bv.sub(c0, c1, 0, m);
-            let mut c_sub = cv.sub(i0, i1, 0, m);
-            gemm_serial(alpha, a_sub, b_sub, T::ONE, &mut c_sub);
+            gemm_blocked(alpha, a_sub, b_sub, T::ONE, cv.sub(i0, i1, 0, m), Sweep::Full);
         }
     }
     c
@@ -88,8 +87,8 @@ pub fn trmm<T: Scalar>(alpha: T, l: &Matrix<T>, uplo: UpLo, b: &Matrix<T>) -> Ma
 /// copy. The computed tiles see the packed panels, `k` order and
 /// write-back of the full product, and `fma(a, b, c) == fma(b, a, c)`, so
 /// for finite inputs the result is **bitwise identical** to
-/// `gemm(α, A, trans, A, trans.flip(), 0)` at every thread count (NaNs
-/// land in the same positions; their payloads may differ).
+/// `gemm(α, A, trans, A, trans.flip(), 0)` (NaNs land in the same
+/// positions; their payloads may differ).
 pub fn syrk<T: Scalar>(alpha: T, a: &Matrix<T>, trans: Trans) -> Matrix<T> {
     let (n, k) = trans.dims(a.rows(), a.cols());
     counters::record(Kernel::Syrk, flops::syrk(n, k));

@@ -3,8 +3,8 @@
 //! The Level-3 kernels operate on strided, read-only views so that
 //! transposition (swap strides) and blocking (offset sub-views) need no data
 //! movement; only the packing routines touch memory. Output panels are
-//! row-major with a row stride (`MutView`), which lets the parallel path hand
-//! disjoint contiguous row chunks to worker threads safely.
+//! row-major with a row stride (`MutView`), so a sub-block is an offset
+//! into the same buffer and each of its rows a contiguous slice.
 
 use laab_dense::{Matrix, Scalar};
 
@@ -64,12 +64,6 @@ impl<'a, T: Scalar> MutView<'a, T> {
     pub fn at(&mut self, i: usize, j: usize) -> &mut T {
         debug_assert!(i < self.rows && j < self.cols);
         &mut self.data[i * self.rs + j]
-    }
-
-    /// Reborrow: a shorter-lived view of the same panel, letting callers
-    /// pass the view by value without giving it up.
-    pub fn reborrow(&mut self) -> MutView<'_, T> {
-        MutView { data: &mut *self.data, rows: self.rows, cols: self.cols, rs: self.rs }
     }
 
     /// Mutable sub-view of rows `[r0, r1)` and columns `[c0, c1)`.

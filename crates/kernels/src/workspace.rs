@@ -3,8 +3,8 @@
 //! The Level-3 kernels repack panels of their operands on every call; with
 //! per-call `vec!` allocations that packing traffic shows up as allocator
 //! churn on exactly the hot path the suite is trying to time. Instead,
-//! each thread (the caller *and* each pool worker) keeps one growable
-//! buffer per element type and per role (A-panel / B-panel), handed out by
+//! each calling thread keeps one growable buffer per element type and
+//! per role (A-panel / B-panel), handed out by
 //! [`with_packed_a`] / [`with_packed_b`] and returned when the closure
 //! finishes. Steady-state GEMMs therefore allocate nothing.
 //!

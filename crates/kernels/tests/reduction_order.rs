@@ -1,7 +1,7 @@
 //! The blocked driver promises a per-element arithmetic, not just a value:
 //! every `C[i,j]` is, for each `KC`-deep chunk of `k` in order, one fused
 //! chain from zero followed by one `α·acc + c` write-back. No register
-//! tile, packing width, half-width path, triangular skip or thread count
+//! tile, packing width, half-width path, triangular skip or panel split
 //! enters that — so a scalar loop that spells it out must agree with
 //! `gemm` and `syrk` **bit for bit**, on every build (`native`,
 //! `x86-64-v3`, `x86-64`), for both precisions, and on hostile inputs.
@@ -12,7 +12,7 @@
 
 use laab_dense::gen::OperandGen;
 use laab_dense::{Matrix, Scalar};
-use laab_kernels::{gemm, gemv, gemv_multi, reference, set_num_threads, syrk, Trans};
+use laab_kernels::{gemm, gemv, gemv_multi, reference, syrk, Trans};
 
 mod common;
 use common::bits;
@@ -80,9 +80,9 @@ fn operand<T: Scalar>(g: &mut OperandGen, t: Trans, r: usize, c: usize) -> Matri
 }
 
 /// Output shapes straddling `MR` (6), every tile width and half-width
-/// (4, 8, 16, 32) and `MC` (120), rows and columns taken from different
-/// ends of the list.
-const SHAPES: [(usize, usize); 14] = [
+/// (4, 8, 16, 32), `MC` (120) and `NC` (2048, the last shape), rows and
+/// columns taken from different ends of the list.
+const SHAPES: [(usize, usize); 15] = [
     (1, 1),
     (1, 33),
     (5, 17),
@@ -97,15 +97,15 @@ const SHAPES: [(usize, usize); 14] = [
     (9, 130),
     (121, 33),
     (130, 121),
+    (3, 2053),
 ];
 /// Depths, the last two straddling `KC` (one and two `pc` passes).
 const DEPTHS: [usize; 4] = [1, 9, 257, 1025];
 const FLAGS: [Trans; 2] = [Trans::No, Trans::Yes];
 const ALPHAS: [f64; 2] = [1.0, -0.5];
 
-fn gemm_sweep<T: Step>(threads: usize) {
-    set_num_threads(threads);
-    let mut g = OperandGen::new(0x0DE5 + threads as u64);
+fn gemm_sweep<T: Step>() {
+    let mut g = OperandGen::new(0x0DE6);
     for &(m, n) in &SHAPES {
         for &k in &DEPTHS {
             if m * n > 4000 && (k == 9 || k == 257) {
@@ -122,7 +122,7 @@ fn gemm_sweep<T: Step>(threads: usize) {
                         assert_eq!(
                             bits(&c),
                             bits(&oracle(alpha, &a, ta, &b, tb, &c0)),
-                            "{}gemm {m}x{n}x{k} {ta:?} {tb:?} α={alpha} t={threads}",
+                            "{}gemm {m}x{n}x{k} {ta:?} {tb:?} α={alpha}",
                             T::PREFIX
                         );
                     }
@@ -130,24 +130,20 @@ fn gemm_sweep<T: Step>(threads: usize) {
             }
         }
     }
-    set_num_threads(1);
 }
 
 #[test]
 fn gemm_is_bitwise_the_scalar_chain_f64() {
-    gemm_sweep::<f64>(1);
-    gemm_sweep::<f64>(3);
+    gemm_sweep::<f64>();
 }
 
 #[test]
 fn gemm_is_bitwise_the_scalar_chain_f32() {
-    gemm_sweep::<f32>(1);
-    gemm_sweep::<f32>(3);
+    gemm_sweep::<f32>();
 }
 
-fn syrk_sweep<T: Step>(threads: usize) {
-    set_num_threads(threads);
-    let mut g = OperandGen::new(0x0DE7 + threads as u64);
+fn syrk_sweep<T: Step>() {
+    let mut g = OperandGen::new(0x0DE8);
     for n in [1, 5, 6, 7, 15, 16, 17, 31, 32, 33, 121, 130] {
         for &k in &DEPTHS {
             if n > 33 && (k == 9 || k == 257) {
@@ -168,22 +164,19 @@ fn syrk_sweep<T: Step>(threads: usize) {
                     assert_eq!(
                         lower(&got),
                         lower(&want),
-                        "{}syrk n={n} k={k} {trans:?} α={alpha} t={threads}",
+                        "{}syrk n={n} k={k} {trans:?} α={alpha}",
                         T::PREFIX
                     );
                 }
             }
         }
     }
-    set_num_threads(1);
 }
 
 #[test]
 fn syrk_lower_triangle_is_bitwise_the_scalar_chain() {
-    for threads in [1, 3] {
-        syrk_sweep::<f64>(threads);
-        syrk_sweep::<f32>(threads);
-    }
+    syrk_sweep::<f64>();
+    syrk_sweep::<f32>();
 }
 
 /// `y` lengths straddling `gemv`'s eight rows in flight.

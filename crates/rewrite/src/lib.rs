@@ -33,6 +33,7 @@
 //! do" execution paths the benchmark tables compare against.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 mod aware_eval;
 pub mod cost;

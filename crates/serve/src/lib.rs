@@ -56,6 +56,7 @@
 //! Surfaced on the CLI as `laab serve`.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod admission;
 mod cache;

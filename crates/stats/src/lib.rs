@@ -14,6 +14,7 @@
 //! * [`Table`] — paper-style result tables with markdown rendering.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 mod bootstrap;
 mod table;

@@ -46,6 +46,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub use laab_backend as backend;
 pub use laab_chain as chain;

