@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use laab_dense::{Matrix, Scalar};
 use laab_expr::eval::Env;
-use laab_graph::{execute, optimize, Graph, GraphBuilder, NodeId, PassConfig, PassStats};
+use laab_graph::{execute, rebuild, Graph, GraphBuilder, NodeId, PassConfig, PassStats};
 
 use crate::profile::Profile;
 
@@ -173,8 +173,7 @@ impl Function {
         let mut fb = FuncBuilder::new(profile);
         let outs = build(&mut fb);
         let unoptimized = fb.gb.finish(outs.into_iter().map(|gt| gt.0).collect());
-        let mut graph = unoptimized.clone();
-        let stats = optimize(&mut graph, &passes);
+        let (graph, stats) = rebuild(&unoptimized, &passes, false);
         Function { graph, unoptimized, build_time: start.elapsed(), stats }
     }
 
@@ -212,9 +211,12 @@ impl Function {
     /// graph (plus a precomputed [`laab_graph::Schedule`]) and re-execute
     /// it with fresh operand bindings, instead of holding whole
     /// [`Function`]s — mirroring how `tf.function` caches *concrete
-    /// functions*, not tracing contexts. (`laab-serve` lowers its plans
-    /// directly and does not trace through here.) The pre-optimization trace is dropped; use
-    /// [`Function::unoptimized_graph`] before extraction if you need it.
+    /// functions*, not tracing contexts. (`laab-serve` does not trace: it
+    /// walks its chosen expression into the same graph builder, so its
+    /// plan is the graph this returns for that expression, plus the
+    /// `Syrk` form at its e-graph level.) The pre-optimization trace is
+    /// dropped; use [`Function::unoptimized_graph`] before extraction if
+    /// you need it.
     pub fn into_plan_parts(self) -> (Graph, Duration, PassStats) {
         (self.graph, self.build_time, self.stats)
     }
@@ -331,5 +333,46 @@ mod tests {
         assert_eq!(f.unoptimized_graph().matmul_count(), 2);
         assert_eq!(f.graph().matmul_count(), 1);
         assert!(f.pass_stats().nodes_deduped >= 1);
+    }
+
+    #[test]
+    fn framework_only_kinds_rebuild_to_their_values() {
+        // A Flow trace with a tridiagonal product and two outputs, and a
+        // Torch `multi_dot` trace, rebuilt by the graph builder: both
+        // match `eval` on seeded operands.
+        use laab_expr::{eval::eval, scale, var};
+        let n = 7;
+        let mut g = OperandGen::new(75);
+        let env = Env::<f64>::new()
+            .with("T", g.tridiagonal::<f64>(n).to_dense())
+            .with("B", g.matrix(n, n))
+            .with("H", g.matrix(n, n))
+            .with("x", g.matrix(n, 1));
+        let flow = Function::build(Profile::Flow, PassConfig::all(), |fb| {
+            let t = fb.input("T", n, n);
+            let b = fb.input("B", n, n);
+            let bt = fb.t(b);
+            let tb = fb.tridiagonal_matmul(t, bt);
+            let scaled = fb.scale(2.0, tb);
+            vec![scaled, fb.matmul(bt, t)]
+        });
+        let tridiag = |k: &laab_graph::OpKind| *k == laab_graph::OpKind::TridiagMatMul;
+        assert_eq!(flow.graph().count_kind(tridiag), 1);
+        let out = flow.call(&env);
+        let (t, b) = (var("T"), var("B"));
+        assert_eq!(out.len(), 2);
+        assert!(out[0].approx_eq(&eval(&scale(2.0, t.clone() * b.t()), &env), 1e-12));
+        assert!(out[1].approx_eq(&eval(&(b.t() * t), &env), 1e-12));
+
+        let torch = Function::build(Profile::Torch, PassConfig::all(), |fb| {
+            let h = fb.input("H", n, n);
+            let ht = fb.t(h);
+            let x = fb.input("x", n, 1);
+            let y = fb.multi_dot(&[ht, h, x]);
+            vec![fb.add(y, y)]
+        });
+        assert_eq!(torch.graph().matmul_count(), 2);
+        let want = eval(&scale(2.0, var("H").t() * var("H") * var("x")), &env);
+        assert!(torch.call(&env)[0].approx_eq(&want, 1e-12));
     }
 }

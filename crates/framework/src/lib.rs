@@ -11,9 +11,10 @@
 //!   There is no CSE: `(AᵀB)ᵀ(AᵀB)` really runs three GEMMs (row 2).
 //! * **Graph mode** ([`Framework::function`]) — the `@tf.function` /
 //!   `@torch.jit.script` analogue: the build closure is *traced* into a
-//!   DAG (loops unroll), the Grappler-style pipeline of `laab-graph`
-//!   optimizes it, and [`Function::call`] executes it. The trace+optimize
-//!   time is recorded as the "decorator overhead" (paper's footnote 4).
+//!   DAG (loops unroll), the Grappler-style graph builder of `laab-graph`
+//!   rebuilds it optimized, and [`Function::call`] executes it. The
+//!   trace+optimize time is recorded as the "decorator overhead" (paper's
+//!   footnote 4).
 //! * **Profiles** — [`Profile::Flow`] (TF-like) additionally offers
 //!   `linalg.tridiagonal_matmul`; [`Profile::Torch`] (PyT-like) offers
 //!   `linalg.multi_dot`. Each lacks the other's escape hatch, mirroring

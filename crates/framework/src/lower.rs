@@ -6,8 +6,8 @@
 //! * [`eager_eval_expr`] — eager mode: each AST node becomes one immediate
 //!   [`Tensor`] operation, in the exact association the user wrote;
 //! * [`trace_expr`] — graph mode: each AST node appends one IR node to a
-//!   [`FuncBuilder`] trace (the framework's optimizer then does whatever it
-//!   does).
+//!   [`FuncBuilder`] trace, which the framework then rebuilds through the
+//!   graph builder (`laab_graph::optimize`).
 //!
 //! Identical lowering across modes is what makes the eager/graph columns of
 //! the reproduced tables comparable.
@@ -71,7 +71,10 @@ fn rec<T: Scalar>(e: &Expr, env: &Env<T>, vars: &mut HashMap<String, Tensor<T>>)
 }
 
 /// Trace `e` into graph-mode IR, returning the output handle. Operand
-/// shapes come from `ctx`.
+/// shapes come from `ctx`. The trace is verbatim, one IR node per AST node
+/// (an operand's node shared by name); rebuilding it under
+/// `PassConfig::all()` gives the graph `laab_graph::lower` walks from `e`
+/// directly, which is what `laab-serve` compiles.
 pub fn trace_expr(fb: &mut FuncBuilder, e: &Expr, ctx: &Context) -> GT {
     match e {
         Expr::Var(name) => {

@@ -18,7 +18,7 @@ impl NodeId {
 /// The operation computed by a node.
 ///
 /// Scalar attributes (`alpha` in `MatMul`, the factor in `Scale`) are stored
-/// as IEEE bit patterns so nodes are `Eq + Hash` for the CSE pass.
+/// as IEEE bit patterns so nodes are `Eq + Hash` for hash-consing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// A fed operand (the circular I/O nodes of the paper's Fig. 3).
@@ -37,9 +37,10 @@ pub enum OpKind {
     },
     /// `alpha · op(x) · op(x)ᵀ` — a product of one value with its own
     /// transpose (`trans = No`: `XXᵀ`, `Yes`: `XᵀX`), whose symmetric
-    /// result needs one triangle computed. Never traced: only the served
-    /// lowering (`laab-serve`'s e-graph level) creates it, for a product
-    /// reading one node twice under opposite flags.
+    /// result needs one triangle computed. Never traced: only the graph
+    /// builder's `syrk` option creates it (on at `laab-serve`'s e-graph
+    /// level, off for the simulated frameworks), for a product reading one
+    /// node twice under opposite flags.
     Syrk {
         /// Transposition of the (single) operand on the left side.
         trans: Trans,
@@ -53,7 +54,7 @@ pub enum OpKind {
     /// Scalar scaling (IEEE bits of an `f64`).
     Scale(u64),
     /// Explicit transpose materialization (survives optimization only when
-    /// the consumer cannot absorb it).
+    /// the consumer cannot take it as a flag).
     Transpose,
     /// Element extraction `x[i, j]` (a `1×1` result).
     Elem(usize, usize),
@@ -139,8 +140,8 @@ pub struct Node {
 /// A computational DAG.
 ///
 /// Nodes are stored in topological order (every input index is smaller than
-/// the node's own index); the builder and all passes maintain this
-/// invariant, so execution is a single forward sweep.
+/// the node's own index); both builders maintain this invariant, so
+/// execution is a single forward sweep.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Graph {
     /// The nodes, topologically ordered.
@@ -172,8 +173,8 @@ impl Graph {
     }
 
     /// Number of product nodes (the paper's unit of analysis): `MatMul`s,
-    /// plus the `Syrk`s the served lowering builds in place of some of
-    /// them — that changes the kernel, not how many products the
+    /// plus the `Syrk`s the builder's `syrk` option builds in place of some
+    /// of them — that changes the kernel, not how many products the
     /// expression has.
     pub fn matmul_count(&self) -> usize {
         self.count_kind(|k| matches!(k, OpKind::MatMul { .. } | OpKind::Syrk { .. }))
@@ -252,7 +253,9 @@ impl Graph {
 ///
 /// The builder performs **no deduplication and no simplification** — it
 /// records exactly what the user's trace did, like TF's initial graph in
-/// Fig. 3. All cleverness lives in [`passes`](crate::passes).
+/// Fig. 3. [`optimize`](crate::optimize) rebuilds that trace through the
+/// one graph builder of [`passes`](crate::passes), which folds, shares
+/// and drops nodes as it builds them.
 #[derive(Debug, Default)]
 pub struct GraphBuilder {
     graph: Graph,

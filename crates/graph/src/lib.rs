@@ -10,16 +10,18 @@
 //!   loops in user code unroll at trace time (like `tf.function` retracing
 //!   a Python `range(3)` loop), which is what makes loop-invariant code
 //!   motion reduce to CSE.
-//! * [`passes`] — the Grappler-analogue optimizer: transpose folding into
-//!   GEMM flags, hash-consing CSE (duplicate-node elimination, Fig. 3's
-//!   "Optimized Graph"), scale fusion (`S + S → 2·S`, folded into the GEMM
-//!   `alpha`, the BLAS observation in Experiment 1), and dead-code
-//!   elimination. The pipeline is deliberately *exactly* this inventory —
+//! * [`passes`] — the one graph builder, the Grappler analogue: transpose
+//!   folding into GEMM flags, hash-consing CSE (duplicate-node elimination,
+//!   Fig. 3's "Optimized Graph"), scale fusion (`S + S → 2·S`, folded into
+//!   the GEMM `alpha`, the BLAS observation in Experiment 1), and dead-code
+//!   elimination, each a step taken while a node is built and each a
+//!   [`PassConfig`] switch. The inventory is deliberately *exactly* this —
 //!   no chain re-association, no property dispatch, no distributivity —
-//!   because that is what the paper measures the frameworks doing. The
-//!   LA-aware served compiler (`laab-serve`) does not run it: it lowers
-//!   its chosen expression straight to this IR, and is the only code that
-//!   creates the unary [`OpKind::Syrk`] node (Experiment 3).
+//!   because that is what the paper measures the frameworks doing. Two
+//!   front ends feed it: [`optimize`] rebuilds a framework's trace, and
+//!   [`lower`] walks the expression the LA-aware served compiler
+//!   (`laab-serve`) chose, with the one option the frameworks never set:
+//!   building the unary [`OpKind::Syrk`] node (Experiment 3).
 //! * [`exec`] — the one reference-counting executor: a sweep in
 //!   topological order that dispatches each kernel-backed node through a
 //!   `laab-backend` execution backend, recording kernel calls and FLOPs
@@ -46,6 +48,7 @@
 pub mod batch;
 pub mod exec;
 mod ir;
+mod lower;
 pub mod passes;
 
 pub use batch::{BatchAnalysis, BatchStatus};
@@ -53,4 +56,5 @@ pub use exec::{
     execute, execute_batched_on, execute_hoisted_on, execute_scheduled_on, hoisted_values, Schedule,
 };
 pub use ir::{Graph, GraphBuilder, Node, NodeId, OpKind};
-pub use passes::{optimize, PassConfig, PassStats};
+pub use lower::lower;
+pub use passes::{optimize, rebuild, PassConfig, PassStats};

@@ -1,46 +1,82 @@
-//! The Grappler-analogue graph optimizer.
+//! The one graph builder: the graph-mode optimization inventory as steps
+//! taken while each node is built, its [`PassConfig`] switches, and the
+//! front end that rebuilds a trace.
 //!
-//! The pipeline implements exactly the optimization inventory the paper
-//! observes in TF/PyT graph mode — and nothing more:
+//! The builder implements exactly the optimization inventory the paper
+//! observes in TF/PyT graph mode — and nothing more — not as passes over
+//! a built graph:
 //!
-//! 1. **Transpose folding** — explicit `transpose` nodes feeding a `matmul`
-//!    become kernel flags (`GEMM`'s `transa`/`transb`), so `AᵀB` costs one
-//!    GEMM (Table I, row 1). Double transposes cancel everywhere.
-//! 2. **CSE** — hash-consing over `(kind, inputs)`: duplicate nodes that
-//!    "compute the exact same operation for the same input data" are merged
-//!    (the Fig. 3 optimization). Because the key is structural, the
-//!    non-parenthesized chain of Fig. 4 is *not* deduplicated — reproducing
-//!    the paper's central CSE finding.
-//! 3. **Scale fusion** — `x + x → 2·x`, nested scalings combine, and a
-//!    scaling of a single-use `matmul` folds into the kernel's `alpha`
-//!    (the "no additional overhead" BLAS observation in Experiment 1).
-//! 4. **DCE** — unreachable nodes are dropped.
+//! 1. **Transpose folding** — a transpose is a pending flag on its value:
+//!    a `matmul` takes it as GEMM's `transa`/`transb`, so `AᵀB` costs one
+//!    GEMM (Table I, row 1), and any other consumer materialises it.
+//!    Double transposes cancel.
+//! 2. **CSE** — before a node is pushed, the nodes already built are
+//!    scanned for an equal `(kind, inputs)`: duplicates that "compute the
+//!    exact same operation for the same input data" are one node (the
+//!    Fig. 3 optimization). A graph has a handful of nodes, so a scan
+//!    beats hashing and clones no key; egg hash-conses the same way while
+//!    it builds its e-graph (Willsey et al., POPL 2021). Because the key
+//!    is structural, the non-parenthesized chain of Fig. 4 is *not*
+//!    deduplicated — reproducing the paper's central CSE finding.
+//! 3. **Scale fusion** — a scaling is a pending factor: nested scalings
+//!    combine, a product takes its operands' factors along (every
+//!    product is built with `alpha = 1` and carries its factor pending),
+//!    `x + x` is `2·x`, and at the end a scaling of a product with no
+//!    other consumer folds into the product's `alpha` in place (the "no
+//!    additional overhead" BLAS observation in Experiment 1); one
+//!    compaction drops the folded scalings.
+//! 4. **DCE** — the traced nodes no output reads are never built.
+//!
+//! A [`PassConfig`] switch turned off skips its step: the builder
+//! materialises each transpose or scaling on the spot, pushes without a
+//! scan, or builds the unread nodes too. With all four off it rebuilds a
+//! trace verbatim. Since every product carries its factor pending, equal
+//! products are equal when built, and the fold makes no two nodes equal:
+//! one build reaches the normal form, and rebuilding it changes nothing.
+//!
+//! One orientation rule, for every caller, taken with transpose folding
+//! (which sets the GEMM flags; without it the traced flags stay): a
+//! product of a bitwise-symmetric node (a `Syrk`, or the `MatMul` of one
+//! node with its own transpose) with a vector reads that node transposed.
+//! Every element `(i, j)` of `XᵀX` is the fused chain of `(j, i)` with
+//! each product's factors swapped, and `fma(a, b, c) == fma(b, a, c)`, so
+//! `G` equals `Gᵀ` bit for bit and `Gᵀ·x` is `G·x`'s bits; but
+//! `gemv_multi` keeps the result's rows in its SIMD lanes only for
+//! `Gᵀ·x`, the faster sweep (1.4× at f64, 3× at f32, four vectors at
+//! n = 192).
+//!
+//! The one option outside [`PassConfig`] is the `Syrk` form: with it (the
+//! served e-graph level, never the frameworks, so Table IV keeps their
+//! GEMM) a product of one node with its own transpose, result side ≥ 2,
+//! is built as [`OpKind::Syrk`] — the one piece of Experiment 3's
+//! property dispatch that needs no declared property.
+//!
+//! Two front ends feed the builder. [`optimize`] (and [`rebuild`])
+//! rebuilds a traced graph node by node: the graph mode of the simulated
+//! frameworks, whose trace may have several outputs and framework-only
+//! nodes (`TridiagMatMul`). The served compiler walks its expression into
+//! the builder ([`crate::lower()`]); rebuilding the trace of an expression
+//! gives the graph that walk builds.
 //!
 //! Chain re-association, distributivity, property dispatch and slicing
 //! push-down are deliberately absent (Experiments 2–5 show the frameworks
 //! lack them); they live in `laab-rewrite` instead.
-//!
-//! The serving layer does not run this pipeline: its compiler lowers the
-//! chosen expression straight to the IR, folding transposes and scalings
-//! and sharing nodes as it builds them, and at its e-graph level builds
-//! `XᵀX` as [`OpKind::Syrk`] — the one piece of Experiment 3's property
-//! dispatch that needs no declared property. The simulated frameworks
-//! never do, so Table IV keeps showing their GEMM.
 
-use std::collections::HashMap;
+use laab_expr::{Factor, Shape};
+use laab_kernels::Trans;
 
-use crate::ir::{Graph, NodeId, OpKind};
+use crate::ir::{Graph, Node, NodeId, OpKind};
 
-/// Which passes to run (the ablation benchmark toggles these).
+/// Which builder steps to take (the ablation benchmark toggles these).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassConfig {
-    /// Fold `transpose` nodes into `matmul` flags.
+    /// Take transposes as pending flags that products read as GEMM flags.
     pub fold_transpose: bool,
-    /// Hash-consing common-subexpression elimination.
+    /// Hash-cons: reuse an equal node already built.
     pub cse: bool,
-    /// `x+x → 2x` and scale-into-`alpha` fusion.
+    /// Take scalings as pending factors: `x+x → 2x`, scale-into-`alpha`.
     pub fuse_scale: bool,
-    /// Dead-code elimination.
+    /// Build only the traced nodes an output reads.
     pub dce: bool,
 }
 
@@ -63,243 +99,273 @@ impl Default for PassConfig {
     }
 }
 
-/// What the pipeline did (asserted by tests, reported by the ablation).
+/// What the builder did (asserted by tests, reported by the ablation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassStats {
-    /// Transpose nodes absorbed into matmul flags (including cancelled
-    /// double transposes).
+    /// Transposes taken as pending flags.
     pub transposes_folded: usize,
-    /// Nodes merged by CSE.
+    /// Nodes found already built instead of pushed.
     pub nodes_deduped: usize,
-    /// Scale fusions applied.
+    /// Scalings taken as pending factors, `x + x` rewrites, and scalings
+    /// folded into an `alpha`.
     pub scales_fused: usize,
-    /// Nodes removed by DCE.
+    /// How many fewer nodes the result has than the trace.
     pub nodes_removed: usize,
 }
 
-/// Run the configured pipeline to a fixpoint.
-///
-/// The passes interact — scale fusion can rewire a matmul onto a transpose
-/// node that folding must then absorb, and CSE can create the identical
-/// operands that `x+x → 2x` needs — so the sequence repeats until the graph
-/// stops changing (bounded; each iteration strictly shrinks or stabilizes
-/// the graph in practice).
-pub fn optimize(g: &mut Graph, cfg: &PassConfig) -> PassStats {
-    let mut stats = PassStats::default();
-    for _ in 0..8 {
-        let before = g.clone();
-        if cfg.fold_transpose {
-            stats.transposes_folded += fold_transpose(g);
-        }
-        if cfg.cse {
-            stats.nodes_deduped += cse(g);
-        }
-        if cfg.fuse_scale {
-            stats.scales_fused += fuse_scale(g);
-        }
-        if cfg.dce {
-            stats.nodes_removed += dce(g);
-        }
-        if *g == before {
-            break;
+/// A built value: `c · op(node)`, its transpose and scale still pending.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Val {
+    node: NodeId,
+    t: Trans,
+    c: Factor,
+}
+
+impl Val {
+    pub(crate) fn of(node: NodeId) -> Val {
+        Val { node, t: Trans::No, c: Factor(1.0) }
+    }
+
+    /// This value, transposed once more iff `t` is `Yes`.
+    pub(crate) fn transposed_if(self, t: Trans) -> Val {
+        match t {
+            Trans::Yes => Val { t: self.t.flip(), ..self },
+            Trans::No => self,
         }
     }
-    debug_assert_eq!(g.check_topology(), Ok(()));
+}
+
+/// The use count marking a scaling folded into its product.
+const FOLDED: u32 = u32::MAX;
+
+/// The nodes built so far, and the steps ([`PassConfig`]) and `Syrk`
+/// form the builder takes (module docs).
+pub(crate) struct Builder {
+    cfg: PassConfig,
+    syrk: bool,
+    nodes: Vec<Node>,
+    stats: PassStats,
+}
+
+impl Builder {
+    pub(crate) fn new(cfg: PassConfig, syrk: bool, capacity: usize) -> Builder {
+        Builder { cfg, syrk, nodes: Vec::with_capacity(capacity), stats: PassStats::default() }
+    }
+
+    pub(crate) fn shape(&self, v: Val) -> Shape {
+        let s = self.nodes[v.node.idx()].shape;
+        if v.t == Trans::Yes {
+            s.t()
+        } else {
+            s
+        }
+    }
+
+    fn push(&mut self, kind: OpKind, inputs: &[NodeId], shape: Shape) -> NodeId {
+        self.nodes.push(Node { kind, inputs: inputs.to_vec(), shape });
+        NodeId(self.nodes.len() as u32 - 1)
+    }
+
+    /// The node computing `kind` over `inputs`: with `cse`, the equal one
+    /// already built, else a new one.
+    fn node(&mut self, kind: OpKind, inputs: &[NodeId], shape: Shape) -> NodeId {
+        let (kind, inputs) = match kind {
+            OpKind::MatMul { ta, tb, alpha_bits }
+                if self.syrk && inputs[0] == inputs[1] && ta != tb && shape.rows >= 2 =>
+            {
+                (OpKind::Syrk { trans: ta, alpha_bits }, &inputs[..1])
+            }
+            kind => (kind, inputs),
+        };
+        if self.cfg.cse {
+            if let Some(i) = self.nodes.iter().position(|n| n.kind == kind && n.inputs == inputs) {
+                self.stats.nodes_deduped += 1;
+                return NodeId(i as u32);
+            }
+        }
+        self.push(kind, inputs, shape)
+    }
+
+    /// The operand `name`: with `cse`, the input node already built.
+    pub(crate) fn input(&mut self, name: &str, shape: impl FnOnce() -> Shape) -> Val {
+        let input = |n: &Node| matches!(&n.kind, OpKind::Input(x) if x == name);
+        let built = if self.cfg.cse { self.nodes.iter().position(input) } else { None };
+        Val::of(match built {
+            Some(built) => NodeId(built as u32),
+            None => self.push(OpKind::Input(name.to_string()), &[], shape()),
+        })
+    }
+
+    pub(crate) fn transpose(&mut self, v: Val) -> Val {
+        if self.cfg.fold_transpose {
+            self.stats.transposes_folded += 1;
+            return Val { t: v.t.flip(), ..v };
+        }
+        // Without folding no transpose is pending, so the node is `v`'s.
+        let shape = self.shape(v).t();
+        Val { node: self.node(OpKind::Transpose, &[v.node], shape), ..v }
+    }
+
+    pub(crate) fn scale(&mut self, c: f64, v: Val) -> Val {
+        if self.cfg.fuse_scale {
+            self.stats.scales_fused += 1;
+            return Val { c: Factor(c * v.c.0), ..v };
+        }
+        let shape = self.nodes[v.node.idx()].shape;
+        Val { node: self.node(OpKind::Scale(c.to_bits()), &[v.node], shape), ..v }
+    }
+
+    /// `alpha · a · b`: the pending flags become the GEMM's, and the
+    /// factors stay pending on the product (module docs).
+    pub(crate) fn matmul(&mut self, a: Val, b: Val, alpha: f64) -> Val {
+        let (sa, sb) = (self.shape(a), self.shape(b));
+        assert_eq!(sa.cols, sb.rows, "matmul: dimension mismatch {sa} · {sb}");
+        let orient = self.cfg.fold_transpose && sb.cols == 1 && self.symmetric(a.node);
+        let ta = if orient { Trans::Yes } else { a.t };
+        let c = alpha * a.c.0 * b.c.0;
+        let (alpha, c) = if self.cfg.fuse_scale { (1.0, c) } else { (c, 1.0) };
+        let kind = OpKind::MatMul { ta, tb: b.t, alpha_bits: alpha.to_bits() };
+        let node = self.node(kind, &[a.node, b.node], Shape::new(sa.rows, sb.cols));
+        Val { c: Factor(c), ..Val::of(node) }
+    }
+
+    /// Whether node `id` is a product of one node with its own transpose,
+    /// and so bitwise symmetric (module docs).
+    fn symmetric(&self, id: NodeId) -> bool {
+        let node = &self.nodes[id.idx()];
+        match node.kind {
+            OpKind::Syrk { .. } => true,
+            OpKind::MatMul { ta, tb, .. } => node.inputs[0] == node.inputs[1] && ta != tb,
+            _ => false,
+        }
+    }
+
+    /// `kind` over `args`, each materialised; `x + x` is `2·x`.
+    pub(crate) fn op(&mut self, kind: OpKind, args: &[Val], shape: Shape) -> Val {
+        if kind == OpKind::Add && self.cfg.fuse_scale && args[0] == args[1] {
+            self.stats.scales_fused += 1;
+            return Val { c: Factor(2.0 * args[0].c.0), ..args[0] };
+        }
+        let mut inputs = [NodeId(0); 2];
+        for (slot, &v) in inputs.iter_mut().zip(args) {
+            *slot = self.materialise(v);
+        }
+        Val::of(self.node(kind, &inputs[..args.len()], shape))
+    }
+
+    /// Apply a value's pending scale, then its pending transpose.
+    pub(crate) fn materialise(&mut self, v: Val) -> NodeId {
+        let (mut id, shape) = (v.node, self.nodes[v.node.idx()].shape);
+        if v.c != Factor(1.0) {
+            id = self.node(OpKind::Scale(v.c.0.to_bits()), &[id], shape);
+        }
+        if v.t == Trans::Yes {
+            id = self.node(OpKind::Transpose, &[id], shape.t());
+        }
+        id
+    }
+
+    /// Fold each `c·(product)` whose product has no other consumer into
+    /// the product's `alpha`, then compact the nodes in place: drop the
+    /// folded scalings and point each survivor at its inputs' new places.
+    /// (Every other node built is read: a front end builds no node that
+    /// nothing reads, unless `dce` is off.)
+    pub(crate) fn finish(mut self, mut outputs: Vec<NodeId>) -> (Graph, PassStats) {
+        // Reads per node; after the compaction, each node's new id.
+        let mut uses = vec![0u32; self.nodes.len()];
+        outputs.iter().for_each(|out| uses[out.idx()] += 1);
+        for inp in self.nodes.iter().flat_map(|node| &node.inputs) {
+            uses[inp.idx()] += 1;
+        }
+        for i in (0..self.nodes.len()).filter(|_| self.cfg.fuse_scale) {
+            let OpKind::Scale(c) = self.nodes[i].kind else { continue };
+            let p = self.nodes[i].inputs[0].idx();
+            if uses[i] == 0 || uses[p] != 1 {
+                continue;
+            }
+            if let OpKind::MatMul { alpha_bits, .. } | OpKind::Syrk { alpha_bits, .. } =
+                &mut self.nodes[p].kind
+            {
+                *alpha_bits = (f64::from_bits(*alpha_bits) * f64::from_bits(c)).to_bits();
+                uses[i] = FOLDED;
+                self.stats.scales_fused += 1;
+            }
+        }
+        let mut kept = 0;
+        for i in 0..self.nodes.len() {
+            if uses[i] == FOLDED {
+                uses[i] = uses[self.nodes[i].inputs[0].idx()];
+                continue;
+            }
+            for inp in &mut self.nodes[i].inputs {
+                *inp = NodeId(uses[inp.idx()]);
+            }
+            self.nodes.swap(kept, i);
+            uses[i] = kept as u32;
+            kept += 1;
+        }
+        self.nodes.truncate(kept);
+        outputs.iter_mut().for_each(|out| *out = NodeId(uses[out.idx()]));
+        (Graph { nodes: self.nodes, outputs }, self.stats)
+    }
+}
+
+/// Rebuild a traced graph through the builder under `cfg` — the graph
+/// mode of the simulated frameworks (which never set the `syrk` option).
+pub fn optimize(g: &mut Graph, cfg: &PassConfig) -> PassStats {
+    let (graph, stats) = rebuild(g, cfg, false);
+    *g = graph;
     stats
 }
 
-/// Strip `transpose` chains feeding matmuls into flags and cancel
-/// double transposes on every edge. Returns the number of foldings.
-pub fn fold_transpose(g: &mut Graph) -> usize {
-    let mut folded = 0;
-
-    // Cancel transpose(transpose(x)) on every edge first.
-    for i in 0..g.nodes.len() {
-        for slot in 0..g.nodes[i].inputs.len() {
-            loop {
-                let inp = g.nodes[i].inputs[slot];
-                let OpKind::Transpose = g.nodes[inp.idx()].kind else { break };
-                let inner = g.nodes[inp.idx()].inputs[0];
-                let OpKind::Transpose = g.nodes[inner.idx()].kind else { break };
-                g.nodes[i].inputs[slot] = g.nodes[inner.idx()].inputs[0];
-                folded += 1;
+/// Rebuild `trace` node by node through the builder under `cfg`, with
+/// the `Syrk` form iff `syrk` (module docs). `trace` may be any graph,
+/// optimized or not.
+pub fn rebuild(trace: &Graph, cfg: &PassConfig, syrk: bool) -> (Graph, PassStats) {
+    // With `dce`, the traced nodes no output reads are never built.
+    let mut live = vec![!cfg.dce; trace.len()];
+    trace.outputs.iter().for_each(|out| live[out.idx()] = true);
+    if cfg.dce {
+        for (i, node) in trace.nodes.iter().enumerate().rev() {
+            if live[i] {
+                node.inputs.iter().for_each(|inp| live[inp.idx()] = true);
             }
         }
     }
-    for slot in 0..g.outputs.len() {
-        loop {
-            let out = g.outputs[slot];
-            let OpKind::Transpose = g.nodes[out.idx()].kind else { break };
-            let inner = g.nodes[out.idx()].inputs[0];
-            let OpKind::Transpose = g.nodes[inner.idx()].kind else { break };
-            g.outputs[slot] = g.nodes[inner.idx()].inputs[0];
-            folded += 1;
+    let mut b = Builder::new(*cfg, syrk, trace.len());
+    let mut vals = vec![Val::of(NodeId(0)); trace.len()];
+    for (i, node) in trace.nodes.iter().enumerate().filter(|&(i, _)| live[i]) {
+        let mut args = [Val::of(NodeId(0)); 2];
+        for (arg, inp) in args.iter_mut().zip(&node.inputs) {
+            *arg = vals[inp.idx()];
         }
-    }
-
-    // Absorb remaining single transposes into matmul flags.
-    for i in 0..g.nodes.len() {
-        let OpKind::MatMul { mut ta, mut tb, alpha_bits } = g.nodes[i].kind else {
-            continue;
+        vals[i] = match &node.kind {
+            OpKind::Input(name) => b.input(name, || node.shape),
+            OpKind::Transpose => b.transpose(args[0]),
+            OpKind::Scale(c) => b.scale(f64::from_bits(*c), args[0]),
+            OpKind::MatMul { ta, tb, alpha_bits } => b.matmul(
+                args[0].transposed_if(*ta),
+                args[1].transposed_if(*tb),
+                f64::from_bits(*alpha_bits),
+            ),
+            kind => b.op(kind.clone(), &args[..node.inputs.len()], node.shape),
         };
-        let mut a = g.nodes[i].inputs[0];
-        while let OpKind::Transpose = g.nodes[a.idx()].kind {
-            a = g.nodes[a.idx()].inputs[0];
-            ta = ta.flip();
-            folded += 1;
-        }
-        let mut b = g.nodes[i].inputs[1];
-        while let OpKind::Transpose = g.nodes[b.idx()].kind {
-            b = g.nodes[b.idx()].inputs[0];
-            tb = tb.flip();
-            folded += 1;
-        }
-        g.nodes[i].kind = OpKind::MatMul { ta, tb, alpha_bits };
-        g.nodes[i].inputs = vec![a, b];
     }
-    folded
-}
-
-/// Hash-consing CSE: one forward sweep merging nodes with identical
-/// `(kind, canonical inputs)`. Returns the number of merged nodes.
-pub fn cse(g: &mut Graph) -> usize {
-    let n = g.nodes.len();
-    let mut remap: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let mut seen: HashMap<(OpKind, Vec<NodeId>), NodeId> = HashMap::new();
-    let mut deduped = 0;
-
-    for i in 0..n {
-        let canon: Vec<NodeId> = g.nodes[i].inputs.iter().map(|id| remap[id.idx()]).collect();
-        g.nodes[i].inputs = canon.clone();
-        let key = (g.nodes[i].kind.clone(), canon);
-        match seen.get(&key) {
-            Some(&prev) => {
-                remap[i] = prev;
-                deduped += 1;
-            }
-            None => {
-                seen.insert(key, NodeId(i as u32));
-            }
-        }
-    }
-    for out in &mut g.outputs {
-        *out = remap[out.idx()];
-    }
-    deduped
-}
-
-/// Scale fusions. Runs to a fixpoint; returns the number of rewrites.
-pub fn fuse_scale(g: &mut Graph) -> usize {
-    let mut fused = 0;
-    loop {
-        let mut changed = false;
-        let uses = g.use_counts();
-        for i in 0..g.nodes.len() {
-            match g.nodes[i].kind.clone() {
-                // x + x  →  2·x (the duplicate-summand case of Experiment 1;
-                // only fires after CSE has unified the two summands).
-                OpKind::Add if g.nodes[i].inputs[0] == g.nodes[i].inputs[1] => {
-                    let x = g.nodes[i].inputs[0];
-                    g.nodes[i].kind = OpKind::Scale(2.0f64.to_bits());
-                    g.nodes[i].inputs = vec![x];
-                    fused += 1;
-                    changed = true;
-                }
-                // c·(d·x) → (c·d)·x
-                OpKind::Scale(c_bits) => {
-                    let inner = g.nodes[i].inputs[0];
-                    match g.nodes[inner.idx()].kind.clone() {
-                        OpKind::Scale(d_bits) => {
-                            let c = f64::from_bits(c_bits) * f64::from_bits(d_bits);
-                            let x = g.nodes[inner.idx()].inputs[0];
-                            g.nodes[i].kind = OpKind::Scale(c.to_bits());
-                            g.nodes[i].inputs = vec![x];
-                            fused += 1;
-                            changed = true;
-                        }
-                        // c·matmul(a, b) → matmul[alpha=c](a, b) when the
-                        // product has no other consumer ("scaling can be
-                        // done alongside multiplication without additional
-                        // overheads" — Experiment 1).
-                        OpKind::MatMul { ta, tb, alpha_bits } if uses[inner.idx()] == 1 => {
-                            let alpha = f64::from_bits(alpha_bits) * f64::from_bits(c_bits);
-                            let inputs = g.nodes[inner.idx()].inputs.clone();
-                            g.nodes[i].kind =
-                                OpKind::MatMul { ta, tb, alpha_bits: alpha.to_bits() };
-                            g.nodes[i].inputs = inputs;
-                            fused += 1;
-                            changed = true;
-                        }
-                        _ => {}
-                    }
-                }
-                // matmul(c·x, y) → matmul[alpha·c](x, y), either operand.
-                OpKind::MatMul { ta, tb, alpha_bits } => {
-                    for slot in 0..2 {
-                        let inp = g.nodes[i].inputs[slot];
-                        if let OpKind::Scale(c_bits) = g.nodes[inp.idx()].kind {
-                            let alpha = f64::from_bits(alpha_bits) * f64::from_bits(c_bits);
-                            let x = g.nodes[inp.idx()].inputs[0];
-                            g.nodes[i].kind =
-                                OpKind::MatMul { ta, tb, alpha_bits: alpha.to_bits() };
-                            g.nodes[i].inputs[slot] = x;
-                            fused += 1;
-                            changed = true;
-                            break;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        if !changed {
-            return fused;
-        }
-    }
-}
-
-/// Remove nodes unreachable from the outputs, compacting indices.
-/// Returns the number of nodes removed.
-pub fn dce(g: &mut Graph) -> usize {
-    let n = g.nodes.len();
-    let mut live = vec![false; n];
-    let mut stack: Vec<NodeId> = g.outputs.clone();
-    while let Some(id) = stack.pop() {
-        if live[id.idx()] {
-            continue;
-        }
-        live[id.idx()] = true;
-        stack.extend(g.nodes[id.idx()].inputs.iter().copied());
-    }
-    let removed = live.iter().filter(|&&l| !l).count();
-    if removed == 0 {
-        return 0;
-    }
-    let mut remap = vec![NodeId(u32::MAX); n];
-    let mut kept = Vec::with_capacity(n - removed);
-    for (i, node) in g.nodes.drain(..).enumerate() {
-        if live[i] {
-            remap[i] = NodeId(kept.len() as u32);
-            kept.push(node);
-        }
-    }
-    for node in &mut kept {
-        for inp in &mut node.inputs {
-            *inp = remap[inp.idx()];
-        }
-    }
-    for out in &mut g.outputs {
-        *out = remap[out.idx()];
-    }
-    g.nodes = kept;
-    removed
+    let outputs: Vec<NodeId> = trace.outputs.iter().map(|o| b.materialise(vals[o.idx()])).collect();
+    let (graph, mut stats) = b.finish(outputs);
+    debug_assert_eq!(graph.check_topology(), Ok(()));
+    stats.nodes_removed = trace.len().saturating_sub(graph.len());
+    (graph, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::GraphBuilder;
+    use crate::ir::{GraphBuilder, Node};
+    use laab_expr::Shape;
     use laab_kernels::Trans;
+
+    const ONE: u64 = 0x3FF0_0000_0000_0000;
 
     /// Fig. 3: (AᵀB)ᵀ(AᵀB) traced with the duplicate sub-expression.
     fn fig3(n: usize) -> Graph {
@@ -327,6 +393,41 @@ mod tests {
         let m2 = gb.matmul(m1t, at2);
         let m3 = gb.matmul(m2, b);
         gb.finish(vec![m3])
+    }
+
+    /// Table II's E1: AᵀB + AᵀB traced with the product twice.
+    fn e1(n: usize) -> Graph {
+        let mut gb = GraphBuilder::new();
+        let a = gb.input("A", n, n);
+        let b = gb.input("B", n, n);
+        let at1 = gb.transpose(a);
+        let m1 = gb.matmul(at1, b);
+        let at2 = gb.transpose(a);
+        let m2 = gb.matmul(at2, b);
+        let sum = gb.add(m1, m2);
+        gb.finish(vec![sum])
+    }
+
+    /// `trace` with one more product of its first two nodes (the inputs
+    /// A and B), which no output reads.
+    fn with_dead_product(mut trace: Graph) -> Graph {
+        let (a, b) = (trace.nodes[0].shape, trace.nodes[1].shape);
+        trace.nodes.push(Node {
+            kind: OpKind::MatMul { ta: Trans::No, tb: Trans::No, alpha_bits: ONE },
+            inputs: vec![NodeId(0), NodeId(1)],
+            shape: Shape::new(a.rows, b.cols),
+        });
+        trace
+    }
+
+    fn transposes(g: &Graph) -> usize {
+        g.count_kind(|k| matches!(k, OpKind::Transpose))
+    }
+
+    fn all_but(off: fn(&mut PassConfig)) -> PassConfig {
+        let mut cfg = PassConfig::all();
+        off(&mut cfg);
+        cfg
     }
 
     #[test]
@@ -391,18 +492,9 @@ mod tests {
 
     #[test]
     fn add_same_node_becomes_alpha_fused_matmul() {
-        // AᵀB + AᵀB (Table II, E1): after CSE the add has identical
-        // operands; fusion turns it into a single GEMM with alpha = 2.
-        let n = 8;
-        let mut gb = GraphBuilder::new();
-        let a = gb.input("A", n, n);
-        let b = gb.input("B", n, n);
-        let at1 = gb.transpose(a);
-        let m1 = gb.matmul(at1, b);
-        let at2 = gb.transpose(a);
-        let m2 = gb.matmul(at2, b);
-        let sum = gb.add(m1, m2);
-        let mut g = gb.finish(vec![sum]);
+        // AᵀB + AᵀB (Table II, E1): the second product is the first one;
+        // `x + x` and the fold make it a single GEMM with alpha = 2.
+        let mut g = e1(8);
         optimize(&mut g, &PassConfig::all());
         assert_eq!(g.matmul_count(), 1, "one GEMM total");
         assert_eq!(g.count_kind(|k| matches!(k, OpKind::Add)), 0);
@@ -453,7 +545,8 @@ mod tests {
         let _dead = gb.matmul(a, b);
         let live = gb.add(a, b);
         let mut g = gb.finish(vec![live]);
-        let removed = dce(&mut g);
+        let removed =
+            optimize(&mut g, &PassConfig { dce: true, ..PassConfig::none() }).nodes_removed;
         assert_eq!(removed, 1);
         assert_eq!(g.matmul_count(), 0);
         g.check_topology().unwrap();
@@ -461,11 +554,25 @@ mod tests {
 
     #[test]
     fn pass_config_none_is_identity() {
-        let mut g = fig3(4);
-        let before = g.clone();
-        let stats = optimize(&mut g, &PassConfig::none());
-        assert_eq!(g, before);
-        assert_eq!(stats, PassStats::default());
+        // Fig. 3's trace, and a graph whose flags the orientation rule
+        // would change: XᵀX·v with the symmetric factor read untransposed.
+        let mut gb = GraphBuilder::new();
+        let x = gb.input("X", 4, 4);
+        let xt = gb.transpose(x);
+        let gram = gb.matmul(xt, x);
+        let v = gb.input("v", 4, 1);
+        let y = gb.matmul(gram, v);
+        let mut flagged = gb.finish(vec![y]);
+        optimize(&mut flagged, &PassConfig::all());
+        let out = flagged.outputs[0].idx();
+        let OpKind::MatMul { ta, .. } = &mut flagged.nodes[out].kind else { panic!() };
+        assert_eq!(std::mem::replace(ta, Trans::No), Trans::Yes);
+        for mut g in [fig3(4), flagged] {
+            let before = g.clone();
+            let stats = optimize(&mut g, &PassConfig::none());
+            assert_eq!(g, before);
+            assert_eq!(stats, PassStats::default());
+        }
     }
 
     #[test]
@@ -490,5 +597,43 @@ mod tests {
         optimize(&mut g, &PassConfig::all());
         // One hoisted A·B + three distinct outer products.
         assert_eq!(g.matmul_count(), 4);
+    }
+
+    // One observable effect per switch, on Fig. 3's and E1's traces (the
+    // `ablation_passes` bench toggles these).
+
+    #[test]
+    fn without_cse_every_traced_gemm_remains() {
+        let cfg = all_but(|c| c.cse = false);
+        assert_eq!(rebuild(&fig3(8), &cfg, false).0.matmul_count(), 3);
+        assert_eq!(rebuild(&e1(8), &cfg, false).0.matmul_count(), 2);
+        assert_eq!(rebuild(&fig3(8), &PassConfig::all(), false).0.matmul_count(), 2);
+    }
+
+    #[test]
+    fn without_fold_transpose_transposes_remain() {
+        let cfg = all_but(|c| c.fold_transpose = false);
+        for trace in [fig3(8), e1(8)] {
+            assert!(transposes(&rebuild(&trace, &cfg, false).0) > 0);
+            assert_eq!(transposes(&rebuild(&trace, &PassConfig::all(), false).0), 0);
+        }
+    }
+
+    #[test]
+    fn without_fuse_scale_e1_keeps_its_add() {
+        let (g, stats) = rebuild(&e1(8), &all_but(|c| c.fuse_scale = false), false);
+        assert_eq!((g.matmul_count(), g.count_kind(|k| *k == OpKind::Add)), (1, 1));
+        assert_eq!(g.node(g.outputs[0]).kind, OpKind::Add);
+        assert_eq!(stats.scales_fused, 0);
+    }
+
+    #[test]
+    fn without_dce_a_dead_traced_product_survives() {
+        let cfg = all_but(|c| c.dce = false);
+        for (trace, live) in [(fig3(8), 2), (e1(8), 1)] {
+            let trace = with_dead_product(trace);
+            assert_eq!(rebuild(&trace, &cfg, false).0.matmul_count(), live + 1);
+            assert_eq!(rebuild(&trace, &PassConfig::all(), false).0.matmul_count(), live);
+        }
     }
 }

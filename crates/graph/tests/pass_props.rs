@@ -1,10 +1,10 @@
 //! Pass-pipeline properties: idempotence, semantic preservation across
-//! arbitrary pass subsets, and executor/oracle agreement on randomly
-//! generated traces.
+//! arbitrary pass subsets, executor/oracle agreement and the builder's
+//! normal form on randomly generated traces.
 
 use laab_dense::gen::OperandGen;
 use laab_expr::eval::Env;
-use laab_graph::{execute, optimize, Graph, GraphBuilder, NodeId, PassConfig};
+use laab_graph::{execute, optimize, Graph, GraphBuilder, NodeId, OpKind, PassConfig};
 use proptest::prelude::*;
 
 /// Build a random but well-formed trace over inputs A, B (n×n) and x (n×1).
@@ -117,6 +117,30 @@ proptest! {
                 *u > 0 || g.outputs.iter().any(|o| o.idx() == i),
                 "node {i} survives DCE but is unused"
             );
+        }
+    }
+
+    #[test]
+    fn optimized_graph_is_in_normal_form(seed in any::<u64>(), ops in 1usize..12) {
+        let mut g = random_graph(seed, ops, 4);
+        optimize(&mut g, &PassConfig::all());
+        let uses = g.use_counts();
+        let kind = |id: NodeId| &g.node(id).kind;
+        for (i, node) in g.nodes.iter().enumerate() {
+            if matches!(node.kind, OpKind::MatMul { .. }) {
+                prop_assert!(
+                    node.inputs.iter().all(|&inp| !matches!(kind(inp), OpKind::Transpose | OpKind::Scale(_))),
+                    "node {i}: a transpose or scaling feeds a product"
+                );
+            }
+            if node.kind == OpKind::Transpose {
+                prop_assert!(*kind(node.inputs[0]) != OpKind::Transpose, "node {i}: a double transpose");
+            }
+            prop_assert!(
+                g.nodes[..i].iter().all(|n| n.kind != node.kind || n.inputs != node.inputs),
+                "node {i} duplicates an earlier node"
+            );
+            prop_assert!(uses[i] > 0, "node {i} is unread");
         }
     }
 }

@@ -133,8 +133,8 @@ impl CostModel {
     pub fn enode_cost(&self, eg: &EGraph, n: &ENode) -> u64 {
         match n {
             // Leaves and transposes are (near-)free: operands are bound,
-            // and the trace-time `fold_transpose` pass folds transposes
-            // into GEMM flags rather than materializing them.
+            // and the graph builder folds transposes into GEMM flags
+            // rather than materializing them.
             ENode::Var(_) | ENode::Identity(_) | ENode::Transpose(_) => 1,
             ENode::Mul(a, b) => {
                 let (sa, sb) = (eg.class(*a).shape, eg.class(*b).shape);

@@ -64,7 +64,6 @@ mod config;
 mod error;
 pub mod fault;
 pub mod loadgen;
-mod lower;
 mod plan;
 pub mod proto;
 pub mod server;

@@ -8,10 +8,11 @@ use laab_dense::Matrix;
 use laab_expr::eval::Env;
 use laab_expr::{Context, Expr};
 use laab_framework::Framework;
-use laab_graph::{execute_hoisted_on, hoisted_values, BatchAnalysis, Graph, OpKind, Schedule};
+use laab_graph::{
+    execute_hoisted_on, hoisted_values, lower, BatchAnalysis, Graph, OpKind, Schedule,
+};
 use laab_rewrite::{optimize_egraph_with_varying, EgraphConfig};
 
-use crate::lower::lower;
 use crate::signature::OptLevel;
 
 /// A compiled, reusable execution plan — the `ConcreteFunction` of the
@@ -19,11 +20,12 @@ use crate::signature::OptLevel;
 ///
 /// Built once per [`Signature`](crate::Signature): the expression —
 /// first normalized by equality saturation when it is costly enough to
-/// repay it ([`OptLevel::for_input`]) — is lowered in one walk to graph
-/// IR, with transposes as GEMM flags, scalings as `alpha` and shared
-/// subexpressions as shared nodes, and the execution [`Schedule`]
-/// (reference counts + workspace layout) and batch-stacking analysis are
-/// precomputed. The plan is bound to the execution
+/// repay it ([`OptLevel::for_input`]) — is walked into the graph builder
+/// the simulated frameworks rebuild their traces through
+/// ([`laab_graph::lower`]), with transposes as GEMM flags, scalings as
+/// `alpha` and shared subexpressions as shared nodes, and the execution
+/// [`Schedule`] (reference counts + workspace layout) and batch-stacking
+/// analysis are precomputed. The plan is bound to the execution
 /// [`Backend`](laab_backend::Backend) it was compiled for — lowering is
 /// backend-independent, but the cache keys plans per backend so an A/B
 /// run never cross-hits. [`Plan::execute`] re-runs the identical sweep
@@ -148,8 +150,8 @@ impl Plan {
     /// price becomes a kernel: a product of one node with its own
     /// transpose is built as a `Syrk` node, which the engine runs at half
     /// the GEMM's FLOPs and, on finite operands, to the GEMM's bits. A
-    /// [`OptLevel::Passes`] plan is what the frameworks' graph passes
-    /// produce: it never carries the node.
+    /// [`OptLevel::Passes`] plan is the graph the frameworks' graph mode
+    /// builds for the expression: it never carries the node.
     pub fn compile_opt(
         _fw: &Framework,
         expr: &Expr,
@@ -285,6 +287,7 @@ mod tests {
     use laab_backend::registry;
     use laab_dense::gen::OperandGen;
     use laab_expr::var;
+    use laab_graph::{rebuild, PassConfig};
     use laab_kernels::counters::measure;
     use laab_kernels::Trans;
     use laab_rewrite::optimize_egraph;
@@ -495,49 +498,36 @@ mod tests {
         }
     }
 
-    /// The graph the served compile built before it lowered directly:
-    /// the expression at `opt` (extracted against `varying`) traced
-    /// through `Framework::flow()` and its pass pipeline, with every
-    /// product of a same-node transpose product and a vector read
-    /// transposed, and every same-node transpose product relabelled
-    /// `Syrk` at the e-graph level.
-    fn traced(expr: &Expr, ctx: &Context, varying: &[&str], opt: OptLevel) -> Graph {
-        let chosen = match opt {
-            OptLevel::Passes => expr.clone(),
-            OptLevel::Egraph => {
-                optimize_egraph_with_varying(expr, ctx, &EgraphConfig::default(), varying).best
-            }
-        };
-        let mut graph = Framework::flow().function_from_expr(&chosen, ctx).graph().clone();
-        let gram = |node: &laab_graph::Node| matches!(node.kind, OpKind::MatMul { ta, tb, .. } if node.inputs[0] == node.inputs[1] && ta != tb);
-        for i in 0..graph.nodes.len() {
-            let node = &graph.nodes[i];
-            if node.shape.cols == 1 && node.inputs.len() == 2 && gram(graph.node(node.inputs[0])) {
-                let OpKind::MatMul { ta, .. } = &mut graph.nodes[i].kind else { continue };
-                *ta = Trans::Yes;
-            }
-        }
-        if opt == OptLevel::Egraph {
-            for node in &mut graph.nodes {
-                let OpKind::MatMul { ta, tb, alpha_bits } = node.kind else { continue };
-                if node.inputs[0] == node.inputs[1] && ta != tb && node.shape.rows >= 2 {
-                    node.kind = OpKind::Syrk { trans: ta, alpha_bits };
-                    node.inputs.truncate(1);
-                }
-            }
-        }
-        graph
-    }
-
     #[test]
     fn every_served_plan_is_the_traced_pipelines_graph() {
+        // The one builder's two front ends: walking the chosen expression
+        // (the plan) and rebuilding `Framework::flow()`'s raw trace of it
+        // give the same graph, with the Syrk form at the e-graph level.
         for family in Family::ALL {
             for n in [8usize, 16, 47, 48, 96, 192, 256] {
                 for opt in OptLevel::ALL {
                     let plan = compile_family(family, n, Some(opt));
-                    let varying = family.varying_operands();
-                    let want = traced(&family.expr(n), &family.ctx(n), varying, opt);
-                    assert_eq!(plan.graph(), &want, "{} n={n} {opt}", family.id());
+                    let (expr, ctx) = (family.expr(n), family.ctx(n));
+                    let chosen = match opt {
+                        OptLevel::Passes => expr,
+                        OptLevel::Egraph => {
+                            let cfg = EgraphConfig::default();
+                            optimize_egraph_with_varying(
+                                &expr,
+                                &ctx,
+                                &cfg,
+                                family.varying_operands(),
+                            )
+                            .best
+                        }
+                    };
+                    let f = Framework::flow().function_from_expr(&chosen, &ctx);
+                    let syrk = opt == OptLevel::Egraph;
+                    let (rebuilt, _) = rebuild(f.unoptimized_graph(), &PassConfig::all(), syrk);
+                    assert_eq!(plan.graph(), &rebuilt, "{} n={n} {opt}", family.id());
+                    if !syrk {
+                        assert_eq!(plan.graph(), f.graph(), "{} n={n}", family.id());
+                    }
                 }
             }
         }
