@@ -1,6 +1,7 @@
 //! Framework-level integration tests: the two modes and two profiles
-//! behave per the paper across a matrix of expressions, including parsed
-//! blackboard input.
+//! behave per the paper. That every mode computes the same values is
+//! `tests/equivalence.rs`'s claim, over the paper's parsed expressions
+//! among others.
 
 use laab_dense::gen::OperandGen;
 use laab_expr::eval::{eval, Env};
@@ -24,42 +25,6 @@ fn workload(n: usize) -> (Env<f32>, Context) {
         .with("x", n, 1)
         .with("y", n, 1);
     (env, ctx)
-}
-
-/// Every paper test expression, written as blackboard text, agrees across
-/// oracle / eager / graph on both profiles.
-#[test]
-fn parsed_paper_expressions_agree_across_modes() {
-    let n = 10;
-    let (env, ctx) = workload(n);
-    let sources = [
-        "H' y + (I - H' H) x",
-        "H' y + x - H'(H x)",
-        "H'(y - H x) + x",
-        "A^T B",
-        "A^T B + A^T B",
-        "(A^T B)^T (A^T B)",
-        "(A^T B)^T A^T B",
-        "H' H x",
-        "H'(H x)",
-        "y' H' H",
-        "H' y x' H",
-        "(H' y)(x' H)",
-        "A B + A B",
-        "(A B)[2,2]",
-        "A[2,:] B[:,2]",
-    ];
-    for src in sources {
-        let expr = parse(src, &ctx).unwrap_or_else(|e| panic!("`{src}`: {e}"));
-        let oracle = eval(&expr, &env);
-        let eager = eager_eval_expr(&expr, &env);
-        assert!(eager.approx_eq(&oracle, 1e-3), "eager differs for `{src}`");
-        for fw in [Framework::flow(), Framework::torch()] {
-            let f = fw.function_from_expr(&expr, &ctx);
-            let out = f.call(&env);
-            assert!(out[0].approx_eq(&oracle, 1e-3), "graph differs for `{src}`");
-        }
-    }
 }
 
 /// Calling a traced function repeatedly neither re-traces nor changes the

@@ -7,7 +7,7 @@
 //! [`BatchAnalysis`] classifies every node as `Shared` (computed once) or
 //! `Stacked` (`B` per-environment parts) and proves whether the whole
 //! plan runs as one batched sweep
-//! ([`execute_batched_on`](crate::execute_batched_on)). A node fed only
+//! ([`execute_hoisted_on`](crate::execute_hoisted_on)). A node fed only
 //! shared values is shared; a stacked operand is legal only here:
 //!
 //! * `Input` — `Stacked` when the caller declares the name varying.
@@ -235,7 +235,7 @@ impl BatchAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute_batched_on, execute_scheduled_on, Schedule};
+    use crate::exec::{execute_hoisted_on, execute_scheduled_on, hoisted_values, Schedule};
     use crate::ir::{GraphBuilder, Node, NodeId, OpKind};
     use crate::passes::{optimize, PassConfig};
     use laab_backend::BackendScalar;
@@ -295,7 +295,8 @@ mod tests {
         let owned = envs::<f64>(n, q, seed);
         let refs: Vec<&Env<f64>> = owned.iter().collect();
         let engine = laab_backend::engine();
-        let batched = execute_batched_on(g, &schedule, &analysis, &refs, engine);
+        let hoisted = hoisted_values(&analysis, refs[0], engine);
+        let batched = execute_hoisted_on(g, &schedule, &analysis, &hoisted, &refs, engine);
         let solo: Vec<_> =
             refs.iter().map(|e| execute_scheduled_on(g, &schedule, e, engine)).collect();
         assert_eq!(batched, solo, "batched must be bitwise solo");
@@ -339,7 +340,9 @@ mod tests {
                     let refs: Vec<&Env<T>> = envs.iter().collect();
                     for reg in laab_backend::registry::builtins() {
                         let backend = reg.resolve::<T>().expect("builtins support both dtypes");
-                        let got = execute_batched_on(&g, &schedule, &analysis, &refs, backend);
+                        let hoisted = hoisted_values(&analysis, refs[0], backend);
+                        let got =
+                            execute_hoisted_on(&g, &schedule, &analysis, &hoisted, &refs, backend);
                         for (k, got) in got.iter().enumerate() {
                             let at =
                                 format!("{} {} q={q} env {k} {poison:e}", reg.name(), T::DTYPE);
@@ -532,7 +535,9 @@ mod tests {
         assert!(analysis.stackable());
         let owned = envs(n, 4, 29);
         let refs: Vec<&Env<f64>> = owned.iter().collect();
-        let batched = execute_batched_on(&g, &schedule, &analysis, &refs, laab_backend::engine());
+        let engine = laab_backend::engine();
+        let hoisted = hoisted_values(&analysis, refs[0], engine);
+        let batched = execute_hoisted_on(&g, &schedule, &analysis, &hoisted, &refs, engine);
         for (env, b) in refs.iter().zip(&batched) {
             assert_eq!(b.len(), 3);
             assert_eq!(&b[0], env.expect("H"));
@@ -547,6 +552,6 @@ mod tests {
         let schedule = Schedule::new(&g);
         let analysis = BatchAnalysis::analyze(&g, is_varying);
         let refs: Vec<&Env<f64>> = Vec::new();
-        let _ = execute_batched_on(&g, &schedule, &analysis, &refs, laab_backend::engine());
+        let _ = execute_hoisted_on(&g, &schedule, &analysis, &[], &refs, laab_backend::engine());
     }
 }

@@ -28,7 +28,8 @@
 //! at a time. Stolen and allocated outputs are bitwise-equal by the
 //! [`Backend`] contract, as is `matmul_batched` with the solo product per
 //! part, so a batched result is the solo result on every backend
-//! (property-tested in `tests/batched_exec_props.rs`).
+//! (property-tested, with every other path, in the workspace root's
+//! `tests/equivalence.rs`).
 //!
 //! [`execute`] derives the reference counts on every call — fine for a
 //! one-shot experiment. A serving system amortizes that bookkeeping
@@ -226,25 +227,6 @@ pub fn execute_scheduled_on<T: Scalar>(
     solo(g, &schedule.use_counts, env, None, &[], backend)
 }
 
-/// Execute the graph over a batch of operand environments through
-/// `backend`, returning one output list per environment, in `envs` order —
-/// bitwise what serving each request solo returns: the hoisted nodes'
-/// [`hoisted_values`] from `envs[0]`, then [`execute_hoisted_on`].
-///
-/// # Panics
-/// As [`execute_hoisted_on`].
-pub fn execute_batched_on<T: Scalar>(
-    g: &Graph,
-    schedule: &Schedule,
-    analysis: &BatchAnalysis,
-    envs: &[&Env<T>],
-    backend: &dyn Backend<T>,
-) -> Vec<Vec<Matrix<T>>> {
-    assert!(!envs.is_empty(), "execute_batched_on: empty environment batch");
-    let hoisted = hoisted_values(analysis, envs[0], backend);
-    execute_hoisted_on(g, schedule, analysis, &hoisted, envs, backend)
-}
-
 /// The values of `analysis`'s hoisted nodes ([`BatchAnalysis::hoisted`]),
 /// in that order, evaluated through `backend` from `env`'s bindings of
 /// the shared operands they read; empty when nothing is hoisted.
@@ -287,7 +269,7 @@ pub fn execute_hoisted_on<T: Scalar>(
     envs: &[&Env<T>],
     backend: &dyn Backend<T>,
 ) -> Vec<Vec<Matrix<T>>> {
-    assert!(!envs.is_empty(), "execute_batched_on: empty environment batch");
+    assert!(!envs.is_empty(), "execute_hoisted_on: empty environment batch");
     assert_eq!(
         analysis.len(),
         g.len(),

@@ -29,7 +29,7 @@
 //!   engine; for systems that re-execute one graph many times (the
 //!   `laab-serve` plan cache), [`Schedule`] precomputes the structural
 //!   bookkeeping — use counts and the peak-live workspace layout — and
-//!   [`execute_scheduled_on`] (one request) / [`execute_batched_on`] (a
+//!   [`execute_scheduled_on`] (one request) / [`execute_hoisted_on`] (a
 //!   batch of coalesced same-signature requests) re-run the sweep against
 //!   fresh operand bindings through any backend.
 //! * [`batch`] — [`BatchAnalysis`] classifies each node shared/stacked
@@ -52,9 +52,7 @@ mod lower;
 pub mod passes;
 
 pub use batch::{BatchAnalysis, BatchStatus};
-pub use exec::{
-    execute, execute_batched_on, execute_hoisted_on, execute_scheduled_on, hoisted_values, Schedule,
-};
+pub use exec::{execute, execute_hoisted_on, execute_scheduled_on, hoisted_values, Schedule};
 pub use ir::{Graph, GraphBuilder, Node, NodeId, OpKind};
 pub use lower::lower;
 pub use passes::{optimize, rebuild, PassConfig, PassStats};

@@ -7,7 +7,9 @@
 //! unobservable) — and (b) saturation always halts: either at a fixpoint
 //! or by tripping the node budget, in which case it falls back to the
 //! input expression with `budget_hit` reported, and a serving plan
-//! compiled at the e-graph level lowers that input.
+//! compiled at the e-graph level lowers that input. It also pins which
+//! served families extraction changes, on both sides of the chain
+//! family's crossover.
 
 use laab_expr::eval::{eval, Env};
 use laab_expr::{scale, var, Context, Expr};
@@ -180,4 +182,38 @@ fn budget_fallback_flows_through_the_serving_plan() {
     assert_eq!(got, passes.execute(&env), "fallback plan is the passes plan, bitwise");
     // And the graph really computes the nested expression.
     assert!(got.last().expect("one output").approx_eq(&eval(&e, &env), 1e-9));
+}
+
+#[test]
+fn extraction_changes_exactly_the_predicted_families() {
+    // Pins the cost model's discrete decisions (probed, then frozen):
+    //  - slice, distributive: cheaper at any size;
+    //  - chain: two GEMVs beat GEMM+GEMV only once n > 20 (below that,
+    //    the SYRK-discounted HᵀH plus one penalized GEMV wins);
+    //  - cse_gram, gram, solve_residual: the input form is already
+    //    optimal — for cse_gram only as a DAG: (BᵀA)(AᵀB) drops one
+    //    transpose tick but computes three products where the input,
+    //    with AᵀB shared, computes two.
+    for (n, changed) in [
+        (12usize, vec![Family::Slice, Family::Distributive]),
+        (24, vec![Family::Chain, Family::Slice, Family::Distributive]),
+    ] {
+        for family in Family::ALL {
+            let r = optimize_egraph(&family.expr(n), &family.ctx(n), &EgraphConfig::default());
+            assert!(!r.stats.budget_hit, "{} n={n}", family.id());
+            assert_eq!(
+                r.changed,
+                changed.contains(&family),
+                "{} at n={n}: changed={}",
+                family.id(),
+                r.changed
+            );
+            if r.changed {
+                assert!(r.best_cost < r.original_cost, "{} n={n}: a change must pay", family.id());
+            } else {
+                assert_eq!(r.best, family.expr(n), "ties keep the input form");
+                assert_eq!(r.best_cost, r.original_cost);
+            }
+        }
+    }
 }

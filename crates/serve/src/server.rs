@@ -742,10 +742,10 @@ fn execute_batch(batch: &FlushedBatch<ServerJob>, ctx: &ExecCtx<'_>, memo: &mut 
     // fault plan selects is counted however late the batch was picked up.
     let delay =
         ctx.injector.and_then(|inj| batch.items.iter().filter_map(|j| inj.delay_for(j.id)).max());
-    let mut live = expire(batch.items.iter().collect(), counters);
+    let mut live = expire(batch.items.iter().collect(), Instant::now(), counters);
     if let Some(delay) = delay.filter(|_| !live.is_empty()) {
         std::thread::sleep(delay);
-        live = expire(live, counters);
+        live = expire(live, Instant::now(), counters);
     }
     let Some(job0) = live.first() else { return };
     if ctx.quarantine.is_quarantined(&job0.key()) {
@@ -764,16 +764,17 @@ fn execute_batch(batch: &FlushedBatch<ServerJob>, ctx: &ExecCtx<'_>, memo: &mut 
     }
 }
 
-/// Answer every past-deadline job with `Expired` and return the
-/// still-live remainder (arrival order preserved).
-fn expire<'a>(jobs: Vec<&'a ServerJob>, counters: &Counters) -> Vec<&'a ServerJob> {
-    let now = Instant::now();
+/// Answer every job whose deadline is before `now` with `Expired` and
+/// return the still-live remainder (arrival order preserved). A deadline
+/// equal to `now` is still live.
+fn expire<'a>(jobs: Vec<&'a ServerJob>, now: Instant, counters: &Counters) -> Vec<&'a ServerJob> {
     let mut live = Vec::with_capacity(jobs.len());
     for job in jobs {
         match job.deadline {
             Some(dl) if now > dl => {
                 counters.bump(&counters.expired);
-                job.finish(Outcome::Expired { waited_us: job.at.elapsed().as_micros() as u64 });
+                let waited = now.saturating_duration_since(job.at);
+                job.finish(Outcome::Expired { waited_us: waited.as_micros() as u64 });
             }
             _ => live.push(job),
         }
@@ -1212,6 +1213,31 @@ mod tests {
                 }
                 other => panic!("expected request {id} to expire, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_deadline_equal_to_now_is_live_and_one_a_nanosecond_earlier_expires() {
+        let counters = Counters::default();
+        let (conn, mut client_end) = connection();
+        let now = Instant::now();
+        let at = now.checked_sub(Duration::from_micros(5)).expect("the clock has run 5 us");
+        let late = now.checked_sub(Duration::from_nanos(1)).expect("the clock has run 1 ns");
+        let due = |id, deadline| ServerJob {
+            deadline: Some(deadline),
+            ..job(&conn, id, Family::Chain, 16, at)
+        };
+        let (on_time, expired) = (due(1, now), due(2, late));
+        let live = expire(vec![&on_time, &expired], now, &counters);
+        assert_eq!(live.iter().map(|j| j.id).collect::<Vec<_>>(), [1]);
+        assert_eq!(counters.expired.load(Ordering::Relaxed), 1);
+        assert_eq!(conn.1.load(Ordering::Relaxed), 1, "only the expired job's slot is released");
+        match proto::read_message(&mut client_end) {
+            Ok(Some(Message::Response(ResponseMsg {
+                id: 2,
+                outcome: Outcome::Expired { waited_us: 5 },
+            }))) => {}
+            other => panic!("expected request 2 to expire after 5 us, got {other:?}"),
         }
     }
 
